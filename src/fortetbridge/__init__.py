@@ -34,7 +34,7 @@ _EXPORTS = {
     "FeasibilityReport": "problem",
     # fixed-point solver
     "FortetOptions": "fortet", "FortetSolution": "fortet",
-    "IterationState": "fortet", "PotentialPair": "fortet",
+    "IterationState": "fortet",
     "omega_map": "fortet", "fortet_step": "fortet", "run_fortet": "fortet",
     "extract_potentials": "fortet", "verify_system": "fortet",
     "verify_uniqueness": "fortet",

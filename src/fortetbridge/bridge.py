@@ -165,9 +165,9 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
             raise FortetBridgeError("interpolation times must lie in [0, 1]")
         if t == 0.0:
             forward = phi
-            backward = kernel.values @ (w * psi)
+            backward = kernel.apply(psi)
         elif t == 1.0:
-            forward = kernel.values.T @ (w * phi)
+            forward = kernel.apply_T(phi)
             backward = psi
         else:
             forward = _heat_matrix(nodes, var * t) @ (w * phi)

@@ -149,12 +149,20 @@ def _solution_payload(problem, solution, coupling, kl) -> dict:
     return payload
 
 
-def _solve_problem(problem):
+def _solve_problem(problem, out: Path):
     """Shared solve path: returns (solution, coupling, kl) with bridge
-    outputs skipped for degenerate runs."""
+    outputs skipped for degenerate runs.  At the iteration cap the per-step
+    trace is written to out/trace.csv before the NonConvergenceError
+    propagates to main, which exits 3."""
     from . import bridge, fortet
-    solution = fortet.run_fortet(problem.kernel, problem.marginals,
-                                 problem.options)
+    from .errors import NonConvergenceError
+    try:
+        solution = fortet.run_fortet(problem.kernel, problem.marginals,
+                                     problem.options)
+    except NonConvergenceError as exc:
+        if exc.trace:
+            _write_trace(out / "trace.csv", exc.trace)
+        raise
     coupling = kl = None
     if solution.case_tag != "degenerate":
         coupling = bridge.build_coupling(solution.phi, solution.psi,
@@ -188,7 +196,6 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     from .config import load_problem
-    from .errors import NonConvergenceError
     problem = load_problem(args.config)
     if args.force:
         from dataclasses import replace
@@ -196,13 +203,7 @@ def cmd_solve(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    try:
-        solution, coupling, kl = _solve_problem(problem)
-    except NonConvergenceError as exc:
-        if exc.trace:
-            _write_trace(out / "trace.csv", exc.trace)
-        _log(f"solve failed after {time.perf_counter() - started:.3f} s: {exc}")
-        return 3
+    solution, coupling, kl = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
     _write_trace(out / "trace.csv", solution.trace)
     _write_json(out / "summary.json",
@@ -222,7 +223,6 @@ def cmd_solve(args) -> int:
 def cmd_interpolate(args) -> int:
     from . import bridge
     from .config import load_problem
-    from .errors import NonConvergenceError
     try:
         times = [float(t) for t in args.times.split(",") if t.strip() != ""]
     except ValueError:
@@ -235,13 +235,7 @@ def cmd_interpolate(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    try:
-        solution, coupling, kl = _solve_problem(problem)
-    except NonConvergenceError as exc:
-        if exc.trace:
-            _write_trace(out / "trace.csv", exc.trace)
-        _log(f"solve failed: {exc}")
-        return 3
+    solution, coupling, kl = _solve_problem(problem, out)
     if solution.case_tag == "degenerate":
         _log("cannot interpolate a degenerate solution")
         return 2
@@ -265,16 +259,15 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from . import hilbert, sinkhorn
+    from . import sinkhorn
     from .config import load_problem
     problem = load_problem(args.config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    d_col = hilbert.projective_diameter(problem.kernel.values)
-    d_row = hilbert.projective_diameter(problem.kernel.values.T)
     trace = sinkhorn.sinkhorn_trace_hilbert(problem.kernel, problem.marginals,
                                             tol=problem.options.tol,
                                             max_iter=problem.options.max_iter)
+    d_col, d_row = trace.diameter_columns, trace.diameter_rows
     max_ratio = max(trace.ratios) if trace.ratios else None
     payload = {
         "problem_hash": problem.problem_hash,
@@ -305,14 +298,14 @@ def cmd_compare(args) -> int:
     problem = load_problem(args.config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    solution, _, _ = _solve_problem(problem)
+    solution, _, _ = _solve_problem(problem, out)
     if solution.case_tag == "degenerate":
         _log("cannot compare a degenerate solution")
         return 2
     pair = sinkhorn.run_sinkhorn(problem.kernel, problem.marginals,
                                  tol=problem.options.tol,
                                  max_iter=problem.options.max_iter)
-    report = fortet.verify_uniqueness(solution, _ScalingView(pair),
+    report = fortet.verify_uniqueness(solution, pair,
                                       problem.marginals, tol=args.tol)
     _write_potentials(out / "potentials_fortet.csv", problem.grid,
                       [("phi", solution.phi), ("psi", solution.psi),
@@ -337,15 +330,6 @@ def cmd_compare(args) -> int:
           f"ratio_spread_phi={report.ratio_spread_phi!r} "
           f"ratio_spread_psi={report.ratio_spread_psi!r}")
     return 0 if report.consistent else 2
-
-
-class _ScalingView:
-    """Adapter giving a ScalingPair the phi/psi attributes the uniqueness
-    check expects."""
-
-    def __init__(self, pair):
-        self.phi = pair.u
-        self.psi = pair.v
 
 
 def build_parser() -> argparse.ArgumentParser:

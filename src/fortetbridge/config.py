@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict
 
@@ -44,13 +44,9 @@ AUTO_RADIUS_FACTOR = 6.5
 
 _TOP_KEYS = {"kernel", "marginals", "grid", "solver", "swap",
              "normalize_kernel_rows"}
-_SOLVER_KEYS = {"tol", "max_iter", "case1_eps", "degenerate_eps", "ray_tol",
-                "refine_max", "force"}
-
 _GRID_DEFAULTS = {"dim": 1, "rule": "trapezoid"}
-_SOLVER_DEFAULTS = {"tol": 1e-10, "max_iter": 10000, "case1_eps": 1e-12,
-                    "degenerate_eps": 1e-13, "ray_tol": 1e-2,
-                    "refine_max": 5000, "force": False}
+#: solver keys, their defaults and (by the default's type) their casts
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(FortetOptions)}
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ConfigError("'solver' must be an object")
-    unknown = set(solver_raw) - _SOLVER_KEYS
+    unknown = set(solver_raw) - set(_SOLVER_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
     solver = dict(_SOLVER_DEFAULTS, **solver_raw)
@@ -222,12 +218,7 @@ def build_problem(resolved: Dict[str, object], base_dir=".") -> Problem:
         marginals = swapped_marginals(marginals)
 
     s = resolved["solver"]
-    options = FortetOptions(tol=float(s["tol"]), max_iter=int(s["max_iter"]),
-                            case1_eps=float(s["case1_eps"]),
-                            degenerate_eps=float(s["degenerate_eps"]),
-                            ray_tol=float(s["ray_tol"]),
-                            refine_max=int(s["refine_max"]),
-                            force=bool(s["force"]))
+    options = FortetOptions(**{k: type(d)(s[k]) for k, d in _SOLVER_DEFAULTS.items()})
     return Problem(grid=grid, kernel=kernel, marginals=marginals,
                    options=options, config=resolved,
                    problem_hash=problem_hash(resolved))

@@ -34,7 +34,7 @@ decision, recorded in the package docs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -84,13 +84,6 @@ class IterationState:
 
 
 @dataclass(frozen=True)
-class PotentialPair:
-    phi: np.ndarray
-    psi: np.ndarray
-    h: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class FortetSolution:
     h: Optional[np.ndarray]
     case_tag: str                       # "case1" | "case2" | "degenerate"
@@ -136,11 +129,9 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair):
     A = om1 > 0
     if np.any(Hv[A] <= 0):
         raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
-    w1 = kernel.grid1.weights
-    w2 = kernel.grid2.weights
     with np.errstate(over="ignore", under="ignore"):
         ratio1 = np.where(A, om1 / Hv, 0.0)
-        G = kernel.values.T @ (w1 * ratio1)
+        G = kernel.apply_T(ratio1)
         bad = (G == 0) & (om2 > 0)
         if np.any(bad):
             nodes = [int(j) for j in np.flatnonzero(bad)[:8]]
@@ -148,41 +139,62 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair):
                 f"inner integral G vanished at nodes {nodes} where omega2 > 0 "
                 "(kernel columns lack support against omega1)")
         ratio2 = np.where(om2 > 0, om2 / np.where(G > 0, G, 1.0), 0.0)
-        H_prime = kernel.values @ (w2 * ratio2)
+        H_prime = kernel.apply(ratio2)
     return H_prime, G
+
+
+def _step_record(n: int, H: np.ndarray, H_prime: np.ndarray, G: np.ndarray,
+                 prev: Optional[np.ndarray], mask: np.ndarray,
+                 kernel: KernelOperator, marginals: MarginalPair,
+                 case1_candidate: bool, phase: str,
+                 scale: float = 1.0) -> IterationState:
+    """The IterationState of one step of either phase, with its diagnostics.
+
+    prev is the previous H_prime (None on the first scheme step) and mask
+    the nodes the Hilbert step is taken over.  scale is what the closing
+    phase divided Omega(H) by; the normalization residual
+    |Int (omega1/H) Omega(H) - mass2| is taken on H_prime * scale.
+    """
+    om1 = marginals.omega1.values
+    with np.errstate(over="ignore", under="ignore"):
+        ratio1 = np.where(om1 > 0, om1 / H, 0.0)
+    normalization = float(np.sum((kernel.grid1.weights * ratio1) * (H_prime * scale)))
+    mass2 = float(np.sum(kernel.grid2.weights * marginals.omega2.values))
+    diag = {
+        "sup_change": math.nan,
+        "hilbert_step": math.nan,
+        "normalization_residual": abs(normalization - mass2),
+        "case1_candidate": case1_candidate,
+    }
+    if prev is not None:
+        diag["sup_change"] = float(np.max(np.abs(H_prime - prev)))
+        diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
+    return IterationState(n, H, H_prime, np.minimum(1.0, H_prime), G,
+                          H_prime > 1.0, diag, phase)
 
 
 def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
                 marginals: MarginalPair,
                 opts: FortetOptions = FortetOptions()) -> IterationState:
     """Advance the truncated scheme by one iteration (state None -> n = 1)."""
-    om1 = marginals.omega1.values
-    A = om1 > 0
-    w1 = kernel.grid1.weights
+    A = marginals.omega1.values > 0
     if state is None:
-        n = 1
+        n, prev = 1, None
         H = np.ones(kernel.grid1.n_nodes)
     else:
-        n = state.n + 1
+        n, prev = state.n + 1, state.H_prime
         H = np.maximum(state.H_dprime, 1.0 / n)
     H_prime, G = omega_map(H, kernel, marginals)
-    H_dprime = np.minimum(1.0, H_prime)
-    J_mask = H_prime > 1.0
+    return _step_record(n, H, H_prime, G, prev, A, kernel, marginals,
+                        bool(np.all(H_prime[A] <= 1.0 + opts.case1_eps)), "scheme")
 
-    with np.errstate(over="ignore", under="ignore"):
-        ratio1 = np.where(A, om1 / H, 0.0)
-    normalization = float(np.sum((w1 * ratio1) * H_prime))
-    mass2 = float(np.sum(kernel.grid2.weights * marginals.omega2.values))
-    diag = {
-        "sup_change": math.nan,
-        "hilbert_step": math.nan,
-        "normalization_residual": abs(normalization - mass2),
-        "case1_candidate": bool(np.all(H_prime[A] <= 1.0 + opts.case1_eps)),
-    }
-    if state is not None:
-        diag["sup_change"] = float(np.max(np.abs(H_prime - state.H_prime)))
-        diag["hilbert_step"] = _masked_hilbert_step(H_prime, state.H_prime, A)
-    return IterationState(n, H, H_prime, H_dprime, G, J_mask, diag)
+
+def _support_sup(K: np.ndarray, A: np.ndarray, trace: List[IterationState]) -> float:
+    s = float(K[A].max())
+    if s <= 0:
+        raise NonConvergenceError("iterate collapsed to zero on the omega1 support",
+                                  trace)
+    return s
 
 
 def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: MarginalPair,
@@ -198,41 +210,22 @@ def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: Margin
     range in exact arithmetic and never stabilize bitwise.
     """
     A = marginals.omega1.values > 0
-    K = K0.copy()
-    if normalize:
-        s = float(K[A].max())
-        if s <= 0:
-            raise NonConvergenceError("iterate collapsed to zero on the omega1 support",
-                                      trace)
-        K = K / s
+    K = K0 / _support_sup(K0, A, trace) if normalize else K0
     p = float(n0 + 1)
     for r in range(1, opts.refine_max + 1):
         p = min(p * 2.0, 1e300)
         floor = max(1.0 / p, FLOOR_FREEZE)
         Kf = np.maximum(K, floor)
-        Kn, G = omega_map(Kf, kernel, marginals)
-        if normalize:
-            s = float(Kn[A].max())
-            if s <= 0:
-                raise NonConvergenceError("iterate collapsed to zero on the omega1 support",
-                                          trace)
-            Kn = Kn / s
+        image, G = omega_map(Kf, kernel, marginals)
+        s = _support_sup(image, A, trace) if normalize else 1.0
+        Kn = image / s
         conv_mask = A & (Kn > 10.0 * floor) & (K > 10.0 * floor)
-        step = _masked_hilbert_step(Kn, K, conv_mask)
-        sup_change = float(np.max(np.abs(Kn - K)))
-        om1 = marginals.omega1.values
-        with np.errstate(over="ignore", under="ignore"):
-            ratio1 = np.where(A, om1 / Kf, 0.0)
-        norm_resid = abs(float(np.sum((kernel.grid1.weights * ratio1) * (Kn * s if normalize else Kn)))
-                         - float(np.sum(kernel.grid2.weights * marginals.omega2.values)))
-        trace.append(IterationState(
-            n0 + r, Kf, Kn, np.minimum(1.0, Kn), G, Kn > 1.0,
-            {"sup_change": sup_change, "hilbert_step": step,
-             "normalization_residual": norm_resid, "case1_candidate": False},
-            phase="closing"))
+        state = _step_record(n0 + r, Kf, Kn, G, K, conv_mask, kernel, marginals,
+                             False, "closing", s)
+        trace.append(state)
         K = Kn
-        converged = step < opts.tol if normalize else (sup_change < opts.tol)
-        if converged:
+        d = state.diagnostics
+        if (d["hilbert_step"] if normalize else d["sup_change"]) < opts.tol:
             return K, r
     raise NonConvergenceError(
         f"closing iteration did not stabilize within {opts.refine_max} steps", trace)
@@ -333,7 +326,7 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     if np.any(A & ~(usable & (h > 0))):
         warnings.append("potential phi set to 0 at support nodes where h "
                         "underflowed; residuals there are meaningless")
-    G = kernel.values.T @ (kernel.grid1.weights * phi)
+    G = kernel.apply_T(phi)
     bad = (G == 0) & (om2 > 0)
     if np.any(bad):
         nodes = [int(j) for j in np.flatnonzero(bad)[:8]]
@@ -343,8 +336,10 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     return phi, psi, warnings
 
 
-def extract_potentials(h, kernel: KernelOperator, marginals: MarginalPair) -> PotentialPair:
-    """phi = omega1/h on the omega1 support (0 off it); psi = omega2 / (g*phi).
+def extract_potentials(h, kernel: KernelOperator,
+                       marginals: MarginalPair) -> Tuple[np.ndarray, np.ndarray]:
+    """(phi, psi): phi = omega1/h on the omega1 support (0 off it), psi =
+    omega2 / (g*phi).
 
     Raises KernelSupportError when the psi denominator vanishes against a
     positive omega2 node.
@@ -354,30 +349,32 @@ def extract_potentials(h, kernel: KernelOperator, marginals: MarginalPair) -> Po
     if np.any(hv[A] <= 0):
         raise FortetBridgeError("extract_potentials needs h > 0 on the omega1 support")
     phi, psi, _ = _extract_with_warnings(hv, kernel, marginals)
-    return PotentialPair(phi=phi, psi=psi, h=hv)
+    return phi, psi
+
+
+def _system_check(phi: np.ndarray, psi: np.ndarray, kernel: KernelOperator,
+                  marginals: MarginalPair) -> Tuple[Dict[str, float], np.ndarray]:
+    """verify_system's residuals plus the row integral Int g psi behind them."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        row = kernel.apply(psi)
+        s1 = phi * row - marginals.omega1.values
+        s2 = psi * kernel.apply_T(phi) - marginals.omega2.values
+    s1 = np.where(np.isnan(s1), math.inf, s1)
+    s2 = np.where(np.isnan(s2), math.inf, s2)
+    return {"s1_resid": float(np.max(np.abs(s1))),
+            "s2_resid": float(np.max(np.abs(s2)))}, row
 
 
 def verify_system(phi, psi, kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, float]:
     """Sup-norm residuals of the two marginal equations; pure check."""
-    phi = _values(phi)
-    psi = _values(psi)
-    w1 = kernel.grid1.weights
-    w2 = kernel.grid2.weights
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        s1 = phi * (kernel.values @ (w2 * psi)) - marginals.omega1.values
-        s2 = psi * (kernel.values.T @ (w1 * phi)) - marginals.omega2.values
-    s1 = np.where(np.isnan(s1), math.inf, s1)
-    s2 = np.where(np.isnan(s2), math.inf, s2)
-    return {"s1_resid": float(np.max(np.abs(s1))),
-            "s2_resid": float(np.max(np.abs(s2)))}
+    return _system_check(_values(phi), _values(psi), kernel, marginals)[0]
 
 
 def _solution_residuals(phi, psi, kernel, marginals) -> Dict[str, float]:
-    res = verify_system(phi, psi, kernel, marginals)
+    res, row = _system_check(phi, psi, kernel, marginals)
     w1 = kernel.grid1.weights
-    w2 = kernel.grid2.weights
     with np.errstate(over="ignore", under="ignore"):
-        total = float(np.sum((w1 * phi) * (kernel.values @ (w2 * psi))))
+        total = float(np.sum((w1 * phi) * row))
     mass1 = float(np.sum(w1 * marginals.omega1.values))
     res["marginal_resid"] = abs(total - mass1)
     return res

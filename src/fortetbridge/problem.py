@@ -60,9 +60,6 @@ class DensityField:
     def mass(self) -> float:
         return integrate(GridFunction(self.grid, self.values))
 
-    def support_mask(self) -> np.ndarray:
-        return self.values > 0
-
 
 def density_field(grid: QuadratureGrid, values, renormalize: bool = True) -> DensityField:
     values = np.asarray(values, dtype=float)
@@ -131,6 +128,14 @@ class KernelOperator:
             return float(self.params["sigma"])  # type: ignore[arg-type]
         return None
 
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights."""
+        return self.values @ (self.grid2.weights * f)
+
+    def apply_T(self, f: np.ndarray) -> np.ndarray:
+        """Int g(x, y) f(x) dx: the transposed kernel against grid1's weights."""
+        return self.values.T @ (self.grid1.weights * f)
+
     def swapped(self) -> "KernelOperator":
         return KernelOperator(self.values.T.copy(), self.grid2, self.grid1,
                               self.sigma_bound, self.provenance, dict(self.params),
@@ -196,15 +201,12 @@ def pushforward(kernel: KernelOperator, omega1: DensityField) -> DensityField:
     values bitwise when started at the constant function, which is what makes
     the pushforward instance terminate immediately.
     """
-    w1 = kernel.grid1.weights
-    vals = kernel.values.T @ (w1 * omega1.values)
-    return DensityField(kernel.grid2, vals, renormalized=False)
+    return DensityField(kernel.grid2, kernel.apply_T(omega1.values), renormalized=False)
 
 
 def transition_normalized(kernel: KernelOperator) -> KernelOperator:
     """Rescale each x-row so its quadrature mass over y equals exactly 1."""
-    w2 = kernel.grid2.weights
-    row_mass = kernel.values @ w2
+    row_mass = kernel.apply(np.ones(kernel.grid2.n_nodes))
     if np.any(row_mass <= 0):
         raise FeasibilityError("cannot row-normalize: a kernel row has zero mass")
     vals = kernel.values / row_mass[:, None]
@@ -359,8 +361,9 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
 
 def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> ConditionStar:
     """Evaluate the integrability estimate and its tail-growth heuristic."""
-    w1 = kernel.grid1.weights
-    denom = kernel.values.T @ (w1 * marginals.omega1.values)
+    # pushforward's integral without its DensityField validation: a negative
+    # or unbounded kernel must still get a report, not a raise
+    denom = kernel.apply_T(marginals.omega1.values)
     om2 = marginals.omega2.values
     zero_nodes = tuple(int(j) for j in np.flatnonzero((denom == 0) & (om2 > 0)))
     if zero_nodes:
@@ -377,15 +380,11 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
     r2 = y ** 2 if kernel.grid2.dim == 1 else np.sum(y * y, axis=1)
     rmax = float(np.max(np.sqrt(r2)))
     outer = (np.sqrt(r2) >= 0.8 * rmax) & (integrand > 0)
-    if outer.sum() >= 3:
-        logs = np.log(integrand[outer])
-        slope = float(np.polyfit(r2[outer], logs, 1)[0])
-    else:
-        slope = math.inf  # integrand vanished in the tail region entirely
-    if not math.isfinite(slope):
+    if outer.sum() < 3:
         # no positive tail samples: the integrand died before the boundary,
         # which is the opposite of divergence
         return ConditionStar(estimate, "finite", -math.inf)
+    slope = float(np.polyfit(r2[outer], np.log(integrand[outer]), 1)[0])
     verdict = "suspected-divergent" if slope > TAIL_SLOPE_TOL else "finite"
     return ConditionStar(estimate, verdict, slope)
 
@@ -438,9 +437,8 @@ def _difference_profile(kernel: KernelOperator) -> Optional[Tuple[np.ndarray, np
         return None
     x = kernel.grid1.nodes
     y = kernel.grid2.nodes
-    if kernel.provenance == "analytic-gaussian" and "sigma" in kernel.params \
-            and not kernel.params.get("row_normalized"):
-        s = float(kernel.params["sigma"])  # type: ignore[arg-type]
+    s = kernel.heat_sigma
+    if s is not None:
         span = float(x.max() - y.min())
         t = np.linspace(-span, span, 4 * max(len(x), len(y)) + 1)
         return t, np.exp(-t * t / (2 * s * s)) / math.sqrt(2 * math.pi * s * s)
@@ -485,7 +483,7 @@ def difference_kernel_tails(kernel: KernelOperator) -> DifferenceKernelResult:
     i1, j1 = tails(u)
     if i1 >= j1:
         # unimodal: pick the peak as the common threshold
-        return DifferenceKernelResult("pass", 1, float(t[j1]), float(t[i1]) if t[i1] >= t[j1] else float(t[j1]),
+        return DifferenceKernelResult("pass", 1, float(t[j1]), float(t[i1]),
                                       "unimodal profile")
     if (t[i1] - t[0]) >= MIN_TAIL_FRACTION * span and (t[-1] - t[j1]) >= MIN_TAIL_FRACTION * span:
         return DifferenceKernelResult("pass", 1, float(t[i1]), float(t[j1]),
@@ -493,7 +491,7 @@ def difference_kernel_tails(kernel: KernelOperator) -> DifferenceKernelResult:
     # condition 2: falling left tail, rising right tail (mirror)
     i2, j2 = tails(-u)
     if i2 >= j2:
-        return DifferenceKernelResult("pass", 2, float(t[j2]), float(t[i2]) if t[i2] >= t[j2] else float(t[j2]),
+        return DifferenceKernelResult("pass", 2, float(t[j2]), float(t[i2]),
                                       "unimodal valley profile")
     if (t[i2] - t[0]) >= MIN_TAIL_FRACTION * span and (t[-1] - t[j2]) >= MIN_TAIL_FRACTION * span:
         return DifferenceKernelResult("pass", 2, float(t[i2]), float(t[j2]),

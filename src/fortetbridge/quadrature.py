@@ -58,13 +58,6 @@ class QuadratureGrid:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def volume(self) -> float:
-        return (2.0 * self.truncation_radius) ** self.dim
-
-    def axis(self, k: int = 0) -> np.ndarray:
-        return self.axes[k]
-
 
 @dataclass(frozen=True)
 class GridFunction:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import KernelSupportError, NonConvergenceError
-from .hilbert import hilbert_distance, projective_diameter
+from .hilbert import ProjectiveDiameter, hilbert_distance, projective_diameter
 from .problem import KernelOperator, MarginalPair
 
 #: kernel entries below max_entry * LOG_DOMAIN_RATIO force log-domain updates
@@ -40,6 +40,14 @@ class ScalingPair:
     def __post_init__(self):
         self.u.setflags(write=False)
         self.v.setflags(write=False)
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.u
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.v
 
 
 def _needs_log_domain(K: np.ndarray) -> bool:
@@ -72,15 +80,12 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     om2 = marginals.omega2.values
     m1 = om1 > 0
     m2 = om2 > 0
-    w1 = kernel.grid1.weights
-    w2 = kernel.grid2.weights
     K = kernel.values
-    log_domain = _needs_log_domain(K)
 
-    if log_domain:
+    if _needs_log_domain(K):
         with np.errstate(divide="ignore"):
             logK = np.where(K > 0, np.log(np.where(K > 0, K, 1.0)), -np.inf)
-            lw1, lw2 = np.log(w1), np.log(w2)
+            lw1, lw2 = np.log(kernel.grid1.weights), np.log(kernel.grid2.weights)
             lom1 = np.where(m1, np.log(np.where(m1, om1, 1.0)), -np.inf)
             lom2 = np.where(m2, np.log(np.where(m2, om2, 1.0)), -np.inf)
         lv = np.zeros(om2.shape)
@@ -117,11 +122,11 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     prev_u: Optional[np.ndarray] = None
     prev_v: Optional[np.ndarray] = None
     for it in range(1, max_iter + 1):
-        den_u = K @ (w2 * v)
+        den_u = kernel.apply(v)
         if np.any((den_u == 0) & m1):
             raise KernelSupportError("row integral vanished where omega1 > 0")
         u = np.where(m1, om1 / np.where(den_u > 0, den_u, 1.0), 0.0)
-        den_v = K.T @ (w1 * u)
+        den_v = kernel.apply_T(u)
         if np.any((den_v == 0) & m2):
             raise KernelSupportError("column integral vanished where omega2 > 0")
         v_new = np.where(m2, om2 / np.where(den_v > 0, den_v, 1.0), 0.0)
@@ -129,7 +134,7 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
             collect_u.append(u / u[m1].max())
         change = max(_sup_log_change(u, prev_u, m1),
                      _sup_log_change(v_new, prev_v, m2))
-        prev_u, prev_v = u.copy(), v_new.copy()
+        prev_u, prev_v = u, v_new
         v = v_new
         if change < tol:
             scale = u[m1].max()
@@ -143,13 +148,16 @@ class HilbertTrace:
     omega1 support, their consecutive ratios, and the Birkhoff bound
     tanh(max(diam_rows, diam_cols)/4) that dominates the ratios when the
     diameters are finite (one full sweep composes two kernel applications,
-    each a tanh(diam/4)-contraction)."""
+    each a tanh(diam/4)-contraction).  The two diameters are kept for
+    callers that report them."""
 
     distances: Tuple[float, ...]
     ratios: Tuple[float, ...]
     bound: float
     guaranteed: bool
     iterations: int
+    diameter_columns: ProjectiveDiameter
+    diameter_rows: ProjectiveDiameter
 
 
 def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
@@ -186,4 +194,4 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
     else:
         bound, guaranteed = 1.0, False
     return HilbertTrace(tuple(distances), tuple(ratios), bound,
-                        guaranteed, pair.iterations)
+                        guaranteed, pair.iterations, d_col, d_row)

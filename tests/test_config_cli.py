@@ -57,6 +57,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="marginals"):
             resolve_config(raw)
 
+    def test_solver_defaults_pinned(self):
+        # the resolved solver block enters problem_hash and summary.json
+        assert resolve_config(BENCH_RAW)["solver"] == {
+            "tol": 1e-10, "max_iter": 10000, "case1_eps": 1e-12,
+            "degenerate_eps": 1e-13, "ray_tol": 1e-2, "refine_max": 5000,
+            "force": False}
+
     def test_hash_is_stable_and_sensitive(self):
         h1 = problem_hash(resolve_config(BENCH_RAW))
         h2 = problem_hash(resolve_config(json.loads(json.dumps(BENCH_RAW))))
@@ -187,15 +194,16 @@ class TestCli:
         missing = tmp_path / "missing.json"
         assert main(["solve", "--config", str(missing), "--output", str(tmp_path)]) == 1
 
-    def test_solve_iteration_cap_exits_3_with_trace(self, tmp_path):
+    @pytest.mark.parametrize("command", ["solve", "interpolate", "compare"])
+    def test_solve_iteration_cap_exits_3_with_trace(self, tmp_path, command):
         raw = dict(BENCH_RAW, solver={"max_iter": 3})
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "run"
-        code = main(["solve", "--config", str(cfg), "--output", str(out)])
+        code = main([command, "--config", str(cfg), "--output", str(out)])
         assert code == 3
         trace = read_csv(out / "trace.csv")
         assert len(trace) == 1 + 3
-        assert not (out / "summary.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
     def test_interpolate_writes_time_slices(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_RAW)

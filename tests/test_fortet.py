@@ -174,9 +174,9 @@ def test_phi_vanishes_exactly_off_support(bench_grid, bench_kernel):
 
 def test_extract_potentials_validates():
     kernel, marginals = hand_instance()
-    pair = extract_potentials(np.array([1.0, 1.0]), kernel, marginals)
-    assert np.array_equal(pair.phi, [0.5, 0.5])
-    assert np.array_equal(pair.psi, marginals.omega2.values / 0.75)
+    phi, psi = extract_potentials(np.array([1.0, 1.0]), kernel, marginals)
+    assert np.array_equal(phi, [0.5, 0.5])
+    assert np.array_equal(psi, marginals.omega2.values / 0.75)
     with pytest.raises(FortetBridgeError):
         extract_potentials(np.array([0.0, 1.0]), kernel, marginals)
 

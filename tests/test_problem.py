@@ -11,6 +11,7 @@ from fortetbridge import (MarginalPair, bernstein_gaussian_condition,
                           swapped_marginals, table_kernel,
                           transition_normalized)
 from fortetbridge.errors import FeasibilityError
+from tests.conftest import random_instance
 
 SPACING_TOL = 0.05  # one node spacing on the coarse profile grids
 
@@ -128,6 +129,19 @@ def test_pushforward_and_row_normalization(bench_grid):
     om2 = pushforward(kernel, om1)
     assert om2.mass() == pytest.approx(1.0, abs=1e-13)
     assert not om2.renormalized
+
+
+def test_kernel_apply_weights_each_side_by_its_own_grid():
+    # n1 != n2 on different grids, so swapping grid1/grid2 weights would fail
+    kernel, _ = random_instance(np.random.default_rng(11), 7, 12)
+    rng = np.random.default_rng(12)
+    f1, f2 = rng.uniform(0.1, 1.0, 7), rng.uniform(0.1, 1.0, 12)
+    assert np.array_equal(kernel.apply(f2),
+                          kernel.values @ (kernel.grid2.weights * f2))
+    assert np.array_equal(kernel.apply_T(f1),
+                          kernel.values.T @ (kernel.grid1.weights * f1))
+    assert kernel.apply(f2).shape == (7,)
+    assert kernel.apply_T(f1).shape == (12,)
 
 
 def test_full_report_benchmark_admissible(bench_kernel, bench_marginals):

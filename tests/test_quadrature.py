@@ -36,7 +36,6 @@ def test_2d_grid_sizes_and_volume():
     assert grid.n_nodes == 51 * 51
     assert grid.nodes.shape == (2601, 2)
     assert float(np.sum(grid.weights)) == pytest.approx(64.0, rel=1e-12)
-    assert grid.volume == 64.0
 
 
 def test_normal_density_integrates_to_one():

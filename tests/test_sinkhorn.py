@@ -69,15 +69,21 @@ def test_log_domain_triggers_on_underflowing_kernel():
     assert np.max(np.abs(s1)) < 1e-8
 
 
-def test_zero_row_raises():
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_zero_row_raises(axis):
+    # the zero entries force the log-domain loop, whose row and column
+    # support checks each get one case
     grid = build_grid(dim=1, radius=1.0, points_per_axis=5)
     vals = np.ones((5, 5))
-    vals[2, :] = 0.0
+    if axis == "row":
+        vals[2, :] = 0.0
+    else:
+        vals[:, 2] = 0.0
     kernel = table_kernel(grid, grid, vals)
     rng = np.random.default_rng(0)
     marginals = MarginalPair(density_field(grid, rng.uniform(0.1, 1.0, 5)),
                              density_field(grid, rng.uniform(0.1, 1.0, 5)))
-    with pytest.raises(KernelSupportError):
+    with pytest.raises(KernelSupportError, match=f"{axis} integral vanished"):
         run_sinkhorn(kernel, marginals)
 
 
