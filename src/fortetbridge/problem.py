@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import reduce
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +104,13 @@ class KernelOperator:
     formula, never tabulated) or "table".  params carries the construction
     parameters; is_difference marks kernels of the form U(x - y), which is
     what the monotone-tail screen and the heat-kernel interpolation need.
+
+    factors are what apply / apply_T contract.  A dense kernel has the one
+    factor values.  The heat kernel on two tensor grids has one 1-D factor
+    per grid axis, in the axes' order, and values is their Kronecker
+    product (the caller's promise; it is not re-checked).  A product then
+    costs one small matrix product per axis instead of a pass over the
+    n1 x n2 matrix; values stays for the readers that need the matrix.
     """
 
     values: np.ndarray
@@ -112,13 +120,21 @@ class KernelOperator:
     provenance: str
     params: Dict[str, object] = field(default_factory=dict)
     is_difference: bool = False
+    factors: Tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.grid1.n_nodes, self.grid2.n_nodes):
             raise GridError("kernel matrix shape must be (n1, n2)")
-        values.setflags(write=False)
+        factors = (tuple(np.asarray(a, dtype=float) for a in self.factors)
+                   if len(self.factors) > 1 else (values,))
+        if len(factors) > 1 and [a.shape for a in factors] != [
+                (len(a1), len(a2)) for a1, a2 in zip(self.grid1.axes, self.grid2.axes)]:
+            raise GridError("kernel factors must be (n1, n2) per grid axis")
+        for a in factors + (values,):
+            a.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def heat_sigma(self) -> Optional[float]:
@@ -130,43 +146,71 @@ class KernelOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights."""
-        return self.values @ (self.grid2.weights * f)
+        return _contract(self.factors, self.grid2.weights * f)
 
     def apply_T(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(x) dx: the transposed kernel against grid1's weights."""
-        return self.values.T @ (self.grid1.weights * f)
+        return _contract([a.T for a in self.factors], self.grid1.weights * f)
 
     def swapped(self) -> "KernelOperator":
-        return KernelOperator(self.values.T.copy(), self.grid2, self.grid1,
+        factors = tuple(a.T.copy() for a in self.factors)
+        return KernelOperator(reduce(np.kron, factors), self.grid2, self.grid1,
                               self.sigma_bound, self.provenance, dict(self.params),
-                              self.is_difference)
+                              self.is_difference, factors)
+
+
+def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """(A_1 kron ... kron A_d) @ x, one matrix product per factor.
+
+    x is flat in 'ij' order (last axis fastest).  Each product contracts the
+    leading axis and its transpose rotates that axis to the back, so after d
+    products the axes are back in order; for d = 2 this is A_1 @ X @ A_2.T.
+    """
+    if len(factors) == 1:
+        return factors[0] @ x
+    for a in factors:
+        x = (a @ x.reshape(a.shape[1], -1)).T
+    return x.reshape(-1)
 
 
 def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
     return MarginalPair(marginals.omega2, marginals.omega1)
 
 
+def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """1-D heat kernel N(b - a; s^2) between two coordinate arrays."""
+    peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
+    return peak * np.exp(-np.subtract.outer(a, b) ** 2 / (2.0 * s * s))
+
+
 def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma: float) -> KernelOperator:
-    """Heat kernel g(x, y) = N(y - x; sigma^2) evaluated pointwise."""
+    """Heat kernel g(x, y) = N(y - x; sigma^2) evaluated pointwise.
+
+    The isotropic kernel is the product of 1-D kernels, one per coordinate.
+    On two grids with axes that is a Kronecker product of per-axis factors,
+    which the operator keeps; a grid without axes gets one dense factor.
+    """
     s = float(sigma)
     if s <= 0:
         raise FeasibilityError("kernel sigma must be positive")
     if grid1.dim != grid2.dim:
         raise GridError("kernel grids must share dimension")
-    if grid1.dim == 1:
-        diff2 = np.subtract.outer(grid1.nodes, grid2.nodes) ** 2
-        peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
-        vals = peak * np.exp(-diff2 / (2.0 * s * s))
+    d = grid1.dim
+    if grid1.axes and grid2.axes:
+        factors = tuple(_heat_factor(a, b, s) for a, b in zip(grid1.axes, grid2.axes))
+        vals = reduce(np.kron, factors)
     else:
-        d = grid1.dim
-        delta = grid1.nodes[:, None, :] - grid2.nodes[None, :, :]
-        q = np.sum(delta * delta, axis=2)
-        peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d)
-        vals = peak * np.exp(-q / (2.0 * s * s))
+        x = grid1.nodes.reshape(grid1.n_nodes, d)
+        y = grid2.nodes.reshape(grid2.n_nodes, d)
+        factors = ()
+        vals = 1.0
+        for k in range(d):
+            vals = vals * _heat_factor(x[:, k], y[:, k], s)
     # strict upper bound: the sup is attained on the diagonal, so pad it
+    peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d)
     bound = peak * (1.0 + 1e-9)
     return KernelOperator(vals, grid1, grid2, bound, "analytic-gaussian",
-                          {"sigma": s}, is_difference=True)
+                          {"sigma": s}, is_difference=True, factors=factors)
 
 
 def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,

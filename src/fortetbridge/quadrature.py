@@ -26,8 +26,10 @@ class QuadratureGrid:
     """Tensor quadrature grid over the box [-R, R]^dim.
 
     nodes is (n,) for dim == 1 and (n, dim) otherwise; weights is always (n,)
-    and strictly positive.  axes keeps the per-axis 1-D node arrays (needed to
-    rebuild tensor structure, e.g. for kernels on product grids).
+    and strictly positive.  axes keeps the per-axis 1-D node arrays; when
+    given, nodes must be their 'ij' mesh (last axis fastest), which is the
+    order the per-axis kernel factors are applied in.  A grid without axes
+    has no tensor structure to use.
     """
 
     nodes: np.ndarray
@@ -51,6 +53,9 @@ class QuadratureGrid:
         for ax in self.axes:
             if np.any(np.diff(ax) <= 0):
                 raise GridError("axis nodes must be strictly increasing")
+        if self.axes and (len(self.axes) != self.dim
+                          or not np.array_equal(nodes, _mesh(self.axes))):
+            raise GridError("nodes must be the 'ij' mesh of the grid axes")
         nodes.setflags(write=False)
         weights.setflags(write=False)
 
@@ -75,6 +80,14 @@ class GridFunction:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+
+def _mesh(axes) -> np.ndarray:
+    """Nodes of the 'ij' tensor mesh of axes: (n,) for one axis, else (n, d)."""
+    if len(axes) == 1:
+        return np.asarray(axes[0], dtype=float)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def _axis_rule(radius: float, points: int, rule: str):
@@ -108,8 +121,7 @@ def build_grid(dim: int = 1, radius: float = 1.0, points_per_axis: int = 2,
     x, w = _axis_rule(float(radius), int(points_per_axis), rule)
     if dim == 1:
         return QuadratureGrid(x, w, float(radius), 1, rule, axes=(x,))
-    mesh = np.meshgrid(*([x] * dim), indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
+    nodes = _mesh([x] * dim)
     wmesh = np.meshgrid(*([w] * dim), indexing="ij")
     weights = np.ones(total)
     for wm in wmesh:

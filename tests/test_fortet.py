@@ -241,3 +241,15 @@ def test_degenerate_target_detected(bench_grid, bench_kernel):
     assert sol.trigger_iteration == 1
     assert sol.phi is None and sol.psi is None
     assert all(math.isnan(v) for v in sol.residuals.values())
+
+
+def test_two_dimensional_factored_solve_matches_dense_table():
+    grid = build_grid(dim=2, radius=8.0, points_per_axis=21)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    assert len(kernel.factors) == 2
+    marginals = MarginalPair(gaussian_density(grid, 1.0),
+                             gaussian_density(grid, 0.8))
+    factored = run_fortet(kernel, marginals)
+    dense = run_fortet(table_kernel(grid, grid, kernel.values), marginals)
+    assert factored.case_tag == dense.case_tag
+    assert verify_uniqueness(factored, dense, marginals, tol=1e-10).consistent

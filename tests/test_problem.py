@@ -11,9 +11,12 @@ from fortetbridge import (MarginalPair, bernstein_gaussian_condition,
                           swapped_marginals, table_kernel,
                           transition_normalized)
 from fortetbridge.errors import FeasibilityError
+from fortetbridge.quadrature import QuadratureGrid
 from tests.conftest import random_instance
 
 SPACING_TOL = 0.05  # one node spacing on the coarse profile grids
+#: factored against dense products: same sums in another order
+FACTORED_APPLY_RTOL = 1e-13
 
 
 def test_gaussian_density_unit_mass(bench_grid):
@@ -149,3 +152,94 @@ def test_full_report_benchmark_admissible(bench_kernel, bench_marginals):
     assert report.solver_admissible
     assert not report.swap_recommended
     assert report.difference_kernel.status == "pass"
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _pointwise_heat_kernel(grid1, grid2, sigma):
+    """The d-dimensional heat kernel from the full squared distances."""
+    delta = grid1.nodes[:, None, :] - grid2.nodes[None, :, :]
+    q = np.sum(delta * delta, axis=2)
+    peak = 1.0 / np.sqrt((2.0 * np.pi * sigma * sigma) ** grid1.dim)
+    return peak * np.exp(-q / (2.0 * sigma * sigma))
+
+
+@pytest.mark.parametrize("dim,points", [(2, 41), (3, 15)])
+def test_factored_gaussian_matches_dense(dim, points):
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    assert len(kernel.factors) == dim
+    assert kernel.factors[0].shape == (points, points)
+    f = np.random.default_rng(dim).uniform(0.1, 1.0, grid.n_nodes)
+    w = grid.weights
+    assert _rel_err(kernel.apply(f), kernel.values @ (w * f)) <= FACTORED_APPLY_RTOL
+    assert _rel_err(kernel.apply_T(f), kernel.values.T @ (w * f)) <= FACTORED_APPLY_RTOL
+    if dim == 2:
+        assert _rel_err(kernel.values, _pointwise_heat_kernel(grid, grid, 0.5)) <= 1e-12
+    assert np.all(kernel.values < kernel.sigma_bound)
+
+
+def test_one_dimensional_gaussian_apply_is_the_dense_product(bench_kernel, bench_grid):
+    assert len(bench_kernel.factors) == 1
+    assert bench_kernel.factors[0] is bench_kernel.values
+    f = np.random.default_rng(3).uniform(0.1, 1.0, bench_grid.n_nodes)
+    assert np.array_equal(bench_kernel.apply(f),
+                          bench_kernel.values @ (bench_grid.weights * f))
+    assert np.array_equal(bench_kernel.apply_T(f),
+                          bench_kernel.values.T @ (bench_grid.weights * f))
+
+
+def test_gaussian_on_grid_without_axes_is_one_dense_factor():
+    grid = build_grid(dim=2, radius=4.0, points_per_axis=9)
+    bare = QuadratureGrid(grid.nodes, grid.weights, 4.0, 2, "trapezoid")
+    dense = gaussian_kernel(bare, bare, 0.7)
+    assert len(dense.factors) == 1 and dense.factors[0] is dense.values
+    assert _rel_err(dense.values, _pointwise_heat_kernel(grid, grid, 0.7)) <= 1e-12
+    assert _rel_err(dense.values, gaussian_kernel(grid, grid, 0.7).values) <= 1e-12
+
+
+def _tensor_grid(*axes):
+    """Hand-built grid with a different node set on every axis."""
+    nodes = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    weights = np.random.default_rng(len(nodes)).uniform(0.5, 1.5, len(nodes))
+    return QuadratureGrid(nodes, weights, 4.0, len(axes), "trapezoid", axes=axes)
+
+
+def test_factored_apply_follows_the_axis_order():
+    # unequal axes on both grids, so a factor applied to the wrong axis fails
+    g1 = _tensor_grid(np.linspace(-3, 3, 3), np.linspace(-2, 4, 4), np.linspace(-1, 1, 5))
+    g2 = _tensor_grid(np.linspace(-4, 2, 5), np.linspace(-1, 1, 2), np.linspace(0, 3, 3))
+    kernel = gaussian_kernel(g1, g2, 0.9)
+    dense = _pointwise_heat_kernel(g1, g2, 0.9)
+    assert [a.shape for a in kernel.factors] == [(3, 5), (4, 2), (5, 3)]
+    assert _rel_err(kernel.values, dense) <= 1e-12
+    rng = np.random.default_rng(9)
+    f1, f2 = rng.uniform(0.1, 1.0, g1.n_nodes), rng.uniform(0.1, 1.0, g2.n_nodes)
+    assert _rel_err(kernel.apply(f2), dense @ (g2.weights * f2)) <= 1e-12
+    assert _rel_err(kernel.apply_T(f1), dense.T @ (g1.weights * f1)) <= 1e-12
+
+
+def test_factored_swapped_and_row_normalized_match_dense():
+    g1 = _tensor_grid(np.linspace(-4, 4, 11), np.linspace(-3, 3, 6))
+    g2 = _tensor_grid(np.linspace(-2, 2, 5), np.linspace(-3, 3, 9))
+    kernel = gaussian_kernel(g1, g2, 0.6)
+    rng = np.random.default_rng(5)
+    f1, f2 = rng.uniform(0.1, 1.0, g1.n_nodes), rng.uniform(0.1, 1.0, g2.n_nodes)
+
+    swapped = kernel.swapped()
+    assert swapped.grid1 is g2 and swapped.grid2 is g1
+    assert len(swapped.factors) == 2
+    assert all(np.array_equal(s, k.T) for s, k in zip(swapped.factors, kernel.factors))
+    assert np.array_equal(swapped.values, kernel.values.T)
+    assert _rel_err(swapped.apply(f1), kernel.values.T @ (g1.weights * f1)) <= FACTORED_APPLY_RTOL
+    assert _rel_err(swapped.apply_T(f2), kernel.values @ (g2.weights * f2)) <= FACTORED_APPLY_RTOL
+
+    # the row scaling is not a product over axes, so it must drop the factors
+    normalized = transition_normalized(kernel)
+    expected = kernel.values / (kernel.values @ g2.weights)[:, None]
+    assert len(normalized.factors) == 1
+    assert _rel_err(normalized.values, expected) <= 1e-13
+    assert _rel_err(normalized.apply(f2), expected @ (g2.weights * f2)) <= FACTORED_APPLY_RTOL
+    assert np.max(np.abs(normalized.apply(np.ones(g2.n_nodes)) - 1.0)) < 1e-14

@@ -105,6 +105,23 @@ def test_direct_grid_construction():
                        "trapezoid")
 
 
+def test_axes_must_mesh_the_nodes():
+    # kernel factors are applied in the axes' 'ij' order, so a grid whose
+    # nodes run in any other order must not carry axes
+    grid = build_grid(dim=2, radius=1.0, points_per_axis=3)
+    x = grid.axes[0]
+    y = np.array([-2.0, 0.5, 2.0])
+    ij = np.column_stack([m.ravel() for m in np.meshgrid(x, y, indexing="ij")])
+    xy = np.column_stack([m.ravel() for m in np.meshgrid(x, y, indexing="xy")])
+    assert QuadratureGrid(ij, grid.weights, 2.0, 2, "trapezoid", axes=(x, y)).axes
+    with pytest.raises(GridError, match="mesh"):
+        QuadratureGrid(xy, grid.weights, 2.0, 2, "trapezoid", axes=(x, y))
+    with pytest.raises(GridError, match="mesh"):
+        QuadratureGrid(ij, grid.weights, 2.0, 2, "trapezoid", axes=(x,))
+    # without axes the same nodes are accepted in any order
+    assert QuadratureGrid(xy, grid.weights, 2.0, 2, "trapezoid").axes == ()
+
+
 @given(st.lists(st.floats(-100, 100), min_size=5, max_size=5),
        st.lists(st.floats(-100, 100), min_size=5, max_size=5),
        st.floats(-10, 10), st.floats(-10, 10))
