@@ -12,7 +12,8 @@ usual ray rescaling and gives machine-checkable reference values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,32 +30,66 @@ MASS_DRIFT_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Coupling:
-    pi: np.ndarray                    # (n1, n2), density against dx x dy
-    grid1: QuadratureGrid
-    grid2: QuadratureGrid
-    row_marginal_resid: float         # sup | integral_y pi - omega1 |
-    col_marginal_resid: float         # sup | integral_x pi - omega2 |
-    mass: float
+    """The static bridge pi(x, y) = phi(x) g(x, y) psi(y), a density
+    against dx x dy on grid1 x grid2.
+
+    It is kept as its potentials, its kernel and its two marginal
+    integrals, row = Int pi dy = phi * apply(psi) and col = Int pi dx =
+    psi * apply_T(phi): the residuals, the mass and the KL objective read
+    only these.  The (n1, n2) array pi is built on first read.
+    """
+
+    phi: np.ndarray
+    psi: np.ndarray
+    kernel: KernelOperator
+    marginals: MarginalPair
+    row: np.ndarray = field(init=False, repr=False)
+    col: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.pi.setflags(write=False)
+        phi = np.asarray(getattr(self.phi, "values", self.phi), dtype=float)
+        psi = np.asarray(getattr(self.psi, "values", self.psi), dtype=float)
+        with np.errstate(over="ignore", under="ignore"):
+            row = phi * self.kernel.apply(psi)
+            col = psi * self.kernel.apply_T(phi)
+        for name, value in (("phi", phi), ("psi", psi), ("row", row), ("col", col)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def grid1(self) -> QuadratureGrid:
+        return self.kernel.grid1
+
+    @property
+    def grid2(self) -> QuadratureGrid:
+        return self.kernel.grid2
+
+    @property
+    def row_marginal_resid(self) -> float:
+        """sup | Int pi dy - omega1 |"""
+        return float(np.max(np.abs(self.row - self.marginals.omega1.values)))
+
+    @property
+    def col_marginal_resid(self) -> float:
+        """sup | Int pi dx - omega2 |"""
+        return float(np.max(np.abs(self.col - self.marginals.omega2.values)))
+
+    @property
+    def mass(self) -> float:
+        return float(self.grid1.weights @ self.row)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        with np.errstate(over="ignore", under="ignore"):
+            pi = self.phi[:, None] * self.kernel.values * self.psi[None, :]
+        pi.setflags(write=False)
+        return pi
 
 
 def build_coupling(phi, psi, kernel: KernelOperator,
                    marginals: MarginalPair) -> Coupling:
-    """Assemble pi = phi * g * psi and report its marginal residuals."""
-    phi = np.asarray(getattr(phi, "values", phi), dtype=float)
-    psi = np.asarray(getattr(psi, "values", psi), dtype=float)
-    w1 = kernel.grid1.weights
-    w2 = kernel.grid2.weights
-    with np.errstate(over="ignore", under="ignore"):
-        pi = phi[:, None] * kernel.values * psi[None, :]
-        row = pi @ w2
-        col = pi.T @ w1
-        mass = float(w1 @ (pi @ w2))
-    row_resid = float(np.max(np.abs(row - marginals.omega1.values)))
-    col_resid = float(np.max(np.abs(col - marginals.omega2.values)))
-    return Coupling(pi, kernel.grid1, kernel.grid2, row_resid, col_resid, mass)
+    """The coupling pi = phi * g * psi with its marginal integrals: two
+    kernel applies, and no (n1, n2) array until pi is read."""
+    return Coupling(phi, psi, kernel, marginals)
 
 
 def prior_coupling(kernel: KernelOperator, marginals: MarginalPair) -> np.ndarray:
@@ -69,26 +104,28 @@ class KLObjective:
     absolutely_continuous: bool       # False => pi charges a reference-null cell
 
 
-def kl_objective(pi, reference, weights1=None, weights2=None) -> KLObjective:
-    """Quadrature KL divergence sum w1 w2 pi log(pi/reference), 0 log 0 = 0.
+def kl_objective(coupling: Coupling) -> KLObjective:
+    """Quadrature KL divergence of pi against the prior coupling omega1 g.
 
-    Mass is taken as given (no normalization); a positive pi cell over a
-    zero reference cell makes the divergence +inf and clears the
+    On every cell pi charges, log(pi / (omega1 g)) = log phi - log omega1 +
+    log psi, so the sum of w1 w2 pi log(pi / (omega1 g)) is
+    sum w1 row (log phi - log omega1) + sum w2 col log psi, over the nodes
+    where row > 0 and col > 0 (0 log 0 = 0).  The two logs are taken apart:
+    phi / omega1 can overflow where both are finite.  Mass is taken as given
+    (no normalization); a positive row over omega1 = 0 charges a
+    reference-null cell, which makes the divergence +inf and clears the
     absolute-continuity flag.
     """
-    pi = np.asarray(pi, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    if pi.shape != ref.shape:
-        raise FortetBridgeError("kl_objective needs same-shape arrays")
-    w1 = np.ones(pi.shape[0]) if weights1 is None else np.asarray(weights1, dtype=float)
-    w2 = np.ones(pi.shape[1]) if weights2 is None else np.asarray(weights2, dtype=float)
-    if np.any((pi > 0) & (ref == 0)):
+    om1 = coupling.marginals.omega1.values
+    r = coupling.row > 0
+    if np.any(r & (om1 == 0)):
         return KLObjective(math.inf, False)
-    mask = pi > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.zeros_like(pi)
-        terms[mask] = pi[mask] * np.log(pi[mask] / ref[mask])
-    value = float(w1 @ (terms @ w2))
+    c = coupling.col > 0
+    w1 = coupling.grid1.weights
+    w2 = coupling.grid2.weights
+    value = (float(np.sum(w1[r] * coupling.row[r]
+                          * (np.log(coupling.phi[r]) - np.log(om1[r]))))
+             + float(np.sum(w2[c] * coupling.col[c] * np.log(coupling.psi[c]))))
     return KLObjective(value, True)
 
 

@@ -167,11 +167,7 @@ def _solve_problem(problem, out: Path):
     if solution.case_tag != "degenerate":
         coupling = bridge.build_coupling(solution.phi, solution.psi,
                                          problem.kernel, problem.marginals)
-        kl = bridge.kl_objective(coupling.pi,
-                                 bridge.prior_coupling(problem.kernel,
-                                                       problem.marginals),
-                                 problem.kernel.grid1.weights,
-                                 problem.kernel.grid2.weights)
+        kl = bridge.kl_objective(coupling)
     return solution, coupling, kl
 
 

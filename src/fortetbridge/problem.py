@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,36 +105,47 @@ class KernelOperator:
     parameters; is_difference marks kernels of the form U(x - y), which is
     what the monotone-tail screen and the heat-kernel interpolation need.
 
-    factors are what apply / apply_T contract.  A dense kernel has the one
-    factor values.  The heat kernel on two tensor grids has one 1-D factor
-    per grid axis, in the axes' order, and values is their Kronecker
-    product (the caller's promise; it is not re-checked).  A product then
-    costs one small matrix product per axis instead of a pass over the
-    n1 x n2 matrix; values stays for the readers that need the matrix.
+    factors are what apply / apply_T contract and what the hypothesis checks
+    read.  A dense kernel has one factor, the n1 x n2 matrix.  The heat
+    kernel on two tensor grids has one nonnegative 1-D factor per grid axis,
+    in the axes' order, and the kernel is their Kronecker product: a product
+    then costs one small matrix product per axis instead of a pass over the
+    n1 x n2 matrix.  values is that matrix, reduce(np.kron, factors); for a
+    product kernel it is built on first read and cached, and solving never
+    reads it.
     """
 
-    values: np.ndarray
+    factors: Tuple[np.ndarray, ...]
     grid1: QuadratureGrid
     grid2: QuadratureGrid
     sigma_bound: float
     provenance: str
     params: Dict[str, object] = field(default_factory=dict)
     is_difference: bool = False
-    factors: Tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid1.n_nodes, self.grid2.n_nodes):
-            raise GridError("kernel matrix shape must be (n1, n2)")
-        factors = (tuple(np.asarray(a, dtype=float) for a in self.factors)
-                   if len(self.factors) > 1 else (values,))
-        if len(factors) > 1 and [a.shape for a in factors] != [
-                (len(a1), len(a2)) for a1, a2 in zip(self.grid1.axes, self.grid2.axes)]:
-            raise GridError("kernel factors must be (n1, n2) per grid axis")
-        for a in factors + (values,):
+        factors = tuple(np.asarray(a, dtype=float) for a in self.factors)
+        if len(factors) == 1:
+            if factors[0].shape != (self.grid1.n_nodes, self.grid2.n_nodes):
+                raise GridError("kernel matrix shape must be (n1, n2)")
+        else:
+            if not factors or [a.shape for a in factors] != [
+                    (len(a1), len(a2)) for a1, a2 in zip(self.grid1.axes, self.grid2.axes)]:
+                raise GridError("kernel factors must be (n1, n2) per grid axis")
+            # the checks read a product's row maxima as the product of the
+            # factors' row maxima, which needs nonnegative factors
+            if not all(np.all(a >= 0) for a in factors):
+                raise GridError("kernel factors must be nonnegative")
+        for a in factors:
             a.setflags(write=False)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "factors", factors)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The n1 x n2 kernel matrix; a dense kernel's one factor itself."""
+        values = reduce(np.kron, self.factors)
+        values.setflags(write=False)
+        return values
 
     @property
     def heat_sigma(self) -> Optional[float]:
@@ -153,10 +164,9 @@ class KernelOperator:
         return _contract([a.T for a in self.factors], self.grid1.weights * f)
 
     def swapped(self) -> "KernelOperator":
-        factors = tuple(a.T.copy() for a in self.factors)
-        return KernelOperator(reduce(np.kron, factors), self.grid2, self.grid1,
-                              self.sigma_bound, self.provenance, dict(self.params),
-                              self.is_difference, factors)
+        return KernelOperator(tuple(a.T.copy() for a in self.factors),
+                              self.grid2, self.grid1, self.sigma_bound,
+                              self.provenance, dict(self.params), self.is_difference)
 
 
 def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -198,19 +208,18 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma: float) 
     d = grid1.dim
     if grid1.axes and grid2.axes:
         factors = tuple(_heat_factor(a, b, s) for a, b in zip(grid1.axes, grid2.axes))
-        vals = reduce(np.kron, factors)
     else:
         x = grid1.nodes.reshape(grid1.n_nodes, d)
         y = grid2.nodes.reshape(grid2.n_nodes, d)
-        factors = ()
         vals = 1.0
         for k in range(d):
             vals = vals * _heat_factor(x[:, k], y[:, k], s)
+        factors = (vals,)
     # strict upper bound: the sup is attained on the diagonal, so pad it
     peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d)
     bound = peak * (1.0 + 1e-9)
-    return KernelOperator(vals, grid1, grid2, bound, "analytic-gaussian",
-                          {"sigma": s}, is_difference=True, factors=factors)
+    return KernelOperator(factors, grid1, grid2, bound, "analytic-gaussian",
+                          {"sigma": s}, is_difference=True)
 
 
 def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,
@@ -226,7 +235,7 @@ def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,
     peak = 1.0 / math.sqrt((2.0 * math.pi) ** d * np.linalg.det(cov))
     vals = peak * np.exp(-0.5 * q)
     bound = peak * (1.0 + 1e-9)
-    return KernelOperator(vals, grid1, grid2, bound, "analytic-gaussian",
+    return KernelOperator((vals,), grid1, grid2, bound, "analytic-gaussian",
                           {"Sigma": cov}, is_difference=True)
 
 
@@ -234,7 +243,7 @@ def table_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, values) -> Kernel
     vals = np.asarray(values, dtype=float)
     vmax = float(vals.max()) if vals.size else 0.0
     bound = vmax * (1.0 + 1e-9) if vmax > 0 else 1.0
-    return KernelOperator(vals, grid1, grid2, bound, "table", {},
+    return KernelOperator((vals,), grid1, grid2, bound, "table", {},
                           is_difference=_detect_difference_structure(grid1, grid2, vals))
 
 
@@ -257,7 +266,7 @@ def transition_normalized(kernel: KernelOperator) -> KernelOperator:
     params = dict(kernel.params)
     params["row_normalized"] = True
     bound = float(vals.max()) * (1.0 + 1e-9)
-    return KernelOperator(vals, kernel.grid1, kernel.grid2, bound,
+    return KernelOperator((vals,), kernel.grid1, kernel.grid2, bound,
                           kernel.provenance, params, is_difference=False)
 
 
@@ -345,26 +354,53 @@ def _smoothness_smoke(values: np.ndarray) -> CheckResult:
     return CheckResult("best-effort-pass", f"max relative jump {worst:.2g}")
 
 
+def _extremes(kernel: KernelOperator, extreme: np.ufunc, axis: int) -> np.ndarray:
+    """extreme.reduce (np.maximum, np.fmax or np.fmin) over every row
+    (axis=1) or column (axis=0) of the kernel matrix.  A row of a Kronecker
+    product is the product of one row per factor, and for nonnegative
+    factors the extreme of those products is the product of the extremes,
+    exactly, because rounding is monotone.  A one-factor kernel is reduced
+    directly."""
+    return reduce(np.kron, [extreme.reduce(a, axis=axis) for a in kernel.factors])
+
+
+def _row(kernel: KernelOperator, i: int) -> np.ndarray:
+    """Row i of the kernel matrix, from one row per factor."""
+    index = np.unravel_index(i, [a.shape[0] for a in kernel.factors])
+    return reduce(np.kron, [a[k] for a, k in zip(kernel.factors, index)])
+
+
+def _hits(kernel: KernelOperator, rows: np.ndarray, hit):
+    """Row-major (i, j) of the kernel entries where hit holds, lazily; rows
+    flags the rows that hold one, and only those rows are built."""
+    for i in np.flatnonzero(rows):
+        for j in np.flatnonzero(hit(_row(kernel, i))):
+            yield int(i), int(j)
+
+
 def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> FeasibilityReport:
     """Exact grid checks for the standing hypotheses; continuity best-effort.
 
-    Never raises on a failed check: the report lists offending node indices
-    and the caller decides (solvers refuse inadmissible instances unless
-    forced).
+    Reads the kernel's factors and never builds its matrix: row and column
+    extremes come from per-factor extremes, and only a row that holds an
+    offending entry is built.  Never raises on a failed check: the report
+    lists offending node indices and the caller decides (solvers refuse
+    inadmissible instances unless forced).
     """
     checks: Dict[str, CheckResult] = {}
-    g = kernel.values
-
-    neg = np.argwhere(g < 0)
+    # a NaN entry is neither negative nor positive, so those two checks
+    # reduce with fmin / fmax, which skip it; it does breach the bound
+    neg = list(_hits(kernel, _extremes(kernel, np.fmin, axis=1) < 0, lambda r: r < 0))
     checks["kernel_nonnegative"] = (
-        CheckResult("pass") if neg.size == 0 else
-        CheckResult("fail", f"{len(neg)} negative entries", tuple(int(i) for i in neg[0]))
+        CheckResult("pass") if not neg else
+        CheckResult("fail", f"{len(neg)} negative entries", neg[0])
     )
-    over = np.argwhere(~(g < kernel.sigma_bound))
+    bound = kernel.sigma_bound
+    over = next(_hits(kernel, ~(_extremes(kernel, np.maximum, axis=1) < bound),
+                      lambda r: ~(r < bound)), None)
     checks["kernel_bounded"] = (
-        CheckResult("pass", f"bound {kernel.sigma_bound:.6g}") if over.size == 0 else
-        CheckResult("fail", f"entries reach the stated bound {kernel.sigma_bound:.6g}",
-                    tuple(int(i) for i in over[0]))
+        CheckResult("pass", f"bound {bound:.6g}") if over is None else
+        CheckResult("fail", f"entries reach the stated bound {bound:.6g}", over)
     )
 
     for name, dens in (("marginal1", marginals.omega1), ("marginal2", marginals.omega2)):
@@ -379,8 +415,8 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
             CheckResult("fail", f"mass {m!r} deviates from 1 by {abs(m - 1.0):.3g}")
         )
 
-    row_ok = np.any(g > 0, axis=1)
-    col_ok = np.any(g > 0, axis=0)
+    row_ok = _extremes(kernel, np.fmax, axis=1) > 0
+    col_ok = _extremes(kernel, np.fmax, axis=0) > 0
     checks["kernel_rows_positive"] = (
         CheckResult("pass") if row_ok.all() else
         CheckResult("fail", "all-zero kernel rows",
@@ -394,6 +430,7 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
 
     # best-effort smoke checks (full continuity is not grid-decidable)
     if kernel.grid1.dim == 1:
+        g = kernel.values  # a 1-D kernel is its one factor
         checks["kernel_continuity"] = _smoothness_smoke(g[:, g.shape[1] // 2])
     else:
         checks["kernel_continuity"] = CheckResult("skipped", "dim > 1")

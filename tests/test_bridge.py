@@ -9,9 +9,8 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           density_field, entropic_cost_decomposition,
                           entropic_interpolation, gaussian_density,
                           gaussian_kernel, gaussian_oracle, kl_objective,
-                          prior_coupling, pushforward, run_sinkhorn,
-                          table_kernel, verify_system)
-from fortetbridge.bridge import Coupling
+                          prior_coupling, pushforward, run_fortet,
+                          run_sinkhorn, table_kernel, verify_system)
 from fortetbridge.errors import FortetBridgeError, InfeasibleParametersError
 from tests.conftest import random_instance
 
@@ -20,9 +19,37 @@ from tests.conftest import random_instance
 BENCH_B = 1.8419171064692643
 BENCH_A = -0.26117305185967044
 
-# 2(0.3 log 1.2 + 0.2 log 0.8) for the 2x2 hand coupling against a uniform
-# reference, evaluated in closed form.
-KL_HAND = 0.020135513550688233
+# 0.6 log 8 + 1.2 log 24 + 0.2 log(4/3) + 0.9 log 4: the 2x2 hand coupling
+# pi = [[0.6, 1.2], [0.2, 0.9]] against its reference omega1 g =
+# [[0.075, 0.05], [0.15, 0.225]], evaluated in closed form.
+KL_HAND = 6.366530860923694
+
+
+def _unit_grid(n):
+    """Nodes 0, ..., n-1 with unit weights: a quadrature sum is a plain sum."""
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=n)
+    return type(grid)(np.arange(float(n)), np.ones(n), grid.truncation_radius,
+                      1, grid.rule)
+
+
+def _hand_coupling(g, phi, psi, omega1):
+    """Coupling phi g psi of a table kernel on unit grids, against omega1."""
+    g = np.asarray(g, dtype=float)
+    grid1, grid2 = _unit_grid(g.shape[0]), _unit_grid(g.shape[1])
+    marginals = MarginalPair(density_field(grid1, omega1, renormalize=False),
+                             density_field(grid2, np.ones(g.shape[1]),
+                                           renormalize=False))
+    return build_coupling(np.asarray(phi, dtype=float),
+                          np.asarray(psi, dtype=float),
+                          table_kernel(grid1, grid2, g), marginals)
+
+
+def _dense_kl(pi, ref, w1, w2):
+    """sum w1 w2 pi log(pi / ref) over the cells pi charges, cell by cell."""
+    mask = pi > 0
+    terms = np.zeros_like(pi)
+    terms[mask] = pi[mask] * np.log(pi[mask] / ref[mask])
+    return float(w1 @ (terms @ w2))
 
 
 class TestGaussianOracle:
@@ -106,43 +133,55 @@ class TestCoupling:
 
     def test_kl_against_itself_is_zero(self, bench_grid, bench_kernel,
                                        bench_marginals):
-        ref = prior_coupling(bench_kernel, bench_marginals)
-        obj = kl_objective(ref, ref, bench_grid.weights, bench_grid.weights)
+        # phi = omega1, psi = 1 makes pi the prior coupling itself
+        coupling = build_coupling(bench_marginals.omega1.values,
+                                  np.ones(bench_grid.n_nodes), bench_kernel,
+                                  bench_marginals)
+        obj = kl_objective(coupling)
         assert obj.value == 0.0
         assert obj.absolutely_continuous
 
     def test_kl_hand_value(self):
-        pi = np.array([[0.3, 0.2], [0.2, 0.3]])
-        ref = np.full((2, 2), 0.25)
-        obj = kl_objective(pi, ref)
+        g = np.array([[0.3, 0.2], [0.2, 0.3]])
+        coupling = _hand_coupling(g, [2.0, 1.0], [1.0, 3.0], [0.25, 0.75])
+        assert np.allclose(coupling.pi, [[0.6, 1.2], [0.2, 0.9]], rtol=1e-15)
+        obj = kl_objective(coupling)
         assert obj.absolutely_continuous
         assert abs(obj.value - KL_HAND) < 1e-12
 
     def test_kl_detects_support_violation(self):
-        pi = np.array([[0.5, 0.5], [0.0, 0.0]])
-        ref = np.array([[0.5, 0.0], [0.25, 0.25]])
-        obj = kl_objective(pi, ref)
+        # phi > 0 at node 1, where omega1 = 0: pi charges a reference-null row
+        coupling = _hand_coupling([[0.5, 0.5], [0.25, 0.25]], [1.0, 1.0],
+                                  [1.0, 1.0], [1.0, 0.0])
+        obj = kl_objective(coupling)
         assert obj.value == math.inf
         assert not obj.absolutely_continuous
 
     def test_kl_zero_mass_cells_contribute_nothing(self):
-        pi = np.array([[0.5, 0.0], [0.0, 0.5]])
-        obj = kl_objective(pi, np.full((2, 2), 0.25))
+        # zero kernel cells, and a node 2 where phi, psi and omega1 all
+        # vanish: each would be 0 log 0 (NaN if evaluated), and counts 0
+        coupling = _hand_coupling(np.eye(3), [1.0, 1.0, 0.0], [0.5, 0.5, 0.0],
+                                  [0.25, 0.25, 0.0])
+        obj = kl_objective(coupling)
         assert obj.absolutely_continuous
         assert abs(obj.value - math.log(2.0)) < 1e-12
 
     def test_kl_nonnegative_at_equal_mass(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            pi = rng.uniform(0.0, 1.0, (4, 5))
-            ref = rng.uniform(0.1, 1.0, (4, 5))
-            ref *= pi.sum() / ref.sum()
-            assert kl_objective(pi, ref).value >= -1e-12
+            g = rng.uniform(0.0, 1.0, (4, 5))
+            phi, psi = rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 5)
+            omega1 = rng.uniform(0.1, 1.0, 4)
+            # scale omega1 so that the reference omega1 g has pi's mass
+            omega1 *= float(np.sum(phi[:, None] * g * psi)) / float(omega1 @ g.sum(axis=1))
+            coupling = _hand_coupling(g, phi, psi, omega1)
+            assert kl_objective(coupling).value >= -1e-12
 
     def test_solved_coupling_minimizes_kl_over_feasible_perturbations(self):
         # pi* = phi g psi with exact marginals is the discrete KL optimum, so
         # any zero-marginal perturbation that keeps pi positive must not
-        # lower the objective.
+        # lower the objective.  A perturbed pi is no longer phi g psi, so it
+        # is scored by the cell-by-cell sum.
         rng = np.random.default_rng(11)
         kernel, marginals = random_instance(rng, 7, 9)
         pair = run_sinkhorn(kernel, marginals, tol=1e-14)
@@ -150,7 +189,8 @@ class TestCoupling:
         w1 = kernel.grid1.weights
         w2 = kernel.grid2.weights
         ref = prior_coupling(kernel, marginals)
-        base = kl_objective(coupling.pi, ref, w1, w2).value
+        base = kl_objective(coupling).value
+        assert abs(base - _dense_kl(coupling.pi, ref, w1, w2)) <= 1e-12 * abs(base)
         t = 1e-3
         for _ in range(20):
             raw = rng.normal(size=coupling.pi.shape)
@@ -163,7 +203,7 @@ class TestCoupling:
             assert np.max(np.abs(delta @ w2)) < 1e-12
             assert np.max(np.abs(w1 @ delta)) < 1e-12
             delta *= 0.5 * np.min(coupling.pi) / (t * np.max(np.abs(delta)))
-            perturbed = kl_objective(coupling.pi + t * delta, ref, w1, w2).value
+            perturbed = _dense_kl(coupling.pi + t * delta, ref, w1, w2)
             assert perturbed >= base - 1e-12
 
     def test_cost_decomposition_hand_value(self):
@@ -171,8 +211,11 @@ class TestCoupling:
         nodes = grid.nodes + 0.5  # {0, 1}
         shifted = type(grid)(nodes, np.ones(2), grid.truncation_radius,
                              grid.dim, grid.rule)
-        c = Coupling(pi=np.full((2, 2), 0.25), grid1=shifted, grid2=shifted,
-                     row_marginal_resid=0.0, col_marginal_resid=0.0, mass=1.0)
+        half = density_field(shifted, np.full(2, 0.5), renormalize=False)
+        c = build_coupling(np.full(2, 0.5), np.full(2, 0.5),
+                           table_kernel(shifted, shifted, np.ones((2, 2))),
+                           MarginalPair(half, half))
+        assert np.array_equal(c.pi, np.full((2, 2), 0.25))
         dec = entropic_cost_decomposition(c)
         # only the off-diagonal cells move mass, each across distance 1
         assert abs(dec.transport_cost - 0.25) < 1e-15
@@ -180,13 +223,97 @@ class TestCoupling:
 
     def test_cost_decomposition_product_gaussians(self, bench_grid,
                                                   bench_marginals):
-        pi = np.outer(bench_marginals.omega1.values,
-                      bench_marginals.omega2.values)
-        c = Coupling(pi=pi, grid1=bench_grid, grid2=bench_grid,
-                     row_marginal_resid=0.0, col_marginal_resid=0.0, mass=1.0)
+        flat = table_kernel(bench_grid, bench_grid,
+                            np.ones((bench_grid.n_nodes, bench_grid.n_nodes)))
+        c = build_coupling(bench_marginals.omega1.values,
+                           bench_marginals.omega2.values, flat, bench_marginals)
+        assert np.array_equal(c.pi, np.outer(bench_marginals.omega1.values,
+                                             bench_marginals.omega2.values))
         dec = entropic_cost_decomposition(c)
         # E|X-Y|^2/2 = (sigma1^2 + sigma2^2)/2 for independent centred factors
         assert abs(dec.transport_cost - 0.82) < 1e-10
+
+    def test_pi_is_the_dense_product(self, bench_solution, bench_kernel,
+                                     bench_marginals):
+        grid = build_grid(dim=2, radius=8.0, points_per_axis=21)
+        product = gaussian_kernel(grid, grid, 0.5)
+        rng = np.random.default_rng(4)
+        phi, psi = rng.uniform(0.1, 1.0, grid.n_nodes), rng.uniform(0.1, 1.0, grid.n_nodes)
+        marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+        for kernel, marg, p, q in ((bench_kernel, bench_marginals,
+                                    bench_solution.phi, bench_solution.psi),
+                                   (product, marginals, phi, psi)):
+            coupling = build_coupling(p, q, kernel, marg)
+            assert "pi" not in coupling.__dict__  # built on first read
+            assert np.array_equal(coupling.pi,
+                                  p[:, None] * kernel.values * q[None, :])
+
+    def test_marginal_integrals_match_the_dense_sums(self, bench_solution,
+                                                     bench_kernel,
+                                                     bench_marginals):
+        coupling = build_coupling(bench_solution.phi, bench_solution.psi,
+                                  bench_kernel, bench_marginals)
+        w1 = bench_kernel.grid1.weights
+        w2 = bench_kernel.grid2.weights
+        row, col = coupling.pi @ w2, coupling.pi.T @ w1
+        row_resid = np.max(np.abs(row - bench_marginals.omega1.values))
+        col_resid = np.max(np.abs(col - bench_marginals.omega2.values))
+        assert abs(coupling.row_marginal_resid - row_resid) <= 1e-15
+        assert abs(coupling.col_marginal_resid - col_resid) <= 1e-15
+        assert abs(coupling.mass - float(w1 @ row)) <= 1e-15
+
+
+def _gaussian_solve(dim, points, sigma, scale1, scale2, swap=False):
+    """Fortet's coupling on a radius-8 trapezoid grid; in 2-D the marginal
+    scales are per-axis variances, as in a config."""
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, sigma)
+    marginals = MarginalPair(gaussian_density(grid, scale1),
+                             gaussian_density(grid, scale2))
+    if swap:
+        marginals = MarginalPair(marginals.omega2, marginals.omega1)
+    sol = run_fortet(kernel, marginals)
+    return build_coupling(sol.phi, sol.psi, kernel, marginals)
+
+
+class TestKLFromPotentials:
+    def test_matches_the_dense_sum_on_the_benchmark(self, bench_solution,
+                                                    bench_kernel,
+                                                    bench_marginals):
+        coupling = build_coupling(bench_solution.phi, bench_solution.psi,
+                                  bench_kernel, bench_marginals)
+        w = bench_kernel.grid1.weights
+        dense = _dense_kl(coupling.pi, prior_coupling(bench_kernel, bench_marginals), w, w)
+        value = kl_objective(coupling).value
+        assert abs(value - dense) <= 1e-12 * dense
+
+    def test_two_dimensional_kl_is_twice_the_axis_kl(self):
+        # the tensor-grid problem factors into one 1-D problem per axis, so
+        # its KL is the sum of the axis KLs (up to the solve tolerance)
+        plane = kl_objective(_gaussian_solve(2, 41, 0.5, 1.0, 0.8))
+        axis = kl_objective(_gaussian_solve(1, 41, 0.5, 1.0, math.sqrt(0.8)))
+        assert plane.absolutely_continuous
+        assert abs(plane.value - 2.0 * axis.value) <= 1e-10 * plane.value
+
+    def test_swap_instance_is_finite_and_matches_a_log_space_sum(self):
+        # criterion 2's post-swap instance: phi and psi span e^+-1300, so the
+        # dense prior omega1 g underflows where pi does not.  The reference
+        # sum takes every cell in log space, with the analytic log-kernel.
+        sigma = 0.1
+        coupling = _gaussian_solve(1, 401, sigma, 0.5, 1.0, swap=True)
+        obj = kl_objective(coupling)
+        assert obj.absolutely_continuous and math.isfinite(obj.value)
+        x = coupling.grid1.nodes
+        log_g = (-np.subtract.outer(x, x) ** 2 / (2.0 * sigma * sigma)
+                 - 0.5 * math.log(2.0 * math.pi * sigma * sigma))
+        with np.errstate(divide="ignore"):
+            log_phi, log_psi = np.log(coupling.phi), np.log(coupling.psi)
+        log_ratio = (log_phi - np.log(coupling.marginals.omega1.values))[:, None] + log_psi
+        pi = np.exp(log_phi[:, None] + log_g + log_psi[None, :])
+        terms = np.where(pi > 0, pi * np.where(pi > 0, log_ratio, 0.0), 0.0)
+        w = coupling.grid1.weights
+        dense = float(w @ (terms @ w))
+        assert abs(obj.value - dense) <= 1e-12 * abs(dense)
 
 
 class TestInterpolation:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fortetbridge.cli import _apply_thread_env, _THREAD_VARS, main
+from fortetbridge.cli import _apply_thread_env, _solve_problem, _THREAD_VARS, main
 from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
@@ -261,3 +261,17 @@ class TestCli:
         assert code == 2
         payload = json.loads((out / "compare.json").read_text())
         assert payload["consistent"] is False
+
+
+def test_two_dimensional_solve_never_builds_the_kernel_matrix(tmp_path):
+    # solve, its feasibility report, coupling and KL read the per-axis
+    # factors only; the cached dense matrix stays unbuilt
+    raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 8.0, "points": 21})
+    problem = build_problem(resolve_config(raw))
+    assert len(problem.kernel.factors) == 2
+    solution, coupling, kl = _solve_problem(problem, tmp_path)
+    assert solution.case_tag == "case2"
+    assert kl.absolutely_continuous and kl.value > 0.0
+    assert coupling.row_marginal_resid < 1e-12
+    assert "values" not in problem.kernel.__dict__
+    assert "pi" not in coupling.__dict__

@@ -1,5 +1,7 @@
 """Kernels, marginals, hypothesis checks, and feasibility screens."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from fortetbridge import (MarginalPair, bernstein_gaussian_condition,
                           gaussian_density, gaussian_kernel, pushforward,
                           swapped_marginals, table_kernel,
                           transition_normalized)
-from fortetbridge.errors import FeasibilityError
+from fortetbridge.errors import FeasibilityError, GridError
+from fortetbridge.problem import KernelOperator
 from fortetbridge.quadrature import QuadratureGrid
 from tests.conftest import random_instance
 
@@ -56,6 +59,23 @@ def test_zero_row_kernel_flagged(bench_grid):
     assert not report.hypotheses["kernel_rows_positive"].ok
     assert 5 in report.hypotheses["kernel_rows_positive"].offending_nodes
 
+
+
+def test_table_checks_name_the_first_offending_entries():
+    # a NaN entry breaches the bound but is neither negative nor positive
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=4)
+    vals = np.full((4, 4), 0.5)
+    vals[1, :] = [np.nan, 0.0, 0.0, 0.0]
+    vals[2, 3] = -1.0
+    vals[3, 1:] = [np.nan, -2.0, 0.7]
+    kernel = replace(table_kernel(grid, grid, vals), sigma_bound=0.6)
+    m = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    checks = check_assumptions(kernel, m).hypotheses
+    assert checks["kernel_nonnegative"].offending_nodes == (2, 3)
+    assert checks["kernel_nonnegative"].detail == "2 negative entries"
+    assert checks["kernel_bounded"].offending_nodes == (1, 0)
+    assert checks["kernel_rows_positive"].offending_nodes == (1,)
+    assert checks["kernel_columns_positive"].ok
 
 def test_condition_star_benchmark_finite(bench_kernel, bench_marginals):
     cs = condition_star(bench_kernel, bench_marginals)
@@ -243,3 +263,73 @@ def test_factored_swapped_and_row_normalized_match_dense():
     assert _rel_err(normalized.values, expected) <= 1e-13
     assert _rel_err(normalized.apply(f2), expected @ (g2.weights * f2)) <= FACTORED_APPLY_RTOL
     assert np.max(np.abs(normalized.apply(np.ones(g2.n_nodes)) - 1.0)) < 1e-14
+
+
+def _dense_twin(kernel):
+    """The same matrix as a one-factor table kernel with the same bound."""
+    return replace(table_kernel(kernel.grid1, kernel.grid2, kernel.values),
+                   sigma_bound=kernel.sigma_bound)
+
+
+@pytest.mark.parametrize("dim,points", [(2, 41), (3, 15)])
+def test_factored_full_report_matches_dense_table(dim, points):
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    report = full_report(kernel, marginals)
+    assert "values" not in kernel.__dict__  # the matrix was never built
+    dense = full_report(_dense_twin(kernel), marginals)
+    assert report.hypotheses == dense.hypotheses
+    assert report.swap_recommended == dense.swap_recommended
+    assert report.difference_kernel == dense.difference_kernel
+    # the integrability estimate goes through apply_T, whose factored sums
+    # run in another order
+    cs, cs_dense = report.condition_star, dense.condition_star
+    assert cs.verdict == cs_dense.verdict
+    assert cs.estimate == pytest.approx(cs_dense.estimate, rel=1e-12)
+    assert cs.tail_exponent == pytest.approx(cs_dense.tail_exponent, rel=1e-9)
+
+
+def test_factored_checks_flag_zero_rows_and_columns_as_the_dense_matrix():
+    # a zero row (column) of any factor zeroes every kernel row (column)
+    # that passes through it; a factor above the bound flags its maximum
+    g1 = _tensor_grid(np.linspace(-2, 2, 3), np.linspace(-1, 1, 4))
+    g2 = _tensor_grid(np.linspace(-3, 3, 5), np.linspace(0, 1, 2))
+    a = np.random.default_rng(2).uniform(0.5, 2.0, (3, 5))
+    b = np.random.default_rng(3).uniform(0.5, 2.0, (4, 2))
+    a[1, :] = 0.0
+    b[:, 1] = 0.0
+    kernel = KernelOperator((a, b), g1, g2, 1.5, "table")
+    marginals = MarginalPair(density_field(g1, np.ones(g1.n_nodes)),
+                             density_field(g2, np.ones(g2.n_nodes)))
+    report = check_assumptions(kernel, marginals)
+    assert "values" not in kernel.__dict__
+    assert report.hypotheses == check_assumptions(_dense_twin(kernel), marginals).hypotheses
+    assert report.hypotheses["kernel_rows_positive"].offending_nodes == (4, 5, 6, 7)
+    assert not report.hypotheses["kernel_columns_positive"].ok
+    assert not report.hypotheses["kernel_bounded"].ok
+
+
+def test_product_kernel_refuses_a_negative_factor():
+    grid = build_grid(dim=2, radius=2.0, points_per_axis=5)
+    good = gaussian_kernel(grid, grid, 0.5).factors
+    bad = good[1].copy()
+    bad[2, 3] = -1e-300
+    with pytest.raises(GridError, match="nonnegative"):
+        KernelOperator((good[0], bad), grid, grid, 1.0, "table")
+
+
+def test_bound_below_the_factor_maxima_names_a_maximal_entry():
+    g1 = _tensor_grid(np.linspace(-4, 4, 11), np.linspace(-3, 3, 6))
+    g2 = _tensor_grid(np.linspace(-2, 2, 5), np.linspace(-1, 3, 9))
+    kernel = gaussian_kernel(g1, g2, 0.6)
+    marginals = MarginalPair(density_field(g1, np.ones(g1.n_nodes)),
+                             density_field(g2, np.ones(g2.n_nodes)))
+    top = float(np.max(kernel.factors[0])) * float(np.max(kernel.factors[1]))
+    assert check_assumptions(kernel, marginals).hypotheses["kernel_bounded"].ok
+    tight = replace(kernel, sigma_bound=top)
+    bounded = check_assumptions(tight, marginals).hypotheses["kernel_bounded"]
+    assert "values" not in tight.__dict__
+    assert not bounded.ok
+    i, j = bounded.offending_nodes
+    assert kernel.values[i, j] == kernel.values.max() == top
