@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import FortetBridgeError, InfeasibleParametersError
-from .problem import KernelOperator, MarginalPair
+from .problem import KernelOperator, MarginalPair, gaussian_kernel
 from .quadrature import QuadratureGrid
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
@@ -165,11 +165,6 @@ class Interpolation:
         self.densities.setflags(write=False)
 
 
-def _heat_matrix(nodes: np.ndarray, variance: float) -> np.ndarray:
-    d2 = np.subtract.outer(nodes, nodes) ** 2
-    return np.exp(-d2 / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
-
-
 def entropic_interpolation(phi, psi, kernel: KernelOperator,
                            times: Sequence[float],
                            mass_drift_tol: float = MASS_DRIFT_TOL) -> Interpolation:
@@ -191,8 +186,6 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     phi = np.asarray(getattr(phi, "values", phi), dtype=float)
     psi = np.asarray(getattr(psi, "values", psi), dtype=float)
     w = grid.weights
-    nodes = grid.nodes
-    var = sigma * sigma
 
     out = np.empty((len(times), grid.n_nodes))
     masses = []
@@ -207,8 +200,8 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
             forward = kernel.apply_T(phi)
             backward = psi
         else:
-            forward = _heat_matrix(nodes, var * t) @ (w * phi)
-            backward = _heat_matrix(nodes, var * (1.0 - t)) @ (w * psi)
+            forward = gaussian_kernel(grid, grid, sigma * math.sqrt(t)).apply(phi)
+            backward = gaussian_kernel(grid, grid, sigma * math.sqrt(1.0 - t)).apply(psi)
         rho = forward * backward
         m = float(np.sum(w * rho))
         if abs(m - 1.0) > mass_drift_tol:

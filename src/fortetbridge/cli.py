@@ -313,7 +313,6 @@ def cmd_compare(args) -> int:
         "fortet_iterations": solution.iterations,
         "fortet_refine_steps": solution.refine_steps,
         "sinkhorn_iterations": pair.iterations,
-        "sinkhorn_log_domain": pair.log_domain,
         "ratio_spread_phi": report.ratio_spread_phi,
         "ratio_spread_psi": report.ratio_spread_psi,
         "ray_constant_phi": report.c_phi,

@@ -389,6 +389,17 @@ class UniquenessReport:
     consistent: bool
 
 
+def _ray_ratio(num: np.ndarray, den: np.ndarray) -> Tuple[float, float]:
+    """Median of num/den and its spread (max - min)/median.  A node where
+    the ratio is 0, inf or NaN reads no ray constant: it makes the spread
+    inf and is left out of the median (inf if no node is left)."""
+    with np.errstate(all="ignore"):
+        c = num / den
+    ok = np.isfinite(c) & (c > 0)
+    median = float(np.median(c[ok])) if ok.any() else math.inf
+    return median, (float((c.max() - c.min()) / median) if ok.all() else math.inf)
+
+
 def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
                       support_threshold: float = 1e-12,
                       tol: float = 1e-8) -> UniquenessReport:
@@ -402,12 +413,8 @@ def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
     phi_b, psi_b = _values(solution_b.phi), _values(solution_b.psi)
     m1 = marginals.omega1.values > support_threshold
     m2 = marginals.omega2.values > support_threshold
-    c = phi_a[m1] / phi_b[m1]
-    c_rec = psi_b[m2] / psi_a[m2]
-    c_phi = float(np.median(c))
-    c_psi = float(np.median(c_rec))
-    spread_phi = float((c.max() - c.min()) / c_phi)
-    spread_psi = float((c_rec.max() - c_rec.min()) / c_psi)
+    c_phi, spread_phi = _ray_ratio(phi_a[m1], phi_b[m1])
+    c_psi, spread_psi = _ray_ratio(psi_b[m2], psi_a[m2])
     consistent = (spread_phi < tol and spread_psi < tol
                   and abs(c_phi * (1.0 / c_psi) - 1.0) < tol)
     return UniquenessReport(spread_phi, spread_psi, c_phi, c_psi, consistent)

@@ -148,12 +148,31 @@ class KernelOperator:
         return values
 
     @property
-    def heat_sigma(self) -> Optional[float]:
-        """Diffusion scale if this is an analytic 1-D heat kernel, else None."""
-        if self.provenance == "analytic-gaussian" and self.grid1.dim == 1 \
-                and "sigma" in self.params and not self.params.get("row_normalized"):
+    def _isotropic_sigma(self) -> Optional[float]:
+        """sigma if this is the analytic heat kernel N(y - x; sigma^2 I)."""
+        if self.provenance == "analytic-gaussian" and "sigma" in self.params \
+                and not self.params.get("row_normalized"):
             return float(self.params["sigma"])  # type: ignore[arg-type]
         return None
+
+    @property
+    def heat_sigma(self) -> Optional[float]:
+        """Diffusion scale if this is an analytic 1-D heat kernel, else None."""
+        return self._isotropic_sigma if self.grid1.dim == 1 else None
+
+    @property
+    def log_values(self) -> np.ndarray:
+        """log of the kernel matrix.  For the heat kernel it is the formula
+        -|x - y|^2 / 2 sigma^2 - (d/2) log(2 pi sigma^2), finite where
+        values underflows to 0; for any other kernel it is log(values)."""
+        s = self._isotropic_sigma
+        if s is None:
+            with np.errstate(divide="ignore"):
+                return np.log(self.values)
+        d = self.grid1.dim
+        x, y = (g.nodes.reshape(g.n_nodes, d) for g in (self.grid1, self.grid2))
+        sq = sum(np.subtract.outer(x[:, k], y[:, k]) ** 2 for k in range(d))
+        return -sq / (2.0 * s * s) - 0.5 * d * math.log(2.0 * math.pi * s * s)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights."""

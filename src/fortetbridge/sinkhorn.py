@@ -7,9 +7,11 @@ Solves the same weighted scaling system as the fixed-point solver,
 
 by alternating exact row and column fits.  (u, v) coincides with (phi, psi)
 up to the ray rescaling, which makes this an independent cross-check of the
-fixed-point path: the two share only the kernel matrix and the quadrature
-weights.  Switches itself to log-domain arithmetic (logsumexp) when the
-kernel's dynamic range cannot be represented directly.
+fixed-point path: the two share only the kernel and the quadrature weights.
+One stabilized loop serves every kernel: a scaling that leaves a window
+around 1 is folded into a dense kernel exp(log g + log u + log v) (Schmitzer,
+SIAM J. Sci. Comput. 2019, section 3), so its log stays finite far outside
+float range.
 """
 
 from __future__ import annotations
@@ -19,27 +21,31 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import KernelSupportError, NonConvergenceError
 from .hilbert import ProjectiveDiameter, hilbert_distance, projective_diameter
 from .problem import KernelOperator, MarginalPair
 
-#: kernel entries below max_entry * LOG_DOMAIN_RATIO force log-domain updates
-LOG_DOMAIN_RATIO = 1e-300
+#: a sweep that leaves |log u| or |log v| above this folds both scalings
+#: into the kernel and restarts them at 1
+ABSORB_LOG = 100.0
 
 
 @dataclass(frozen=True)
 class ScalingPair:
+    """Scalings on the ray where max(u) = 1 on the omega1 support, and their
+    logs, finite on the supports where u or v leaves float range."""
+
     u: np.ndarray
     v: np.ndarray
+    log_u: np.ndarray
+    log_v: np.ndarray
     iterations: int
-    log_domain: bool
     final_change: float
 
     def __post_init__(self):
-        self.u.setflags(write=False)
-        self.v.setflags(write=False)
+        for a in (self.u, self.v, self.log_u, self.log_v):
+            a.setflags(write=False)
 
     @property
     def phi(self) -> np.ndarray:
@@ -50,20 +56,16 @@ class ScalingPair:
         return self.v
 
 
-def _needs_log_domain(K: np.ndarray) -> bool:
-    mx = float(K.max())
-    if mx <= 0:
-        return False
-    positive = K[K > 0]
-    return bool(positive.min() < LOG_DOMAIN_RATIO * mx) or bool(np.any(K == 0))
-
-
-def _sup_log_change(new: np.ndarray, old: Optional[np.ndarray], mask: np.ndarray) -> float:
-    if old is None:
-        return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.abs(np.log(new[mask]) - np.log(old[mask]))
-    return float(d.max()) if d.size else 0.0
+def _on_ray(u, v, a, b, m1) -> Tuple[np.ndarray, ...]:
+    """(u e^a, v e^b) and their logs, rescaled so that u e^a peaks at 1 on
+    the omega1 support.  The peak is found without leaving float range, and
+    while nothing is absorbed (a = b = 0 on the supports) the pair is
+    exactly (u / max u, v * max u)."""
+    s = np.flatnonzero(m1)
+    k = s[np.argmax(u[s] * np.exp(a[s] - a[s].max()))]
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return (np.exp(a - a[k]) * (u / u[k]), np.exp(b + a[k]) * (v * u[k]),
+                a - a[k] + np.log(u / u[k]), b + a[k] + np.log(v * u[k]))
 
 
 def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
@@ -71,74 +73,49 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
                  collect_u: Optional[List[np.ndarray]] = None) -> ScalingPair:
     """Alternate u and v fits until both sup-log changes fall below tol.
 
-    On exit the pair is normalized to max(u) = 1 (the products u_i * v_j,
-    and hence the residuals, are unaffected).  Raises KernelSupportError
-    when a denominator vanishes against a positive marginal node, and
-    NonConvergenceError at the iteration cap.
+    The fits run on op, the kernel with the log-scalings (a, b) folded in,
+    so the true scalings are u e^a and v e^b; op is the kernel itself until
+    a scaling leaves the ABSORB_LOG window.  On exit the pair is normalized
+    to max(u) = 1 (the products u_i * v_j, and hence the residuals, are
+    unaffected).  Raises KernelSupportError when a denominator vanishes
+    against a positive marginal node, and NonConvergenceError at the cap.
     """
     om1 = marginals.omega1.values
     om2 = marginals.omega2.values
     m1 = om1 > 0
     m2 = om2 > 0
-    K = kernel.values
-
-    if _needs_log_domain(K):
-        with np.errstate(divide="ignore"):
-            logK = np.where(K > 0, np.log(np.where(K > 0, K, 1.0)), -np.inf)
-            lw1, lw2 = np.log(kernel.grid1.weights), np.log(kernel.grid2.weights)
-            lom1 = np.where(m1, np.log(np.where(m1, om1, 1.0)), -np.inf)
-            lom2 = np.where(m2, np.log(np.where(m2, om2, 1.0)), -np.inf)
-        lv = np.zeros(om2.shape)
-        prev_lu: Optional[np.ndarray] = None
-        prev_lv: Optional[np.ndarray] = None
-        for it in range(1, max_iter + 1):
-            den_u = logsumexp(logK + (lv + lw2)[None, :], axis=1)
-            if np.any(np.isneginf(den_u) & m1):
-                raise KernelSupportError("row integral vanished where omega1 > 0")
-            lu = np.where(m1, lom1 - den_u, -np.inf)
-            den_v = logsumexp(logK.T + (lu + lw1)[None, :], axis=1)
-            if np.any(np.isneginf(den_v) & m2):
-                raise KernelSupportError("column integral vanished where omega2 > 0")
-            lv_new = np.where(m2, lom2 - den_v, -np.inf)
-            if collect_u is not None:
-                collect_u.append(np.where(m1, np.exp(lu - lu[m1].max()), 0.0))
-            if prev_lu is None:
-                change = math.inf
-            else:
-                change = max(float(np.max(np.abs(lu[m1] - prev_lu[m1]))),
-                             float(np.max(np.abs(lv_new[m2] - prev_lv[m2]))))
-            prev_lu, prev_lv = lu, lv_new
-            lv = lv_new
-            if change < tol:
-                shift = lu[m1].max()
-                with np.errstate(over="ignore", under="ignore"):
-                    u = np.where(m1, np.exp(lu - shift), 0.0)
-                    v = np.where(m2, np.exp(lv + shift), 0.0)
-                return ScalingPair(u, v, it, True, change)
-        raise NonConvergenceError(f"sinkhorn did not converge in {max_iter} iterations")
-
-    u = np.zeros(om1.shape)
+    a = np.where(m1, 0.0, -np.inf)
+    b = np.where(m2, 0.0, -np.inf)
+    op, log_kernel = kernel, None
     v = np.ones(om2.shape)
-    prev_u: Optional[np.ndarray] = None
-    prev_v: Optional[np.ndarray] = None
+    prev: Optional[Tuple[np.ndarray, np.ndarray]] = None
     for it in range(1, max_iter + 1):
-        den_u = kernel.apply(v)
+        den_u = op.apply(v)
         if np.any((den_u == 0) & m1):
             raise KernelSupportError("row integral vanished where omega1 > 0")
         u = np.where(m1, om1 / np.where(den_u > 0, den_u, 1.0), 0.0)
-        den_v = kernel.apply_T(u)
+        den_v = op.apply_T(u)
         if np.any((den_v == 0) & m2):
             raise KernelSupportError("column integral vanished where omega2 > 0")
-        v_new = np.where(m2, om2 / np.where(den_v > 0, den_v, 1.0), 0.0)
+        v = np.where(m2, om2 / np.where(den_v > 0, den_v, 1.0), 0.0)
         if collect_u is not None:
-            collect_u.append(u / u[m1].max())
-        change = max(_sup_log_change(u, prev_u, m1),
-                     _sup_log_change(v_new, prev_v, m2))
-        prev_u, prev_v = u, v_new
-        v = v_new
+            collect_u.append(_on_ray(u, v, a, b, m1)[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = (np.log(u[m1]), np.log(v[m2]))
+            change = math.inf if prev is None else max(
+                float(np.max(np.abs(new - old))) for new, old in zip(logs, prev))
+        prev = logs
         if change < tol:
-            scale = u[m1].max()
-            return ScalingPair(u / scale, v * scale, it, False, change)
+            return ScalingPair(*_on_ray(u, v, a, b, m1), it, change)
+        if max(float(np.max(np.abs(x))) for x in logs) > ABSORB_LOG:
+            if log_kernel is None:
+                log_kernel = kernel.log_values
+            a[m1] += logs[0]
+            b[m2] += logs[1]
+            op = KernelOperator((np.exp(log_kernel + a[:, None] + b[None, :]),),
+                                kernel.grid1, kernel.grid2, math.inf, "table")
+            v = m2.astype(float)
+            prev = (np.zeros_like(logs[0]), np.zeros_like(logs[1]))
     raise NonConvergenceError(f"sinkhorn did not converge in {max_iter} iterations")
 
 

@@ -216,6 +216,24 @@ def test_verify_uniqueness_ray_invariance(bench_solution, bench_marginals):
     assert not rep_bad.consistent
 
 
+def test_verify_uniqueness_unreadable_ratio_is_inconsistent(bench_solution,
+                                                            bench_marginals):
+    # a gated node where one potential is 0 or inf has no ray constant
+    import warnings
+    from types import SimpleNamespace
+    phi = bench_solution.phi.copy()
+    gate = np.flatnonzero(bench_marginals.omega1.values > 1e-12)
+    phi[gate[0]], phi[gate[-1]] = 0.0, math.inf
+    broken = SimpleNamespace(phi=phi, psi=bench_solution.psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_uniqueness(bench_solution, broken, bench_marginals)
+    assert rep.ratio_spread_phi == math.inf
+    assert rep.ratio_spread_psi < 1e-12
+    assert rep.c_phi == 1.0 and rep.c_psi == 1.0
+    assert not rep.consistent
+
+
 def test_nonconvergence_carries_trace(bench_kernel, bench_marginals):
     with pytest.raises(NonConvergenceError) as err:
         run_fortet(bench_kernel, bench_marginals, FortetOptions(max_iter=3))

@@ -167,6 +167,22 @@ def test_kernel_apply_weights_each_side_by_its_own_grid():
     assert kernel.apply_T(f1).shape == (12,)
 
 
+@pytest.mark.parametrize("dim, points", [(1, 401), (2, 21)])
+def test_heat_log_values_are_the_formula_where_values_underflow(dim, points):
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, 0.1)
+    log_g = kernel.log_values
+    assert np.all(np.isfinite(log_g))
+    positive = kernel.values > 1e-300
+    assert np.any(kernel.values == 0.0)
+    assert np.max(np.abs(log_g[positive] - np.log(kernel.values[positive]))) < 1e-12
+    # any other kernel reads log(values), -inf at its zeros
+    table = table_kernel(grid, grid, kernel.values)
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(table.log_values, np.log(kernel.values))
+    assert transition_normalized(kernel).log_values[0, -1] == -np.inf
+
+
 def test_full_report_benchmark_admissible(bench_kernel, bench_marginals):
     report = full_report(bench_kernel, bench_marginals)
     assert report.solver_admissible

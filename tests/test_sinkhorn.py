@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           density_field, gaussian_density, gaussian_kernel,
-                          run_sinkhorn, sinkhorn_trace_hilbert, table_kernel,
-                          verify_uniqueness)
+                          run_fortet, run_sinkhorn, sinkhorn_trace_hilbert,
+                          table_kernel, verify_uniqueness)
 from fortetbridge.errors import KernelSupportError, NonConvergenceError
 from tests.conftest import random_instance
 
@@ -18,7 +19,6 @@ CROSS_SOLVER_TOL = 1e-8
 
 def test_benchmark_scaling_solves_system(bench_scaling, bench_kernel, bench_marginals):
     pair = bench_scaling
-    assert not pair.log_domain
     assert float(np.max(pair.u)) == 1.0  # exit normalization
     w1 = bench_kernel.grid1.weights
     w2 = bench_kernel.grid2.weights
@@ -56,23 +56,51 @@ def test_symmetric_2x2_doubly_stochastic():
     assert np.max(np.abs(rows - 0.5)) < 1e-14
 
 
-def test_log_domain_triggers_on_underflowing_kernel():
+def test_underflowing_kernel_converges():
     grid = build_grid(dim=1, radius=8.0, points_per_axis=401)
     kernel = gaussian_kernel(grid, grid, 0.15)   # far tails underflow to 0.0
     assert np.any(kernel.values == 0.0)
     marginals = MarginalPair(gaussian_density(grid, 1.0),
                              gaussian_density(grid, 1.1))
     pair = run_sinkhorn(kernel, marginals)
-    assert pair.log_domain
     w2 = grid.weights
     s1 = pair.u * (kernel.values @ (w2 * pair.v)) - marginals.omega1.values
     assert np.max(np.abs(s1)) < 1e-8
 
 
+def test_swap_instance_converges_in_log(bench_grid):
+    # criterion 2's post-swap instance: the kernel underflows to 0.0 on 92,720
+    # of its entries and log u, log v span ~1600, far outside float range
+    kernel = gaussian_kernel(bench_grid, bench_grid, 0.1)
+    marginals = MarginalPair(gaussian_density(bench_grid, 1.0),
+                             gaussian_density(bench_grid, 0.5))
+    pair = run_sinkhorn(kernel, marginals)
+    assert pair.iterations < 1000
+    log_g = kernel.log_values
+    log_w = np.log(bench_grid.weights)
+    for log_a, log_b, omega, lg in ((pair.log_u, pair.log_v, marginals.omega1, log_g),
+                                    (pair.log_v, pair.log_u, marginals.omega2, log_g.T)):
+        m = omega.values > 0
+        resid = log_a + logsumexp(lg + (log_b + log_w)[None, :], axis=1) - np.log(omega.values)
+        assert np.all(np.isfinite(log_a[m]))
+        assert np.max(np.abs(resid[m])) <= 1e-9
+
+
+def test_factored_kernel_agrees_with_fixed_point_solver():
+    grid = build_grid(dim=2, radius=8.0, points_per_axis=21)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    pair = run_sinkhorn(kernel, marginals)
+    report = verify_uniqueness(run_fortet(kernel, marginals), pair, marginals,
+                               tol=CROSS_SOLVER_TOL)
+    assert report.consistent
+    assert "values" not in kernel.__dict__   # the 441 x 441 matrix was never built
+
+
 @pytest.mark.parametrize("axis", ["row", "column"])
 def test_zero_row_raises(axis):
-    # the zero entries force the log-domain loop, whose row and column
-    # support checks each get one case
+    # a zero row (column) makes that row's (column's) integral vanish
+    # against a positive marginal node; each support check gets one case
     grid = build_grid(dim=1, radius=1.0, points_per_axis=5)
     vals = np.ones((5, 5))
     if axis == "row":
