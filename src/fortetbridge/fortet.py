@@ -15,13 +15,13 @@ The truncated scheme iterates H_n = max(H''_{n-1}, 1/n), H'_n = Omega(H_n),
 H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes terminate it:
 
 * case 1 - at some finite n0 the iterate satisfies H'_{n0} <= 1 everywhere
-  on the support of omega1; the limit is then reached by releasing the
-  floor (p-doubling) and iterating the plain map to stationarity.
+  on the support of omega1; the limit is then reached by dropping the 1/n
+  floor to FLOOR_FREEZE and iterating the plain map to stationarity.
 * case 2 - the iterate's sup stays above 1 but the underlying ray
   converges.  The scheme's own scale creep from the min(1, .) cap decays
   only algebraically, so no pointwise-change threshold can fire in
   reasonable time; instead we detect ray convergence with the
-  scale-invariant Hilbert step, then close with the same floor-released
+  scale-invariant Hilbert step, then close with the same plain-map
   iteration projected to sup = 1 on the support of omega1 (the scale the
   capped scheme approaches).  The closing iterates are genuine fixed
   points to machine precision, which the returned residuals certify.
@@ -44,43 +44,50 @@ from .errors import (FeasibilityError, FortetBridgeError, KernelSupportError,
 from .problem import (FeasibilityReport, KernelOperator, MarginalPair,
                       full_report)
 
-#: refinement floors are never released below this; true fixed-point values
-#: beneath it are not representable in float64 anyway (the iterate keeps
-#: tracking the floor there, and the convergence mask ignores those nodes)
+#: every closing step floors its iterate here; true fixed-point values
+#: beneath it are not representable in float64 anyway (the iterate sits on
+#: the floor there, and the convergence mask ignores those nodes)
 FLOOR_FREEZE = 1e-300
+#: the scheme hands over in case 1 once H' <= 1 + CASE1_EPS on the omega1
+#: support and in case 2 once its Hilbert step is below RAY_TOL; a sup below
+#: DEGENERATE_EPS is degenerate; the closing phase gets REFINE_MAX steps
+CASE1_EPS = 1e-12
+DEGENERATE_EPS = 1e-13
+RAY_TOL = 1e-2
+REFINE_MAX = 5000
 
 
 @dataclass(frozen=True)
 class FortetOptions:
     tol: float = 1e-10
     max_iter: int = 10000
-    case1_eps: float = 1e-12
-    degenerate_eps: float = 1e-13
-    #: Hilbert-step threshold at which the main loop hands over to the
-    #: floor-released closing iteration (ray considered settled enough).
-    ray_tol: float = 1e-2
-    refine_max: int = 5000
     force: bool = False
 
 
 @dataclass(frozen=True)
 class IterationState:
     """One step of the truncated scheme (closing-phase steps reuse the same
-    record with the released floor; `phase` tells them apart)."""
+    record with the FLOOR_FREEZE floor; `phase` tells them apart).  H_dprime
+    = min(1, H_prime) and J_mask = (H_prime > 1) are derived on read."""
 
     n: int
     H: np.ndarray
     H_prime: np.ndarray
-    H_dprime: np.ndarray
     G_of_H: np.ndarray
-    J_mask: np.ndarray
     diagnostics: Dict[str, float] = field(default_factory=dict)
     phase: str = "scheme"          # "scheme" | "closing"
 
     def __post_init__(self):
-        for name in ("H", "H_prime", "H_dprime", "G_of_H", "J_mask"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+        for name in ("H", "H_prime", "G_of_H"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def H_dprime(self) -> np.ndarray:
+        return np.minimum(1.0, self.H_prime)
+
+    @property
+    def J_mask(self) -> np.ndarray:
+        return self.H_prime > 1.0
 
 
 @dataclass(frozen=True)
@@ -169,13 +176,11 @@ def _step_record(n: int, H: np.ndarray, H_prime: np.ndarray, G: np.ndarray,
     if prev is not None:
         diag["sup_change"] = float(np.max(np.abs(H_prime - prev)))
         diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
-    return IterationState(n, H, H_prime, np.minimum(1.0, H_prime), G,
-                          H_prime > 1.0, diag, phase)
+    return IterationState(n, H, H_prime, G, diag, phase)
 
 
 def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
-                marginals: MarginalPair,
-                opts: FortetOptions = FortetOptions()) -> IterationState:
+                marginals: MarginalPair) -> IterationState:
     """Advance the truncated scheme by one iteration (state None -> n = 1)."""
     A = marginals.omega1.values > 0
     if state is None:
@@ -186,7 +191,7 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
         H = np.maximum(state.H_dprime, 1.0 / n)
     H_prime, G = omega_map(H, kernel, marginals)
     return _step_record(n, H, H_prime, G, prev, A, kernel, marginals,
-                        bool(np.all(H_prime[A] <= 1.0 + opts.case1_eps)), "scheme")
+                        bool(np.all(H_prime[A] <= 1.0 + CASE1_EPS)), "scheme")
 
 
 def _support_sup(K: np.ndarray, A: np.ndarray, trace: List[IterationState]) -> float:
@@ -198,37 +203,33 @@ def _support_sup(K: np.ndarray, A: np.ndarray, trace: List[IterationState]) -> f
 
 
 def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: MarginalPair,
-                       opts: FortetOptions, n0: int, normalize: bool,
+                       tol: float, n0: int, normalize: bool,
                        trace: List[IterationState]) -> Tuple[np.ndarray, int]:
-    """Floor-released fixed-point iteration from K0.
+    """Plain fixed-point iteration from K0, each step floored at FLOOR_FREEZE.
 
-    The floor 1/p halves every step (p-doubling) instead of tracking 1/n,
-    and is frozen at FLOOR_FREEZE; in the ray-converged regime the iterate
-    is additionally rescaled to sup = 1 over the omega1 support each step.
-    Convergence is judged by the Hilbert step over nodes clearly above the
-    floor: nodes pinned at (or tracking) the floor hold values below float
-    range in exact arithmetic and never stabilize bitwise.
+    In the ray-converged regime the iterate is additionally rescaled to
+    sup = 1 over the omega1 support each step.  Convergence is judged by
+    the Hilbert step over nodes clearly above the floor: nodes pinned at
+    the floor hold values below float range in exact arithmetic and never
+    stabilize bitwise.
     """
     A = marginals.omega1.values > 0
     K = K0 / _support_sup(K0, A, trace) if normalize else K0
-    p = float(n0 + 1)
-    for r in range(1, opts.refine_max + 1):
-        p = min(p * 2.0, 1e300)
-        floor = max(1.0 / p, FLOOR_FREEZE)
-        Kf = np.maximum(K, floor)
+    for r in range(1, REFINE_MAX + 1):
+        Kf = np.maximum(K, FLOOR_FREEZE)
         image, G = omega_map(Kf, kernel, marginals)
         s = _support_sup(image, A, trace) if normalize else 1.0
         Kn = image / s
-        conv_mask = A & (Kn > 10.0 * floor) & (K > 10.0 * floor)
+        conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
         state = _step_record(n0 + r, Kf, Kn, G, K, conv_mask, kernel, marginals,
                              False, "closing", s)
         trace.append(state)
         K = Kn
         d = state.diagnostics
-        if (d["hilbert_step"] if normalize else d["sup_change"]) < opts.tol:
+        if (d["hilbert_step"] if normalize else d["sup_change"]) < tol:
             return K, r
     raise NonConvergenceError(
-        f"closing iteration did not stabilize within {opts.refine_max} steps", trace)
+        f"closing iteration did not stabilize within {REFINE_MAX} steps", trace)
 
 
 def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
@@ -260,44 +261,34 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     trace: List[IterationState] = []
     state: Optional[IterationState] = None
     mode = None
-    n0 = 0
     for n in range(1, opts.max_iter + 1):
-        state = fortet_step(state, kernel, marginals, opts)
+        state = fortet_step(state, kernel, marginals)
         trace.append(state)
-        if float(state.H_prime.max()) < opts.degenerate_eps:
+        if float(state.H_prime.max()) < DEGENERATE_EPS:
             return _finish_degenerate(state, trace)
-        if state.diagnostics["case1_candidate"]:
+        d = state.diagnostics
+        if d["case1_candidate"]:
             mode, n0 = "case1", n
             break
-        hs = state.diagnostics["hilbert_step"]
-        sc = state.diagnostics["sup_change"]
-        if n >= 2 and (hs < opts.ray_tol or sc < opts.tol):
+        if n >= 2 and (d["hilbert_step"] < RAY_TOL or d["sup_change"] < opts.tol):
             mode, n0 = "case2", n
             break
     if mode is None:
         raise NonConvergenceError(
             f"no termination case triggered within max_iter={opts.max_iter}", trace)
 
-    K, refine_steps = _closing_iteration(state.H_prime, kernel, marginals, opts,
+    K, refine_steps = _closing_iteration(state.H_prime, kernel, marginals, opts.tol,
                                          n0, normalize=(mode == "case2"), trace=trace)
-    warnings: List[str] = []
     over = float(K.max()) - 1.0
-    if over > opts.case1_eps:
-        warnings.append(f"fixed point exceeded 1 by {over:.3g} before clamping "
-                        "(outside the omega1 support)")
+    warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
+                "(outside the omega1 support)"] if over > CASE1_EPS else []
     h = np.minimum(K, 1.0)
-    n_zero = int(np.sum(A & (h == 0)))
-    if n_zero:
-        warnings.append(f"h underflowed to 0 at {n_zero} support nodes; the true "
-                        "potential values there exceed float64 range")
-
     phi, psi, extract_warn = _extract_with_warnings(h, kernel, marginals)
-    warnings.extend(extract_warn)
     residuals = _solution_residuals(phi, psi, kernel, marginals)
     return FortetSolution(h=h, case_tag=mode, trigger_iteration=n0,
                           iterations=n0, refine_steps=refine_steps,
                           phi=phi, psi=psi, residuals=residuals,
-                          warnings=tuple(warnings), trace=tuple(trace))
+                          warnings=tuple(warnings + extract_warn), trace=tuple(trace))
 
 
 def _finish_degenerate(state: IterationState, trace: List[IterationState]) -> FortetSolution:
@@ -316,16 +307,15 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     om1 = marginals.omega1.values
     om2 = marginals.omega2.values
     A = om1 > 0
-    warnings: List[str] = []
     with np.errstate(over="ignore", under="ignore"):
         raw = np.where(A & (h > 0), om1 / np.where(h > 0, h, 1.0), 0.0)
     # h can underflow to 0 (or to a denormal whose reciprocal overflows) when
     # the true potential exceeds float64 range; those nodes are dropped
     usable = np.isfinite(raw)
     phi = np.where(usable, raw, 0.0)
-    if np.any(A & ~(usable & (h > 0))):
-        warnings.append("potential phi set to 0 at support nodes where h "
-                        "underflowed; residuals there are meaningless")
+    dropped = int(np.sum(A & ~(usable & (h > 0))))
+    warnings = [f"potential phi set to 0 at {dropped} support nodes where h "
+                "underflowed; residuals there are meaningless"] if dropped else []
     G = kernel.apply_T(phi)
     bad = (G == 0) & (om2 > 0)
     if np.any(bad):
@@ -390,14 +380,18 @@ class UniquenessReport:
 
 
 def _ray_ratio(num: np.ndarray, den: np.ndarray) -> Tuple[float, float]:
-    """Median of num/den and its spread (max - min)/median.  A node where
-    the ratio is 0, inf or NaN reads no ray constant: it makes the spread
-    inf and is left out of the median (inf if no node is left)."""
+    """Median l_med of l = log num - log den and the spread
+    exp(l_max - l_med) - exp(l_min - l_med), i.e. (max - min)/median of
+    num/den read without overflow.  A node where the ratio is 0, inf or NaN
+    reads no ray constant: it makes the spread inf and is left out of the
+    median (inf if no node is left)."""
     with np.errstate(all="ignore"):
-        c = num / den
-    ok = np.isfinite(c) & (c > 0)
-    median = float(np.median(c[ok])) if ok.any() else math.inf
-    return median, (float((c.max() - c.min()) / median) if ok.all() else math.inf)
+        l = np.log(num) - np.log(den)
+        ok = np.isfinite(l)
+        if not ok.all():
+            return (float(np.median(l[ok])) if ok.any() else math.inf), math.inf
+        med = float(np.median(l))
+        return med, float(np.exp(l.max() - med) - np.exp(l.min() - med))
 
 
 def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
@@ -408,13 +402,16 @@ def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
     Solutions agree up to (phi, psi) -> (c*phi, psi/c), so phi_a/phi_b must
     be one constant on the omega1 support and psi_b/psi_a the same constant
     on the omega2 support; spreads are (max - min)/median of those ratios.
+    Ratios are read as log differences, so c_phi and c_psi may read inf.
     """
     phi_a, psi_a = _values(solution_a.phi), _values(solution_a.psi)
     phi_b, psi_b = _values(solution_b.phi), _values(solution_b.psi)
     m1 = marginals.omega1.values > support_threshold
     m2 = marginals.omega2.values > support_threshold
-    c_phi, spread_phi = _ray_ratio(phi_a[m1], phi_b[m1])
-    c_psi, spread_psi = _ray_ratio(psi_b[m2], psi_a[m2])
-    consistent = (spread_phi < tol and spread_psi < tol
-                  and abs(c_phi * (1.0 / c_psi) - 1.0) < tol)
+    l_phi, spread_phi = _ray_ratio(phi_a[m1], phi_b[m1])
+    l_psi, spread_psi = _ray_ratio(psi_b[m2], psi_a[m2])
+    with np.errstate(all="ignore"):
+        consistent = bool(spread_phi < tol and spread_psi < tol
+                          and abs(np.expm1(l_phi - l_psi)) < tol)
+        c_phi, c_psi = float(np.exp(l_phi)), float(np.exp(l_psi))
     return UniquenessReport(spread_phi, spread_psi, c_phi, c_psi, consistent)

@@ -51,6 +51,8 @@ class TestConfig:
             resolve_config(dict(BENCH_RAW, tolerance=1e-8))
         with pytest.raises(ConfigError, match="unknown solver keys"):
             resolve_config(dict(BENCH_RAW, solver={"tolerance": 1e-8}))
+        with pytest.raises(ConfigError, match="unknown solver keys"):
+            resolve_config(dict(BENCH_RAW, solver={"ray_tol": 1e-2}))
 
     def test_missing_required_key_rejected(self):
         raw = {k: v for k, v in BENCH_RAW.items() if k != "marginals"}
@@ -60,9 +62,7 @@ class TestConfig:
     def test_solver_defaults_pinned(self):
         # the resolved solver block enters problem_hash and summary.json
         assert resolve_config(BENCH_RAW)["solver"] == {
-            "tol": 1e-10, "max_iter": 10000, "case1_eps": 1e-12,
-            "degenerate_eps": 1e-13, "ray_tol": 1e-2, "refine_max": 5000,
-            "force": False}
+            "tol": 1e-10, "max_iter": 10000, "force": False}
 
     def test_hash_is_stable_and_sensitive(self):
         h1 = problem_hash(resolve_config(BENCH_RAW))

@@ -15,6 +15,8 @@ from fortetbridge import (FortetOptions, MarginalPair, build_grid,
                           verify_uniqueness)
 from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
                                  KernelSupportError, NonConvergenceError)
+from fortetbridge.fortet import FLOOR_FREEZE
+from fortetbridge.problem import swapped_marginals
 from fortetbridge.quadrature import QuadratureGrid
 
 RESID_TOL = 1e-12
@@ -153,6 +155,34 @@ def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginal
     assert phases[sol.iterations:] == ["closing"] * sol.refine_steps
 
 
+@pytest.fixture(scope="module")
+def swap_solution(bench_grid):
+    """The criterion-2 instance after the swap: potentials beyond float64."""
+    kernel = gaussian_kernel(bench_grid, bench_grid, 0.1)
+    marginals = swapped_marginals(MarginalPair(gaussian_density(bench_grid, 0.5),
+                                               gaussian_density(bench_grid, 1.0)))
+    return run_fortet(kernel, marginals)
+
+
+@pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
+def test_closing_steps_floor_at_freeze(which, request):
+    # no floor schedule: each closing step floors the last image at FLOOR_FREEZE
+    sol = request.getfixturevalue(which)
+    closing = sol.trace[sol.iterations:]
+    assert len(closing) == sol.refine_steps >= 2
+    assert all(s.phase == "closing" for s in closing)
+    for prev, cur in zip(closing, closing[1:]):
+        assert np.array_equal(cur.H, np.maximum(prev.H_prime, FLOOR_FREEZE))
+
+
+def test_swap_solve_warns_once_with_dropped_count(swap_solution):
+    # 98 support nodes where h = 0 and 34 where 1/h overflows
+    assert swap_solution.case_tag == "case2"
+    assert len(swap_solution.warnings) == 1
+    assert "132 support nodes" in swap_solution.warnings[0]
+    assert int(np.sum(swap_solution.phi == 0.0)) == 132
+
+
 def test_solution_arrays_are_locked(bench_solution):
     with pytest.raises(ValueError):
         bench_solution.h[0] = 2.0
@@ -232,6 +262,19 @@ def test_verify_uniqueness_unreadable_ratio_is_inconsistent(bench_solution,
     assert rep.ratio_spread_psi < 1e-12
     assert rep.c_phi == 1.0 and rep.c_psi == 1.0
     assert not rep.consistent
+
+
+def test_verify_uniqueness_reads_rays_beyond_float_range(bench_solution,
+                                                         bench_marginals):
+    # the ray constant 1e400 overflows as a ratio but not as a log difference
+    from types import SimpleNamespace
+    phi, psi = bench_solution.phi, bench_solution.psi
+    up = SimpleNamespace(phi=phi * 1e200, psi=psi * 1e-200)
+    down = SimpleNamespace(phi=phi * 1e-200, psi=psi * 1e200)
+    rep = verify_uniqueness(up, down, bench_marginals)
+    assert rep.consistent
+    assert rep.ratio_spread_phi < 1e-12 and rep.ratio_spread_psi < 1e-12
+    assert rep.c_phi == math.inf and rep.c_psi == math.inf
 
 
 def test_nonconvergence_carries_trace(bench_kernel, bench_marginals):
