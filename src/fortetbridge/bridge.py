@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import FortetBridgeError, InfeasibleParametersError
 from .problem import KernelOperator, MarginalPair, gaussian_kernel
@@ -260,46 +259,41 @@ def _kappa(sigma: float, sigma1: float, sigma2: float) -> float:
     return 1.0 / sigma2 ** 2 - 1.0 / (sigma1 ** 2 + sigma ** 2)
 
 
+def _exponent(sigma, s1, s2):
+    """u = 1 + sigma^2 b and the exponent b on the s2 side.  u is the
+    positive root of u^2 - (sigma/s2)^2 u - (s1/s2)^2 = 0, and b = (u - 1) /
+    sigma^2 is taken as (u + (s1 - s2)(s1 + s2)/sigma^2) / (s2^2 (u + 1)),
+    free of the cancellation in u - 1."""
+    p = (sigma / s2) ** 2
+    u = (p + np.hypot(p, 2.0 * s1 / s2)) / 2.0
+    return u, (u + (s1 - s2) * (s1 + s2) / sigma ** 2) / (s2 ** 2 * (u + 1.0))
+
+
 def gaussian_oracle(sigma: float, sigma1: float, sigma2: float) -> GaussianBridgeSolution:
-    """Solve the two-equation system for the Gaussian potential exponents.
+    """The potential exponents of the Gaussian system, in closed form.
 
     With A(b) = 1/sigma1^2 - b/(1 + sigma^2 b), the exponent b solves
-    b + A(b)/(1 + sigma^2 A(b)) = 1/sigma2^2 on b > -1/sigma^2, where the
-    left side increases from -1/sigma2^2-free limit to +inf, so a root
-    always exists for admissible parameters; a is then A(b).  The scale
-    convention c_psi = 1 makes c_phi = (1 + sigma^2 b)^(1/2) / sqrt(2 pi
-    sigma1^2).
+    b + A(b)/(1 + sigma^2 A(b)) = 1/sigma2^2 and a = A(b).  In u = 1 +
+    sigma^2 b this is a quadratic whose positive root is the only admissible
+    one, and a solves it with sigma1 and sigma2 exchanged.  The ray c_psi = 1
+    makes c_phi = u^(1/2) / sqrt(2 pi sigma1^2).  Parameters that are not
+    finite and positive, or exponents that leave float range, raise
+    InfeasibleParametersError.
     """
-    if min(sigma, sigma1, sigma2) <= 0:
-        raise InfeasibleParametersError("sigma, sigma1, sigma2 must be positive")
-    s2 = sigma * sigma
-
-    def A(b: float) -> float:
-        return 1.0 / sigma1 ** 2 - b / (1.0 + s2 * b)
-
-    def F(b: float) -> float:
-        a = A(b)
-        return b + a / (1.0 + s2 * a) - 1.0 / sigma2 ** 2
-
-    lo = -(1.0 - 1e-9) / s2
-    hi = max(1.0, 2.0 / sigma2 ** 2)
-    for _ in range(200):
-        if F(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleParametersError("could not bracket the exponent equation")
-    if F(lo) >= 0:
-        # root pushed against the domain boundary: extreme parameter ratio
-        raise InfeasibleParametersError("exponent equation has no admissible root")
-    b = float(brentq(F, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    a = float(A(b))
-    if 1.0 + s2 * b <= 0 or 1.0 + s2 * a <= 0:
-        raise InfeasibleParametersError("root violates the convolution domain")
-    c_phi = math.sqrt(1.0 + s2 * b) / math.sqrt(2.0 * math.pi * sigma1 ** 2)
-    kappa = _kappa(sigma, sigma1, sigma2)
-    kappa_swapped = _kappa(sigma, sigma2, sigma1)
+    if not all(math.isfinite(s) and s > 0 for s in (sigma, sigma1, sigma2)):
+        raise InfeasibleParametersError("sigma, sigma1, sigma2 must be finite and positive")
+    with np.errstate(all="ignore"):
+        # numpy scalars: overflow and 0/0 give inf and nan, checked below
+        sigma, sigma1, sigma2 = (np.float64(s) for s in (sigma, sigma1, sigma2))
+        u, b = _exponent(sigma, sigma1, sigma2)
+        _, a = _exponent(sigma, sigma2, sigma1)
+        c_phi = np.sqrt(u) / (math.sqrt(2.0 * math.pi) * sigma1)
+        kappa = _kappa(sigma, sigma1, sigma2)
+        kappa_swapped = _kappa(sigma, sigma2, sigma1)
+    if not np.all(np.isfinite([u, a, b, c_phi, kappa, kappa_swapped])):
+        raise InfeasibleParametersError("the exponents leave float range")
     return GaussianBridgeSolution(
         sigma=float(sigma), sigma1=float(sigma1), sigma2=float(sigma2),
-        a=a, b=b, c_phi=c_phi, c_psi=1.0, kappa=kappa,
-        scheme_feasible=kappa >= 0.0, swap_scheme_feasible=kappa_swapped >= 0.0)
+        a=float(a), b=float(b), c_phi=float(c_phi), c_psi=1.0,
+        kappa=float(kappa), scheme_feasible=bool(kappa >= 0.0),
+        swap_scheme_feasible=bool(kappa_swapped >= 0.0))

@@ -76,16 +76,15 @@ def _write_trace(path: Path, trace) -> None:
             ])
 
 
+def _coordinates(grid):
+    """Column headers and (n, d) rows of the node coordinates."""
+    headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
+    return headers, grid.nodes.reshape(grid.n_nodes, grid.dim)
+
+
 def _write_potentials(path: Path, grid, columns) -> None:
     """columns: list of (name, 1-D array) written after the node coordinates."""
-    import numpy as np
-    nodes = np.asarray(grid.nodes)
-    if nodes.ndim == 1:
-        coords = nodes[:, None]
-        headers = ["x"]
-    else:
-        coords = nodes
-        headers = [f"x{k + 1}" for k in range(coords.shape[1])]
+    headers, coords = _coordinates(grid)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers + [name for name, _ in columns])
@@ -237,13 +236,14 @@ def cmd_interpolate(args) -> int:
         return 2
     interp = bridge.entropic_interpolation(solution.phi, solution.psi,
                                            problem.kernel, times)
+    headers, coords = _coordinates(problem.grid)
     with (out / "interpolation.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "x", "density"])
+        writer.writerow(["t"] + headers + ["density"])
         for k, t in enumerate(interp.times):
-            for i, x in enumerate(problem.grid.nodes):
-                writer.writerow([_fmt(float(t)), _fmt(float(x)),
-                                 _fmt(float(interp.densities[k, i]))])
+            for i, x in enumerate(coords):
+                writer.writerow([_fmt(float(t))] + [_fmt(float(c)) for c in x]
+                                + [_fmt(float(interp.densities[k, i]))])
     payload = _solution_payload(problem, solution, coupling, kl)
     payload["interpolation_times"] = list(interp.times)
     payload["interpolation_masses"] = list(interp.masses)

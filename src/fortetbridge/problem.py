@@ -148,7 +148,7 @@ class KernelOperator:
         return values
 
     @property
-    def _isotropic_sigma(self) -> Optional[float]:
+    def heat_sigma(self) -> Optional[float]:
         """sigma if this is the analytic heat kernel N(y - x; sigma^2 I)."""
         if self.provenance == "analytic-gaussian" and "sigma" in self.params \
                 and not self.params.get("row_normalized"):
@@ -156,16 +156,11 @@ class KernelOperator:
         return None
 
     @property
-    def heat_sigma(self) -> Optional[float]:
-        """Diffusion scale if this is an analytic 1-D heat kernel, else None."""
-        return self._isotropic_sigma if self.grid1.dim == 1 else None
-
-    @property
     def log_values(self) -> np.ndarray:
         """log of the kernel matrix.  For the heat kernel it is the formula
         -|x - y|^2 / 2 sigma^2 - (d/2) log(2 pi sigma^2), finite where
         values underflows to 0; for any other kernel it is log(values)."""
-        s = self._isotropic_sigma
+        s = self.heat_sigma
         if s is None:
             with np.errstate(divide="ignore"):
                 return np.log(self.values)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import GridError
 
@@ -19,6 +18,9 @@ RULES = ("trapezoid", "gauss-legendre")
 
 #: Refuse to build grids above this many nodes (dense kernels get huge first).
 MAX_GRID_NODES = 4_000_000
+
+#: Newton steps allowed for the Gauss-Legendre nodes (about 4 are taken)
+GL_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,35 @@ def _mesh(axes) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]: Newton's method on the
+    recurrence from Tricomi's guess for the n//2 + n%2 non-negative roots (0
+    exactly for odd n), mirrored; gauleg in Numerical Recipes.  O(n^2) time
+    and O(n) memory, where the companion-matrix eigensolver is O(n^3), O(n^2)."""
+    x = np.cos(np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(GL_NEWTON_STEPS):
+        dx = np.divide(*_legendre(n, x))
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-14:
+            break
+    else:
+        raise GridError(f"Gauss-Legendre nodes for {n} points did not converge")
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    h = n // 2
+    return np.concatenate([-x[:h], x[::-1]]), np.concatenate([w[:h], w[::-1]])
+
+
 def _axis_rule(radius: float, points: int, rule: str):
     if rule == "trapezoid":
         x = np.linspace(-radius, radius, points)
@@ -98,7 +129,7 @@ def _axis_rule(radius: float, points: int, rule: str):
         w[0] = w[-1] = h / 2.0
         return x, w
     if rule == "gauss-legendre":
-        xi, wi = roots_legendre(points)
+        xi, wi = _gauss_legendre(points)
         return radius * xi, radius * wi
     raise GridError(f"unknown quadrature rule {rule!r}; expected one of {RULES}")
 

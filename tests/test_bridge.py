@@ -11,6 +11,7 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           gaussian_kernel, gaussian_oracle, kl_objective,
                           prior_coupling, pushforward, run_fortet,
                           run_sinkhorn, table_kernel, verify_system)
+from fortetbridge.config import build_problem, resolve_config
 from fortetbridge.errors import FortetBridgeError, InfeasibleParametersError
 from tests.conftest import random_instance
 
@@ -18,6 +19,19 @@ from tests.conftest import random_instance
 # sigma2=0.8, frozen from a bracketed scalar root find (brentq, xtol=1e-15).
 BENCH_B = 1.8419171064692643
 BENCH_A = -0.26117305185967044
+
+# Exponents (a, b) of the exact roots at the double-precision inputs, to 50
+# digits (mpmath at 60 digits, from the positive root of the quadratic in
+# u = 1 + sigma^2 b).  A bracketed brentq returned a = 9.68e16 on the first
+# triple and was 2.3e-11 relative off on the second.
+ORACLE_REFERENCES = [
+    ((1e-5, 1.0, 1e5),
+     "999990000000000.33639552823301580660948442639187017",
+     "-9999899999.9999983639052823301568160823442639184972"),
+    ((0.010079787833663652, 0.04009674139590362, 8.94299539424191),
+     "2185653.7995219584830512259729972014343059154620643",
+     "-9798.1788740073696714047763577805199410320958458807"),
+]
 
 # 0.6 log 8 + 1.2 log 24 + 0.2 log(4/3) + 0.9 log 4: the 2x2 hand coupling
 # pi = [[0.6, 1.2], [0.2, 0.9]] against its reference omega1 g =
@@ -86,6 +100,30 @@ class TestGaussianOracle:
         for bad in [(0.0, 1.0, 1.0), (0.5, -1.0, 0.8), (0.5, 1.0, 0.0)]:
             with pytest.raises(InfeasibleParametersError):
                 gaussian_oracle(*bad)
+
+    @pytest.mark.parametrize("params", [
+        (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1e-200, 1.0, 1.0),
+        (1.0, 1e-200, 1.0), (1.0, 1.0, 1e-200), (1e200, 1.0, 1.0)])
+    def test_rejects_non_finite_inputs_and_exponents(self, params):
+        # non-finite inputs, and inputs whose exponents under- or overflow
+        with pytest.raises(InfeasibleParametersError):
+            gaussian_oracle(*params)
+
+    @pytest.mark.parametrize("params, a_ref, b_ref", ORACLE_REFERENCES,
+                             ids=["extreme-ratio", "random-triple"])
+    def test_matches_high_precision_roots(self, params, a_ref, b_ref):
+        oracle = gaussian_oracle(*params)
+        assert oracle.a == pytest.approx(float(a_ref), rel=1e-15, abs=0)
+        assert oracle.b == pytest.approx(float(b_ref), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("params", [(0.5, 1.0, 0.8), (0.1, 0.5, 1.0),
+                                        (3.0, 0.02, 40.0)])
+    def test_exponents_swap_with_the_marginals(self, params):
+        # exchanging sigma1 and sigma2 exchanges the two exponents
+        s, s1, s2 = params
+        oracle, swapped = gaussian_oracle(s, s1, s2), gaussian_oracle(s, s2, s1)
+        assert oracle.a == swapped.b
+        assert oracle.b == swapped.a
 
     def test_log_and_linear_forms_agree(self):
         oracle = gaussian_oracle(0.5, 1.0, 0.8)
@@ -360,6 +398,37 @@ class TestInterpolation:
         with pytest.raises(FortetBridgeError):
             entropic_interpolation(bench_solution.phi, bench_solution.psi,
                                    flat, [0.5])
+
+    def test_2d_interpolant_is_the_product_of_1d_ones(self):
+        # the heat kernel on a tensor grid is separable, so product
+        # potentials interpolate to the product of the 1-D time marginals
+        grid = build_grid(dim=1, radius=8.0, points_per_axis=81)
+        kernel = gaussian_kernel(grid, grid, 0.5)
+        sol = run_fortet(kernel, MarginalPair(gaussian_density(grid, 1.0),
+                                              gaussian_density(grid, 0.8)))
+        grid2 = build_grid(dim=2, radius=8.0, points_per_axis=81)
+        kernel2 = gaussian_kernel(grid2, grid2, 0.5)
+        times = [0.0, 0.25, 0.5, 0.75, 1.0]
+        one = entropic_interpolation(sol.phi, sol.psi, kernel, times)
+        two = entropic_interpolation(np.outer(sol.phi, sol.phi).ravel(),
+                                     np.outer(sol.psi, sol.psi).ravel(),
+                                     kernel2, times)
+        for k in range(len(times)):
+            prod = np.outer(one.densities[k], one.densities[k]).ravel()
+            assert np.max(np.abs(two.densities[k] - prod) / prod) < 1e-12
+        assert "values" not in kernel2.__dict__
+
+    def test_2d_tight_grid_is_refused_by_mass_drift(self):
+        # gauss2d's 41-point axes: the t = 0.25 interpolant's raw mass is
+        # 1.0019, beyond MASS_DRIFT_TOL
+        raw = {"kernel": {"type": "gaussian", "sigma": 0.5},
+               "marginals": [{"type": "gaussian", "sigma": 1.0},
+                             {"type": "gaussian", "sigma": 0.8}],
+               "grid": {"dim": 2, "radius": 8.0, "points": 41}}
+        problem = build_problem(resolve_config(raw))
+        sol = run_fortet(problem.kernel, problem.marginals)
+        with pytest.raises(FortetBridgeError, match="drift"):
+            entropic_interpolation(sol.phi, sol.psi, problem.kernel, [0.25])
 
     def test_mass_drift_on_tight_truncation_raises(self):
         from fortetbridge import run_fortet

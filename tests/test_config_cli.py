@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +222,21 @@ class TestCli:
         for mass in summary["interpolation_masses"]:
             assert mass == pytest.approx(1.0, abs=1e-10)
 
+    def test_interpolate_writes_2d_coordinates(self, tmp_path):
+        raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 8.0, "points": 41})
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        code = main(["interpolate", "--config", str(cfg), "--output", str(out),
+                     "--times", "0,0.5,1"])
+        assert code == 0
+        rows = read_csv(out / "interpolation.csv")
+        assert rows[0] == ["t", "x1", "x2", "density"]
+        assert len(rows) == 1 + 3 * 41 * 41
+        assert rows[1][:3] == ["0.0", "-8.0", "-8.0"]
+        summary = json.loads((out / "summary.json").read_text())
+        for mass in summary["interpolation_masses"]:
+            assert mass == pytest.approx(1.0, abs=1e-4)
+
     def test_interpolate_rejects_unparseable_times(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_RAW)
         code = main(["interpolate", "--config", str(cfg),
@@ -275,3 +293,28 @@ def test_two_dimensional_solve_never_builds_the_kernel_matrix(tmp_path):
     assert coupling.row_marginal_resid < 1e-12
     assert "values" not in problem.kernel.__dict__
     assert "pi" not in coupling.__dict__
+
+
+def test_package_and_cli_load_no_scipy():
+    # a fresh interpreter that imports every module and runs the CLI's help
+    # loads numpy and nothing heavier
+    code = "\n".join([
+        "import importlib, pkgutil, sys",
+        "import fortetbridge",
+        "from fortetbridge import cli",
+        "for info in pkgutil.iter_modules(fortetbridge.__path__):",
+        "    importlib.import_module('fortetbridge.' + info.name)",
+        "try:",
+        "    cli.main(['--help'])",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0",
+        "print('scipy modules:', sorted(m for m in sys.modules",
+        "                               if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert "usage: fortetbridge" in run.stdout
+    assert run.stdout.splitlines()[-1] == "scipy modules: []"

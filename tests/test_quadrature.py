@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fortetbridge import GridFunction, QuadratureGrid, build_grid, integrate
 from fortetbridge.errors import GridError
+from fortetbridge import quadrature
 from fortetbridge.quadrature import MAX_GRID_NODES
 
 GAUSS_MASS_TOL = 1e-9
@@ -62,6 +63,51 @@ def test_gauss_legendre_exact_on_polynomials():
     vals = grid.nodes ** 14
     exact = 2.0 * 3.0 ** 15 / 15.0
     assert integrate(GridFunction(grid, vals)) == pytest.approx(exact, rel=1e-13)
+
+
+# First node and weight of the n-point Gauss-Legendre rule on [-1, 1], to 20
+# digits (mpmath at 40 digits)
+GL_ENDPOINTS = [(401, -0.99998206239154885002, 4.6033558247379154786e-5),
+                (1001, -0.99999711706394292869, 7.3985413529018292682e-6)]
+
+
+@pytest.mark.parametrize("n, node, weight", GL_ENDPOINTS)
+def test_gauss_legendre_endpoint_matches_reference(n, node, weight):
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=n, rule="gauss-legendre")
+    assert abs(grid.nodes[0] - node) <= 2.2e-16
+    assert grid.weights[0] == pytest.approx(weight, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 41, 400, 401])
+def test_gauss_legendre_symmetric_with_full_mass(n):
+    grid = build_grid(dim=1, radius=2.5, points_per_axis=n, rule="gauss-legendre")
+    assert float(np.sum(grid.weights)) == pytest.approx(5.0, rel=1e-14)
+    assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+    assert np.array_equal(grid.weights, grid.weights[::-1])
+    if n % 2:
+        assert grid.nodes[n // 2] == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 41])
+def test_gauss_legendre_exact_on_degree_2n_minus_2(n):
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=n, rule="gauss-legendre")
+    exact = 2.0 / (2 * n - 1)
+    assert integrate(GridFunction(grid, grid.nodes ** (2 * n - 2))) == \
+        pytest.approx(exact, rel=1e-13)
+
+
+def test_gauss_legendre_2d_grid():
+    grid = build_grid(dim=2, radius=2.0, points_per_axis=9, rule="gauss-legendre")
+    assert grid.n_nodes == 81 and len(grid.axes) == 2
+    # x^2 y^4 over [-2, 2]^2 is (16/3)(64/5)
+    vals = grid.nodes[:, 0] ** 2 * grid.nodes[:, 1] ** 4
+    assert integrate(GridFunction(grid, vals)) == pytest.approx(1024.0 / 15.0, rel=1e-13)
+
+
+def test_gauss_legendre_newton_budget_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "GL_NEWTON_STEPS", 1)
+    with pytest.raises(GridError, match="did not converge"):
+        build_grid(dim=1, radius=1.0, points_per_axis=41, rule="gauss-legendre")
 
 
 def test_grid_validation_errors():
