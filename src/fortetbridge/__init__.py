@@ -48,7 +48,6 @@ _EXPORTS = {
     # bridge outputs
     "Coupling": "bridge", "build_coupling": "bridge",
     "kl_objective": "bridge", "prior_coupling": "bridge",
-    "entropic_cost_decomposition": "bridge",
     "entropic_interpolation": "bridge", "gaussian_oracle": "bridge",
     "GaussianBridgeSolution": "bridge",
     # configuration

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,9 @@ class Coupling:
     It is kept as its potentials, its kernel and its two marginal
     integrals, row = Int pi dy = phi * apply(psi) and col = Int pi dx =
     psi * apply_T(phi): the residuals, the mass and the KL objective read
-    only these.  The (n1, n2) array pi is built on first read.
+    only these.  A residual is inf at a node where it is NaN (an inf
+    potential against a vanishing integral).  The (n1, n2) array pi is
+    built on first read.
     """
 
     phi: np.ndarray
@@ -46,9 +48,9 @@ class Coupling:
     col: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        phi = np.asarray(getattr(self.phi, "values", self.phi), dtype=float)
-        psi = np.asarray(getattr(self.psi, "values", self.psi), dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
+        phi = np.asarray(self.phi, dtype=float)
+        psi = np.asarray(self.psi, dtype=float)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             row = phi * self.kernel.apply(psi)
             col = psi * self.kernel.apply_T(phi)
         for name, value in (("phi", phi), ("psi", psi), ("row", row), ("col", col)):
@@ -65,12 +67,12 @@ class Coupling:
     @property
     def row_marginal_resid(self) -> float:
         """sup | Int pi dy - omega1 |"""
-        return float(np.max(np.abs(self.row - self.marginals.omega1.values)))
+        return _sup_resid(self.row, self.marginals.omega1.values)
 
     @property
     def col_marginal_resid(self) -> float:
         """sup | Int pi dx - omega2 |"""
-        return float(np.max(np.abs(self.col - self.marginals.omega2.values)))
+        return _sup_resid(self.col, self.marginals.omega2.values)
 
     @property
     def mass(self) -> float:
@@ -82,6 +84,12 @@ class Coupling:
             pi = self.phi[:, None] * self.kernel.values * self.psi[None, :]
         pi.setflags(write=False)
         return pi
+
+
+def _sup_resid(integral: np.ndarray, omega: np.ndarray) -> float:
+    with np.errstate(invalid="ignore"):
+        r = np.abs(integral - omega)
+    return float(np.max(np.where(np.isnan(r), math.inf, r)))
 
 
 def build_coupling(phi, psi, kernel: KernelOperator,
@@ -129,31 +137,6 @@ def kl_objective(coupling: Coupling) -> KLObjective:
 
 
 @dataclass(frozen=True)
-class CostDecomposition:
-    transport_cost: float             # integral of |x - y|^2 / 2 against pi
-    entropy_term: float               # integral of pi log pi (0 log 0 = 0)
-
-
-def entropic_cost_decomposition(coupling: Coupling) -> CostDecomposition:
-    x = coupling.grid1.nodes
-    y = coupling.grid2.nodes
-    if coupling.grid1.dim == 1:
-        cost = np.subtract.outer(x, y) ** 2 / 2.0
-    else:
-        delta = x[:, None, :] - y[None, :, :]
-        cost = np.sum(delta * delta, axis=2) / 2.0
-    w1 = coupling.grid1.weights
-    w2 = coupling.grid2.weights
-    pi = coupling.pi
-    transport = float(w1 @ ((pi * cost) @ w2))
-    mask = pi > 0
-    ent = np.zeros_like(pi)
-    ent[mask] = pi[mask] * np.log(pi[mask])
-    entropy = float(w1 @ (ent @ w2))
-    return CostDecomposition(transport, entropy)
-
-
-@dataclass(frozen=True)
 class Interpolation:
     times: Tuple[float, ...]
     densities: np.ndarray             # (n_times, n_nodes), renormalized
@@ -165,15 +148,14 @@ class Interpolation:
 
 
 def entropic_interpolation(phi, psi, kernel: KernelOperator,
-                           times: Sequence[float],
-                           mass_drift_tol: float = MASS_DRIFT_TOL) -> Interpolation:
+                           times: Sequence[float]) -> Interpolation:
     """Time marginals rho_t = (heat_t * phi) x (heat_{1-t} * psi).
 
     Endpoints use the solved potentials directly (the t -> 0 and t -> 1
     heat kernels degenerate to point evaluation), so rho_0 and rho_1
     reproduce the marginal-equation products exactly.  Refuses kernels
     without an analytic heat scale and grids whose truncation lets the raw
-    interpolant mass drift by more than mass_drift_tol.
+    interpolant mass drift by more than MASS_DRIFT_TOL.
     """
     sigma = kernel.heat_sigma
     if sigma is None:
@@ -182,8 +164,8 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     if not np.array_equal(kernel.grid1.nodes, kernel.grid2.nodes):
         raise FortetBridgeError("interpolation needs matching x and y grids")
     grid = kernel.grid1
-    phi = np.asarray(getattr(phi, "values", phi), dtype=float)
-    psi = np.asarray(getattr(psi, "values", psi), dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    psi = np.asarray(psi, dtype=float)
     w = grid.weights
 
     out = np.empty((len(times), grid.n_nodes))
@@ -203,7 +185,7 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
             backward = gaussian_kernel(grid, grid, sigma * math.sqrt(1.0 - t)).apply(psi)
         rho = forward * backward
         m = float(np.sum(w * rho))
-        if abs(m - 1.0) > mass_drift_tol:
+        if abs(m - 1.0) > MASS_DRIFT_TOL:
             raise FortetBridgeError(
                 f"interpolant mass at t={t} drifted to {m!r}; enlarge the "
                 "truncation radius")

@@ -121,7 +121,7 @@ def _check_payload(report) -> dict:
     return payload
 
 
-def _solution_payload(problem, solution, coupling, kl) -> dict:
+def _solution_payload(problem, solution, kl) -> dict:
     import numpy as np
     payload = {
         "problem_hash": problem.problem_hash,
@@ -136,12 +136,8 @@ def _solution_payload(problem, solution, coupling, kl) -> dict:
     if solution.h is not None:
         payload["h_min"] = float(np.min(solution.h))
         payload["h_max"] = float(np.max(solution.h))
-    if coupling is not None:
-        payload["coupling"] = {
-            "row_marginal_resid": coupling.row_marginal_resid,
-            "col_marginal_resid": coupling.col_marginal_resid,
-            "mass": coupling.mass,
-        }
+    if solution.coupling is not None:
+        payload["coupling"] = {"mass": solution.coupling.mass}
     if kl is not None:
         payload["kl_objective"] = kl.value
         payload["kl_absolutely_continuous"] = kl.absolutely_continuous
@@ -149,10 +145,10 @@ def _solution_payload(problem, solution, coupling, kl) -> dict:
 
 
 def _solve_problem(problem, out: Path):
-    """Shared solve path: returns (solution, coupling, kl) with bridge
-    outputs skipped for degenerate runs.  At the iteration cap the per-step
-    trace is written to out/trace.csv before the NonConvergenceError
-    propagates to main, which exits 3."""
+    """Shared solve path: returns (solution, kl), kl None for degenerate
+    runs.  At the iteration cap the per-step trace is written to
+    out/trace.csv before the NonConvergenceError propagates to main, which
+    exits 3."""
     from . import bridge, fortet
     from .errors import NonConvergenceError
     try:
@@ -162,12 +158,10 @@ def _solve_problem(problem, out: Path):
         if exc.trace:
             _write_trace(out / "trace.csv", exc.trace)
         raise
-    coupling = kl = None
-    if solution.case_tag != "degenerate":
-        coupling = bridge.build_coupling(solution.phi, solution.psi,
-                                         problem.kernel, problem.marginals)
-        kl = bridge.kl_objective(coupling)
-    return solution, coupling, kl
+    kl = None
+    if solution.coupling is not None:
+        kl = bridge.kl_objective(solution.coupling)
+    return solution, kl
 
 
 def cmd_check(args) -> int:
@@ -198,11 +192,11 @@ def cmd_solve(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    solution, coupling, kl = _solve_problem(problem, out)
+    solution, kl = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
     _write_trace(out / "trace.csv", solution.trace)
     _write_json(out / "summary.json",
-                _solution_payload(problem, solution, coupling, kl))
+                _solution_payload(problem, solution, kl))
     if solution.h is not None and solution.phi is not None:
         _write_potentials(out / "potentials.csv", problem.grid,
                           [("phi", solution.phi), ("psi", solution.psi),
@@ -230,7 +224,7 @@ def cmd_interpolate(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    solution, coupling, kl = _solve_problem(problem, out)
+    solution, kl = _solve_problem(problem, out)
     if solution.case_tag == "degenerate":
         _log("cannot interpolate a degenerate solution")
         return 2
@@ -244,7 +238,7 @@ def cmd_interpolate(args) -> int:
             for i, x in enumerate(coords):
                 writer.writerow([_fmt(float(t))] + [_fmt(float(c)) for c in x]
                                 + [_fmt(float(interp.densities[k, i]))])
-    payload = _solution_payload(problem, solution, coupling, kl)
+    payload = _solution_payload(problem, solution, kl)
     payload["interpolation_times"] = list(interp.times)
     payload["interpolation_masses"] = list(interp.masses)
     _write_json(out / "summary.json", payload)
@@ -294,7 +288,7 @@ def cmd_compare(args) -> int:
     problem = load_problem(args.config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    solution, _, _ = _solve_problem(problem, out)
+    solution, _ = _solve_problem(problem, out)
     if solution.case_tag == "degenerate":
         _log("cannot compare a degenerate solution")
         return 2

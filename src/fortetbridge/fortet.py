@@ -39,10 +39,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import bridge
 from .errors import (FeasibilityError, FortetBridgeError, KernelSupportError,
                      NonConvergenceError)
-from .problem import (FeasibilityReport, KernelOperator, MarginalPair,
-                      full_report)
+from .problem import KernelOperator, MarginalPair, full_report
 
 #: every closing step floors its iterate here; true fixed-point values
 #: beneath it are not representable in float64 anyway (the iterate sits on
@@ -55,6 +55,9 @@ CASE1_EPS = 1e-12
 DEGENERATE_EPS = 1e-13
 RAY_TOL = 1e-2
 REFINE_MAX = 5000
+#: verify_uniqueness reads the ray constants on the nodes where the
+#: marginal exceeds this
+SUPPORT_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,14 +95,17 @@ class IterationState:
 
 @dataclass(frozen=True)
 class FortetSolution:
+    """A tagged solution.  The potentials are held by the coupling pi =
+    phi g psi, whose marginal integrals certify the system; a degenerate
+    solution has no coupling, and its potentials and residuals read None
+    and NaN."""
+
     h: Optional[np.ndarray]
     case_tag: str                       # "case1" | "case2" | "degenerate"
     trigger_iteration: int              # scheme iteration where the case fired
     iterations: int                     # scheme iterations run (= trigger)
     refine_steps: int                   # closing-phase steps after the trigger
-    phi: Optional[np.ndarray]
-    psi: Optional[np.ndarray]
-    residuals: Dict[str, float]
+    coupling: Optional[bridge.Coupling]
     warnings: Tuple[str, ...] = ()
     trace: Tuple[IterationState, ...] = ()
 
@@ -109,10 +115,24 @@ class FortetSolution:
             if arr is not None:
                 arr.setflags(write=False)
 
+    @property
+    def phi(self) -> Optional[np.ndarray]:
+        return None if self.coupling is None else self.coupling.phi
 
-def _values(x) -> np.ndarray:
-    # accept GridFunction or plain arrays
-    return np.asarray(getattr(x, "values", x), dtype=float)
+    @property
+    def psi(self) -> Optional[np.ndarray]:
+        return None if self.coupling is None else self.coupling.psi
+
+    @property
+    def residuals(self) -> Dict[str, float]:
+        """Sup-norm residuals of the two marginal equations (the coupling's
+        row and column residuals) and |mass - Int omega1|."""
+        c = self.coupling
+        if c is None:
+            return dict.fromkeys(("s1_resid", "s2_resid", "marginal_resid"), math.nan)
+        mass1 = float(np.sum(c.grid1.weights * c.marginals.omega1.values))
+        return {"s1_resid": c.row_marginal_resid, "s2_resid": c.col_marginal_resid,
+                "marginal_resid": abs(c.mass - mass1)}
 
 
 def _masked_hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
@@ -130,7 +150,7 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair):
     contribute nothing to G no matter what H holds there, and nodes where
     omega2 = 0 contribute nothing to H_prime.
     """
-    Hv = _values(H)
+    Hv = np.asarray(H, dtype=float)
     om1 = marginals.omega1.values
     om2 = marginals.omega2.values
     A = om1 > 0
@@ -233,8 +253,7 @@ def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: Margin
 
 
 def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
-               opts: FortetOptions = FortetOptions(),
-               feasibility: Optional[FeasibilityReport] = None) -> FortetSolution:
+               opts: FortetOptions = FortetOptions()) -> FortetSolution:
     """Run the truncated scheme to a tagged solution.
 
     Refuses instances whose feasibility report fails hard checks or whose
@@ -243,7 +262,7 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     NonConvergenceError when the iteration cap is hit).
     """
     if not opts.force:
-        report = feasibility if feasibility is not None else full_report(kernel, marginals)
+        report = full_report(kernel, marginals)
         failed = [k for k, v in report.hypotheses.items() if not v.ok]
         if failed:
             raise FeasibilityError(f"hypothesis checks failed: {', '.join(failed)} "
@@ -284,19 +303,16 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
                 "(outside the omega1 support)"] if over > CASE1_EPS else []
     h = np.minimum(K, 1.0)
     phi, psi, extract_warn = _extract_with_warnings(h, kernel, marginals)
-    residuals = _solution_residuals(phi, psi, kernel, marginals)
     return FortetSolution(h=h, case_tag=mode, trigger_iteration=n0,
                           iterations=n0, refine_steps=refine_steps,
-                          phi=phi, psi=psi, residuals=residuals,
+                          coupling=bridge.build_coupling(phi, psi, kernel, marginals),
                           warnings=tuple(warnings + extract_warn), trace=tuple(trace))
 
 
 def _finish_degenerate(state: IterationState, trace: List[IterationState]) -> FortetSolution:
     return FortetSolution(h=state.H_prime, case_tag="degenerate",
                           trigger_iteration=state.n, iterations=state.n,
-                          refine_steps=0, phi=None, psi=None,
-                          residuals={"s1_resid": math.nan, "s2_resid": math.nan,
-                                     "marginal_resid": math.nan},
+                          refine_steps=0, coupling=None,
                           warnings=("iterate collapsed below the degeneracy "
                                     "threshold; no potentials extracted",),
                           trace=tuple(trace))
@@ -334,7 +350,7 @@ def extract_potentials(h, kernel: KernelOperator,
     Raises KernelSupportError when the psi denominator vanishes against a
     positive omega2 node.
     """
-    hv = _values(h)
+    hv = np.asarray(h, dtype=float)
     A = marginals.omega1.values > 0
     if np.any(hv[A] <= 0):
         raise FortetBridgeError("extract_potentials needs h > 0 on the omega1 support")
@@ -342,32 +358,10 @@ def extract_potentials(h, kernel: KernelOperator,
     return phi, psi
 
 
-def _system_check(phi: np.ndarray, psi: np.ndarray, kernel: KernelOperator,
-                  marginals: MarginalPair) -> Tuple[Dict[str, float], np.ndarray]:
-    """verify_system's residuals plus the row integral Int g psi behind them."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        row = kernel.apply(psi)
-        s1 = phi * row - marginals.omega1.values
-        s2 = psi * kernel.apply_T(phi) - marginals.omega2.values
-    s1 = np.where(np.isnan(s1), math.inf, s1)
-    s2 = np.where(np.isnan(s2), math.inf, s2)
-    return {"s1_resid": float(np.max(np.abs(s1))),
-            "s2_resid": float(np.max(np.abs(s2)))}, row
-
-
 def verify_system(phi, psi, kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, float]:
     """Sup-norm residuals of the two marginal equations; pure check."""
-    return _system_check(_values(phi), _values(psi), kernel, marginals)[0]
-
-
-def _solution_residuals(phi, psi, kernel, marginals) -> Dict[str, float]:
-    res, row = _system_check(phi, psi, kernel, marginals)
-    w1 = kernel.grid1.weights
-    with np.errstate(over="ignore", under="ignore"):
-        total = float(np.sum((w1 * phi) * row))
-    mass1 = float(np.sum(w1 * marginals.omega1.values))
-    res["marginal_resid"] = abs(total - mass1)
-    return res
+    c = bridge.Coupling(phi, psi, kernel, marginals)
+    return {"s1_resid": c.row_marginal_resid, "s2_resid": c.col_marginal_resid}
 
 
 @dataclass(frozen=True)
@@ -395,7 +389,6 @@ def _ray_ratio(num: np.ndarray, den: np.ndarray) -> Tuple[float, float]:
 
 
 def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
-                      support_threshold: float = 1e-12,
                       tol: float = 1e-8) -> UniquenessReport:
     """Compare two solutions of the same problem up to the ray rescaling.
 
@@ -404,10 +397,10 @@ def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
     on the omega2 support; spreads are (max - min)/median of those ratios.
     Ratios are read as log differences, so c_phi and c_psi may read inf.
     """
-    phi_a, psi_a = _values(solution_a.phi), _values(solution_a.psi)
-    phi_b, psi_b = _values(solution_b.phi), _values(solution_b.psi)
-    m1 = marginals.omega1.values > support_threshold
-    m2 = marginals.omega2.values > support_threshold
+    phi_a, psi_a = solution_a.phi, solution_a.psi
+    phi_b, psi_b = solution_b.phi, solution_b.psi
+    m1 = marginals.omega1.values > SUPPORT_THRESHOLD
+    m2 = marginals.omega2.values > SUPPORT_THRESHOLD
     l_phi, spread_phi = _ray_ratio(phi_a[m1], phi_b[m1])
     l_psi, spread_psi = _ray_ratio(psi_b[m2], psi_a[m2])
     with np.errstate(all="ignore"):

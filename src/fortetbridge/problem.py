@@ -11,7 +11,7 @@ difference kernels U(x - y) for the monotone-tail property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -100,10 +100,10 @@ class MarginalPair:
 class KernelOperator:
     """Discretized kernel g(x_i, y_j) with its uniform upper bound.
 
-    provenance is "analytic-gaussian" (values computed pointwise from the
-    formula, never tabulated) or "table".  params carries the construction
-    parameters; is_difference marks kernels of the form U(x - y), which is
-    what the monotone-tail screen and the heat-kernel interpolation need.
+    heat_sigma is sigma when this is the analytic heat kernel N(y - x;
+    sigma^2 I) and None for any other kernel; is_difference marks kernels of
+    the form U(x - y), which is what the monotone-tail screen and the
+    heat-kernel interpolation need.
 
     factors are what apply / apply_T contract and what the hypothesis checks
     read.  A dense kernel has one factor, the n1 x n2 matrix.  The heat
@@ -119,8 +119,7 @@ class KernelOperator:
     grid1: QuadratureGrid
     grid2: QuadratureGrid
     sigma_bound: float
-    provenance: str
-    params: Dict[str, object] = field(default_factory=dict)
+    heat_sigma: Optional[float] = None
     is_difference: bool = False
 
     def __post_init__(self):
@@ -148,14 +147,6 @@ class KernelOperator:
         return values
 
     @property
-    def heat_sigma(self) -> Optional[float]:
-        """sigma if this is the analytic heat kernel N(y - x; sigma^2 I)."""
-        if self.provenance == "analytic-gaussian" and "sigma" in self.params \
-                and not self.params.get("row_normalized"):
-            return float(self.params["sigma"])  # type: ignore[arg-type]
-        return None
-
-    @property
     def log_values(self) -> np.ndarray:
         """log of the kernel matrix.  For the heat kernel it is the formula
         -|x - y|^2 / 2 sigma^2 - (d/2) log(2 pi sigma^2), finite where
@@ -180,7 +171,7 @@ class KernelOperator:
     def swapped(self) -> "KernelOperator":
         return KernelOperator(tuple(a.T.copy() for a in self.factors),
                               self.grid2, self.grid1, self.sigma_bound,
-                              self.provenance, dict(self.params), self.is_difference)
+                              self.heat_sigma, self.is_difference)
 
 
 def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -232,8 +223,8 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma: float) 
     # strict upper bound: the sup is attained on the diagonal, so pad it
     peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d)
     bound = peak * (1.0 + 1e-9)
-    return KernelOperator(factors, grid1, grid2, bound, "analytic-gaussian",
-                          {"sigma": s}, is_difference=True)
+    return KernelOperator(factors, grid1, grid2, bound, heat_sigma=s,
+                          is_difference=True)
 
 
 def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,
@@ -249,15 +240,14 @@ def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,
     peak = 1.0 / math.sqrt((2.0 * math.pi) ** d * np.linalg.det(cov))
     vals = peak * np.exp(-0.5 * q)
     bound = peak * (1.0 + 1e-9)
-    return KernelOperator((vals,), grid1, grid2, bound, "analytic-gaussian",
-                          {"Sigma": cov}, is_difference=True)
+    return KernelOperator((vals,), grid1, grid2, bound, is_difference=True)
 
 
 def table_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, values) -> KernelOperator:
     vals = np.asarray(values, dtype=float)
     vmax = float(vals.max()) if vals.size else 0.0
     bound = vmax * (1.0 + 1e-9) if vmax > 0 else 1.0
-    return KernelOperator((vals,), grid1, grid2, bound, "table", {},
+    return KernelOperator((vals,), grid1, grid2, bound,
                           is_difference=_detect_difference_structure(grid1, grid2, vals))
 
 
@@ -277,11 +267,8 @@ def transition_normalized(kernel: KernelOperator) -> KernelOperator:
     if np.any(row_mass <= 0):
         raise FeasibilityError("cannot row-normalize: a kernel row has zero mass")
     vals = kernel.values / row_mass[:, None]
-    params = dict(kernel.params)
-    params["row_normalized"] = True
     bound = float(vals.max()) * (1.0 + 1e-9)
-    return KernelOperator((vals,), kernel.grid1, kernel.grid2, bound,
-                          kernel.provenance, params, is_difference=False)
+    return KernelOperator((vals,), kernel.grid1, kernel.grid2, bound)
 
 
 # --------------------------------------------------------------------------

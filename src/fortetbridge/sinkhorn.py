@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import KernelSupportError, NonConvergenceError
-from .hilbert import ProjectiveDiameter, hilbert_distance, projective_diameter
+from .hilbert import ProjectiveDiameter, projective_diameter
 from .problem import KernelOperator, MarginalPair
 
 #: a sweep that leaves |log u| or |log v| above this folds both scalings
@@ -34,7 +34,9 @@ ABSORB_LOG = 100.0
 @dataclass(frozen=True)
 class ScalingPair:
     """Scalings on the ray where max(u) = 1 on the omega1 support, and their
-    logs, finite on the supports where u or v leaves float range."""
+    logs, finite on the supports where u or v leaves float range.
+    hilbert_steps holds d_H(u_k, u_(k+1)) on the omega1 support for each
+    sweep after the first (inf where it is not a number)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -42,6 +44,7 @@ class ScalingPair:
     log_v: np.ndarray
     iterations: int
     final_change: float
+    hilbert_steps: Tuple[float, ...]
 
     def __post_init__(self):
         for a in (self.u, self.v, self.log_u, self.log_v):
@@ -69,16 +72,18 @@ def _on_ray(u, v, a, b, m1) -> Tuple[np.ndarray, ...]:
 
 
 def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
-                 tol: float = 1e-10, max_iter: int = 10000,
-                 collect_u: Optional[List[np.ndarray]] = None) -> ScalingPair:
+                 tol: float = 1e-10, max_iter: int = 10000) -> ScalingPair:
     """Alternate u and v fits until both sup-log changes fall below tol.
 
     The fits run on op, the kernel with the log-scalings (a, b) folded in,
     so the true scalings are u e^a and v e^b; op is the kernel itself until
     a scaling leaves the ABSORB_LOG window.  On exit the pair is normalized
     to max(u) = 1 (the products u_i * v_j, and hence the residuals, are
-    unaffected).  Raises KernelSupportError when a denominator vanishes
-    against a positive marginal node, and NonConvergenceError at the cap.
+    unaffected).  Each sweep's Hilbert step is max - min of the change in
+    log u that the stopping rule reads; an absorption restarts that change
+    from 0, so it stays the change of the true scalings.  Raises
+    KernelSupportError when a denominator vanishes against a positive
+    marginal node, and NonConvergenceError at the cap.
     """
     om1 = marginals.omega1.values
     om2 = marginals.omega2.values
@@ -89,6 +94,7 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     op, log_kernel = kernel, None
     v = np.ones(om2.shape)
     prev: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    steps = []
     for it in range(1, max_iter + 1):
         den_u = op.apply(v)
         if np.any((den_u == 0) & m1):
@@ -98,22 +104,24 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
         if np.any((den_v == 0) & m2):
             raise KernelSupportError("column integral vanished where omega2 > 0")
         v = np.where(m2, om2 / np.where(den_v > 0, den_v, 1.0), 0.0)
-        if collect_u is not None:
-            collect_u.append(_on_ray(u, v, a, b, m1)[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = (np.log(u[m1]), np.log(v[m2]))
-            change = math.inf if prev is None else max(
-                float(np.max(np.abs(new - old))) for new, old in zip(logs, prev))
+            change = math.inf
+            if prev is not None:
+                du, dv = logs[0] - prev[0], logs[1] - prev[1]
+                change = max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
+                step = float(du.max() - du.min())
+                steps.append(math.inf if math.isnan(step) else step)
         prev = logs
         if change < tol:
-            return ScalingPair(*_on_ray(u, v, a, b, m1), it, change)
+            return ScalingPair(*_on_ray(u, v, a, b, m1), it, change, tuple(steps))
         if max(float(np.max(np.abs(x))) for x in logs) > ABSORB_LOG:
             if log_kernel is None:
                 log_kernel = kernel.log_values
             a[m1] += logs[0]
             b[m2] += logs[1]
             op = KernelOperator((np.exp(log_kernel + a[:, None] + b[None, :]),),
-                                kernel.grid1, kernel.grid2, math.inf, "table")
+                                kernel.grid1, kernel.grid2, math.inf)
             v = m2.astype(float)
             prev = (np.zeros_like(logs[0]), np.zeros_like(logs[1]))
     raise NonConvergenceError(f"sinkhorn did not converge in {max_iter} iterations")
@@ -139,25 +147,15 @@ class HilbertTrace:
 
 def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
                            tol: float = 1e-10, max_iter: int = 10000) -> HilbertTrace:
-    """Run the scaling iteration recording the projective path of u.
+    """Run the scaling iteration and read the projective path of u from its
+    Hilbert steps.
 
     ratios[k] = distances[k+1] / distances[k]; pairs whose denominator has
     already collapsed to the roundoff floor are skipped (the step sequence
     ends in exact zeros once the iterates go bitwise stationary).
     """
-    iterates: List[np.ndarray] = []
-    pair = run_sinkhorn(kernel, marginals, tol=tol, max_iter=max_iter,
-                        collect_u=iterates)
-    m1 = marginals.omega1.values > 0
-    distances = []
-    for a, b in zip(iterates, iterates[1:]):
-        am, bm = a[m1], b[m1]
-        if np.any(am <= 0) or np.any(bm <= 0):
-            distances.append(math.inf)
-        elif np.array_equal(am, bm):
-            distances.append(0.0)
-        else:
-            distances.append(hilbert_distance(am, bm))
+    pair = run_sinkhorn(kernel, marginals, tol=tol, max_iter=max_iter)
+    distances = pair.hilbert_steps
     floor = 1e-300
     ratios = []
     for a, b in zip(distances, distances[1:]):
@@ -170,5 +168,5 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
         bound, guaranteed = math.tanh(worst / 4.0), d_col.exact and d_row.exact
     else:
         bound, guaranteed = 1.0, False
-    return HilbertTrace(tuple(distances), tuple(ratios), bound,
+    return HilbertTrace(distances, tuple(ratios), bound,
                         guaranteed, pair.iterations, d_col, d_row)

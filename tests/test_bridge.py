@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from fortetbridge import (MarginalPair, build_coupling, build_grid,
-                          density_field, entropic_cost_decomposition,
-                          entropic_interpolation, gaussian_density,
-                          gaussian_kernel, gaussian_oracle, kl_objective,
-                          prior_coupling, pushforward, run_fortet,
-                          run_sinkhorn, table_kernel, verify_system)
+                          density_field, entropic_interpolation,
+                          gaussian_density, gaussian_kernel, gaussian_oracle,
+                          kl_objective, prior_coupling, pushforward,
+                          run_fortet, run_sinkhorn, table_kernel,
+                          verify_system)
 from fortetbridge.config import build_problem, resolve_config
 from fortetbridge.errors import FortetBridgeError, InfeasibleParametersError
 from tests.conftest import random_instance
@@ -243,33 +243,6 @@ class TestCoupling:
             delta *= 0.5 * np.min(coupling.pi) / (t * np.max(np.abs(delta)))
             perturbed = _dense_kl(coupling.pi + t * delta, ref, w1, w2)
             assert perturbed >= base - 1e-12
-
-    def test_cost_decomposition_hand_value(self):
-        grid = build_grid(dim=1, radius=0.5, points_per_axis=2)
-        nodes = grid.nodes + 0.5  # {0, 1}
-        shifted = type(grid)(nodes, np.ones(2), grid.truncation_radius,
-                             grid.dim, grid.rule)
-        half = density_field(shifted, np.full(2, 0.5), renormalize=False)
-        c = build_coupling(np.full(2, 0.5), np.full(2, 0.5),
-                           table_kernel(shifted, shifted, np.ones((2, 2))),
-                           MarginalPair(half, half))
-        assert np.array_equal(c.pi, np.full((2, 2), 0.25))
-        dec = entropic_cost_decomposition(c)
-        # only the off-diagonal cells move mass, each across distance 1
-        assert abs(dec.transport_cost - 0.25) < 1e-15
-        assert abs(dec.entropy_term - (-math.log(4.0))) < 1e-12
-
-    def test_cost_decomposition_product_gaussians(self, bench_grid,
-                                                  bench_marginals):
-        flat = table_kernel(bench_grid, bench_grid,
-                            np.ones((bench_grid.n_nodes, bench_grid.n_nodes)))
-        c = build_coupling(bench_marginals.omega1.values,
-                           bench_marginals.omega2.values, flat, bench_marginals)
-        assert np.array_equal(c.pi, np.outer(bench_marginals.omega1.values,
-                                             bench_marginals.omega2.values))
-        dec = entropic_cost_decomposition(c)
-        # E|X-Y|^2/2 = (sigma1^2 + sigma2^2)/2 for independent centred factors
-        assert abs(dec.transport_cost - 0.82) < 1e-10
 
     def test_pi_is_the_dense_product(self, bench_solution, bench_kernel,
                                      bench_marginals):

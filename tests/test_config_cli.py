@@ -103,7 +103,7 @@ class TestConfig:
             "grid": {"dim": 1, "radius": 1.0, "points": n},
         }
         problem = load_problem(write_config(tmp_path, raw))
-        assert problem.kernel.provenance == "table"
+        assert problem.kernel.heat_sigma is None
         assert abs(problem.marginals.omega2.mass() - 1.0) < 1e-12
 
     def test_wrong_table_shape_rejected(self, tmp_path):
@@ -287,12 +287,29 @@ def test_two_dimensional_solve_never_builds_the_kernel_matrix(tmp_path):
     raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 8.0, "points": 21})
     problem = build_problem(resolve_config(raw))
     assert len(problem.kernel.factors) == 2
-    solution, coupling, kl = _solve_problem(problem, tmp_path)
+    solution, kl = _solve_problem(problem, tmp_path)
+    coupling = solution.coupling
     assert solution.case_tag == "case2"
     assert kl.absolutely_continuous and kl.value > 0.0
     assert coupling.row_marginal_resid < 1e-12
     assert "values" not in problem.kernel.__dict__
     assert "pi" not in coupling.__dict__
+
+
+def test_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
+    # the 401-point criterion-1 instance: 99 scheme and 38 closing steps of
+    # two applies each, one apply in the feasibility report, one in the
+    # extraction and the coupling's two
+    from fortetbridge.problem import KernelOperator
+    calls = []
+    for name in ("apply", "apply_T"):
+        fn = getattr(KernelOperator, name)
+        monkeypatch.setattr(KernelOperator, name,
+                            lambda self, f, fn=fn: calls.append(fn) or fn(self, f))
+    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401))
+    solution, _ = _solve_problem(build_problem(resolve_config(raw)), tmp_path)
+    assert (solution.iterations, solution.refine_steps) == (99, 38)
+    assert len(calls) == 2 * (99 + 38) + 4
 
 
 def test_package_and_cli_load_no_scipy():

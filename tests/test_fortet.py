@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fortetbridge import (FortetOptions, MarginalPair, build_grid,
-                          density_field, extract_potentials, fortet_step,
+from fortetbridge import (FortetOptions, MarginalPair, build_coupling,
+                          build_grid, density_field, extract_potentials,
+                          fortet_step,
                           gaussian_density, gaussian_kernel, omega_map,
                           pushforward, run_fortet, table_kernel,
                           transition_normalized, verify_system,
@@ -231,6 +232,22 @@ def test_verify_system_detects_imbalance(bench_solution, bench_kernel, bench_mar
                             bench_kernel, bench_marginals)
     peak = float(np.max(bench_marginals.omega1.values))
     assert res_bad["s1_resid"] == pytest.approx(peak, rel=1e-10)
+
+
+def test_inf_potential_against_a_vanishing_integral_reads_inf():
+    # g(0, 0) = 0 and psi(0) = inf make Int g psi at x = 0 read 0 * inf = NaN;
+    # the check and the coupling both report that node as an inf residual
+    import warnings
+    grid = unit_grid_2()
+    kernel = table_kernel(grid, grid, np.array([[0.0, 1.0], [1.0, 1.0]]))
+    half = density_field(grid, np.array([0.5, 0.5]), renormalize=False)
+    marginals = MarginalPair(half, half)
+    phi, psi = np.array([1.0, 1.0]), np.array([math.inf, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_system(phi, psi, kernel, marginals)["s1_resid"] == math.inf
+        coupling = build_coupling(phi, psi, kernel, marginals)
+        assert coupling.row_marginal_resid == math.inf
 
 
 def test_verify_uniqueness_ray_invariance(bench_solution, bench_marginals):

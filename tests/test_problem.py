@@ -144,7 +144,6 @@ def test_difference_tails_not_applicable_for_general_table():
 
 def test_pushforward_and_row_normalization(bench_grid):
     kernel = transition_normalized(gaussian_kernel(bench_grid, bench_grid, 0.5))
-    assert kernel.params["row_normalized"] is True
     assert kernel.heat_sigma is None  # no longer an analytic heat kernel
     row_mass = kernel.values @ bench_grid.weights
     assert np.max(np.abs(row_mass - 1.0)) < 1e-14
@@ -315,7 +314,7 @@ def test_factored_checks_flag_zero_rows_and_columns_as_the_dense_matrix():
     b = np.random.default_rng(3).uniform(0.5, 2.0, (4, 2))
     a[1, :] = 0.0
     b[:, 1] = 0.0
-    kernel = KernelOperator((a, b), g1, g2, 1.5, "table")
+    kernel = KernelOperator((a, b), g1, g2, 1.5)
     marginals = MarginalPair(density_field(g1, np.ones(g1.n_nodes)),
                              density_field(g2, np.ones(g2.n_nodes)))
     report = check_assumptions(kernel, marginals)
@@ -332,7 +331,7 @@ def test_product_kernel_refuses_a_negative_factor():
     bad = good[1].copy()
     bad[2, 3] = -1e-300
     with pytest.raises(GridError, match="nonnegative"):
-        KernelOperator((good[0], bad), grid, grid, 1.0, "table")
+        KernelOperator((good[0], bad), grid, grid, 1.0)
 
 
 def test_bound_below_the_factor_maxima_names_a_maximal_entry():

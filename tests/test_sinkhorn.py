@@ -9,6 +9,7 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           density_field, gaussian_density, gaussian_kernel,
                           run_fortet, run_sinkhorn, sinkhorn_trace_hilbert,
                           table_kernel, verify_uniqueness)
+from fortetbridge.hilbert import hilbert_distance
 from fortetbridge.errors import KernelSupportError, NonConvergenceError
 from tests.conftest import random_instance
 
@@ -149,3 +150,19 @@ def test_benchmark_trace_decays_geometrically(bench_kernel, bench_marginals):
     slope = np.polyfit(np.arange(len(positive)), np.log(positive), 1)[0]
     fitted_ratio = math.exp(slope)
     assert fitted_ratio < 1.0
+
+
+def test_streamed_trace_matches_distances_of_kept_iterates(bench_kernel,
+                                                           bench_marginals):
+    # the distances run_sinkhorn streams equal d_H of successive u iterates
+    # kept whole by a plain scaling loop
+    trace = sinkhorn_trace_hilbert(bench_kernel, bench_marginals)
+    om1, om2 = bench_marginals.omega1.values, bench_marginals.omega2.values
+    v, iterates = np.ones_like(om2), []
+    for _ in range(trace.iterations):
+        u = om1 / bench_kernel.apply(v)
+        v = om2 / bench_kernel.apply_T(u)
+        iterates.append(u)
+    kept = [hilbert_distance(a, b) for a, b in zip(iterates, iterates[1:])]
+    assert len(trace.distances) == len(kept) == trace.iterations - 1
+    assert np.max(np.abs(np.subtract(trace.distances, kept))) <= 1e-12
