@@ -61,14 +61,14 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_trace(path: Path, trace) -> None:
+def _write_trace(path: Path, steps) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for state in trace:
-            d = state.diagnostics
+        for row in steps:
+            d = row.diagnostics
             writer.writerow([
-                _fmt(state.n),
+                _fmt(row.n),
                 _fmt(float(d.get("sup_change", math.nan))),
                 _fmt(float(d.get("normalization_residual", math.nan))),
                 _fmt(float(d.get("hilbert_step", math.nan))),
@@ -194,7 +194,7 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     solution, kl = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
-    _write_trace(out / "trace.csv", solution.trace)
+    _write_trace(out / "trace.csv", solution.steps)
     _write_json(out / "summary.json",
                 _solution_payload(problem, solution, kl))
     if solution.h is not None and solution.phi is not None:

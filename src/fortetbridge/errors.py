@@ -28,8 +28,9 @@ class InfeasibleParametersError(FortetBridgeError):
 class NonConvergenceError(FortetBridgeError):
     """Iteration cap reached without any termination trigger.
 
-    Carries the full per-iteration trace so the caller can still write
-    diagnostics (the CLI does exactly that before exiting with code 3).
+    Carries the run's step record, one StepRecord of scalars per step, so
+    the caller can still write diagnostics (the CLI does exactly that before
+    exiting with code 3).
     """
 
     def __init__(self, message, trace=None):

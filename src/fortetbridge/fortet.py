@@ -34,7 +34,7 @@ decision, recorded in the package docs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -68,21 +68,29 @@ class FortetOptions:
 
 
 @dataclass(frozen=True)
+class StepRecord:
+    """One row of a run's step record: the scalars trace.csv writes for a
+    step of either phase.  A run keeps one row per step and no arrays."""
+
+    n: int
+    phase: str                     # "scheme" | "closing"
+    diagnostics: Dict[str, float]
+
+
+@dataclass(frozen=True)
 class IterationState:
-    """One step of the truncated scheme (closing-phase steps reuse the same
-    record with the FLOOR_FREEZE floor; `phase` tells them apart).  H_dprime
-    = min(1, H_prime) and J_mask = (H_prime > 1) are derived on read."""
+    """One step of the truncated scheme with its arrays, as fortet_step
+    returns it; run_fortet keeps only the row of each step.  H_dprime =
+    min(1, H_prime) and J_mask = (H_prime > 1) are derived on read."""
 
     n: int
     H: np.ndarray
     H_prime: np.ndarray
-    G_of_H: np.ndarray
-    diagnostics: Dict[str, float] = field(default_factory=dict)
-    phase: str = "scheme"          # "scheme" | "closing"
+    diagnostics: Dict[str, float]
 
     def __post_init__(self):
-        for name in ("H", "H_prime", "G_of_H"):
-            getattr(self, name).setflags(write=False)
+        self.H.setflags(write=False)
+        self.H_prime.setflags(write=False)
 
     @property
     def H_dprime(self) -> np.ndarray:
@@ -98,7 +106,7 @@ class FortetSolution:
     """A tagged solution.  The potentials are held by the coupling pi =
     phi g psi, whose marginal integrals certify the system; a degenerate
     solution has no coupling, and its potentials and residuals read None
-    and NaN."""
+    and NaN.  steps holds one StepRecord per step of both phases."""
 
     h: Optional[np.ndarray]
     case_tag: str                       # "case1" | "case2" | "degenerate"
@@ -107,6 +115,10 @@ class FortetSolution:
     refine_steps: int                   # closing-phase steps after the trigger
     coupling: Optional[bridge.Coupling]
     warnings: Tuple[str, ...] = ()
+    steps: Tuple[StepRecord, ...] = ()
+    #: always empty: a run keeps no per-step arrays.  Kept while the
+    #: benchmark's tracer sizes the arrays held here (fortet.trace_mb, which
+    #: reads 0.0); it goes with the benchmark change that stops reading it
     trace: Tuple[IterationState, ...] = ()
 
     def __post_init__(self):
@@ -170,12 +182,11 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair):
     return H_prime, G
 
 
-def _step_record(n: int, H: np.ndarray, H_prime: np.ndarray, G: np.ndarray,
+def _step_record(H: np.ndarray, H_prime: np.ndarray,
                  prev: Optional[np.ndarray], mask: np.ndarray,
                  kernel: KernelOperator, marginals: MarginalPair,
-                 case1_candidate: bool, phase: str,
-                 scale: float = 1.0) -> IterationState:
-    """The IterationState of one step of either phase, with its diagnostics.
+                 case1_candidate: bool, scale: float = 1.0) -> Dict[str, float]:
+    """The diagnostics of one step of either phase.
 
     prev is the previous H_prime (None on the first scheme step) and mask
     the nodes the Hilbert step is taken over.  scale is what the closing
@@ -196,7 +207,7 @@ def _step_record(n: int, H: np.ndarray, H_prime: np.ndarray, G: np.ndarray,
     if prev is not None:
         diag["sup_change"] = float(np.max(np.abs(H_prime - prev)))
         diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
-    return IterationState(n, H, H_prime, G, diag, phase)
+    return diag
 
 
 def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
@@ -209,22 +220,23 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
     else:
         n, prev = state.n + 1, state.H_prime
         H = np.maximum(state.H_dprime, 1.0 / n)
-    H_prime, G = omega_map(H, kernel, marginals)
-    return _step_record(n, H, H_prime, G, prev, A, kernel, marginals,
-                        bool(np.all(H_prime[A] <= 1.0 + CASE1_EPS)), "scheme")
+    H_prime, _ = omega_map(H, kernel, marginals)
+    return IterationState(n, H, H_prime, _step_record(
+        H, H_prime, prev, A, kernel, marginals,
+        bool(np.all(H_prime[A] <= 1.0 + CASE1_EPS))))
 
 
-def _support_sup(K: np.ndarray, A: np.ndarray, trace: List[IterationState]) -> float:
+def _support_sup(K: np.ndarray, A: np.ndarray, steps: List[StepRecord]) -> float:
     s = float(K[A].max())
     if s <= 0:
         raise NonConvergenceError("iterate collapsed to zero on the omega1 support",
-                                  trace)
+                                  steps)
     return s
 
 
 def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: MarginalPair,
                        tol: float, n0: int, normalize: bool,
-                       trace: List[IterationState]) -> Tuple[np.ndarray, int]:
+                       steps: List[StepRecord]) -> Tuple[np.ndarray, int]:
     """Plain fixed-point iteration from K0, each step floored at FLOOR_FREEZE.
 
     In the ray-converged regime the iterate is additionally rescaled to
@@ -234,22 +246,20 @@ def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: Margin
     stabilize bitwise.
     """
     A = marginals.omega1.values > 0
-    K = K0 / _support_sup(K0, A, trace) if normalize else K0
+    K = K0 / _support_sup(K0, A, steps) if normalize else K0
     for r in range(1, REFINE_MAX + 1):
         Kf = np.maximum(K, FLOOR_FREEZE)
-        image, G = omega_map(Kf, kernel, marginals)
-        s = _support_sup(image, A, trace) if normalize else 1.0
+        image, _ = omega_map(Kf, kernel, marginals)
+        s = _support_sup(image, A, steps) if normalize else 1.0
         Kn = image / s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
-        state = _step_record(n0 + r, Kf, Kn, G, K, conv_mask, kernel, marginals,
-                             False, "closing", s)
-        trace.append(state)
+        d = _step_record(Kf, Kn, K, conv_mask, kernel, marginals, False, s)
+        steps.append(StepRecord(n0 + r, "closing", d))
         K = Kn
-        d = state.diagnostics
         if (d["hilbert_step"] if normalize else d["sup_change"]) < tol:
             return K, r
     raise NonConvergenceError(
-        f"closing iteration did not stabilize within {REFINE_MAX} steps", trace)
+        f"closing iteration did not stabilize within {REFINE_MAX} steps", steps)
 
 
 def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
@@ -257,9 +267,10 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     """Run the truncated scheme to a tagged solution.
 
     Refuses instances whose feasibility report fails hard checks or whose
-    integrability estimate looks divergent, unless opts.force is set.  The
-    full per-step trace is attached to the solution (and to the
-    NonConvergenceError when the iteration cap is hit).
+    integrability estimate looks divergent, unless opts.force is set.  One
+    StepRecord per step is attached to the solution (and to the
+    NonConvergenceError when the iteration cap is hit); a step's arrays are
+    dropped once the next step exists.
     """
     if not opts.force:
         report = full_report(kernel, marginals)
@@ -277,14 +288,14 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     if not A.any():
         raise FeasibilityError("omega1 has empty support")
 
-    trace: List[IterationState] = []
+    steps: List[StepRecord] = []
     state: Optional[IterationState] = None
     mode = None
     for n in range(1, opts.max_iter + 1):
         state = fortet_step(state, kernel, marginals)
-        trace.append(state)
+        steps.append(StepRecord(n, "scheme", state.diagnostics))
         if float(state.H_prime.max()) < DEGENERATE_EPS:
-            return _finish_degenerate(state, trace)
+            return _finish_degenerate(state, steps)
         d = state.diagnostics
         if d["case1_candidate"]:
             mode, n0 = "case1", n
@@ -294,10 +305,10 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
             break
     if mode is None:
         raise NonConvergenceError(
-            f"no termination case triggered within max_iter={opts.max_iter}", trace)
+            f"no termination case triggered within max_iter={opts.max_iter}", steps)
 
     K, refine_steps = _closing_iteration(state.H_prime, kernel, marginals, opts.tol,
-                                         n0, normalize=(mode == "case2"), trace=trace)
+                                         n0, normalize=(mode == "case2"), steps=steps)
     over = float(K.max()) - 1.0
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
                 "(outside the omega1 support)"] if over > CASE1_EPS else []
@@ -306,16 +317,16 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     return FortetSolution(h=h, case_tag=mode, trigger_iteration=n0,
                           iterations=n0, refine_steps=refine_steps,
                           coupling=bridge.build_coupling(phi, psi, kernel, marginals),
-                          warnings=tuple(warnings + extract_warn), trace=tuple(trace))
+                          warnings=tuple(warnings + extract_warn), steps=tuple(steps))
 
 
-def _finish_degenerate(state: IterationState, trace: List[IterationState]) -> FortetSolution:
+def _finish_degenerate(state: IterationState, steps: List[StepRecord]) -> FortetSolution:
     return FortetSolution(h=state.H_prime, case_tag="degenerate",
                           trigger_iteration=state.n, iterations=state.n,
                           refine_steps=0, coupling=None,
                           warnings=("iterate collapsed below the degeneracy "
                                     "threshold; no potentials extracted",),
-                          trace=tuple(trace))
+                          steps=tuple(steps))
 
 
 def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,

@@ -195,7 +195,14 @@ def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
 def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     """1-D heat kernel N(b - a; s^2) between two coordinate arrays."""
     peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
-    return peak * np.exp(-np.subtract.outer(a, b) ** 2 / (2.0 * s * s))
+    # in one buffer, rounded as peak * exp(-(a - b)**2 / (2 s^2)) rounds
+    e = np.subtract.outer(a, b)
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    e /= 2.0 * s * s
+    np.exp(e, out=e)
+    e *= peak
+    return e
 
 
 def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma: float) -> KernelOperator:

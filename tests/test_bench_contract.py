@@ -63,6 +63,8 @@ def test_traced_solve_reports_every_layer(bench_modules, tmp_path):
     assert "bridge.kl_s" in names and "bridge.coupling_mb" in names
     missing = [n for n in names if metrics.get(n, (None,))[0] is None]
     assert not missing, f"no value for {missing}"
+    # a run keeps no per-step arrays, so the tracer's size of them reads 0
+    assert metrics["fortet.trace_mb"][0] == 0.0
 
 
 def test_traced_swap_compare_stops_at_its_sweep_budget(bench_modules, tmp_path):

@@ -1,6 +1,7 @@
 """Fixed-point map, truncated scheme, solver termination, potentials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fortetbridge import (FortetOptions, MarginalPair, build_coupling,
                           pushforward, run_fortet, table_kernel,
                           transition_normalized, verify_system,
                           verify_uniqueness)
+from fortetbridge import fortet
 from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
                                  KernelSupportError, NonConvergenceError)
 from fortetbridge.fortet import FLOOR_FREEZE
@@ -142,7 +144,8 @@ def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginal
     sol = bench_solution
     assert sol.case_tag == "case2"
     assert sol.iterations == sol.trigger_iteration
-    assert len(sol.trace) == sol.iterations + sol.refine_steps
+    assert len(sol.steps) == sol.iterations + sol.refine_steps
+    assert sol.trace == ()
     assert np.all(sol.h > 0.0) and np.all(sol.h <= 1.0)
     assert sol.residuals["s1_resid"] < RESID_TOL
     assert sol.residuals["s2_resid"] < RESID_TOL
@@ -151,29 +154,57 @@ def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginal
     image, _ = omega_map(sol.h, bench_kernel, bench_marginals)
     mask = bench_marginals.omega1.values > 1e-12
     assert np.max(np.abs(image[mask] / sol.h[mask] - 1.0)) < 1e-10
-    phases = [s.phase for s in sol.trace]
+    phases = [s.phase for s in sol.steps]
     assert phases[:sol.iterations] == ["scheme"] * sol.iterations
     assert phases[sol.iterations:] == ["closing"] * sol.refine_steps
 
 
 @pytest.fixture(scope="module")
-def swap_solution(bench_grid):
+def swap_instance(bench_grid):
     """The criterion-2 instance after the swap: potentials beyond float64."""
     kernel = gaussian_kernel(bench_grid, bench_grid, 0.1)
     marginals = swapped_marginals(MarginalPair(gaussian_density(bench_grid, 0.5),
                                                gaussian_density(bench_grid, 1.0)))
-    return run_fortet(kernel, marginals)
+    return kernel, marginals
+
+
+@pytest.fixture(scope="module")
+def swap_solution(swap_instance):
+    return run_fortet(*swap_instance)
 
 
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
-def test_closing_steps_floor_at_freeze(which, request):
-    # no floor schedule: each closing step floors the last image at FLOOR_FREEZE
+def test_closing_steps_floor_at_freeze(which, request, monkeypatch):
+    # no floor schedule: each closing step floors the last image at FLOOR_FREEZE;
+    # a run keeps no arrays, so they are read where each step's diagnostics are
     sol = request.getfixturevalue(which)
-    closing = sol.trace[sol.iterations:]
+    seen = []
+    step_record = fortet._step_record
+
+    def recording(H, H_prime, *args):
+        seen.append((H, H_prime))
+        return step_record(H, H_prime, *args)
+
+    monkeypatch.setattr(fortet, "_step_record", recording)
+    rerun = run_fortet(sol.coupling.kernel, sol.coupling.marginals)
+    assert [s.n for s in rerun.steps] == [s.n for s in sol.steps]
+    closing = seen[sol.iterations:]
     assert len(closing) == sol.refine_steps >= 2
-    assert all(s.phase == "closing" for s in closing)
-    for prev, cur in zip(closing, closing[1:]):
-        assert np.array_equal(cur.H, np.maximum(prev.H_prime, FLOOR_FREEZE))
+    assert all(s.phase == "closing" for s in sol.steps[sol.iterations:])
+    for (_, prev_H_prime), (cur_H, _) in zip(closing, closing[1:]):
+        assert np.array_equal(cur_H, np.maximum(prev_H_prime, FLOOR_FREEZE))
+
+
+def test_solve_keeps_no_per_step_arrays(swap_instance):
+    # 743 steps on 401 nodes: three arrays per step would hold 7.1 MB
+    tracemalloc.start()
+    try:
+        sol = run_fortet(*swap_instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len(sol.steps) == sol.iterations + sol.refine_steps > 700
 
 
 def test_swap_solve_warns_once_with_dropped_count(swap_solution):
@@ -184,11 +215,12 @@ def test_swap_solve_warns_once_with_dropped_count(swap_solution):
     assert int(np.sum(swap_solution.phi == 0.0)) == 132
 
 
-def test_solution_arrays_are_locked(bench_solution):
+def test_solution_arrays_are_locked(bench_solution, bench_kernel, bench_marginals):
     with pytest.raises(ValueError):
         bench_solution.h[0] = 2.0
+    state = fortet_step(None, bench_kernel, bench_marginals)
     with pytest.raises(ValueError):
-        bench_solution.trace[0].H_prime[0] = 2.0
+        state.H_prime[0] = 2.0
 
 
 def test_phi_vanishes_exactly_off_support(bench_grid, bench_kernel):

@@ -1,5 +1,7 @@
 """Kernels, marginals, hypothesis checks, and feasibility screens."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +42,24 @@ def test_gaussian_kernel_shape_and_bound(bench_grid):
     assert k.is_difference
     assert np.all(k.values < k.sigma_bound)
     assert k.heat_sigma == 0.5
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.1])
+def test_heat_factor_is_built_in_one_buffer(bench_grid, sigma):
+    # the formula evaluated with one temporary per operation peaks at twice
+    # the factor; built in place, the factor is the only n x n array
+    tracemalloc.start()
+    try:
+        kernel = gaussian_kernel(bench_grid, bench_grid, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (factor,) = kernel.factors
+    assert peak <= 1.25 * factor.nbytes
+    x = bench_grid.axes[0]
+    formula = (1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
+               * np.exp(-np.subtract.outer(x, x) ** 2 / (2.0 * sigma * sigma)))
+    assert np.array_equal(factor, formula)
 
 
 def test_benchmark_hypotheses_all_pass(bench_kernel, bench_marginals):
