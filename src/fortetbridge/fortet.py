@@ -16,15 +16,20 @@ H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes terminate it:
 
 * case 1 - at some finite n0 the iterate satisfies H'_{n0} <= 1 everywhere
   on the support of omega1; the limit is then reached by dropping the 1/n
-  floor to FLOOR_FREEZE and iterating the plain map to stationarity.
+  floor to FLOOR_FREEZE and iterating the map to stationarity.
 * case 2 - the iterate's sup stays above 1 but the underlying ray
   converges.  The scheme's own scale creep from the min(1, .) cap decays
   only algebraically, so no pointwise-change threshold can fire in
   reasonable time; instead we detect ray convergence with the
-  scale-invariant Hilbert step, then close with the same plain-map
-  iteration projected to sup = 1 on the support of omega1 (the scale the
-  capped scheme approaches).  The closing iterates are genuine fixed
-  points to machine precision, which the returned residuals certify.
+  scale-invariant Hilbert step, then close with the same map iteration
+  projected to sup = 1 on the support of omega1 (the scale the capped
+  scheme approaches).
+
+The closing phase accelerates the map with a safeguarded Anderson step on
+log h (Walker & Ni, SIAM J. Numer. Anal. 2011).  Every closing step still
+applies the map once, and the phase returns the image of its last input, so
+the closing iterates are genuine fixed points to machine precision, which
+the returned residuals certify.
 
 The published argument proves convergence of the truncated scheme but gives
 no stopping rule; the ray-convergence exit used here is an implementation
@@ -55,6 +60,10 @@ CASE1_EPS = 1e-12
 DEGENERATE_EPS = 1e-13
 RAY_TOL = 1e-2
 REFINE_MAX = 5000
+#: history depth of the closing phase's Anderson step (0: the plain map).
+#: Each step held costs two support-sized arrays; at depth 2 the 2-D solve
+#: still peaks while writing its artifacts, not in the closing phase
+ANDERSON_M = 2
 #: verify_uniqueness reads the ray constants on the nodes where the
 #: marginal exceeds this
 SUPPORT_THRESHOLD = 1e-12
@@ -182,22 +191,28 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair):
     return H_prime, G
 
 
+def _target_mass(kernel: KernelOperator, marginals: MarginalPair) -> float:
+    """mass2 = Int omega2, the value Int (omega1/H) Omega(H) takes for any H."""
+    return float(np.sum(kernel.grid2.weights * marginals.omega2.values))
+
+
 def _step_record(H: np.ndarray, H_prime: np.ndarray,
                  prev: Optional[np.ndarray], mask: np.ndarray,
                  kernel: KernelOperator, marginals: MarginalPair,
-                 case1_candidate: bool, scale: float = 1.0) -> Dict[str, float]:
+                 case1_candidate: bool, mass2: float,
+                 scale: float = 1.0) -> Dict[str, float]:
     """The diagnostics of one step of either phase.
 
-    prev is the previous H_prime (None on the first scheme step) and mask
-    the nodes the Hilbert step is taken over.  scale is what the closing
-    phase divided Omega(H) by; the normalization residual
-    |Int (omega1/H) Omega(H) - mass2| is taken on H_prime * scale.
+    prev is what the Hilbert step and the sup change compare H_prime with
+    (None on the first scheme step) and mask the nodes the Hilbert step is
+    taken over.  scale is what the closing phase divided Omega(H) by; the
+    normalization residual |Int (omega1/H) Omega(H) - mass2| is taken on
+    H_prime * scale.
     """
     om1 = marginals.omega1.values
     with np.errstate(over="ignore", under="ignore"):
         ratio1 = np.where(om1 > 0, om1 / H, 0.0)
     normalization = float(np.sum((kernel.grid1.weights * ratio1) * (H_prime * scale)))
-    mass2 = float(np.sum(kernel.grid2.weights * marginals.omega2.values))
     diag = {
         "sup_change": math.nan,
         "hilbert_step": math.nan,
@@ -211,9 +226,13 @@ def _step_record(H: np.ndarray, H_prime: np.ndarray,
 
 
 def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
-                marginals: MarginalPair) -> IterationState:
-    """Advance the truncated scheme by one iteration (state None -> n = 1)."""
+                marginals: MarginalPair,
+                mass2: Optional[float] = None) -> IterationState:
+    """Advance the truncated scheme by one iteration (state None -> n = 1).
+    mass2 is Int omega2, computed here when not given."""
     A = marginals.omega1.values > 0
+    if mass2 is None:
+        mass2 = _target_mass(kernel, marginals)
     if state is None:
         n, prev = 1, None
         H = np.ones(kernel.grid1.n_nodes)
@@ -223,7 +242,7 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
     H_prime, _ = omega_map(H, kernel, marginals)
     return IterationState(n, H, H_prime, _step_record(
         H, H_prime, prev, A, kernel, marginals,
-        bool(np.all(H_prime[A] <= 1.0 + CASE1_EPS))))
+        bool(np.all(H_prime[A] <= 1.0 + CASE1_EPS)), mass2))
 
 
 def _support_sup(K: np.ndarray, A: np.ndarray, steps: List[StepRecord]) -> float:
@@ -234,30 +253,91 @@ def _support_sup(K: np.ndarray, A: np.ndarray, steps: List[StepRecord]) -> float
     return s
 
 
-def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: MarginalPair,
-                       tol: float, n0: int, normalize: bool,
-                       steps: List[StepRecord]) -> Tuple[np.ndarray, int]:
-    """Plain fixed-point iteration from K0, each step floored at FLOOR_FREEZE.
+class _AndersonMixer:
+    """Safeguarded Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011)
+    for a fixed-point map u -> G(u) on R^n, from the last m steps since the
+    history was last cleared."""
 
-    In the ray-converged regime the iterate is additionally rescaled to
-    sup = 1 over the omega1 support each step.  Convergence is judged by
-    the Hilbert step over nodes clearly above the floor: nodes pinned at
-    the floor hold values below float range in exact arithmetic and never
-    stabilize bitwise.
+    def __init__(self, m: int, n: int):
+        # f = G(u) - u and g = G(u) of the history's step j, in row j mod m
+        self.hist = np.empty((2, m, n))
+        self.held = 0
+        self.best = math.inf
+
+    def next_input(self, u: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+        """The input after u, whose image is g (u is overwritten): the
+        extrapolation g - sum_j gamma_j (g - g_j), with gamma the
+        least-squares fit of the residual f = g - u by the differences
+        f - f_j over the history, from the m x m normal equations.  None
+        asks for the plain input g: with no history, a singular or
+        non-finite fit, or a residual whose Hilbert norm max - min of f
+        exceeds the least seen so far, which also clears the history."""
+        m = self.hist.shape[1]
+        if m == 0:
+            return None
+        f = np.subtract(g, u, out=u)
+        norm = float(f.max() - f.min())
+        out = None
+        if norm > self.best:
+            self.held = 0
+        else:
+            self.best = norm
+            if self.held:
+                k = min(self.held, m)
+                D = f - self.hist[0, :k]
+                try:
+                    gamma = np.linalg.solve(D @ D.T, D @ f)
+                except np.linalg.LinAlgError:
+                    gamma = np.full(k, math.nan)
+                if np.all(np.isfinite(gamma)):
+                    out = gamma @ np.subtract(g, self.hist[1, :k], out=D)
+                    np.subtract(g, out, out=out)
+                else:
+                    self.held = 0
+        self.hist[:, self.held % m] = f, g
+        self.held += 1
+        return out
+
+
+def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: MarginalPair,
+                       tol: float, n0: int, normalize: bool, mass2: float,
+                       steps: List[StepRecord]) -> Tuple[np.ndarray, int]:
+    """Fixed-point iteration of Omega from K0, with a safeguarded Anderson step.
+
+    Each step maps its input K >= FLOOR_FREEZE to T(K) = Omega(K), in the
+    ray-converged regime rescaled to sup = 1 over the omega1 support, and
+    stops once d_H(T(K), K) (sup |T(K) - K| in case 1) is below tol; T(K)
+    is returned, so it is a fixed point to that tolerance.  The Hilbert step
+    is taken over nodes clearly above the floor: nodes pinned at the floor
+    hold values below float range in exact arithmetic and never stabilize
+    bitwise.
+
+    The next input is max(T(K), FLOOR_FREEZE), except on the omega1 support
+    where the Anderson mixer extrapolates the log-iterate u = log K from
+    the last ANDERSON_M steps (rescaled to sup 1 in case 2, and floored).
     """
     A = marginals.omega1.values > 0
-    K = K0 / _support_sup(K0, A, steps) if normalize else K0
+    mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
+    K = np.maximum(K0 / _support_sup(K0, A, steps) if normalize else K0, FLOOR_FREEZE)
     for r in range(1, REFINE_MAX + 1):
-        Kf = np.maximum(K, FLOOR_FREEZE)
-        image, _ = omega_map(Kf, kernel, marginals)
-        s = _support_sup(image, A, steps) if normalize else 1.0
-        Kn = image / s
+        Kn = omega_map(K, kernel, marginals)[0]
+        s = _support_sup(Kn, A, steps) if normalize else 1.0
+        Kn /= s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
-        d = _step_record(Kf, Kn, K, conv_mask, kernel, marginals, False, s)
+        d = _step_record(K, Kn, K, conv_mask, kernel, marginals, False, mass2, s)
         steps.append(StepRecord(n0 + r, "closing", d))
-        K = Kn
         if (d["hilbert_step"] if normalize else d["sup_change"]) < tol:
-            return K, r
+            return Kn, r
+        u = np.log(K[A])
+        K = np.maximum(Kn, FLOOR_FREEZE)
+        # freed before the mixer and the next map run, which keeps the
+        # closing phase below the 2-D solve's peak (set by artifact writing)
+        del Kn
+        u = mixer.next_input(u, np.log(K[A]))
+        if u is not None:
+            if normalize:
+                u -= u.max()
+            K[A] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
     raise NonConvergenceError(
         f"closing iteration did not stabilize within {REFINE_MAX} steps", steps)
 
@@ -288,11 +368,12 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     if not A.any():
         raise FeasibilityError("omega1 has empty support")
 
+    mass2 = _target_mass(kernel, marginals)
     steps: List[StepRecord] = []
     state: Optional[IterationState] = None
     mode = None
     for n in range(1, opts.max_iter + 1):
-        state = fortet_step(state, kernel, marginals)
+        state = fortet_step(state, kernel, marginals, mass2)
         steps.append(StepRecord(n, "scheme", state.diagnostics))
         if float(state.H_prime.max()) < DEGENERATE_EPS:
             return _finish_degenerate(state, steps)
@@ -308,7 +389,8 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
             f"no termination case triggered within max_iter={opts.max_iter}", steps)
 
     K, refine_steps = _closing_iteration(state.H_prime, kernel, marginals, opts.tol,
-                                         n0, normalize=(mode == "case2"), steps=steps)
+                                         n0, normalize=(mode == "case2"),
+                                         mass2=mass2, steps=steps)
     over = float(K.max()) - 1.0
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
                 "(outside the omega1 support)"] if over > CASE1_EPS else []

@@ -157,8 +157,17 @@ class KernelOperator:
                 return np.log(self.values)
         d = self.grid1.dim
         x, y = (g.nodes.reshape(g.n_nodes, d) for g in (self.grid1, self.grid2))
-        sq = sum(np.subtract.outer(x[:, k], y[:, k]) ** 2 for k in range(d))
-        return -sq / (2.0 * s * s) - 0.5 * d * math.log(2.0 * math.pi * s * s)
+        # in one buffer (and one more per further axis), rounded as
+        # -sum_k (x_k - y_k)**2 / (2 s^2) - (d/2) log(2 pi s^2) rounds
+        e = np.subtract.outer(x[:, 0], y[:, 0])
+        np.square(e, out=e)
+        for k in range(1, d):
+            t = np.subtract.outer(x[:, k], y[:, k])
+            e += np.square(t, out=t)
+        np.negative(e, out=e)
+        e /= 2.0 * s * s
+        e -= 0.5 * d * math.log(2.0 * math.pi * s * s)
+        return e
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights."""

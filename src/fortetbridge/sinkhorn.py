@@ -71,6 +71,15 @@ def _on_ray(u, v, a, b, m1) -> Tuple[np.ndarray, ...]:
                 a - a[k] + np.log(u / u[k]), b + a[k] + np.log(v * u[k]))
 
 
+def _folded(kernel: KernelOperator, log_kernel: np.ndarray, a: np.ndarray,
+            b: np.ndarray) -> KernelOperator:
+    """The dense kernel exp(log_kernel + a (+) b) on kernel's grids, built in
+    one buffer."""
+    e = np.add(log_kernel, a[:, None])
+    e += b[None, :]
+    return KernelOperator((np.exp(e, out=e),), kernel.grid1, kernel.grid2, math.inf)
+
+
 def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
                  tol: float = 1e-10, max_iter: int = 10000) -> ScalingPair:
     """Alternate u and v fits until both sup-log changes fall below tol.
@@ -120,8 +129,8 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
                 log_kernel = kernel.log_values
             a[m1] += logs[0]
             b[m2] += logs[1]
-            op = KernelOperator((np.exp(log_kernel + a[:, None] + b[None, :]),),
-                                kernel.grid1, kernel.grid2, math.inf)
+            op = None  # frees the last folded kernel before the next is built
+            op = _folded(kernel, log_kernel, a, b)
             v = m2.astype(float)
             prev = (np.zeros_like(logs[0]), np.zeros_like(logs[1]))
     raise NonConvergenceError(f"sinkhorn did not converge in {max_iter} iterations")

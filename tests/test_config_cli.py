@@ -296,20 +296,34 @@ def test_two_dimensional_solve_never_builds_the_kernel_matrix(tmp_path):
     assert "pi" not in coupling.__dict__
 
 
-def test_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
-    # the 401-point criterion-1 instance: 99 scheme and 38 closing steps of
-    # two applies each, one apply in the feasibility report, one in the
-    # extraction and the coupling's two
+def _solve_counting_applies(raw, tmp_path, monkeypatch):
     from fortetbridge.problem import KernelOperator
     calls = []
     for name in ("apply", "apply_T"):
         fn = getattr(KernelOperator, name)
         monkeypatch.setattr(KernelOperator, name,
                             lambda self, f, fn=fn: calls.append(fn) or fn(self, f))
-    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401))
     solution, _ = _solve_problem(build_problem(resolve_config(raw)), tmp_path)
-    assert (solution.iterations, solution.refine_steps) == (99, 38)
-    assert len(calls) == 2 * (99 + 38) + 4
+    return solution, len(calls)
+
+
+def test_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
+    # the 401-point criterion-1 instance: 99 scheme and 14 closing steps of
+    # two applies each, one apply in the feasibility report, one in the
+    # extraction and the coupling's two
+    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401))
+    solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
+    assert (solution.iterations, solution.refine_steps) == (99, 14)
+    assert calls == 2 * (99 + 14) + 4
+
+
+def test_swap_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
+    # the criterion-2 post-swap instance on the 401-point radius-8 grid: the
+    # Anderson step adds no apply to a closing step (the plain map took 642)
+    raw = dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401}, swap=True)
+    solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
+    assert (solution.iterations, solution.refine_steps) == (101, 93)
+    assert calls == 2 * (101 + 93) + 4
 
 
 def test_package_and_cli_load_no_scipy():

@@ -175,28 +175,68 @@ def swap_solution(swap_instance):
 
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
 def test_closing_steps_floor_at_freeze(which, request, monkeypatch):
-    # no floor schedule: each closing step floors the last image at FLOOR_FREEZE;
-    # a run keeps no arrays, so they are read where each step's diagnostics are
+    # every closing input is floored at FLOOR_FREEZE, and a step whose
+    # Anderson extrapolation the safeguard rejects (the residual's Hilbert
+    # norm exceeds the least so far) takes the floored image; a run keeps no
+    # arrays, so they are read where each step's diagnostics are
     sol = request.getfixturevalue(which)
     seen = []
     step_record = fortet._step_record
 
     def recording(H, H_prime, *args):
-        seen.append((H, H_prime))
+        seen.append((H, H_prime, H.copy(), H_prime.copy()))
         return step_record(H, H_prime, *args)
 
     monkeypatch.setattr(fortet, "_step_record", recording)
     rerun = run_fortet(sol.coupling.kernel, sol.coupling.marginals)
     assert [s.n for s in rerun.steps] == [s.n for s in sol.steps]
-    closing = seen[sol.iterations:]
+    # nothing is written into an array once its step is recorded
+    for H, H_prime, H_copy, H_prime_copy in seen:
+        assert np.array_equal(H, H_copy) and np.array_equal(H_prime, H_prime_copy)
+    closing = [(H, H_prime) for H, H_prime, _, _ in seen[sol.iterations:]]
     assert len(closing) == sol.refine_steps >= 2
     assert all(s.phase == "closing" for s in sol.steps[sol.iterations:])
-    for (_, prev_H_prime), (cur_H, _) in zip(closing, closing[1:]):
-        assert np.array_equal(cur_H, np.maximum(prev_H_prime, FLOOR_FREEZE))
+    assert all(np.all(H >= FLOOR_FREEZE) for H, _ in closing)
+    A = sol.coupling.marginals.omega1.values > 0
+    best, rejected, extrapolated = math.inf, 0, 0
+    for r, ((prev_H, prev_image), (cur_H, _)) in enumerate(zip(closing, closing[1:])):
+        plain = np.maximum(prev_image, FLOOR_FREEZE)
+        f = np.log(plain[A]) - np.log(prev_H[A])
+        norm = float(f.max() - f.min())
+        if r == 0 or norm > best:
+            assert np.array_equal(cur_H, plain)
+            rejected += r > 0
+        else:
+            extrapolated += not np.array_equal(cur_H, plain)
+        best = min(best, norm)
+    assert extrapolated > 0
+    if which == "swap_solution":
+        assert rejected > 0
+
+
+def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
+                                              swap_instance, monkeypatch):
+    # ANDERSON_M = 0 is the plain map; both closings stop on the same
+    # certificate, so they agree to what the 1e-10 tolerance allows.  On
+    # swap both set phi to 0 at the same nodes (96 of them on the gate),
+    # which have no ray constant; the ray is read on the others
+    from types import SimpleNamespace
+    for kernel, marginals in ((bench_kernel, bench_marginals), swap_instance):
+        accelerated = run_fortet(kernel, marginals)
+        monkeypatch.setattr(fortet, "ANDERSON_M", 0)
+        plain = run_fortet(kernel, marginals)
+        monkeypatch.undo()
+        assert accelerated.refine_steps < plain.refine_steps
+        kept = plain.phi > 0
+        assert np.array_equal(accelerated.phi > 0, kept)
+        gate = SimpleNamespace(omega1=SimpleNamespace(
+            values=np.where(kept, marginals.omega1.values, 0.0)),
+            omega2=marginals.omega2)
+        assert verify_uniqueness(accelerated, plain, gate, tol=1e-8).consistent
 
 
 def test_solve_keeps_no_per_step_arrays(swap_instance):
-    # 743 steps on 401 nodes: three arrays per step would hold 7.1 MB
+    # 194 steps on 401 nodes: three arrays per step would hold 1.87 MB
     tracemalloc.start()
     try:
         sol = run_fortet(*swap_instance)
@@ -204,7 +244,7 @@ def test_solve_keeps_no_per_step_arrays(swap_instance):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    assert len(sol.steps) == sol.iterations + sol.refine_steps > 700
+    assert len(sol.steps) == sol.iterations + sol.refine_steps == 194
 
 
 def test_swap_solve_warns_once_with_dropped_count(swap_solution):

@@ -192,6 +192,11 @@ def test_heat_log_values_are_the_formula_where_values_underflow(dim, points):
     kernel = gaussian_kernel(grid, grid, 0.1)
     log_g = kernel.log_values
     assert np.all(np.isfinite(log_g))
+    # built in one buffer, it rounds as the formula does term by term
+    x = grid.nodes.reshape(grid.n_nodes, dim)
+    sq = sum(np.subtract.outer(x[:, k], x[:, k]) ** 2 for k in range(dim))
+    assert np.array_equal(log_g, -sq / (2.0 * 0.1 * 0.1)
+                          - 0.5 * dim * math.log(2.0 * math.pi * 0.1 * 0.1))
     positive = kernel.values > 1e-300
     assert np.any(kernel.values == 0.0)
     assert np.max(np.abs(log_g[positive] - np.log(kernel.values[positive]))) < 1e-12

@@ -1,6 +1,7 @@
 """Scaling (IPF) baseline and its projective-metric trace."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           density_field, gaussian_density, gaussian_kernel,
                           run_fortet, run_sinkhorn, sinkhorn_trace_hilbert,
                           table_kernel, verify_uniqueness)
+from fortetbridge import sinkhorn
 from fortetbridge.hilbert import hilbert_distance
 from fortetbridge.errors import KernelSupportError, NonConvergenceError
+from fortetbridge.problem import swapped_marginals
 from tests.conftest import random_instance
 
 SINKHORN_TOL = 1e-10
@@ -166,3 +169,43 @@ def test_streamed_trace_matches_distances_of_kept_iterates(bench_kernel,
     kept = [hilbert_distance(a, b) for a, b in zip(iterates, iterates[1:])]
     assert len(trace.distances) == len(kept) == trace.iterations - 1
     assert np.max(np.abs(np.subtract(trace.distances, kept))) <= 1e-12
+
+
+def _swap_instance(grid):
+    """The criterion-2 post-swap instance, whose scalings leave float range."""
+    return gaussian_kernel(grid, grid, 0.1), swapped_marginals(
+        MarginalPair(gaussian_density(grid, 0.5), gaussian_density(grid, 1.0)))
+
+
+def test_absorbed_kernel_is_the_folded_formula(bench_grid, monkeypatch):
+    # built in one buffer, each absorbed kernel rounds as
+    # exp(log g + a (+) b) does term by term
+    kernel, marginals = _swap_instance(bench_grid)
+    built = []
+    folded = sinkhorn._folded
+
+    def recording(kernel, log_kernel, a, b):
+        op = folded(kernel, log_kernel, a, b)
+        built.append((op.factors[0], np.exp(log_kernel + a[:, None] + b[None, :])))
+        return op
+
+    monkeypatch.setattr(sinkhorn, "_folded", recording)
+    with pytest.raises(NonConvergenceError):
+        run_sinkhorn(kernel, marginals, max_iter=30)
+    assert len(built) >= 2
+    assert all(np.array_equal(got, formula) for got, formula in built)
+
+
+def test_absorbing_sinkhorn_holds_two_kernel_arrays(bench_grid):
+    # the swap compare's 120-sweep budget absorbs a dozen times; the
+    # log-kernel and the current absorbed kernel are the only n x n arrays,
+    # because the old absorbed kernel is freed before the next is built
+    kernel, marginals = _swap_instance(bench_grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergenceError):
+            run_sinkhorn(kernel, marginals, max_iter=120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * kernel.factors[0].nbytes
