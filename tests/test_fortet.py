@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,11 +74,15 @@ def test_omega_map_ignores_h_outside_omega1_support():
                              density_field(grid, rng.uniform(0.1, 1.0, 9)))
     H = np.ones(9)
     ref, G_ref = omega_map(H, kernel, marginals)
-    H2 = H.copy()
-    H2[[0, 4]] = 1e-30  # arbitrary junk where omega1 = 0
-    out, G_out = omega_map(H2, kernel, marginals)
-    assert np.array_equal(ref, out)
-    assert np.array_equal(G_ref, G_out)
+    # arbitrary junk where omega1 = 0, which the map never divides by
+    for junk in (1e-30, 0.0, math.nan, math.inf, -1.0):
+        H2 = H.copy()
+        H2[[0, 4]] = junk
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, G_out = omega_map(H2, kernel, marginals)
+        assert np.array_equal(ref, out)
+        assert np.array_equal(G_ref, G_out)
 
 
 def test_omega_map_zero_column_raises():
@@ -88,7 +93,8 @@ def test_omega_map_zero_column_raises():
     rng = np.random.default_rng(3)
     marginals = MarginalPair(density_field(grid, rng.uniform(0.1, 1.0, 6)),
                              density_field(grid, rng.uniform(0.1, 1.0, 6)))
-    with pytest.raises(KernelSupportError):
+    with pytest.raises(KernelSupportError,
+                       match=r"G vanished at nodes \[2\] where omega2 > 0"):
         omega_map(np.ones(6), kernel, marginals)
 
 
@@ -183,16 +189,18 @@ def test_closing_steps_floor_at_freeze(which, request, monkeypatch):
     seen = []
     step_record = fortet._step_record
 
-    def recording(H, H_prime, *args):
-        seen.append((H, H_prime, H.copy(), H_prime.copy()))
-        return step_record(H, H_prime, *args)
+    # a closing step compares its image with its input: prev is the input H
+    def recording(ratio1, H_prime, H, *args):
+        seen.append((H, H_prime, None if H is None else H.copy(), H_prime.copy()))
+        return step_record(ratio1, H_prime, H, *args)
 
     monkeypatch.setattr(fortet, "_step_record", recording)
     rerun = run_fortet(sol.coupling.kernel, sol.coupling.marginals)
     assert [s.n for s in rerun.steps] == [s.n for s in sol.steps]
     # nothing is written into an array once its step is recorded
     for H, H_prime, H_copy, H_prime_copy in seen:
-        assert np.array_equal(H, H_copy) and np.array_equal(H_prime, H_prime_copy)
+        assert (H is None or np.array_equal(H, H_copy)) \
+            and np.array_equal(H_prime, H_prime_copy)
     closing = [(H, H_prime) for H, H_prime, _, _ in seen[sol.iterations:]]
     assert len(closing) == sol.refine_steps >= 2
     assert all(s.phase == "closing" for s in sol.steps[sol.iterations:])
@@ -212,6 +220,91 @@ def test_closing_steps_floor_at_freeze(which, request, monkeypatch):
     assert extrapolated > 0
     if which == "swap_solution":
         assert rejected > 0
+
+
+def _omega_map_reference(H, kernel, marginals):
+    """omega_map as np.where expressions, which divide at every node."""
+    om1, om2 = marginals.omega1.values, marginals.omega2.values
+    with np.errstate(all="ignore"):
+        G = kernel.apply_T(np.where(om1 > 0, om1 / H, 0.0))
+        ratio2 = np.where(om2 > 0, om2 / np.where(G > 0, G, 1.0), 0.0)
+        return kernel.apply(ratio2), G
+
+
+def _step_record_reference(H, H_prime, prev, mask, kernel, marginals,
+                           case1_candidate, mass2, scale=1.0):
+    """_step_record's diagnostics from H, with full-array masks."""
+    om1 = marginals.omega1.values
+    with np.errstate(all="ignore"):
+        ratio1 = np.where(om1 > 0, om1 / H, 0.0)
+    normalization = float(np.sum((kernel.grid1.weights * ratio1) * (H_prime * scale)))
+    diag = {"sup_change": math.nan, "hilbert_step": math.nan,
+            "normalization_residual": abs(normalization - mass2),
+            "case1_candidate": case1_candidate}
+    if prev is not None:
+        diag["sup_change"] = float(np.max(np.abs(H_prime - prev)))
+        diag["hilbert_step"] = _hilbert_reference(H_prime, prev, mask)
+    return diag
+
+
+def _hilbert_reference(a, b, mask):
+    m = mask & (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
+    if not m.any():
+        return math.inf
+    r = a[m] / b[m]
+    return float(np.log(r.max() / r.min()))
+
+
+@pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
+def test_map_and_step_record_match_the_where_expressions(which, request, monkeypatch):
+    # every step of a run, both phases: omega_map's (H', G) and the step's
+    # diagnostics are bitwise those of the reference expressions
+    sol = request.getfixturevalue(which)
+    kernel, marginals = sol.coupling.kernel, sol.coupling.marginals
+    maps, records = [], []
+    omega, step_record = fortet.omega_map, fortet._step_record
+
+    def mapping(H, *args, **kwargs):
+        H_prime, G = omega(H, *args, **kwargs)
+        maps.append((H.copy(), H_prime.copy(), G.copy()))
+        return H_prime, G
+
+    def recording(ratio1, H_prime, prev, mask, kernel, *args):
+        d = step_record(ratio1, H_prime, prev, mask, kernel, *args)
+        records.append((H_prime.copy(), None if prev is None else prev.copy(),
+                        mask.copy(), args, d))
+        return d
+
+    monkeypatch.setattr(fortet, "omega_map", mapping)
+    monkeypatch.setattr(fortet, "_step_record", recording)
+    run_fortet(kernel, marginals)
+    assert len(maps) == len(records) == len(sol.steps)
+    for (H, image, G), (H_prime, prev, mask, args, d) in zip(maps, records):
+        ref_image, ref_G = _omega_map_reference(H, kernel, marginals)
+        assert np.array_equal(image, ref_image) and np.array_equal(G, ref_G)
+        ref = _step_record_reference(H, H_prime, prev, mask, kernel, marginals, *args)
+        assert d.keys() == ref.keys()
+        assert all(d[k] == ref[k] or (d[k] != d[k] and ref[k] != ref[k]) for k in d)
+
+
+def test_unreadable_nodes_match_the_where_expressions():
+    # the paths the benchmark runs never take: nodes the Hilbert step cannot
+    # read, and an H that is NaN on the omega1 support (G is NaN, and the
+    # map divides omega2 by 1 there)
+    rng = np.random.default_rng(8)
+    a, b = rng.uniform(0.5, 2.0, (2, 12))
+    a[[1, 2, 3]] = 0.0, math.inf, math.nan
+    b[[4, 5, 6]] = -1.0, math.inf, math.nan
+    nodes = np.arange(12)
+    masks = [nodes > 6, np.ones(12, bool), np.zeros(12, bool), nodes == 1]
+    masks += [(nodes > 6) | (nodes == k) for k in range(1, 7)]
+    for mask in masks:
+        assert fortet._masked_hilbert_step(a, b, mask) == _hilbert_reference(a, b, mask)
+    kernel, marginals = hand_instance()
+    H = np.array([1.0, math.nan])
+    ref_image, ref_G = _omega_map_reference(H, kernel, marginals)
+    image, G = omega_map(H, kernel, marginals)
+    assert np.array_equal(image, ref_image) and np.array_equal(G, ref_G, equal_nan=True)
 
 
 def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
