@@ -52,3 +52,13 @@ def random_instance(rng, n1, n2, kernel_low=0.1):
     om1 = density_field(g1, rng.uniform(0.1, 1.0, size=n1))
     om2 = density_field(g2, rng.uniform(0.1, 1.0, size=n2))
     return kernel, MarginalPair(om1, om2)
+
+
+def random_instances(seed, count, max_nodes):
+    """count random_instance draws from one seeded stream, each side with 2
+    to max_nodes nodes (criterion 3's generator at seed 2024, max_nodes 64)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n1 = int(rng.integers(2, max_nodes + 1))
+        n2 = int(rng.integers(2, max_nodes + 1))
+        yield random_instance(rng, n1, n2)

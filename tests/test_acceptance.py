@@ -23,7 +23,8 @@ from fortetbridge import (FortetOptions, MarginalPair, birkhoff_contraction,
 from fortetbridge.cli import main
 from fortetbridge.problem import swapped_marginals
 from tests.conftest import (BENCH_POINTS, BENCH_RADIUS, BENCH_SIGMA,
-                            BENCH_SIGMA1, BENCH_SIGMA2, random_instance)
+                            BENCH_SIGMA1, BENCH_SIGMA2, random_instance,
+                            random_instances)
 
 ORACLE_MATCH_TOL = 1e-6
 RUNTIME_LIMIT_S = 10.0
@@ -114,13 +115,9 @@ def test_criterion_2_swap_logic(bench_grid):
 
 
 def test_criterion_3_scheme_invariants_on_random_instances():
-    rng = np.random.default_rng(2024)
     violations = 0
     checked = 0
-    for _ in range(50):
-        n1 = int(rng.integers(2, 65))
-        n2 = int(rng.integers(2, 65))
-        kernel, marginals = random_instance(rng, n1, n2)
+    for kernel, marginals in random_instances(2024, 50, 64):
         state = None
         prev_H = prev_Hp = prev_J = None
         for _step in range(12):

@@ -313,13 +313,21 @@ def _solve_counting_applies(raw, tmp_path, monkeypatch):
 
 
 def test_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
-    # the 401-point criterion-1 instance: 99 scheme and 14 closing steps of
+    # the 401-point criterion-1 instance: 10 scheme and 17 closing steps of
     # two applies each, one apply in the feasibility report, one in the
     # extraction and the coupling's two
     raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401))
     solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
-    assert (solution.iterations, solution.refine_steps) == (99, 14)
-    assert calls == 2 * (99 + 14) + 4
+    assert (solution.iterations, solution.refine_steps) == (10, 17)
+    assert calls == 2 * (10 + 17) + 4
+
+
+def test_2d_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
+    # the criterion-1 scales on the 41 x 41 grid
+    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41))
+    solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
+    assert (solution.iterations, solution.refine_steps) == (10, 19)
+    assert calls == 2 * (10 + 19) + 4
 
 
 def test_swap_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
@@ -327,8 +335,8 @@ def test_swap_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypat
     # Anderson step adds no apply to a closing step (the plain map took 642)
     raw = dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401}, swap=True)
     solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
-    assert (solution.iterations, solution.refine_steps) == (101, 93)
-    assert calls == 2 * (101 + 93) + 4
+    assert (solution.iterations, solution.refine_steps) == (11, 91)
+    assert calls == 2 * (11 + 91) + 4
 
 
 def test_package_and_cli_load_no_scipy():

@@ -22,6 +22,7 @@ from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
 from fortetbridge.fortet import FLOOR_FREEZE
 from fortetbridge.problem import swapped_marginals
 from fortetbridge.quadrature import QuadratureGrid
+from tests.conftest import random_instances
 
 RESID_TOL = 1e-12
 SCHEME_STEPS = 12  # scheme prefix length checked step-by-step
@@ -289,8 +290,8 @@ def test_map_and_step_record_match_the_where_expressions(which, request, monkeyp
 
 def test_unreadable_nodes_match_the_where_expressions():
     # the paths the benchmark runs never take: nodes the Hilbert step cannot
-    # read, and an H that is NaN on the omega1 support (G is NaN, and the
-    # map divides omega2 by 1 there)
+    # read, an H that is NaN on the omega1 support (refused like H <= 0),
+    # and a G that is NaN (omega2 is divided by 1 there)
     rng = np.random.default_rng(8)
     a, b = rng.uniform(0.5, 2.0, (2, 12))
     a[[1, 2, 3]] = 0.0, math.inf, math.nan
@@ -301,10 +302,13 @@ def test_unreadable_nodes_match_the_where_expressions():
     for mask in masks:
         assert fortet._masked_hilbert_step(a, b, mask) == _hilbert_reference(a, b, mask)
     kernel, marginals = hand_instance()
-    H = np.array([1.0, math.nan])
-    ref_image, ref_G = _omega_map_reference(H, kernel, marginals)
-    image, G = omega_map(H, kernel, marginals)
-    assert np.array_equal(image, ref_image) and np.array_equal(G, ref_G, equal_nan=True)
+    with pytest.raises(FortetBridgeError, match="H > 0"):
+        omega_map(np.array([1.0, math.nan]), kernel, marginals)
+    om2 = np.array([0.5, 0.0, 0.25, 0.5])
+    G = np.array([math.nan, math.nan, 2.0, -math.inf])
+    with np.errstate(all="ignore"):
+        ref = np.where(om2 > 0, om2 / np.where(G > 0, G, 1.0), 0.0)
+    assert np.array_equal(fortet._omega2_ratio(om2, G, "G"), ref)
 
 
 def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
@@ -329,7 +333,8 @@ def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
 
 
 def test_solve_keeps_no_per_step_arrays(swap_instance):
-    # 194 steps on 401 nodes: three arrays per step would hold 1.87 MB
+    # 102 steps on 401 nodes: three arrays per step would hold 0.98 MB on
+    # top of the solve's own ~0.07 MB
     tracemalloc.start()
     try:
         sol = run_fortet(*swap_instance)
@@ -337,7 +342,39 @@ def test_solve_keeps_no_per_step_arrays(swap_instance):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
-    assert len(sol.steps) == sol.iterations + sol.refine_steps == 194
+    assert len(sol.steps) == sol.iterations + sol.refine_steps == 102
+
+
+#: s1_resid of a solve that ran the scheme to n ~ 100 (RAY_TOL = 1e-2) and
+#: stopped its closing at tol, on the benchmark and the swap instance
+FULL_SCHEME_S1_RESID = {1e-13: (1.1102230246251565e-16, 2.0623283634177433e-07),
+                        1e-14: (1.1102230246251565e-16, 2.0623283634177433e-07),
+                        1e-15: (1.1102230246251565e-16, 2.0623283634177433e-07)}
+
+
+@pytest.mark.parametrize("tol", sorted(FULL_SCHEME_S1_RESID))
+def test_tight_tolerances_converge_with_no_larger_residual(tol, bench_kernel,
+                                                           bench_marginals,
+                                                           swap_instance):
+    # the closing stops at tol / 10 but not below min(tol, CLOSING_TOL_FLOOR):
+    # at tol = 1e-15 a bare 1e-16 stop never fires and runs out of steps
+    instances = ((bench_kernel, bench_marginals), swap_instance)
+    for (kernel, marginals), before in zip(instances, FULL_SCHEME_S1_RESID[tol]):
+        sol = run_fortet(kernel, marginals, FortetOptions(tol=tol))
+        assert sol.case_tag == "case2"
+        assert sol.residuals["s1_resid"] <= before
+
+
+def test_early_handover_retags_no_random_instance(monkeypatch):
+    # a case 1 that fires at n0 between 1/RAY_TOL and 100 would now be
+    # tagged case 2; criterion 3's generator holds none
+    instances = list(random_instances(2024, 200, 64))
+    tags = []
+    for ray_tol in (1e-2, fortet.RAY_TOL):
+        monkeypatch.setattr(fortet, "RAY_TOL", ray_tol)
+        tags.append([run_fortet(kernel, marginals, FortetOptions(force=True)).case_tag
+                     for kernel, marginals in instances])
+    assert tags[0] == tags[1]
 
 
 def test_swap_solve_warns_once_with_dropped_count(swap_solution):
