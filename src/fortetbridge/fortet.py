@@ -76,8 +76,8 @@ REFINE_MAX = 5000
 CLOSING_TOL_FLOOR = 1e-15
 #: history depth of the closing phase's Anderson step (0: the plain map).
 #: Each step held costs two support-sized arrays.  The 41 x 41 solve peaks
-#: in the closing phase, ~0.09 MB above its artifact writing, so a deeper
-#: history raises its peak: by 13% at depth 3 and 37% at depth 5
+#: in the closing phase, ~0.02 MB above its artifact writing, so a deeper
+#: history raises its peak: by 12% at depth 3 and 39% at depth 5
 ANDERSON_M = 2
 #: verify_uniqueness reads the ray constants on the nodes where the
 #: marginal exceeds this
@@ -181,8 +181,8 @@ def _masked_hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> floa
         if not m.any():
             return math.inf
         a, b = a[m], b[m]
-    r = a / b
-    return float(np.log(r.max() / r.min()))
+    a = np.divide(a, b, out=a)
+    return float(np.log(a.max() / a.min()))
 
 
 def _support_ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -242,13 +242,16 @@ def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
                  scale: float = 1.0) -> Dict[str, float]:
     """The diagnostics of one step of either phase, H -> H_prime.
 
-    ratio1 is omega1 / H as omega_map read it.  prev is what the Hilbert
-    step and the sup change compare H_prime with (None on the first scheme
-    step) and mask the nodes the Hilbert step is taken over.  scale is what
-    the closing phase divided Omega(H) by; the normalization residual
-    |Int (omega1/H) Omega(H) - mass2| is taken on H_prime * scale.
+    ratio1 is omega1 / H as omega_map read it; it is overwritten.  prev is
+    what the Hilbert step and the sup change compare H_prime with (None on
+    the first scheme step) and mask the nodes the Hilbert step is taken
+    over.  scale is what the closing phase divided Omega(H) by; the
+    normalization residual |Int (omega1/H) Omega(H) - mass2| is taken on
+    H_prime * scale.
     """
-    normalization = float(np.sum((kernel.grid1.weights * ratio1) * (H_prime * scale)))
+    t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
+    t *= H_prime * scale
+    normalization = float(np.sum(t))
     diag = {
         "sup_change": math.nan,
         "hilbert_step": math.nan,
@@ -256,7 +259,8 @@ def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
         "case1_candidate": case1_candidate,
     }
     if prev is not None:
-        diag["sup_change"] = float(np.max(np.abs(H_prime - prev)))
+        t = np.subtract(H_prime, prev, out=t)
+        diag["sup_change"] = float(np.max(np.abs(t, out=t)))
         diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
     return diag
 
@@ -323,25 +327,32 @@ class _AndersonMixer:
             self.best = norm
             if self.held:
                 k = min(self.held, m)
-                D = f - self.hist[0, :k]
+                # row by row: broadcast over all k rows at once, numpy
+                # allocates ufunc buffers the size of D beside it
+                D = np.empty((k, f.size))
+                for j in range(k):
+                    np.subtract(f, self.hist[0, j], out=D[j])
                 try:
                     gamma = np.linalg.solve(D @ D.T, D @ f)
                 except np.linalg.LinAlgError:
                     gamma = np.full(k, math.nan)
                 if np.all(np.isfinite(gamma)):
-                    out = gamma @ np.subtract(g, self.hist[1, :k], out=D)
+                    for j in range(k):
+                        np.subtract(g, self.hist[1, j], out=D[j])
+                    out = gamma @ D
                     np.subtract(g, out, out=out)
                 else:
                     self.held = 0
-        self.hist[:, self.held % m] = f, g
+        self.hist[0, self.held % m] = f
+        self.hist[1, self.held % m] = g
         self.held += 1
         return out
 
 
-def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: MarginalPair,
-                       tol: float, n0: int, normalize: bool, mass2: float,
-                       steps: List[StepRecord]) -> Tuple[np.ndarray, int]:
-    """Fixed-point iteration of Omega from K0, with a safeguarded Anderson step.
+def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
+                       marginals: MarginalPair, tol: float, n0: int, normalize: bool,
+                       mass2: float, steps: List[StepRecord]) -> Tuple[np.ndarray, int]:
+    """Fixed-point iteration of Omega, with a safeguarded Anderson step.
 
     Each step maps its input K >= FLOOR_FREEZE to T(K) = Omega(K), in the
     ray-converged regime rescaled to sup = 1 over the omega1 support, and
@@ -354,11 +365,19 @@ def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: Margin
     The next input is max(T(K), FLOOR_FREEZE), except on the omega1 support
     where the Anderson mixer extrapolates the log-iterate u = log K from
     the last ANDERSON_M steps (rescaled to sup 1 in case 2, and floored).
+
+    start holds the scheme's last image, from which the first input is
+    formed; it is taken out of the list and freed once that input exists.
+    A step holds its input K, omega1 / K, its image T(K) and the mixer's
+    history, and frees each once spent: the map runs beside K, omega1 / K
+    and the history alone.
     """
     om1 = marginals.omega1.values
     A = om1 > 0
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
+    K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, A, steps) if normalize else K0, FLOOR_FREEZE)
+    del K0
     for r in range(1, REFINE_MAX + 1):
         with np.errstate(over="ignore", under="ignore"):
             ratio1 = _support_ratio(om1, K, A)
@@ -370,16 +389,16 @@ def _closing_iteration(K0: np.ndarray, kernel: KernelOperator, marginals: Margin
         steps.append(StepRecord(n0 + r, "closing", d))
         if (d["hilbert_step"] if normalize else d["sup_change"]) < tol:
             return Kn, r
+        del ratio1, conv_mask  # spent on the record
         u = np.log(K[A])
         K = np.maximum(Kn, FLOOR_FREEZE)
-        # freed before the mixer and the next map run: the closing phase
-        # sets the 2-D solve's memory peak
-        del Kn, ratio1
+        del Kn
         u = mixer.next_input(u, np.log(K[A]))
         if u is not None:
             if normalize:
                 u -= u.max()
             K[A] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
+        del u
     raise NonConvergenceError(
         f"closing iteration did not stabilize within {REFINE_MAX} steps", steps)
 
@@ -392,7 +411,8 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     integrability estimate looks divergent, unless opts.force is set.  One
     StepRecord per step is attached to the solution (and to the
     NonConvergenceError when the iteration cap is hit); a step's arrays are
-    dropped once the next step exists.
+    dropped once the next step exists, and the scheme's last ones once the
+    closing phase has formed its first input.
     """
     if not opts.force:
         report = full_report(kernel, marginals)
@@ -431,7 +451,11 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
             f"no termination case triggered within max_iter={opts.max_iter}", steps)
 
     closing_tol = max(opts.tol / 10, min(opts.tol, CLOSING_TOL_FLOOR))
-    K, refine_steps = _closing_iteration(state.H_prime, kernel, marginals, closing_tol,
+    # the closing takes H'_{n0} out of this list, so that no reference here
+    # keeps the scheme's last arrays alive through the closing phase
+    start = [state.H_prime]
+    del state
+    K, refine_steps = _closing_iteration(start, kernel, marginals, closing_tol,
                                          n0, normalize=(mode == "case2"),
                                          mass2=mass2, steps=steps)
     over = float(K.max()) - 1.0

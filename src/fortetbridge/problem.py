@@ -192,8 +192,11 @@ def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """
     if len(factors) == 1:
         return factors[0] @ x
+    # x is rebound before each product, so the contiguous copy that reshape
+    # makes of a transposed product never coexists with that product
     for a in factors:
-        x = (a @ x.reshape(a.shape[1], -1)).T
+        x = x.reshape(a.shape[1], -1)
+        x = (a @ x).T
     return x.reshape(-1)
 
 
@@ -204,8 +207,14 @@ def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
 def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     """1-D heat kernel N(b - a; s^2) between two coordinate arrays."""
     peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
-    # in one buffer, rounded as peak * exp(-(a - b)**2 / (2 s^2)) rounds
-    e = np.subtract.outer(a, b)
+    # in one buffer, rounded as peak * exp(-(a - b)**2 / (2 s^2)) rounds.
+    # At numpy's default buffer size the broadcast difference also allocates
+    # two 64 KiB ufunc buffers; at the smallest size, 16 elements, ~1.5 kB
+    bufsize = np.setbufsize(16)
+    try:
+        e = np.subtract.outer(a, b)
+    finally:
+        np.setbufsize(bufsize)
     np.square(e, out=e)
     np.negative(e, out=e)
     e /= 2.0 * s * s

@@ -4,6 +4,8 @@ Session-scoped because run_fortet/run_sinkhorn on the 401-node benchmark
 are the expensive pieces reused by many tests.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ def bench_solution(bench_kernel, bench_marginals):
 @pytest.fixture(scope="session")
 def bench_scaling(bench_kernel, bench_marginals):
     return run_sinkhorn(bench_kernel, bench_marginals)
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran).  Tracing starts
+    with the call, so what exists before it is not counted."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_instance(rng, n1, n2, kernel_low=0.1):

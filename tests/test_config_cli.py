@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ from fortetbridge.config import (build_problem, load_problem, problem_hash,
 from fortetbridge.errors import ConfigError
 from fortetbridge.fortet import StepRecord
 from fortetbridge.quadrature import build_grid
+from tests.conftest import traced_peak
 
 BENCH_RAW = {
     "kernel": {"type": "gaussian", "sigma": 0.5},
@@ -448,11 +448,5 @@ def test_potentials_writer_holds_no_record_buffer(tmp_path):
     columns = [(name, rng.lognormal(0.0, 3.0, grid.n_nodes)) for name in ("phi", "psi", "h")]
     path = tmp_path / "potentials.csv"
     cli._write_potentials(path, grid, columns)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        cli._write_potentials(path, grid, columns)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: cli._write_potentials(path, grid, columns))
     assert peak < 32 * 1024

@@ -1,7 +1,6 @@
 """Fixed-point map, truncated scheme, solver termination, potentials."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +21,7 @@ from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
 from fortetbridge.fortet import FLOOR_FREEZE
 from fortetbridge.problem import swapped_marginals
 from fortetbridge.quadrature import QuadratureGrid
-from tests.conftest import random_instances
+from tests.conftest import random_instances, traced_peak
 
 RESID_TOL = 1e-12
 SCHEME_STEPS = 12  # scheme prefix length checked step-by-step
@@ -334,15 +333,26 @@ def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
 
 def test_solve_keeps_no_per_step_arrays(swap_instance):
     # 102 steps on 401 nodes: three arrays per step would hold 0.98 MB on
-    # top of the solve's own ~0.07 MB
-    tracemalloc.start()
-    try:
-        sol = run_fortet(*swap_instance)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # top of the solve's own ~0.06 MB
+    sol, peak = traced_peak(lambda: run_fortet(*swap_instance))
     assert peak < 1e6
     assert len(sol.steps) == sol.iterations + sol.refine_steps == 102
+
+
+@pytest.mark.parametrize("points, dim", [(41, 2), (21, 3)])
+def test_solve_holds_a_fixed_working_set(points, dim):
+    # above the loaded problem, a solve's memory is node-sized arrays.  Its
+    # peak is in the closing map: the iterate, omega1 / K, the depth-2
+    # Anderson history (four arrays), G, omega2 / G and two arrays inside
+    # the apply, plus the step record.  Holding the scheme's last H and H'
+    # through the closing, a transposed product beside its copy, or a
+    # broadcast's ufunc buffers in the mixer would each add two arrays
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    sol, peak = traced_peak(lambda: run_fortet(kernel, marginals))
+    assert sol.case_tag == "case2"
+    assert peak <= 12 * 8 * grid.n_nodes
 
 
 #: s1_resid of a solve that ran the scheme to n ~ 100 (RAY_TOL = 1e-2) and

@@ -1,7 +1,6 @@
 """Scaling (IPF) baseline and its projective-metric trace."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from fortetbridge import sinkhorn
 from fortetbridge.hilbert import hilbert_distance
 from fortetbridge.errors import KernelSupportError, NonConvergenceError
 from fortetbridge.problem import swapped_marginals
-from tests.conftest import random_instance
+from tests.conftest import random_instance, traced_peak
 
 SINKHORN_TOL = 1e-10
 CROSS_SOLVER_TOL = 1e-8
@@ -201,11 +200,10 @@ def test_absorbing_sinkhorn_holds_two_kernel_arrays(bench_grid):
     # log-kernel and the current absorbed kernel are the only n x n arrays,
     # because the old absorbed kernel is freed before the next is built
     kernel, marginals = _swap_instance(bench_grid)
-    tracemalloc.start()
-    try:
+
+    def budget_run():
         with pytest.raises(NonConvergenceError):
             run_sinkhorn(kernel, marginals, max_iter=120)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(budget_run)
     assert peak < 2.2 * kernel.factors[0].nbytes
