@@ -69,8 +69,9 @@ def _write_csv(path: Path, headers, tables) -> None:
 
     A table is a list of equal-length columns.  A column is a numeric,
     non-bool array, whose cells are its values by repr with NaN as an empty
-    cell, or a list of ready cells.  Cells and headers must need no quoting; rows
-    end in CRLF, so the bytes are what csv.writer writes for the same cells.
+    cell, or a sequence whose slices are lists of ready cells (a list, or a
+    _MeshColumn).  Cells and headers must need no quoting; rows end in CRLF,
+    so the bytes are what csv.writer writes for the same cells.
     Each block of CSV_BLOCK_ROWS rows is formatted and written at once,
     which keeps the Python objects held at a time small.
     """
@@ -78,7 +79,7 @@ def _write_csv(path: Path, headers, tables) -> None:
     with path.open("wb") as fh:
         fh.write((",".join(headers) + "\r\n").encode())
         for columns in tables:
-            has_nan = [not isinstance(c, list) and bool(np.isnan(c).any())
+            has_nan = [isinstance(c, np.ndarray) and bool(np.isnan(c).any())
                        for c in columns]
             row = ",".join(["%s"] * len(columns)) + "\r\n"
             for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
@@ -103,10 +104,33 @@ def _write_trace(path: Path, steps) -> None:
     _write_csv(path, TRACE_COLUMNS, [columns])
 
 
+class _MeshColumn:
+    """A coordinate column of an 'ij' mesh, each axis value formatted once:
+    row r reads cells[(r // stride) % len(cells)].  A slice is a list of
+    ready cells, which is what _write_csv reads."""
+
+    def __init__(self, cells, stride: int, rows: int):
+        self.cells, self.stride, self.rows = cells, stride, rows
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, rows: slice) -> list:
+        cells, stride, m = self.cells, self.stride, len(self.cells)
+        return [cells[r // stride % m] for r in range(*rows.indices(self.rows))]
+
+
 def _coordinates(grid):
-    """Column headers and the columns of the node coordinates."""
+    """Column headers and the columns of the node coordinates.  The nodes of
+    a grid with axes in d >= 2 are their 'ij' mesh (QuadratureGrid checks
+    it), so each axis value is formatted once, not once per node."""
     headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
-    return headers, list(grid.nodes.reshape(grid.n_nodes, grid.dim).T)
+    if grid.dim == 1 or not grid.axes:
+        return headers, list(grid.nodes.reshape(grid.n_nodes, grid.dim).T)
+    sizes = [len(ax) for ax in grid.axes]
+    return headers, [_MeshColumn([repr(v) for v in ax.tolist()],
+                                 math.prod(sizes[k + 1:]), grid.n_nodes)
+                     for k, ax in enumerate(grid.axes)]
 
 
 def _write_potentials(path: Path, grid, columns) -> None:

@@ -16,7 +16,9 @@ A run is specified by a single JSON document:
 kernel.type is one of gaussian / gaussian_multivariate / table; marginal
 types are gaussian (sigma, or covariance for dim > 1) / table.  Table
 values come from CSV files resolved relative to the config file.  A radius
-of "auto" expands to 6.5 x the largest Gaussian scale in the problem.  The
+of "auto" expands to 6.5 x the largest Gaussian scale in the problem.
+solver.max_iter caps Sinkhorn's sweeps and Fortet's scheme steps; the
+scheme hands over by n = 2, so for Fortet only a cap of 1 stops it.  The
 problem hash is the sha256 of the resolved config in canonical JSON form
 (sorted keys, no whitespace), so two runs with the same hash saw the same
 fully-resolved instance.

@@ -20,17 +20,18 @@ H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes terminate it:
 * case 2 - the iterate's sup stays above 1 but the underlying ray
   converges.  The scheme's own scale creep from the min(1, .) cap decays
   only algebraically, so no pointwise-change threshold can fire in
-  reasonable time; instead we detect ray convergence with the
-  scale-invariant Hilbert step, then close with the same map iteration
-  projected to sup = 1 on the support of omega1 (the scale the capped
-  scheme approaches).
+  reasonable time; the scheme hands over at n = 2, its first step with a
+  Hilbert step, and closes with the same map iteration projected to sup = 1
+  on the support of omega1 (the scale the capped scheme approaches).
 
-From n = 2 on, most of the omega1 support sits on the 1/n floor, and the
-scheme's Hilbert step is just that floor moving: it reads log(n/(n-1)),
-0.668 at n = 2 and 0.098 at n = 10 on the Gaussian benchmark against log 2 =
-0.693 and log(10/9) = 0.105.  A threshold RAY_TOL therefore fires at n ~
-1/RAY_TOL whatever the instance, and the steps past that hand-over are better
-spent in the closing phase; RAY_TOL = 0.1 hands over at n ~ 10.
+From n = 2 on the scheme's Hilbert step is just its 1/n floor moving, which
+most of the omega1 support sits on.  H_1 = 1 is constant and H_2 lies
+between 1/2 and 1, so d_H(H_2, H_1) <= log 2, and Omega never expands the
+Hilbert metric (Birkhoff-Hopf): d_H(H'_2, H'_1) <= log 2 too.  On the
+Gaussian benchmark the step reads 0.668 at n = 2 against log 2 = 0.693, and
+about log(n/(n-1)) after that on every instance, so the steps past n = 2
+only move the floor and are better spent in the closing phase.  The n = 2
+step stays in the record as a diagnostic; no threshold reads it.
 
 The closing phase accelerates the map with a safeguarded Anderson step on
 log h (Walker & Ni, SIAM J. Numer. Anal. 2011).  Every closing step still
@@ -39,7 +40,7 @@ the closing iterates are genuine fixed points to machine precision, which
 the returned residuals certify.
 
 The published argument proves convergence of the truncated scheme but gives
-no stopping rule; the ray-convergence exit used here is an implementation
+no stopping rule; the hand-over at n = 2 used here is an implementation
 decision, recorded in the package docs.
 """
 
@@ -61,27 +62,26 @@ from .problem import KernelOperator, MarginalPair, full_report
 #: the floor there, and the convergence mask ignores those nodes)
 FLOOR_FREEZE = 1e-300
 #: the scheme hands over in case 1 once H' <= 1 + CASE1_EPS on the omega1
-#: support and in case 2 once its Hilbert step is below RAY_TOL; a sup below
-#: DEGENERATE_EPS is degenerate; the closing phase gets REFINE_MAX steps.
-#: The case-2 Hilbert step is the 1/n floor moving, log(n/(n-1)) (module
-#: docstring), so RAY_TOL = 0.1 hands over at n ~ 10
+#: support and in case 2 at n = 2 (module docstring); a sup below
+#: DEGENERATE_EPS is degenerate; the closing phase gets REFINE_MAX steps
 CASE1_EPS = 1e-12
 DEGENERATE_EPS = 1e-13
-RAY_TOL = 0.1
 REFINE_MAX = 5000
 #: the closing phase stops once its step is below tol / 10, which keeps the
 #: residual of a solve that hands over early below that of the full scheme;
 #: the stop is not taken below min(tol, CLOSING_TOL_FLOOR), because float64
 #: rounding keeps the step from falling reliably below ~1e-16
 CLOSING_TOL_FLOOR = 1e-15
-#: history depth of the closing phase's Anderson step (0: the plain map).
-#: Each step held costs two support-sized arrays.  The 41 x 41 solve peaks
-#: in the closing phase, ~0.02 MB above its artifact writing, so a deeper
-#: history raises its peak: by 12% at depth 3 and 39% at depth 5
+#: history depth of the closing phase's Anderson step (0: the plain map),
+#: at most 2, whose normal equations _fit solves in closed form.  Each step
+#: held costs two support-sized arrays, and the 41 x 41 solve peaks in the
+#: closing phase, ~0.02 MB above its artifact writing
 ANDERSON_M = 2
 #: verify_uniqueness reads the ray constants on the nodes where the
 #: marginal exceeds this
 SUPPORT_THRESHOLD = 1e-12
+#: float64's machine epsilon, the relative rounding of a log-iterate
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -174,15 +174,20 @@ class FortetSolution:
 def _masked_hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
     """log(max / min) of a / b over the nodes of mask where both are positive
     and finite (inf if there are none)."""
+    r = a[mask]
+    if r.size and r.min() > 0:
+        # with a > 0, a / b lies in (0, inf) where b > 0 and both are finite
+        # (or the quotient leaves float range, which the nodes below keep)
+        r = np.divide(r, b[mask], out=r)
+        lo, hi = r.min(), r.max()
+        if lo > 0 and hi < math.inf:
+            return float(np.log(hi / lo))
     a, b = a[mask], b[mask]
-    if not (a.size and a.min() > 0 and b.min() > 0
-            and a.max() < math.inf and b.max() < math.inf):
-        m = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
-        if not m.any():
-            return math.inf
-        a, b = a[m], b[m]
-    a = np.divide(a, b, out=a)
-    return float(np.log(a.max() / a.min()))
+    m = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
+    if not m.any():
+        return math.inf
+    r = np.divide(a[m], b[m])
+    return float(np.log(r.max() / r.min()))
 
 
 def _support_ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -191,11 +196,12 @@ def _support_ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray) -> np.
 
 
 def _omega2_ratio(om2: np.ndarray, G: np.ndarray, integral: str,
-                  hint: str = "") -> np.ndarray:
-    """omega2 / G on the omega2 support and 0 off it.  G = 0 there raises
-    KernelSupportError naming the integral; G neither positive nor 0 (NaN)
-    reads as 1."""
-    B = om2 > 0
+                  hint: str = "", B: Optional[np.ndarray] = None) -> np.ndarray:
+    """omega2 / G on the omega2 support B (om2 > 0 when not given) and 0 off
+    it.  G = 0 there raises KernelSupportError naming the integral; G
+    neither positive nor 0 (NaN) reads as 1."""
+    if B is None:
+        B = om2 > 0
     if (G[B] > 0).all():
         return _support_ratio(om2, G, B)
     bad = np.flatnonzero(B & (G == 0))
@@ -206,28 +212,32 @@ def _omega2_ratio(om2: np.ndarray, G: np.ndarray, integral: str,
 
 
 def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
-              ratio1: Optional[np.ndarray] = None):
+              ratio1: Optional[np.ndarray] = None,
+              omega2_support: Optional[np.ndarray] = None):
     """One application of the fixed-point map; returns (H_prime, G_of_H).
 
     G is computed first for every y-node and reused; nodes where omega1 = 0
     contribute nothing to G no matter what H holds there, and nodes where
     omega2 = 0 contribute nothing to H_prime.  ratio1 is omega1 / H on the
     omega1 support and 0 off it (_support_ratio); a caller that records the
-    step forms it once and passes it here.
+    step forms it once and passes it here.  H must be positive wherever
+    omega1 is.  That is checked here unless the caller passes ratio1 with
+    omega2_support, the mask omega2 > 0, and has checked H itself.
     """
-    Hv = np.asarray(H, dtype=float)
-    om1 = marginals.omega1.values
     om2 = marginals.omega2.values
-    A = om1 > 0
-    if not (Hv[A] > 0).all():
-        raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
     with np.errstate(over="ignore", under="ignore"):
-        if ratio1 is None:
-            ratio1 = _support_ratio(om1, Hv, A)
+        if omega2_support is None:
+            Hv = np.asarray(H, dtype=float)
+            om1 = marginals.omega1.values
+            A, omega2_support = om1 > 0, om2 > 0
+            if not (Hv[A] > 0).all():
+                raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
+            if ratio1 is None:
+                ratio1 = _support_ratio(om1, Hv, A)
         G = kernel.apply_T(ratio1)
         H_prime = kernel.apply(_omega2_ratio(
             om2, G, "inner integral G",
-            " (kernel columns lack support against omega1)"))
+            " (kernel columns lack support against omega1)", omega2_support))
     return H_prime, G
 
 
@@ -289,10 +299,12 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
 
 
 def _support_sup(K: np.ndarray, A: np.ndarray, steps: List[StepRecord]) -> float:
+    """max K over the omega1 support A; raises unless it is positive, which
+    a NaN there also fails."""
     s = float(K[A].max())
-    if s <= 0:
-        raise NonConvergenceError("iterate collapsed to zero on the omega1 support",
-                                  steps)
+    if not s > 0:
+        raise NonConvergenceError("iterate collapsed to zero or NaN on the omega1 "
+                                  "support", steps)
     return s
 
 
@@ -311,10 +323,11 @@ class _AndersonMixer:
         """The input after u, whose image is g (u is overwritten): the
         extrapolation g - sum_j gamma_j (g - g_j), with gamma the
         least-squares fit of the residual f = g - u by the differences
-        f - f_j over the history, from the m x m normal equations.  None
-        asks for the plain input g: with no history, a singular or
-        non-finite fit, or a residual whose Hilbert norm max - min of f
-        exceeds the least seen so far, which also clears the history."""
+        f - f_j over the history (_fit).  None asks for the plain input g:
+        with no history, a singular or non-finite fit, a residual whose
+        Hilbert norm max - min of f exceeds the least seen so far, which also
+        clears the history, or one below eps * max|g|, where the fit would
+        read only the rounding of g."""
         m = self.hist.shape[1]
         if m == 0:
             return None
@@ -325,21 +338,18 @@ class _AndersonMixer:
             self.held = 0
         else:
             self.best = norm
-            if self.held:
+            if self.held and norm >= EPS * max(float(g.max()), -float(g.min())):
                 k = min(self.held, m)
                 # row by row: broadcast over all k rows at once, numpy
                 # allocates ufunc buffers the size of D beside it
                 D = np.empty((k, f.size))
                 for j in range(k):
                     np.subtract(f, self.hist[0, j], out=D[j])
-                try:
-                    gamma = np.linalg.solve(D @ D.T, D @ f)
-                except np.linalg.LinAlgError:
-                    gamma = np.full(k, math.nan)
-                if np.all(np.isfinite(gamma)):
+                gamma = _fit(D, f)
+                if gamma is not None:
                     for j in range(k):
                         np.subtract(g, self.hist[1, j], out=D[j])
-                    out = gamma @ D
+                    out = np.dot(gamma, D)
                     np.subtract(g, out, out=out)
                 else:
                     self.held = 0
@@ -347,6 +357,21 @@ class _AndersonMixer:
         self.hist[1, self.held % m] = g
         self.held += 1
         return out
+
+
+def _fit(D: np.ndarray, f: np.ndarray) -> Optional[List[float]]:
+    """gamma minimizing |f - sum_j gamma_j D_j| over the k <= 2 rows D_j of
+    D, or None if the normal equations are singular or gamma is not finite.
+    They are solved in closed form, without np.linalg.solve's ~9 us a call."""
+    M, r = (D @ D.T).tolist(), (D @ f).tolist()
+    if len(r) == 1:
+        gamma = [r[0] / M[0][0]] if M[0][0] else None
+    else:
+        (a, b), (_, c) = M
+        det = a * c - b * b
+        gamma = None if not det else [(c * r[0] - b * r[1]) / det,
+                                      (a * r[1] - b * r[0]) / det]
+    return gamma if gamma is not None and all(map(math.isfinite, gamma)) else None
 
 
 def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
@@ -373,15 +398,18 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     and the history alone.
     """
     om1 = marginals.omega1.values
-    A = om1 > 0
+    A, B = om1 > 0, marginals.omega2.values > 0
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, A, steps) if normalize else K0, FLOOR_FREEZE)
     del K0
     for r in range(1, REFINE_MAX + 1):
+        # the input is floored, so only a NaN can leave it non-positive; this
+        # is omega_map's check on H, taken once per step
+        _support_sup(K, A, steps)
         with np.errstate(over="ignore", under="ignore"):
             ratio1 = _support_ratio(om1, K, A)
-        Kn = omega_map(K, kernel, marginals, ratio1=ratio1)[0]
+        Kn = omega_map(K, kernel, marginals, ratio1=ratio1, omega2_support=B)[0]
         s = _support_sup(Kn, A, steps) if normalize else 1.0
         Kn /= s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
@@ -410,7 +438,8 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     Refuses instances whose feasibility report fails hard checks or whose
     integrability estimate looks divergent, unless opts.force is set.  One
     StepRecord per step is attached to the solution (and to the
-    NonConvergenceError when the iteration cap is hit); a step's arrays are
+    NonConvergenceError when the iteration cap is hit: the scheme hands over
+    by n = 2, so only opts.max_iter = 1 stops it); a step's arrays are
     dropped once the next step exists, and the scheme's last ones once the
     closing phase has formed its first input.
     """
@@ -433,20 +462,15 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     mass2 = _target_mass(kernel, marginals)
     steps: List[StepRecord] = []
     state: Optional[IterationState] = None
-    mode = None
-    for n in range(1, opts.max_iter + 1):
+    for n0 in range(1, min(opts.max_iter, 2) + 1):
         state = fortet_step(state, kernel, marginals, mass2)
-        steps.append(StepRecord(n, "scheme", state.diagnostics))
+        steps.append(StepRecord(n0, "scheme", state.diagnostics))
         if float(state.H_prime.max()) < DEGENERATE_EPS:
             return _finish_degenerate(state, steps)
-        d = state.diagnostics
-        if d["case1_candidate"]:
-            mode, n0 = "case1", n
+        mode = "case1" if state.diagnostics["case1_candidate"] else "case2"
+        if mode == "case1" or n0 == 2:
             break
-        if n >= 2 and (d["hilbert_step"] < RAY_TOL or d["sup_change"] < opts.tol):
-            mode, n0 = "case2", n
-            break
-    if mode is None:
+    else:
         raise NonConvergenceError(
             f"no termination case triggered within max_iter={opts.max_iter}", steps)
 

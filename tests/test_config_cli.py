@@ -204,13 +204,14 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["solve", "interpolate", "compare"])
     def test_solve_iteration_cap_exits_3_with_trace(self, tmp_path, command):
-        raw = dict(BENCH_RAW, solver={"max_iter": 3})
+        # the scheme hands over at n = 2, so only a cap of 1 stops it
+        raw = dict(BENCH_RAW, solver={"max_iter": 1})
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "run"
         code = main([command, "--config", str(cfg), "--output", str(out)])
         assert code == 3
         trace = read_csv(out / "trace.csv")
-        assert len(trace) == 1 + 3
+        assert len(trace) == 1 + 1
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
     def test_interpolate_writes_time_slices(self, tmp_path):
@@ -312,31 +313,23 @@ def _solve_counting_applies(raw, tmp_path, monkeypatch):
     return solution, len(calls)
 
 
-def test_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
-    # the 401-point criterion-1 instance: 10 scheme and 17 closing steps of
-    # two applies each, one apply in the feasibility report, one in the
-    # extraction and the coupling's two
-    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401))
-    solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
-    assert (solution.iterations, solution.refine_steps) == (10, 17)
-    assert calls == 2 * (10 + 17) + 4
-
-
-def test_2d_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
+@pytest.mark.parametrize("raw, scheme, closing, applies", [
+    # the 401-point criterion-1 instance
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401)), 2, 17, 42),
     # the criterion-1 scales on the 41 x 41 grid
-    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41))
-    solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
-    assert (solution.iterations, solution.refine_steps) == (10, 19)
-    assert calls == 2 * (10 + 19) + 4
-
-
-def test_swap_solve_makes_two_applies_per_step_and_four_more(tmp_path, monkeypatch):
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41)), 2, 20, 48),
     # the criterion-2 post-swap instance on the 401-point radius-8 grid: the
     # Anderson step adds no apply to a closing step (the plain map took 642)
-    raw = dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401}, swap=True)
+    (dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401}, swap=True),
+     2, 100, 208),
+], ids=["gauss1d", "gauss2d", "swap"])
+def test_solve_makes_two_applies_per_step_and_four_more(raw, scheme, closing, applies,
+                                                        tmp_path, monkeypatch):
+    # two applies per scheme and closing step, one in the feasibility
+    # report, one in the extraction and the coupling's two
     solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
-    assert (solution.iterations, solution.refine_steps) == (11, 91)
-    assert calls == 2 * (11 + 91) + 4
+    assert (solution.iterations, solution.refine_steps) == (scheme, closing)
+    assert calls == 2 * (scheme + closing) + 4 == applies
 
 
 def test_package_and_cli_load_no_scipy():
@@ -420,6 +413,20 @@ def test_trace_and_potentials_writers_match_csv_module(tmp_path):
                    ([s.n] + [float(s.diagnostics.get(c, math.nan)) for c in cli.TRACE_COLUMNS[1:4]]
                     + [bool(s.diagnostics.get("case1_candidate", False))] for s in steps))
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dim, points", [(1, 401), (2, 41), (3, 21)])
+def test_mesh_coordinates_match_the_node_columns(tmp_path, dim, points):
+    # each axis value formatted once gives the bytes of the node array's
+    # columns, which the writer formats node by node
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    values = np.random.default_rng(9).uniform(0.0, 1.0, grid.n_nodes)
+    headers, coords = cli._coordinates(grid)
+    cli._write_potentials(tmp_path / "p.csv", grid, [("phi", values)])
+    cli._write_csv(tmp_path / "ref.csv", headers + ["phi"],
+                   [list(grid.nodes.reshape(grid.n_nodes, dim).T) + [values]])
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert all(len(c) == grid.n_nodes for c in coords)
 
 
 def test_interpolation_csv_matches_csv_module(tmp_path):

@@ -183,8 +183,9 @@ def swap_solution(swap_instance):
 def test_closing_steps_floor_at_freeze(which, request, monkeypatch):
     # every closing input is floored at FLOOR_FREEZE, and a step whose
     # Anderson extrapolation the safeguard rejects (the residual's Hilbert
-    # norm exceeds the least so far) takes the floored image; a run keeps no
-    # arrays, so they are read where each step's diagnostics are
+    # norm exceeds the least so far, or sits at the rounding floor) takes
+    # the floored image; a run keeps no arrays, so they are read where each
+    # step's diagnostics are
     sol = request.getfixturevalue(which)
     seen = []
     step_record = fortet._step_record
@@ -209,11 +210,15 @@ def test_closing_steps_floor_at_freeze(which, request, monkeypatch):
     best, rejected, extrapolated = math.inf, 0, 0
     for r, ((prev_H, prev_image), (cur_H, _)) in enumerate(zip(closing, closing[1:])):
         plain = np.maximum(prev_image, FLOOR_FREEZE)
-        f = np.log(plain[A]) - np.log(prev_H[A])
+        g = np.log(plain[A])
+        f = g - np.log(prev_H[A])
         norm = float(f.max() - f.min())
         if r == 0 or norm > best:
             assert np.array_equal(cur_H, plain)
             rejected += r > 0
+        elif norm < np.finfo(float).eps * np.max(np.abs(g)):
+            # at the rounding floor: the plain input
+            assert np.array_equal(cur_H, plain)
         else:
             extrapolated += not np.array_equal(cur_H, plain)
         best = min(best, norm)
@@ -355,8 +360,9 @@ def test_solve_holds_a_fixed_working_set(points, dim):
     assert peak <= 12 * 8 * grid.n_nodes
 
 
-#: s1_resid of a solve that ran the scheme to n ~ 100 (RAY_TOL = 1e-2) and
-#: stopped its closing at tol, on the benchmark and the swap instance
+#: s1_resid of a solve that ran the scheme to n ~ 100 (it handed over once its
+#: Hilbert step fell below 1e-2) and stopped its closing at tol, on the
+#: benchmark and the swap instance
 FULL_SCHEME_S1_RESID = {1e-13: (1.1102230246251565e-16, 2.0623283634177433e-07),
                         1e-14: (1.1102230246251565e-16, 2.0623283634177433e-07),
                         1e-15: (1.1102230246251565e-16, 2.0623283634177433e-07)}
@@ -375,16 +381,75 @@ def test_tight_tolerances_converge_with_no_larger_residual(tol, bench_kernel,
         assert sol.residuals["s1_resid"] <= before
 
 
-def test_early_handover_retags_no_random_instance(monkeypatch):
-    # a case 1 that fires at n0 between 1/RAY_TOL and 100 would now be
-    # tagged case 2; criterion 3's generator holds none
+def test_swap_converges_at_the_rounding_floor(swap_instance):
+    # below eps * max|log K| the closing takes plain steps: the Anderson fit
+    # would read rounding noise, and it had cycled there without converging
+    # from an n = 2 hand-over.  A hand-over at n ~ 10 took 307 closing steps
+    for tol in (1e-14, 1e-15):
+        sol = run_fortet(*swap_instance, FortetOptions(tol=tol))
+        assert (sol.case_tag, sol.iterations) == ("case2", 2)
+        assert sol.refine_steps < 307
+
+
+def test_early_handover_retags_no_random_instance():
+    # a case 1 that fires at n0 > 2 would now be tagged case 2; criterion 3's
+    # generator holds none: a hand-over at a Hilbert step below 1e-2 (n ~
+    # 100) tagged all 200 instances case 2
+    tags = [run_fortet(kernel, marginals, FortetOptions(force=True)).case_tag
+            for kernel, marginals in random_instances(2024, 200, 64)]
+    assert tags == ["case2"] * 200
+
+
+def test_second_scheme_step_obeys_the_birkhoff_bound(bench_kernel, bench_marginals,
+                                                     swap_instance):
+    # the fact the n = 2 hand-over rests on: H_1 = 1 and 1/2 <= H_2 <= 1, so
+    # d_H(H_2, H_1) <= log 2, and Omega does not expand the Hilbert metric.
+    # Criterion 3's instances and the three benchmark instances
+    grid2 = build_grid(dim=2, radius=8.0, points_per_axis=41)
+    gauss2d = (gaussian_kernel(grid2, grid2, 0.5),
+               MarginalPair(gaussian_density(grid2, 1.0), gaussian_density(grid2, 0.8)))
     instances = list(random_instances(2024, 200, 64))
-    tags = []
-    for ray_tol in (1e-2, fortet.RAY_TOL):
-        monkeypatch.setattr(fortet, "RAY_TOL", ray_tol)
-        tags.append([run_fortet(kernel, marginals, FortetOptions(force=True)).case_tag
-                     for kernel, marginals in instances])
-    assert tags[0] == tags[1]
+    instances += [(bench_kernel, bench_marginals), gauss2d, swap_instance]
+    for kernel, marginals in instances:
+        state = fortet_step(fortet_step(None, kernel, marginals), kernel, marginals)
+        assert state.diagnostics["hilbert_step"] <= math.log(2.0) + 1e-12
+
+
+def _extrapolation_reference(D_f, D_g, f, g):
+    gamma = np.linalg.lstsq(D_f.T, f, rcond=None)[0]
+    return g - gamma @ D_g
+
+
+def test_mixer_takes_the_plain_input_at_the_rounding_floor():
+    rng = np.random.default_rng(11)
+    n = 50
+    g0, g1, g2 = (rng.uniform(-30.0, 0.0, n) for _ in range(3))
+    # residuals whose Hilbert norm falls step by step: no safeguard clears
+    us = [g - rng.normal(0.0, scale, n) for g, scale in zip((g0, g1, g2),
+                                                          (1e-3, 5e-4, 2.5e-4))]
+    # the residuals as the mixer forms them, f = g - u
+    f0, f1, f2 = (g - u for g, u in zip((g0, g1, g2), us))
+    mixer = fortet._AndersonMixer(2, n)
+    assert mixer.next_input(us[0].copy(), g0.copy()) is None
+    # above the floor: the least-squares extrapolation over the history
+    out = mixer.next_input(us[1].copy(), g1.copy())
+    ref = _extrapolation_reference(np.array([f1 - f0]), np.array([g1 - g0]), f1, g1)
+    assert np.max(np.abs(out - ref)) < 1e-12
+    out = mixer.next_input(us[2].copy(), g2.copy())
+    ref = _extrapolation_reference(np.array([f2 - f0, f2 - f1]),
+                                   np.array([g2 - g0, g2 - g1]), f2, g2)
+    assert np.max(np.abs(out - ref)) < 1e-12
+    # a residual of one ulp of max|g| asks for the plain input, and still
+    # enters the history and the least norm seen
+    u3 = g2.copy()
+    i = int(np.argmax(np.abs(g2)))
+    u3[i] = np.nextafter(g2[i], 0.0)
+    norm = float(np.abs(g2[i] - u3[i]))
+    assert 0.0 < norm < np.finfo(float).eps * np.max(np.abs(g2))
+    held = mixer.held
+    assert mixer.next_input(u3, g2.copy()) is None
+    assert mixer.held == held + 1
+    assert mixer.best == norm
 
 
 def test_swap_solve_warns_once_with_dropped_count(swap_solution):
@@ -508,8 +573,18 @@ def test_verify_uniqueness_reads_rays_beyond_float_range(bench_solution,
 
 def test_nonconvergence_carries_trace(bench_kernel, bench_marginals):
     with pytest.raises(NonConvergenceError) as err:
-        run_fortet(bench_kernel, bench_marginals, FortetOptions(max_iter=3))
-    assert len(err.value.trace) == 3
+        run_fortet(bench_kernel, bench_marginals, FortetOptions(max_iter=1))
+    assert len(err.value.trace) == 1
+
+
+def test_closing_refuses_a_nan_iterate(bench_kernel, bench_marginals, monkeypatch):
+    # the closing checks its input once per step, in place of omega_map: a
+    # NaN input would map to a finite image, because a NaN G reads as 1
+    monkeypatch.setattr(fortet._AndersonMixer, "next_input",
+                        lambda self, u, g: np.full_like(g, math.nan))
+    with pytest.raises(NonConvergenceError, match="NaN") as err:
+        run_fortet(bench_kernel, bench_marginals)
+    assert [s.phase for s in err.value.trace] == ["scheme", "scheme", "closing"]
 
 
 def test_feasibility_gate_refuses_divergent_orientation(bench_grid):
