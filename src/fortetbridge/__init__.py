@@ -36,7 +36,6 @@ _EXPORTS = {
     "FortetOptions": "fortet", "FortetSolution": "fortet",
     "IterationState": "fortet", "StepRecord": "fortet",
     "omega_map": "fortet", "fortet_step": "fortet", "run_fortet": "fortet",
-    "extract_potentials": "fortet", "verify_system": "fortet",
     "verify_uniqueness": "fortet",
     # scaling baseline
     "ScalingPair": "sinkhorn", "run_sinkhorn": "sinkhorn",

@@ -173,7 +173,8 @@ def _solution_payload(problem, solution, kl) -> dict:
         "problem_hash": problem.problem_hash,
         "config": problem.config,
         "case_tag": solution.case_tag,
-        "trigger_iteration": solution.trigger_iteration,
+        # the scheme hands over where its case fires
+        "trigger_iteration": solution.iterations,
         "iterations": solution.iterations,
         "refine_steps": solution.refine_steps,
         "residuals": dict(solution.residuals),

@@ -15,14 +15,22 @@ The truncated scheme iterates H_n = max(H''_{n-1}, 1/n), H'_n = Omega(H_n),
 H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes terminate it:
 
 * case 1 - at some finite n0 the iterate satisfies H'_{n0} <= 1 everywhere
-  on the support of omega1; the limit is then reached by dropping the 1/n
-  floor to FLOOR_FREEZE and iterating the map to stationarity.
+  on the support of omega1.
 * case 2 - the iterate's sup stays above 1 but the underlying ray
   converges.  The scheme's own scale creep from the min(1, .) cap decays
   only algebraically, so no pointwise-change threshold can fire in
   reasonable time; the scheme hands over at n = 2, its first step with a
-  Hilbert step, and closes with the same map iteration projected to sup = 1
-  on the support of omega1 (the scale the capped scheme approaches).
+  Hilbert step.
+
+Both cases close the same way: the 1/n floor drops to FLOOR_FREEZE and the
+map is iterated on the ray through sup = 1 over the omega1 support (the
+scale the capped scheme approaches) until its Hilbert step is below tol.
+Omega is positively homogeneous, so every point of a fixed ray solves the
+system.  In case 1 at n = 1 the sup-1 point is also the unscaled limit to
+rounding: Int (omega1 / H) Omega(H) = Int omega2 for every H, so for
+unit-mass marginals the omega1-weighted mean of Omega(1) is 1, and
+sup_A Omega(1) lies in [1, 1 + CASE1_EPS]; the rescale moves h by at most
+1e-12 relative.
 
 From n = 2 on the scheme's Hilbert step is just its 1/n floor moving, which
 most of the omega1 support sits on.  H_1 = 1 is constant and H_2 lies
@@ -134,9 +142,6 @@ class FortetSolution:
 
     h: Optional[np.ndarray]
     case_tag: str                       # "case1" | "case2" | "degenerate"
-    trigger_iteration: int              # scheme iteration where the case fired
-    iterations: int                     # scheme iterations run (= trigger)
-    refine_steps: int                   # closing-phase steps after the trigger
     coupling: Optional[bridge.Coupling]
     warnings: Tuple[str, ...] = ()
     steps: Tuple[StepRecord, ...] = ()
@@ -150,6 +155,16 @@ class FortetSolution:
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
+
+    @property
+    def iterations(self) -> int:
+        """Scheme steps run; the last is where the case fired."""
+        return sum(s.phase == "scheme" for s in self.steps)
+
+    @property
+    def refine_steps(self) -> int:
+        """Closing-phase steps after the scheme."""
+        return len(self.steps) - self.iterations
 
     @property
     def phi(self) -> Optional[np.ndarray]:
@@ -213,12 +228,13 @@ def _omega2_ratio(om2: np.ndarray, G: np.ndarray, integral: str,
 
 def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
               ratio1: Optional[np.ndarray] = None,
-              omega2_support: Optional[np.ndarray] = None):
-    """One application of the fixed-point map; returns (H_prime, G_of_H).
+              omega2_support: Optional[np.ndarray] = None) -> np.ndarray:
+    """One application of the fixed-point map, H_prime = Omega(H).
 
-    G is computed first for every y-node and reused; nodes where omega1 = 0
-    contribute nothing to G no matter what H holds there, and nodes where
-    omega2 = 0 contribute nothing to H_prime.  ratio1 is omega1 / H on the
+    G is computed first for every y-node and freed before the outer
+    integral; nodes where omega1 = 0 contribute nothing to G no matter what
+    H holds there, and nodes where omega2 = 0 contribute nothing to
+    H_prime.  ratio1 is omega1 / H on the
     omega1 support and 0 off it (_support_ratio); a caller that records the
     step forms it once and passes it here.  H must be positive wherever
     omega1 is.  That is checked here unless the caller passes ratio1 with
@@ -235,10 +251,11 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
             if ratio1 is None:
                 ratio1 = _support_ratio(om1, Hv, A)
         G = kernel.apply_T(ratio1)
-        H_prime = kernel.apply(_omega2_ratio(
-            om2, G, "inner integral G",
-            " (kernel columns lack support against omega1)", omega2_support))
-    return H_prime, G
+        ratio2 = _omega2_ratio(om2, G, "inner integral G",
+                               " (kernel columns lack support against omega1)",
+                               omega2_support)
+        del G
+        return kernel.apply(ratio2)
 
 
 def _target_mass(kernel: KernelOperator, marginals: MarginalPair) -> float:
@@ -292,7 +309,7 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
         H = np.maximum(state.H_dprime, 1.0 / n)
     with np.errstate(over="ignore", under="ignore"):
         ratio1 = _support_ratio(om1, H, A)
-    H_prime, _ = omega_map(H, kernel, marginals, ratio1=ratio1)
+    H_prime = omega_map(H, kernel, marginals, ratio1=ratio1)
     return IterationState(n, H, H_prime, _step_record(
         ratio1, H_prime, prev, A, kernel,
         bool((H_prime[A] <= 1.0 + CASE1_EPS).all()), mass2))
@@ -375,21 +392,21 @@ def _fit(D: np.ndarray, f: np.ndarray) -> Optional[List[float]]:
 
 
 def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
-                       marginals: MarginalPair, tol: float, n0: int, normalize: bool,
-                       mass2: float, steps: List[StepRecord]) -> Tuple[np.ndarray, int]:
-    """Fixed-point iteration of Omega, with a safeguarded Anderson step.
+                       marginals: MarginalPair, tol: float, n0: int,
+                       mass2: float, steps: List[StepRecord]) -> np.ndarray:
+    """Fixed-point iteration of Omega on the sup-1 ray, with a safeguarded
+    Anderson step.
 
-    Each step maps its input K >= FLOOR_FREEZE to T(K) = Omega(K), in the
-    ray-converged regime rescaled to sup = 1 over the omega1 support, and
-    stops once d_H(T(K), K) (sup |T(K) - K| in case 1) is below tol; T(K)
-    is returned, so it is a fixed point to that tolerance.  The Hilbert step
-    is taken over nodes clearly above the floor: nodes pinned at the floor
-    hold values below float range in exact arithmetic and never stabilize
-    bitwise.
+    Each step maps its input K >= FLOOR_FREEZE to T(K) = Omega(K) rescaled
+    to sup = 1 over the omega1 support, in either case (module docstring),
+    and stops once d_H(T(K), K) is below tol; T(K) is returned, so it is a
+    fixed point to that tolerance.  The Hilbert step is taken over nodes
+    clearly above the floor: nodes pinned at the floor hold values below
+    float range in exact arithmetic and never stabilize bitwise.
 
     The next input is max(T(K), FLOOR_FREEZE), except on the omega1 support
     where the Anderson mixer extrapolates the log-iterate u = log K from
-    the last ANDERSON_M steps (rescaled to sup 1 in case 2, and floored).
+    the last ANDERSON_M steps (rescaled to sup 1, and floored).
 
     start holds the scheme's last image, from which the first input is
     formed; it is taken out of the list and freed once that input exists.
@@ -401,7 +418,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     A, B = om1 > 0, marginals.omega2.values > 0
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
-    K = np.maximum(K0 / _support_sup(K0, A, steps) if normalize else K0, FLOOR_FREEZE)
+    K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
     del K0
     for r in range(1, REFINE_MAX + 1):
         # the input is floored, so only a NaN can leave it non-positive; this
@@ -409,22 +426,21 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
         _support_sup(K, A, steps)
         with np.errstate(over="ignore", under="ignore"):
             ratio1 = _support_ratio(om1, K, A)
-        Kn = omega_map(K, kernel, marginals, ratio1=ratio1, omega2_support=B)[0]
-        s = _support_sup(Kn, A, steps) if normalize else 1.0
+        Kn = omega_map(K, kernel, marginals, ratio1=ratio1, omega2_support=B)
+        s = _support_sup(Kn, A, steps)
         Kn /= s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
         d = _step_record(ratio1, Kn, K, conv_mask, kernel, False, mass2, s)
         steps.append(StepRecord(n0 + r, "closing", d))
-        if (d["hilbert_step"] if normalize else d["sup_change"]) < tol:
-            return Kn, r
+        if d["hilbert_step"] < tol:
+            return Kn
         del ratio1, conv_mask  # spent on the record
         u = np.log(K[A])
         K = np.maximum(Kn, FLOOR_FREEZE)
         del Kn
         u = mixer.next_input(u, np.log(K[A]))
         if u is not None:
-            if normalize:
-                u -= u.max()
+            u -= u.max()
             K[A] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
         del u
     raise NonConvergenceError(
@@ -462,48 +478,42 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     mass2 = _target_mass(kernel, marginals)
     steps: List[StepRecord] = []
     state: Optional[IterationState] = None
-    for n0 in range(1, min(opts.max_iter, 2) + 1):
+    for n0 in (1, 2):
+        if n0 > opts.max_iter:
+            raise NonConvergenceError(
+                f"no termination case triggered within max_iter={opts.max_iter}", steps)
         state = fortet_step(state, kernel, marginals, mass2)
         steps.append(StepRecord(n0, "scheme", state.diagnostics))
         if float(state.H_prime.max()) < DEGENERATE_EPS:
-            return _finish_degenerate(state, steps)
-        mode = "case1" if state.diagnostics["case1_candidate"] else "case2"
-        if mode == "case1" or n0 == 2:
+            return FortetSolution(h=state.H_prime, case_tag="degenerate", coupling=None,
+                                  warnings=("iterate collapsed below the degeneracy "
+                                            "threshold; no potentials extracted",),
+                                  steps=tuple(steps))
+        case1 = state.diagnostics["case1_candidate"]
+        if case1:
             break
-    else:
-        raise NonConvergenceError(
-            f"no termination case triggered within max_iter={opts.max_iter}", steps)
 
     closing_tol = max(opts.tol / 10, min(opts.tol, CLOSING_TOL_FLOOR))
     # the closing takes H'_{n0} out of this list, so that no reference here
     # keeps the scheme's last arrays alive through the closing phase
     start = [state.H_prime]
     del state
-    K, refine_steps = _closing_iteration(start, kernel, marginals, closing_tol,
-                                         n0, normalize=(mode == "case2"),
-                                         mass2=mass2, steps=steps)
+    K = _closing_iteration(start, kernel, marginals, closing_tol, n0, mass2, steps)
     over = float(K.max()) - 1.0
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
                 "(outside the omega1 support)"] if over > CASE1_EPS else []
     h = np.minimum(K, 1.0)
     phi, psi, extract_warn = _extract_with_warnings(h, kernel, marginals)
-    return FortetSolution(h=h, case_tag=mode, trigger_iteration=n0,
-                          iterations=n0, refine_steps=refine_steps,
+    return FortetSolution(h=h, case_tag="case1" if case1 else "case2",
                           coupling=bridge.build_coupling(phi, psi, kernel, marginals),
                           warnings=tuple(warnings + extract_warn), steps=tuple(steps))
 
 
-def _finish_degenerate(state: IterationState, steps: List[StepRecord]) -> FortetSolution:
-    return FortetSolution(h=state.H_prime, case_tag="degenerate",
-                          trigger_iteration=state.n, iterations=state.n,
-                          refine_steps=0, coupling=None,
-                          warnings=("iterate collapsed below the degeneracy "
-                                    "threshold; no potentials extracted",),
-                          steps=tuple(steps))
-
-
 def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
                            marginals: MarginalPair):
+    """(phi, psi, warnings): phi = omega1 / h on the omega1 support (0 off
+    it and where h underflowed), psi = omega2 / (g * phi); KernelSupportError
+    when that denominator vanishes where omega2 > 0."""
     om1 = marginals.omega1.values
     om2 = marginals.omega2.values
     A = om1 > 0
@@ -518,28 +528,6 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
                 "underflowed; residuals there are meaningless"] if dropped else []
     psi = _omega2_ratio(om2, kernel.apply_T(phi), "integral of g*phi")
     return phi, psi, warnings
-
-
-def extract_potentials(h, kernel: KernelOperator,
-                       marginals: MarginalPair) -> Tuple[np.ndarray, np.ndarray]:
-    """(phi, psi): phi = omega1/h on the omega1 support (0 off it), psi =
-    omega2 / (g*phi).
-
-    Raises KernelSupportError when the psi denominator vanishes against a
-    positive omega2 node.
-    """
-    hv = np.asarray(h, dtype=float)
-    A = marginals.omega1.values > 0
-    if np.any(hv[A] <= 0):
-        raise FortetBridgeError("extract_potentials needs h > 0 on the omega1 support")
-    phi, psi, _ = _extract_with_warnings(hv, kernel, marginals)
-    return phi, psi
-
-
-def verify_system(phi, psi, kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, float]:
-    """Sup-norm residuals of the two marginal equations; pure check."""
-    c = bridge.Coupling(phi, psi, kernel, marginals)
-    return {"s1_resid": c.row_marginal_resid, "s2_resid": c.col_marginal_resid}
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ convergence diagnostics for both iterative solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -76,16 +77,20 @@ def projective_diameter(matrix) -> ProjectiveDiameter:
 
 @dataclass(frozen=True)
 class ContractionBound:
-    ratio: float          # tanh(diam/4), or 1.0 when no guarantee exists
+    ratio: float          # tanh(diam/4), or 1.0 when the diameter is infinite
     diameter: float
-    guaranteed: bool      # False <=> diameter infinite ("no-contraction-guarantee")
+    guaranteed: bool      # the diameter is finite and exact; a sampled one is
+                          # a lower bound, and so is its ratio
+
+    @classmethod
+    def of(cls, diam: ProjectiveDiameter) -> "ContractionBound":
+        if not diam.finite:
+            return cls(1.0, diam.value, guaranteed=False)
+        return cls(math.tanh(diam.value / 4.0), diam.value, guaranteed=diam.exact)
 
 
 def birkhoff_contraction(matrix) -> ContractionBound:
-    diam = projective_diameter(matrix)
-    if not diam.finite:
-        return ContractionBound(1.0, diam.value, guaranteed=False)
-    return ContractionBound(float(np.tanh(diam.value / 4.0)), diam.value, guaranteed=True)
+    return ContractionBound.of(projective_diameter(matrix))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import KernelSupportError, NonConvergenceError
-from .hilbert import ProjectiveDiameter, projective_diameter
+from .hilbert import ContractionBound, ProjectiveDiameter, projective_diameter
 from .problem import KernelOperator, MarginalPair
 
 #: a sweep that leaves |log u| or |log v| above this folds both scalings
@@ -43,7 +43,6 @@ class ScalingPair:
     log_u: np.ndarray
     log_v: np.ndarray
     iterations: int
-    final_change: float
     hilbert_steps: Tuple[float, ...]
 
     def __post_init__(self):
@@ -123,7 +122,7 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
                 steps.append(math.inf if math.isnan(step) else step)
         prev = logs
         if change < tol:
-            return ScalingPair(*_on_ray(u, v, a, b, m1), it, change, tuple(steps))
+            return ScalingPair(*_on_ray(u, v, a, b, m1), it, tuple(steps))
         if max(float(np.max(np.abs(x))) for x in logs) > ABSORB_LOG:
             if log_kernel is None:
                 log_kernel = kernel.log_values
@@ -140,10 +139,11 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
 class HilbertTrace:
     """Successive step sizes d_H(u_k, u_{k+1}) of the u-iterates on the
     omega1 support, their consecutive ratios, and the Birkhoff bound
-    tanh(max(diam_rows, diam_cols)/4) that dominates the ratios when the
-    diameters are finite (one full sweep composes two kernel applications,
-    each a tanh(diam/4)-contraction).  The two diameters are kept for
-    callers that report them."""
+    tanh(max(diam_rows, diam_cols)/4), guaranteed to dominate the ratios
+    when both diameters are finite and exact (one full sweep composes two
+    kernel applications, each a tanh(diam/4)-contraction;
+    ContractionBound.of).  The two diameters are kept for callers that
+    report them."""
 
     distances: Tuple[float, ...]
     ratios: Tuple[float, ...]
@@ -172,10 +172,7 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
             ratios.append(b / a)
     d_col = projective_diameter(kernel.values)
     d_row = projective_diameter(kernel.values.T)
-    worst = max(d_col.value, d_row.value)
-    if math.isfinite(worst):
-        bound, guaranteed = math.tanh(worst / 4.0), d_col.exact and d_row.exact
-    else:
-        bound, guaranteed = 1.0, False
-    return HilbertTrace(distances, tuple(ratios), bound,
-                        guaranteed, pair.iterations, d_col, d_row)
+    c = ContractionBound.of(ProjectiveDiameter(max(d_col.value, d_row.value),
+                                               d_col.exact and d_row.exact))
+    return HilbertTrace(distances, tuple(ratios), c.ratio,
+                        c.guaranteed, pair.iterations, d_col, d_row)

@@ -184,7 +184,7 @@ def test_criterion_5_hilbert_diagnostics(bench_kernel, bench_marginals):
     samples = [np.exp(0.5 * rng.normal(size=bench_kernel.grid1.n_nodes))
                for _ in range(6)]
     check = homogeneous_map_contraction_check(
-        lambda H: omega_map(H, bench_kernel, bench_marginals)[0],
+        lambda H: omega_map(H, bench_kernel, bench_marginals),
         1.0, samples)
     assert check.passed, check
 
@@ -228,7 +228,7 @@ def test_criterion_7_trivial_and_degenerate_cases(bench_grid):
     trivial = run_fortet(transition, pushed, FortetOptions(force=True))
     trivial_dev = float(np.max(np.abs(trivial.h - 1.0)))
     assert trivial.case_tag == "case1"
-    assert trivial.trigger_iteration == 1
+    assert trivial.iterations == 1
     assert trivial_dev < TRIVIAL_H_TOL
 
     shaped = gaussian_density(bench_grid, 0.8).values * 1e-16

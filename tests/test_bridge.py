@@ -9,8 +9,7 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           density_field, entropic_interpolation,
                           gaussian_density, gaussian_kernel, gaussian_oracle,
                           kl_objective, prior_coupling, pushforward,
-                          run_fortet, run_sinkhorn, table_kernel,
-                          verify_system)
+                          run_fortet, run_sinkhorn, table_kernel)
 from fortetbridge.config import build_problem, resolve_config
 from fortetbridge.errors import FortetBridgeError, InfeasibleParametersError
 from tests.conftest import random_instance
@@ -137,11 +136,11 @@ class TestGaussianOracle:
         # quadrature system at machine precision: the truncated tails carry
         # ~1e-26 of the defining integrals.
         oracle = gaussian_oracle(0.5, 1.0, 0.8)
-        res = verify_system(oracle.phi(bench_grid.nodes),
-                            oracle.psi(bench_grid.nodes),
-                            bench_kernel, bench_marginals)
-        assert res["s1_resid"] < 1e-13
-        assert res["s2_resid"] < 1e-13
+        c = build_coupling(oracle.phi(bench_grid.nodes),
+                           oracle.psi(bench_grid.nodes),
+                           bench_kernel, bench_marginals)
+        assert c.row_marginal_resid < 1e-13
+        assert c.col_marginal_resid < 1e-13
 
 
 class TestCoupling:

@@ -17,6 +17,7 @@ from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
 from fortetbridge.fortet import StepRecord
+from fortetbridge.problem import gaussian_kernel
 from fortetbridge.quadrature import build_grid
 from tests.conftest import traced_peak
 
@@ -110,6 +111,22 @@ class TestConfig:
         problem = load_problem(write_config(tmp_path, raw))
         assert problem.kernel.heat_sigma is None
         assert abs(problem.marginals.omega2.mass() - 1.0) < 1e-12
+
+    def test_multivariate_kernel_type_matches_the_heat_kernel(self):
+        # covariance 0.25 I is the heat kernel at sigma 0.5, to rounding
+        # relative to its peak
+        raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 3.0, "points": 21},
+                   kernel={"type": "gaussian_multivariate",
+                           "covariance": [[0.25, 0.0], [0.0, 0.25]]})
+        problem = build_problem(resolve_config(raw))
+        heat = gaussian_kernel(problem.grid, problem.grid, 0.5).values
+        assert np.max(np.abs(problem.kernel.values - heat)) <= 1e-14 * np.max(heat)
+
+    def test_normalize_kernel_rows_gives_unit_row_mass(self):
+        problem = build_problem(resolve_config(dict(BENCH_RAW,
+                                                    normalize_kernel_rows=True)))
+        ones = np.ones(problem.grid.n_nodes)
+        assert np.max(np.abs(problem.kernel.apply(ones) - 1.0)) <= 1e-14
 
     def test_wrong_table_shape_rejected(self, tmp_path):
         np.savetxt(tmp_path / "kernel.csv", np.ones((3, 3)), delimiter=",")
@@ -355,6 +372,12 @@ def test_package_and_cli_load_no_scipy():
                          capture_output=True, text=True, check=True)
     assert "usage: fortetbridge" in run.stdout
     assert run.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_every_exported_name_resolves():
+    # names load lazily, so a stale _EXPORTS entry fails only on first access
+    import fortetbridge
+    assert [n for n in fortetbridge.__all__ if not hasattr(fortetbridge, n)] == []
 
 
 def _csv_reference(path, headers, rows):

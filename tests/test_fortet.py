@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fortetbridge import (FortetOptions, MarginalPair, build_coupling,
-                          build_grid, density_field, extract_potentials,
-                          fortet_step,
+                          build_grid, density_field, fortet_step,
                           gaussian_density, gaussian_kernel, omega_map,
                           pushforward, run_fortet, table_kernel,
-                          transition_normalized, verify_system,
-                          verify_uniqueness)
+                          transition_normalized, verify_uniqueness)
 from fortetbridge import fortet
 from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
                                  KernelSupportError, NonConvergenceError)
@@ -41,16 +39,15 @@ def hand_instance():
 
 def test_omega_map_hand_case_exact():
     kernel, marginals = hand_instance()
-    H_prime, G = omega_map(np.ones(2), kernel, marginals)
-    assert np.array_equal(G, [0.75, 0.75])
-    assert np.array_equal(H_prime, [1.0, 1.0])
+    # G = 0.75 at both nodes, so H' = 1.5 * 0.5 / 0.75
+    assert np.array_equal(omega_map(np.ones(2), kernel, marginals), [1.0, 1.0])
 
 
 def test_omega_map_positively_homogeneous(bench_kernel, bench_marginals):
     rng = np.random.default_rng(1)
     H = rng.uniform(0.2, 3.0, size=bench_kernel.grid1.n_nodes)
-    base, _ = omega_map(H, bench_kernel, bench_marginals)
-    scaled, _ = omega_map(3.7 * H, bench_kernel, bench_marginals)
+    base = omega_map(H, bench_kernel, bench_marginals)
+    scaled = omega_map(3.7 * H, bench_kernel, bench_marginals)
     assert np.max(np.abs(scaled / (3.7 * base) - 1.0)) < 1e-12
 
 
@@ -58,10 +55,11 @@ def test_omega_map_fixes_constant_on_pushforward(bench_grid):
     kernel = transition_normalized(gaussian_kernel(bench_grid, bench_grid, 0.5))
     om1 = gaussian_density(bench_grid, 1.0)
     marginals = MarginalPair(om1, pushforward(kernel, om1))
-    H_prime, G = omega_map(np.ones(bench_grid.n_nodes), kernel, marginals)
+    H_prime = omega_map(np.ones(bench_grid.n_nodes), kernel, marginals)
     assert np.max(np.abs(H_prime - 1.0)) < 1e-10
-    # the inner integral reproduces the pushforward bitwise (same matmul)
-    assert np.array_equal(G, marginals.omega2.values)
+    # the inner integral at H = 1 reproduces the pushforward bitwise (same
+    # matmul)
+    assert np.array_equal(kernel.apply_T(om1.values), marginals.omega2.values)
 
 
 def test_omega_map_ignores_h_outside_omega1_support():
@@ -73,16 +71,15 @@ def test_omega_map_ignores_h_outside_omega1_support():
     marginals = MarginalPair(density_field(grid, om1_vals),
                              density_field(grid, rng.uniform(0.1, 1.0, 9)))
     H = np.ones(9)
-    ref, G_ref = omega_map(H, kernel, marginals)
+    ref = omega_map(H, kernel, marginals)
     # arbitrary junk where omega1 = 0, which the map never divides by
     for junk in (1e-30, 0.0, math.nan, math.inf, -1.0):
         H2 = H.copy()
         H2[[0, 4]] = junk
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out, G_out = omega_map(H2, kernel, marginals)
+            out = omega_map(H2, kernel, marginals)
         assert np.array_equal(ref, out)
-        assert np.array_equal(G_ref, G_out)
 
 
 def test_omega_map_zero_column_raises():
@@ -113,8 +110,8 @@ def test_omega_map_is_isotone_bitwise(us, vs):
     v = np.asarray(vs)
     h = np.minimum(u, v)
     k = np.maximum(u, v)
-    out_h, _ = omega_map(h, kernel, marginals)
-    out_k, _ = omega_map(k, kernel, marginals)
+    out_h = omega_map(h, kernel, marginals)
+    out_k = omega_map(k, kernel, marginals)
     assert np.all(out_h <= out_k)
 
 
@@ -149,7 +146,6 @@ def test_scheme_monotone_and_normalized(bench_kernel, bench_marginals):
 def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginals):
     sol = bench_solution
     assert sol.case_tag == "case2"
-    assert sol.iterations == sol.trigger_iteration
     assert len(sol.steps) == sol.iterations + sol.refine_steps
     assert sol.trace == ()
     assert np.all(sol.h > 0.0) and np.all(sol.h <= 1.0)
@@ -157,7 +153,7 @@ def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginal
     assert sol.residuals["s2_resid"] < RESID_TOL
     assert sol.residuals["marginal_resid"] < RESID_TOL
     # h is a fixed point of the map to near machine precision
-    image, _ = omega_map(sol.h, bench_kernel, bench_marginals)
+    image = omega_map(sol.h, bench_kernel, bench_marginals)
     mask = bench_marginals.omega1.values > 1e-12
     assert np.max(np.abs(image[mask] / sol.h[mask] - 1.0)) < 1e-10
     phases = [s.phase for s in sol.steps]
@@ -233,7 +229,7 @@ def _omega_map_reference(H, kernel, marginals):
     with np.errstate(all="ignore"):
         G = kernel.apply_T(np.where(om1 > 0, om1 / H, 0.0))
         ratio2 = np.where(om2 > 0, om2 / np.where(G > 0, G, 1.0), 0.0)
-        return kernel.apply(ratio2), G
+        return kernel.apply(ratio2)
 
 
 def _step_record_reference(H, H_prime, prev, mask, kernel, marginals,
@@ -262,7 +258,7 @@ def _hilbert_reference(a, b, mask):
 
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
 def test_map_and_step_record_match_the_where_expressions(which, request, monkeypatch):
-    # every step of a run, both phases: omega_map's (H', G) and the step's
+    # every step of a run, both phases: omega_map's H' and the step's
     # diagnostics are bitwise those of the reference expressions
     sol = request.getfixturevalue(which)
     kernel, marginals = sol.coupling.kernel, sol.coupling.marginals
@@ -270,9 +266,9 @@ def test_map_and_step_record_match_the_where_expressions(which, request, monkeyp
     omega, step_record = fortet.omega_map, fortet._step_record
 
     def mapping(H, *args, **kwargs):
-        H_prime, G = omega(H, *args, **kwargs)
-        maps.append((H.copy(), H_prime.copy(), G.copy()))
-        return H_prime, G
+        H_prime = omega(H, *args, **kwargs)
+        maps.append((H.copy(), H_prime.copy()))
+        return H_prime
 
     def recording(ratio1, H_prime, prev, mask, kernel, *args):
         d = step_record(ratio1, H_prime, prev, mask, kernel, *args)
@@ -284,9 +280,8 @@ def test_map_and_step_record_match_the_where_expressions(which, request, monkeyp
     monkeypatch.setattr(fortet, "_step_record", recording)
     run_fortet(kernel, marginals)
     assert len(maps) == len(records) == len(sol.steps)
-    for (H, image, G), (H_prime, prev, mask, args, d) in zip(maps, records):
-        ref_image, ref_G = _omega_map_reference(H, kernel, marginals)
-        assert np.array_equal(image, ref_image) and np.array_equal(G, ref_G)
+    for (H, image), (H_prime, prev, mask, args, d) in zip(maps, records):
+        assert np.array_equal(image, _omega_map_reference(H, kernel, marginals))
         ref = _step_record_reference(H, H_prime, prev, mask, kernel, marginals, *args)
         assert d.keys() == ref.keys()
         assert all(d[k] == ref[k] or (d[k] != d[k] and ref[k] != ref[k]) for k in d)
@@ -480,13 +475,18 @@ def test_phi_vanishes_exactly_off_support(bench_grid, bench_kernel):
     assert np.all(sol.phi[~off] > 0.0)
 
 
-def test_extract_potentials_validates():
+def test_extract_potentials_drops_nonpositive_h():
     kernel, marginals = hand_instance()
-    phi, psi = extract_potentials(np.array([1.0, 1.0]), kernel, marginals)
+    phi, psi, warned = fortet._extract_with_warnings(np.array([1.0, 1.0]),
+                                                     kernel, marginals)
     assert np.array_equal(phi, [0.5, 0.5])
     assert np.array_equal(psi, marginals.omega2.values / 0.75)
-    with pytest.raises(FortetBridgeError):
-        extract_potentials(np.array([0.0, 1.0]), kernel, marginals)
+    assert warned == []
+    # an h that underflowed to 0 on the support sets phi to 0 there
+    phi, _, warned = fortet._extract_with_warnings(np.array([0.0, 1.0]),
+                                                   kernel, marginals)
+    assert np.array_equal(phi, [0.0, 0.5])
+    assert len(warned) == 1 and "at 1 support nodes" in warned[0]
 
 
 def test_extract_potentials_zero_denominator():
@@ -498,22 +498,24 @@ def test_extract_potentials_zero_denominator():
     marginals = MarginalPair(density_field(grid, rng.uniform(0.1, 1.0, 4)),
                              density_field(grid, rng.uniform(0.1, 1.0, 4)))
     with pytest.raises(KernelSupportError):
-        extract_potentials(np.ones(4), kernel, marginals)
+        fortet._extract_with_warnings(np.ones(4), kernel, marginals)
 
 
-def test_verify_system_detects_imbalance(bench_solution, bench_kernel, bench_marginals):
-    res = verify_system(bench_solution.phi, bench_solution.psi, bench_kernel,
-                        bench_marginals)
-    assert res["s1_resid"] < RESID_TOL
-    res_bad = verify_system(2.0 * bench_solution.phi, bench_solution.psi,
-                            bench_kernel, bench_marginals)
+def test_coupling_residuals_detect_imbalance(bench_solution, bench_kernel,
+                                             bench_marginals):
+    good = build_coupling(bench_solution.phi, bench_solution.psi, bench_kernel,
+                          bench_marginals)
+    assert good.row_marginal_resid < RESID_TOL
+    assert good.col_marginal_resid < RESID_TOL
+    bad = build_coupling(2.0 * bench_solution.phi, bench_solution.psi,
+                         bench_kernel, bench_marginals)
     peak = float(np.max(bench_marginals.omega1.values))
-    assert res_bad["s1_resid"] == pytest.approx(peak, rel=1e-10)
+    assert bad.row_marginal_resid == pytest.approx(peak, rel=1e-10)
 
 
 def test_inf_potential_against_a_vanishing_integral_reads_inf():
     # g(0, 0) = 0 and psi(0) = inf make Int g psi at x = 0 read 0 * inf = NaN;
-    # the check and the coupling both report that node as an inf residual
+    # the coupling reports that node as an inf residual
     import warnings
     grid = unit_grid_2()
     kernel = table_kernel(grid, grid, np.array([[0.0, 1.0], [1.0, 1.0]]))
@@ -522,7 +524,6 @@ def test_inf_potential_against_a_vanishing_integral_reads_inf():
     phi, psi = np.array([1.0, 1.0]), np.array([math.inf, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert verify_system(phi, psi, kernel, marginals)["s1_resid"] == math.inf
         coupling = build_coupling(phi, psi, kernel, marginals)
         assert coupling.row_marginal_resid == math.inf
 
@@ -603,9 +604,23 @@ def test_degenerate_target_detected(bench_grid, bench_kernel):
     sol = run_fortet(bench_kernel, MarginalPair(om1, tiny),
                      FortetOptions(force=True))
     assert sol.case_tag == "degenerate"
-    assert sol.trigger_iteration == 1
+    assert sol.iterations == 1
     assert sol.phi is None and sol.psi is None
     assert all(math.isnan(v) for v in sol.residuals.values())
+
+
+def test_case1_closes_on_the_sup_one_ray(bench_grid):
+    # the pushforward fires case 1 at n = 1.  Int omega1 Omega(1) = Int
+    # omega2 = 1, so sup Omega(1) over the omega1 support is within CASE1_EPS
+    # of 1, and the closing's sup-1 rescale leaves h at 1 to rounding; the
+    # closing stops on its Hilbert step, as in case 2
+    kernel = transition_normalized(gaussian_kernel(bench_grid, bench_grid, 0.5))
+    om1 = gaussian_density(bench_grid, 1.0)
+    sol = run_fortet(kernel, MarginalPair(om1, pushforward(kernel, om1)),
+                     FortetOptions(force=True))
+    assert (sol.case_tag, sol.iterations, sol.refine_steps) == ("case1", 1, 1)
+    assert sol.steps[-1].diagnostics["hilbert_step"] < FortetOptions().tol / 10
+    assert np.max(np.abs(sol.h - 1.0)) <= fortet.CASE1_EPS
 
 
 def test_two_dimensional_factored_solve_matches_dense_table():

@@ -83,6 +83,16 @@ def test_sampled_diameter_is_lower_bound():
     assert sampled.value <= best + 1e-12
 
 
+def test_sampled_diameter_gives_no_guarantee():
+    # above EXACT_COLUMN_LIMIT columns the diameter is a sampled lower bound,
+    # and so is its tanh(diam / 4)
+    M = np.random.default_rng(9).uniform(0.5, 2.0, size=(80, 80))
+    diam = projective_diameter(M)
+    bound = birkhoff_contraction(M)
+    assert not diam.exact and not bound.guaranteed
+    assert (bound.diameter, bound.ratio) == (diam.value, math.tanh(diam.value / 4.0))
+
+
 def test_diameter_monotone_in_columns():
     rng = np.random.default_rng(5)
     M = rng.uniform(0.1, 1.0, size=(8, 12))

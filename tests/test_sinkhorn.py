@@ -145,6 +145,15 @@ def test_trace_ratios_respect_birkhoff_bound():
             assert ratio <= trace.bound + 1e-9
 
 
+def test_trace_bound_over_sampled_diameters_is_not_guaranteed():
+    # 70 nodes a side: both diameters are sampled lower bounds
+    kernel, marginals = random_instance(np.random.default_rng(78), 70, 70)
+    trace = sinkhorn_trace_hilbert(kernel, marginals)
+    d_col, d_row = trace.diameter_columns, trace.diameter_rows
+    assert not (d_col.exact or d_row.exact or trace.guaranteed)
+    assert trace.bound == math.tanh(max(d_col.value, d_row.value) / 4.0)
+
+
 def test_benchmark_trace_decays_geometrically(bench_kernel, bench_marginals):
     trace = sinkhorn_trace_hilbert(bench_kernel, bench_marginals)
     positive = np.array([d for d in trace.distances if d > 0])
