@@ -35,9 +35,9 @@ class Coupling:
     It is kept as its potentials, its kernel and its two marginal
     integrals, row = Int pi dy = phi * apply(psi) and col = Int pi dx =
     psi * apply_T(phi): the residuals, the mass and the KL objective read
-    only these.  A residual is inf at a node where it is NaN (an inf
-    potential against a vanishing integral).  The (n1, n2) array pi is
-    built on first read.
+    only these, so all four are locked against writes.  A residual is inf
+    at a node where it is NaN (an inf potential against a vanishing
+    integral).  The (n1, n2) array pi is built on first read.
     """
 
     phi: np.ndarray
@@ -54,6 +54,7 @@ class Coupling:
             row = phi * self.kernel.apply(psi)
             col = psi * self.kernel.apply_T(phi)
         for name, value in (("phi", phi), ("psi", psi), ("row", row), ("col", col)):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
@@ -123,10 +124,11 @@ def kl_objective(coupling: Coupling) -> KLObjective:
     reference-null cell, which makes the divergence +inf and clears the
     absolute-continuity flag.
     """
-    om1 = coupling.marginals.omega1.values
+    omega1 = coupling.marginals.omega1
     r = coupling.row > 0
-    if np.any(r & (om1 == 0)):
+    if np.any(r & ~omega1.support):
         return KLObjective(math.inf, False)
+    om1 = omega1.values
     c = coupling.col > 0
     w1 = coupling.grid1.weights
     w2 = coupling.grid2.weights

@@ -61,8 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import bridge
-from .errors import (FeasibilityError, FortetBridgeError, KernelSupportError,
-                     NonConvergenceError)
+from .errors import FeasibilityError, FortetBridgeError, NonConvergenceError
 from .problem import KernelOperator, MarginalPair, full_report
 
 #: every closing step floors its iterate here; true fixed-point values
@@ -151,10 +150,8 @@ class FortetSolution:
     trace: Tuple[IterationState, ...] = ()
 
     def __post_init__(self):
-        for name in ("h", "phi", "psi"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr.setflags(write=False)
+        if self.h is not None:
+            self.h.setflags(write=False)
 
     @property
     def iterations(self) -> int:
@@ -181,9 +178,8 @@ class FortetSolution:
         c = self.coupling
         if c is None:
             return dict.fromkeys(("s1_resid", "s2_resid", "marginal_resid"), math.nan)
-        mass1 = float(np.sum(c.grid1.weights * c.marginals.omega1.values))
         return {"s1_resid": c.row_marginal_resid, "s2_resid": c.col_marginal_resid,
-                "marginal_resid": abs(c.mass - mass1)}
+                "marginal_resid": abs(c.mass - c.marginals.omega1.mass())}
 
 
 def _masked_hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
@@ -210,57 +206,32 @@ def _support_ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray) -> np.
     return np.divide(num, den, out=np.zeros(num.shape), where=support)
 
 
-def _omega2_ratio(om2: np.ndarray, G: np.ndarray, integral: str,
-                  hint: str = "", B: Optional[np.ndarray] = None) -> np.ndarray:
-    """omega2 / G on the omega2 support B (om2 > 0 when not given) and 0 off
-    it.  G = 0 there raises KernelSupportError naming the integral; G
-    neither positive nor 0 (NaN) reads as 1."""
-    if B is None:
-        B = om2 > 0
-    if (G[B] > 0).all():
-        return _support_ratio(om2, G, B)
-    bad = np.flatnonzero(B & (G == 0))
-    if bad.size:
-        raise KernelSupportError(f"{integral} vanished at nodes {bad[:8].tolist()} "
-                                 f"where omega2 > 0{hint}")
-    return _support_ratio(om2, np.where(G > 0, G, 1.0), B)
-
-
 def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
-              ratio1: Optional[np.ndarray] = None,
-              omega2_support: Optional[np.ndarray] = None) -> np.ndarray:
-    """One application of the fixed-point map, H_prime = Omega(H).
+              ratio1: Optional[np.ndarray] = None) -> np.ndarray:
+    """One application of the fixed-point map, H_prime = Omega(H): the
+    column fit omega2 / G of G = Int g omega1 / H, then its row integral.
 
     G is computed first for every y-node and freed before the outer
     integral; nodes where omega1 = 0 contribute nothing to G no matter what
     H holds there, and nodes where omega2 = 0 contribute nothing to
-    H_prime.  ratio1 is omega1 / H on the
-    omega1 support and 0 off it (_support_ratio); a caller that records the
-    step forms it once and passes it here.  H must be positive wherever
-    omega1 is.  That is checked here unless the caller passes ratio1 with
-    omega2_support, the mask omega2 > 0, and has checked H itself.
+    H_prime.  ratio1 is omega1 / H on the omega1 support and 0 off it
+    (_support_ratio); a caller that records the step forms it once, from an
+    H it keeps positive there, and passes it here.  Without ratio1, H must
+    be positive wherever omega1 is, which is checked.
     """
-    om2 = marginals.omega2.values
     with np.errstate(over="ignore", under="ignore"):
-        if omega2_support is None:
+        if ratio1 is None:
             Hv = np.asarray(H, dtype=float)
-            om1 = marginals.omega1.values
-            A, omega2_support = om1 > 0, om2 > 0
-            if not (Hv[A] > 0).all():
+            omega1 = marginals.omega1
+            if not (Hv[omega1.support] > 0).all():
                 raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
-            if ratio1 is None:
-                ratio1 = _support_ratio(om1, Hv, A)
+            ratio1 = _support_ratio(omega1.values, Hv, omega1.support)
         G = kernel.apply_T(ratio1)
-        ratio2 = _omega2_ratio(om2, G, "inner integral G",
-                               " (kernel columns lack support against omega1)",
-                               omega2_support)
+        ratio2 = marginals.omega2.over(
+            G, "inner integral G",
+            "omega2 > 0 (kernel columns lack support against omega1)")
         del G
         return kernel.apply(ratio2)
-
-
-def _target_mass(kernel: KernelOperator, marginals: MarginalPair) -> float:
-    """mass2 = Int omega2, the value Int (omega1/H) Omega(H) takes for any H."""
-    return float(np.sum(kernel.grid2.weights * marginals.omega2.values))
 
 
 def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
@@ -296,11 +267,11 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
                 marginals: MarginalPair,
                 mass2: Optional[float] = None) -> IterationState:
     """Advance the truncated scheme by one iteration (state None -> n = 1).
-    mass2 is Int omega2, computed here when not given."""
-    om1 = marginals.omega1.values
-    A = om1 > 0
+    mass2 is Int omega2, the value Int (omega1/H) Omega(H) takes for any H;
+    it is computed here when not given."""
+    om1, A = marginals.omega1.values, marginals.omega1.support
     if mass2 is None:
-        mass2 = _target_mass(kernel, marginals)
+        mass2 = marginals.omega2.mass()
     if state is None:
         n, prev = 1, None
         H = np.ones(kernel.grid1.n_nodes)
@@ -414,8 +385,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     history, and frees each once spent: the map runs beside K, omega1 / K
     and the history alone.
     """
-    om1 = marginals.omega1.values
-    A, B = om1 > 0, marginals.omega2.values > 0
+    om1, A = marginals.omega1.values, marginals.omega1.support
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
@@ -426,7 +396,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
         _support_sup(K, A, steps)
         with np.errstate(over="ignore", under="ignore"):
             ratio1 = _support_ratio(om1, K, A)
-        Kn = omega_map(K, kernel, marginals, ratio1=ratio1, omega2_support=B)
+        Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
         s = _support_sup(Kn, A, steps)
         Kn /= s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
@@ -471,11 +441,10 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
             raise FeasibilityError("integrability estimate is suspected-divergent"
                                    + hint + " (pass force=True to run anyway)")
 
-    A = marginals.omega1.values > 0
-    if not A.any():
+    if not marginals.omega1.support.any():
         raise FeasibilityError("omega1 has empty support")
 
-    mass2 = _target_mass(kernel, marginals)
+    mass2 = marginals.omega2.mass()
     steps: List[StepRecord] = []
     state: Optional[IterationState] = None
     for n0 in (1, 2):
@@ -514,9 +483,7 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     """(phi, psi, warnings): phi = omega1 / h on the omega1 support (0 off
     it and where h underflowed), psi = omega2 / (g * phi); KernelSupportError
     when that denominator vanishes where omega2 > 0."""
-    om1 = marginals.omega1.values
-    om2 = marginals.omega2.values
-    A = om1 > 0
+    om1, A = marginals.omega1.values, marginals.omega1.support
     with np.errstate(over="ignore", under="ignore"):
         raw = _support_ratio(om1, h, A & (h > 0))
     # h can underflow to 0 (or to a denormal whose reciprocal overflows) when
@@ -526,7 +493,7 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     dropped = int(np.sum(A & ~(usable & (h > 0))))
     warnings = [f"potential phi set to 0 at {dropped} support nodes where h "
                 "underflowed; residuals there are meaningless"] if dropped else []
-    psi = _omega2_ratio(om2, kernel.apply_T(phi), "integral of g*phi")
+    psi = marginals.omega2.over(kernel.apply_T(phi), "integral of g*phi", "omega2 > 0")
     return phi, psi, warnings
 
 

@@ -58,7 +58,6 @@ def projective_diameter(matrix) -> ProjectiveDiameter:
         raise FortetBridgeError("projective_diameter expects a nonempty matrix")
     if np.any(M <= ZERO_ENTRY):
         return ProjectiveDiameter(float("inf"), True)
-    L = np.log(M)
     n = M.shape[1]
     if n <= EXACT_COLUMN_LIMIT:
         cols = np.arange(n)
@@ -67,7 +66,9 @@ def projective_diameter(matrix) -> ProjectiveDiameter:
         cols = np.unique(np.linspace(0, n - 1, EXACT_COLUMN_LIMIT).astype(int))
         exact = False
     best = 0.0
-    sub = L[:, cols]
+    # the log of the read columns only, in the copy that indexing makes
+    sub = M[:, cols]
+    np.log(sub, out=sub)
     for a in range(len(cols)):
         diff = sub[:, a:a + 1] - sub            # (m, k)
         d = diff.max(axis=0) + (-diff).max(axis=0)

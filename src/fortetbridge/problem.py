@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FeasibilityError, GridError
+from .errors import FeasibilityError, GridError, KernelSupportError
 from .quadrature import GridFunction, QuadratureGrid, integrate
 
 MASS_TOL = 1e-8
@@ -60,6 +60,32 @@ class DensityField:
 
     def mass(self) -> float:
         return integrate(GridFunction(self.grid, self.values))
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """The nodes where the density is positive (read-only)."""
+        support = self.values > 0
+        support.setflags(write=False)
+        return support
+
+    def over(self, integral: np.ndarray, what: str, where: str) -> np.ndarray:
+        """values / integral on the support and 0 off it: the fit of one
+        marginal equation f * integral = values, which both solvers take.
+
+        An integral of 0 at a support node cannot be fitted: it raises
+        KernelSupportError, "<what> vanished at nodes [...] where <where>",
+        naming the first 8 such nodes.  One neither positive nor 0 (NaN,
+        negative) reads as 1.
+        """
+        S = self.support
+        if not (integral[S] > 0).all():
+            bad = np.flatnonzero(S & (integral == 0))
+            if bad.size:
+                raise KernelSupportError(f"{what} vanished at nodes "
+                                         f"{bad[:8].tolist()} where {where}")
+            integral = np.where(integral > 0, integral, 1.0)
+        with np.errstate(over="ignore", under="ignore"):
+            return np.divide(self.values, integral, out=np.zeros(S.shape), where=S)
 
 
 def density_field(grid: QuadratureGrid, values, renormalize: bool = True) -> DensityField:
@@ -471,13 +497,12 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
     # pushforward's integral without its DensityField validation: a negative
     # or unbounded kernel must still get a report, not a raise
     denom = kernel.apply_T(marginals.omega1.values)
-    om2 = marginals.omega2.values
-    zero_nodes = tuple(int(j) for j in np.flatnonzero((denom == 0) & (om2 > 0)))
+    omega2 = marginals.omega2
+    zero_nodes = tuple(int(j) for j in np.flatnonzero((denom == 0) & omega2.support))
     if zero_nodes:
         return ConditionStar(math.inf, "suspected-divergent", math.inf, zero_nodes)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(om2 > 0, om2 / np.where(denom > 0, denom, 1.0), 0.0)
+    integrand = omega2.over(denom, "integral of g*omega1", "omega2 > 0")
     estimate = float(np.sum(kernel.grid2.weights * integrand))
 
     # tail behavior: slope of log(integrand) against |y|^2 over the outer

@@ -7,7 +7,8 @@ Solves the same weighted scaling system as the fixed-point solver,
 
 by alternating exact row and column fits.  (u, v) coincides with (phi, psi)
 up to the ray rescaling, which makes this an independent cross-check of the
-fixed-point path: the two share only the kernel and the quadrature weights.
+fixed-point path: the two share only the kernel, the quadrature weights and
+the marginals' fit (DensityField.over), which the fixed-point map also takes.
 One stabilized loop serves every kernel: a scaling that leaves a window
 around 1 is folded into a dense kernel exp(log g + log u + log v) (Schmitzer,
 SIAM J. Sci. Comput. 2019, section 3), so its log stays finite far outside
@@ -22,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import KernelSupportError, NonConvergenceError
+from .errors import NonConvergenceError
 from .hilbert import ContractionBound, ProjectiveDiameter, projective_diameter
 from .problem import KernelOperator, MarginalPair
 
@@ -89,29 +90,22 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     to max(u) = 1 (the products u_i * v_j, and hence the residuals, are
     unaffected).  Each sweep's Hilbert step is max - min of the change in
     log u that the stopping rule reads; an absorption restarts that change
-    from 0, so it stays the change of the true scalings.  Raises
-    KernelSupportError when a denominator vanishes against a positive
-    marginal node, and NonConvergenceError at the cap.
+    from 0, so it stays the change of the true scalings.  Each fit is the
+    marginal's own (DensityField.over), which raises KernelSupportError
+    when its integral vanishes at a support node; NonConvergenceError at
+    the cap.
     """
-    om1 = marginals.omega1.values
-    om2 = marginals.omega2.values
-    m1 = om1 > 0
-    m2 = om2 > 0
+    omega1, omega2 = marginals.omega1, marginals.omega2
+    m1, m2 = omega1.support, omega2.support
     a = np.where(m1, 0.0, -np.inf)
     b = np.where(m2, 0.0, -np.inf)
     op, log_kernel = kernel, None
-    v = np.ones(om2.shape)
+    v = np.ones(m2.shape)
     prev: Optional[Tuple[np.ndarray, np.ndarray]] = None
     steps = []
     for it in range(1, max_iter + 1):
-        den_u = op.apply(v)
-        if np.any((den_u == 0) & m1):
-            raise KernelSupportError("row integral vanished where omega1 > 0")
-        u = np.where(m1, om1 / np.where(den_u > 0, den_u, 1.0), 0.0)
-        den_v = op.apply_T(u)
-        if np.any((den_v == 0) & m2):
-            raise KernelSupportError("column integral vanished where omega2 > 0")
-        v = np.where(m2, om2 / np.where(den_v > 0, den_v, 1.0), 0.0)
+        u = omega1.over(op.apply(v), "row integral", "omega1 > 0")
+        v = omega2.over(op.apply_T(u), "column integral", "omega2 > 0")
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = (np.log(u[m1]), np.log(v[m2]))
             change = math.inf

@@ -154,6 +154,16 @@ class TestCoupling:
         assert abs(coupling.mass - 1.0) < 1e-12
         assert np.all(coupling.pi >= 0.0)
 
+    def test_solution_certificate_is_read_only(self, bench_solution):
+        # the residuals, the mass and the KL read the coupling's arrays, so
+        # none of them can be changed by writing through the solution
+        c = bench_solution.coupling
+        before = (bench_solution.residuals, c.mass, kl_objective(c))
+        for arr in (c.phi, c.psi, c.row, c.col, bench_solution.h):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert (bench_solution.residuals, c.mass, kl_objective(c)) == before
+
     def test_pushforward_coupling_has_flat_second_potential(self, bench_grid):
         kernel = gaussian_kernel(bench_grid, bench_grid, 0.5)
         omega1 = gaussian_density(bench_grid, 1.0)

@@ -11,6 +11,7 @@ from fortetbridge import (birkhoff_contraction, hilbert_distance,
                           homogeneous_map_contraction_check,
                           projective_diameter)
 from fortetbridge.errors import FortetBridgeError
+from tests.conftest import traced_peak
 
 positive_vectors = st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4)
 
@@ -91,6 +92,16 @@ def test_sampled_diameter_gives_no_guarantee():
     bound = birkhoff_contraction(M)
     assert not diam.exact and not bound.guaranteed
     assert (bound.diameter, bound.ratio) == (diam.value, math.tanh(diam.value / 4.0))
+
+
+def test_sampled_diameter_logs_only_the_sampled_columns(bench_kernel):
+    # above EXACT_COLUMN_LIMIT columns only the sampled ones are read, so
+    # only their log is taken: the call peaks below the matrix itself
+    M = bench_kernel.values
+    warm = projective_diameter(M)
+    diam, peak = traced_peak(lambda: projective_diameter(M))
+    assert diam == warm and not diam.exact and math.isfinite(diam.value)
+    assert peak < M.nbytes
 
 
 def test_diameter_monotone_in_columns():

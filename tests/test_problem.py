@@ -13,7 +13,7 @@ from fortetbridge import (MarginalPair, bernstein_gaussian_condition,
                           gaussian_density, gaussian_kernel, pushforward,
                           swapped_marginals, table_kernel,
                           transition_normalized)
-from fortetbridge.errors import FeasibilityError, GridError
+from fortetbridge.errors import FeasibilityError, GridError, KernelSupportError
 from fortetbridge.problem import KernelOperator
 from fortetbridge.quadrature import QuadratureGrid
 from tests.conftest import random_instance, traced_peak
@@ -33,6 +33,29 @@ def test_density_rejects_negative_values(bench_grid):
     vals[7] = -0.5
     with pytest.raises(FeasibilityError, match="node 7"):
         density_field(bench_grid, vals, renormalize=False)
+
+
+def test_fit_matches_the_where_expression():
+    # a marginal's fit is values / integral on its support, bitwise the
+    # expression Sinkhorn used; an integral neither positive nor 0 (NaN, -inf,
+    # negative) reads as 1, and +inf and subnormal integrals are divided by
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=9)
+    om = np.array([0.5, 0.0, 0.25, 0.5, 1.0, 0.0, 2.0, 1e-300, 3.0])
+    omega = density_field(grid, om, renormalize=False)
+    cases = [np.array([math.nan, math.nan, 2.0, -math.inf, -1.0, 0.0, math.inf,
+                       5e-324, 1e-310]),
+             np.linspace(0.5, 2.0, 9)]
+    for den in cases:
+        m = om > 0
+        with np.errstate(all="ignore"):
+            ref = np.where(m, om / np.where(den > 0, den, 1.0), 0.0)
+        assert np.array_equal(omega.over(den, "G", "omega2 > 0"), ref)
+    assert np.array_equal(omega.support, om > 0) and not omega.support.flags.writeable
+    den = np.ones(9)
+    den[[2, 5, 7]] = 0.0   # node 5 is off the support
+    with pytest.raises(KernelSupportError,
+                       match=r"^G vanished at nodes \[2, 7\] where omega2 > 0$"):
+        omega.over(den, "G", "omega2 > 0")
 
 
 def test_gaussian_kernel_shape_and_bound(bench_grid):
