@@ -218,6 +218,13 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
     (_support_ratio); a caller that records the step forms it once, from an
     H it keeps positive there, and passes it here.  Without ratio1, H must
     be positive wherever omega1 is, which is checked.
+
+    omega2 / G reaches 4.9e-324 where G is large (62-66 subnormal entries
+    per map on the criterion-2 post-swap instance); KernelOperator.apply
+    takes it at a power-of-two scale 2^k and scales the image back exactly
+    with np.ldexp, so no subnormal operand enters the outer integral's
+    products, and the image is bitwise the unscaled one wherever that
+    formed no subnormal intermediate.
     """
     with np.errstate(over="ignore", under="ignore"):
         if ratio1 is None:
@@ -362,6 +369,7 @@ def _fit(D: np.ndarray, f: np.ndarray) -> Optional[List[float]]:
     return gamma if gamma is not None and all(map(math.isfinite, gamma)) else None
 
 
+@np.errstate(over="ignore", under="ignore")
 def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
                        marginals: MarginalPair, tol: float, n0: int,
                        mass2: float, steps: List[StepRecord]) -> np.ndarray:
@@ -391,11 +399,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
     del K0
     for r in range(1, REFINE_MAX + 1):
-        # the input is floored, so only a NaN can leave it non-positive; this
-        # is omega_map's check on H, taken once per step
-        _support_sup(K, A, steps)
-        with np.errstate(over="ignore", under="ignore"):
-            ratio1 = _support_ratio(om1, K, A)
+        ratio1 = _support_ratio(om1, K, A)
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
         s = _support_sup(Kn, A, steps)
         Kn /= s
@@ -410,7 +414,14 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
         del Kn
         u = mixer.next_input(u, np.log(K[A]))
         if u is not None:
-            u -= u.max()
+            # the input is floored, and the image's support sup is checked
+            # positive (which a NaN fails), so only an extrapolation can
+            # bring a NaN into K; this is omega_map's check on H
+            top = float(u.max())
+            if not math.isfinite(top):
+                raise NonConvergenceError("extrapolated iterate is NaN or inf "
+                                          "on the omega1 support", steps)
+            u -= top
             K[A] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
         del u
     raise NonConvergenceError(

@@ -27,6 +27,12 @@ TAIL_SLOPE_TOL = 1e-8
 #: minimum fraction of the profile span a monotone tail must cover before
 #: we accept a truncated difference kernel as having monotone tails.
 MIN_TAIL_FRACTION = 0.2
+#: float64's smallest normal number; a heat factor stores entries below it as 0
+TINY = float(np.finfo(float).tiny)
+#: every finite float64 is below 2**MAX_EXP
+MAX_EXP = int(np.finfo(float).maxexp)
+#: entries of a heat factor whose flush to 0 one mask covers
+FLUSH_BLOCK = 4096
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +178,21 @@ class KernelOperator:
         values.setflags(write=False)
         return values
 
+    @cached_property
+    def apply_headroom(self) -> Optional[int]:
+        """The power of two that apply scales an f with max|f| < 1 by, or
+        None if sigma_bound is not finite.
+
+        With B = n2 * max(1, sigma_bound) * max(1, largest grid2 weight),
+        every product and partial sum that apply forms, between factors
+        too, is at most B * max|f|, for factors whose entries are at most
+        sigma_bound^(1/d), as the heat kernel's are.  The headroom keeps
+        that below 2^(MAX_EXP - 1), where rounding cannot reach overflow,
+        and the scaled weights below it too."""
+        bound = (self.grid2.n_nodes * max(1.0, self.sigma_bound)
+                 * max(1.0, float(self.grid2.weights.max())))
+        return MAX_EXP - 1 - math.frexp(bound)[1] if bound < math.inf else None
+
     @property
     def log_values(self) -> np.ndarray:
         """log of the kernel matrix.  For the heat kernel it is the formula
@@ -196,7 +217,29 @@ class KernelOperator:
         return e
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights."""
+        """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights.
+
+        It is taken on f * 2^k and scaled back with np.ldexp(., -k), where k
+        is apply_headroom less the binary exponent of max|f| where that is
+        positive, so that no product or partial sum can overflow.  A power
+        of two scales a normal number exactly, so the result is bitwise the
+        unscaled one wherever that formed no subnormal intermediate, and
+        closer to the exact sum where it did.  A fit such as Fortet's
+        omega2 / G or an extracted psi reaches 4.9e-324 in a tail, and each
+        subnormal operand costs a microcode assist on x86.  An f holding a
+        NaN or an inf, an all-zero f and one too large for k > 0 are
+        applied unscaled.
+        """
+        top = max(float(f.max()), -float(f.min()))
+        k = self.apply_headroom
+        if k is not None and 0.0 < top < math.inf:
+            k -= max(0, math.frexp(top)[1])
+            if k > 0:
+                # weights * 2^k is exact, so each f * (weights * 2^k) is
+                # rounded once; no name holds it, so _contract frees it
+                # after its first product, as it frees weights * f
+                out = _contract(self.factors, f * (self.grid2.weights * 2.0 ** k))
+                return np.ldexp(out, -k, out=out)
         return _contract(self.factors, self.grid2.weights * f)
 
     def apply_T(self, f: np.ndarray) -> np.ndarray:
@@ -231,7 +274,18 @@ def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
 
 
 def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    """1-D heat kernel N(b - a; s^2) between two coordinate arrays."""
+    """1-D heat kernel N(b - a; s^2) between two coordinate arrays, with the
+    entries below float64's smallest normal, TINY, stored as 0.
+
+    Such an entry holds fewer than 52 significant bits, and every product
+    with it is a subnormal operand, which costs a microcode assist on x86.
+    Flushed, it moves a kernel integral by less than TINY times the
+    weighted argument at its node, which no integral in float range sees
+    unless the argument spans more than float range across one row.  The
+    flush is taken only where the smallest entry, at the largest |a - b|,
+    is below TINY, a block of rows at a time, so that its mask stays small
+    beside the factor.
+    """
     peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
     # in one buffer, rounded as peak * exp(-(a - b)**2 / (2 s^2)) rounds.
     # At numpy's default buffer size the broadcast difference also allocates
@@ -246,6 +300,11 @@ def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     e /= 2.0 * s * s
     np.exp(e, out=e)
     e *= peak
+    if min(e[a.argmax(), b.argmin()], e[a.argmin(), b.argmax()]) < TINY:
+        rows = max(1, FLUSH_BLOCK // e.shape[1])
+        for i in range(0, e.shape[0], rows):
+            block = e[i:i + rows]
+            block[block < TINY] = 0.0
     return e
 
 
@@ -286,7 +345,9 @@ def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,
     if cov.shape != (d, d):
         raise GridError("kernel covariance must be d x d")
     prec = np.linalg.inv(cov)
-    delta = grid1.nodes[:, None, :] - grid2.nodes[None, :, :]
+    x = grid1.nodes.reshape(grid1.n_nodes, d)
+    y = grid2.nodes.reshape(grid2.n_nodes, d)
+    delta = x[:, None, :] - y[None, :, :]
     q = np.einsum("nmi,ij,nmj->nm", delta, prec, delta)
     peak = 1.0 / math.sqrt((2.0 * math.pi) ** d * np.linalg.det(cov))
     vals = peak * np.exp(-0.5 * q)

@@ -4,6 +4,8 @@ Session-scoped because run_fortet/run_sinkhorn on the 401-node benchmark
 are the expensive pieces reused by many tests.
 """
 
+import contextlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -54,6 +56,32 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _smallest_nonzero(a):
+    nonzero = np.abs(a[a != 0])
+    return float(nonzero.min()) if nonzero.size else math.inf
+
+
+@contextlib.contextmanager
+def contract_extremes():
+    """Record what reaches problem._contract, the one product under
+    KernelOperator.apply and apply_T, while the block runs.  Yields a list
+    that gains one (smallest nonzero |factor entry|, smallest nonzero
+    |argument entry|) pair per call; inf reads "no nonzero entry".  An
+    entry below float64's smallest normal is a subnormal operand."""
+    from fortetbridge import problem
+    contract, seen = problem._contract, []
+
+    def recording(factors, x):
+        seen.append((min(map(_smallest_nonzero, factors)), _smallest_nonzero(x)))
+        return contract(factors, x)
+
+    problem._contract = recording
+    try:
+        yield seen
+    finally:
+        problem._contract = contract
 
 
 def random_instance(rng, n1, n2, kernel_low=0.1):

@@ -304,6 +304,27 @@ class TestCli:
         assert payload["consistent"] is False
 
 
+def _potentials(tmp_path, raw, name):
+    out = tmp_path / name
+    assert main(["solve", "--config", str(write_config(tmp_path, raw, name + ".json")),
+                 "--output", str(out)]) == 0
+    rows = read_csv(out / "potentials.csv")
+    columns = dict(zip(rows[0], np.array(rows[1:], dtype=float).T))
+    return columns["phi"], columns["psi"]
+
+
+def test_one_dimensional_multivariate_kernel_solves_as_the_gaussian(tmp_path):
+    # covariance [[0.25]] is the sigma = 0.5 heat kernel; a 1-D grid holds
+    # its nodes as a flat array, which the pairwise differences reshape
+    raw = dict(BENCH_RAW, kernel={"type": "gaussian_multivariate",
+                                  "covariance": [[0.25]]})
+    phi, psi = _potentials(tmp_path, raw, "multivariate")
+    phi0, psi0 = _potentials(tmp_path, BENCH_RAW, "gaussian")
+    gate = load_problem(write_config(tmp_path, BENCH_RAW)).marginals.omega1.values > 1e-12
+    assert np.max(np.abs(phi[gate] / phi0[gate] - 1.0)) <= 1e-10
+    assert np.max(np.abs(psi[gate] / psi0[gate] - 1.0)) <= 1e-10
+
+
 def test_two_dimensional_solve_never_builds_the_kernel_matrix(tmp_path):
     # solve, its feasibility report, coupling and KL read the per-axis
     # factors only; the cached dense matrix stays unbuilt

@@ -256,6 +256,55 @@ def _hilbert_reference(a, b, mask):
     return float(np.log(r.max() / r.min()))
 
 
+def test_scaled_map_is_bitwise_the_unscaled_one_on_the_benchmark(bench_kernel,
+                                                                 bench_marginals):
+    # omega2 / G has no subnormal entry on gauss1d, so its apply at the
+    # scale 2^k is the unscaled product, bitwise
+    from fortetbridge import problem
+    rng = np.random.default_rng(31)
+    om1, om2 = bench_marginals.omega1.values, bench_marginals.omega2.values
+    for _ in range(10):
+        H = rng.uniform(0.05, 1.0, om1.size)
+        G = bench_kernel.apply_T(om1 / H)
+        ratio2 = om2 / G
+        assert ratio2.min() > problem.TINY
+        unscaled = problem._contract(bench_kernel.factors,
+                                     bench_kernel.grid2.weights * ratio2)
+        assert np.array_equal(fortet.omega_map(H, bench_kernel, bench_marginals),
+                              unscaled)
+
+
+def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
+    # the heat factor stores its entries below TINY as 0, and every apply
+    # takes its argument at a power-of-two scale: no subnormal operand
+    # reaches a kernel product, in the map, the extraction or the coupling
+    from tests.conftest import contract_extremes
+    from fortetbridge.problem import TINY
+    with contract_extremes() as seen:
+        run_fortet(*swap_instance)
+    assert len(seen) == 2 * 102 + 4
+    assert min(factor for factor, _ in seen) >= TINY
+    assert min(argument for _, argument in seen) >= TINY
+
+
+def test_closing_step_enters_two_errstate_blocks(bench_kernel, bench_marginals,
+                                                 monkeypatch):
+    # the map's and the fit's; the closing holds one block for all its steps
+    entered, errstate = [], np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    closing = fortet._closing_iteration
+
+    def counting(*args):
+        entered.clear()
+        K = closing(*args)
+        counting.n = len(entered)
+        return K
+
+    monkeypatch.setattr(fortet, "_closing_iteration", counting)
+    sol = run_fortet(bench_kernel, bench_marginals)
+    assert counting.n == 2 * sol.refine_steps
+
+
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
 def test_map_and_step_record_match_the_where_expressions(which, request, monkeypatch):
     # every step of a run, both phases: omega_map's H' and the step's
@@ -574,8 +623,9 @@ def test_nonconvergence_carries_trace(bench_kernel, bench_marginals):
 
 
 def test_closing_refuses_a_nan_iterate(bench_kernel, bench_marginals, monkeypatch):
-    # the closing checks its input once per step, in place of omega_map: a
-    # NaN input would map to a finite image, because a NaN G reads as 1
+    # the closing checks the mixer's extrapolation, the one path by which a
+    # NaN can reach its input, in place of omega_map: a NaN input would map
+    # to a finite image, because a NaN G reads as 1
     monkeypatch.setattr(fortet._AndersonMixer, "next_input",
                         lambda self, u, g: np.full_like(g, math.nan))
     with pytest.raises(NonConvergenceError, match="NaN") as err:

@@ -14,7 +14,8 @@ from fortetbridge import (MarginalPair, bernstein_gaussian_condition,
                           swapped_marginals, table_kernel,
                           transition_normalized)
 from fortetbridge.errors import FeasibilityError, GridError, KernelSupportError
-from fortetbridge.problem import KernelOperator
+from fortetbridge import problem
+from fortetbridge.problem import TINY, KernelOperator
 from fortetbridge.quadrature import QuadratureGrid
 from tests.conftest import random_instance, traced_peak
 
@@ -72,13 +73,17 @@ def test_heat_factor_is_built_in_one_buffer(bench_grid, sigma):
     # the factor; built in place, the factor is the only n x n array, and
     # the broadcast difference allocates no ufunc buffers (two 64 KiB ones,
     # 1.10 x the factor, at numpy's default buffer size)
+    # the flush of entries below TINY (sigma = 0.1: 1,222 subnormal ones)
+    # runs a block of rows at a time, so its masks stay small too
     kernel, peak = traced_peak(lambda: gaussian_kernel(bench_grid, bench_grid, sigma))
     (factor,) = kernel.factors
     assert peak <= 1.02 * factor.nbytes
     x = bench_grid.axes[0]
     formula = (1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
                * np.exp(-np.subtract.outer(x, x) ** 2 / (2.0 * sigma * sigma)))
-    assert np.array_equal(factor, formula)
+    subnormal = (formula > 0) & (formula < TINY)
+    assert np.count_nonzero(subnormal) == {0.5: 0, 0.1: 1222}[sigma]
+    assert np.array_equal(factor, np.where(subnormal, 0.0, formula))
 
 
 def test_benchmark_hypotheses_all_pass(bench_kernel, bench_marginals):
@@ -268,6 +273,62 @@ def test_one_dimensional_gaussian_apply_is_the_dense_product(bench_kernel, bench
                           bench_kernel.values @ (bench_grid.weights * f))
     assert np.array_equal(bench_kernel.apply_T(f),
                           bench_kernel.values.T @ (bench_grid.weights * f))
+
+
+def _unscaled_apply(kernel, f):
+    return problem._contract(kernel.factors, kernel.grid2.weights * f)
+
+
+def test_scaled_apply_is_closer_to_the_exact_sum(bench_grid):
+    # on the swap kernel (sigma = 0.1) an argument spanning 1e-320 ... 1
+    # leaves the left rows' integrals subnormal; the unscaled products
+    # round there, the scaled ones do not
+    kernel = gaussian_kernel(bench_grid, bench_grid, 0.1)
+    (a,), w = kernel.factors, bench_grid.weights
+    f = np.geomspace(1e-320, 1.0, bench_grid.n_nodes)
+    lift = 2.0 ** 1000
+    exact = np.array([math.ldexp(math.fsum(row * (w * (f * lift))), -1000) for row in a])
+    scaled, unscaled = kernel.apply(f), _unscaled_apply(kernel, f)
+    assert np.all(np.abs(scaled - exact) <= np.abs(unscaled - exact))
+    assert np.any(np.abs(scaled - exact) < np.abs(unscaled - exact))
+
+
+def test_unscalable_arguments_are_applied_unscaled(bench_kernel, bench_grid):
+    # NaN, inf, an all-zero f and one too large to scale up keep the
+    # unscaled product bitwise; so does a kernel without a finite bound
+    f = np.random.default_rng(4).uniform(0.1, 1.0, bench_grid.n_nodes)
+    cases = [np.zeros_like(f), f * 1e305]
+    for bad in (math.nan, math.inf, -math.inf):
+        g = f.copy()
+        g[7] = bad
+        cases.append(g)
+    unbounded = replace(bench_kernel, sigma_bound=math.inf)
+    assert unbounded.apply_headroom is None
+    with np.errstate(invalid="ignore"):
+        for g in cases:
+            assert np.array_equal(bench_kernel.apply(g), _unscaled_apply(bench_kernel, g),
+                                  equal_nan=True)
+        for g in cases + [f * 1e-300]:
+            assert np.array_equal(unbounded.apply(g), _unscaled_apply(unbounded, g),
+                                  equal_nan=True)
+
+
+def test_scaled_apply_stays_in_float_range():
+    # weights of 4 and a sigma_bound below 1: neither the scaled weights nor
+    # a partial sum overflows, from a subnormal max|f| up to one that
+    # leaves no headroom, and signed f is read by its largest magnitude
+    grid = build_grid(dim=1, radius=100.0, points_per_axis=51)
+    kernel = gaussian_kernel(grid, grid, 30.0)
+    assert grid.weights.max() == 4.0 and kernel.sigma_bound < 1.0
+    f = np.random.default_rng(5).uniform(0.5, 1.0, grid.n_nodes)
+    for scale in (1e-310, 1e-300, 1.0, 1e300):
+        for g in (f * scale, -f * scale, f * scale * np.where(np.arange(51) % 2, 1, -1)):
+            exact = _unscaled_apply(kernel, g)
+            with np.errstate(over="ignore"):
+                scaled = kernel.apply(g)
+            assert np.all(np.isfinite(scaled))
+            if scale >= 1e-300:
+                assert np.array_equal(scaled, exact)
 
 
 def test_gaussian_on_grid_without_axes_is_one_dense_factor():
