@@ -201,6 +201,19 @@ def _masked_hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> floa
     return float(np.log(r.max() / r.min()))
 
 
+def _top(x: np.ndarray) -> float:
+    """x.max(), read at x.argmax(): the same entry (NaN if x holds one),
+    from the search loop, ~3x faster than the reduction on a few hundred
+    nodes.  Of a 0.0 and a -0.0 tied at the top it may pick the other; no
+    caller tells them apart."""
+    return float(x[x.argmax()])
+
+
+def _bottom(x: np.ndarray) -> float:
+    """x.min() as _top reads x.max()."""
+    return float(x[x.argmin()])
+
+
 def _support_ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray) -> np.ndarray:
     """num / den on support and 0 off it; den is not divided by off it."""
     return np.divide(num, den, out=np.zeros(num.shape), where=support)
@@ -216,8 +229,10 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
     H holds there, and nodes where omega2 = 0 contribute nothing to
     H_prime.  ratio1 is omega1 / H on the omega1 support and 0 off it
     (_support_ratio); a caller that records the step forms it once, from an
-    H it keeps positive there, and passes it here.  Without ratio1, H must
-    be positive wherever omega1 is, which is checked.
+    H it keeps positive there, and passes it here, inside its own
+    np.errstate(over="ignore", under="ignore").  Without ratio1, H must be
+    positive wherever omega1 is, which is checked, and the map enters that
+    errstate itself.
 
     omega2 / G reaches 4.9e-324 where G is large (62-66 subnormal entries
     per map on the criterion-2 post-swap instance); KernelOperator.apply
@@ -226,36 +241,35 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
     products, and the image is bitwise the unscaled one wherever that
     formed no subnormal intermediate.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        if ratio1 is None:
-            Hv = np.asarray(H, dtype=float)
-            omega1 = marginals.omega1
-            if not (Hv[omega1.support] > 0).all():
-                raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
-            ratio1 = _support_ratio(omega1.values, Hv, omega1.support)
-        G = kernel.apply_T(ratio1)
-        ratio2 = marginals.omega2.over(
-            G, "inner integral G",
-            "omega2 > 0 (kernel columns lack support against omega1)")
-        del G
-        return kernel.apply(ratio2)
+    if ratio1 is None:
+        Hv = np.asarray(H, dtype=float)
+        omega1 = marginals.omega1
+        if not (Hv[omega1.support] > 0).all():
+            raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
+        with np.errstate(over="ignore", under="ignore"):
+            return omega_map(H, kernel, marginals,
+                             _support_ratio(omega1.values, Hv, omega1.support))
+    G = kernel.apply_T(ratio1)
+    ratio2 = marginals.omega2.over(
+        G, "inner integral G",
+        "omega2 > 0 (kernel columns lack support against omega1)", out=G)
+    del G
+    return kernel.apply(ratio2)
 
 
 def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
                  prev: Optional[np.ndarray], mask: np.ndarray,
-                 kernel: KernelOperator, case1_candidate: bool, mass2: float,
-                 scale: float = 1.0) -> Dict[str, float]:
-    """The diagnostics of one step of either phase, H -> H_prime.
+                 kernel: KernelOperator, case1_candidate: bool,
+                 mass2: float) -> Dict[str, float]:
+    """The diagnostics of one scheme step, H -> H_prime = Omega(H).
 
     ratio1 is omega1 / H as omega_map read it; it is overwritten.  prev is
     what the Hilbert step and the sup change compare H_prime with (None on
-    the first scheme step) and mask the nodes the Hilbert step is taken
-    over.  scale is what the closing phase divided Omega(H) by; the
-    normalization residual |Int (omega1/H) Omega(H) - mass2| is taken on
-    H_prime * scale.
+    the first step) and mask the nodes the Hilbert step is taken over.  The
+    normalization residual is |Int (omega1/H) Omega(H) - mass2|.
     """
     t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
-    t *= H_prime * scale
+    t *= H_prime
     normalization = float(np.sum(t))
     diag = {
         "sup_change": math.nan,
@@ -268,6 +282,34 @@ def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
         diag["sup_change"] = float(np.max(np.abs(t, out=t)))
         diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
     return diag
+
+
+def _closing_record(K: np.ndarray, Kn: np.ndarray, s: float, ratio1: np.ndarray,
+                    A: np.ndarray, kernel: KernelOperator,
+                    mass2: float) -> Dict[str, float]:
+    """The diagnostics of one closing step, K -> Kn = Omega(K) / s, in the
+    scheme's columns: the sup change and the Hilbert step of Kn against K,
+    the latter over the nodes of the omega1 support A where both exceed
+    10 FLOOR_FREEZE; the normalization residual of Kn * s; case1_candidate
+    False.  ratio1 = omega1 / K as the map read it is overwritten.  On that
+    mask Kn and K lie in (10 FLOOR_FREEZE, 1], so one quotient Kn / K,
+    gathered once, is positive and finite there: _masked_hilbert_step's
+    first read.
+    """
+    t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
+    t *= Kn * s
+    normalization = float(t.sum())
+    t = np.subtract(Kn, K, out=t)
+    sup_change = _top(np.abs(t, out=t))
+    mask = np.minimum(Kn, K) > 10.0 * FLOOR_FREEZE
+    mask &= A
+    q = np.divide(Kn, K, out=t)[mask]
+    return {
+        "sup_change": sup_change,
+        "hilbert_step": float(np.log(_top(q) / _bottom(q))) if q.size else math.inf,
+        "normalization_residual": abs(normalization - mass2),
+        "case1_candidate": False,
+    }
 
 
 def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
@@ -287,7 +329,7 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
         H = np.maximum(state.H_dprime, 1.0 / n)
     with np.errstate(over="ignore", under="ignore"):
         ratio1 = _support_ratio(om1, H, A)
-    H_prime = omega_map(H, kernel, marginals, ratio1=ratio1)
+        H_prime = omega_map(H, kernel, marginals, ratio1=ratio1)
     return IterationState(n, H, H_prime, _step_record(
         ratio1, H_prime, prev, A, kernel,
         bool((H_prime[A] <= 1.0 + CASE1_EPS).all()), mass2))
@@ -296,7 +338,7 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
 def _support_sup(K: np.ndarray, A: np.ndarray, steps: List[StepRecord]) -> float:
     """max K over the omega1 support A; raises unless it is positive, which
     a NaN there also fails."""
-    s = float(K[A].max())
+    s = _top(K[A])
     if not s > 0:
         raise NonConvergenceError("iterate collapsed to zero or NaN on the omega1 "
                                   "support", steps)
@@ -314,7 +356,8 @@ class _AndersonMixer:
         self.held = 0
         self.best = math.inf
 
-    def next_input(self, u: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+    def next_input(self, u: Optional[np.ndarray],
+                   g: np.ndarray) -> Optional[np.ndarray]:
         """The input after u, whose image is g (u is overwritten): the
         extrapolation g - sum_j gamma_j (g - g_j), with gamma the
         least-squares fit of the residual f = g - u by the differences
@@ -322,18 +365,22 @@ class _AndersonMixer:
         with no history, a singular or non-finite fit, a residual whose
         Hilbert norm max - min of f exceeds the least seen so far, which also
         clears the history, or one below eps * max|g|, where the fit would
-        read only the rounding of g."""
+        read only the rounding of g.  u None reads "the plain input the last
+        call asked for": the g of that call, which the history holds."""
         m = self.hist.shape[1]
         if m == 0:
             return None
-        f = np.subtract(g, u, out=u)
-        norm = float(f.max() - f.min())
+        if u is None:
+            f = np.subtract(g, self.hist[1, (self.held - 1) % m])
+        else:
+            f = np.subtract(g, u, out=u)
+        norm = _top(f) - _bottom(f)
         out = None
         if norm > self.best:
             self.held = 0
         else:
             self.best = norm
-            if self.held and norm >= EPS * max(float(g.max()), -float(g.min())):
+            if self.held and norm >= EPS * max(_top(g), -_bottom(g)):
                 k = min(self.held, m)
                 # row by row: broadcast over all k rows at once, numpy
                 # allocates ufunc buffers the size of D beside it
@@ -392,32 +439,42 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     A step holds its input K, omega1 / K, its image T(K) and the mixer's
     history, and frees each once spent: the map runs beside K, omega1 / K
     and the history alone.
+
+    A step enters no np.errstate: this function's covers the map too.  K >=
+    FLOOR_FREEZE, so a finite K makes omega1 / K 0 off the support without
+    _support_ratio's mask; a step's sup change is finite only if its image
+    is finite at every node, and the next input is then finite too.  After
+    a plain step, log K on the support is the log image the mixer holds,
+    and is not taken again.
     """
     om1, A = marginals.omega1.values, marginals.omega1.support
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
     del K0
+    # the scheme's image is not known finite off the support
+    finite, plain = False, False
     for r in range(1, REFINE_MAX + 1):
-        ratio1 = _support_ratio(om1, K, A)
+        ratio1 = np.divide(om1, K) if finite else _support_ratio(om1, K, A)
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
         s = _support_sup(Kn, A, steps)
         Kn /= s
-        conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
-        d = _step_record(ratio1, Kn, K, conv_mask, kernel, False, mass2, s)
+        d = _closing_record(K, Kn, s, ratio1, A, kernel, mass2)
         steps.append(StepRecord(n0 + r, "closing", d))
         if d["hilbert_step"] < tol:
             return Kn
-        del ratio1, conv_mask  # spent on the record
-        u = np.log(K[A])
+        del ratio1  # spent on the record
+        finite = math.isfinite(d["sup_change"])
+        u = None if plain else np.log(K[A])
         K = np.maximum(Kn, FLOOR_FREEZE)
         del Kn
         u = mixer.next_input(u, np.log(K[A]))
+        plain = u is None
         if u is not None:
             # the input is floored, and the image's support sup is checked
             # positive (which a NaN fails), so only an extrapolation can
             # bring a NaN into K; this is omega_map's check on H
-            top = float(u.max())
+            top = _top(u)
             if not math.isfinite(top):
                 raise NonConvergenceError("extrapolated iterate is NaN or inf "
                                           "on the omega1 support", steps)

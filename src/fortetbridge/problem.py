@@ -74,15 +74,26 @@ class DensityField:
         support.setflags(write=False)
         return support
 
-    def over(self, integral: np.ndarray, what: str, where: str) -> np.ndarray:
+    def over(self, integral: np.ndarray, what: str, where: str,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
         """values / integral on the support and 0 off it: the fit of one
         marginal equation f * integral = values, which both solvers take.
 
-        An integral of 0 at a support node cannot be fitted: it raises
-        KernelSupportError, "<what> vanished at nodes [...] where <where>",
-        naming the first 8 such nodes.  One neither positive nor 0 (NaN,
-        negative) reads as 1.
+        Where integral > 0 at every node and no quotient can overflow, this
+        is the plain quotient (values is 0 off the support), written into out
+        if given, which may be integral itself; its underflow is the caller's
+        np.errstate's, which numpy's default ignores.
+
+        Otherwise an integral of 0 at a support node cannot be fitted: it
+        raises KernelSupportError, "<what> vanished at nodes [...] where
+        <where>", naming the first 8 such nodes.  One neither positive nor 0
+        (NaN, negative) reads as 1.
         """
+        # argmin reads a NaN as the least entry, as min does, in fewer
+        # passes; a quotient is at most peak / low, in float range below 2**1023
+        low = float(integral[integral.argmin()])
+        if low > 0 and float(self.values[self.values.argmax()]) / low < 2.0 ** 1023:
+            return np.divide(self.values, integral, out=out)
         S = self.support
         if not (integral[S] > 0).all():
             bad = np.flatnonzero(S & (integral == 0))
@@ -283,8 +294,10 @@ def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     weighted argument at its node, which no integral in float range sees
     unless the argument spans more than float range across one row.  The
     flush is taken only where the smallest entry, at the largest |a - b|,
-    is below TINY, a block of rows at a time, so that its mask stays small
-    beside the factor.
+    can be below TINY, a block of rows at a time, so that its masks stay
+    small beside the factor.  A block takes exp only where the exponent is
+    at least log(TINY / peak) - 1: below it the entry is below TINY, and
+    exp's underflow path costs ~13x its normal one.
     """
     peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
     # in one buffer, rounded as peak * exp(-(a - b)**2 / (2 s^2)) rounds.
@@ -298,13 +311,19 @@ def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     np.square(e, out=e)
     np.negative(e, out=e)
     e /= 2.0 * s * s
-    np.exp(e, out=e)
-    e *= peak
-    if min(e[a.argmax(), b.argmin()], e[a.argmin(), b.argmax()]) < TINY:
-        rows = max(1, FLUSH_BLOCK // e.shape[1])
-        for i in range(0, e.shape[0], rows):
-            block = e[i:i + rows]
-            block[block < TINY] = 0.0
+    # exp(x) * peak is below TINY where x < cut, to rounding
+    cut = math.log(TINY) - math.log(peak)
+    if min(e[a.argmax(), b.argmin()], e[a.argmin(), b.argmax()]) >= cut + 1.0:
+        np.exp(e, out=e)
+        e *= peak
+        return e
+    rows = max(1, FLUSH_BLOCK // e.shape[1])
+    for i in range(0, e.shape[0], rows):
+        block = e[i:i + rows]
+        # the exponents left in place are negative, and flush with the rest
+        np.exp(block, out=block, where=block >= cut - 1.0)
+        block *= peak
+        block[block < TINY] = 0.0
     return e
 
 

@@ -37,7 +37,7 @@ class ScalingPair:
     """Scalings on the ray where max(u) = 1 on the omega1 support, and their
     logs, finite on the supports where u or v leaves float range.
     hilbert_steps holds d_H(u_k, u_(k+1)) on the omega1 support for each
-    sweep after the first (inf where it is not a number)."""
+    sweep after the first."""
 
     u: np.ndarray
     v: np.ndarray
@@ -80,6 +80,23 @@ def _folded(kernel: KernelOperator, log_kernel: np.ndarray, a: np.ndarray,
     return KernelOperator((np.exp(e, out=e),), kernel.grid1, kernel.grid2, math.inf)
 
 
+def _support_log(x: np.ndarray, name: str, sweep: int) -> Tuple[np.ndarray, float]:
+    """(log x, max |log x|) of a scaling on its support.  An inf there is a
+    scaling that overflowed: folded into the kernel, its log adds -inf + inf
+    into the entries, whose NaN the fits read as 1, so that the sweeps run
+    on to the cap; NonConvergenceError names it at the sweep it appears.  A
+    0 (log -inf) folds a row or column of zeros, whose integral the next
+    sweep's fit refuses with KernelSupportError."""
+    with np.errstate(divide="ignore"):
+        log = np.log(x)
+    top = float(np.max(np.abs(log)))
+    if not math.isfinite(top) and not float(np.max(log)) < math.inf:
+        raise NonConvergenceError(f"sinkhorn scaling {name} overflowed at sweep "
+                                  f"{sweep}: its log is +inf on its support, and "
+                                  "would fold NaN (-inf + inf) into the kernel")
+    return log, top
+
+
 def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
                  tol: float = 1e-10, max_iter: int = 10000) -> ScalingPair:
     """Alternate u and v fits until both sup-log changes fall below tol.
@@ -93,7 +110,8 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     from 0, so it stays the change of the true scalings.  Each fit is the
     marginal's own (DensityField.over), which raises KernelSupportError
     when its integral vanishes at a support node; NonConvergenceError at
-    the cap.
+    the cap, or at the first sweep whose u or v overflows on its support
+    (_support_log).
     """
     omega1, omega2 = marginals.omega1, marginals.omega2
     m1, m2 = omega1.support, omega2.support
@@ -105,27 +123,26 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     steps = []
     for it in range(1, max_iter + 1):
         u = omega1.over(op.apply(v), "row integral", "omega1 > 0")
+        log_u, top_u = _support_log(u[m1], "u", it)
         v = omega2.over(op.apply_T(u), "column integral", "omega2 > 0")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (np.log(u[m1]), np.log(v[m2]))
-            change = math.inf
-            if prev is not None:
-                du, dv = logs[0] - prev[0], logs[1] - prev[1]
-                change = max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
-                step = float(du.max() - du.min())
-                steps.append(math.inf if math.isnan(step) else step)
-        prev = logs
+        log_v, top_v = _support_log(v[m2], "v", it)
+        change = math.inf
+        if prev is not None:
+            du, dv = log_u - prev[0], log_v - prev[1]
+            change = max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
+            steps.append(float(du.max() - du.min()))
+        prev = log_u, log_v
         if change < tol:
             return ScalingPair(*_on_ray(u, v, a, b, m1), it, tuple(steps))
-        if max(float(np.max(np.abs(x))) for x in logs) > ABSORB_LOG:
+        if max(top_u, top_v) > ABSORB_LOG:
             if log_kernel is None:
                 log_kernel = kernel.log_values
-            a[m1] += logs[0]
-            b[m2] += logs[1]
+            a[m1] += log_u
+            b[m2] += log_v
             op = None  # frees the last folded kernel before the next is built
             op = _folded(kernel, log_kernel, a, b)
             v = m2.astype(float)
-            prev = (np.zeros_like(logs[0]), np.zeros_like(logs[1]))
+            prev = np.zeros_like(log_u), np.zeros_like(log_v)
     raise NonConvergenceError(f"sinkhorn did not converge in {max_iter} iterations")
 
 

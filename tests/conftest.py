@@ -4,6 +4,7 @@ Session-scoped because run_fortet/run_sinkhorn on the 401-node benchmark
 are the expensive pieces reused by many tests.
 """
 
+import collections
 import contextlib
 import math
 import tracemalloc
@@ -82,6 +83,42 @@ def contract_extremes():
         yield seen
     finally:
         problem._contract = contract
+
+
+#: one step of Fortet's iteration as fortet_steps() records it: its phase
+#: ("scheme" or "closing"), its input H, its image (H' = Omega(H) in the
+#: scheme, Omega(K) / s in the closing; the arrays themselves), the
+#: diagnostics it recorded, and copies of both arrays taken when it recorded
+FortetStep = collections.namedtuple(
+    "FortetStep", "phase input image record input_then image_then")
+
+
+@contextlib.contextmanager
+def fortet_steps():
+    """Record each step of Fortet's iteration taken while the block runs,
+    in order, at the one call each phase makes per step: fortet_step, which
+    returns a scheme step as it recorded it, and fortet._closing_record.
+    Yields a list that gains one FortetStep per step."""
+    from fortetbridge import fortet
+    step, record, seen = fortet.fortet_step, fortet._closing_record, []
+
+    def stepping(*args):
+        state = step(*args)
+        seen.append(FortetStep("scheme", state.H, state.H_prime, state.diagnostics,
+                               state.H.copy(), state.H_prime.copy()))
+        return state
+
+    def recording(K, Kn, *args):
+        then = K.copy(), Kn.copy()
+        d = record(K, Kn, *args)
+        seen.append(FortetStep("closing", K, Kn, d, *then))
+        return d
+
+    fortet.fortet_step, fortet._closing_record = stepping, recording
+    try:
+        yield seen
+    finally:
+        fortet.fortet_step, fortet._closing_record = step, record
 
 
 def random_instance(rng, n1, n2, kernel_low=0.1):

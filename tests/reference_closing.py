@@ -1,0 +1,76 @@
+"""Fortet's closing phase as it was written before its steps were fused:
+_closing_iteration with omega_map's map and _step_record's diagnostics
+composed, each array formed by its own expression.  The fused closing in
+fortetbridge.fortet must return bitwise this iterate and these records
+(test_fortet.py::test_fused_closing_is_bitwise_the_reference)."""
+
+import math
+from typing import Dict, List
+
+import numpy as np
+
+from fortetbridge.errors import NonConvergenceError
+from fortetbridge.fortet import (ANDERSON_M, FLOOR_FREEZE, REFINE_MAX, StepRecord,
+                                 _AndersonMixer, _masked_hilbert_step,
+                                 _support_ratio, _support_sup)
+
+
+def omega_map(ratio1, kernel, marginals) -> np.ndarray:
+    """Omega from omega1 / H (ratio1): G, the fit omega2 / G, its integral."""
+    with np.errstate(over="ignore", under="ignore"):
+        G = kernel.apply_T(ratio1)
+        ratio2 = marginals.omega2.over(
+            G, "inner integral G",
+            "omega2 > 0 (kernel columns lack support against omega1)")
+        del G
+        return kernel.apply(ratio2)
+
+
+def step_record(ratio1, H_prime, prev, mask, kernel, case1_candidate, mass2,
+                scale=1.0) -> Dict[str, float]:
+    t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
+    t *= H_prime * scale
+    normalization = float(np.sum(t))
+    diag = {
+        "sup_change": math.nan,
+        "hilbert_step": math.nan,
+        "normalization_residual": abs(normalization - mass2),
+        "case1_candidate": case1_candidate,
+    }
+    if prev is not None:
+        t = np.subtract(H_prime, prev, out=t)
+        diag["sup_change"] = float(np.max(np.abs(t, out=t)))
+        diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
+    return diag
+
+
+@np.errstate(over="ignore", under="ignore")
+def closing_iteration(start: List[np.ndarray], kernel, marginals, tol: float,
+                      n0: int, mass2: float, steps: List[StepRecord]) -> np.ndarray:
+    om1, A = marginals.omega1.values, marginals.omega1.support
+    mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
+    K0 = start.pop()
+    K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
+    del K0
+    for r in range(1, REFINE_MAX + 1):
+        ratio1 = _support_ratio(om1, K, A)
+        Kn = omega_map(ratio1, kernel, marginals)
+        s = _support_sup(Kn, A, steps)
+        Kn /= s
+        conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
+        d = step_record(ratio1, Kn, K, conv_mask, kernel, False, mass2, s)
+        steps.append(StepRecord(n0 + r, "closing", d))
+        if d["hilbert_step"] < tol:
+            return Kn
+        u = np.log(K[A])
+        K = np.maximum(Kn, FLOOR_FREEZE)
+        u = mixer.next_input(u, np.log(K[A]))
+        if u is not None:
+            top = float(u.max())
+            if not math.isfinite(top):
+                raise NonConvergenceError("extrapolated iterate is NaN or inf "
+                                          "on the omega1 support", steps)
+            u -= top
+            K[A] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
+    raise NonConvergenceError(
+        f"closing iteration did not stabilize within {REFINE_MAX} steps", steps)

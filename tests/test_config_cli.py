@@ -204,6 +204,22 @@ class TestCli:
         code = main(["solve", "--config", str(cfg), "--output", str(tmp_path)])
         assert code == 2
 
+    def test_calls_in_one_process_see_only_their_own_arguments(self, tmp_path,
+                                                               monkeypatch):
+        # the parser is built once per process; --force on one call must not
+        # carry over to the next, which the refused orientation would show,
+        # and a command is looked up when it runs, not when the parser is built
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+        assert main(["check", "--config", "unread.json"]) == 7
+        cfg = write_config(tmp_path, SWAP_RAW)
+        forced, plain = tmp_path / "forced", tmp_path / "plain"
+        assert main(["solve", "--config", str(cfg), "--output", str(forced),
+                     "--force"]) == 0
+        assert (forced / "summary.json").exists()
+        assert main(["solve", "--config", str(cfg), "--output", str(plain)]) == 2
+        assert not (plain / "summary.json").exists()
+
     def test_solve_succeeds_after_swap(self, tmp_path):
         cfg = write_config(tmp_path, dict(SWAP_RAW, swap=True))
         out = tmp_path / "run"

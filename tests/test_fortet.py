@@ -19,7 +19,7 @@ from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
 from fortetbridge.fortet import FLOOR_FREEZE
 from fortetbridge.problem import swapped_marginals
 from fortetbridge.quadrature import QuadratureGrid
-from tests.conftest import random_instances, traced_peak
+from tests.conftest import fortet_steps, random_instances, traced_peak
 
 RESID_TOL = 1e-12
 SCHEME_STEPS = 12  # scheme prefix length checked step-by-step
@@ -176,29 +176,23 @@ def swap_solution(swap_instance):
 
 
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
-def test_closing_steps_floor_at_freeze(which, request, monkeypatch):
+def test_closing_steps_floor_at_freeze(which, request):
     # every closing input is floored at FLOOR_FREEZE, and a step whose
     # Anderson extrapolation the safeguard rejects (the residual's Hilbert
     # norm exceeds the least so far, or sits at the rounding floor) takes
     # the floored image; a run keeps no arrays, so they are read where each
-    # step's diagnostics are
+    # step records itself
     sol = request.getfixturevalue(which)
-    seen = []
-    step_record = fortet._step_record
-
-    # a closing step compares its image with its input: prev is the input H
-    def recording(ratio1, H_prime, H, *args):
-        seen.append((H, H_prime, None if H is None else H.copy(), H_prime.copy()))
-        return step_record(ratio1, H_prime, H, *args)
-
-    monkeypatch.setattr(fortet, "_step_record", recording)
-    rerun = run_fortet(sol.coupling.kernel, sol.coupling.marginals)
+    with fortet_steps() as seen:
+        rerun = run_fortet(sol.coupling.kernel, sol.coupling.marginals)
     assert [s.n for s in rerun.steps] == [s.n for s in sol.steps]
-    # nothing is written into an array once its step is recorded
-    for H, H_prime, H_copy, H_prime_copy in seen:
-        assert (H is None or np.array_equal(H, H_copy)) \
-            and np.array_equal(H_prime, H_prime_copy)
-    closing = [(H, H_prime) for H, H_prime, _, _ in seen[sol.iterations:]]
+    assert [step.phase for step in seen] == [s.phase for s in sol.steps]
+    # nothing is written into an array once its step is recorded, in either
+    # phase (a scheme step's prev is the image of the step before it)
+    for step in seen:
+        assert np.array_equal(step.input, step.input_then) \
+            and np.array_equal(step.image, step.image_then)
+    closing = [(step.input, step.image) for step in seen[sol.iterations:]]
     assert len(closing) == sol.refine_steps >= 2
     assert all(s.phase == "closing" for s in sol.steps[sol.iterations:])
     assert all(np.all(H >= FLOOR_FREEZE) for H, _ in closing)
@@ -289,7 +283,9 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
 
 def test_closing_step_enters_two_errstate_blocks(bench_kernel, bench_marginals,
                                                  monkeypatch):
-    # the map's and the fit's; the closing holds one block for all its steps
+    # none: the map and the fit take the block the closing holds for all its
+    # steps (entered without a call to np.errstate); they enter their own
+    # only when called outside it
     entered, errstate = [], np.errstate
     monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
     closing = fortet._closing_iteration
@@ -302,38 +298,137 @@ def test_closing_step_enters_two_errstate_blocks(bench_kernel, bench_marginals,
 
     monkeypatch.setattr(fortet, "_closing_iteration", counting)
     sol = run_fortet(bench_kernel, bench_marginals)
-    assert counting.n == 2 * sol.refine_steps
+    assert sol.refine_steps > 0 and counting.n == 0
 
 
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
-def test_map_and_step_record_match_the_where_expressions(which, request, monkeypatch):
-    # every step of a run, both phases: omega_map's H' and the step's
-    # diagnostics are bitwise those of the reference expressions
+def test_map_and_step_record_match_the_where_expressions(which, request):
+    # every step of a run, both phases, as the run takes it: the map's image
+    # and the step's diagnostics are bitwise those of the reference
+    # expressions.  A closing step's image is Omega(K) divided by its sup s
+    # on the omega1 support, compared with its input K
     sol = request.getfixturevalue(which)
     kernel, marginals = sol.coupling.kernel, sol.coupling.marginals
-    maps, records = [], []
-    omega, step_record = fortet.omega_map, fortet._step_record
+    A = marginals.omega1.values > 0
+    mass2 = marginals.omega2.mass()
+    with fortet_steps() as seen:
+        run_fortet(kernel, marginals)
+    assert [step.phase for step in seen] == [s.phase for s in sol.steps]
+    prev = None
+    for step, recorded in zip(seen, sol.steps):
+        image = _omega_map_reference(step.input, kernel, marginals)
+        if step.phase == "scheme":
+            s, mask = 1.0, A
+            case1 = bool((step.image[A] <= 1.0 + fortet.CASE1_EPS).all())
+        else:
+            s, prev, case1 = image[A].max(), step.input, False
+            mask = A & (step.image > 10.0 * FLOOR_FREEZE) \
+                & (step.input > 10.0 * FLOOR_FREEZE)
+        assert np.array_equal(step.image, image / s)
+        d = step.record
+        ref = _step_record_reference(step.input, step.image, prev, mask, kernel,
+                                     marginals, case1, mass2, s)
+        assert d.keys() == ref.keys() == recorded.diagnostics.keys()
+        assert all(d[k] == ref[k] == recorded.diagnostics[k]
+                   or all(map(math.isnan, (d[k], ref[k], recorded.diagnostics[k])))
+                   for k in d)
+        prev = step.image
 
-    def mapping(H, *args, **kwargs):
-        H_prime = omega(H, *args, **kwargs)
-        maps.append((H.copy(), H_prime.copy()))
-        return H_prime
 
-    def recording(ratio1, H_prime, prev, mask, kernel, *args):
-        d = step_record(ratio1, H_prime, prev, mask, kernel, *args)
-        records.append((H_prime.copy(), None if prev is None else prev.copy(),
-                        mask.copy(), args, d))
-        return d
+def _zero_mass_table_instance(off_support):
+    """Zero-mass nodes in both marginals, on a table kernel whose column 3
+    vanishes on the omega1 support, where omega2 = 0, so that G = 0 there
+    and the fit takes DensityField.over's masked quotient.  Row 0, off the
+    omega1 support, makes every image off_support there: "inf" from a row
+    of 1e308; "nan" from an inf entry in column 7, where omega2 = 0, so
+    that G is NaN there too and the image reads inf * 0."""
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=9)
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(0.02, 0.1, (9, 9))
+    vals[:, 3] = 0.0
+    if off_support == "inf":
+        vals[0, :] = 1e308
+    else:
+        vals[0, 7] = math.inf
+    om1, om2 = rng.uniform(0.1, 1.0, (2, 9))
+    om1[[0, 5]] = 0.0
+    om2[[3, 7]] = 0.0
+    return table_kernel(grid, grid, vals), MarginalPair(density_field(grid, om1),
+                                                        density_field(grid, om2))
 
-    monkeypatch.setattr(fortet, "omega_map", mapping)
-    monkeypatch.setattr(fortet, "_step_record", recording)
-    run_fortet(kernel, marginals)
-    assert len(maps) == len(records) == len(sol.steps)
-    for (H, image), (H_prime, prev, mask, args, d) in zip(maps, records):
-        assert np.array_equal(image, _omega_map_reference(H, kernel, marginals))
-        ref = _step_record_reference(H, H_prime, prev, mask, kernel, marginals, *args)
-        assert d.keys() == ref.keys()
-        assert all(d[k] == ref[k] or (d[k] != d[k] and ref[k] != ref[k]) for k in d)
+
+def _closing_instance(which, request):
+    if which == "bench":
+        return request.getfixturevalue("bench_kernel"), \
+            request.getfixturevalue("bench_marginals")
+    if which == "swap":
+        return request.getfixturevalue("swap_instance")
+    if which == "case1":
+        grid = request.getfixturevalue("bench_grid")
+        kernel = transition_normalized(gaussian_kernel(grid, grid, 0.5))
+        om1 = gaussian_density(grid, 1.0)
+        return kernel, MarginalPair(om1, pushforward(kernel, om1))
+    return _zero_mass_table_instance("inf" if which == "zero_mass_table" else "nan")
+
+
+@pytest.mark.parametrize("which", ["bench", "swap", "case1", "zero_mass_table",
+                                   "nan_off_support"])
+def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
+    # the closing, one pass per array, returns bitwise the iterate and the
+    # records of the pre-fusion closing (tests/reference_closing.py), from
+    # the scheme's last image as run_fortet hands it over.  On the table
+    # instances the image is inf or NaN off the omega1 support, and a
+    # record's normalization reads 0 * inf or NaN there, in both closings.
+    # A NaN off the support is why the closing keeps the masked omega1 / K:
+    # the plain quotient reads 0 / NaN there, and its G is NaN at every node
+    from tests.reference_closing import closing_iteration
+    kernel, marginals = _closing_instance(which, request)
+    table = which in ("zero_mass_table", "nan_off_support")
+    paths = {"masked": 0, "over": 0}
+    support_ratio, over = fortet._support_ratio, type(marginals.omega2).over
+
+    def masked(*args):
+        paths["masked"] += 1
+        return support_ratio(*args)
+
+    def fallback(self, integral, *args, out=None):
+        # the fit's masked quotient is a new array, its plain one is out
+        fit = over(self, integral, *args, out=out)
+        paths["over"] += fit is not out
+        return fit
+
+    monkeypatch.setattr(fortet, "_support_ratio", masked)
+    monkeypatch.setattr(type(marginals.omega2), "over", fallback)
+    mass2 = marginals.omega2.mass()
+    with np.errstate(invalid="ignore" if table else "raise"):
+        state = None
+        for n0 in (1, 2):
+            state = fortet_step(state, kernel, marginals, mass2)
+            if state.diagnostics["case1_candidate"]:
+                break
+        scheme = dict(paths)
+        fused, reference = [], []
+        K = fortet._closing_iteration([state.H_prime.copy()], kernel, marginals,
+                                      1e-11, n0, mass2, fused)
+        closed = {k: paths[k] - scheme[k] for k in paths}
+        K_ref = closing_iteration([state.H_prime.copy()], kernel, marginals,
+                                  1e-11, n0, mass2, reference)
+    assert (n0 == 1) == (which == "case1")
+    assert K.tobytes() == K_ref.tobytes()
+    if which == "nan_off_support":
+        assert np.isnan(K[0]) and not np.isnan(K[1:]).any()
+
+    def bits(steps):
+        return [(s.n, s.phase, {k: float(v).hex() for k, v in s.diagnostics.items()})
+                for s in steps]
+
+    assert len(fused) > 0 and bits(fused) == bits(reference)
+    if table:
+        # every closing step took the masked ratio and the fit's masked quotient
+        assert closed == {"masked": len(fused), "over": len(fused)}
+    else:
+        # only the first closing step, whose input the scheme formed
+        assert closed == {"masked": 1, "over": 0}
 
 
 def test_unreadable_nodes_match_the_where_expressions():

@@ -43,14 +43,22 @@ def test_fit_matches_the_where_expression():
     grid = build_grid(dim=1, radius=1.0, points_per_axis=9)
     om = np.array([0.5, 0.0, 0.25, 0.5, 1.0, 0.0, 2.0, 1e-300, 3.0])
     omega = density_field(grid, om, renormalize=False)
+    # the last two are positive at every node: the plain quotient, unless
+    # one overflows (3 / 1e-310), which reads inf without a warning
     cases = [np.array([math.nan, math.nan, 2.0, -math.inf, -1.0, 0.0, math.inf,
                        5e-324, 1e-310]),
-             np.linspace(0.5, 2.0, 9)]
+             np.linspace(0.5, 2.0, 9),
+             np.array([0.5, 1.0, 2.0, 1e-300, 1.0, math.inf, 2.0, 5e-324, 1e-310])]
     for den in cases:
         m = om > 0
         with np.errstate(all="ignore"):
             ref = np.where(m, om / np.where(den > 0, den, 1.0), 0.0)
         assert np.array_equal(omega.over(den, "G", "omega2 > 0"), ref)
+        out = den.copy()
+        fit = omega.over(out, "G", "omega2 > 0", out=out)
+        assert np.array_equal(fit, ref)
+        # out holds the plain quotient only
+        assert (fit is out) == (den is cases[1])
     assert np.array_equal(omega.support, om > 0) and not omega.support.flags.writeable
     den = np.ones(9)
     den[[2, 5, 7]] = 0.0   # node 5 is off the support
@@ -67,14 +75,17 @@ def test_gaussian_kernel_shape_and_bound(bench_grid):
     assert k.heat_sigma == 0.5
 
 
-@pytest.mark.parametrize("sigma", [0.5, 0.1])
+@pytest.mark.parametrize("sigma", [0.5, 0.1, 0.3])
 def test_heat_factor_is_built_in_one_buffer(bench_grid, sigma):
     # the formula evaluated with one temporary per operation peaks at twice
     # the factor; built in place, the factor is the only n x n array, and
     # the broadcast difference allocates no ufunc buffers (two 64 KiB ones,
     # 1.10 x the factor, at numpy's default buffer size)
     # the flush of entries below TINY (sigma = 0.1: 1,222 subnormal ones)
-    # runs a block of rows at a time, so its masks stay small too
+    # runs a block of rows at a time, so its masks stay small too.  A block
+    # skips exp where the exponent is below log(TINY / peak) - 1; at sigma =
+    # 0.3 rows 0-117 hold such exponents and rows 118-282 none, so the
+    # cutoff falls inside the 10-row block 110-119
     kernel, peak = traced_peak(lambda: gaussian_kernel(bench_grid, bench_grid, sigma))
     (factor,) = kernel.factors
     assert peak <= 1.02 * factor.nbytes
@@ -82,8 +93,13 @@ def test_heat_factor_is_built_in_one_buffer(bench_grid, sigma):
     formula = (1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
                * np.exp(-np.subtract.outer(x, x) ** 2 / (2.0 * sigma * sigma)))
     subnormal = (formula > 0) & (formula < TINY)
-    assert np.count_nonzero(subnormal) == {0.5: 0, 0.1: 1222}[sigma]
+    assert np.count_nonzero(subnormal) == {0.5: 0, 0.1: 1222, 0.3: 1610}[sigma]
     assert np.array_equal(factor, np.where(subnormal, 0.0, formula))
+    skipped = (np.subtract.outer(x, x) ** 2 / (2.0 * sigma * sigma)
+               > math.log(math.sqrt(2.0 * math.pi * sigma * sigma) / TINY) + 1.0)
+    edges = np.flatnonzero(np.diff(skipped.any(axis=1))) + 1
+    rows = problem.FLUSH_BLOCK // bench_grid.n_nodes
+    assert (edges % rows).tolist() == {0.5: [], 0.1: [], 0.3: [8, 3]}[sigma]
 
 
 def test_benchmark_hypotheses_all_pass(bench_kernel, bench_marginals):

@@ -123,6 +123,38 @@ def test_iteration_cap_raises(bench_kernel, bench_marginals):
         run_sinkhorn(bench_kernel, bench_marginals, max_iter=2)
 
 
+def test_scaling_that_leaves_float_range_raises_at_once():
+    # omega2 scaled to mass 1e-308: the first sweep's v is ~1e-308, which an
+    # absorption folds into the kernel, and the second sweep's u overflows
+    # against the folded rows.  Folding log u = inf next to log v = -inf
+    # added -inf + inf into the kernel; the fits read its NaN rows as 1 and
+    # swept on to the cap (2000 sweeps)
+    grid = build_grid(dim=1, radius=4.0, points_per_axis=41)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    values = gaussian_density(grid, 1.0).values
+    head_zeroed = values.copy()
+    head_zeroed[:5] = 0.0
+    marginals = MarginalPair(density_field(grid, head_zeroed),
+                             density_field(grid, values * 1e-308, renormalize=False))
+    with pytest.raises(NonConvergenceError, match="u overflowed at sweep 2"):
+        run_sinkhorn(kernel, marginals, max_iter=2000)
+
+
+def test_scaling_that_underflows_to_zero_is_refused_by_the_next_fit():
+    # omega1 = 5e-324 at node 4 against row integrals of ~20: u underflows to
+    # 0 there, whose folded row of zeros the next sweep's fit refuses, as a
+    # vanished integral (CLI exit 1), not as non-convergence
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=9)
+    om1 = np.full(9, 0.5)
+    om1[4] = 5e-324
+    marginals = MarginalPair(density_field(grid, om1, renormalize=False),
+                             density_field(grid, np.full(9, 0.5), renormalize=False))
+    with pytest.raises(KernelSupportError,
+                       match=r"^row integral vanished at nodes \[4\] where omega1 > 0$"):
+        run_sinkhorn(table_kernel(grid, grid, np.full((9, 9), 10.0)), marginals,
+                     max_iter=50)
+
+
 def test_rank_one_kernel_converges_in_one_projective_step():
     grid = build_grid(dim=1, radius=1.0, points_per_axis=3)
     kernel = table_kernel(grid, grid, np.ones((3, 3)))
