@@ -23,7 +23,8 @@ from .problem import KernelOperator, MarginalPair, gaussian_kernel
 from .quadrature import QuadratureGrid
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
-#: than this indicate a too-small truncation radius and are refused
+#: than this indicate a too-coarse grid or a too-small truncation radius
+#: and are refused
 MASS_DRIFT_TOL = 1e-4
 
 
@@ -156,8 +157,11 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     Endpoints use the solved potentials directly (the t -> 0 and t -> 1
     heat kernels degenerate to point evaluation), so rho_0 and rho_1
     reproduce the marginal-equation products exactly.  Refuses kernels
-    without an analytic heat scale and grids whose truncation lets the raw
-    interpolant mass drift by more than MASS_DRIFT_TOL.
+    without an analytic heat scale, and slices whose raw mass drifts by
+    more than MASS_DRIFT_TOL: a grid spacing above the slice's heat kernel
+    width, the narrower of sigma sqrt(t) and sigma sqrt(1 - t) (sigma at an
+    endpoint), under-resolves it, and otherwise the truncation is the
+    cause; the message names the two lengths.
     """
     sigma = kernel.heat_sigma
     if sigma is None:
@@ -188,12 +192,25 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
         rho = forward * backward
         m = float(np.sum(w * rho))
         if abs(m - 1.0) > MASS_DRIFT_TOL:
-            raise FortetBridgeError(
-                f"interpolant mass at t={t} drifted to {m!r}; enlarge the "
-                "truncation radius")
+            width = sigma * math.sqrt(min(t, 1.0 - t)) if 0.0 < t < 1.0 else sigma
+            raise FortetBridgeError(f"interpolant mass at t={t} drifted to {m!r}; "
+                                    + _drift_hint(grid, width))
         masses.append(m)
         out[k] = rho / m
     return Interpolation(tuple(float(t) for t in times), out, tuple(masses), grid)
+
+
+def _drift_hint(grid: QuadratureGrid, width: float) -> str:
+    """What an interpolant's mass drift points to: the grid spacing (the
+    largest gap between neighbouring node coordinates on any axis) against
+    the width of the slice's narrower heat kernel."""
+    axes = grid.axes or tuple(np.unique(c) for c in grid.nodes.reshape(grid.n_nodes, -1).T)
+    spacing = max(float(np.diff(a).max(initial=0.0)) for a in axes)
+    if width < spacing:
+        return (f"the slice's heat kernel width {width:.3g} is below the grid "
+                f"spacing {spacing:.3g}, which under-resolves it: add grid points")
+    return (f"the slice's heat kernel width {width:.3g} is resolved at the grid "
+            f"spacing {spacing:.3g}: enlarge the truncation radius")
 
 
 # --------------------------------------------------------------------------

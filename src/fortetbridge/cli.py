@@ -295,7 +295,12 @@ def cmd_interpolate(args) -> int:
 def cmd_diagnose(args) -> int:
     from . import sinkhorn
     from .config import load_problem
+    from .problem import check_assumptions
     problem = load_problem(args.config)
+    # the hard checks solve and compare run: an input they refuse exits 2
+    # here too, instead of sweeping to max_iter
+    if not problem.options.force:
+        check_assumptions(problem.kernel, problem.marginals).require_hard_checks()
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     trace = sinkhorn.sinkhorn_trace_hilbert(problem.kernel, problem.marginals,

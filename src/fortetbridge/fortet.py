@@ -499,10 +499,7 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     """
     if not opts.force:
         report = full_report(kernel, marginals)
-        failed = [k for k, v in report.hypotheses.items() if not v.ok]
-        if failed:
-            raise FeasibilityError(f"hypothesis checks failed: {', '.join(failed)} "
-                                   "(pass force=True to run anyway)")
+        report.require_hard_checks()
         if report.condition_star is not None \
                 and report.condition_star.verdict != "finite":
             hint = "; swapping the marginals looks feasible" if report.swap_recommended else ""

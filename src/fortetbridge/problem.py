@@ -16,6 +16,7 @@ from functools import cached_property, reduce
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FeasibilityError, GridError, KernelSupportError
 from .quadrature import GridFunction, QuadratureGrid, integrate
@@ -153,9 +154,12 @@ class KernelOperator:
     kernel on two tensor grids has one nonnegative 1-D factor per grid axis,
     in the axes' order, and the kernel is their Kronecker product: a product
     then costs one small matrix product per axis instead of a pass over the
-    n1 x n2 matrix.  values is that matrix, reduce(np.kron, factors); for a
-    product kernel it is built on first read and cached, and solving never
-    reads it.
+    n1 x n2 matrix.  A banded kernel has one 1-D factor, a symmetric band of
+    2b + 1 entries (b <= n - 1) on two grids of n nodes: the matrix is
+    symmetric Toeplitz, entry (i, j) the band's entry at offset i - j and 0
+    beyond b, and a product is one np.convolve (_band_product).  values is
+    the matrix, reduce(np.kron, matrices); for a product or banded kernel it
+    is built on first read and cached, and solving never reads it.
     """
 
     factors: Tuple[np.ndarray, ...]
@@ -167,8 +171,15 @@ class KernelOperator:
 
     def __post_init__(self):
         factors = tuple(np.asarray(a, dtype=float) for a in self.factors)
-        if len(factors) == 1:
-            if factors[0].shape != (self.grid1.n_nodes, self.grid2.n_nodes):
+        n = self.grid1.n_nodes
+        if len(factors) == 1 and factors[0].ndim == 1:
+            band = factors[0]
+            if not (self.grid2.n_nodes == n and band.size % 2 == 1
+                    and band.size < 2 * n and np.array_equal(band, band[::-1])):
+                raise GridError("a kernel band must be symmetric, of odd length "
+                                "below 2n, on two grids of n nodes")
+        elif len(factors) == 1:
+            if factors[0].shape != (n, self.grid2.n_nodes):
                 raise GridError("kernel matrix shape must be (n1, n2)")
         else:
             if not factors or [a.shape for a in factors] != [
@@ -182,10 +193,25 @@ class KernelOperator:
             a.setflags(write=False)
         object.__setattr__(self, "factors", factors)
 
+    @property
+    def banded(self) -> bool:
+        """Whether the one factor is a band (see the class docstring)."""
+        return self.factors[0].ndim == 1
+
+    @property
+    def matrices(self) -> Tuple[np.ndarray, ...]:
+        """The factors as matrices: a band's is a read-only view of n x n
+        windows on it (_band_matrix), with no n x n array behind it."""
+        if self.banded:
+            return (_band_matrix(self.factors[0], self.grid1.n_nodes),)
+        return self.factors
+
     @cached_property
     def values(self) -> np.ndarray:
         """The n1 x n2 kernel matrix; a dense kernel's one factor itself."""
-        values = reduce(np.kron, self.factors)
+        values = reduce(np.kron, self.matrices)
+        if self.banded:
+            values = np.array(values)
         values.setflags(write=False)
         return values
 
@@ -208,11 +234,16 @@ class KernelOperator:
     def log_values(self) -> np.ndarray:
         """log of the kernel matrix.  For the heat kernel it is the formula
         -|x - y|^2 / 2 sigma^2 - (d/2) log(2 pi sigma^2), finite where
-        values underflows to 0; for any other kernel it is log(values)."""
+        values underflows to 0, at the lattice offsets k h of a banded
+        kernel, as its band is; for any other kernel it is log(values)."""
         s = self.heat_sigma
         if s is None:
             with np.errstate(divide="ignore"):
                 return np.log(self.values)
+        if self.banded:
+            e = _lattice_exponents(self.grid1.axes[0], s)
+            e -= 0.5 * math.log(2.0 * math.pi * s * s)
+            return np.array(_band_matrix(np.concatenate((e[:0:-1], e)), e.size))
         d = self.grid1.dim
         x, y = (g.nodes.reshape(g.n_nodes, d) for g in (self.grid1, self.grid2))
         # in one buffer (and one more per further axis), rounded as
@@ -269,15 +300,37 @@ def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     x is flat in 'ij' order (last axis fastest).  Each product contracts the
     leading axis and its transpose rotates that axis to the back, so after d
     products the axes are back in order; for d = 2 this is A_1 @ X @ A_2.T.
+    A band is applied by _band_product.
     """
     if len(factors) == 1:
-        return factors[0] @ x
+        a = factors[0]
+        return a @ x if a.ndim == 2 else _band_product(a, x)
     # x is rebound before each product, so the contiguous copy that reshape
     # makes of a transposed product never coexists with that product
     for a in factors:
         x = x.reshape(a.shape[1], -1)
         x = (a @ x).T
     return x.reshape(-1)
+
+
+def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The band's symmetric Toeplitz matrix @ x: entry i is np.convolve(x,
+    band)[i + b], one dot product over the band's taps that meet x.  Only
+    those n entries are formed: mode 'same' when the band is no longer than
+    x, 'valid' when it spans every offset (b = n - 1)."""
+    b, n = band.size // 2, x.size
+    if 2 * b < n:
+        return np.convolve(x, band, "same")
+    if b == n - 1:
+        return np.convolve(x, band, "valid")
+    return np.convolve(x, band)[b:b + n]
+
+
+def _band_matrix(band: np.ndarray, n: int) -> np.ndarray:
+    """The n x n symmetric Toeplitz matrix of a band as a read-only view:
+    row i is the window of n entries that starts i entries before the
+    middle of the band, padded with zeros to 2n - 1 entries."""
+    return sliding_window_view(np.pad(band, n - 1 - band.size // 2), n)[::-1]
 
 
 def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
@@ -327,12 +380,49 @@ def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     return e
 
 
+def _lattice_exponents(axis: np.ndarray, s: float) -> np.ndarray:
+    """-(k h)^2 / (2 s^2) for k = 0, ..., n - 1 on a uniform axis of n
+    nodes, with h = (axis[-1] - axis[0]) / (n - 1), the step np.linspace
+    takes; in one buffer, rounded as the formula rounds."""
+    e = np.arange(axis.size) * ((axis[-1] - axis[0]) / (axis.size - 1))
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    e /= 2.0 * s * s
+    return e
+
+
+def _heat_band(axis: np.ndarray, s: float) -> np.ndarray:
+    """The band of the 1-D heat kernel N(y - x; s^2) on a uniform axis: the
+    entries peak * exp(-(k h)^2 / (2 s^2)) for |k| <= b, rounded as
+    _heat_factor rounds its entries, with those below TINY stored as 0; b
+    is the last offset whose entry is not, at most n - 1."""
+    peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
+    e = _lattice_exponents(axis, s)
+    np.exp(e, out=e)
+    e *= peak
+    e[e < TINY] = 0.0
+    # the entries fall with |k|, so the nonzero ones come first
+    half = e[:max(1, np.count_nonzero(e))]
+    return np.concatenate((half[:0:-1], half))
+
+
+def _uniform(axis: np.ndarray) -> bool:
+    """Whether axis is the uniform lattice np.linspace builds on its span."""
+    return np.array_equal(axis, np.linspace(axis[0], axis[-1], axis.size))
+
+
 def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma: float) -> KernelOperator:
     """Heat kernel g(x, y) = N(y - x; sigma^2) evaluated pointwise.
 
     The isotropic kernel is the product of 1-D kernels, one per coordinate.
-    On two grids with axes that is a Kronecker product of per-axis factors,
-    which the operator keeps; a grid without axes gets one dense factor.
+    On two 1-D grids that share one uniform axis (the trapezoid rule's) the
+    kernel depends on i - j only, and the operator keeps its band
+    (_heat_band): O(n) memory, and a product is one convolution.  Its
+    entries are taken at the lattice offsets k h, which differ from the
+    rounded node differences x_i - x_j in their last bits.  On other grids
+    with axes the kernel is a Kronecker product of per-axis factors
+    (_heat_factor), which the operator keeps; a grid without axes gets one
+    dense factor.
     """
     s = float(sigma)
     if s <= 0:
@@ -340,7 +430,10 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma: float) 
     if grid1.dim != grid2.dim:
         raise GridError("kernel grids must share dimension")
     d = grid1.dim
-    if grid1.axes and grid2.axes:
+    if (d == 1 and grid1.axes and grid2.axes and _uniform(grid1.axes[0])
+            and np.array_equal(grid1.axes[0], grid2.axes[0])):
+        factors = (_heat_band(grid1.axes[0], s),)
+    elif grid1.axes and grid2.axes:
         factors = tuple(_heat_factor(a, b, s) for a, b in zip(grid1.axes, grid2.axes))
     else:
         x = grid1.nodes.reshape(grid1.n_nodes, d)
@@ -453,6 +546,13 @@ class FeasibilityReport:
     def hard_checks_pass(self) -> bool:
         return all(r.ok for r in self.hypotheses.values())
 
+    def require_hard_checks(self) -> None:
+        """Raise FeasibilityError naming the hypothesis checks that failed."""
+        failed = [k for k, v in self.hypotheses.items() if not v.ok]
+        if failed:
+            raise FeasibilityError(f"hypothesis checks failed: {', '.join(failed)} "
+                                   "(pass force=True to run anyway)")
+
     @property
     def solver_admissible(self) -> bool:
         if not self.hard_checks_pass:
@@ -492,14 +592,15 @@ def _extremes(kernel: KernelOperator, extreme: np.ufunc, axis: int) -> np.ndarra
     product is the product of one row per factor, and for nonnegative
     factors the extreme of those products is the product of the extremes,
     exactly, because rounding is monotone.  A one-factor kernel is reduced
-    directly."""
-    return reduce(np.kron, [extreme.reduce(a, axis=axis) for a in kernel.factors])
+    directly, a band over its windows."""
+    return reduce(np.kron, [extreme.reduce(a, axis=axis) for a in kernel.matrices])
 
 
 def _row(kernel: KernelOperator, i: int) -> np.ndarray:
     """Row i of the kernel matrix, from one row per factor."""
-    index = np.unravel_index(i, [a.shape[0] for a in kernel.factors])
-    return reduce(np.kron, [a[k] for a, k in zip(kernel.factors, index)])
+    matrices = kernel.matrices
+    index = np.unravel_index(i, [a.shape[0] for a in matrices])
+    return reduce(np.kron, [a[k] for a, k in zip(matrices, index)])
 
 
 def _hits(kernel: KernelOperator, rows: np.ndarray, hit):
@@ -514,10 +615,10 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
     """Exact grid checks for the standing hypotheses; continuity best-effort.
 
     Reads the kernel's factors and never builds its matrix: row and column
-    extremes come from per-factor extremes, and only a row that holds an
-    offending entry is built.  Never raises on a failed check: the report
-    lists offending node indices and the caller decides (solvers refuse
-    inadmissible instances unless forced).
+    extremes come from per-factor extremes (a band's from its windows), and
+    only a row that holds an offending entry is built.  Never raises on a
+    failed check: the report lists offending node indices and the caller
+    decides (solvers refuse inadmissible instances unless forced).
     """
     checks: Dict[str, CheckResult] = {}
     # a NaN entry is neither negative nor positive, so those two checks
@@ -562,7 +663,7 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
 
     # best-effort smoke checks (full continuity is not grid-decidable)
     if kernel.grid1.dim == 1:
-        g = kernel.values  # a 1-D kernel is its one factor
+        (g,) = kernel.matrices  # a 1-D kernel has one factor
         checks["kernel_continuity"] = _smoothness_smoke(g[:, g.shape[1] // 2])
     else:
         checks["kernel_continuity"] = CheckResult("skipped", "dim > 1")

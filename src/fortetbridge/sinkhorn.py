@@ -23,9 +23,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import FeasibilityError, NonConvergenceError
 from .hilbert import ContractionBound, ProjectiveDiameter, projective_diameter
-from .problem import KernelOperator, MarginalPair
+from .problem import MASS_TOL, KernelOperator, MarginalPair
 
 #: a sweep that leaves |log u| or |log v| above this folds both scalings
 #: into the kernel and restarts them at 1
@@ -111,9 +111,15 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     marginal's own (DensityField.over), which raises KernelSupportError
     when its integral vanishes at a support node; NonConvergenceError at
     the cap, or at the first sweep whose u or v overflows on its support
-    (_support_log).
+    (_support_log).  Marginals whose masses differ by more than MASS_TOL
+    relative are refused up front with FeasibilityError: a fit matches one
+    marginal's mass exactly, so no sweep count fits both.
     """
     omega1, omega2 = marginals.omega1, marginals.omega2
+    mass1, mass2 = omega1.mass(), omega2.mass()
+    if not abs(mass1 - mass2) <= MASS_TOL * max(mass1, mass2):
+        raise FeasibilityError(f"marginal masses differ ({mass1!r} against "
+                               f"{mass2!r}): no scaling fits both")
     m1, m2 = omega1.support, omega2.support
     a = np.where(m1, 0.0, -np.inf)
     b = np.where(m2, 0.0, -np.inf)

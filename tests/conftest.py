@@ -85,6 +85,29 @@ def contract_extremes():
         problem._contract = contract
 
 
+@contextlib.contextmanager
+def kernel_matrix_builds():
+    """Record each KernelOperator whose values, the dense n1 x n2 matrix, is
+    built while the block runs, by wrapping that cached_property.  Yields a
+    list that gains the operator at each build; a matrix cached before the
+    block is not built again, so it is not recorded."""
+    from functools import cached_property
+    from fortetbridge.problem import KernelOperator
+    prop, built = KernelOperator.__dict__["values"], []
+
+    def values(self):
+        built.append(self)
+        return prop.func(self)
+
+    guard = cached_property(values)
+    guard.__set_name__(KernelOperator, "values")
+    KernelOperator.values = guard
+    try:
+        yield built
+    finally:
+        KernelOperator.values = prop
+
+
 #: one step of Fortet's iteration as fortet_steps() records it: its phase
 #: ("scheme" or "closing"), its input H, its image (H' = Omega(H) in the
 #: scheme, Omega(K) / s in the closing; the arrays themselves), the

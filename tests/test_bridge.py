@@ -402,14 +402,19 @@ class TestInterpolation:
 
     def test_2d_tight_grid_is_refused_by_mass_drift(self):
         # gauss2d's 41-point axes: the t = 0.25 interpolant's raw mass is
-        # 1.0019, beyond MASS_DRIFT_TOL
+        # 1.0019, beyond MASS_DRIFT_TOL.  The cause is the spacing 0.4, above
+        # the slice's heat kernel width 0.5 sqrt(0.25); a wider radius at
+        # the same point count drifts further
         raw = {"kernel": {"type": "gaussian", "sigma": 0.5},
                "marginals": [{"type": "gaussian", "sigma": 1.0},
                              {"type": "gaussian", "sigma": 0.8}],
                "grid": {"dim": 2, "radius": 8.0, "points": 41}}
         problem = build_problem(resolve_config(raw))
         sol = run_fortet(problem.kernel, problem.marginals)
-        with pytest.raises(FortetBridgeError, match="drift"):
+        with pytest.raises(FortetBridgeError,
+                           match=r"^interpolant mass at t=0\.25 drifted to 1\.0018\d*; "
+                                 r"the slice's heat kernel width 0\.25 is below the grid "
+                                 r"spacing 0\.4, which under-resolves it: add grid points$"):
             entropic_interpolation(sol.phi, sol.psi, problem.kernel, [0.25])
 
     def test_mass_drift_on_tight_truncation_raises(self):
@@ -419,5 +424,9 @@ class TestInterpolation:
         marginals = MarginalPair(gaussian_density(grid, 1.0),
                                  gaussian_density(grid, 0.8))
         sol = run_fortet(kernel, marginals)
-        with pytest.raises(FortetBridgeError, match="drift"):
+        # the spacing 0.04 resolves the slice's kernel (width 0.5 sqrt(0.5))
+        with pytest.raises(FortetBridgeError,
+                           match=r"^interpolant mass at t=0\.5 drifted to .*; the slice's "
+                                 r"heat kernel width 0\.354 is resolved at the grid spacing "
+                                 r"0\.04: enlarge the truncation radius$"):
             entropic_interpolation(sol.phi, sol.psi, kernel, [0.5])

@@ -19,7 +19,7 @@ from fortetbridge.errors import ConfigError
 from fortetbridge.fortet import StepRecord
 from fortetbridge.problem import gaussian_kernel
 from fortetbridge.quadrature import build_grid
-from tests.conftest import traced_peak
+from tests.conftest import kernel_matrix_builds, traced_peak
 
 BENCH_RAW = {
     "kernel": {"type": "gaussian", "sigma": 0.5},
@@ -298,6 +298,28 @@ class TestCli:
         assert len(payload["hilbert_distances"]) == payload["sinkhorn_iterations"] - 1
         assert "contraction_bound=" in capsys.readouterr().out
 
+    def test_diagnose_refuses_what_solve_refuses(self, tmp_path, capsys, monkeypatch):
+        # a negative kernel entry fails the hard checks: solve exits 2, and
+        # so does diagnose, before a sweep (its Sinkhorn would sweep to
+        # max_iter and exit 3)
+        from fortetbridge import sinkhorn
+        kernel = np.random.default_rng(0).uniform(0.5, 1.0, (21, 21))
+        kernel[3, 7] = -5.0
+        np.savetxt(tmp_path / "kernel.csv", kernel, delimiter=",")
+        raw = {"kernel": {"type": "table", "path": "kernel.csv"},
+               "marginals": [{"type": "gaussian", "sigma": 0.4},
+                             {"type": "gaussian", "sigma": 0.3}],
+               "grid": {"dim": 1, "radius": 1.0, "points": 21},
+               "solver": {"max_iter": 2000}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "s")]) == 2
+        monkeypatch.setattr(sinkhorn, "run_sinkhorn", None)
+        out = tmp_path / "d"
+        assert main(["diagnose", "--config", str(cfg), "--output", str(out)]) == 2
+        assert not (out / "diagnose.json").exists()
+        assert ("hypothesis checks failed: kernel_nonnegative"
+                in capsys.readouterr().err.splitlines()[-1])
+
     def test_compare_consistent_at_default_tol(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_RAW)
         out = tmp_path / "run"
@@ -341,19 +363,45 @@ def test_one_dimensional_multivariate_kernel_solves_as_the_gaussian(tmp_path):
     assert np.max(np.abs(psi[gate] / psi0[gate] - 1.0)) <= 1e-10
 
 
-def test_two_dimensional_solve_never_builds_the_kernel_matrix(tmp_path):
-    # solve, its feasibility report, coupling and KL read the per-axis
-    # factors only; the cached dense matrix stays unbuilt
-    raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 8.0, "points": 21})
-    problem = build_problem(resolve_config(raw))
-    assert len(problem.kernel.factors) == 2
-    solution, kl = _solve_problem(problem, tmp_path)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_never_builds_the_kernel_matrix(tmp_path, dim):
+    # solve, its feasibility report, coupling and KL read the 1-D kernel's
+    # band or the per-axis factors only; the cached dense matrix stays
+    # unbuilt, for this kernel and any other (the swapped kernel of the
+    # integrability estimate)
+    points = {1: 201, 2: 21}[dim]
+    raw = dict(BENCH_RAW, grid={"dim": dim, "radius": 8.0, "points": points})
+    with kernel_matrix_builds() as built:
+        problem = build_problem(resolve_config(raw))
+        assert len(problem.kernel.factors) == dim
+        assert problem.kernel.banded == (dim == 1)
+        solution, kl = _solve_problem(problem, tmp_path)
     coupling = solution.coupling
     assert solution.case_tag == "case2"
     assert kl.absolutely_continuous and kl.value > 0.0
     assert coupling.row_marginal_resid < 1e-12
+    assert built == []
     assert "values" not in problem.kernel.__dict__
     assert "pi" not in coupling.__dict__
+
+
+def test_large_one_dimensional_solve_holds_no_matrix(tmp_path):
+    # 4001 nodes: the dense heat factor alone would take 128 MB; the band
+    # takes 64 kB, and the load and the solve together stay below 2 MB
+    raw = dict(BENCH_RAW, grid={"dim": 1, "radius": 8.0, "points": 4001})
+    config = write_config(tmp_path, raw)
+
+    def load_and_solve():
+        problem = load_problem(config)
+        return problem, _solve_problem(problem, tmp_path)[0]
+
+    with kernel_matrix_builds() as built:
+        (problem, solution), peak = traced_peak(load_and_solve)
+    assert built == []
+    assert problem.kernel.factors[0].size == 2 * 4000 + 1
+    assert solution.case_tag == "case2"
+    assert max(solution.residuals["s1_resid"], solution.residuals["s2_resid"]) < 1e-10
+    assert peak < 2e6
 
 
 def _solve_counting_applies(raw, tmp_path, monkeypatch):

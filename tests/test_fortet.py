@@ -281,8 +281,8 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     assert min(argument for _, argument in seen) >= TINY
 
 
-def test_closing_step_enters_two_errstate_blocks(bench_kernel, bench_marginals,
-                                                 monkeypatch):
+def test_closing_step_enters_no_errstate_block(bench_kernel, bench_marginals,
+                                               monkeypatch):
     # none: the map and the fit take the block the closing holds for all its
     # steps (entered without a call to np.errstate); they enter their own
     # only when called outside it

@@ -85,11 +85,11 @@ def test_heat_factor_is_built_in_one_buffer(bench_grid, sigma):
     # runs a block of rows at a time, so its masks stay small too.  A block
     # skips exp where the exponent is below log(TINY / peak) - 1; at sigma =
     # 0.3 rows 0-117 hold such exponents and rows 118-282 none, so the
-    # cutoff falls inside the 10-row block 110-119
-    kernel, peak = traced_peak(lambda: gaussian_kernel(bench_grid, bench_grid, sigma))
-    (factor,) = kernel.factors
-    assert peak <= 1.02 * factor.nbytes
+    # cutoff falls inside the 10-row block 110-119.  The bench grid's 1-D
+    # kernel keeps a band, so the dense factor is built directly
     x = bench_grid.axes[0]
+    factor, peak = traced_peak(lambda: problem._heat_factor(x, x, sigma))
+    assert peak <= 1.02 * factor.nbytes
     formula = (1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
                * np.exp(-np.subtract.outer(x, x) ** 2 / (2.0 * sigma * sigma)))
     subnormal = (formula > 0) & (formula < TINY)
@@ -232,9 +232,17 @@ def test_heat_log_values_are_the_formula_where_values_underflow(dim, points):
     kernel = gaussian_kernel(grid, grid, 0.1)
     log_g = kernel.log_values
     assert np.all(np.isfinite(log_g))
-    # built in one buffer, it rounds as the formula does term by term
+    # built in one buffer, it rounds as the formula does term by term, at
+    # the node differences of each axis, or at the lattice offsets |i - j| h
+    # where the 1-D kernel is a band, as its band's entries are
     x = grid.nodes.reshape(grid.n_nodes, dim)
-    sq = sum(np.subtract.outer(x[:, k], x[:, k]) ** 2 for k in range(dim))
+    if dim == 1:
+        assert kernel.banded
+        k = np.arange(points)
+        h = (x[-1, 0] - x[0, 0]) / (points - 1)
+        sq = (np.abs(np.subtract.outer(k, k)) * h) ** 2
+    else:
+        sq = sum(np.subtract.outer(x[:, k], x[:, k]) ** 2 for k in range(dim))
     assert np.array_equal(log_g, -sq / (2.0 * 0.1 * 0.1)
                           - 0.5 * dim * math.log(2.0 * math.pi * 0.1 * 0.1))
     positive = kernel.values > 1e-300
@@ -281,14 +289,58 @@ def test_factored_gaussian_matches_dense(dim, points):
     assert np.all(kernel.values < kernel.sigma_bound)
 
 
-def test_one_dimensional_gaussian_apply_is_the_dense_product(bench_kernel, bench_grid):
-    assert len(bench_kernel.factors) == 1
-    assert bench_kernel.factors[0] is bench_kernel.values
+def test_one_dimensional_gaussian_apply_is_the_dense_product():
+    # Gauss-Legendre nodes are not a uniform lattice: the 1-D heat kernel
+    # keeps its dense factor there
+    grid = build_grid(dim=1, radius=8.0, points_per_axis=401, rule="gauss-legendre")
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    assert len(kernel.factors) == 1 and not kernel.banded
+    assert kernel.factors[0] is kernel.values
+    f = np.random.default_rng(3).uniform(0.1, 1.0, grid.n_nodes)
+    assert np.array_equal(kernel.apply(f), kernel.values @ (grid.weights * f))
+    assert np.array_equal(kernel.apply_T(f), kernel.values.T @ (grid.weights * f))
+
+
+#: (sigma, b) on the bench grid: the band's last nonzero offset
+BENCH_BANDS = [(0.5, 400), (0.1, 94), (0.3, 282)]
+
+
+@pytest.mark.parametrize("sigma, b", BENCH_BANDS)
+def test_heat_band_is_the_formula_at_the_lattice_offsets(bench_grid, sigma, b):
+    # peak * exp(-(k h)^2 / 2 sigma^2) at every offset |k| <= n - 1, h =
+    # 2 R / (n - 1), with the entries below TINY stored as 0, bitwise
+    k = np.arange(-400, 401)
+    h = 2.0 * 8.0 / 400
+    formula = (1.0 / math.sqrt(2.0 * math.pi * sigma * sigma)
+               * np.exp(-(k * h) ** 2 / (2.0 * sigma * sigma)))
+    formula[formula < TINY] = 0.0
+    (band,) = gaussian_kernel(bench_grid, bench_grid, sigma).factors
+    assert np.array_equal(band, formula[400 - b:401 + b])
+    assert not formula[:400 - b].any() and band[0] > 0
+
+
+@pytest.mark.parametrize("sigma, b", BENCH_BANDS)
+def test_one_dimensional_gaussian_apply_is_the_band_convolution(bench_grid, sigma, b):
+    # on the uniform axis the kernel keeps its band of 2b + 1 taps: apply and
+    # apply_T are one np.convolve each, bitwise ('same' for a band no
+    # longer than the axis, 'valid' for one that spans every offset), and
+    # each entry lies within the dot-product error bound gamma_n sum |g w f|
+    # of the exact sum over a row of values
+    kernel = gaussian_kernel(bench_grid, bench_grid, sigma)
+    (band,) = kernel.factors
+    assert kernel.banded and band.size == 2 * b + 1
     f = np.random.default_rng(3).uniform(0.1, 1.0, bench_grid.n_nodes)
-    assert np.array_equal(bench_kernel.apply(f),
-                          bench_kernel.values @ (bench_grid.weights * f))
-    assert np.array_equal(bench_kernel.apply_T(f),
-                          bench_kernel.values.T @ (bench_grid.weights * f))
+    wf = bench_grid.weights * f
+    image = kernel.apply(f)
+    n = bench_grid.n_nodes
+    assert np.array_equal(image, np.convolve(wf, band)[b:b + n])
+    if b in (94, 400):
+        assert np.array_equal(image, np.convolve(wf, band, "same" if b == 94 else "valid"))
+    assert np.array_equal(kernel.apply_T(f), image)
+    gamma = n * np.finfo(float).eps / (1.0 - n * np.finfo(float).eps)
+    for i, row in enumerate(kernel.values):
+        exact = math.fsum(row * wf)
+        assert abs(image[i] - exact) <= gamma * math.fsum(np.abs(row * wf))
 
 
 def _unscaled_apply(kernel, f):
@@ -300,7 +352,7 @@ def test_scaled_apply_is_closer_to_the_exact_sum(bench_grid):
     # leaves the left rows' integrals subnormal; the unscaled products
     # round there, the scaled ones do not
     kernel = gaussian_kernel(bench_grid, bench_grid, 0.1)
-    (a,), w = kernel.factors, bench_grid.weights
+    a, w = kernel.values, bench_grid.weights
     f = np.geomspace(1e-320, 1.0, bench_grid.n_nodes)
     lift = 2.0 ** 1000
     exact = np.array([math.ldexp(math.fsum(row * (w * (f * lift))), -1000) for row in a])

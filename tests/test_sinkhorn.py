@@ -11,7 +11,8 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           table_kernel, verify_uniqueness)
 from fortetbridge import sinkhorn
 from fortetbridge.hilbert import hilbert_distance
-from fortetbridge.errors import KernelSupportError, NonConvergenceError
+from fortetbridge.errors import (FeasibilityError, KernelSupportError,
+                                 NonConvergenceError)
 from fortetbridge.problem import swapped_marginals
 from tests.conftest import random_instance, traced_peak
 
@@ -123,32 +124,56 @@ def test_iteration_cap_raises(bench_kernel, bench_marginals):
         run_sinkhorn(bench_kernel, bench_marginals, max_iter=2)
 
 
-def test_scaling_that_leaves_float_range_raises_at_once():
-    # omega2 scaled to mass 1e-308: the first sweep's v is ~1e-308, which an
-    # absorption folds into the kernel, and the second sweep's u overflows
-    # against the folded rows.  Folding log u = inf next to log v = -inf
-    # added -inf + inf into the kernel; the fits read its NaN rows as 1 and
-    # swept on to the cap (2000 sweeps)
-    grid = build_grid(dim=1, radius=4.0, points_per_axis=41)
-    kernel = gaussian_kernel(grid, grid, 0.5)
-    values = gaussian_density(grid, 1.0).values
-    head_zeroed = values.copy()
+def _head_zeroed_pair(grid, omega2):
+    """A unit Gaussian omega1 with its first 5 nodes zeroed, and omega2."""
+    head_zeroed = gaussian_density(grid, 1.0).values.copy()
     head_zeroed[:5] = 0.0
-    marginals = MarginalPair(density_field(grid, head_zeroed),
-                             density_field(grid, values * 1e-308, renormalize=False))
+    return MarginalPair(density_field(grid, head_zeroed),
+                        density_field(grid, omega2, renormalize=False))
+
+
+def test_marginals_of_unequal_mass_are_refused_up_front():
+    # omega2 scaled to mass 1e-308 against a unit omega1: a fit matches one
+    # marginal's mass, so no sweep count fits both.  Refused before the
+    # first product
+    from tests.conftest import contract_extremes
+    grid = build_grid(dim=1, radius=4.0, points_per_axis=41)
+    marginals = _head_zeroed_pair(grid, gaussian_density(grid, 1.0).values * 1e-308)
+    with contract_extremes() as seen:
+        with pytest.raises(FeasibilityError, match=r"^marginal masses differ "
+                                                   r"\(0\.9999999999999999 against 1e-308\)"):
+            run_sinkhorn(gaussian_kernel(grid, grid, 0.5), marginals, max_iter=2000)
+    assert seen == []
+
+
+def test_scaling_that_leaves_float_range_raises_at_once():
+    # omega2 holds its unit mass at the last node and 1e-320 times a
+    # Gaussian elsewhere, against a sigma = 0.1 kernel that vanishes beyond
+    # |x - y| ~ 3.7: the first sweep's v is ~1e-320 or 0 away from the last
+    # node, which an absorption folds into the kernel, and the second
+    # sweep's u overflows against the folded rows far from it.  Folding log
+    # u = inf next to log v = -inf would add -inf + inf into the kernel,
+    # whose NaN rows the fits read as 1
+    grid = build_grid(dim=1, radius=4.0, points_per_axis=41)
+    omega2 = gaussian_density(grid, 1.0).values * 1e-320
+    omega2[-1] = 0.0
+    omega2[-1] = (1.0 - np.sum(grid.weights * omega2)) / grid.weights[-1]
+    marginals = _head_zeroed_pair(grid, omega2)
+    assert marginals.omega2.mass() == pytest.approx(marginals.omega1.mass(), rel=1e-15)
     with pytest.raises(NonConvergenceError, match="u overflowed at sweep 2"):
-        run_sinkhorn(kernel, marginals, max_iter=2000)
+        run_sinkhorn(gaussian_kernel(grid, grid, 0.1), marginals, max_iter=2000)
 
 
 def test_scaling_that_underflows_to_zero_is_refused_by_the_next_fit():
     # omega1 = 5e-324 at node 4 against row integrals of ~20: u underflows to
     # 0 there, whose folded row of zeros the next sweep's fit refuses, as a
-    # vanished integral (CLI exit 1), not as non-convergence
+    # vanished integral (CLI exit 1), not as non-convergence.  omega2 is
+    # omega1, so the two masses are equal
     grid = build_grid(dim=1, radius=1.0, points_per_axis=9)
     om1 = np.full(9, 0.5)
     om1[4] = 5e-324
     marginals = MarginalPair(density_field(grid, om1, renormalize=False),
-                             density_field(grid, np.full(9, 0.5), renormalize=False))
+                             density_field(grid, om1, renormalize=False))
     with pytest.raises(KernelSupportError,
                        match=r"^row integral vanished at nodes \[4\] where omega1 > 0$"):
         run_sinkhorn(table_kernel(grid, grid, np.full((9, 9), 10.0)), marginals,
@@ -247,4 +272,5 @@ def test_absorbing_sinkhorn_holds_two_kernel_arrays(bench_grid):
             run_sinkhorn(kernel, marginals, max_iter=120)
 
     _, peak = traced_peak(budget_run)
-    assert peak < 2.2 * kernel.factors[0].nbytes
+    # the kernel itself is a band; an n x n array of float64 is 8 n^2 bytes
+    assert peak < 2.2 * 8 * kernel.grid1.n_nodes * kernel.grid2.n_nodes
