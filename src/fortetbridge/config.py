@@ -13,8 +13,10 @@ A run is specified by a single JSON document:
       "normalize_kernel_rows": false
     }
 
-kernel.type is one of gaussian / gaussian_multivariate / table; marginal
-types are gaussian (sigma, or covariance for dim > 1) / table.  Table
+kernel.type is one of gaussian (sigma) / gaussian_multivariate (a d x d
+covariance: per-axis factors if diagonal, sigma^2 I giving sigma's operator,
+else one dense factor; both built by problem.gaussian_kernel) / table;
+marginal types are gaussian (sigma, or covariance for dim > 1) / table.  Table
 values come from CSV files resolved relative to the config file.  A radius
 of "auto" expands to 6.5 x the largest Gaussian scale in the problem.
 solver.max_iter caps Sinkhorn's sweeps and Fortet's scheme steps; the
@@ -38,8 +40,7 @@ from .errors import ConfigError
 from .fortet import FortetOptions
 from .problem import (DensityField, KernelOperator, MarginalPair,
                       density_field, gaussian_density, gaussian_kernel,
-                      gaussian_multivariate_kernel, swapped_marginals,
-                      table_kernel, transition_normalized)
+                      swapped_marginals, table_kernel, transition_normalized)
 from .quadrature import QuadratureGrid, build_grid
 
 AUTO_RADIUS_FACTOR = 6.5
@@ -201,8 +202,7 @@ def build_problem(resolved: Dict[str, object], base_dir=".") -> Problem:
     elif kind == "gaussian_multivariate":
         if "covariance" not in kspec:
             raise ConfigError("gaussian_multivariate kernel needs 'covariance'")
-        kernel = gaussian_multivariate_kernel(grid, grid,
-                                              np.asarray(kspec["covariance"], dtype=float))
+        kernel = gaussian_kernel(grid, grid, np.atleast_2d(kspec["covariance"]))
     elif kind == "table":
         vals = np.atleast_2d(_load_table(kspec.get("path"), base, "kernel"))
         if vals.shape != (grid.n_nodes, grid.n_nodes):

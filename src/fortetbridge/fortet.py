@@ -495,7 +495,9 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     NonConvergenceError when the iteration cap is hit: the scheme hands over
     by n = 2, so only opts.max_iter = 1 stops it); a step's arrays are
     dropped once the next step exists, and the scheme's last ones once the
-    closing phase has formed its first input.
+    closing phase has formed its first input.  A marginal residual above
+    sqrt(opts.tol) times its marginal's peak is warned of: the closing's
+    Hilbert step skips floor-pinned nodes, so it can stop short.
     """
     if not opts.force:
         report = full_report(kernel, marginals)
@@ -538,8 +540,12 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
                 "(outside the omega1 support)"] if over > CASE1_EPS else []
     h = np.minimum(K, 1.0)
     phi, psi, extract_warn = _extract_with_warnings(h, kernel, marginals)
-    return FortetSolution(h=h, case_tag="case1" if case1 else "case2",
-                          coupling=bridge.build_coupling(phi, psi, kernel, marginals),
+    coupling = bridge.build_coupling(phi, psi, kernel, marginals)
+    r1, r2, root = coupling.row_marginal_resid, coupling.col_marginal_resid, math.sqrt(opts.tol)
+    if r1 > root * marginals.omega1.values.max() or r2 > root * marginals.omega2.values.max():
+        warnings.append(f"marginal residuals s1 {r1:.3g} and s2 {r2:.3g} exceed sqrt(tol) = "
+                        f"{root:.3g} times the marginals' peaks: the closing stopped short")
+    return FortetSolution(h=h, case_tag="case1" if case1 else "case2", coupling=coupling,
                           warnings=tuple(warnings + extract_warn), steps=tuple(steps))
 
 

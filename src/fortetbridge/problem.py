@@ -144,10 +144,10 @@ class MarginalPair:
 class KernelOperator:
     """Discretized kernel g(x_i, y_j) with its uniform upper bound.
 
-    heat_sigma is sigma when this is the analytic heat kernel N(y - x;
-    sigma^2 I) and None for any other kernel; is_difference marks kernels of
-    the form U(x - y), which is what the monotone-tail screen and the
-    heat-kernel interpolation need.
+    heat_sigma is sigma when this is the heat kernel N(y - x; sigma^2 I),
+    built from a scale or an isotropic covariance, and None for any other
+    kernel, an anisotropic Gaussian too; is_difference marks kernels of the
+    form U(x - y), which the monotone-tail screen and the interpolation need.
 
     factors are what apply / apply_T contract and what the hypothesis checks
     read.  A dense kernel has one factor, the n1 x n2 matrix.  The heat
@@ -411,60 +411,60 @@ def _uniform(axis: np.ndarray) -> bool:
     return np.array_equal(axis, np.linspace(axis[0], axis[-1], axis.size))
 
 
-def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma: float) -> KernelOperator:
-    """Heat kernel g(x, y) = N(y - x; sigma^2) evaluated pointwise.
+def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> KernelOperator:
+    """Gaussian kernel g(x, y) = N(y - x; Sigma), for a scale sigma (Sigma =
+    sigma^2 I, the heat kernel, whose heat_sigma is sigma) or a d x d SPD Sigma.
 
-    The isotropic kernel is the product of 1-D kernels, one per coordinate.
-    On two 1-D grids that share one uniform axis (the trapezoid rule's) the
-    kernel depends on i - j only, and the operator keeps its band
-    (_heat_band): O(n) memory, and a product is one convolution.  Its
-    entries are taken at the lattice offsets k h, which differ from the
-    rounded node differences x_i - x_j in their last bits.  On other grids
-    with axes the kernel is a Kronecker product of per-axis factors
-    (_heat_factor), which the operator keeps; a grid without axes gets one
-    dense factor.
+    A diagonal Sigma is a product of 1-D kernels at the scales sqrt(Sigma_kk):
+    the band (_heat_band: O(n) memory, one convolution per product, entries
+    at the lattice offsets k h) on one uniform 1-D axis that both grids share,
+    one factor per axis (_heat_factor) on other grids with axes, and otherwise
+    one dense factor, the product of the per-coordinate factors with entries
+    below TINY stored as 0.  A non-diagonal Sigma is that product on the nodes
+    x C / C_kk at the scales 1 / C_kk (C C^T = Sigma^-1, C lower triangular).
     """
-    s = float(sigma)
-    if s <= 0:
-        raise FeasibilityError("kernel sigma must be positive")
     if grid1.dim != grid2.dim:
         raise GridError("kernel grids must share dimension")
     d = grid1.dim
+    cov, white = np.asarray(sigma, dtype=float), None
+    if cov.ndim == 0:
+        if cov <= 0:
+            raise FeasibilityError("kernel sigma must be positive")
+        scales = [float(cov)] * d
+    else:
+        _require_spd(cov, "kernel covariance")
+        if cov.shape != (d, d):
+            raise GridError("kernel covariance must be d x d")
+        scales = np.sqrt(np.diagonal(cov)).tolist()
+        if np.any(cov[~np.eye(d, dtype=bool)]):
+            C = np.linalg.cholesky(np.linalg.inv(cov))
+            white, scales = C / np.diagonal(C), (1.0 / np.diagonal(C)).tolist()
     if (d == 1 and grid1.axes and grid2.axes and _uniform(grid1.axes[0])
             and np.array_equal(grid1.axes[0], grid2.axes[0])):
-        factors = (_heat_band(grid1.axes[0], s),)
-    elif grid1.axes and grid2.axes:
-        factors = tuple(_heat_factor(a, b, s) for a, b in zip(grid1.axes, grid2.axes))
+        factors = (_heat_band(grid1.axes[0], scales[0]),)
+    elif grid1.axes and grid2.axes and white is None:
+        factors = tuple(map(_heat_factor, grid1.axes, grid2.axes, scales))
     else:
-        x = grid1.nodes.reshape(grid1.n_nodes, d)
-        y = grid2.nodes.reshape(grid2.n_nodes, d)
-        vals = 1.0
-        for k in range(d):
-            vals = vals * _heat_factor(x[:, k], y[:, k], s)
+        x, y = (g.nodes.reshape(g.n_nodes, d) for g in (grid1, grid2))
+        if white is not None:
+            x, y = x @ white, y @ white
+        vals = _heat_factor(x[:, 0], y[:, 0], scales[0])
+        for k in range(1, d):
+            vals *= _heat_factor(x[:, k], y[:, k], scales[k])
+        vals[vals < TINY] = 0.0
         factors = (vals,)
+    s = scales[0] if white is None and scales.count(scales[0]) == d else None
     # strict upper bound: the sup is attained on the diagonal, so pad it
-    peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d)
-    bound = peak * (1.0 + 1e-9)
-    return KernelOperator(factors, grid1, grid2, bound, heat_sigma=s,
+    peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d if s is not None
+                           else math.prod(2.0 * math.pi * t * t for t in scales))
+    return KernelOperator(factors, grid1, grid2, peak * (1.0 + 1e-9), heat_sigma=s,
                           is_difference=True)
 
 
 def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,
                                  Sigma) -> KernelOperator:
-    cov = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    _require_spd(cov, "kernel covariance")
-    d = grid1.dim
-    if cov.shape != (d, d):
-        raise GridError("kernel covariance must be d x d")
-    prec = np.linalg.inv(cov)
-    x = grid1.nodes.reshape(grid1.n_nodes, d)
-    y = grid2.nodes.reshape(grid2.n_nodes, d)
-    delta = x[:, None, :] - y[None, :, :]
-    q = np.einsum("nmi,ij,nmj->nm", delta, prec, delta)
-    peak = 1.0 / math.sqrt((2.0 * math.pi) ** d * np.linalg.det(cov))
-    vals = peak * np.exp(-0.5 * q)
-    bound = peak * (1.0 + 1e-9)
-    return KernelOperator((vals,), grid1, grid2, bound, is_difference=True)
+    """gaussian_kernel with Sigma read as a covariance matrix."""
+    return gaussian_kernel(grid1, grid2, np.atleast_2d(Sigma))
 
 
 def table_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, values) -> KernelOperator:
@@ -563,7 +563,7 @@ class FeasibilityReport:
 
 
 def _require_spd(mat: np.ndarray, what: str) -> None:
-    if mat.shape[0] != mat.shape[1] or not np.allclose(mat, mat.T, atol=1e-12):
+    if mat.shape != (len(mat),) * 2 or not np.allclose(mat, mat.T, atol=1e-12):
         raise FeasibilityError(f"{what} must be symmetric")
     if np.linalg.eigvalsh(mat).min() <= 0:
         raise FeasibilityError(f"{what} must be positive definite")

@@ -113,14 +113,17 @@ class TestConfig:
         assert abs(problem.marginals.omega2.mass() - 1.0) < 1e-12
 
     def test_multivariate_kernel_type_matches_the_heat_kernel(self):
-        # covariance 0.25 I is the heat kernel at sigma 0.5, to rounding
-        # relative to its peak
-        raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 3.0, "points": 21},
-                   kernel={"type": "gaussian_multivariate",
-                           "covariance": [[0.25, 0.0], [0.0, 0.25]]})
-        problem = build_problem(resolve_config(raw))
-        heat = gaussian_kernel(problem.grid, problem.grid, 0.5).values
-        assert np.max(np.abs(problem.kernel.values - heat)) <= 1e-14 * np.max(heat)
+        # covariance 0.25 I is the heat kernel at sigma 0.5: the same band
+        # or per-axis factors, bound and heat scale
+        for dim in (1, 2):
+            raw = dict(BENCH_RAW, grid={"dim": dim, "radius": 3.0, "points": 21},
+                       kernel={"type": "gaussian_multivariate",
+                               "covariance": (0.25 * np.eye(dim)).tolist()})
+            kernel = build_problem(resolve_config(raw)).kernel
+            heat = gaussian_kernel(kernel.grid1, kernel.grid2, 0.5)
+            assert len(kernel.factors) == dim and kernel.banded == (dim == 1)
+            assert all(map(np.array_equal, kernel.factors, heat.factors))
+            assert (kernel.sigma_bound, kernel.heat_sigma) == (heat.sigma_bound, 0.5)
 
     def test_normalize_kernel_rows_gives_unit_row_mass(self):
         problem = build_problem(resolve_config(dict(BENCH_RAW,
@@ -276,6 +279,38 @@ class TestCli:
         for mass in summary["interpolation_masses"]:
             assert mass == pytest.approx(1.0, abs=1e-4)
 
+    def test_interpolate_accepts_an_isotropic_covariance(self, tmp_path):
+        # covariance 0.25 I carries the heat scale 0.5 that the slices need
+        raw = dict(BENCH_RAW, kernel={"type": "gaussian_multivariate",
+                                      "covariance": [[0.25]]})
+        out = tmp_path / "run"
+        code = main(["interpolate", "--config", str(write_config(tmp_path, raw)),
+                     "--output", str(out), "--times", "0,0.5,1"])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["interpolation_times"] == [0.0, 0.5, 1.0]
+
+    def test_solve_warns_when_the_closing_stops_short(self, tmp_path):
+        # a row-normalized sigma = 0.004 kernel on a 25^2 grid is nearly the
+        # identity: the closing reads its Hilbert step on the few nodes above
+        # the floor, stops at 0.0, and leaves s1_resid 0.04
+        raw = {"kernel": {"type": "gaussian", "sigma": 0.004},
+               "marginals": [{"type": "gaussian", "sigma": 1.0},
+                             {"type": "gaussian", "sigma": 0.8}],
+               "grid": {"dim": 2, "radius": 4.0, "points": 25},
+               "normalize_kernel_rows": True}
+        out = tmp_path / "run"
+        code = main(["solve", "--config", str(write_config(tmp_path, raw)),
+                     "--output", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        s1 = summary["residuals"]["s1_resid"]
+        assert s1 > 0.01
+        assert [w for w in summary["warnings"] if w.startswith("marginal residuals")] == [
+            f"marginal residuals s1 {s1:.3g} and s2 "
+            f"{summary['residuals']['s2_resid']:.3g} exceed sqrt(tol) = 1e-05 "
+            "times the marginals' peaks: the closing stopped short"]
+
     def test_interpolate_rejects_unparseable_times(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_RAW)
         code = main(["interpolate", "--config", str(cfg),
@@ -342,40 +377,59 @@ class TestCli:
         assert payload["consistent"] is False
 
 
-def _potentials(tmp_path, raw, name):
+def _solve_artifacts(tmp_path, raw, name):
+    """potentials.csv and trace.csv of a CLI solve of raw, as bytes."""
     out = tmp_path / name
     assert main(["solve", "--config", str(write_config(tmp_path, raw, name + ".json")),
                  "--output", str(out)]) == 0
-    rows = read_csv(out / "potentials.csv")
-    columns = dict(zip(rows[0], np.array(rows[1:], dtype=float).T))
-    return columns["phi"], columns["psi"]
+    return [(out / f).read_bytes() for f in ("potentials.csv", "trace.csv")]
 
 
 def test_one_dimensional_multivariate_kernel_solves_as_the_gaussian(tmp_path):
-    # covariance [[0.25]] is the sigma = 0.5 heat kernel; a 1-D grid holds
-    # its nodes as a flat array, which the pairwise differences reshape
+    # covariance [[0.25]] is the sigma = 0.5 heat kernel's band, built by
+    # the same builder, so the solve writes the same bytes
     raw = dict(BENCH_RAW, kernel={"type": "gaussian_multivariate",
                                   "covariance": [[0.25]]})
-    phi, psi = _potentials(tmp_path, raw, "multivariate")
-    phi0, psi0 = _potentials(tmp_path, BENCH_RAW, "gaussian")
-    gate = load_problem(write_config(tmp_path, BENCH_RAW)).marginals.omega1.values > 1e-12
-    assert np.max(np.abs(phi[gate] / phi0[gate] - 1.0)) <= 1e-10
-    assert np.max(np.abs(psi[gate] / psi0[gate] - 1.0)) <= 1e-10
+    assert (_solve_artifacts(tmp_path, raw, "multivariate")
+            == _solve_artifacts(tmp_path, BENCH_RAW, "gaussian"))
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_solve_never_builds_the_kernel_matrix(tmp_path, dim):
+def test_two_dimensional_isotropic_multivariate_kernel_solves_as_the_gaussian(tmp_path):
+    raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 8.0, "points": 21})
+    cov = dict(raw, kernel={"type": "gaussian_multivariate",
+                            "covariance": [[0.25, 0.0], [0.0, 0.25]]})
+    assert (_solve_artifacts(tmp_path, cov, "multivariate")
+            == _solve_artifacts(tmp_path, raw, "gaussian"))
+
+
+#: a diagonal covariance per dimension, anisotropic in 2-D
+DIAGONAL = {1: [[0.25]], 2: [[0.25, 0.0], [0.0, 0.16]]}
+
+
+@pytest.mark.parametrize("dim,covariance", [
+    pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+    pytest.param(1, True, id="diagonal-1"), pytest.param(2, True, id="diagonal-2")])
+def test_solve_never_builds_the_kernel_matrix(tmp_path, dim, covariance):
     # solve, its feasibility report, coupling and KL read the 1-D kernel's
     # band or the per-axis factors only; the cached dense matrix stays
     # unbuilt, for this kernel and any other (the swapped kernel of the
-    # integrability estimate)
+    # integrability estimate).  A diagonal covariance keeps the same
+    # factors, at one scale per axis
     points = {1: 201, 2: 21}[dim]
     raw = dict(BENCH_RAW, grid={"dim": dim, "radius": 8.0, "points": points})
+    if covariance:
+        raw["kernel"] = {"type": "gaussian_multivariate", "covariance": DIAGONAL[dim]}
     with kernel_matrix_builds() as built:
         problem = build_problem(resolve_config(raw))
         assert len(problem.kernel.factors) == dim
         assert problem.kernel.banded == (dim == 1)
         solution, kl = _solve_problem(problem, tmp_path)
+        if covariance:
+            # 41^2 nodes: the dense matrix would take 22.6 MB
+            large = dict(raw, grid={"dim": dim, "radius": 8.0,
+                                    "points": {1: 41 * 41, 2: 41}[dim]})
+            _, peak = traced_peak(lambda: build_problem(resolve_config(large)))
+            assert peak < 1e6
     coupling = solution.coupling
     assert solution.case_tag == "case2"
     assert kl.absolutely_continuous and kl.value > 0.0

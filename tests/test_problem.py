@@ -408,6 +408,52 @@ def test_gaussian_on_grid_without_axes_is_one_dense_factor():
     assert _rel_err(dense.values, gaussian_kernel(grid, grid, 0.7).values) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.01])
+def test_non_diagonal_covariance_is_the_closed_form(scale):
+    # N(y - x; Sigma) from the full quadratic form; at scale 0.01 the far
+    # entries underflow, and the product of the whitened per-coordinate
+    # factors crosses TINY between them
+    cov = scale * np.array([[0.3, 0.1], [0.1, 0.2]])
+    grid = build_grid(dim=2, radius=3.0, points_per_axis=21)
+    kernel = gaussian_kernel(grid, grid, cov)
+    assert len(kernel.factors) == 1 and kernel.heat_sigma is None
+    delta = grid.nodes[:, None, :] - grid.nodes[None, :, :]
+    q = np.einsum("nmi,ij,nmj->nm", delta, np.linalg.inv(cov), delta)
+    peak = 1.0 / math.sqrt((2.0 * math.pi) ** 2 * np.linalg.det(cov))
+    closed = peak * np.exp(-0.5 * q)
+    assert np.max(np.abs(kernel.values - closed)) <= 1e-14 * peak
+    assert not np.any((kernel.values > 0) & (kernel.values < TINY))
+    assert np.all(kernel.values < kernel.sigma_bound)
+    if scale < 1.0:
+        assert np.any((closed > 0) & (closed < TINY))
+
+
+def test_diagonal_covariance_keeps_one_factor_per_axis():
+    axes = (np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))
+    grid = _tensor_grid(*axes)
+    kernel = gaussian_kernel(grid, grid, np.diag([0.3, 0.05]))
+    assert kernel.heat_sigma is None and kernel.is_difference
+    for factor, axis, var in zip(kernel.factors, axes, (0.3, 0.05)):
+        assert np.array_equal(factor, problem._heat_factor(axis, axis, math.sqrt(var)))
+    assert np.all(kernel.values < kernel.sigma_bound)
+
+
+def test_gaussian_kernel_checks_its_covariance(bench_grid):
+    grid = build_grid(dim=2, radius=3.0, points_per_axis=5)
+    with pytest.raises(FeasibilityError, match="kernel covariance must be positive definite"):
+        gaussian_kernel(grid, grid, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(FeasibilityError, match="kernel covariance must be symmetric"):
+        gaussian_kernel(grid, grid, np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(FeasibilityError, match="kernel covariance must be symmetric"):
+        gaussian_kernel(grid, grid, np.array([1.0, 1.0]))
+    with pytest.raises(GridError, match="kernel covariance must be d x d"):
+        gaussian_kernel(grid, grid, np.array([[0.25]]))
+    with pytest.raises(GridError, match="kernel covariance must be d x d"):
+        gaussian_kernel(bench_grid, bench_grid, np.eye(2))
+    with pytest.raises(FeasibilityError, match="kernel sigma must be positive"):
+        gaussian_kernel(grid, grid, -0.5)
+
+
 def _tensor_grid(*axes):
     """Hand-built grid with a different node set on every axis."""
     nodes = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
