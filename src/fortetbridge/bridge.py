@@ -12,15 +12,14 @@ usual ray rescaling and gives machine-checkable reference values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FortetBridgeError, InfeasibleParametersError
 from .problem import KernelOperator, MarginalPair, gaussian_kernel
-from .quadrature import QuadratureGrid
+from .quadrature import Frozen, QuadratureGrid
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
 #: than this indicate a too-coarse grid or a too-small truncation radius
@@ -28,8 +27,7 @@ from .quadrature import QuadratureGrid
 MASS_DRIFT_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(Frozen):
     """The static bridge pi(x, y) = phi(x) g(x, y) psi(y), a density
     against dx x dy on grid1 x grid2.
 
@@ -41,22 +39,16 @@ class Coupling:
     integral).  The (n1, n2) array pi is built on first read.
     """
 
-    phi: np.ndarray
-    psi: np.ndarray
-    kernel: KernelOperator
-    marginals: MarginalPair
-    row: np.ndarray = field(init=False, repr=False)
-    col: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        psi = np.asarray(self.psi, dtype=float)
+    def __init__(self, phi, psi, kernel: KernelOperator, marginals: MarginalPair):
+        phi = np.asarray(phi, dtype=float)
+        psi = np.asarray(psi, dtype=float)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            row = phi * self.kernel.apply(psi)
-            col = psi * self.kernel.apply_T(phi)
-        for name, value in (("phi", phi), ("psi", psi), ("row", row), ("col", col)):
+            row = phi * kernel.apply(psi)
+            col = psi * kernel.apply_T(phi)
+        for value in (phi, psi, row, col):
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        vars(self).update(phi=phi, psi=psi, kernel=kernel, marginals=marginals,
+                          row=row, col=col)
 
     @property
     def grid1(self) -> QuadratureGrid:
@@ -107,8 +99,7 @@ def prior_coupling(kernel: KernelOperator, marginals: MarginalPair) -> np.ndarra
     return marginals.omega1.values[:, None] * kernel.values
 
 
-@dataclass(frozen=True)
-class KLObjective:
+class KLObjective(NamedTuple):
     value: float
     absolutely_continuous: bool       # False => pi charges a reference-null cell
 
@@ -139,15 +130,14 @@ def kl_objective(coupling: Coupling) -> KLObjective:
     return KLObjective(value, True)
 
 
-@dataclass(frozen=True)
-class Interpolation:
-    times: Tuple[float, ...]
-    densities: np.ndarray             # (n_times, n_nodes), renormalized
-    masses: Tuple[float, ...]         # raw quadrature masses before renormalization
-    grid: QuadratureGrid
+class Interpolation(Frozen):
+    """The time marginals on grid: densities is (n_times, n_nodes), each row
+    renormalized, and masses holds their raw quadrature masses before that."""
 
-    def __post_init__(self):
-        self.densities.setflags(write=False)
+    def __init__(self, times: Tuple[float, ...], densities: np.ndarray,
+                 masses: Tuple[float, ...], grid: QuadratureGrid):
+        densities.setflags(write=False)
+        vars(self).update(times=times, densities=densities, masses=masses, grid=grid)
 
 
 def entropic_interpolation(phi, psi, kernel: KernelOperator,
@@ -217,8 +207,7 @@ def _drift_hint(grid: QuadratureGrid, width: float) -> str:
 # closed-form Gaussian reference solution
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianBridgeSolution:
+class GaussianBridgeSolution(NamedTuple):
     """Exact potentials for centered Gaussian marginals and Gaussian kernel.
 
     phi(x) = c_phi exp(-a x^2 / 2), psi(y) = c_psi exp(-b y^2 / 2) with the

@@ -234,8 +234,7 @@ def cmd_solve(args) -> int:
     from .config import load_problem
     problem = load_problem(args.config)
     if args.force:
-        from dataclasses import replace
-        problem = replace(problem, options=replace(problem.options, force=True))
+        problem = problem._replace(options=problem.options._replace(force=True))
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

@@ -16,23 +16,24 @@ A run is specified by a single JSON document:
 kernel.type is one of gaussian (sigma) / gaussian_multivariate (a d x d
 covariance: per-axis factors if diagonal, sigma^2 I giving sigma's operator,
 else one dense factor; both built by problem.gaussian_kernel) / table;
-marginal types are gaussian (sigma, or covariance for dim > 1) / table.  Table
-values come from CSV files resolved relative to the config file.  A radius
-of "auto" expands to 6.5 x the largest Gaussian scale in the problem.
+marginal types are gaussian (sigma, or covariance for dim > 1, where a
+scalar sigma is a per-axis variance) / table.  Table values come from CSV
+files resolved relative to the config file.  A radius of "auto" expands to
+6.5 x the largest Gaussian standard deviation in the problem.
 solver.max_iter caps Sinkhorn's sweeps and Fortet's scheme steps; the
 scheme hands over by n = 2, so for Fortet only a cap of 1 stops it.  The
 problem hash is the sha256 of the resolved config in canonical JSON form
 (sorted keys, no whitespace), so two runs with the same hash saw the same
-fully-resolved instance.
+fully-resolved instance.  build_problem returns a Problem, a NamedTuple of
+the grid, kernel, marginals, solver options, resolved config and hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -49,11 +50,10 @@ _TOP_KEYS = {"kernel", "marginals", "grid", "solver", "swap",
              "normalize_kernel_rows"}
 _GRID_DEFAULTS = {"dim": 1, "rule": "trapezoid"}
 #: solver keys, their defaults and (by the default's type) their casts
-_SOLVER_DEFAULTS = {f.name: f.default for f in fields(FortetOptions)}
+_SOLVER_DEFAULTS = FortetOptions._field_defaults
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     grid: QuadratureGrid
     kernel: KernelOperator
     marginals: MarginalPair
@@ -85,19 +85,24 @@ def problem_hash(resolved: Dict[str, object]) -> str:
     return hashlib.sha256(canonical_json(resolved).encode()).hexdigest()
 
 
-def _gaussian_scales(raw: Dict[str, object]):
+def _gaussian_scales(raw: Dict[str, object], dim: int):
+    """The standard deviations of the Gaussians in raw: a "sigma" as given,
+    and the square root of a covariance's largest eigenvalue.  In dim >= 2 a
+    marginal's "sigma" is a covariance (_build_marginal), a scalar one a
+    per-axis variance."""
     scales = []
-    for spec in [raw.get("kernel", {})] + list(raw.get("marginals", [])):
+    for k, spec in enumerate([raw.get("kernel", {})] + list(raw.get("marginals", []))):
         if not isinstance(spec, dict):
             continue
-        if "sigma" in spec:
+        covariances = ("covariance", "sigma") if k and dim > 1 else ("covariance",)
+        if "sigma" in spec and "sigma" not in covariances:
             try:
                 scales.append(float(spec["sigma"]))
             except (TypeError, ValueError):
                 pass
-        if "covariance" in spec:
+        for value in [spec[key] for key in covariances if key in spec]:
             try:
-                cov = np.atleast_2d(np.asarray(spec["covariance"], dtype=float))
+                cov = np.atleast_2d(np.asarray(value, dtype=float))
                 scales.append(float(np.sqrt(np.max(np.linalg.eigvalsh(cov)))))
             except Exception:
                 pass
@@ -118,17 +123,17 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     grid = dict(_GRID_DEFAULTS, **raw["grid"])
     if "points" not in grid:
         raise ConfigError("grid needs 'points'")
+    grid["points"] = int(grid["points"])
+    grid["dim"] = int(grid["dim"])
+    grid["rule"] = str(grid["rule"])
     radius = grid.get("radius", "auto")
     if radius == "auto":
-        scales = _gaussian_scales(raw)
+        scales = _gaussian_scales(raw, grid["dim"])
         if not scales:
             raise ConfigError("radius 'auto' needs at least one Gaussian scale "
                               "in the kernel or marginals")
         radius = AUTO_RADIUS_FACTOR * max(scales)
     grid["radius"] = float(radius)
-    grid["points"] = int(grid["points"])
-    grid["dim"] = int(grid["dim"])
-    grid["rule"] = str(grid["rule"])
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):

@@ -55,14 +55,14 @@ decision, recorded in the package docs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import bridge
 from .errors import FeasibilityError, FortetBridgeError, NonConvergenceError
 from .problem import KernelOperator, MarginalPair, full_report
+from .quadrature import Frozen
 
 #: every closing step floors its iterate here; true fixed-point values
 #: beneath it are not representable in float64 anyway (the iterate sits on
@@ -91,15 +91,16 @@ SUPPORT_THRESHOLD = 1e-12
 EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class FortetOptions:
+class FortetOptions(NamedTuple):
+    """Solver options, a NamedTuple: opts._replace(force=True) is a copy
+    with force set, and FortetOptions._field_defaults the defaults."""
+
     tol: float = 1e-10
     max_iter: int = 10000
     force: bool = False
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One row of a run's step record: the scalars trace.csv writes for a
     step of either phase.  A run keeps one row per step and no arrays."""
 
@@ -108,20 +109,16 @@ class StepRecord:
     diagnostics: Dict[str, float]
 
 
-@dataclass(frozen=True)
-class IterationState:
+class IterationState(Frozen):
     """One step of the truncated scheme with its arrays, as fortet_step
     returns it; run_fortet keeps only the row of each step.  H_dprime =
     min(1, H_prime) and J_mask = (H_prime > 1) are derived on read."""
 
-    n: int
-    H: np.ndarray
-    H_prime: np.ndarray
-    diagnostics: Dict[str, float]
-
-    def __post_init__(self):
-        self.H.setflags(write=False)
-        self.H_prime.setflags(write=False)
+    def __init__(self, n: int, H: np.ndarray, H_prime: np.ndarray,
+                 diagnostics: Dict[str, float]):
+        H.setflags(write=False)
+        H_prime.setflags(write=False)
+        vars(self).update(n=n, H=H, H_prime=H_prime, diagnostics=diagnostics)
 
     @property
     def H_dprime(self) -> np.ndarray:
@@ -132,26 +129,24 @@ class IterationState:
         return self.H_prime > 1.0
 
 
-@dataclass(frozen=True)
-class FortetSolution:
+class FortetSolution(Frozen):
     """A tagged solution.  The potentials are held by the coupling pi =
     phi g psi, whose marginal integrals certify the system; a degenerate
     solution has no coupling, and its potentials and residuals read None
-    and NaN.  steps holds one StepRecord per step of both phases."""
+    and NaN.  case_tag is "case1", "case2" or "degenerate".  steps holds
+    one StepRecord per step of both phases.  trace is always empty: a run
+    keeps no per-step arrays.  It is kept while the benchmark's tracer sizes
+    the arrays held there (fortet.trace_mb, which reads 0.0), and goes with
+    the benchmark change that stops reading it."""
 
-    h: Optional[np.ndarray]
-    case_tag: str                       # "case1" | "case2" | "degenerate"
-    coupling: Optional[bridge.Coupling]
-    warnings: Tuple[str, ...] = ()
-    steps: Tuple[StepRecord, ...] = ()
-    #: always empty: a run keeps no per-step arrays.  Kept while the
-    #: benchmark's tracer sizes the arrays held here (fortet.trace_mb, which
-    #: reads 0.0); it goes with the benchmark change that stops reading it
-    trace: Tuple[IterationState, ...] = ()
-
-    def __post_init__(self):
-        if self.h is not None:
-            self.h.setflags(write=False)
+    def __init__(self, h: Optional[np.ndarray], case_tag: str,
+                 coupling: Optional[bridge.Coupling], warnings: Tuple[str, ...] = (),
+                 steps: Tuple[StepRecord, ...] = (),
+                 trace: Tuple[IterationState, ...] = ()):
+        if h is not None:
+            h.setflags(write=False)
+        vars(self).update(h=h, case_tag=case_tag, coupling=coupling, warnings=warnings,
+                          steps=steps, trace=trace)
 
     @property
     def iterations(self) -> int:
@@ -568,8 +563,7 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     return phi, psi, warnings
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     ratio_spread_phi: float
     ratio_spread_psi: float
     c_phi: float

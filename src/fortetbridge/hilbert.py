@@ -9,8 +9,7 @@ convergence diagnostics for both iterative solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +34,7 @@ def hilbert_distance(x, y) -> float:
     return float(np.log(r.max() / r.min()))
 
 
-@dataclass(frozen=True)
-class ProjectiveDiameter:
+class ProjectiveDiameter(NamedTuple):
     value: float      # may be inf
     exact: bool       # False when sampled (too many columns) -> lower bound
 
@@ -76,8 +74,7 @@ def projective_diameter(matrix) -> ProjectiveDiameter:
     return ProjectiveDiameter(best, exact)
 
 
-@dataclass(frozen=True)
-class ContractionBound:
+class ContractionBound(NamedTuple):
     ratio: float          # tanh(diam/4), or 1.0 when the diameter is infinite
     diameter: float
     guaranteed: bool      # the diameter is finite and exact; a sampled one is
@@ -94,8 +91,7 @@ def birkhoff_contraction(matrix) -> ContractionBound:
     return ContractionBound.of(projective_diameter(matrix))
 
 
-@dataclass(frozen=True)
-class HomogeneityCheck:
+class HomogeneityCheck(NamedTuple):
     passed: bool
     max_ratio_excess: float
     witness: Optional[Tuple[np.ndarray, np.ndarray, float, float]] = None

@@ -11,15 +11,14 @@ difference kernels U(x - y) for the monotone-tail property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FeasibilityError, GridError, KernelSupportError
-from .quadrature import GridFunction, QuadratureGrid, integrate
+from .quadrature import Frozen, GridFunction, QuadratureGrid, integrate
 
 MASS_TOL = 1e-8
 #: tail-slope above this (per unit |y|^2) flags the integrability estimate
@@ -40,8 +39,7 @@ FLUSH_BLOCK = 4096
 # data types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityField:
+class DensityField(Frozen):
     """Nonnegative sampled density on a grid.
 
     Marginals are renormalized to unit mass on construction (the helper
@@ -49,13 +47,9 @@ class DensityField:
     marginals may carry renormalize=False and any mass.
     """
 
-    grid: QuadratureGrid
-    values: np.ndarray
-    renormalized: bool = True
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_nodes,):
+    def __init__(self, grid: QuadratureGrid, values, renormalized: bool = True):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n_nodes,):
             raise GridError("density values must match grid node count")
         if not np.all(np.isfinite(values)):
             raise GridError("density contains non-finite values")
@@ -63,7 +57,7 @@ class DensityField:
             idx = int(np.flatnonzero(values < 0)[0])
             raise FeasibilityError(f"density negative at node {idx}")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        vars(self).update(grid=grid, values=values, renormalized=renormalized)
 
     def mass(self) -> float:
         return integrate(GridFunction(self.grid, self.values))
@@ -134,14 +128,12 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
     return density_field(grid, vals, renormalize=True)
 
 
-@dataclass(frozen=True)
-class MarginalPair:
+class MarginalPair(NamedTuple):
     omega1: DensityField
     omega2: DensityField
 
 
-@dataclass(frozen=True)
-class KernelOperator:
+class KernelOperator(Frozen):
     """Discretized kernel g(x_i, y_j) with its uniform upper bound.
 
     heat_sigma is sigma when this is the heat kernel N(y - x; sigma^2 I),
@@ -162,28 +154,23 @@ class KernelOperator:
     is built on first read and cached, and solving never reads it.
     """
 
-    factors: Tuple[np.ndarray, ...]
-    grid1: QuadratureGrid
-    grid2: QuadratureGrid
-    sigma_bound: float
-    heat_sigma: Optional[float] = None
-    is_difference: bool = False
-
-    def __post_init__(self):
-        factors = tuple(np.asarray(a, dtype=float) for a in self.factors)
-        n = self.grid1.n_nodes
+    def __init__(self, factors: Sequence[np.ndarray], grid1: QuadratureGrid,
+                 grid2: QuadratureGrid, sigma_bound: float,
+                 heat_sigma: Optional[float] = None, is_difference: bool = False):
+        factors = tuple(np.asarray(a, dtype=float) for a in factors)
+        n = grid1.n_nodes
         if len(factors) == 1 and factors[0].ndim == 1:
             band = factors[0]
-            if not (self.grid2.n_nodes == n and band.size % 2 == 1
+            if not (grid2.n_nodes == n and band.size % 2 == 1
                     and band.size < 2 * n and np.array_equal(band, band[::-1])):
                 raise GridError("a kernel band must be symmetric, of odd length "
                                 "below 2n, on two grids of n nodes")
         elif len(factors) == 1:
-            if factors[0].shape != (n, self.grid2.n_nodes):
+            if factors[0].shape != (n, grid2.n_nodes):
                 raise GridError("kernel matrix shape must be (n1, n2)")
         else:
             if not factors or [a.shape for a in factors] != [
-                    (len(a1), len(a2)) for a1, a2 in zip(self.grid1.axes, self.grid2.axes)]:
+                    (len(a1), len(a2)) for a1, a2 in zip(grid1.axes, grid2.axes)]:
                 raise GridError("kernel factors must be (n1, n2) per grid axis")
             # the checks read a product's row maxima as the product of the
             # factors' row maxima, which needs nonnegative factors
@@ -191,7 +178,8 @@ class KernelOperator:
                 raise GridError("kernel factors must be nonnegative")
         for a in factors:
             a.setflags(write=False)
-        object.__setattr__(self, "factors", factors)
+        vars(self).update(factors=factors, grid1=grid1, grid2=grid2, sigma_bound=sigma_bound,
+                          heat_sigma=heat_sigma, is_difference=is_difference)
 
     @property
     def banded(self) -> bool:
@@ -499,8 +487,7 @@ def transition_normalized(kernel: KernelOperator) -> KernelOperator:
 # hypothesis checks
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     status: str          # "pass" | "fail" | "best-effort-pass" | "best-effort-fail" | "skipped"
     detail: str = ""
     offending_nodes: Tuple[int, ...] = ()
@@ -510,8 +497,7 @@ class CheckResult:
         return self.status in ("pass", "best-effort-pass", "skipped")
 
 
-@dataclass(frozen=True)
-class ConditionStar:
+class ConditionStar(NamedTuple):
     """Truncated-grid estimate of integral of omega2 / (g * omega1).
 
     The underlying condition is about an improper integral, which a finite
@@ -526,8 +512,7 @@ class ConditionStar:
     zero_denominator_nodes: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class DifferenceKernelResult:
+class DifferenceKernelResult(NamedTuple):
     status: str               # "pass" | "fail" | "not-applicable"
     condition: Optional[int] = None    # 1 = unimodal-type tails, 2 = mirrored
     T1: Optional[float] = None
@@ -535,8 +520,7 @@ class DifferenceKernelResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     hypotheses: Dict[str, CheckResult]
     condition_star: Optional[ConditionStar] = None
     swap_recommended: bool = False

@@ -7,7 +7,6 @@ reproducible byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -23,8 +22,20 @@ MAX_GRID_NODES = 4_000_000
 GL_NEWTON_STEPS = 50
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class Frozen:
+    """Base of the package's immutable classes: __init__ stores each
+    attribute once, in vars(self), and assigning or deleting one afterwards
+    raises AttributeError.  A cached_property still caches, since it writes
+    vars(self) too."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class QuadratureGrid(Frozen):
     """Tensor quadrature grid over the box [-R, R]^dim.
 
     nodes is (n,) for dim == 1 and (n, dim) otherwise; weights is always (n,)
@@ -34,54 +45,43 @@ class QuadratureGrid:
     has no tensor structure to use.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    truncation_radius: float
-    dim: int
-    rule: str
-    axes: Tuple[np.ndarray, ...] = field(repr=False, default=())
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, nodes, weights, truncation_radius: float, dim: int,
+                 rule: str, axes: Tuple[np.ndarray, ...] = ()):
+        nodes = np.asarray(nodes, dtype=float)
+        weights = np.asarray(weights, dtype=float)
         if nodes.shape[0] < 2:
             raise GridError("grid needs at least 2 nodes")
         if weights.shape != (nodes.shape[0],):
             raise GridError("weights length must match node count")
         if not np.all(weights > 0):
             raise GridError("quadrature weights must be strictly positive")
-        for ax in self.axes:
+        for ax in axes:
             if np.any(np.diff(ax) <= 0):
                 raise GridError("axis nodes must be strictly increasing")
-        if self.axes and (len(self.axes) != self.dim
-                          or not np.array_equal(nodes, _mesh(self.axes))):
+        if axes and (len(axes) != dim or not np.array_equal(nodes, _mesh(axes))):
             raise GridError("nodes must be the 'ij' mesh of the grid axes")
         nodes.setflags(write=False)
         weights.setflags(write=False)
+        vars(self).update(nodes=nodes, weights=weights, truncation_radius=truncation_radius,
+                          dim=dim, rule=rule, axes=axes)
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Frozen):
     """A function known by its values at the grid nodes."""
 
-    grid: QuadratureGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_nodes,):
+    def __init__(self, grid: QuadratureGrid, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n_nodes,):
             raise GridError(
                 f"values shape {values.shape} does not match grid "
-                f"({self.grid.n_nodes} nodes)"
+                f"({grid.n_nodes} nodes)"
             )
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        vars(self).update(grid=grid, values=values)
 
 
 def _mesh(axes) -> np.ndarray:

@@ -18,37 +18,32 @@ float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import FeasibilityError, NonConvergenceError
 from .hilbert import ContractionBound, ProjectiveDiameter, projective_diameter
 from .problem import MASS_TOL, KernelOperator, MarginalPair
+from .quadrature import Frozen
 
 #: a sweep that leaves |log u| or |log v| above this folds both scalings
 #: into the kernel and restarts them at 1
 ABSORB_LOG = 100.0
 
 
-@dataclass(frozen=True)
-class ScalingPair:
+class ScalingPair(Frozen):
     """Scalings on the ray where max(u) = 1 on the omega1 support, and their
     logs, finite on the supports where u or v leaves float range.
     hilbert_steps holds d_H(u_k, u_(k+1)) on the omega1 support for each
     sweep after the first."""
 
-    u: np.ndarray
-    v: np.ndarray
-    log_u: np.ndarray
-    log_v: np.ndarray
-    iterations: int
-    hilbert_steps: Tuple[float, ...]
-
-    def __post_init__(self):
-        for a in (self.u, self.v, self.log_u, self.log_v):
+    def __init__(self, u: np.ndarray, v: np.ndarray, log_u: np.ndarray,
+                 log_v: np.ndarray, iterations: int, hilbert_steps: Tuple[float, ...]):
+        for a in (u, v, log_u, log_v):
             a.setflags(write=False)
+        vars(self).update(u=u, v=v, log_u=log_u, log_v=log_v, iterations=iterations,
+                          hilbert_steps=hilbert_steps)
 
     @property
     def phi(self) -> np.ndarray:
@@ -152,8 +147,7 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     raise NonConvergenceError(f"sinkhorn did not converge in {max_iter} iterations")
 
 
-@dataclass(frozen=True)
-class HilbertTrace:
+class HilbertTrace(NamedTuple):
     """Successive step sizes d_H(u_k, u_{k+1}) of the u-iterates on the
     omega1 support, their consecutive ratios, and the Birkhoff bound
     tanh(max(diam_rows, diam_cols)/4), guaranteed to dominate the ratios

@@ -55,6 +55,15 @@ class TestConfig:
         assert resolved["solver"]["tol"] == 1e-10
         assert resolved["swap"] is False
 
+    def test_auto_radius_reads_a_two_dimensional_marginal_sigma_as_a_variance(self):
+        # in 2-D a marginal's "sigma" is a per-axis variance, as the marginal
+        # is built: the wider marginal's standard deviation is 0.5
+        raw = {"kernel": {"type": "gaussian", "sigma": 0.1},
+               "marginals": [{"type": "gaussian", "sigma": 0.25},
+                             {"type": "gaussian", "sigma": 0.16}],
+               "grid": {"dim": 2, "radius": "auto", "points": 21}}
+        assert resolve_config(raw)["grid"]["radius"] == 3.25  # 6.5 x 0.5
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             resolve_config(dict(BENCH_RAW, tolerance=1e-8))
@@ -501,6 +510,7 @@ def test_package_and_cli_load_no_scipy():
         "    cli.main(['--help'])",
         "except SystemExit as exc:",
         "    assert exc.code == 0",
+        "print('dataclasses loaded:', 'dataclasses' in sys.modules)",
         "print('scipy modules:', sorted(m for m in sys.modules",
         "                               if m.split('.')[0] == 'scipy'))",
     ])
@@ -510,7 +520,10 @@ def test_package_and_cli_load_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert "usage: fortetbridge" in run.stdout
-    assert run.stdout.splitlines()[-1] == "scipy modules: []"
+    # the package's records are NamedTuples and plain classes, whose import
+    # compiles no generated code
+    assert run.stdout.splitlines()[-2:] == ["dataclasses loaded: False",
+                                            "scipy modules: []"]
 
 
 def test_every_exported_name_resolves():
@@ -619,3 +632,75 @@ def test_potentials_writer_holds_no_record_buffer(tmp_path):
     cli._write_potentials(path, grid, columns)
     _, peak = traced_peak(lambda: cli._write_potentials(path, grid, columns))
     assert peak < 32 * 1024
+
+
+#: the package's immutable types: 15 NamedTuples and 9 quadrature.Frozen classes
+RECORDS = ("CheckResult", "ConditionStar", "ContractionBound", "Coupling",
+           "DensityField", "DifferenceKernelResult", "FeasibilityReport",
+           "FortetOptions", "FortetSolution", "GaussianBridgeSolution",
+           "GridFunction", "HilbertTrace", "HomogeneityCheck", "Interpolation",
+           "IterationState", "KLObjective", "KernelOperator", "MarginalPair",
+           "Problem", "ProjectiveDiameter", "QuadratureGrid", "ScalingPair",
+           "StepRecord", "UniquenessReport")
+
+
+@pytest.fixture(scope="module")
+def one_of_each(bench_grid, bench_kernel, bench_marginals, bench_solution,
+                bench_scaling):
+    """One instance of each of RECORDS, by class name.  The benchmark
+    kernel's matrix is not built: a small instance stands in for it."""
+    from fortetbridge import bridge, fortet, hilbert, problem, quadrature, sinkhorn
+    report = problem.full_report(bench_kernel, bench_marginals)
+    coupling = bench_solution.coupling
+    grid = build_grid(dim=1, radius=4.0, points_per_axis=21)
+    small = problem.MarginalPair(problem.gaussian_density(grid, 1.0),
+                                 problem.gaussian_density(grid, 0.8))
+    matrix = np.array([[1.0, 2.0], [3.0, 1.0]])
+    instances = [
+        bench_grid, quadrature.GridFunction(bench_grid, bench_marginals.omega1.values),
+        bench_marginals.omega1, bench_marginals, bench_kernel, report,
+        report.hypotheses["kernel_bounded"], report.condition_star,
+        report.difference_kernel, fortet.FortetOptions(), bench_solution.steps[0],
+        fortet.fortet_step(None, bench_kernel, bench_marginals), bench_solution,
+        fortet.verify_uniqueness(bench_solution, bench_solution, bench_marginals),
+        bench_scaling,
+        sinkhorn.sinkhorn_trace_hilbert(gaussian_kernel(grid, grid, 0.5), small),
+        hilbert.projective_diameter(matrix), hilbert.birkhoff_contraction(matrix),
+        hilbert.homogeneous_map_contraction_check(matrix.__matmul__, 1.0,
+                                                  [np.ones(2), np.arange(1.0, 3.0)]),
+        coupling, bridge.kl_objective(coupling),
+        bridge.entropic_interpolation(coupling.phi, coupling.psi, bench_kernel, [0.0, 1.0]),
+        bridge.gaussian_oracle(0.5, 1.0, 0.8), build_problem(resolve_config(BENCH_RAW)),
+    ]
+    return {type(x).__name__: x for x in instances}
+
+
+def test_records_are_every_immutable_type(one_of_each):
+    import importlib
+    import inspect
+    import pkgutil
+    import fortetbridge
+    from fortetbridge.quadrature import Frozen
+    found = set()
+    for info in pkgutil.iter_modules(fortetbridge.__path__):
+        module = importlib.import_module(f"fortetbridge.{info.name}")
+        found.update(name for name, cls in vars(module).items()
+                     if inspect.isclass(cls) and cls.__module__ == module.__name__
+                     and cls is not Frozen and issubclass(cls, (Frozen, tuple)))
+    assert sorted(found) == sorted(one_of_each) == list(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment_and_deletion(name, one_of_each):
+    record = one_of_each[name]
+    fields = record._fields if isinstance(record, tuple) else list(vars(record))
+    assert fields
+    for field in fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    with pytest.raises(AttributeError):
+        record.unknown = None

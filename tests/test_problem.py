@@ -1,7 +1,6 @@
 """Kernels, marginals, hypothesis checks, and feasibility screens."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +21,12 @@ from tests.conftest import random_instance, traced_peak
 SPACING_TOL = 0.05  # one node spacing on the coarse profile grids
 #: factored against dense products: same sums in another order
 FACTORED_APPLY_RTOL = 1e-13
+
+
+def _with_bound(kernel, sigma_bound):
+    """kernel's factors, grids, heat_sigma and is_difference under another bound."""
+    return KernelOperator(kernel.factors, kernel.grid1, kernel.grid2, sigma_bound,
+                          kernel.heat_sigma, kernel.is_difference)
 
 
 def test_gaussian_density_unit_mass(bench_grid):
@@ -128,7 +133,7 @@ def test_table_checks_name_the_first_offending_entries():
     vals[1, :] = [np.nan, 0.0, 0.0, 0.0]
     vals[2, 3] = -1.0
     vals[3, 1:] = [np.nan, -2.0, 0.7]
-    kernel = replace(table_kernel(grid, grid, vals), sigma_bound=0.6)
+    kernel = _with_bound(table_kernel(grid, grid, vals), 0.6)
     m = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
     checks = check_assumptions(kernel, m).hypotheses
     assert checks["kernel_nonnegative"].offending_nodes == (2, 3)
@@ -370,7 +375,7 @@ def test_unscalable_arguments_are_applied_unscaled(bench_kernel, bench_grid):
         g = f.copy()
         g[7] = bad
         cases.append(g)
-    unbounded = replace(bench_kernel, sigma_bound=math.inf)
+    unbounded = _with_bound(bench_kernel, math.inf)
     assert unbounded.apply_headroom is None
     with np.errstate(invalid="ignore"):
         for g in cases:
@@ -501,8 +506,8 @@ def test_factored_swapped_and_row_normalized_match_dense():
 
 def _dense_twin(kernel):
     """The same matrix as a one-factor table kernel with the same bound."""
-    return replace(table_kernel(kernel.grid1, kernel.grid2, kernel.values),
-                   sigma_bound=kernel.sigma_bound)
+    return _with_bound(table_kernel(kernel.grid1, kernel.grid2, kernel.values),
+                       kernel.sigma_bound)
 
 
 @pytest.mark.parametrize("dim,points", [(2, 41), (3, 15)])
@@ -561,7 +566,7 @@ def test_bound_below_the_factor_maxima_names_a_maximal_entry():
                              density_field(g2, np.ones(g2.n_nodes)))
     top = float(np.max(kernel.factors[0])) * float(np.max(kernel.factors[1]))
     assert check_assumptions(kernel, marginals).hypotheses["kernel_bounded"].ok
-    tight = replace(kernel, sigma_bound=top)
+    tight = _with_bound(kernel, top)
     bounded = check_assumptions(tight, marginals).hypotheses["kernel_bounded"]
     assert "values" not in tight.__dict__
     assert not bounded.ok
