@@ -34,7 +34,7 @@ _EXPORTS = {
     "FeasibilityReport": "problem",
     # fixed-point solver
     "FortetOptions": "fortet", "FortetSolution": "fortet",
-    "IterationState": "fortet", "StepRecord": "fortet",
+    "IterationState": "fortet", "StepLog": "fortet",
     "omega_map": "fortet", "fortet_step": "fortet", "run_fortet": "fortet",
     "verify_uniqueness": "fortet",
     # scaling baseline

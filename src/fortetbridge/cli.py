@@ -69,14 +69,16 @@ def _write_csv(path: Path, headers, tables) -> None:
 
     A table is a list of equal-length columns.  A column is a numeric,
     non-bool array, whose cells are its values by repr with NaN as an empty
-    cell, or a sequence whose slices are lists of ready cells (a list, or a
-    _MeshColumn).  Cells and headers must need no quoting; rows end in CRLF,
-    so the bytes are what csv.writer writes for the same cells.
-    Each block of CSV_BLOCK_ROWS rows is formatted and written at once,
-    which keeps the Python objects held at a time small.
+    cell, a range of ints, or a sequence whose slices are lists of ready
+    cells (a list, or a _MeshColumn).  Cells and headers must need no
+    quoting; rows end in CRLF, so the bytes are what csv.writer writes for
+    the same cells.  Each block of CSV_BLOCK_ROWS rows is formatted and
+    written at once, which keeps the Python objects held at a time small:
+    a block's cell lists are gone before its str is formatted, and the file
+    keeps a 64-byte buffer, not a page, since a block is one write anyway.
     """
     import numpy as np
-    with path.open("wb") as fh:
+    with path.open("wb", buffering=64) as fh:
         fh.write((",".join(headers) + "\r\n").encode())
         for columns in tables:
             has_nan = [isinstance(c, np.ndarray) and bool(np.isnan(c).any())
@@ -86,22 +88,27 @@ def _write_csv(path: Path, headers, tables) -> None:
                 cells = []
                 for c, nan in zip(columns, has_nan):
                     part = c[i:i + CSV_BLOCK_ROWS]
-                    if not isinstance(part, list):
+                    if isinstance(part, range):
+                        part = list(part)
+                    elif not isinstance(part, list):
                         part = part.tolist()
                     cells.append(["" if v != v else v for v in part] if nan else part)
-                # str of a float is its repr
-                block = row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells)))
-                fh.write(block.encode())
+                n, cells = len(cells[0]), tuple(chain.from_iterable(zip(*cells)))
+                # str of a float is its repr; the block's str and its bytes
+                # are held together only while it is encoded
+                fh.write((row * n % cells).encode())
 
 
-def _write_trace(path: Path, steps) -> None:
-    import numpy as np
-    columns = [[_fmt(r.n) for r in steps]]
-    columns += [np.array([r.diagnostics.get(name, math.nan) for r in steps], dtype=float)
-                for name in TRACE_COLUMNS[1:4]]
-    columns.append([_fmt(bool(r.diagnostics.get("case1_candidate", False)))
-                    for r in steps])
-    _write_csv(path, TRACE_COLUMNS, [columns])
+def _write_trace(path: Path, log) -> None:
+    """trace.csv from a run's fortet.StepLog, read in place: the scheme rows,
+    then the closing rows, whose case1_candidate cells are all false."""
+    split, rows = log.scheme_steps, len(log)
+    floats = [log.column(name) for name in TRACE_COLUMNS[1:4]]
+    _write_csv(path, TRACE_COLUMNS, [
+        [range(1, split + 1)] + [c[:split] for c in floats]
+        + [[_fmt(c) for c in log.case1_candidate]],
+        [range(split + 1, rows + 1)] + [c[split:] for c in floats]
+        + [_MeshColumn(["false"], 1, rows - split)]])
 
 
 class _MeshColumn:
@@ -279,7 +286,8 @@ def cmd_interpolate(args) -> int:
                                            problem.kernel, times)
     headers, coords = _coordinates(problem.grid)
     _write_csv(out / "interpolation.csv", ["t"] + headers + ["density"],
-               ([[_fmt(float(t))] * len(density)] + coords + [density]
+               ([_MeshColumn([_fmt(float(t))], len(density), len(density))]
+                + coords + [density]
                 for t, density in zip(interp.times, interp.densities)))
     payload = _solution_payload(problem, solution, kl)
     payload["interpolation_times"] = list(interp.times)

@@ -28,14 +28,14 @@ class InfeasibleParametersError(FortetBridgeError):
 class NonConvergenceError(FortetBridgeError):
     """Iteration cap reached without any termination trigger.
 
-    Carries the run's step record, one StepRecord of scalars per step, so
-    the caller can still write diagnostics (the CLI does exactly that before
-    exiting with code 3).
+    trace carries a Fortet run's step record, its fortet.StepLog of the
+    steps taken (None from other solvers), so the caller can still write
+    diagnostics (the CLI does exactly that before exiting with code 3).
     """
 
     def __init__(self, message, trace=None):
         super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
+        self.trace = trace
 
 
 class ConfigError(FortetBridgeError):

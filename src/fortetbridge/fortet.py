@@ -100,13 +100,54 @@ class FortetOptions(NamedTuple):
     force: bool = False
 
 
-class StepRecord(NamedTuple):
-    """One row of a run's step record: the scalars trace.csv writes for a
-    step of either phase.  A run keeps one row per step and no arrays."""
+class StepLog(Frozen):
+    """A run's step record in columns: one row per step of both phases,
+    what trace.csv writes, and no arrays of the iterate.  Row i is step n =
+    i + 1; the first scheme_steps rows are the scheme's, the rest the
+    closing's.  COLUMNS are float64 (NaN where a scheme step has no
+    previous image) and column reads one; case1_candidate holds the scheme
+    rows' flags, since a closing row's is False.  The rows fill one float64
+    block, 24 bytes a step, that doubles when full.  Attributes are not
+    assigned: rows are appended, by the run that owns the log."""
 
-    n: int
-    phase: str                     # "scheme" | "closing"
-    diagnostics: Dict[str, float]
+    COLUMNS = ("sup_change", "normalization_residual", "hilbert_step")
+
+    def __init__(self):
+        vars(self).update(_block=np.empty(3 * 16), _rows=0,
+                          case1_candidate=())
+
+    def __len__(self) -> int:
+        return self._rows
+
+    @property
+    def scheme_steps(self) -> int:
+        return len(self.case1_candidate)
+
+    def column(self, name: str) -> np.ndarray:
+        """The rows of column name, a read-only view of the block."""
+        k = self.COLUMNS.index(name)
+        view = self._block[k:3 * self._rows:3]
+        view.flags.writeable = False
+        return view
+
+    def append(self, sup_change: float, normalization_residual: float,
+               hilbert_step: float, case1_candidate: Optional[bool] = None) -> None:
+        """Add the next step's row: a scheme step's, with its case1_candidate
+        flag, before any closing step's, which has none."""
+        state = vars(self)
+        block, i = state["_block"], state["_rows"]
+        if case1_candidate is not None:
+            if i != self.scheme_steps:
+                raise FortetBridgeError("scheme rows precede closing rows")
+            state["case1_candidate"] += (bool(case1_candidate),)
+        j = 3 * i
+        if j == block.size:
+            state["_block"] = block = np.concatenate((block, np.empty_like(block)))
+        # row-major, so that a row is three stores at int indices
+        block[j] = sup_change
+        block[j + 1] = normalization_residual
+        block[j + 2] = hilbert_step
+        state["_rows"] = i + 1
 
 
 class IterationState(Frozen):
@@ -133,25 +174,26 @@ class FortetSolution(Frozen):
     """A tagged solution.  The potentials are held by the coupling pi =
     phi g psi, whose marginal integrals certify the system; a degenerate
     solution has no coupling, and its potentials and residuals read None
-    and NaN.  case_tag is "case1", "case2" or "degenerate".  steps holds
-    one StepRecord per step of both phases.  trace is always empty: a run
+    and NaN.  case_tag is "case1", "case2" or "degenerate".  steps is the
+    run's StepLog, one row per step of both phases (an empty one if not
+    given), and its step counts are read there.  trace is always empty: a run
     keeps no per-step arrays.  It is kept while the benchmark's tracer sizes
     the arrays held there (fortet.trace_mb, which reads 0.0), and goes with
     the benchmark change that stops reading it."""
 
     def __init__(self, h: Optional[np.ndarray], case_tag: str,
                  coupling: Optional[bridge.Coupling], warnings: Tuple[str, ...] = (),
-                 steps: Tuple[StepRecord, ...] = (),
+                 steps: Optional[StepLog] = None,
                  trace: Tuple[IterationState, ...] = ()):
         if h is not None:
             h.setflags(write=False)
         vars(self).update(h=h, case_tag=case_tag, coupling=coupling, warnings=warnings,
-                          steps=steps, trace=trace)
+                          steps=StepLog() if steps is None else steps, trace=trace)
 
     @property
     def iterations(self) -> int:
         """Scheme steps run; the last is where the case fired."""
-        return sum(s.phase == "scheme" for s in self.steps)
+        return self.steps.scheme_steps
 
     @property
     def refine_steps(self) -> int:
@@ -280,16 +322,16 @@ def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
 
 
 def _closing_record(K: np.ndarray, Kn: np.ndarray, s: float, ratio1: np.ndarray,
-                    A: np.ndarray, kernel: KernelOperator,
-                    mass2: float) -> Dict[str, float]:
-    """The diagnostics of one closing step, K -> Kn = Omega(K) / s, in the
-    scheme's columns: the sup change and the Hilbert step of Kn against K,
-    the latter over the nodes of the omega1 support A where both exceed
-    10 FLOOR_FREEZE; the normalization residual of Kn * s; case1_candidate
-    False.  ratio1 = omega1 / K as the map read it is overwritten.  On that
-    mask Kn and K lie in (10 FLOOR_FREEZE, 1], so one quotient Kn / K,
-    gathered once, is positive and finite there: _masked_hilbert_step's
-    first read.
+                    A: np.ndarray, kernel: KernelOperator, mass2: float,
+                    log: StepLog) -> Tuple[float, float]:
+    """Append the row of one closing step, K -> Kn = Omega(K) / s, to log,
+    in the scheme's columns, and return its (sup change, Hilbert step): the
+    sup change and the Hilbert step of Kn against K, the latter over the
+    nodes of the omega1 support A where both exceed 10 FLOOR_FREEZE, and
+    the normalization residual of Kn * s.  ratio1 = omega1 / K as the map
+    read it is overwritten.  On that mask Kn and K lie in (10 FLOOR_FREEZE,
+    1], so one quotient Kn / K, gathered once, is positive and finite there:
+    _masked_hilbert_step's first read.
     """
     t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
     t *= Kn * s
@@ -299,12 +341,9 @@ def _closing_record(K: np.ndarray, Kn: np.ndarray, s: float, ratio1: np.ndarray,
     mask = np.minimum(Kn, K) > 10.0 * FLOOR_FREEZE
     mask &= A
     q = np.divide(Kn, K, out=t)[mask]
-    return {
-        "sup_change": sup_change,
-        "hilbert_step": float(np.log(_top(q) / _bottom(q))) if q.size else math.inf,
-        "normalization_residual": abs(normalization - mass2),
-        "case1_candidate": False,
-    }
+    step = float(np.log(_top(q) / _bottom(q))) if q.size else math.inf
+    log.append(sup_change, abs(normalization - mass2), step)
+    return sup_change, step
 
 
 def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
@@ -330,13 +369,13 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
         bool((H_prime[A] <= 1.0 + CASE1_EPS).all()), mass2))
 
 
-def _support_sup(K: np.ndarray, A: np.ndarray, steps: List[StepRecord]) -> float:
+def _support_sup(K: np.ndarray, A: np.ndarray, log: StepLog) -> float:
     """max K over the omega1 support A; raises unless it is positive, which
     a NaN there also fails."""
     s = _top(K[A])
     if not s > 0:
         raise NonConvergenceError("iterate collapsed to zero or NaN on the omega1 "
-                                  "support", steps)
+                                  "support", log)
     return s
 
 
@@ -413,8 +452,8 @@ def _fit(D: np.ndarray, f: np.ndarray) -> Optional[List[float]]:
 
 @np.errstate(over="ignore", under="ignore")
 def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
-                       marginals: MarginalPair, tol: float, n0: int,
-                       mass2: float, steps: List[StepRecord]) -> np.ndarray:
+                       marginals: MarginalPair, tol: float, mass2: float,
+                       log: StepLog) -> np.ndarray:
     """Fixed-point iteration of Omega on the sup-1 ray, with a safeguarded
     Anderson step.
 
@@ -429,8 +468,9 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     where the Anderson mixer extrapolates the log-iterate u = log K from
     the last ANDERSON_M steps (rescaled to sup 1, and floored).
 
-    start holds the scheme's last image, from which the first input is
-    formed; it is taken out of the list and freed once that input exists.
+    Each step's row is appended to log.  start holds the scheme's last
+    image, from which the first input is formed; it is taken out of the
+    list and freed once that input exists.
     A step holds its input K, omega1 / K, its image T(K) and the mixer's
     history, and frees each once spent: the map runs beside K, omega1 / K
     and the history alone.
@@ -445,21 +485,20 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     om1, A = marginals.omega1.values, marginals.omega1.support
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
-    K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
+    K = np.maximum(K0 / _support_sup(K0, A, log), FLOOR_FREEZE)
     del K0
     # the scheme's image is not known finite off the support
     finite, plain = False, False
-    for r in range(1, REFINE_MAX + 1):
+    for _ in range(REFINE_MAX):
         ratio1 = np.divide(om1, K) if finite else _support_ratio(om1, K, A)
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
-        s = _support_sup(Kn, A, steps)
+        s = _support_sup(Kn, A, log)
         Kn /= s
-        d = _closing_record(K, Kn, s, ratio1, A, kernel, mass2)
-        steps.append(StepRecord(n0 + r, "closing", d))
-        if d["hilbert_step"] < tol:
+        sup_change, step = _closing_record(K, Kn, s, ratio1, A, kernel, mass2, log)
+        if step < tol:
             return Kn
         del ratio1  # spent on the record
-        finite = math.isfinite(d["sup_change"])
+        finite = math.isfinite(sup_change)
         u = None if plain else np.log(K[A])
         K = np.maximum(Kn, FLOOR_FREEZE)
         del Kn
@@ -472,12 +511,12 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
             top = _top(u)
             if not math.isfinite(top):
                 raise NonConvergenceError("extrapolated iterate is NaN or inf "
-                                          "on the omega1 support", steps)
+                                          "on the omega1 support", log)
             u -= top
             K[A] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
         del u
     raise NonConvergenceError(
-        f"closing iteration did not stabilize within {REFINE_MAX} steps", steps)
+        f"closing iteration did not stabilize within {REFINE_MAX} steps", log)
 
 
 def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
@@ -485,14 +524,15 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     """Run the truncated scheme to a tagged solution.
 
     Refuses instances whose feasibility report fails hard checks or whose
-    integrability estimate looks divergent, unless opts.force is set.  One
-    StepRecord per step is attached to the solution (and to the
-    NonConvergenceError when the iteration cap is hit: the scheme hands over
-    by n = 2, so only opts.max_iter = 1 stops it); a step's arrays are
-    dropped once the next step exists, and the scheme's last ones once the
-    closing phase has formed its first input.  A marginal residual above
-    sqrt(opts.tol) times its marginal's peak is warned of: the closing's
-    Hilbert step skips floor-pinned nodes, so it can stop short.
+    integrability estimate looks divergent, unless opts.force is set.  The
+    run's StepLog, a row of scalars per step, is attached to the solution
+    (and to the NonConvergenceError raised when the iteration cap is hit:
+    the scheme hands over by n = 2, so only opts.max_iter = 1 stops it, or
+    when the closing fails); a step's arrays are dropped once the next step
+    exists, and the scheme's last ones once the closing phase has formed its
+    first input.  A marginal residual above sqrt(opts.tol) times its
+    marginal's peak is warned of: the closing's Hilbert step skips
+    floor-pinned nodes, so it can stop short.
     """
     if not opts.force:
         report = full_report(kernel, marginals)
@@ -507,20 +547,21 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
         raise FeasibilityError("omega1 has empty support")
 
     mass2 = marginals.omega2.mass()
-    steps: List[StepRecord] = []
+    log = StepLog()
     state: Optional[IterationState] = None
     for n0 in (1, 2):
         if n0 > opts.max_iter:
             raise NonConvergenceError(
-                f"no termination case triggered within max_iter={opts.max_iter}", steps)
+                f"no termination case triggered within max_iter={opts.max_iter}", log)
         state = fortet_step(state, kernel, marginals, mass2)
-        steps.append(StepRecord(n0, "scheme", state.diagnostics))
+        d = state.diagnostics
+        case1 = d["case1_candidate"]
+        log.append(d["sup_change"], d["normalization_residual"], d["hilbert_step"], case1)
         if float(state.H_prime.max()) < DEGENERATE_EPS:
             return FortetSolution(h=state.H_prime, case_tag="degenerate", coupling=None,
                                   warnings=("iterate collapsed below the degeneracy "
                                             "threshold; no potentials extracted",),
-                                  steps=tuple(steps))
-        case1 = state.diagnostics["case1_candidate"]
+                                  steps=log)
         if case1:
             break
 
@@ -529,7 +570,7 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     # keeps the scheme's last arrays alive through the closing phase
     start = [state.H_prime]
     del state
-    K = _closing_iteration(start, kernel, marginals, closing_tol, n0, mass2, steps)
+    K = _closing_iteration(start, kernel, marginals, closing_tol, mass2, log)
     over = float(K.max()) - 1.0
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
                 "(outside the omega1 support)"] if over > CASE1_EPS else []
@@ -541,7 +582,7 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
         warnings.append(f"marginal residuals s1 {r1:.3g} and s2 {r2:.3g} exceed sqrt(tol) = "
                         f"{root:.3g} times the marginals' peaks: the closing stopped short")
     return FortetSolution(h=h, case_tag="case1" if case1 else "case2", coupling=coupling,
-                          warnings=tuple(warnings + extract_warn), steps=tuple(steps))
+                          warnings=tuple(warnings + extract_warn), steps=log)
 
 
 def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,

@@ -108,10 +108,26 @@ def kernel_matrix_builds():
         KernelOperator.values = prop
 
 
+def step_row(log, i):
+    """Row i of a fortet.StepLog as a dict, in the keys of a scheme step's
+    diagnostics: its three columns, and case1_candidate (False on a
+    closing row)."""
+    i %= len(log)
+    row = {name: float(log.column(name)[i]) for name in log.COLUMNS}
+    row["case1_candidate"] = i < log.scheme_steps and log.case1_candidate[i]
+    return row
+
+
+def step_phases(log):
+    """The phase of each row of a fortet.StepLog: its scheme rows come first."""
+    return ["scheme"] * log.scheme_steps + ["closing"] * (len(log) - log.scheme_steps)
+
+
 #: one step of Fortet's iteration as fortet_steps() records it: its phase
 #: ("scheme" or "closing"), its input H, its image (H' = Omega(H) in the
 #: scheme, Omega(K) / s in the closing; the arrays themselves), the
-#: diagnostics it recorded, and copies of both arrays taken when it recorded
+#: diagnostics it recorded (a closing step's row of the log, as step_row
+#: reads it), and copies of both arrays taken when it recorded
 FortetStep = collections.namedtuple(
     "FortetStep", "phase input image record input_then image_then")
 
@@ -133,9 +149,9 @@ def fortet_steps():
 
     def recording(K, Kn, *args):
         then = K.copy(), Kn.copy()
-        d = record(K, Kn, *args)
-        seen.append(FortetStep("closing", K, Kn, d, *then))
-        return d
+        result = record(K, Kn, *args)
+        seen.append(FortetStep("closing", K, Kn, step_row(args[-1], -1), *then))
+        return result
 
     fortet.fortet_step, fortet._closing_record = stepping, recording
     try:

@@ -10,7 +10,7 @@ from typing import Dict, List
 import numpy as np
 
 from fortetbridge.errors import NonConvergenceError
-from fortetbridge.fortet import (ANDERSON_M, FLOOR_FREEZE, REFINE_MAX, StepRecord,
+from fortetbridge.fortet import (ANDERSON_M, FLOOR_FREEZE, REFINE_MAX, StepLog,
                                  _AndersonMixer, _masked_hilbert_step,
                                  _support_ratio, _support_sup)
 
@@ -46,20 +46,20 @@ def step_record(ratio1, H_prime, prev, mask, kernel, case1_candidate, mass2,
 
 @np.errstate(over="ignore", under="ignore")
 def closing_iteration(start: List[np.ndarray], kernel, marginals, tol: float,
-                      n0: int, mass2: float, steps: List[StepRecord]) -> np.ndarray:
+                      mass2: float, steps: StepLog) -> np.ndarray:
     om1, A = marginals.omega1.values, marginals.omega1.support
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
     del K0
-    for r in range(1, REFINE_MAX + 1):
+    for _ in range(REFINE_MAX):
         ratio1 = _support_ratio(om1, K, A)
         Kn = omega_map(ratio1, kernel, marginals)
         s = _support_sup(Kn, A, steps)
         Kn /= s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
         d = step_record(ratio1, Kn, K, conv_mask, kernel, False, mass2, s)
-        steps.append(StepRecord(n0 + r, "closing", d))
+        steps.append(d["sup_change"], d["normalization_residual"], d["hilbert_step"])
         if d["hilbert_step"] < tol:
             return Kn
         u = np.log(K[A])

@@ -16,7 +16,7 @@ from fortetbridge.cli import _apply_thread_env, _solve_problem, _THREAD_VARS, ma
 from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
-from fortetbridge.fortet import StepRecord
+from fortetbridge.fortet import StepLog
 from fortetbridge.problem import gaussian_kernel
 from fortetbridge.quadrature import build_grid
 from tests.conftest import kernel_matrix_builds, traced_peak
@@ -579,15 +579,30 @@ def test_trace_and_potentials_writers_match_csv_module(tmp_path):
                    (list(c) + list(v) for c, v in zip(coords.tolist(), values.T.tolist())))
     assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "p_ref.csv").read_bytes()
 
-    steps = [StepRecord(n, "scheme", {"sup_change": v, "normalization_residual": w,
-                                      "hilbert_step": v, "case1_candidate": n % 2 == 0})
-             for n, (v, w) in enumerate(zip(SPECIAL * 9, reversed(SPECIAL * 9)), 1)]
-    steps.append(StepRecord(len(steps) + 1, "closing", {}))
-    cli._write_trace(tmp_path / "t.csv", steps)
-    _csv_reference(tmp_path / "t_ref.csv", cli.TRACE_COLUMNS,
-                   ([s.n] + [float(s.diagnostics.get(c, math.nan)) for c in cli.TRACE_COLUMNS[1:4]]
-                    + [bool(s.diagnostics.get("case1_candidate", False))] for s in steps))
+    # every special float in each column, in scheme rows flagged both ways
+    # and in closing rows, over enough rows to grow the log's block
+    log, rows = StepLog(), []
+    for n, (v, w) in enumerate(zip(SPECIAL * 9, reversed(SPECIAL * 9)), 1):
+        case1 = n % 2 == 0 if n <= 4 else None
+        row = [v, w, SPECIAL[(n + 3) % len(SPECIAL)]]
+        log.append(*row, case1)
+        rows.append([n] + row + [bool(case1)])
+    cli._write_trace(tmp_path / "t.csv", log)
+    _csv_reference(tmp_path / "t_ref.csv", cli.TRACE_COLUMNS, rows)
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+
+
+def test_trace_writer_holds_no_whole_run_list(tmp_path):
+    # trace.csv is written from the log's columns in place, a block of rows
+    # at a time, under the potentials writer's bound: 2 scheme rows and 998
+    # closing rows
+    log = StepLog()
+    for i, row in enumerate(np.random.default_rng(4).lognormal(0.0, 20.0, (1000, 3))):
+        log.append(*row.tolist(), False if i < 2 else None)
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, log)
+    _, peak = traced_peak(lambda: cli._write_trace(path, log))
+    assert peak < 32 * 1024
 
 
 @pytest.mark.parametrize("dim, points", [(1, 401), (2, 41), (3, 21)])
@@ -605,21 +620,28 @@ def test_mesh_coordinates_match_the_node_columns(tmp_path, dim, points):
 
 
 def test_interpolation_csv_matches_csv_module(tmp_path):
-    # one block of rows per time slice, each after the previous
+    # one block of rows per time slice, each after the previous, on a 1-D
+    # grid and on a 2-D one, whose coordinate columns are mesh cells; the
+    # 41 x 41 grid's spacing 0.4 resolves the heat kernel of sigma 1.5 at
+    # t = 0.3 (width 0.69), not that of sigma 0.5
     from fortetbridge.bridge import entropic_interpolation
-    cfg = write_config(tmp_path, BENCH_RAW)
-    out = tmp_path / "run"
+    two_d = dict(BENCH_RAW, kernel={"type": "gaussian", "sigma": 1.5},
+                 grid=dict(BENCH_RAW["grid"], dim=2, points=41))
     times = [0.0, 0.3, 1.0]
-    assert main(["interpolate", "--config", str(cfg), "--output", str(out),
-                 "--times", "0,0.3,1"]) == 0
-    problem = load_problem(cfg)
-    solution, _ = _solve_problem(problem, tmp_path)
-    interp = entropic_interpolation(solution.phi, solution.psi, problem.kernel, times)
-    nodes = problem.grid.nodes.tolist()
-    _csv_reference(tmp_path / "ref.csv", ["t", "x", "density"],
-                   ([t, x, d] for t, row in zip(times, interp.densities.tolist())
-                    for x, d in zip(nodes, row)))
-    assert (out / "interpolation.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for raw, coords in ((BENCH_RAW, ["x"]), (two_d, ["x1", "x2"])):
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / f"run{len(coords)}"
+        assert main(["interpolate", "--config", str(cfg), "--output", str(out),
+                     "--times", "0,0.3,1"]) == 0
+        problem = load_problem(cfg)
+        solution, _ = _solve_problem(problem, tmp_path)
+        interp = entropic_interpolation(solution.phi, solution.psi, problem.kernel, times)
+        nodes = problem.grid.nodes.reshape(problem.grid.n_nodes, -1).tolist()
+        _csv_reference(tmp_path / "ref.csv", ["t"] + coords + ["density"],
+                       ([t] + x + [d] for t, row in zip(times, interp.densities.tolist())
+                        for x, d in zip(nodes, row)))
+        assert (out / "interpolation.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_potentials_writer_holds_no_record_buffer(tmp_path):
@@ -634,14 +656,14 @@ def test_potentials_writer_holds_no_record_buffer(tmp_path):
     assert peak < 32 * 1024
 
 
-#: the package's immutable types: 15 NamedTuples and 9 quadrature.Frozen classes
+#: the package's immutable types: 14 NamedTuples and 10 quadrature.Frozen classes
 RECORDS = ("CheckResult", "ConditionStar", "ContractionBound", "Coupling",
            "DensityField", "DifferenceKernelResult", "FeasibilityReport",
            "FortetOptions", "FortetSolution", "GaussianBridgeSolution",
            "GridFunction", "HilbertTrace", "HomogeneityCheck", "Interpolation",
            "IterationState", "KLObjective", "KernelOperator", "MarginalPair",
            "Problem", "ProjectiveDiameter", "QuadratureGrid", "ScalingPair",
-           "StepRecord", "UniquenessReport")
+           "StepLog", "UniquenessReport")
 
 
 @pytest.fixture(scope="module")
@@ -660,7 +682,7 @@ def one_of_each(bench_grid, bench_kernel, bench_marginals, bench_solution,
         bench_grid, quadrature.GridFunction(bench_grid, bench_marginals.omega1.values),
         bench_marginals.omega1, bench_marginals, bench_kernel, report,
         report.hypotheses["kernel_bounded"], report.condition_star,
-        report.difference_kernel, fortet.FortetOptions(), bench_solution.steps[0],
+        report.difference_kernel, fortet.FortetOptions(), bench_solution.steps,
         fortet.fortet_step(None, bench_kernel, bench_marginals), bench_solution,
         fortet.verify_uniqueness(bench_solution, bench_solution, bench_marginals),
         bench_scaling,

@@ -1,6 +1,8 @@
 """Fixed-point map, truncated scheme, solver termination, potentials."""
 
+import gc
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,7 +21,8 @@ from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
 from fortetbridge.fortet import FLOOR_FREEZE
 from fortetbridge.problem import swapped_marginals
 from fortetbridge.quadrature import QuadratureGrid
-from tests.conftest import fortet_steps, random_instances, traced_peak
+from tests.conftest import (fortet_steps, random_instances, step_phases, step_row,
+                            traced_peak)
 
 RESID_TOL = 1e-12
 SCHEME_STEPS = 12  # scheme prefix length checked step-by-step
@@ -156,7 +159,7 @@ def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginal
     image = omega_map(sol.h, bench_kernel, bench_marginals)
     mask = bench_marginals.omega1.values > 1e-12
     assert np.max(np.abs(image[mask] / sol.h[mask] - 1.0)) < 1e-10
-    phases = [s.phase for s in sol.steps]
+    phases = step_phases(sol.steps)
     assert phases[:sol.iterations] == ["scheme"] * sol.iterations
     assert phases[sol.iterations:] == ["closing"] * sol.refine_steps
 
@@ -185,8 +188,9 @@ def test_closing_steps_floor_at_freeze(which, request):
     sol = request.getfixturevalue(which)
     with fortet_steps() as seen:
         rerun = run_fortet(sol.coupling.kernel, sol.coupling.marginals)
-    assert [s.n for s in rerun.steps] == [s.n for s in sol.steps]
-    assert [step.phase for step in seen] == [s.phase for s in sol.steps]
+    # a row's n is its place in the log
+    assert len(rerun.steps) == len(sol.steps)
+    assert [step.phase for step in seen] == step_phases(sol.steps)
     # nothing is written into an array once its step is recorded, in either
     # phase (a scheme step's prev is the image of the step before it)
     for step in seen:
@@ -194,7 +198,7 @@ def test_closing_steps_floor_at_freeze(which, request):
             and np.array_equal(step.image, step.image_then)
     closing = [(step.input, step.image) for step in seen[sol.iterations:]]
     assert len(closing) == sol.refine_steps >= 2
-    assert all(s.phase == "closing" for s in sol.steps[sol.iterations:])
+    assert all(p == "closing" for p in step_phases(sol.steps)[sol.iterations:])
     assert all(np.all(H >= FLOOR_FREEZE) for H, _ in closing)
     A = sol.coupling.marginals.omega1.values > 0
     best, rejected, extrapolated = math.inf, 0, 0
@@ -313,9 +317,10 @@ def test_map_and_step_record_match_the_where_expressions(which, request):
     mass2 = marginals.omega2.mass()
     with fortet_steps() as seen:
         run_fortet(kernel, marginals)
-    assert [step.phase for step in seen] == [s.phase for s in sol.steps]
+    assert [step.phase for step in seen] == step_phases(sol.steps)
     prev = None
-    for step, recorded in zip(seen, sol.steps):
+    for i, step in enumerate(seen):
+        recorded = step_row(sol.steps, i)
         image = _omega_map_reference(step.input, kernel, marginals)
         if step.phase == "scheme":
             s, mask = 1.0, A
@@ -328,9 +333,9 @@ def test_map_and_step_record_match_the_where_expressions(which, request):
         d = step.record
         ref = _step_record_reference(step.input, step.image, prev, mask, kernel,
                                      marginals, case1, mass2, s)
-        assert d.keys() == ref.keys() == recorded.diagnostics.keys()
-        assert all(d[k] == ref[k] == recorded.diagnostics[k]
-                   or all(map(math.isnan, (d[k], ref[k], recorded.diagnostics[k])))
+        assert d.keys() == ref.keys() == recorded.keys()
+        assert all(d[k] == ref[k] == recorded[k]
+                   or all(map(math.isnan, (d[k], ref[k], recorded[k])))
                    for k in d)
         prev = step.image
 
@@ -407,20 +412,20 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
             if state.diagnostics["case1_candidate"]:
                 break
         scheme = dict(paths)
-        fused, reference = [], []
+        fused, reference = fortet.StepLog(), fortet.StepLog()
         K = fortet._closing_iteration([state.H_prime.copy()], kernel, marginals,
-                                      1e-11, n0, mass2, fused)
+                                      1e-11, mass2, fused)
         closed = {k: paths[k] - scheme[k] for k in paths}
         K_ref = closing_iteration([state.H_prime.copy()], kernel, marginals,
-                                  1e-11, n0, mass2, reference)
+                                  1e-11, mass2, reference)
     assert (n0 == 1) == (which == "case1")
     assert K.tobytes() == K_ref.tobytes()
     if which == "nan_off_support":
         assert np.isnan(K[0]) and not np.isnan(K[1:]).any()
 
-    def bits(steps):
-        return [(s.n, s.phase, {k: float(v).hex() for k, v in s.diagnostics.items()})
-                for s in steps]
+    def bits(log):
+        return [(i + 1, phase, {k: float(v).hex() for k, v in step_row(log, i).items()})
+                for i, phase in enumerate(step_phases(log))]
 
     assert len(fused) > 0 and bits(fused) == bits(reference)
     if table:
@@ -476,6 +481,29 @@ def test_solve_keeps_no_per_step_arrays(swap_instance):
     sol, peak = traced_peak(lambda: run_fortet(*swap_instance))
     assert peak < 1e6
     assert len(sol.steps) == sol.iterations + sol.refine_steps == 102
+
+
+def _held_bytes(root):
+    """sys.getsizeof of root and of every object it reaches, each counted
+    once; classes are not followed.  The size of a numpy array that owns its
+    data includes the data."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def test_step_log_holds_a_few_bytes_a_step(swap_solution):
+    # 102 rows of three float64 columns in a block of 128, not a dict and
+    # boxed floats per step (~36 kB)
+    log = swap_solution.steps
+    assert len(log) == 102 and log.scheme_steps == 2
+    assert _held_bytes(log) <= 4 * 1024
 
 
 @pytest.mark.parametrize("points, dim", [(41, 2), (21, 3)])
@@ -725,7 +753,7 @@ def test_closing_refuses_a_nan_iterate(bench_kernel, bench_marginals, monkeypatc
                         lambda self, u, g: np.full_like(g, math.nan))
     with pytest.raises(NonConvergenceError, match="NaN") as err:
         run_fortet(bench_kernel, bench_marginals)
-    assert [s.phase for s in err.value.trace] == ["scheme", "scheme", "closing"]
+    assert step_phases(err.value.trace) == ["scheme", "scheme", "closing"]
 
 
 def test_feasibility_gate_refuses_divergent_orientation(bench_grid):
@@ -759,7 +787,7 @@ def test_case1_closes_on_the_sup_one_ray(bench_grid):
     sol = run_fortet(kernel, MarginalPair(om1, pushforward(kernel, om1)),
                      FortetOptions(force=True))
     assert (sol.case_tag, sol.iterations, sol.refine_steps) == ("case1", 1, 1)
-    assert sol.steps[-1].diagnostics["hilbert_step"] < FortetOptions().tol / 10
+    assert sol.steps.column("hilbert_step")[-1] < FortetOptions().tol / 10
     assert np.max(np.abs(sol.h - 1.0)) <= fortet.CASE1_EPS
 
 
