@@ -25,7 +25,7 @@ _EXPORTS = {
     "DensityField": "problem", "density_field": "problem",
     "gaussian_density": "problem", "MarginalPair": "problem",
     "KernelOperator": "problem", "gaussian_kernel": "problem",
-    "gaussian_multivariate_kernel": "problem", "table_kernel": "problem",
+    "table_kernel": "problem",
     "pushforward": "problem", "transition_normalized": "problem",
     "swapped_marginals": "problem", "check_assumptions": "problem",
     "condition_star": "problem", "bernstein_gaussian_condition": "problem",

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Dict, NamedTuple
 
@@ -109,6 +110,33 @@ def _gaussian_scales(raw: Dict[str, object], dim: int):
     return scales
 
 
+def _number(value, key: str, cast=float):
+    """cast(value), which a JSON number or a numeric string passes, or a
+    ConfigError naming key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be numeric, not {value!r}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _check_solver(solver: Dict[str, object]) -> None:
+    """Refuse a solver value its FortetOptions field would misread: force
+    must be a JSON boolean (bool("false") is true), max_iter an integer,
+    and tol finite and positive (a tol of -1 is never met)."""
+    if not isinstance(solver["force"], bool):
+        raise ConfigError(f"solver.force must be true or false, not {solver['force']!r}")
+    max_iter = solver["max_iter"]
+    # type, not isinstance: a bool is an int
+    if not (type(max_iter) is int or type(max_iter) is float and max_iter.is_integer()):
+        raise ConfigError(f"solver.max_iter must be an integer, not {max_iter!r}")
+    if not 0 < _number(solver["tol"], "solver.tol") < math.inf:
+        raise ConfigError(f"solver.tol must be finite and positive, not {solver['tol']!r}")
+
+
 def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     """Fill defaults and resolve "auto" values; returns a plain JSON dict."""
     unknown = set(raw) - _TOP_KEYS
@@ -117,14 +145,19 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     for key in ("kernel", "marginals", "grid"):
         if key not in raw:
             raise ConfigError(f"config is missing required key '{key}'")
+    for key in ("kernel", "grid"):
+        if not isinstance(raw[key], dict):
+            raise ConfigError(f"'{key}' must be an object")
     if not isinstance(raw["marginals"], list) or len(raw["marginals"]) != 2:
         raise ConfigError("'marginals' must be a list of exactly two entries")
+    if not all(isinstance(m, dict) for m in raw["marginals"]):
+        raise ConfigError("each of 'marginals' must be an object")
 
     grid = dict(_GRID_DEFAULTS, **raw["grid"])
     if "points" not in grid:
         raise ConfigError("grid needs 'points'")
-    grid["points"] = int(grid["points"])
-    grid["dim"] = int(grid["dim"])
+    grid["points"] = _number(grid["points"], "grid.points", int)
+    grid["dim"] = _number(grid["dim"], "grid.dim", int)
     grid["rule"] = str(grid["rule"])
     radius = grid.get("radius", "auto")
     if radius == "auto":
@@ -133,7 +166,7 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
             raise ConfigError("radius 'auto' needs at least one Gaussian scale "
                               "in the kernel or marginals")
         radius = AUTO_RADIUS_FACTOR * max(scales)
-    grid["radius"] = float(radius)
+    grid["radius"] = _number(radius, "grid.radius")
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -142,6 +175,7 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     if unknown:
         raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
     solver = dict(_SOLVER_DEFAULTS, **solver_raw)
+    _check_solver(solver)
 
     resolved = {
         "kernel": dict(raw["kernel"]),
@@ -175,11 +209,11 @@ def _build_marginal(spec: Dict[str, object], grid: QuadratureGrid,
         if grid.dim == 1:
             if "sigma" not in spec:
                 raise ConfigError(f"{which}: gaussian marginal needs 'sigma'")
-            return gaussian_density(grid, float(spec["sigma"]))
-        cov = spec.get("covariance", spec.get("sigma"))
-        if cov is None:
+            return gaussian_density(grid, _number(spec["sigma"], f"{which}: sigma"))
+        key = "covariance" if "covariance" in spec else "sigma"
+        if spec.get(key) is None:
             raise ConfigError(f"{which}: gaussian marginal needs 'covariance'")
-        return gaussian_density(grid, np.asarray(cov, dtype=float))
+        return gaussian_density(grid, _number(spec[key], f"{which}: {key}", _floats))
     if kind == "table":
         vals = _load_table(spec.get("path"), base_dir, which)
         if vals.ndim != 1 or vals.shape[0] != grid.n_nodes:
@@ -203,11 +237,12 @@ def build_problem(resolved: Dict[str, object], base_dir=".") -> Problem:
     if kind == "gaussian":
         if "sigma" not in kspec:
             raise ConfigError("gaussian kernel needs 'sigma'")
-        kernel = gaussian_kernel(grid, grid, float(kspec["sigma"]))
+        kernel = gaussian_kernel(grid, grid, _number(kspec["sigma"], "kernel sigma"))
     elif kind == "gaussian_multivariate":
         if "covariance" not in kspec:
             raise ConfigError("gaussian_multivariate kernel needs 'covariance'")
-        kernel = gaussian_kernel(grid, grid, np.atleast_2d(kspec["covariance"]))
+        kernel = gaussian_kernel(grid, grid, np.atleast_2d(
+            _number(kspec["covariance"], "kernel covariance", _floats)))
     elif kind == "table":
         vals = np.atleast_2d(_load_table(kspec.get("path"), base, "kernel"))
         if vals.shape != (grid.n_nodes, grid.n_nodes):

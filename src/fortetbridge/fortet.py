@@ -219,25 +219,6 @@ class FortetSolution(Frozen):
                 "marginal_resid": abs(c.mass - c.marginals.omega1.mass())}
 
 
-def _masked_hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
-    """log(max / min) of a / b over the nodes of mask where both are positive
-    and finite (inf if there are none)."""
-    r = a[mask]
-    if r.size and r.min() > 0:
-        # with a > 0, a / b lies in (0, inf) where b > 0 and both are finite
-        # (or the quotient leaves float range, which the nodes below keep)
-        r = np.divide(r, b[mask], out=r)
-        lo, hi = r.min(), r.max()
-        if lo > 0 and hi < math.inf:
-            return float(np.log(hi / lo))
-    a, b = a[mask], b[mask]
-    m = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
-    if not m.any():
-        return math.inf
-    r = np.divide(a[m], b[m])
-    return float(np.log(r.max() / r.min()))
-
-
 def _top(x: np.ndarray) -> float:
     """x.max(), read at x.argmax(): the same entry (NaN if x holds one),
     from the search loop, ~3x faster than the reduction on a few hundred
@@ -294,56 +275,43 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
     return kernel.apply(ratio2)
 
 
-def _step_record(ratio1: np.ndarray, H_prime: np.ndarray,
-                 prev: Optional[np.ndarray], mask: np.ndarray,
-                 kernel: KernelOperator, case1_candidate: bool,
-                 mass2: float) -> Dict[str, float]:
-    """The diagnostics of one scheme step, H -> H_prime = Omega(H).
+def _hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
+                  out: np.ndarray) -> float:
+    """log(max / min) of a / b over the nodes of mask where both are positive
+    and finite (inf if there are none).  The quotient is taken at every node,
+    into out, under the caller's np.errstate, and read on mask; the nodes are
+    filtered first only where a read quotient is 0, inf or NaN or a read
+    entry of a is not positive (two negative entries have a positive one)."""
+    q = np.divide(a, b, out=out)[mask]
+    if q.size:
+        lo, hi = _bottom(q), _top(q)
+        if lo > 0 and hi < math.inf and _bottom(a[mask]) > 0:
+            return float(np.log(hi / lo))
+    a, b = a[mask], b[mask]
+    m = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
+    if not m.any():
+        return math.inf
+    r = np.divide(a[m], b[m])
+    return float(np.log(r.max() / r.min()))
 
-    ratio1 is omega1 / H as omega_map read it; it is overwritten.  prev is
-    what the Hilbert step and the sup change compare H_prime with (None on
-    the first step) and mask the nodes the Hilbert step is taken over.  The
-    normalization residual is |Int (omega1/H) Omega(H) - mass2|.
+
+def _step_row(ratio1: np.ndarray, image: np.ndarray, s: float,
+              prev: Optional[np.ndarray], mask: np.ndarray, kernel: KernelOperator,
+              mass2: float) -> Tuple[float, float, float]:
+    """The row of one step of either phase, H -> image = Omega(H) / s, in
+    StepLog.COLUMNS order: the sup change of image against prev, the
+    normalization residual |Int (omega1/H) image s - mass2|, and the Hilbert
+    step of image against prev over mask (_hilbert_step).  ratio1 is omega1
+    / H as the map read it; it is overwritten.  prev is None on the
+    scheme's first step, whose two comparisons read NaN.
     """
     t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
-    t *= H_prime
-    normalization = float(np.sum(t))
-    diag = {
-        "sup_change": math.nan,
-        "hilbert_step": math.nan,
-        "normalization_residual": abs(normalization - mass2),
-        "case1_candidate": case1_candidate,
-    }
-    if prev is not None:
-        t = np.subtract(H_prime, prev, out=t)
-        diag["sup_change"] = float(np.max(np.abs(t, out=t)))
-        diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
-    return diag
-
-
-def _closing_record(K: np.ndarray, Kn: np.ndarray, s: float, ratio1: np.ndarray,
-                    A: np.ndarray, kernel: KernelOperator, mass2: float,
-                    log: StepLog) -> Tuple[float, float]:
-    """Append the row of one closing step, K -> Kn = Omega(K) / s, to log,
-    in the scheme's columns, and return its (sup change, Hilbert step): the
-    sup change and the Hilbert step of Kn against K, the latter over the
-    nodes of the omega1 support A where both exceed 10 FLOOR_FREEZE, and
-    the normalization residual of Kn * s.  ratio1 = omega1 / K as the map
-    read it is overwritten.  On that mask Kn and K lie in (10 FLOOR_FREEZE,
-    1], so one quotient Kn / K, gathered once, is positive and finite there:
-    _masked_hilbert_step's first read.
-    """
-    t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
-    t *= Kn * s
-    normalization = float(t.sum())
-    t = np.subtract(Kn, K, out=t)
-    sup_change = _top(np.abs(t, out=t))
-    mask = np.minimum(Kn, K) > 10.0 * FLOOR_FREEZE
-    mask &= A
-    q = np.divide(Kn, K, out=t)[mask]
-    step = float(np.log(_top(q) / _bottom(q))) if q.size else math.inf
-    log.append(sup_change, abs(normalization - mass2), step)
-    return sup_change, step
+    t *= image * s
+    residual = abs(float(t.sum()) - mass2)
+    if prev is None:
+        return math.nan, residual, math.nan
+    t = np.subtract(image, prev, out=t)
+    return _top(np.abs(t, out=t)), residual, _hilbert_step(image, prev, mask, t)
 
 
 def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
@@ -351,7 +319,9 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
                 mass2: Optional[float] = None) -> IterationState:
     """Advance the truncated scheme by one iteration (state None -> n = 1).
     mass2 is Int omega2, the value Int (omega1/H) Omega(H) takes for any H;
-    it is computed here when not given."""
+    it is computed here when not given.  The diagnostics are the step's row
+    (_step_row at scale 1, over the omega1 support), keyed by StepLog.COLUMNS,
+    and its case1_candidate flag."""
     om1, A = marginals.omega1.values, marginals.omega1.support
     if mass2 is None:
         mass2 = marginals.omega2.mass()
@@ -361,12 +331,14 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
     else:
         n, prev = state.n + 1, state.H_prime
         H = np.maximum(state.H_dprime, 1.0 / n)
+    # the row's quotient is taken at every node, and may leave float range
     with np.errstate(over="ignore", under="ignore"):
         ratio1 = _support_ratio(om1, H, A)
         H_prime = omega_map(H, kernel, marginals, ratio1=ratio1)
-    return IterationState(n, H, H_prime, _step_record(
-        ratio1, H_prime, prev, A, kernel,
-        bool((H_prime[A] <= 1.0 + CASE1_EPS).all()), mass2))
+        case1 = bool((H_prime[A] <= 1.0 + CASE1_EPS).all())
+        row = _step_row(ratio1, H_prime, 1.0, prev, A, kernel, mass2)
+    return IterationState(n, H, H_prime,
+                          dict(zip(StepLog.COLUMNS, row), case1_candidate=case1))
 
 
 def _support_sup(K: np.ndarray, A: np.ndarray, log: StepLog) -> float:
@@ -468,9 +440,9 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     where the Anderson mixer extrapolates the log-iterate u = log K from
     the last ANDERSON_M steps (rescaled to sup 1, and floored).
 
-    Each step's row is appended to log.  start holds the scheme's last
-    image, from which the first input is formed; it is taken out of the
-    list and freed once that input exists.
+    Each step's row (_step_row) is appended to log.  start holds the
+    scheme's last image, from which the first input is formed; it is taken
+    out of the list and freed once that input exists.
     A step holds its input K, omega1 / K, its image T(K) and the mixer's
     history, and frees each once spent: the map runs beside K, omega1 / K
     and the history alone.
@@ -494,10 +466,13 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
         s = _support_sup(Kn, A, log)
         Kn /= s
-        sup_change, step = _closing_record(K, Kn, s, ratio1, A, kernel, mass2, log)
+        mask = np.minimum(Kn, K) > 10.0 * FLOOR_FREEZE
+        mask &= A
+        sup_change, residual, step = _step_row(ratio1, Kn, s, K, mask, kernel, mass2)
+        log.append(sup_change, residual, step)
         if step < tol:
             return Kn
-        del ratio1  # spent on the record
+        del ratio1, mask  # spent on the row
         finite = math.isfinite(sup_change)
         u = None if plain else np.log(K[A])
         K = np.maximum(Kn, FLOOR_FREEZE)

@@ -49,12 +49,14 @@ def projective_diameter(matrix) -> ProjectiveDiameter:
     The image is the convex hull of the column rays, so the diameter is the
     maximum pairwise column distance; exact for <= EXACT_COLUMN_LIMIT
     columns, otherwise a sampled lower bound (flagged exact=False).
-    Any entry <= ZERO_ENTRY makes the diameter infinite.
+    Any entry not above ZERO_ENTRY, NaN included, makes the diameter
+    infinite, as does an inf entry: its column has no finite log-ratio.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise FortetBridgeError("projective_diameter expects a nonempty matrix")
-    if np.any(M <= ZERO_ENTRY):
+    # a NaN fails both comparisons
+    if not (M.min() > ZERO_ENTRY and M.max() < math.inf):
         return ProjectiveDiameter(float("inf"), True)
     n = M.shape[1]
     if n <= EXACT_COLUMN_LIMIT:

@@ -334,9 +334,8 @@ def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     Flushed, it moves a kernel integral by less than TINY times the
     weighted argument at its node, which no integral in float range sees
     unless the argument spans more than float range across one row.  The
-    flush is taken only where the smallest entry, at the largest |a - b|,
-    can be below TINY, a block of rows at a time, so that its masks stay
-    small beside the factor.  A block takes exp only where the exponent is
+    flush is taken a block of rows at a time, so that its masks stay small
+    beside the factor.  A block takes exp only where the exponent is
     at least log(TINY / peak) - 1: below it the entry is below TINY, and
     exp's underflow path costs ~13x its normal one.
     """
@@ -354,10 +353,6 @@ def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     e /= 2.0 * s * s
     # exp(x) * peak is below TINY where x < cut, to rounding
     cut = math.log(TINY) - math.log(peak)
-    if min(e[a.argmax(), b.argmin()], e[a.argmin(), b.argmax()]) >= cut + 1.0:
-        np.exp(e, out=e)
-        e *= peak
-        return e
     rows = max(1, FLUSH_BLOCK // e.shape[1])
     for i in range(0, e.shape[0], rows):
         block = e[i:i + rows]
@@ -447,12 +442,6 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> Kern
                            else math.prod(2.0 * math.pi * t * t for t in scales))
     return KernelOperator(factors, grid1, grid2, peak * (1.0 + 1e-9), heat_sigma=s,
                           is_difference=True)
-
-
-def gaussian_multivariate_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid,
-                                 Sigma) -> KernelOperator:
-    """gaussian_kernel with Sigma read as a covariance matrix."""
-    return gaussian_kernel(grid1, grid2, np.atleast_2d(Sigma))
 
 
 def table_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, values) -> KernelOperator:

@@ -7,6 +7,7 @@ are the expensive pieces reused by many tests.
 import collections
 import contextlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -126,8 +127,9 @@ def step_phases(log):
 #: one step of Fortet's iteration as fortet_steps() records it: its phase
 #: ("scheme" or "closing"), its input H, its image (H' = Omega(H) in the
 #: scheme, Omega(K) / s in the closing; the arrays themselves), the
-#: diagnostics it recorded (a closing step's row of the log, as step_row
-#: reads it), and copies of both arrays taken when it recorded
+#: diagnostics it recorded (its row in the keys of a scheme step's
+#: diagnostics, as step_row reads a log row), and copies of both arrays
+#: taken before the row was computed
 FortetStep = collections.namedtuple(
     "FortetStep", "phase input image record input_then image_then")
 
@@ -135,29 +137,31 @@ FortetStep = collections.namedtuple(
 @contextlib.contextmanager
 def fortet_steps():
     """Record each step of Fortet's iteration taken while the block runs,
-    in order, at the one call each phase makes per step: fortet_step, which
-    returns a scheme step as it recorded it, and fortet._closing_record.
-    Yields a list that gains one FortetStep per step."""
+    in order, at fortet._step_row, the one call both phases make per step.
+    Yields a list that gains one FortetStep per step.  A row called from
+    fortet_step is a scheme step's: its input H and its case1 flag are that
+    frame's H and case1.  Any other is a closing step's, whose input is the
+    row's prev."""
     from fortetbridge import fortet
-    step, record, seen = fortet.fortet_step, fortet._closing_record, []
+    row_of, seen = fortet._step_row, []
 
-    def stepping(*args):
-        state = step(*args)
-        seen.append(FortetStep("scheme", state.H, state.H_prime, state.diagnostics,
-                               state.H.copy(), state.H_prime.copy()))
-        return state
+    def recording(ratio1, image, s, prev, *args):
+        caller = sys._getframe(1)
+        scheme = caller.f_code.co_name == "fortet_step"
+        local = caller.f_locals
+        H = local["H"] if scheme else prev
+        then = H.copy(), image.copy()
+        row = row_of(ratio1, image, s, prev, *args)
+        record = dict(zip(fortet.StepLog.COLUMNS, row),
+                      case1_candidate=scheme and local["case1"])
+        seen.append(FortetStep("scheme" if scheme else "closing", H, image, record, *then))
+        return row
 
-    def recording(K, Kn, *args):
-        then = K.copy(), Kn.copy()
-        result = record(K, Kn, *args)
-        seen.append(FortetStep("closing", K, Kn, step_row(args[-1], -1), *then))
-        return result
-
-    fortet.fortet_step, fortet._closing_record = stepping, recording
+    fortet._step_row = recording
     try:
         yield seen
     finally:
-        fortet.fortet_step, fortet._closing_record = step, record
+        fortet._step_row = row_of
 
 
 def random_instance(rng, n1, n2, kernel_low=0.1):

@@ -1,7 +1,8 @@
 """Fortet's closing phase as it was written before its steps were fused:
-_closing_iteration with omega_map's map and _step_record's diagnostics
-composed, each array formed by its own expression.  The fused closing in
-fortetbridge.fortet must return bitwise this iterate and these records
+_closing_iteration with omega_map's map and a step record composed, each
+array formed by its own expression, and the Hilbert step read on the
+filtered nodes alone.  The fused closing in fortetbridge.fortet must return
+bitwise this iterate and these records
 (test_fortet.py::test_fused_closing_is_bitwise_the_reference)."""
 
 import math
@@ -11,8 +12,7 @@ import numpy as np
 
 from fortetbridge.errors import NonConvergenceError
 from fortetbridge.fortet import (ANDERSON_M, FLOOR_FREEZE, REFINE_MAX, StepLog,
-                                 _AndersonMixer, _masked_hilbert_step,
-                                 _support_ratio, _support_sup)
+                                 _AndersonMixer, _support_ratio, _support_sup)
 
 
 def omega_map(ratio1, kernel, marginals) -> np.ndarray:
@@ -24,6 +24,16 @@ def omega_map(ratio1, kernel, marginals) -> np.ndarray:
             "omega2 > 0 (kernel columns lack support against omega1)")
         del G
         return kernel.apply(ratio2)
+
+
+def hilbert_step(a, b, mask) -> float:
+    """log(max / min) of a / b over the nodes of mask where both are
+    positive and finite (inf if there are none)."""
+    m = mask & (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
+    if not m.any():
+        return math.inf
+    r = a[m] / b[m]
+    return float(np.log(r.max() / r.min()))
 
 
 def step_record(ratio1, H_prime, prev, mask, kernel, case1_candidate, mass2,
@@ -40,7 +50,7 @@ def step_record(ratio1, H_prime, prev, mask, kernel, case1_candidate, mass2,
     if prev is not None:
         t = np.subtract(H_prime, prev, out=t)
         diag["sup_change"] = float(np.max(np.abs(t, out=t)))
-        diag["hilbert_step"] = _masked_hilbert_step(H_prime, prev, mask)
+        diag["hilbert_step"] = hilbert_step(H_prime, prev, mask)
     return diag
 
 

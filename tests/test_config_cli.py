@@ -364,6 +364,29 @@ class TestCli:
         assert ("hypothesis checks failed: kernel_nonnegative"
                 in capsys.readouterr().err.splitlines()[-1])
 
+    def test_forced_diagnose_of_a_nan_kernel_guarantees_no_contraction(self, tmp_path):
+        # the hard checks refuse a NaN entry; forced, its diameters are
+        # infinite, as a zero entry's are, and no contraction is claimed
+        x = np.linspace(-1.0, 1.0, 21)
+        kernel = np.exp(-np.subtract.outer(x, x) ** 2)
+        kernel[3, 5] = math.nan
+        np.savetxt(tmp_path / "kernel.csv", kernel, delimiter=",")
+        raw = {"kernel": {"type": "table", "path": "kernel.csv"},
+               "marginals": [{"type": "gaussian", "sigma": 0.4},
+                             {"type": "gaussian", "sigma": 0.3}],
+               "grid": {"dim": 1, "radius": 1.0, "points": 21}}
+        out = tmp_path / "d"
+        assert main(["diagnose", "--config", str(write_config(tmp_path, raw)),
+                     "--output", str(out)]) == 2
+        forced = dict(raw, solver={"force": True})
+        assert main(["diagnose", "--config", str(write_config(tmp_path, forced)),
+                     "--output", str(out)]) == 0
+        payload = json.loads((out / "diagnose.json").read_text())
+        assert payload["contraction_guaranteed"] is False
+        assert payload["contraction_bound"] == 1.0
+        assert payload["projective_diameter_columns"] == math.inf
+        assert payload["projective_diameter_rows"] == math.inf
+
     def test_compare_consistent_at_default_tol(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_RAW)
         out = tmp_path / "run"
@@ -726,3 +749,33 @@ def test_records_refuse_assignment_and_deletion(name, one_of_each):
         assert getattr(record, field) is value
     with pytest.raises(AttributeError):
         record.unknown = None
+
+
+def _malformed(path, value):
+    """BENCH_RAW with the entry at the dotted path (a digit indexes a
+    list) set to value."""
+    raw = json.loads(json.dumps(BENCH_RAW))
+    *keys, last = path.split(".")
+    node = raw
+    for key in keys:
+        node = node[int(key)] if key.isdigit() else node.setdefault(key, {})
+    node[int(last) if last.isdigit() else last] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, value", [
+    ("grid.points", "abc"), ("grid.radius", "wide"), ("grid.dim", "two"),
+    ("grid", [1, 2]), ("kernel", [1]), ("marginals", ["a", "b"]),
+    ("kernel.sigma", "x"), ("marginals.0.sigma", "x"), ("solver.tol", "tight"),
+    ("solver.tol", -1.0), ("solver.tol", 0.0), ("solver.tol", math.inf),
+    ("solver.max_iter", None), ("solver.max_iter", 1.7), ("solver.max_iter", "7"),
+    ("solver.force", "false"), ("solver.force", 1)])
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value):
+    # exit 1 with one "config error:" line naming the key, never a traceback
+    # or a run that misreads the value (bool("false") is true)
+    cfg = write_config(tmp_path, _malformed(path, value))
+    assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert path.split(".")[-1] in err[0]
+    assert not (tmp_path / "run").exists()

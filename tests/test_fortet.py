@@ -23,6 +23,7 @@ from fortetbridge.problem import swapped_marginals
 from fortetbridge.quadrature import QuadratureGrid
 from tests.conftest import (fortet_steps, random_instances, step_phases, step_row,
                             traced_peak)
+from tests.reference_closing import hilbert_step as _hilbert_reference
 
 RESID_TOL = 1e-12
 SCHEME_STEPS = 12  # scheme prefix length checked step-by-step
@@ -232,7 +233,8 @@ def _omega_map_reference(H, kernel, marginals):
 
 def _step_record_reference(H, H_prime, prev, mask, kernel, marginals,
                            case1_candidate, mass2, scale=1.0):
-    """_step_record's diagnostics from H, with full-array masks."""
+    """A step's row from H, keyed as a scheme step's diagnostics, with
+    full-array masks."""
     om1 = marginals.omega1.values
     with np.errstate(all="ignore"):
         ratio1 = np.where(om1 > 0, om1 / H, 0.0)
@@ -244,14 +246,6 @@ def _step_record_reference(H, H_prime, prev, mask, kernel, marginals,
         diag["sup_change"] = float(np.max(np.abs(H_prime - prev)))
         diag["hilbert_step"] = _hilbert_reference(H_prime, prev, mask)
     return diag
-
-
-def _hilbert_reference(a, b, mask):
-    m = mask & (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
-    if not m.any():
-        return math.inf
-    r = a[m] / b[m]
-    return float(np.log(r.max() / r.min()))
 
 
 def test_scaled_map_is_bitwise_the_unscaled_one_on_the_benchmark(bench_kernel,
@@ -436,19 +430,29 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
         assert closed == {"masked": 1, "over": 0}
 
 
-def test_unreadable_nodes_match_the_where_expressions():
+def test_unreadable_nodes_match_the_where_expressions(monkeypatch):
     # the paths the benchmark runs never take: nodes the Hilbert step cannot
     # read, and an H that is NaN on the omega1 support (refused like H <= 0);
-    # an unreadable G is the fit's (test_problem.py)
+    # an unreadable G is the fit's (test_problem.py).  Node 0's quotient is
+    # positive, of two negative entries, and is not read either
     rng = np.random.default_rng(8)
     a, b = rng.uniform(0.5, 2.0, (2, 12))
-    a[[1, 2, 3]] = 0.0, math.inf, math.nan
-    b[[4, 5, 6]] = -1.0, math.inf, math.nan
+    a[[0, 1, 2, 3]] = -1.0, 0.0, math.inf, math.nan
+    b[[0, 4, 5, 6]] = -2.0, -1.0, math.inf, math.nan
     nodes = np.arange(12)
-    masks = [nodes > 6, np.ones(12, bool), np.zeros(12, bool), nodes == 1]
-    masks += [(nodes > 6) | (nodes == k) for k in range(1, 7)]
-    for mask in masks:
-        assert fortet._masked_hilbert_step(a, b, mask) == _hilbert_reference(a, b, mask)
+    # the quotient is 0, inf or NaN off these masks and readable on them
+    readable = [nodes > 6, nodes > 9, (nodes > 6) & (nodes % 2 == 0)]
+    masks = readable + [np.ones(12, bool), np.zeros(12, bool), nodes == 1]
+    masks += [(nodes > 6) | (nodes == k) for k in range(7)]
+    isfinite, filtered = np.isfinite, []
+    # only the filtered read asks which entries are finite
+    monkeypatch.setattr(np, "isfinite", lambda x: filtered.append(x) or isfinite(x))
+    for k, mask in enumerate(masks):
+        ref = _hilbert_reference(a, b, mask)
+        filtered.clear()
+        assert fortet._hilbert_step(a, b, mask, np.empty(12)) == ref
+        assert (not filtered) == (k < len(readable))
+    monkeypatch.undo()
     kernel, marginals = hand_instance()
     with pytest.raises(FortetBridgeError, match="H > 0"):
         omega_map(np.array([1.0, math.nan]), kernel, marginals)

@@ -58,6 +58,19 @@ def test_zero_entry_means_no_guarantee():
     assert math.isinf(bound.diameter)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_nan_or_inf_entry_means_no_guarantee(entry):
+    # as a zero does: a NaN fails every comparison, so a test for entries
+    # at or below ZERO_ENTRY passes it, and max(best, nan) drops its distances
+    M = np.full((21, 21), 0.5) + np.eye(21)
+    M[3, 5] = entry
+    for matrix in (M, M.T):
+        diam = projective_diameter(matrix)
+        assert diam.exact and diam.value == math.inf
+    bound = birkhoff_contraction(M)
+    assert not bound.guaranteed and bound.ratio == 1.0
+
+
 def test_contraction_bound_on_random_pairs():
     # d_H(Mx, My) <= tanh(diam/4) * d_H(x, y) for strictly positive M
     rng = np.random.default_rng(42)
