@@ -341,6 +341,10 @@ def cmd_diagnose(args) -> int:
 def cmd_compare(args) -> int:
     from . import fortet, sinkhorn
     from .config import load_problem
+    # a tol of inf passes any finite spread, and one <= 0 or NaN passes none
+    if not 0 < args.tol < math.inf:
+        _log(f"--tol must be finite and positive, not {args.tol!r}")
+        return 1
     problem = load_problem(args.config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

@@ -123,6 +123,16 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _flag(raw: Dict[str, object], key: str) -> bool:
+    """raw[key] (default false) as a bool: a JSON boolean, or the integer 0
+    or 1; anything else, such as "false" (bool("false") is true), is a
+    ConfigError naming key."""
+    value = raw.get(key, False)
+    if type(value) not in (bool, int) or value not in (0, 1):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return bool(value)
+
+
 def _check_solver(solver: Dict[str, object]) -> None:
     """Refuse a solver value its FortetOptions field would misread: force
     must be a JSON boolean (bool("false") is true), max_iter an integer,
@@ -182,8 +192,8 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
         "marginals": [dict(m) for m in raw["marginals"]],
         "grid": grid,
         "solver": solver,
-        "swap": bool(raw.get("swap", False)),
-        "normalize_kernel_rows": bool(raw.get("normalize_kernel_rows", False)),
+        "swap": _flag(raw, "swap"),
+        "normalize_kernel_rows": _flag(raw, "normalize_kernel_rows"),
     }
     return resolved
 

@@ -303,7 +303,10 @@ def _step_row(ratio1: np.ndarray, image: np.ndarray, s: float,
     normalization residual |Int (omega1/H) image s - mass2|, and the Hilbert
     step of image against prev over mask (_hilbert_step).  ratio1 is omega1
     / H as the map read it; it is overwritten.  prev is None on the
-    scheme's first step, whose two comparisons read NaN.
+    scheme's first step, whose two comparisons read NaN.  Both phases call
+    it under an np.errstate that ignores invalid too: an image that is inf
+    off the support (0 * inf, inf - inf, inf / inf) gives NaNs, which the
+    residual and the sup change read and the Hilbert step reads only on mask.
     """
     t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
     t *= image * s
@@ -332,7 +335,8 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
         n, prev = state.n + 1, state.H_prime
         H = np.maximum(state.H_dprime, 1.0 / n)
     # the row's quotient is taken at every node, and may leave float range
-    with np.errstate(over="ignore", under="ignore"):
+    # or, against an image that is inf off the support, read NaN (_step_row)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ratio1 = _support_ratio(om1, H, A)
         H_prime = omega_map(H, kernel, marginals, ratio1=ratio1)
         case1 = bool((H_prime[A] <= 1.0 + CASE1_EPS).all())
@@ -422,7 +426,7 @@ def _fit(D: np.ndarray, f: np.ndarray) -> Optional[List[float]]:
     return gamma if gamma is not None and all(map(math.isfinite, gamma)) else None
 
 
-@np.errstate(over="ignore", under="ignore")
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
                        marginals: MarginalPair, tol: float, mass2: float,
                        log: StepLog) -> np.ndarray:
@@ -447,7 +451,11 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     history, and frees each once spent: the map runs beside K, omega1 / K
     and the history alone.
 
-    A step enters no np.errstate: this function's covers the map too.  K >=
+    A step enters no np.errstate: this function's, which ignores over-
+    and underflow and invalid values (_step_row), covers the map too.  So
+    a NaN that the map or apply makes on the support warns of nothing
+    either; it shows in the row (a NaN sup change) and in _support_sup's
+    refusal, as it does in the scheme's.  K >=
     FLOOR_FREEZE, so a finite K makes omega1 / K 0 off the support without
     _support_ratio's mask; a step's sup change is finite only if its image
     is finite at every node, and the next input is then finite too.  After

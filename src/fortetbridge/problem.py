@@ -136,10 +136,11 @@ class MarginalPair(NamedTuple):
 class KernelOperator(Frozen):
     """Discretized kernel g(x_i, y_j) with its uniform upper bound.
 
-    heat_sigma is sigma when this is the heat kernel N(y - x; sigma^2 I),
-    built from a scale or an isotropic covariance, and None for any other
-    kernel, an anisotropic Gaussian too; is_difference marks kernels of the
-    form U(x - y), which the monotone-tail screen and the interpolation need.
+    gaussian is (scales, white) for the Gaussian kernel N(y - x; Sigma) of
+    gaussian_kernel, and None for any other kernel: the product over the
+    coordinates k of the nodes (times white, if not None) of the 1-D heat
+    kernels at the scales scales[k].  log_values reads it; heat_sigma, the
+    interpolation's one input from it, is its scale when Sigma = sigma^2 I.
 
     factors are what apply / apply_T contract and what the hypothesis checks
     read.  A dense kernel has one factor, the n1 x n2 matrix.  The heat
@@ -156,7 +157,7 @@ class KernelOperator(Frozen):
 
     def __init__(self, factors: Sequence[np.ndarray], grid1: QuadratureGrid,
                  grid2: QuadratureGrid, sigma_bound: float,
-                 heat_sigma: Optional[float] = None, is_difference: bool = False):
+                 gaussian: Optional[Tuple[Tuple[float, ...], Optional[np.ndarray]]] = None):
         factors = tuple(np.asarray(a, dtype=float) for a in factors)
         n = grid1.n_nodes
         if len(factors) == 1 and factors[0].ndim == 1:
@@ -179,7 +180,12 @@ class KernelOperator(Frozen):
         for a in factors:
             a.setflags(write=False)
         vars(self).update(factors=factors, grid1=grid1, grid2=grid2, sigma_bound=sigma_bound,
-                          heat_sigma=heat_sigma, is_difference=is_difference)
+                          gaussian=gaussian)
+
+    @property
+    def heat_sigma(self) -> Optional[float]:
+        """sigma when this is the heat kernel N(y - x; sigma^2 I), else None."""
+        return None if self.gaussian is None else _isotropic(*self.gaussian)
 
     @property
     def banded(self) -> bool:
@@ -220,30 +226,25 @@ class KernelOperator(Frozen):
 
     @property
     def log_values(self) -> np.ndarray:
-        """log of the kernel matrix.  For the heat kernel it is the formula
-        -|x - y|^2 / 2 sigma^2 - (d/2) log(2 pi sigma^2), finite where
-        values underflows to 0, at the lattice offsets k h of a banded
-        kernel, as its band is; for any other kernel it is log(values)."""
-        s = self.heat_sigma
-        if s is None:
+        """log of the kernel matrix: for a Gaussian kernel the sum over its
+        coordinates of their heat exponents (_exponent) plus the log peak,
+        finite where values underflows to 0 (a band's at its lattice
+        offsets, as its entries are); for any other kernel log(values)."""
+        if self.gaussian is None:
             with np.errstate(divide="ignore"):
                 return np.log(self.values)
+        scales, white = self.gaussian
+        log_peak = -0.5 * sum(math.log(2.0 * math.pi * s * s) for s in scales)
         if self.banded:
-            e = _lattice_exponents(self.grid1.axes[0], s)
-            e -= 0.5 * math.log(2.0 * math.pi * s * s)
+            e = _exponent(_lattice(self.grid1.axes[0]), scales[0])
+            e += log_peak
             return np.array(_band_matrix(np.concatenate((e[:0:-1], e)), e.size))
-        d = self.grid1.dim
-        x, y = (g.nodes.reshape(g.n_nodes, d) for g in (self.grid1, self.grid2))
-        # in one buffer (and one more per further axis), rounded as
-        # -sum_k (x_k - y_k)**2 / (2 s^2) - (d/2) log(2 pi s^2) rounds
-        e = np.subtract.outer(x[:, 0], y[:, 0])
-        np.square(e, out=e)
-        for k in range(1, d):
-            t = np.subtract.outer(x[:, k], y[:, k])
-            e += np.square(t, out=t)
-        np.negative(e, out=e)
-        e /= 2.0 * s * s
-        e -= 0.5 * d * math.log(2.0 * math.pi * s * s)
+        # in one buffer, and one more per further coordinate
+        x, y = (_whitened(g, white) for g in (self.grid1, self.grid2))
+        e = _exponent(np.subtract.outer(x[:, 0], y[:, 0]), scales[0])
+        for k in range(1, len(scales)):
+            e += _exponent(np.subtract.outer(x[:, k], y[:, k]), scales[k])
+        e += log_peak
         return e
 
     def apply(self, f: np.ndarray) -> np.ndarray:
@@ -277,9 +278,9 @@ class KernelOperator(Frozen):
         return _contract([a.T for a in self.factors], self.grid1.weights * f)
 
     def swapped(self) -> "KernelOperator":
+        """The kernel g(y, x) on (grid2, grid1); a Gaussian's is the same Gaussian."""
         return KernelOperator(tuple(a.T.copy() for a in self.factors),
-                              self.grid2, self.grid1, self.sigma_bound,
-                              self.heat_sigma, self.is_difference)
+                              self.grid2, self.grid1, self.sigma_bound, self.gaussian)
 
 
 def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -325,68 +326,78 @@ def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
     return MarginalPair(marginals.omega2, marginals.omega1)
 
 
-def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    """1-D heat kernel N(b - a; s^2) between two coordinate arrays, with the
-    entries below float64's smallest normal, TINY, stored as 0.
+def _lattice(axis: np.ndarray) -> np.ndarray:
+    """The offsets k h, 0 <= k < n, of a uniform axis of n nodes, h the step
+    np.linspace takes."""
+    return np.arange(axis.size) * ((axis[-1] - axis[0]) / (axis.size - 1))
 
-    Such an entry holds fewer than 52 significant bits, and every product
-    with it is a subnormal operand, which costs a microcode assist on x86.
-    Flushed, it moves a kernel integral by less than TINY times the
+
+def _exponent(d: np.ndarray, s: float) -> np.ndarray:
+    """The heat exponent -d^2 / (2 s^2) at scale s, in place of the
+    differences d, rounded as the formula rounds."""
+    np.square(d, out=d)
+    np.negative(d, out=d)
+    d /= 2.0 * s * s
+    return d
+
+
+def _entries(e: np.ndarray, s: float) -> np.ndarray:
+    """The 1-D heat kernel's entries peak * exp(e) at scale s, in place of
+    the contiguous exponents e, with those below float64's smallest normal,
+    TINY, stored as 0: such an entry holds fewer than 52 significant bits,
+    each product with it is a subnormal operand (a microcode assist on x86),
+    and flushed it moves a kernel integral by less than TINY times the
     weighted argument at its node, which no integral in float range sees
     unless the argument spans more than float range across one row.  The
-    flush is taken a block of rows at a time, so that its masks stay small
-    beside the factor.  A block takes exp only where the exponent is
-    at least log(TINY / peak) - 1: below it the entry is below TINY, and
-    exp's underflow path costs ~13x its normal one.
-    """
+    flush takes FLUSH_BLOCK entries at a time, so that its masks stay small,
+    and a block takes exp only where the exponent is at least log(TINY /
+    peak) - 1: below it the entry is below TINY, and exp's underflow path
+    costs ~13x its normal one."""
     peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
-    # in one buffer, rounded as peak * exp(-(a - b)**2 / (2 s^2)) rounds.
-    # At numpy's default buffer size the broadcast difference also allocates
+    # exp(x) * peak is below TINY where x < log(TINY) - log(peak), to rounding
+    cut = math.log(TINY) - math.log(peak) - 1.0
+    flat = e.reshape(-1)
+    for i in range(0, flat.size, FLUSH_BLOCK):
+        block = flat[i:i + FLUSH_BLOCK]
+        # the exponents left in place are negative, and flush with the rest
+        np.exp(block, out=block, where=block >= cut)
+        block *= peak
+        block[block < TINY] = 0.0
+    return e
+
+
+def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """1-D heat kernel N(b - a; s^2) between two coordinate arrays, in one
+    buffer, with the entries below TINY stored as 0 (_entries)."""
+    # at numpy's default buffer size the broadcast difference also allocates
     # two 64 KiB ufunc buffers; at the smallest size, 16 elements, ~1.5 kB
     bufsize = np.setbufsize(16)
     try:
         e = np.subtract.outer(a, b)
     finally:
         np.setbufsize(bufsize)
-    np.square(e, out=e)
-    np.negative(e, out=e)
-    e /= 2.0 * s * s
-    # exp(x) * peak is below TINY where x < cut, to rounding
-    cut = math.log(TINY) - math.log(peak)
-    rows = max(1, FLUSH_BLOCK // e.shape[1])
-    for i in range(0, e.shape[0], rows):
-        block = e[i:i + rows]
-        # the exponents left in place are negative, and flush with the rest
-        np.exp(block, out=block, where=block >= cut - 1.0)
-        block *= peak
-        block[block < TINY] = 0.0
-    return e
-
-
-def _lattice_exponents(axis: np.ndarray, s: float) -> np.ndarray:
-    """-(k h)^2 / (2 s^2) for k = 0, ..., n - 1 on a uniform axis of n
-    nodes, with h = (axis[-1] - axis[0]) / (n - 1), the step np.linspace
-    takes; in one buffer, rounded as the formula rounds."""
-    e = np.arange(axis.size) * ((axis[-1] - axis[0]) / (axis.size - 1))
-    np.square(e, out=e)
-    np.negative(e, out=e)
-    e /= 2.0 * s * s
-    return e
+    return _entries(_exponent(e, s), s)
 
 
 def _heat_band(axis: np.ndarray, s: float) -> np.ndarray:
-    """The band of the 1-D heat kernel N(y - x; s^2) on a uniform axis: the
-    entries peak * exp(-(k h)^2 / (2 s^2)) for |k| <= b, rounded as
-    _heat_factor rounds its entries, with those below TINY stored as 0; b
-    is the last offset whose entry is not, at most n - 1."""
-    peak = 1.0 / math.sqrt(2.0 * math.pi * s * s)
-    e = _lattice_exponents(axis, s)
-    np.exp(e, out=e)
-    e *= peak
-    e[e < TINY] = 0.0
+    """The band of the 1-D heat kernel N(y - x; s^2) on a uniform axis: its
+    entries (_entries) at the offsets k h (_lattice), |k| <= b, b the last
+    offset whose entry is not stored as 0 (at most n - 1)."""
+    e = _entries(_exponent(_lattice(axis), s), s)
     # the entries fall with |k|, so the nonzero ones come first
     half = e[:max(1, np.count_nonzero(e))]
     return np.concatenate((half[:0:-1], half))
+
+
+def _whitened(grid: QuadratureGrid, white: Optional[np.ndarray]) -> np.ndarray:
+    """The (n, d) node coordinates of grid, times white unless it is None."""
+    x = grid.nodes.reshape(grid.n_nodes, grid.dim)
+    return x if white is None else x @ white
+
+
+def _isotropic(scales: Sequence[float], white: Optional[np.ndarray]) -> Optional[float]:
+    """sigma when a Gaussian's (scales, white) pair is sigma^2 I, else None."""
+    return scales[0] if white is None and scales.count(scales[0]) == len(scales) else None
 
 
 def _uniform(axis: np.ndarray) -> bool:
@@ -428,28 +439,25 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> Kern
     elif grid1.axes and grid2.axes and white is None:
         factors = tuple(map(_heat_factor, grid1.axes, grid2.axes, scales))
     else:
-        x, y = (g.nodes.reshape(g.n_nodes, d) for g in (grid1, grid2))
-        if white is not None:
-            x, y = x @ white, y @ white
+        x, y = (_whitened(g, white) for g in (grid1, grid2))
         vals = _heat_factor(x[:, 0], y[:, 0], scales[0])
         for k in range(1, d):
             vals *= _heat_factor(x[:, k], y[:, k], scales[k])
         vals[vals < TINY] = 0.0
         factors = (vals,)
-    s = scales[0] if white is None and scales.count(scales[0]) == d else None
+    s = _isotropic(scales, white)
     # strict upper bound: the sup is attained on the diagonal, so pad it
     peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d if s is not None
                            else math.prod(2.0 * math.pi * t * t for t in scales))
-    return KernelOperator(factors, grid1, grid2, peak * (1.0 + 1e-9), heat_sigma=s,
-                          is_difference=True)
+    return KernelOperator(factors, grid1, grid2, peak * (1.0 + 1e-9),
+                          (tuple(scales), white))
 
 
 def table_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, values) -> KernelOperator:
     vals = np.asarray(values, dtype=float)
     vmax = float(vals.max()) if vals.size else 0.0
     bound = vmax * (1.0 + 1e-9) if vmax > 0 else 1.0
-    return KernelOperator((vals,), grid1, grid2, bound,
-                          is_difference=_detect_difference_structure(grid1, grid2, vals))
+    return KernelOperator((vals,), grid1, grid2, bound)
 
 
 def pushforward(kernel: KernelOperator, omega1: DensityField) -> DensityField:
@@ -701,40 +709,31 @@ def bernstein_multivariate_condition(S, S1, S2) -> bool:
 # difference-kernel monotone-tail screen
 # --------------------------------------------------------------------------
 
-def _detect_difference_structure(grid1: QuadratureGrid, grid2: QuadratureGrid,
-                                 vals: np.ndarray) -> bool:
-    if grid1.dim != 1 or grid2.dim != 1:
-        return False
-    dx = np.diff(grid1.nodes)
-    dy = np.diff(grid2.nodes)
-    if dx.size == 0 or dy.size == 0:
-        return False
-    if not (np.allclose(dx, dx[0], rtol=1e-9) and np.allclose(dy, dx[0], rtol=1e-9)):
-        return False
-    a = vals[1:, 1:]
-    b = vals[:-1, :-1]
-    scale = float(np.max(np.abs(vals))) or 1.0
-    return bool(np.max(np.abs(a - b)) <= 1e-9 * scale)
-
-
 def _difference_profile(kernel: KernelOperator) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Sampled (t, U(t)) with t ascending, or None if not a difference kernel."""
+    """Sampled (t, U(t)) with t ascending, or None if not a difference
+    kernel: the heat kernel's formula, or the first row and column of a 1-D
+    kernel matrix that is Toeplitz on a uniform shared spacing."""
     if kernel.grid1.dim != 1:
         return None
-    x = kernel.grid1.nodes
-    y = kernel.grid2.nodes
-    s = kernel.heat_sigma
+    x, y, s = kernel.grid1.nodes, kernel.grid2.nodes, kernel.heat_sigma
     if s is not None:
         span = float(x.max() - y.min())
         t = np.linspace(-span, span, 4 * max(len(x), len(y)) + 1)
-        return t, np.exp(-t * t / (2 * s * s)) / math.sqrt(2 * math.pi * s * s)
-    if kernel.is_difference:
-        # uniform shared spacing: t-values from the first row and first column
-        ts = np.concatenate([x[0] - y[::-1], x[1:] - y[0]])
-        us = np.concatenate([kernel.values[0, ::-1], kernel.values[1:, 0]])
-        order = np.argsort(ts)
-        return ts[order], us[order]
-    return None
+        return t, np.exp(_exponent(t.copy(), s)) / math.sqrt(2 * math.pi * s * s)
+    dx = np.diff(x)
+    if not np.allclose(np.concatenate((dx, np.diff(y))), dx[0], rtol=1e-9):
+        return None
+    # Toeplitz to 1e-9 of max |entry|: a row against the next, no n x n temporary
+    vals = kernel.values
+    tol = 1e-9 * (max(float(vals.max()), -float(vals.min())) or 1.0)
+    if not all(np.max(np.abs(below[1:] - row[:-1])) <= tol
+               for row, below in zip(vals, vals[1:])):
+        return None
+    # uniform shared spacing: t-values from the first row and first column
+    ts = np.concatenate([x[0] - y[::-1], x[1:] - y[0]])
+    us = np.concatenate([vals[0, ::-1], vals[1:, 0]])
+    order = np.argsort(ts)
+    return ts[order], us[order]
 
 
 def _monotone_prefix_end(u: np.ndarray, atol: float) -> int:

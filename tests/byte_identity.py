@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Byte-identity A/B check of two source trees through the command line.
+
+    python3 tests/byte_identity.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are two `src/` directories (each holding the
+fortetbridge package).  For the config that bench/workloads.make_workload
+builds for each of WORKLOADS at each of SEEDS, both trees run the five CLI
+ops (check, solve, interpolate, compare, diagnose) in a fresh
+`python -m fortetbridge.cli` process each, on the same config file.  Each
+op's exit code, stdout and every artifact it writes (by name and bytes) are
+compared; stderr is not, since it carries wall times.  One line is printed
+per op, then a summary.  The exit code is 0 when every op matches, 1
+otherwise.  The script only reads bench/; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OPS = ("check", "solve", "interpolate", "compare", "diagnose")
+WORKLOADS = ("gauss1d", "gauss2d", "swap")
+SEEDS = (0, 31)
+
+
+def run_op(src: Path, op: str, config: Path, out: Path):
+    """(exit code, stdout, {artifact name: bytes}) of one CLI op on src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "fortetbridge.cli", op,
+                           "--config", str(config), "--output", str(out)],
+                          capture_output=True, text=True, env=env, cwd=config.parent)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return proc.returncode, proc.stdout, files
+
+
+def differences(a, b) -> list:
+    """What differs between two run_op results, as short phrases."""
+    (code_a, out_a, files_a), (code_b, out_b, files_b) = a, b
+    found = []
+    if code_a != code_b:
+        found.append(f"exit {code_a} != {code_b}")
+    if out_a != out_b:
+        found.append("stdout differs")
+    for name in sorted(set(files_a) | set(files_b)):
+        if files_a.get(name) != files_b.get(name):
+            found.append(f"{name} differs" if name in files_a and name in files_b
+                         else f"{name} on one side only")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    sides = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
+    runs = same = 0
+    with tempfile.TemporaryDirectory(prefix="byte_identity_") as work:
+        for name, seed in itertools.product(WORKLOADS, SEEDS):
+            case = Path(work) / f"{name}-{seed}"
+            config = workloads.write_config(workloads.make_workload(name, seed), case)
+            for op in OPS:
+                results = [run_op(src, op, config, case / side / op)
+                           for side, src in sides.items()]
+                found = differences(*results)
+                runs, same = runs + 1, same + (not found)
+                code, _, files = results[0]
+                verdict = "; ".join(found) if found else (
+                    f"identical (exit {code}, {len(files)} artifacts)")
+                print(f"{name} seed {seed} {op}: {verdict}")
+    print(f"{same} of {runs} ops identical (exit codes, stdout and artifacts)")
+    return 0 if same == runs else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

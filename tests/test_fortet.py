@@ -334,13 +334,14 @@ def test_map_and_step_record_match_the_where_expressions(which, request):
         prev = step.image
 
 
-def _zero_mass_table_instance(off_support):
+def _zero_mass_table_instance(off_support, row=0):
     """Zero-mass nodes in both marginals, on a table kernel whose column 3
     vanishes on the omega1 support, where omega2 = 0, so that G = 0 there
     and the fit takes DensityField.over's masked quotient.  Row 0, off the
     omega1 support, makes every image off_support there: "inf" from a row
     of 1e308; "nan" from an inf entry in column 7, where omega2 = 0, so
-    that G is NaN there too and the image reads inf * 0."""
+    that G is NaN there too and the image reads inf * 0.  With row = 1,
+    on the support, the "nan" entry is in row 1, and the image NaN there."""
     grid = build_grid(dim=1, radius=1.0, points_per_axis=9)
     rng = np.random.default_rng(5)
     vals = rng.uniform(0.02, 0.1, (9, 9))
@@ -348,7 +349,7 @@ def _zero_mass_table_instance(off_support):
     if off_support == "inf":
         vals[0, :] = 1e308
     else:
-        vals[0, 7] = math.inf
+        vals[row, 7] = math.inf
     om1, om2 = rng.uniform(0.1, 1.0, (2, 9))
     om1[[0, 5]] = 0.0
     om2[[3, 7]] = 0.0
@@ -758,6 +759,20 @@ def test_closing_refuses_a_nan_iterate(bench_kernel, bench_marginals, monkeypatc
     with pytest.raises(NonConvergenceError, match="NaN") as err:
         run_fortet(bench_kernel, bench_marginals)
     assert step_phases(err.value.trace) == ["scheme", "scheme", "closing"]
+
+
+def test_a_nan_on_the_support_shows_in_the_trace():
+    # both phases' np.errstate ignore invalid values, so a NaN the map makes
+    # on the omega1 support warns of nothing; the step rows and the closing
+    # still show it: the scheme's sup change and residual read NaN, and the
+    # closing refuses the scheme's image before its first step
+    kernel, marginals = _zero_mass_table_instance("nan", row=1)
+    with pytest.raises(NonConvergenceError, match="NaN") as err:
+        run_fortet(kernel, marginals, FortetOptions(force=True))
+    trace = err.value.trace
+    assert step_phases(trace) == ["scheme", "scheme"]
+    assert np.isnan(trace.column("sup_change")).all()
+    assert np.isnan(trace.column("normalization_residual")).all()
 
 
 def test_feasibility_gate_refuses_divergent_orientation(bench_grid):

@@ -24,9 +24,9 @@ FACTORED_APPLY_RTOL = 1e-13
 
 
 def _with_bound(kernel, sigma_bound):
-    """kernel's factors, grids, heat_sigma and is_difference under another bound."""
+    """kernel's factors, grids and Gaussian scales under another bound."""
     return KernelOperator(kernel.factors, kernel.grid1, kernel.grid2, sigma_bound,
-                          kernel.heat_sigma, kernel.is_difference)
+                          kernel.gaussian)
 
 
 def test_gaussian_density_unit_mass(bench_grid):
@@ -75,7 +75,7 @@ def test_fit_matches_the_where_expression():
 def test_gaussian_kernel_shape_and_bound(bench_grid):
     k = gaussian_kernel(bench_grid, bench_grid, 0.5)
     assert k.values.shape == (401, 401)
-    assert k.is_difference
+    assert k.gaussian == ((0.5,), None)
     assert np.all(k.values < k.sigma_bound)
     assert k.heat_sigma == 0.5
 
@@ -87,11 +87,12 @@ def test_heat_factor_is_built_in_one_buffer(bench_grid, sigma):
     # the broadcast difference allocates no ufunc buffers (two 64 KiB ones,
     # 1.10 x the factor, at numpy's default buffer size)
     # the flush of entries below TINY (sigma = 0.1: 1,222 subnormal ones)
-    # runs a block of rows at a time, so its masks stay small too.  A block
-    # skips exp where the exponent is below log(TINY / peak) - 1; at sigma =
-    # 0.3 rows 0-117 hold such exponents and rows 118-282 none, so the
-    # cutoff falls inside the 10-row block 110-119.  The bench grid's 1-D
-    # kernel keeps a band, so the dense factor is built directly
+    # runs FLUSH_BLOCK entries at a time, so its masks stay small too.  A
+    # block skips exp where the exponent is below log(TINY / peak) - 1; at
+    # sigma = 0.3 rows 0-117 hold such exponents and rows 118-282 none, so
+    # of the 40 blocks 25 mix skipped and computed entries and 15 skip none.
+    # The bench grid's 1-D kernel keeps a band, so the dense factor is built
+    # directly
     x = bench_grid.axes[0]
     factor, peak = traced_peak(lambda: problem._heat_factor(x, x, sigma))
     assert peak <= 1.02 * factor.nbytes
@@ -102,9 +103,11 @@ def test_heat_factor_is_built_in_one_buffer(bench_grid, sigma):
     assert np.array_equal(factor, np.where(subnormal, 0.0, formula))
     skipped = (np.subtract.outer(x, x) ** 2 / (2.0 * sigma * sigma)
                > math.log(math.sqrt(2.0 * math.pi * sigma * sigma) / TINY) + 1.0)
-    edges = np.flatnonzero(np.diff(skipped.any(axis=1))) + 1
-    rows = problem.FLUSH_BLOCK // bench_grid.n_nodes
-    assert (edges % rows).tolist() == {0.5: [], 0.1: [], 0.3: [8, 3]}[sigma]
+    flat = skipped.reshape(-1)
+    blocks = [flat[i:i + problem.FLUSH_BLOCK] for i in range(0, flat.size, problem.FLUSH_BLOCK)]
+    mixed = sum(b.any() and not b.all() for b in blocks)
+    none = sum(not b.any() for b in blocks)
+    assert (mixed, none) == {0.5: (0, 40), 0.1: (40, 0), 0.3: (25, 15)}[sigma]
 
 
 def test_benchmark_hypotheses_all_pass(bench_kernel, bench_marginals):
@@ -124,6 +127,17 @@ def test_zero_row_kernel_flagged(bench_grid):
     assert not report.hypotheses["kernel_rows_positive"].ok
     assert 5 in report.hypotheses["kernel_rows_positive"].offending_nodes
 
+
+
+def test_table_kernel_load_holds_no_second_matrix(bench_grid):
+    # a table kernel keeps the matrix it is given; whether it is Toeplitz is
+    # read when the tail screen runs, a row at a time
+    diff = np.subtract.outer(bench_grid.nodes, bench_grid.nodes)
+    vals = 1.0 / (1.0 + diff ** 2)
+    kernel, peak = traced_peak(lambda: table_kernel(bench_grid, bench_grid, vals))
+    assert np.shares_memory(kernel.factors[0], vals) and peak < vals.nbytes
+    _, peak = traced_peak(lambda: problem._difference_profile(kernel))
+    assert peak < vals.nbytes
 
 
 def test_table_checks_name_the_first_offending_entries():
@@ -185,7 +199,7 @@ def test_difference_tails_oscillatory_fails():
     grid = build_grid(dim=1, radius=6.0, points_per_axis=241)
     diff = np.subtract.outer(grid.nodes, grid.nodes)
     k = table_kernel(grid, grid, np.sin(diff) ** 2 + 0.1)
-    assert k.is_difference
+    assert problem._difference_profile(k) is not None
     res = difference_kernel_tails(k)
     assert res.status == "fail"
 
@@ -203,7 +217,7 @@ def test_difference_tails_not_applicable_for_general_table():
     grid = build_grid(dim=1, radius=1.0, points_per_axis=8)
     rng = np.random.default_rng(0)
     k = table_kernel(grid, grid, rng.uniform(0.5, 1.0, (8, 8)))
-    assert not k.is_difference
+    assert problem._difference_profile(k) is None
     assert difference_kernel_tails(k).status == "not-applicable"
 
 
@@ -231,28 +245,39 @@ def test_kernel_apply_weights_each_side_by_its_own_grid():
     assert kernel.apply_T(f1).shape == (12,)
 
 
-@pytest.mark.parametrize("dim, points", [(1, 401), (2, 21)])
-def test_heat_log_values_are_the_formula_where_values_underflow(dim, points):
+@pytest.mark.parametrize("dim, points, sigma", [
+    pytest.param(1, 401, 0.1, id="1-401"), pytest.param(2, 21, 0.1, id="2-21"),
+    pytest.param(2, 21, np.diag([0.01, 0.0121]), id="2-21-diagonal"),
+    pytest.param(2, 21, np.array([[0.03, 0.01], [0.01, 0.02]]), id="2-21-non-diagonal")])
+def test_heat_log_values_are_the_formula_where_values_underflow(dim, points, sigma):
+    # every Gaussian kernel, anisotropic or not, reads the formula
     grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
-    kernel = gaussian_kernel(grid, grid, 0.1)
+    kernel = gaussian_kernel(grid, grid, sigma)
     log_g = kernel.log_values
     assert np.all(np.isfinite(log_g))
-    # built in one buffer, it rounds as the formula does term by term, at
-    # the node differences of each axis, or at the lattice offsets |i - j| h
-    # where the 1-D kernel is a band, as its band's entries are
+    # built in one buffer (and one more per further coordinate), it rounds
+    # as sum_k -sq_k / (2 s_k^2) + log peak rounds term by term, sq_k the
+    # squared differences of the (whitened) coordinate k at its scale s_k,
+    # or of the lattice offsets |i - j| h where the 1-D kernel is a band, as
+    # its band's entries are
+    scales, white = kernel.gaussian
     x = grid.nodes.reshape(grid.n_nodes, dim)
     if dim == 1:
         assert kernel.banded
         k = np.arange(points)
         h = (x[-1, 0] - x[0, 0]) / (points - 1)
-        sq = (np.abs(np.subtract.outer(k, k)) * h) ** 2
+        sqs = [(np.abs(np.subtract.outer(k, k)) * h) ** 2]
     else:
-        sq = sum(np.subtract.outer(x[:, k], x[:, k]) ** 2 for k in range(dim))
-    assert np.array_equal(log_g, -sq / (2.0 * 0.1 * 0.1)
-                          - 0.5 * dim * math.log(2.0 * math.pi * 0.1 * 0.1))
+        if white is not None:
+            x = x @ white
+        sqs = [np.subtract.outer(x[:, k], x[:, k]) ** 2 for k in range(dim)]
+    formula = sum(-sq / (2.0 * s * s) for sq, s in zip(sqs, scales))
+    log_peak = -0.5 * sum(math.log(2.0 * math.pi * s * s) for s in scales)
+    assert np.array_equal(log_g, formula + log_peak)
     positive = kernel.values > 1e-300
     assert np.any(kernel.values == 0.0)
     assert np.max(np.abs(log_g[positive] - np.log(kernel.values[positive]))) < 1e-12
+    assert np.array_equal(kernel.swapped().log_values, log_g.T)
     # any other kernel reads log(values), -inf at its zeros
     table = table_kernel(grid, grid, kernel.values)
     with np.errstate(divide="ignore"):
@@ -437,7 +462,8 @@ def test_diagonal_covariance_keeps_one_factor_per_axis():
     axes = (np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))
     grid = _tensor_grid(*axes)
     kernel = gaussian_kernel(grid, grid, np.diag([0.3, 0.05]))
-    assert kernel.heat_sigma is None and kernel.is_difference
+    assert kernel.heat_sigma is None
+    assert kernel.gaussian == ((math.sqrt(0.3), math.sqrt(0.05)), None)
     for factor, axis, var in zip(kernel.factors, axes, (0.3, 0.05)):
         assert np.array_equal(factor, problem._heat_factor(axis, axis, math.sqrt(var)))
     assert np.all(kernel.values < kernel.sigma_bound)
