@@ -34,17 +34,22 @@ class Coupling(Frozen):
     It is kept as its potentials, its kernel and its two marginal
     integrals, row = Int pi dy = phi * apply(psi) and col = Int pi dx =
     psi * apply_T(phi): the residuals, the mass and the KL objective read
-    only these, so all four are locked against writes.  A residual is inf
-    at a node where it is NaN (an inf potential against a vanishing
-    integral).  The (n1, n2) array pi is built on first read.
+    only these, so all four are locked against writes.  Each integral is 0
+    wherever its potential is, also where the kernel's image is inf there
+    (0 * inf would read NaN).  A residual is inf at a node where it is NaN
+    (an inf potential against a vanishing integral).  The (n1, n2) array pi
+    is built on first read.
     """
 
     def __init__(self, phi, psi, kernel: KernelOperator, marginals: MarginalPair):
         phi = np.asarray(phi, dtype=float)
         psi = np.asarray(psi, dtype=float)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            row = phi * kernel.apply(psi)
-            col = psi * kernel.apply_T(phi)
+            row, col = kernel.apply(psi), kernel.apply_T(phi)
+            row[phi == 0] = 0.0
+            col[psi == 0] = 0.0
+            row *= phi
+            col *= psi
         for value in (phi, psi, row, col):
             value.setflags(write=False)
         vars(self).update(phi=phi, psi=psi, kernel=kernel, marginals=marginals,
@@ -157,9 +162,11 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     if sigma is None:
         raise FortetBridgeError("interpolation needs an analytic Gaussian kernel "
                                 "with a known heat scale")
-    if not np.array_equal(kernel.grid1.nodes, kernel.grid2.nodes):
+    grid, grid2 = kernel.grid1, kernel.grid2
+    same = (all(map(np.array_equal, grid.axes, grid2.axes)) if grid.axes and grid2.axes
+            else np.array_equal(grid.nodes, grid2.nodes))
+    if not same:
         raise FortetBridgeError("interpolation needs matching x and y grids")
-    grid = kernel.grid1
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     w = grid.weights

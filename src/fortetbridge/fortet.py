@@ -368,15 +368,17 @@ class _AndersonMixer:
 
     def next_input(self, u: Optional[np.ndarray],
                    g: np.ndarray) -> Optional[np.ndarray]:
-        """The input after u, whose image is g (u is overwritten): the
-        extrapolation g - sum_j gamma_j (g - g_j), with gamma the
-        least-squares fit of the residual f = g - u by the differences
-        f - f_j over the history (_fit).  None asks for the plain input g:
-        with no history, a singular or non-finite fit, a residual whose
-        Hilbert norm max - min of f exceeds the least seen so far, which also
-        clears the history, or one below eps * max|g|, where the fit would
-        read only the rounding of g.  u None reads "the plain input the last
-        call asked for": the g of that call, which the history holds."""
+        """The input after u, whose image is g: the extrapolation g -
+        sum_j gamma_j (g - g_j), with gamma the least-squares fit of the
+        residual f = g - u by the differences f - f_j over the history
+        (_fit).  f is formed in u's buffer, and the extrapolation in f's once
+        the history holds f: it takes no array of its own.  None asks for the
+        plain input g: with no history, a singular or non-finite fit, a
+        residual whose Hilbert norm max - min of f exceeds the least seen so
+        far, which also clears the history, or one below eps * max|g|, where
+        the fit would read only the rounding of g.  u None reads "the plain
+        input the last call asked for": the g of that call, which the history
+        holds."""
         m = self.hist.shape[1]
         if m == 0:
             return None
@@ -385,7 +387,7 @@ class _AndersonMixer:
         else:
             f = np.subtract(g, u, out=u)
         norm = _top(f) - _bottom(f)
-        out = None
+        gamma = None
         if norm > self.best:
             self.held = 0
         else:
@@ -401,14 +403,17 @@ class _AndersonMixer:
                 if gamma is not None:
                     for j in range(k):
                         np.subtract(g, self.hist[1, j], out=D[j])
-                    out = np.dot(gamma, D)
-                    np.subtract(g, out, out=out)
                 else:
                     self.held = 0
+        # D has read the history, so the slot held % m is spent: it takes f
+        # and g, and f's buffer is free for the extrapolation
         self.hist[0, self.held % m] = f
         self.hist[1, self.held % m] = g
         self.held += 1
-        return out
+        if gamma is None:
+            return None
+        np.dot(gamma, D, out=f)
+        return np.subtract(g, f, out=f)
 
 
 def _fit(D: np.ndarray, f: np.ndarray) -> Optional[List[float]]:
@@ -568,14 +573,17 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
                           warnings=tuple(warnings + extract_warn), steps=log)
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
                            marginals: MarginalPair):
     """(phi, psi, warnings): phi = omega1 / h on the omega1 support (0 off
     it and where h underflowed), psi = omega2 / (g * phi); KernelSupportError
-    when that denominator vanishes where omega2 > 0."""
+    when that denominator vanishes where omega2 > 0.  It runs under the
+    closing's np.errstate, so an inf kernel entry in a row where phi = 0,
+    whose 0 * inf makes g * phi NaN in its column, warns of nothing: that
+    NaN is DensityField.over's to read."""
     om1, A = marginals.omega1.values, marginals.omega1.support
-    with np.errstate(over="ignore", under="ignore"):
-        raw = _support_ratio(om1, h, A & (h > 0))
+    raw = _support_ratio(om1, h, A & (h > 0))
     # h can underflow to 0 (or to a denormal whose reciprocal overflows) when
     # the true potential exceeds float64 range; those nodes are dropped
     usable = np.isfinite(raw)

@@ -123,7 +123,8 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
             cov = np.eye(grid.dim) * cov[0, 0]
         _require_spd(cov, "marginal covariance")
         prec = np.linalg.inv(cov)
-        q = np.einsum("ni,ij,nj->n", grid.nodes, prec, grid.nodes)
+        x = grid.nodes
+        q = np.einsum("ni,ij,nj->n", x, prec, x)
         vals = np.exp(-0.5 * q) / math.sqrt((2.0 * math.pi) ** grid.dim * np.linalg.det(cov))
     return density_field(grid, vals, renormalize=True)
 
@@ -670,8 +671,12 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
     # tail behavior: slope of log(integrand) against |y|^2 over the outer
     # 20% of the grid (by radius); positive slope means the truncated
     # integrand is still growing at the boundary.
-    y = kernel.grid2.nodes
-    r2 = y ** 2 if kernel.grid2.dim == 1 else np.sum(y * y, axis=1)
+    grid = kernel.grid2
+    if grid.axes:
+        r2 = reduce(np.add.outer, [a * a for a in grid.axes]).ravel()
+    else:
+        y = grid.nodes.reshape(grid.n_nodes, grid.dim)
+        r2 = np.sum(y * y, axis=1)
     rmax = float(np.max(np.sqrt(r2)))
     outer = (np.sqrt(r2) >= 0.8 * rmax) & (integrand > 0)
     if outer.sum() < 3:

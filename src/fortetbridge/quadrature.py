@@ -7,6 +7,7 @@ reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -38,36 +39,52 @@ class Frozen:
 class QuadratureGrid(Frozen):
     """Tensor quadrature grid over the box [-R, R]^dim.
 
-    nodes is (n,) for dim == 1 and (n, dim) otherwise; weights is always (n,)
-    and strictly positive.  axes keeps the per-axis 1-D node arrays; when
-    given, nodes must be their 'ij' mesh (last axis fastest), which is the
-    order the per-axis kernel factors are applied in.  A grid without axes
-    has no tensor structure to use.
+    weights is always (n,) and strictly positive.  axes keeps the per-axis
+    1-D node arrays, and a grid with axes stores no other coordinates: its
+    nodes are their 'ij' mesh (last axis fastest), the order the per-axis
+    kernel factors are applied in, derived when read.  nodes given beside
+    axes must be that mesh; None takes it.  A grid without axes has no
+    tensor structure to use and stores its nodes.  Either way nodes is (n,)
+    for dim == 1 (a 1-D grid's axis itself) and (n, dim) otherwise.
     """
 
     def __init__(self, nodes, weights, truncation_radius: float, dim: int,
                  rule: str, axes: Tuple[np.ndarray, ...] = ()):
-        nodes = np.asarray(nodes, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if nodes.shape[0] < 2:
-            raise GridError("grid needs at least 2 nodes")
-        if weights.shape != (nodes.shape[0],):
-            raise GridError("weights length must match node count")
-        if not np.all(weights > 0):
-            raise GridError("quadrature weights must be strictly positive")
+        axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
         for ax in axes:
             if np.any(np.diff(ax) <= 0):
                 raise GridError("axis nodes must be strictly increasing")
-        if axes and (len(axes) != dim or not np.array_equal(nodes, _mesh(axes))):
-            raise GridError("nodes must be the 'ij' mesh of the grid axes")
-        nodes.setflags(write=False)
+            ax.setflags(write=False)
+        if axes:
+            if len(axes) != dim or nodes is not None and not np.array_equal(nodes, _mesh(axes)):
+                raise GridError("nodes must be the 'ij' mesh of the grid axes")
+            nodes, n = None, math.prod(ax.size for ax in axes)
+        elif nodes is None:
+            raise GridError("a grid without axes needs its nodes")
+        else:
+            nodes = np.asarray(nodes, dtype=float)
+            nodes.setflags(write=False)
+            n = nodes.shape[0]
+        if n < 2:
+            raise GridError("grid needs at least 2 nodes")
+        if weights.shape != (n,):
+            raise GridError("weights length must match node count")
+        if not np.all(weights > 0):
+            raise GridError("quadrature weights must be strictly positive")
         weights.setflags(write=False)
-        vars(self).update(nodes=nodes, weights=weights, truncation_radius=truncation_radius,
-                          dim=dim, rule=rule, axes=axes)
+        vars(self).update(weights=weights, truncation_radius=truncation_radius, dim=dim,
+                          rule=rule, axes=axes, _nodes=nodes)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The node coordinates, read-only: stored for a grid without axes,
+        else the axes' mesh (_mesh), built at each read."""
+        return _mesh(self.axes) if self.axes else self._nodes
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.weights.shape[0]
 
 
 class GridFunction(Frozen):
@@ -85,11 +102,13 @@ class GridFunction(Frozen):
 
 
 def _mesh(axes) -> np.ndarray:
-    """Nodes of the 'ij' tensor mesh of axes: (n,) for one axis, else (n, d)."""
+    """Nodes of the 'ij' tensor mesh of axes, read-only: the axis itself for
+    one axis, else a new (n, d) array."""
     if len(axes) == 1:
-        return np.asarray(axes[0], dtype=float)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+        return axes[0]
+    mesh = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    mesh.setflags(write=False)
+    return mesh
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -150,15 +169,11 @@ def build_grid(dim: int = 1, radius: float = 1.0, points_per_axis: int = 2,
             f"of {MAX_GRID_NODES} (approx {8 * total / 1e9:.1f} GB per vector)"
         )
     x, w = _axis_rule(float(radius), int(points_per_axis), rule)
-    if dim == 1:
-        return QuadratureGrid(x, w, float(radius), 1, rule, axes=(x,))
-    nodes = _mesh([x] * dim)
-    wmesh = np.meshgrid(*([w] * dim), indexing="ij")
-    weights = np.ones(total)
-    for wm in wmesh:
-        weights = weights * wm.ravel()
-    return QuadratureGrid(nodes, weights, float(radius), dim, rule,
-                          axes=tuple([x] * dim))
+    weights = w
+    for _ in range(dim - 1):
+        # the products w_i w_j ... over the 'ij' mesh, last axis fastest
+        weights = np.multiply.outer(weights, w).ravel()
+    return QuadratureGrid(None, weights, float(radius), dim, rule, axes=(x,) * dim)
 
 
 def integrate(f: GridFunction) -> float:

@@ -7,7 +7,8 @@ OLD_SRC and NEW_SRC are two `src/` directories (each holding the
 fortetbridge package).  For the config that bench/workloads.make_workload
 builds for each of WORKLOADS at each of SEEDS, both trees run the five CLI
 ops (check, solve, interpolate, compare, diagnose) in a fresh
-`python -m fortetbridge.cli` process each, on the same config file.  Each
+`python -m fortetbridge.cli` process each, on the same config file; then
+they run each config of EXTRA through its own ops the same way.  Each
 op's exit code, stdout and every artifact it writes (by name and bytes) are
 compared; stderr is not, since it carries wall times.  One line is printed
 per op, then a summary.  The exit code is 0 when every op matches, 1
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +30,24 @@ ROOT = Path(__file__).resolve().parent.parent
 OPS = ("check", "solve", "interpolate", "compare", "diagnose")
 WORKLOADS = ("gauss1d", "gauss2d", "swap")
 SEEDS = (0, 31)
+#: configs beside the workloads, each with the ops it runs: a 21^3 grid,
+#: whose node mesh every reader derives from its axes, and a 2-D kernel of
+#: non-diagonal covariance, whose dense factor reads that mesh
+#: (problem._whitened).  The 21^3 grid skips compare and diagnose, which
+#: take its dense 9261 x 9261 kernel (686 MB).
+EXTRA = {
+    "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                    "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                  {"type": "gaussian", "sigma": 0.64}],
+                    "grid": {"dim": 3, "radius": 8.0, "points": 21}},
+                   ("check", "solve", "interpolate")),
+    "multivariate2d": ({"kernel": {"type": "gaussian_multivariate",
+                                   "covariance": [[0.25, 0.05], [0.05, 0.2]]},
+                        "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                      {"type": "gaussian", "sigma": 0.8}],
+                        "grid": {"dim": 2, "radius": 8.0, "points": 31}},
+                       OPS),
+}
 
 
 def run_op(src: Path, op: str, config: Path, out: Path):
@@ -55,29 +75,41 @@ def differences(a, b) -> list:
     return found
 
 
+def cases(work: Path):
+    """(label, config file, ops) of each config, written under work."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    for name, seed in itertools.product(WORKLOADS, SEEDS):
+        config = workloads.write_config(workloads.make_workload(name, seed),
+                                        work / f"{name}-{seed}")
+        yield f"{name} seed {seed}", config, OPS
+    for name, (raw, ops) in EXTRA.items():
+        config = work / name / f"{name}.json"
+        config.parent.mkdir()
+        config.write_text(json.dumps(raw, indent=2) + "\n")
+        yield name, config, ops
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
 
     sides = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     runs = same = 0
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as work:
-        for name, seed in itertools.product(WORKLOADS, SEEDS):
-            case = Path(work) / f"{name}-{seed}"
-            config = workloads.write_config(workloads.make_workload(name, seed), case)
-            for op in OPS:
-                results = [run_op(src, op, config, case / side / op)
+        for label, config, ops in cases(Path(work)):
+            for op in ops:
+                results = [run_op(src, op, config, config.parent / side / op)
                            for side, src in sides.items()]
                 found = differences(*results)
                 runs, same = runs + 1, same + (not found)
                 code, _, files = results[0]
                 verdict = "; ".join(found) if found else (
                     f"identical (exit {code}, {len(files)} artifacts)")
-                print(f"{name} seed {seed} {op}: {verdict}")
+                print(f"{label} {op}: {verdict}")
     print(f"{same} of {runs} ops identical (exit codes, stdout and artifacts)")
     return 0 if same == runs else 1
 

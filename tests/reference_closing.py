@@ -1,8 +1,9 @@
 """Fortet's closing phase as it was written before its steps were fused:
 _closing_iteration with omega_map's map and a step record composed, each
-array formed by its own expression, and the Hilbert step read on the
-filtered nodes alone.  The fused closing in fortetbridge.fortet must return
-bitwise this iterate and these records
+array formed by its own expression, the Hilbert step read on the filtered
+nodes alone, and an Anderson mixer whose extrapolation is an array of its
+own.  The fused closing in fortetbridge.fortet must return bitwise this
+iterate and these records
 (test_fortet.py::test_fused_closing_is_bitwise_the_reference)."""
 
 import math
@@ -11,8 +12,49 @@ from typing import Dict, List
 import numpy as np
 
 from fortetbridge.errors import NonConvergenceError
-from fortetbridge.fortet import (ANDERSON_M, FLOOR_FREEZE, REFINE_MAX, StepLog,
-                                 _AndersonMixer, _support_ratio, _support_sup)
+from fortetbridge.fortet import (ANDERSON_M, EPS, FLOOR_FREEZE, REFINE_MAX, StepLog,
+                                 _fit, _support_ratio, _support_sup)
+
+
+class AndersonMixer:
+    """fortet._AndersonMixer with the extrapolation formed in a new array."""
+
+    def __init__(self, m: int, n: int):
+        self.hist = np.empty((2, m, n))
+        self.held = 0
+        self.best = math.inf
+
+    def next_input(self, u, g):
+        m = self.hist.shape[1]
+        if m == 0:
+            return None
+        if u is None:
+            f = np.subtract(g, self.hist[1, (self.held - 1) % m])
+        else:
+            f = np.subtract(g, u, out=u)
+        norm = float(f.max()) - float(f.min())
+        out = None
+        if norm > self.best:
+            self.held = 0
+        else:
+            self.best = norm
+            if self.held and norm >= EPS * max(float(g.max()), -float(g.min())):
+                k = min(self.held, m)
+                D = np.empty((k, f.size))
+                for j in range(k):
+                    np.subtract(f, self.hist[0, j], out=D[j])
+                gamma = _fit(D, f)
+                if gamma is not None:
+                    for j in range(k):
+                        np.subtract(g, self.hist[1, j], out=D[j])
+                    out = np.dot(gamma, D)
+                    np.subtract(g, out, out=out)
+                else:
+                    self.held = 0
+        self.hist[0, self.held % m] = f
+        self.hist[1, self.held % m] = g
+        self.held += 1
+        return out
 
 
 def omega_map(ratio1, kernel, marginals) -> np.ndarray:
@@ -58,7 +100,7 @@ def step_record(ratio1, H_prime, prev, mask, kernel, case1_candidate, mass2,
 def closing_iteration(start: List[np.ndarray], kernel, marginals, tol: float,
                       mass2: float, steps: StepLog) -> np.ndarray:
     om1, A = marginals.omega1.values, marginals.omega1.support
-    mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
+    mixer = AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
     del K0

@@ -463,11 +463,18 @@ def test_forced_solve_with_an_inf_image_off_the_support_warns_nothing(tmp_path, 
     assert main(["solve", "--force", "--config", str(write_config(tmp_path, raw)),
                  "--output", str(out)]) == 0
     fields = dict(f.split("=") for f in capsys.readouterr().out.split())
-    # s1_resid is left unpinned: the row integral at node 0 reads 0 * inf =
-    # NaN, so it reports inf although the row equation holds (a known fault)
-    del fields["s1_resid"]
+    # the row integral is 0 where phi is, not 0 * inf = NaN at node 0, so the
+    # row equation reads as holding and the summary is strict JSON
     assert fields == {"case_tag": "case2", "iterations": "2", "refine_steps": "5",
+                      "s1_resid": "2.220446049250313e-16",
                       "s2_resid": "5.551115123125783e-17"}
+
+    def refuse(token):
+        raise ValueError(f"summary.json holds {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["coupling"]["mass"] == 1.0
+    assert not any("stopped short" in w for w in summary["warnings"])
     trace = read_csv(out / "trace.csv")[1:]
     assert len(trace) == 7
     assert all(row[1:3] == ["", ""] for row in trace)

@@ -1,6 +1,7 @@
 """Grid construction and weighted-sum integration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,39 @@ def test_grid_arrays_are_write_locked():
         grid.nodes[0] = 99.0
 
 
+@pytest.mark.parametrize("rule", quadrature.RULES)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nodes_are_the_read_only_mesh_of_the_axes(dim, rule):
+    # a grid with axes derives its nodes, bitwise their 'ij' mesh, and its
+    # weights are bitwise the product a loop over the mesh forms.  The axes
+    # are locked too: a write to one would move every node it spans
+    grid = build_grid(dim=dim, radius=2.0, points_per_axis=7, rule=rule)
+    x, w = quadrature._axis_rule(2.0, 7, rule)
+    mesh = np.meshgrid(*[x] * dim, indexing="ij")
+    assert grid.nodes.tobytes() == np.column_stack([m.ravel() for m in mesh]).tobytes()
+    weights = np.ones(grid.n_nodes)
+    for wm in np.meshgrid(*[w] * dim, indexing="ij"):
+        weights = weights * wm.ravel()
+    assert grid.weights.tobytes() == weights.tobytes()
+    for array in (grid.nodes, grid.weights) + grid.axes:
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+
+
+def test_a_tensor_grid_holds_no_node_mesh():
+    # a 41^3 grid keeps its axes and weights: it holds one node array, and
+    # forming the weights as outer products peaks near it.  Its (N, 3) node
+    # mesh and the weights' meshgrids took 13 node arrays
+    tracemalloc.start()
+    try:
+        grid = build_grid(dim=3, radius=8.0, points_per_axis=41)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * grid.weights.nbytes
+    assert peak <= 2 * grid.weights.nbytes
+
+
 def test_direct_grid_construction():
     grid = QuadratureGrid(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0, 1,
                           "trapezoid")
@@ -166,6 +200,11 @@ def test_axes_must_mesh_the_nodes():
         QuadratureGrid(ij, grid.weights, 2.0, 2, "trapezoid", axes=(x,))
     # without axes the same nodes are accepted in any order
     assert QuadratureGrid(xy, grid.weights, 2.0, 2, "trapezoid").axes == ()
+    # nodes None takes the mesh, which a grid without axes does not have
+    derived = QuadratureGrid(None, grid.weights, 2.0, 2, "trapezoid", axes=(x, y))
+    assert np.array_equal(derived.nodes, ij)
+    with pytest.raises(GridError, match="needs its nodes"):
+        QuadratureGrid(None, grid.weights, 2.0, 2, "trapezoid")
 
 
 @given(st.lists(st.floats(-100, 100), min_size=5, max_size=5),
