@@ -38,7 +38,7 @@ class Coupling(Frozen):
     wherever its potential is, also where the kernel's image is inf there
     (0 * inf would read NaN).  A residual is inf at a node where it is NaN
     (an inf potential against a vanishing integral).  The (n1, n2) array pi
-    is built on first read.
+    is built on first read, under the same rule.
     """
 
     def __init__(self, phi, psi, kernel: KernelOperator, marginals: MarginalPair):
@@ -79,8 +79,12 @@ class Coupling(Frozen):
 
     @cached_property
     def pi(self) -> np.ndarray:
-        with np.errstate(over="ignore", under="ignore"):
+        """phi g psi, 0 in the rows and columns where phi or psi is 0, as
+        row and col are there, also against an inf kernel entry."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             pi = self.phi[:, None] * self.kernel.values * self.psi[None, :]
+        pi[self.phi == 0] = 0.0
+        pi[:, self.psi == 0] = 0.0
         pi.setflags(write=False)
         return pi
 

@@ -345,9 +345,9 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
                           dict(zip(StepLog.COLUMNS, row), case1_candidate=case1))
 
 
-def _support_sup(K: np.ndarray, A: np.ndarray, log: StepLog) -> float:
-    """max K over the omega1 support A; raises unless it is positive, which
-    a NaN there also fails."""
+def _support_sup(K: np.ndarray, A, log: StepLog) -> float:
+    """max K over the omega1 support, indexed by A (a mask or slice(None));
+    raises unless it is positive, which a NaN there also fails."""
     s = _top(K[A])
     if not s > 0:
         raise NonConvergenceError("iterate collapsed to zero or NaN on the omega1 "
@@ -466,18 +466,24 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     is finite at every node, and the next input is then finite too.  After
     a plain step, log K on the support is the log image the mixer holds,
     and is not taken again.
+
+    The support is gathered and scattered through the index at: the mask
+    A, or slice(None) where omega1 > 0 at every node, so that the support
+    sup, the two log gathers and the extrapolation's write read and write
+    views instead of masked copies.
     """
     om1, A = marginals.omega1.values, marginals.omega1.support
+    at = slice(None) if A.all() else A
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
-    K = np.maximum(K0 / _support_sup(K0, A, log), FLOOR_FREEZE)
+    K = np.maximum(K0 / _support_sup(K0, at, log), FLOOR_FREEZE)
     del K0
     # the scheme's image is not known finite off the support
     finite, plain = False, False
     for _ in range(REFINE_MAX):
         ratio1 = np.divide(om1, K) if finite else _support_ratio(om1, K, A)
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
-        s = _support_sup(Kn, A, log)
+        s = _support_sup(Kn, at, log)
         Kn /= s
         mask = np.minimum(Kn, K) > 10.0 * FLOOR_FREEZE
         mask &= A
@@ -487,10 +493,10 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
             return Kn
         del ratio1, mask  # spent on the row
         finite = math.isfinite(sup_change)
-        u = None if plain else np.log(K[A])
+        u = None if plain else np.log(K[at])
         K = np.maximum(Kn, FLOOR_FREEZE)
         del Kn
-        u = mixer.next_input(u, np.log(K[A]))
+        u = mixer.next_input(u, np.log(K[at]))
         plain = u is None
         if u is not None:
             # the input is floored, and the image's support sup is checked
@@ -501,7 +507,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
                 raise NonConvergenceError("extrapolated iterate is NaN or inf "
                                           "on the omega1 support", log)
             u -= top
-            K[A] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
+            K[at] = np.maximum(np.exp(u, out=u), FLOOR_FREEZE, out=u)
         del u
     raise NonConvergenceError(
         f"closing iteration did not stabilize within {REFINE_MAX} steps", log)
@@ -566,7 +572,7 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     phi, psi, extract_warn = _extract_with_warnings(h, kernel, marginals)
     coupling = bridge.build_coupling(phi, psi, kernel, marginals)
     r1, r2, root = coupling.row_marginal_resid, coupling.col_marginal_resid, math.sqrt(opts.tol)
-    if r1 > root * marginals.omega1.values.max() or r2 > root * marginals.omega2.values.max():
+    if r1 > root * marginals.omega1.peak or r2 > root * marginals.omega2.peak:
         warnings.append(f"marginal residuals s1 {r1:.3g} and s2 {r2:.3g} exceed sqrt(tol) = "
                         f"{root:.3g} times the marginals' peaks: the closing stopped short")
     return FortetSolution(h=h, case_tag="case1" if case1 else "case2", coupling=coupling,

@@ -44,7 +44,9 @@ class DensityField(Frozen):
 
     Marginals are renormalized to unit mass on construction (the helper
     `density_field` does it); intermediate products like interpolation
-    marginals may carry renormalize=False and any mass.
+    marginals may carry renormalize=False and any mass.  The values are
+    read-only, so their support and peak, which every fit reads, are
+    computed once and cached.
     """
 
     def __init__(self, grid: QuadratureGrid, values, renormalized: bool = True):
@@ -63,6 +65,11 @@ class DensityField(Frozen):
         return integrate(GridFunction(self.grid, self.values))
 
     @cached_property
+    def peak(self) -> float:
+        """The largest value."""
+        return float(self.values[self.values.argmax()])
+
+    @cached_property
     def support(self) -> np.ndarray:
         """The nodes where the density is positive (read-only)."""
         support = self.values > 0
@@ -77,7 +84,9 @@ class DensityField(Frozen):
         Where integral > 0 at every node and no quotient can overflow, this
         is the plain quotient (values is 0 off the support), written into out
         if given, which may be integral itself; its underflow is the caller's
-        np.errstate's, which numpy's default ignores.
+        np.errstate's, which numpy's default ignores.  The overflow test
+        reads the values' peak, which is cached with the field, and the
+        integral's least entry, one argmin a fit.
 
         Otherwise an integral of 0 at a support node cannot be fitted: it
         raises KernelSupportError, "<what> vanished at nodes [...] where
@@ -87,7 +96,7 @@ class DensityField(Frozen):
         # argmin reads a NaN as the least entry, as min does, in fewer
         # passes; a quotient is at most peak / low, in float range below 2**1023
         low = float(integral[integral.argmin()])
-        if low > 0 and float(self.values[self.values.argmax()]) / low < 2.0 ** 1023:
+        if low > 0 and self.peak / low < 2.0 ** 1023:
             return np.divide(self.values, integral, out=out)
         S = self.support
         if not (integral[S] > 0).all():
@@ -225,6 +234,29 @@ class KernelOperator(Frozen):
                  * max(1.0, float(self.grid2.weights.max())))
         return MAX_EXP - 1 - math.frexp(bound)[1] if bound < math.inf else None
 
+    @cached_property
+    def apply_floor(self) -> float:
+        """A floor that min f times bounds below every nonzero product and
+        partial sum that apply forms unscaled, or 0 where none is kept.
+
+        It is half the smallest grid2 weight times, per factor, min(1, its
+        smallest positive entry): each entry of weights * f is at least the
+        weight times min f, and each product with a factor entry, and each
+        sum of such nonnegative products, at least that times the entry.
+        The half covers the rounding of those products and of this one.  It
+        is 0 (apply then keeps its scale) for a dense factor, whose n1 x n2
+        scan is not worth it, for a factor with a negative or non-finite
+        entry, and where it is below TINY, where its own rounding is no
+        longer relative."""
+        if len(self.factors) == 1 and not self.banded:
+            return 0.0
+        floor = 0.5 * float(self.grid2.weights.min())
+        for a in self.factors:
+            if not (np.isfinite(a).all() and a.min() >= 0):
+                return 0.0
+            floor *= min(1.0, float(a.min(initial=math.inf, where=a > 0)))
+        return floor if floor >= TINY else 0.0
+
     @property
     def log_values(self) -> np.ndarray:
         """log of the kernel matrix: for a Gaussian kernel the sum over its
@@ -251,27 +283,36 @@ class KernelOperator(Frozen):
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights.
 
-        It is taken on f * 2^k and scaled back with np.ldexp(., -k), where k
-        is apply_headroom less the binary exponent of max|f| where that is
-        positive, so that no product or partial sum can overflow.  A power
-        of two scales a normal number exactly, so the result is bitwise the
-        unscaled one wherever that formed no subnormal intermediate, and
-        closer to the exact sum where it did.  A fit such as Fortet's
-        omega2 / G or an extracted psi reaches 4.9e-324 in a tail, and each
-        subnormal operand costs a microcode assist on x86.  An f holding a
-        NaN or an inf, an all-zero f and one too large for k > 0 are
-        applied unscaled.
+        Where min f > 0, min f * apply_floor >= TINY and max f <
+        2^apply_headroom, it is the plain product: no operand, product or
+        partial sum it forms is then subnormal or overflows, so any scale
+        2^k would commute with every rounding and give the same bits.
+
+        Otherwise it is taken on f * 2^k and scaled back with np.ldexp(.,
+        -k), where k is apply_headroom less the binary exponent of max|f|
+        where that is positive, so that no product or partial sum can
+        overflow.  A power of two scales a normal number exactly, so the
+        result is bitwise the unscaled one wherever that formed no
+        subnormal intermediate, and closer to the exact sum where it did.
+        A fit such as Fortet's omega2 / G or an extracted psi reaches
+        4.9e-324 in a tail, and each subnormal operand costs a microcode
+        assist on x86.  An f holding a NaN or an inf, an all-zero f and one
+        too large for k > 0 are applied unscaled.  max f and min f are read
+        at the argmax and argmin, the same values, NaN included.
         """
-        top = max(float(f.max()), -float(f.min()))
         k = self.apply_headroom
-        if k is not None and 0.0 < top < math.inf:
-            k -= max(0, math.frexp(top)[1])
-            if k > 0:
-                # weights * 2^k is exact, so each f * (weights * 2^k) is
-                # rounded once; no name holds it, so _contract frees it
-                # after its first product, as it frees weights * f
-                out = _contract(self.factors, f * (self.grid2.weights * 2.0 ** k))
-                return np.ldexp(out, -k, out=out)
+        if k is not None:
+            low, top = float(f[f.argmin()]), float(f[f.argmax()])
+            plain = low > 0 and low * self.apply_floor >= TINY and top < 2.0 ** k
+            top = max(top, -low)
+            if not plain and 0.0 < top < math.inf:
+                k -= max(0, math.frexp(top)[1])
+                if k > 0:
+                    # weights * 2^k is exact, so each f * (weights * 2^k) is
+                    # rounded once; no name holds it, so _contract frees it
+                    # after its first product, as it frees weights * f
+                    out = _contract(self.factors, f * (self.grid2.weights * 2.0 ** k))
+                    return np.ldexp(out, -k, out=out)
         return _contract(self.factors, self.grid2.weights * f)
 
     def apply_T(self, f: np.ndarray) -> np.ndarray:
@@ -316,11 +357,44 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.convolve(x, band)[b:b + n]
 
 
+def _padded(band: np.ndarray, n: int) -> np.ndarray:
+    """The band padded with zeros to 2n - 1 entries, offsets -(n - 1) ...
+    n - 1; a band that spans every offset is returned as it is."""
+    pad = n - 1 - band.size // 2
+    if not pad:
+        return band
+    out = np.zeros(2 * n - 1)
+    out[pad:pad + band.size] = band
+    return out
+
+
 def _band_matrix(band: np.ndarray, n: int) -> np.ndarray:
     """The n x n symmetric Toeplitz matrix of a band as a read-only view:
     row i is the window of n entries that starts i entries before the
     middle of the band, padded with zeros to 2n - 1 entries."""
-    return sliding_window_view(np.pad(band, n - 1 - band.size // 2), n)[::-1]
+    return sliding_window_view(_padded(band, n), n)[::-1]
+
+
+def _band_row(band: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Row i of _band_matrix(band, n), which is also its column i."""
+    return _padded(band, n)[n - 1 - i:2 * n - 1 - i]
+
+
+def _window_extremes(band: np.ndarray, n: int, extreme: np.ufunc) -> np.ndarray:
+    """extreme.reduce over each row of _band_matrix(band, n), which is
+    also its column, in O(n) (van Herk 1992; Gil & Werman 1993).
+
+    Row i of the padded band p is p[n - 1 - i : n] followed by p[n : 2n -
+    1 - i]: a suffix of the block p[:n] and a prefix of the block p[n:].
+    One accumulate over each block, the first from its end, gives every
+    such suffix's and prefix's extreme, and the row's is the extreme of
+    its two.  np.maximum, np.fmax and np.fmin are associative and
+    commutative, NaN rule included, so this is the windows' reduction
+    exactly (a 0.0 tied with a -0.0 may read as the other)."""
+    p = _padded(band, n)
+    rows = extreme.accumulate(p[n - 1::-1])
+    extreme(rows[:-1], extreme.accumulate(p[n:])[::-1], out=rows[:-1])
+    return rows
 
 
 def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
@@ -574,8 +648,11 @@ def _extremes(kernel: KernelOperator, extreme: np.ufunc, axis: int) -> np.ndarra
     product is the product of one row per factor, and for nonnegative
     factors the extreme of those products is the product of the extremes,
     exactly, because rounding is monotone.  A one-factor kernel is reduced
-    directly, a band over its windows."""
-    return reduce(np.kron, [extreme.reduce(a, axis=axis) for a in kernel.matrices])
+    directly; a band's rows are its windows, read in O(n) by
+    _window_extremes, and its columns are its rows."""
+    if kernel.banded:
+        return _window_extremes(kernel.factors[0], kernel.grid1.n_nodes, extreme)
+    return reduce(np.kron, [extreme.reduce(a, axis=axis) for a in kernel.factors])
 
 
 def _row(kernel: KernelOperator, i: int) -> np.ndarray:
@@ -597,10 +674,12 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
     """Exact grid checks for the standing hypotheses; continuity best-effort.
 
     Reads the kernel's factors and never builds its matrix: row and column
-    extremes come from per-factor extremes (a band's from its windows), and
-    only a row that holds an offending entry is built.  Never raises on a
-    failed check: the report lists offending node indices and the caller
-    decides (solvers refuse inadmissible instances unless forced).
+    extremes come from per-factor extremes (a band's from its windows, in
+    O(n), with no window view), the continuity smoke reads a band's middle
+    column as a slice of it, and only a row that holds an offending entry
+    is built.  Never raises on a failed check: the report lists offending
+    node indices and the caller decides (solvers refuse inadmissible
+    instances unless forced).
     """
     checks: Dict[str, CheckResult] = {}
     # a NaN entry is neither negative nor positive, so those two checks
@@ -645,8 +724,10 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
 
     # best-effort smoke checks (full continuity is not grid-decidable)
     if kernel.grid1.dim == 1:
-        (g,) = kernel.matrices  # a 1-D kernel has one factor
-        checks["kernel_continuity"] = _smoothness_smoke(g[:, g.shape[1] // 2])
+        (g,) = kernel.factors  # a 1-D kernel has one factor
+        n = kernel.grid2.n_nodes
+        column = _band_row(g, n, n // 2) if kernel.banded else g[:, n // 2]
+        checks["kernel_continuity"] = _smoothness_smoke(column)
     else:
         checks["kernel_continuity"] = CheckResult("skipped", "dim > 1")
     checks["marginal1_continuity"] = _smoothness_smoke(marginals.omega1.values)

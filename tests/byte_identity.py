@@ -31,10 +31,13 @@ OPS = ("check", "solve", "interpolate", "compare", "diagnose")
 WORKLOADS = ("gauss1d", "gauss2d", "swap")
 SEEDS = (0, 31)
 #: configs beside the workloads, each with the ops it runs: a 21^3 grid,
-#: whose node mesh every reader derives from its axes, and a 2-D kernel of
+#: whose node mesh every reader derives from its axes, a 2-D kernel of
 #: non-diagonal covariance, whose dense factor reads that mesh
-#: (problem._whitened).  The 21^3 grid skips compare and diagnose, which
-#: take its dense 9261 x 9261 kernel (686 MB).
+#: (problem._whitened), and narrow 1-D marginals, whose omega1 underflows
+#: to 0 at 14 edge nodes, so that the closing gathers its support through
+#: a mask and KernelOperator.apply keeps its scale there.  The 21^3 grid
+#: skips compare and diagnose, which take its dense 9261 x 9261 kernel
+#: (686 MB).
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -47,6 +50,11 @@ EXTRA = {
                                       {"type": "gaussian", "sigma": 0.8}],
                         "grid": {"dim": 2, "radius": 8.0, "points": 31}},
                        OPS),
+    "narrow1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                  "marginals": [{"type": "gaussian", "sigma": 0.2},
+                                {"type": "gaussian", "sigma": 0.25}],
+                  "grid": {"dim": 1, "radius": 8.0, "points": 401}},
+                 OPS),
 }
 
 

@@ -279,6 +279,28 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     assert min(argument for _, argument in seen) >= TINY
 
 
+def test_gauss1d_solve_applies_its_arguments_unscaled(bench_kernel, bench_marginals,
+                                                     monkeypatch):
+    # on gauss1d every f that apply takes is positive, with min f *
+    # apply_floor >= TINY: each of the solve's 20 applies (19 maps and the
+    # coupling's) contracts weights * f itself, whose smallest entry is the
+    # argument's, and no argument below TINY reaches a kernel product
+    from tests.conftest import contract_extremes
+    from fortetbridge.problem import TINY, KernelOperator
+    apply, unscaled = KernelOperator.apply, []
+
+    def recording(self, f):
+        image = apply(self, f)
+        unscaled.append(seen[-1][1] == float((self.grid2.weights * f).min()))
+        return image
+
+    monkeypatch.setattr(KernelOperator, "apply", recording)
+    with contract_extremes() as seen:
+        run_fortet(bench_kernel, bench_marginals)
+    assert len(unscaled) == 20 and all(unscaled)
+    assert min(argument for _, argument in seen) >= TINY
+
+
 def test_closing_step_enters_no_errstate_block(bench_kernel, bench_marginals,
                                                monkeypatch):
     # none: the map and the fit take the block the closing holds for all its
@@ -805,6 +827,22 @@ def test_extraction_off_the_support_warns_nothing():
     assert sol.case_tag == "case2" and sol.warnings == ()
     assert sol.coupling.phi[0] == 0.0 and sol.coupling.psi[7] == 0.0
     assert max(sol.residuals.values()) < 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coupling_pi_is_zero_where_a_potential_is():
+    # the inf entry sits in row 0, where phi = 0, and column 7, where psi =
+    # 0: pi reads 0 there, as row and col do, not 0 * inf, and warns of
+    # nothing; it is finite wherever phi and psi are, and its weighted row
+    # and column sums are the coupling's marginal integrals
+    kernel, marginals = _zero_mass_table_instance("nan")
+    c = run_fortet(kernel, marginals, FortetOptions(force=True)).coupling
+    pi = c.pi
+    assert c.phi[0] == 0.0 and c.psi[7] == 0.0 and kernel.values[0, 7] == math.inf
+    assert np.isfinite(pi[np.isfinite(c.phi)][:, np.isfinite(c.psi)]).all()
+    assert not pi[c.phi == 0].any() and not pi[:, c.psi == 0].any()
+    assert np.allclose(pi @ kernel.grid2.weights, c.row, rtol=1e-14, atol=0.0)
+    assert np.allclose(kernel.grid1.weights @ pi, c.col, rtol=1e-14, atol=0.0)
 
 
 def test_feasibility_gate_refuses_divergent_orientation(bench_grid):

@@ -117,6 +117,52 @@ def test_benchmark_hypotheses_all_pass(bench_kernel, bench_marginals):
     assert report.hard_checks_pass
 
 
+@pytest.mark.parametrize("n, b", [(2, 0), (9, 3), (9, 8), (40, 12), (40, 39)])
+@pytest.mark.parametrize("tap", [None, 0.0, math.inf, -math.inf, math.nan, "all-nan"])
+def test_band_extremes_are_the_window_reduction(n, b, tap):
+    # a band's rows are its windows, and so are its columns; their
+    # maximum, fmax and fmin, read in O(n), are the window view's
+    # reductions on either axis, NaN rule included (an all-NaN window
+    # reads NaN under fmax, a window with a padded 0 reads 0)
+    rng = np.random.default_rng(n + b)
+    half = rng.uniform(-1.0, 1.0, b + 1)
+    if tap == "all-nan":
+        half[:] = math.nan
+    elif tap is not None:
+        half[rng.integers(0, b + 1, 2)] = tap
+    band = np.concatenate((half[:0:-1], half))
+    view = problem._band_matrix(band, n)
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=n)
+    # a NaN band is no kernel's (the symmetry check reads NaN != NaN)
+    kernel = None if np.isnan(band).any() else KernelOperator((band,), grid, grid, 1.0)
+    for extreme in (np.maximum, np.fmax, np.fmin):
+        for axis in (0, 1):
+            windows = extreme.reduce(view, axis=axis)
+            assert np.array_equal(problem._window_extremes(band, n, extreme), windows,
+                                  equal_nan=True)
+            if kernel is not None:
+                assert np.array_equal(problem._extremes(kernel, extreme, axis), windows)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.1])
+def test_checks_build_no_window_view_of_a_band(bench_grid, bench_marginals, sigma,
+                                                monkeypatch):
+    # the gauss1d (sigma 0.5) and swap (sigma 0.1) bands: the checks read
+    # their row and column extremes in O(n) and the continuity smoke's
+    # middle column as a slice of the band, and no row offends, so no
+    # window view (_band_matrix) is built
+    kernel = gaussian_kernel(bench_grid, bench_grid, sigma)
+    views, band_matrix = [], problem._band_matrix
+    monkeypatch.setattr(problem, "_band_matrix",
+                        lambda *args: views.append(args) or band_matrix(*args))
+    report = check_assumptions(kernel, bench_marginals)
+    assert full_report(kernel, bench_marginals).hypotheses == report.hypotheses
+    assert views == []
+    middle = kernel.values[:, bench_grid.n_nodes // 2]
+    assert report.hypotheses["kernel_continuity"] == problem._smoothness_smoke(middle)
+    assert report.hard_checks_pass
+
+
 def test_zero_row_kernel_flagged(bench_grid):
     vals = np.ones((bench_grid.n_nodes, bench_grid.n_nodes))
     vals[5, :] = 0.0
@@ -427,6 +473,61 @@ def test_scaled_apply_stays_in_float_range():
             assert np.all(np.isfinite(scaled))
             if scale >= 1e-300:
                 assert np.array_equal(scaled, exact)
+
+
+def _contract_arguments(monkeypatch):
+    """The arguments that reach problem._contract from now on."""
+    seen, contract = [], problem._contract
+    monkeypatch.setattr(problem, "_contract",
+                        lambda factors, x: seen.append(x) or contract(factors, x))
+    return seen
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_apply_is_the_plain_product_where_no_scale_changes_a_bit(dim, monkeypatch):
+    # the gauss1d band, and two heat factors whose smallest entries keep
+    # the floor above TINY.  On positive f with min f * apply_floor >= TINY
+    # and max f below 2^apply_headroom no intermediate is subnormal or
+    # overflows at any scale 2^j that keeps the argument in range: apply
+    # contracts weights * f itself, bitwise the product at each such scale,
+    # the scale that apply would otherwise take among them
+    grid = build_grid(dim=dim, radius=8.0 if dim == 1 else 3.0,
+                      points_per_axis=401 if dim == 1 else 15)
+    kernel = gaussian_kernel(grid, grid, 0.5 if dim == 1 else 1.0)
+    floor, k, w = kernel.apply_floor, kernel.apply_headroom, grid.weights
+    assert floor >= TINY and len(kernel.factors) == (1 if dim == 1 else 2)
+    rng = np.random.default_rng(dim)
+    contract = problem._contract
+    seen = _contract_arguments(monkeypatch)
+    for f in (rng.uniform(0.1, 1.0, grid.n_nodes),
+              rng.permutation(np.geomspace(2.0 * TINY / floor, 1e10, grid.n_nodes))):
+        image = kernel.apply(f)
+        assert np.array_equal(seen[-1], w * f)
+        for j in (1, 7, 100, k - math.frexp(f.max())[1]):
+            scaled = contract(kernel.factors, f * (w * 2.0 ** j))
+            assert np.array_equal(image, np.ldexp(scaled, -j))
+
+
+def test_apply_keeps_its_scale_where_the_floor_does_not_hold(bench_kernel, bench_grid,
+                                                              monkeypatch):
+    # one entry whose product with the floor is just below TINY, or one 0,
+    # keeps the scaled product; so does any f on the swap band (its
+    # smallest entries sit near TINY), the gauss2d factors and a dense
+    # factor, whose floor is 0
+    floor, k, w = bench_kernel.apply_floor, bench_kernel.apply_headroom, bench_grid.weights
+    low = TINY / floor
+    while low * floor >= TINY:
+        low = math.nextafter(low, 0.0)
+    seen = _contract_arguments(monkeypatch)
+    for entry in (low, 0.0):
+        f = np.random.default_rng(6).uniform(0.5, 1.0, bench_grid.n_nodes)
+        f[17] = entry
+        bench_kernel.apply(f)
+        assert np.array_equal(seen[-1], f * (w * 2.0 ** k))
+    grid2 = build_grid(dim=2, radius=8.0, points_per_axis=41)
+    assert gaussian_kernel(bench_grid, bench_grid, 0.1).apply_floor == 0.0
+    assert gaussian_kernel(grid2, grid2, 0.5).apply_floor == 0.0
+    assert table_kernel(bench_grid, bench_grid, bench_kernel.values).apply_floor == 0.0
 
 
 def test_gaussian_on_grid_without_axes_is_one_dense_factor():
