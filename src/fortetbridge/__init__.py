@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     # quadrature
-    "QuadratureGrid": "quadrature", "GridFunction": "quadrature",
-    "build_grid": "quadrature", "integrate": "quadrature",
+    "QuadratureGrid": "quadrature", "build_grid": "quadrature",
     # problem setup and feasibility
     "DensityField": "problem", "density_field": "problem",
     "gaussian_density": "problem", "MarginalPair": "problem",

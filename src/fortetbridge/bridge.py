@@ -140,13 +140,13 @@ def kl_objective(coupling: Coupling) -> KLObjective:
 
 
 class Interpolation(Frozen):
-    """The time marginals on grid: densities is (n_times, n_nodes), each row
-    renormalized, and masses holds their raw quadrature masses before that."""
+    """The time marginals: densities is (n_times, n_nodes), each row scaled
+    to unit mass, and masses holds their raw quadrature masses before that."""
 
     def __init__(self, times: Tuple[float, ...], densities: np.ndarray,
-                 masses: Tuple[float, ...], grid: QuadratureGrid):
+                 masses: Tuple[float, ...]):
         densities.setflags(write=False)
-        vars(self).update(times=times, densities=densities, masses=masses, grid=grid)
+        vars(self).update(times=times, densities=densities, masses=masses)
 
 
 def entropic_interpolation(phi, psi, kernel: KernelOperator,
@@ -167,9 +167,7 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
         raise FortetBridgeError("interpolation needs an analytic Gaussian kernel "
                                 "with a known heat scale")
     grid, grid2 = kernel.grid1, kernel.grid2
-    same = (all(map(np.array_equal, grid.axes, grid2.axes)) if grid.axes and grid2.axes
-            else np.array_equal(grid.nodes, grid2.nodes))
-    if not same:
+    if grid.dim != grid2.dim or not all(map(np.array_equal, grid.axes, grid2.axes)):
         raise FortetBridgeError("interpolation needs matching x and y grids")
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -198,15 +196,14 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
                                     + _drift_hint(grid, width))
         masses.append(m)
         out[k] = rho / m
-    return Interpolation(tuple(float(t) for t in times), out, tuple(masses), grid)
+    return Interpolation(tuple(float(t) for t in times), out, tuple(masses))
 
 
 def _drift_hint(grid: QuadratureGrid, width: float) -> str:
     """What an interpolant's mass drift points to: the grid spacing (the
     largest gap between neighbouring node coordinates on any axis) against
     the width of the slice's narrower heat kernel."""
-    axes = grid.axes or tuple(np.unique(c) for c in grid.nodes.reshape(grid.n_nodes, -1).T)
-    spacing = max(float(np.diff(a).max(initial=0.0)) for a in axes)
+    spacing = max(float(np.diff(a).max(initial=0.0)) for a in grid.axes)
     if width < spacing:
         return (f"the slice's heat kernel width {width:.3g} is below the grid "
                 f"spacing {spacing:.3g}, which under-resolves it: add grid points")

@@ -128,12 +128,12 @@ class _MeshColumn:
 
 
 def _coordinates(grid):
-    """Column headers and the columns of the node coordinates.  The nodes of
-    a grid with axes in d >= 2 are their 'ij' mesh (QuadratureGrid checks
-    it), so each axis value is formatted once, not once per node."""
+    """Column headers and the columns of the node coordinates.  A 1-D grid's
+    column is its axis; in d >= 2 the nodes are the axes' 'ij' mesh, so each
+    axis value is formatted once, not once per node."""
     headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
-    if grid.dim == 1 or not grid.axes:
-        return headers, list(grid.nodes.reshape(grid.n_nodes, grid.dim).T)
+    if grid.dim == 1:
+        return headers, list(grid.axes)
     sizes = [len(ax) for ax in grid.axes]
     return headers, [_MeshColumn([repr(v) for v in ax.tolist()],
                                  math.prod(sizes[k + 1:]), grid.n_nodes)

@@ -267,7 +267,7 @@ def build_problem(resolved: Dict[str, object], base_dir=".") -> Problem:
     m2 = _build_marginal(resolved["marginals"][1], grid, base, "marginal 2")
     marginals = MarginalPair(m1, m2)
     if resolved.get("swap"):
-        marginals = swapped_marginals(marginals)
+        kernel, marginals = kernel.swapped(), swapped_marginals(marginals)
 
     s = resolved["solver"]
     options = FortetOptions(**{k: type(d)(s[k]) for k, d in _SOLVER_DEFAULTS.items()})

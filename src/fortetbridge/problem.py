@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FeasibilityError, GridError, KernelSupportError
-from .quadrature import Frozen, GridFunction, QuadratureGrid, integrate
+from .quadrature import Frozen, QuadratureGrid
 
 MASS_TOL = 1e-8
 #: tail-slope above this (per unit |y|^2) flags the integrability estimate
@@ -42,14 +42,13 @@ FLUSH_BLOCK = 4096
 class DensityField(Frozen):
     """Nonnegative sampled density on a grid.
 
-    Marginals are renormalized to unit mass on construction (the helper
-    `density_field` does it); intermediate products like interpolation
-    marginals may carry renormalize=False and any mass.  The values are
-    read-only, so their support and peak, which every fit reads, are
-    computed once and cached.
+    Marginals are scaled to unit mass before construction (the helper
+    `density_field` does it); intermediate products like a pushforward may
+    carry any mass.  The values are read-only, so their support and peak,
+    which every fit reads, are computed once and cached.
     """
 
-    def __init__(self, grid: QuadratureGrid, values, renormalized: bool = True):
+    def __init__(self, grid: QuadratureGrid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_nodes,):
             raise GridError("density values must match grid node count")
@@ -59,10 +58,11 @@ class DensityField(Frozen):
             idx = int(np.flatnonzero(values < 0)[0])
             raise FeasibilityError(f"density negative at node {idx}")
         values.setflags(write=False)
-        vars(self).update(grid=grid, values=values, renormalized=renormalized)
+        vars(self).update(grid=grid, values=values)
 
     def mass(self) -> float:
-        return integrate(GridFunction(self.grid, self.values))
+        """The quadrature sum of the values over the grid's weights."""
+        return float(np.sum(self.grid.weights * self.values))
 
     @cached_property
     def peak(self) -> float:
@@ -116,11 +116,11 @@ def density_field(grid: QuadratureGrid, values, renormalize: bool = True) -> Den
         if m <= 0:
             raise FeasibilityError("cannot renormalize a density with zero mass")
         values = values / m
-    return DensityField(grid, values, renormalized=renormalize)
+    return DensityField(grid, values)
 
 
 def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
-    """Centered Gaussian marginal, renormalized to unit quadrature mass."""
+    """Centered Gaussian marginal, scaled to unit quadrature mass."""
     if grid.dim == 1:
         s = float(sigma)
         if s <= 0:
@@ -320,7 +320,11 @@ class KernelOperator(Frozen):
         return _contract([a.T for a in self.factors], self.grid1.weights * f)
 
     def swapped(self) -> "KernelOperator":
-        """The kernel g(y, x) on (grid2, grid1); a Gaussian's is the same Gaussian."""
+        """The kernel g(y, x) on (grid2, grid1).  A Gaussian on one grid is
+        this kernel itself, bit for bit: a band is symmetric, and entry (i, j)
+        of any other factor is formed from (a_i - a_j)^2 = (a_j - a_i)^2."""
+        if self.gaussian is not None and self.grid1 is self.grid2:
+            return self
         return KernelOperator(tuple(a.T.copy() for a in self.factors),
                               self.grid2, self.grid1, self.sigma_bound, self.gaussian)
 
@@ -486,11 +490,11 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> Kern
 
     A diagonal Sigma is a product of 1-D kernels at the scales sqrt(Sigma_kk):
     the band (_heat_band: O(n) memory, one convolution per product, entries
-    at the lattice offsets k h) on one uniform 1-D axis that both grids share,
-    one factor per axis (_heat_factor) on other grids with axes, and otherwise
-    one dense factor, the product of the per-coordinate factors with entries
-    below TINY stored as 0.  A non-diagonal Sigma is that product on the nodes
-    x C / C_kk at the scales 1 / C_kk (C C^T = Sigma^-1, C lower triangular).
+    at the lattice offsets k h) on one uniform 1-D axis that both grids
+    share, and otherwise one factor per axis (_heat_factor).  A non-diagonal
+    Sigma is one dense factor: the product of the per-coordinate factors
+    on the nodes x C / C_kk at the scales 1 / C_kk (C C^T = Sigma^-1, C lower
+    triangular), with entries below TINY stored as 0.
     """
     if grid1.dim != grid2.dim:
         raise GridError("kernel grids must share dimension")
@@ -508,10 +512,10 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> Kern
         if np.any(cov[~np.eye(d, dtype=bool)]):
             C = np.linalg.cholesky(np.linalg.inv(cov))
             white, scales = C / np.diagonal(C), (1.0 / np.diagonal(C)).tolist()
-    if (d == 1 and grid1.axes and grid2.axes and _uniform(grid1.axes[0])
+    if (d == 1 and _uniform(grid1.axes[0])
             and np.array_equal(grid1.axes[0], grid2.axes[0])):
         factors = (_heat_band(grid1.axes[0], scales[0]),)
-    elif grid1.axes and grid2.axes and white is None:
+    elif white is None:
         factors = tuple(map(_heat_factor, grid1.axes, grid2.axes, scales))
     else:
         x, y = (_whitened(g, white) for g in (grid1, grid2))
@@ -542,7 +546,7 @@ def pushforward(kernel: KernelOperator, omega1: DensityField) -> DensityField:
     values bitwise when started at the constant function, which is what makes
     the pushforward instance terminate immediately.
     """
-    return DensityField(kernel.grid2, kernel.apply_T(omega1.values), renormalized=False)
+    return DensityField(kernel.grid2, kernel.apply_T(omega1.values))
 
 
 def transition_normalized(kernel: KernelOperator) -> KernelOperator:
@@ -752,12 +756,7 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
     # tail behavior: slope of log(integrand) against |y|^2 over the outer
     # 20% of the grid (by radius); positive slope means the truncated
     # integrand is still growing at the boundary.
-    grid = kernel.grid2
-    if grid.axes:
-        r2 = reduce(np.add.outer, [a * a for a in grid.axes]).ravel()
-    else:
-        y = grid.nodes.reshape(grid.n_nodes, grid.dim)
-        r2 = np.sum(y * y, axis=1)
+    r2 = reduce(np.add.outer, [a * a for a in kernel.grid2.axes]).ravel()
     rmax = float(np.max(np.sqrt(r2)))
     outer = (np.sqrt(r2) >= 0.8 * rmax) & (integrand > 0)
     if outer.sum() < 3:
@@ -797,15 +796,11 @@ def bernstein_multivariate_condition(S, S1, S2) -> bool:
 
 def _difference_profile(kernel: KernelOperator) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Sampled (t, U(t)) with t ascending, or None if not a difference
-    kernel: the heat kernel's formula, or the first row and column of a 1-D
-    kernel matrix that is Toeplitz on a uniform shared spacing."""
+    kernel: the first row and column of a 1-D kernel matrix that is Toeplitz
+    on a uniform shared spacing."""
     if kernel.grid1.dim != 1:
         return None
-    x, y, s = kernel.grid1.nodes, kernel.grid2.nodes, kernel.heat_sigma
-    if s is not None:
-        span = float(x.max() - y.min())
-        t = np.linspace(-span, span, 4 * max(len(x), len(y)) + 1)
-        return t, np.exp(_exponent(t.copy(), s)) / math.sqrt(2 * math.pi * s * s)
+    x, y = kernel.grid1.nodes, kernel.grid2.nodes
     dx = np.diff(x)
     if not np.allclose(np.concatenate((dx, np.diff(y))), dx[0], rtol=1e-9):
         return None
@@ -835,8 +830,11 @@ def difference_kernel_tails(kernel: KernelOperator) -> DifferenceKernelResult:
     some T2 >= T1; condition 2 is the mirror image.  On a truncated grid the
     quantifiers degenerate, so we accept either a unimodal profile (the two
     monotone runs overlap) or monotone runs that each cover at least
-    MIN_TAIL_FRACTION of the sampled span.
+    MIN_TAIL_FRACTION of the sampled span.  A 1-D heat kernel's profile is
+    the Gaussian's, unimodal with its peak at 0, and is not sampled.
     """
+    if kernel.grid1.dim == 1 and kernel.heat_sigma is not None:
+        return DifferenceKernelResult("pass", 1, 0.0, 0.0, "unimodal profile")
     prof = _difference_profile(kernel)
     if prof is None:
         return DifferenceKernelResult("not-applicable", detail="kernel is not of difference form")

@@ -1,8 +1,9 @@
-"""Quadrature grids on truncated boxes [-R, R]^d and weighted-sum integration.
+"""Quadrature grids on truncated boxes [-R, R]^d.
 
-Every integral in the solver is a weighted sum over one of these grids, so
-determinism of `integrate` (fixed summation order) is what makes whole runs
-reproducible byte-for-byte.
+Every integral in the solver is a weighted sum over one of these grids in
+their fixed node order (DensityField.mass is the plain one, numpy's
+pairwise summation), which is what makes whole runs reproducible
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -37,35 +38,25 @@ class Frozen:
 
 
 class QuadratureGrid(Frozen):
-    """Tensor quadrature grid over the box [-R, R]^dim.
+    """Tensor quadrature grid: its per-axis 1-D node arrays and its weights.
 
-    weights is always (n,) and strictly positive.  axes keeps the per-axis
-    1-D node arrays, and a grid with axes stores no other coordinates: its
-    nodes are their 'ij' mesh (last axis fastest), the order the per-axis
-    kernel factors are applied in, derived when read.  nodes given beside
-    axes must be that mesh; None takes it.  A grid without axes has no
-    tensor structure to use and stores its nodes.  Either way nodes is (n,)
-    for dim == 1 (a 1-D grid's axis itself) and (n, dim) otherwise.
+    axes holds one strictly increasing node array per dimension, and weights
+    the (n,) strictly positive weights of their 'ij' mesh (last axis
+    fastest), the order the per-axis kernel factors are applied in.  nodes
+    is that mesh, derived when read: (n,) for dim == 1 (the axis itself) and
+    (n, dim) otherwise.
     """
 
-    def __init__(self, nodes, weights, truncation_radius: float, dim: int,
-                 rule: str, axes: Tuple[np.ndarray, ...] = ()):
-        weights = np.asarray(weights, dtype=float)
+    def __init__(self, axes: Tuple[np.ndarray, ...], weights):
         axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
+        weights = np.asarray(weights, dtype=float)
+        if not axes:
+            raise GridError("a grid needs at least one axis")
         for ax in axes:
-            if np.any(np.diff(ax) <= 0):
-                raise GridError("axis nodes must be strictly increasing")
+            if ax.ndim != 1 or np.any(np.diff(ax) <= 0):
+                raise GridError("axis nodes must be 1-D and strictly increasing")
             ax.setflags(write=False)
-        if axes:
-            if len(axes) != dim or nodes is not None and not np.array_equal(nodes, _mesh(axes)):
-                raise GridError("nodes must be the 'ij' mesh of the grid axes")
-            nodes, n = None, math.prod(ax.size for ax in axes)
-        elif nodes is None:
-            raise GridError("a grid without axes needs its nodes")
-        else:
-            nodes = np.asarray(nodes, dtype=float)
-            nodes.setflags(write=False)
-            n = nodes.shape[0]
+        n = math.prod(ax.size for ax in axes)
         if n < 2:
             raise GridError("grid needs at least 2 nodes")
         if weights.shape != (n,):
@@ -73,32 +64,21 @@ class QuadratureGrid(Frozen):
         if not np.all(weights > 0):
             raise GridError("quadrature weights must be strictly positive")
         weights.setflags(write=False)
-        vars(self).update(weights=weights, truncation_radius=truncation_radius, dim=dim,
-                          rule=rule, axes=axes, _nodes=nodes)
+        vars(self).update(axes=axes, weights=weights)
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
 
     @property
     def nodes(self) -> np.ndarray:
-        """The node coordinates, read-only: stored for a grid without axes,
-        else the axes' mesh (_mesh), built at each read."""
-        return _mesh(self.axes) if self.axes else self._nodes
+        """The node coordinates, read-only: the axes' mesh (_mesh), built at
+        each read."""
+        return _mesh(self.axes)
 
     @property
     def n_nodes(self) -> int:
         return self.weights.shape[0]
-
-
-class GridFunction(Frozen):
-    """A function known by its values at the grid nodes."""
-
-    def __init__(self, grid: QuadratureGrid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_nodes,):
-            raise GridError(
-                f"values shape {values.shape} does not match grid "
-                f"({grid.n_nodes} nodes)"
-            )
-        values.setflags(write=False)
-        vars(self).update(grid=grid, values=values)
 
 
 def _mesh(axes) -> np.ndarray:
@@ -173,16 +153,4 @@ def build_grid(dim: int = 1, radius: float = 1.0, points_per_axis: int = 2,
     for _ in range(dim - 1):
         # the products w_i w_j ... over the 'ij' mesh, last axis fastest
         weights = np.multiply.outer(weights, w).ravel()
-    return QuadratureGrid(None, weights, float(radius), dim, rule, axes=(x,) * dim)
-
-
-def integrate(f: GridFunction) -> float:
-    """Weighted sum sum_i w_i f(x_i).
-
-    Uses numpy's pairwise summation, which is deterministic for a fixed
-    node order; callers must not reorder nodes between runs.
-    """
-    bad = np.flatnonzero(~np.isfinite(f.values))
-    if bad.size:
-        raise GridError(f"non-finite value at node index {int(bad[0])}")
-    return float(np.sum(f.grid.weights * f.values))
+    return QuadratureGrid((x,) * dim, weights)

@@ -33,11 +33,13 @@ SEEDS = (0, 31)
 #: configs beside the workloads, each with the ops it runs: a 21^3 grid,
 #: whose node mesh every reader derives from its axes, a 2-D kernel of
 #: non-diagonal covariance, whose dense factor reads that mesh
-#: (problem._whitened), and narrow 1-D marginals, whose omega1 underflows
+#: (problem._whitened), narrow 1-D marginals, whose omega1 underflows
 #: to 0 at 14 edge nodes, so that the closing gathers its support through
-#: a mask and KernelOperator.apply keeps its scale there.  The 21^3 grid
-#: skips compare and diagnose, which take its dense 9261 x 9261 kernel
-#: (686 MB).
+#: a mask and KernelOperator.apply keeps its scale there, and two
+#: Gauss-Legendre grids: gl1d's non-uniform axis takes one factor that is
+#: no band, and gl2d's non-uniform axes take one factor each, its
+#: interpolate exiting 1 on an under-resolved slice.  The 21^3 grid skips
+#: compare and diagnose, which take its dense 9261 x 9261 kernel (686 MB).
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -55,6 +57,18 @@ EXTRA = {
                                 {"type": "gaussian", "sigma": 0.25}],
                   "grid": {"dim": 1, "radius": 8.0, "points": 401}},
                  OPS),
+    "gl1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+              "marginals": [{"type": "gaussian", "sigma": 1.0},
+                            {"type": "gaussian", "sigma": 0.8}],
+              "grid": {"dim": 1, "radius": 8.0, "points": 201,
+                       "rule": "gauss-legendre"}},
+             OPS),
+    "gl2d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+              "marginals": [{"type": "gaussian", "sigma": 1.0},
+                            {"type": "gaussian", "sigma": 0.8}],
+              "grid": {"dim": 2, "radius": 6.0, "points": 25,
+                       "rule": "gauss-legendre"}},
+             OPS),
 }
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fortetbridge import (MarginalPair, build_coupling, build_grid,
-                          density_field, entropic_interpolation,
+from fortetbridge import (MarginalPair, QuadratureGrid, build_coupling,
+                          build_grid, density_field, entropic_interpolation,
                           gaussian_density, gaussian_kernel, gaussian_oracle,
                           kl_objective, prior_coupling, pushforward,
                           run_fortet, run_sinkhorn, table_kernel)
@@ -40,9 +40,7 @@ KL_HAND = 6.366530860923694
 
 def _unit_grid(n):
     """Nodes 0, ..., n-1 with unit weights: a quadrature sum is a plain sum."""
-    grid = build_grid(dim=1, radius=1.0, points_per_axis=n)
-    return type(grid)(np.arange(float(n)), np.ones(n), grid.truncation_radius,
-                      1, grid.rule)
+    return QuadratureGrid((np.arange(float(n)),), np.ones(n))
 
 
 def _hand_coupling(g, phi, psi, omega1):

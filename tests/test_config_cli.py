@@ -16,8 +16,8 @@ from fortetbridge.cli import _apply_thread_env, _solve_problem, _THREAD_VARS, ma
 from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
-from fortetbridge.fortet import StepLog
-from fortetbridge.problem import gaussian_kernel
+from fortetbridge.fortet import StepLog, run_fortet
+from fortetbridge.problem import gaussian_kernel, transition_normalized
 from fortetbridge.quadrature import build_grid
 from tests.conftest import kernel_matrix_builds, traced_peak
 
@@ -144,6 +144,29 @@ class TestConfig:
                                                     normalize_kernel_rows=True)))
         ones = np.ones(problem.grid.n_nodes)
         assert np.max(np.abs(problem.kernel.apply(ones) - 1.0)) <= 1e-14
+
+    def test_swap_transposes_the_kernel(self, tmp_path):
+        # the table kernel N(y - x - 0.5; 0.25) is not symmetric.  swap
+        # solves (g^T, omega2, omega1), whose phi is the forward psi on one
+        # ray; swapping only the marginals solved (g, omega2, omega1), whose
+        # phi read a log-ray spread of 48.0 against it
+        x = np.linspace(-6.0, 6.0, 121)
+        g = np.exp(-(x - x[:, None] - 0.5) ** 2 / 0.5) / math.sqrt(0.5 * math.pi)
+        np.savetxt(tmp_path / "kernel.csv", g, delimiter=",")
+        raw = {"kernel": {"type": "table", "path": "kernel.csv"},
+               "marginals": [{"type": "gaussian", "sigma": 1.0}] * 2,
+               "grid": {"dim": 1, "radius": 6.0, "points": 121}}
+        forward = load_problem(write_config(tmp_path, raw))
+        swapped = load_problem(write_config(tmp_path, dict(raw, swap=True), "swap.json"))
+        assert np.array_equal(swapped.kernel.values, forward.kernel.values.T)
+        phi = run_fortet(swapped.kernel, swapped.marginals).phi
+        psi = run_fortet(forward.kernel, forward.marginals).psi
+        assert np.ptp(np.log(phi) - np.log(psi)) <= 1e-9
+        # with normalize_kernel_rows, swap transposes the normalized kernel
+        both = dict(raw, swap=True, normalize_kernel_rows=True)
+        both = load_problem(write_config(tmp_path, both, "both.json"))
+        assert np.array_equal(both.kernel.values,
+                              transition_normalized(forward.kernel).values.T)
 
     def test_wrong_table_shape_rejected(self, tmp_path):
         np.savetxt(tmp_path / "kernel.csv", np.ones((3, 3)), delimiter=",")
@@ -751,11 +774,11 @@ def test_potentials_writer_holds_no_record_buffer(tmp_path):
     assert peak < 32 * 1024
 
 
-#: the package's immutable types: 14 NamedTuples and 10 quadrature.Frozen classes
+#: the package's immutable types: 14 NamedTuples and 9 quadrature.Frozen classes
 RECORDS = ("CheckResult", "ConditionStar", "ContractionBound", "Coupling",
            "DensityField", "DifferenceKernelResult", "FeasibilityReport",
            "FortetOptions", "FortetSolution", "GaussianBridgeSolution",
-           "GridFunction", "HilbertTrace", "HomogeneityCheck", "Interpolation",
+           "HilbertTrace", "HomogeneityCheck", "Interpolation",
            "IterationState", "KLObjective", "KernelOperator", "MarginalPair",
            "Problem", "ProjectiveDiameter", "QuadratureGrid", "ScalingPair",
            "StepLog", "UniquenessReport")
@@ -766,7 +789,7 @@ def one_of_each(bench_grid, bench_kernel, bench_marginals, bench_solution,
                 bench_scaling):
     """One instance of each of RECORDS, by class name.  The benchmark
     kernel's matrix is not built: a small instance stands in for it."""
-    from fortetbridge import bridge, fortet, hilbert, problem, quadrature, sinkhorn
+    from fortetbridge import bridge, fortet, hilbert, problem, sinkhorn
     report = problem.full_report(bench_kernel, bench_marginals)
     coupling = bench_solution.coupling
     grid = build_grid(dim=1, radius=4.0, points_per_axis=21)
@@ -774,7 +797,7 @@ def one_of_each(bench_grid, bench_kernel, bench_marginals, bench_solution,
                                  problem.gaussian_density(grid, 0.8))
     matrix = np.array([[1.0, 2.0], [3.0, 1.0]])
     instances = [
-        bench_grid, quadrature.GridFunction(bench_grid, bench_marginals.omega1.values),
+        bench_grid,
         bench_marginals.omega1, bench_marginals, bench_kernel, report,
         report.hypotheses["kernel_bounded"], report.condition_star,
         report.difference_kernel, fortet.FortetOptions(), bench_solution.steps,

@@ -30,8 +30,7 @@ SCHEME_STEPS = 12  # scheme prefix length checked step-by-step
 
 
 def unit_grid_2():
-    return QuadratureGrid(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0, 1,
-                          "trapezoid")
+    return QuadratureGrid((np.array([0.0, 1.0]),), np.array([1.0, 1.0]))
 
 
 def hand_instance():

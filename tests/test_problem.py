@@ -241,6 +241,16 @@ def test_difference_tails_gaussian_passes(bench_kernel):
     assert abs(res.T1) <= SPACING_TOL and abs(res.T2) <= SPACING_TOL
 
 
+@pytest.mark.parametrize("sigma", [1e5, 1e6])
+def test_heat_kernel_tail_screen_is_the_formulas(sigma):
+    # a Gaussian's profile peaks at 0.  On 9 nodes over [-1, 1] its samples
+    # are flat to 1e-12 at these scales, and read the thresholds -+0.111
+    # (sigma 1e5) and -+2.0 (sigma 1e6) away from the peak
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=9)
+    res = difference_kernel_tails(gaussian_kernel(grid, grid, sigma))
+    assert res == ("pass", 1, 0.0, 0.0, "unimodal profile")
+
+
 def test_difference_tails_oscillatory_fails():
     grid = build_grid(dim=1, radius=6.0, points_per_axis=241)
     diff = np.subtract.outer(grid.nodes, grid.nodes)
@@ -275,7 +285,6 @@ def test_pushforward_and_row_normalization(bench_grid):
     om1 = gaussian_density(bench_grid, 1.0)
     om2 = pushforward(kernel, om1)
     assert om2.mass() == pytest.approx(1.0, abs=1e-13)
-    assert not om2.renormalized
 
 
 def test_kernel_apply_weights_each_side_by_its_own_grid():
@@ -530,15 +539,6 @@ def test_apply_keeps_its_scale_where_the_floor_does_not_hold(bench_kernel, bench
     assert table_kernel(bench_grid, bench_grid, bench_kernel.values).apply_floor == 0.0
 
 
-def test_gaussian_on_grid_without_axes_is_one_dense_factor():
-    grid = build_grid(dim=2, radius=4.0, points_per_axis=9)
-    bare = QuadratureGrid(grid.nodes, grid.weights, 4.0, 2, "trapezoid")
-    dense = gaussian_kernel(bare, bare, 0.7)
-    assert len(dense.factors) == 1 and dense.factors[0] is dense.values
-    assert _rel_err(dense.values, _pointwise_heat_kernel(grid, grid, 0.7)) <= 1e-12
-    assert _rel_err(dense.values, gaussian_kernel(grid, grid, 0.7).values) <= 1e-12
-
-
 @pytest.mark.parametrize("scale", [1.0, 0.01])
 def test_non_diagonal_covariance_is_the_closed_form(scale):
     # N(y - x; Sigma) from the full quadratic form; at scale 0.01 the far
@@ -588,9 +588,25 @@ def test_gaussian_kernel_checks_its_covariance(bench_grid):
 
 def _tensor_grid(*axes):
     """Hand-built grid with a different node set on every axis."""
-    nodes = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-    weights = np.random.default_rng(len(nodes)).uniform(0.5, 1.5, len(nodes))
-    return QuadratureGrid(nodes, weights, 4.0, len(axes), "trapezoid", axes=axes)
+    n = math.prod(len(a) for a in axes)
+    weights = np.random.default_rng(n).uniform(0.5, 1.5, n)
+    return QuadratureGrid(axes, weights)
+
+
+def test_gaussian_on_one_grid_is_its_own_swap():
+    # the band, per-axis factors on unequal axes and the whitened dense
+    # factor are each bitwise their own transpose, so swapped() is the
+    # kernel itself; on two grids it is the transposed copy
+    g1 = build_grid(dim=1, radius=4.0, points_per_axis=41)
+    g2 = _tensor_grid(np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))
+    for kernel in (gaussian_kernel(g1, g1, 0.5), gaussian_kernel(g2, g2, 0.5),
+                   gaussian_kernel(g2, g2, np.array([[0.3, 0.1], [0.1, 0.2]]))):
+        assert kernel.swapped() is kernel
+        assert np.array_equal(kernel.values, kernel.values.T)
+    other = build_grid(dim=1, radius=4.0, points_per_axis=41)
+    kernel = gaussian_kernel(g1, other, 0.5)
+    assert kernel.swapped() is not kernel
+    assert np.array_equal(kernel.swapped().values, kernel.values.T)
 
 
 def test_factored_apply_follows_the_axis_order():

@@ -5,15 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fortetbridge import GridFunction, QuadratureGrid, build_grid, integrate
+from fortetbridge import QuadratureGrid, build_grid
 from fortetbridge.errors import GridError
 from fortetbridge import quadrature
 from fortetbridge.quadrature import MAX_GRID_NODES
 
 GAUSS_MASS_TOL = 1e-9
+
+
+def integrate(grid, values):
+    """The quadrature sum of values over grid, as DensityField.mass takes it."""
+    return float(np.sum(grid.weights * values))
 
 
 def test_trapezoid_401_radius_8():
@@ -43,7 +46,7 @@ def test_2d_grid_sizes_and_volume():
 def test_normal_density_integrates_to_one():
     grid = build_grid(dim=1, radius=8.0, points_per_axis=801)
     vals = np.exp(-grid.nodes ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
-    assert integrate(GridFunction(grid, vals)) == pytest.approx(1.0, abs=GAUSS_MASS_TOL)
+    assert integrate(grid, vals) == pytest.approx(1.0, abs=GAUSS_MASS_TOL)
 
 
 def test_trapezoid_refinement_is_second_order():
@@ -52,7 +55,7 @@ def test_trapezoid_refinement_is_second_order():
 
     def err(points):
         grid = build_grid(dim=1, radius=2.0, points_per_axis=points)
-        return abs(integrate(GridFunction(grid, np.cos(grid.nodes))) - exact)
+        return abs(integrate(grid, np.cos(grid.nodes)) - exact)
 
     ratio = err(101) / err(201)
     assert 3.5 <= ratio <= 4.5
@@ -63,7 +66,7 @@ def test_gauss_legendre_exact_on_polynomials():
     # degree 15 = 2n - 1 is still integrated exactly
     vals = grid.nodes ** 14
     exact = 2.0 * 3.0 ** 15 / 15.0
-    assert integrate(GridFunction(grid, vals)) == pytest.approx(exact, rel=1e-13)
+    assert integrate(grid, vals) == pytest.approx(exact, rel=1e-13)
 
 
 # First node and weight of the n-point Gauss-Legendre rule on [-1, 1], to 20
@@ -93,7 +96,7 @@ def test_gauss_legendre_symmetric_with_full_mass(n):
 def test_gauss_legendre_exact_on_degree_2n_minus_2(n):
     grid = build_grid(dim=1, radius=1.0, points_per_axis=n, rule="gauss-legendre")
     exact = 2.0 / (2 * n - 1)
-    assert integrate(GridFunction(grid, grid.nodes ** (2 * n - 2))) == \
+    assert integrate(grid, grid.nodes ** (2 * n - 2)) == \
         pytest.approx(exact, rel=1e-13)
 
 
@@ -102,7 +105,7 @@ def test_gauss_legendre_2d_grid():
     assert grid.n_nodes == 81 and len(grid.axes) == 2
     # x^2 y^4 over [-2, 2]^2 is (16/3)(64/5)
     vals = grid.nodes[:, 0] ** 2 * grid.nodes[:, 1] ** 4
-    assert integrate(GridFunction(grid, vals)) == pytest.approx(1024.0 / 15.0, rel=1e-13)
+    assert integrate(grid, vals) == pytest.approx(1024.0 / 15.0, rel=1e-13)
 
 
 def test_gauss_legendre_newton_budget_raises(monkeypatch):
@@ -121,20 +124,6 @@ def test_grid_validation_errors():
     with pytest.raises(GridError):
         build_grid(dim=3, radius=1.0, points_per_axis=200)  # 8e6 > cap
     assert 200 ** 3 > MAX_GRID_NODES
-
-
-def test_grid_function_shape_mismatch():
-    grid = build_grid(dim=1, radius=1.0, points_per_axis=5)
-    with pytest.raises(GridError):
-        GridFunction(grid, np.ones(4))
-
-
-def test_integrate_rejects_non_finite():
-    grid = build_grid(dim=1, radius=1.0, points_per_axis=5)
-    vals = np.ones(5)
-    vals[3] = np.nan
-    with pytest.raises(GridError, match="node index 3"):
-        integrate(GridFunction(grid, vals))
 
 
 def test_grid_arrays_are_write_locked():
@@ -177,44 +166,39 @@ def test_a_tensor_grid_holds_no_node_mesh():
 
 
 def test_direct_grid_construction():
-    grid = QuadratureGrid(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0, 1,
-                          "trapezoid")
-    assert grid.n_nodes == 2
-    with pytest.raises(GridError):
-        QuadratureGrid(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 1.0, 1,
-                       "trapezoid")
+    grid = QuadratureGrid((np.array([0.0, 1.0]),), np.array([1.0, 1.0]))
+    assert grid.n_nodes == 2 and grid.dim == 1
+    assert np.array_equal(grid.nodes, [0.0, 1.0])
+    assert sorted(vars(grid)) == ["axes", "weights"]
+
+
+@pytest.mark.parametrize("axes, weights, message", [
+    ((), [1.0, 1.0], "at least one axis"),
+    (([0.0, 1.0, 1.0],), [1.0, 1.0, 1.0], "strictly increasing"),
+    (([0.0, 2.0, 1.0],), [1.0, 1.0, 1.0], "strictly increasing"),
+    (([[0.0, 1.0], [2.0, 3.0]],), [1.0] * 4, "1-D"),
+    (([0.0],), [1.0], "at least 2 nodes"),
+    (([0.0, 1.0], [0.0, 1.0, 2.0]), [1.0] * 5, "weights length"),
+    (([0.0, 1.0],), [1.0, 0.0], "strictly positive"),
+    (([0.0, 1.0],), [1.0, -1.0], "strictly positive"),
+], ids=["no-axis", "repeated-node", "decreasing", "2-d-axis", "one-node",
+        "weights-length", "zero-weight", "negative-weight"])
+def test_grid_constructor_refuses(axes, weights, message):
+    with pytest.raises(GridError, match=message):
+        QuadratureGrid(tuple(np.asarray(a) for a in axes), np.asarray(weights))
 
 
 def test_axes_must_mesh_the_nodes():
-    # kernel factors are applied in the axes' 'ij' order, so a grid whose
-    # nodes run in any other order must not carry axes
-    grid = build_grid(dim=2, radius=1.0, points_per_axis=3)
-    x = grid.axes[0]
-    y = np.array([-2.0, 0.5, 2.0])
+    # kernel factors are applied in the axes' 'ij' order, so the nodes are
+    # the axes' 'ij' mesh, derived from unequal axes and locked like them
+    x, y = np.array([-1.0, 0.0, 1.0]), np.array([-2.0, 0.5])
+    weights = np.arange(1.0, 7.0)
+    grid = QuadratureGrid((x, y), weights)
     ij = np.column_stack([m.ravel() for m in np.meshgrid(x, y, indexing="ij")])
-    xy = np.column_stack([m.ravel() for m in np.meshgrid(x, y, indexing="xy")])
-    assert QuadratureGrid(ij, grid.weights, 2.0, 2, "trapezoid", axes=(x, y)).axes
-    with pytest.raises(GridError, match="mesh"):
-        QuadratureGrid(xy, grid.weights, 2.0, 2, "trapezoid", axes=(x, y))
-    with pytest.raises(GridError, match="mesh"):
-        QuadratureGrid(ij, grid.weights, 2.0, 2, "trapezoid", axes=(x,))
-    # without axes the same nodes are accepted in any order
-    assert QuadratureGrid(xy, grid.weights, 2.0, 2, "trapezoid").axes == ()
-    # nodes None takes the mesh, which a grid without axes does not have
-    derived = QuadratureGrid(None, grid.weights, 2.0, 2, "trapezoid", axes=(x, y))
-    assert np.array_equal(derived.nodes, ij)
-    with pytest.raises(GridError, match="needs its nodes"):
-        QuadratureGrid(None, grid.weights, 2.0, 2, "trapezoid")
-
-
-@given(st.lists(st.floats(-100, 100), min_size=5, max_size=5),
-       st.lists(st.floats(-100, 100), min_size=5, max_size=5),
-       st.floats(-10, 10), st.floats(-10, 10))
-@settings(max_examples=50, deadline=None)
-def test_integrate_is_linear(f_vals, g_vals, a, b):
-    grid = build_grid(dim=1, radius=1.0, points_per_axis=5)
-    f = np.asarray(f_vals)
-    g = np.asarray(g_vals)
-    lhs = integrate(GridFunction(grid, a * f + b * g))
-    rhs = a * integrate(GridFunction(grid, f)) + b * integrate(GridFunction(grid, g))
-    assert lhs == pytest.approx(rhs, abs=1e-9)
+    assert grid.dim == 2 and grid.n_nodes == 6
+    assert grid.nodes.tobytes() == ij.tobytes()
+    for array in (grid.nodes, grid.weights) + grid.axes:
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+    # a list is taken as its array
+    assert np.array_equal(QuadratureGrid(([0.0, 1.0],), [2.0, 2.0]).nodes, [0.0, 1.0])
