@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import FortetBridgeError, InfeasibleParametersError
-from .problem import KernelOperator, MarginalPair, gaussian_kernel
+from .problem import KernelOperator, MarginalPair, gaussian_from_scales
 from .quadrature import Frozen, QuadratureGrid
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
@@ -151,21 +151,22 @@ class Interpolation(Frozen):
 
 def entropic_interpolation(phi, psi, kernel: KernelOperator,
                            times: Sequence[float]) -> Interpolation:
-    """Time marginals rho_t = (heat_t * phi) x (heat_{1-t} * psi).
+    """Time marginals rho_t = (g_t * phi) x (g_{1-t} * psi), g_t = N(y - x;
+    t Sigma) for the kernel g = N(y - x; Sigma): the kernel of g's (scales,
+    white) with every scale times sqrt(t) (gaussian_from_scales), each
+    slice built and freed in turn.
 
     Endpoints use the solved potentials directly (the t -> 0 and t -> 1
-    heat kernels degenerate to point evaluation), so rho_0 and rho_1
-    reproduce the marginal-equation products exactly.  Refuses kernels
-    without an analytic heat scale, and slices whose raw mass drifts by
-    more than MASS_DRIFT_TOL: a grid spacing above the slice's heat kernel
-    width, the narrower of sigma sqrt(t) and sigma sqrt(1 - t) (sigma at an
-    endpoint), under-resolves it, and otherwise the truncation is the
-    cause; the message names the two lengths.
+    kernels degenerate to point evaluation), so rho_0 and rho_1 reproduce
+    the marginal-equation products exactly.  Refuses a kernel that is not
+    Gaussian, and slices whose raw mass drifts by more than MASS_DRIFT_TOL:
+    a grid spacing above the slice's width, the least scale times sqrt(min(t,
+    1 - t)) (the least scale at an endpoint), under-resolves it, and
+    otherwise the truncation is the cause; the message names the two lengths.
     """
-    sigma = kernel.heat_sigma
-    if sigma is None:
-        raise FortetBridgeError("interpolation needs an analytic Gaussian kernel "
-                                "with a known heat scale")
+    if kernel.gaussian is None:
+        raise FortetBridgeError("interpolation needs a Gaussian kernel")
+    scales, white = kernel.gaussian
     grid, grid2 = kernel.grid1, kernel.grid2
     if grid.dim != grid2.dim or not all(map(np.array_equal, grid.axes, grid2.axes)):
         raise FortetBridgeError("interpolation needs matching x and y grids")
@@ -186,12 +187,14 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
             forward = kernel.apply_T(phi)
             backward = psi
         else:
-            forward = gaussian_kernel(grid, grid, sigma * math.sqrt(t)).apply(phi)
-            backward = gaussian_kernel(grid, grid, sigma * math.sqrt(1.0 - t)).apply(psi)
+            forward = gaussian_from_scales(
+                grid, grid, [s * math.sqrt(t) for s in scales], white).apply(phi)
+            backward = gaussian_from_scales(
+                grid, grid, [s * math.sqrt(1.0 - t) for s in scales], white).apply(psi)
         rho = forward * backward
         m = float(np.sum(w * rho))
         if abs(m - 1.0) > MASS_DRIFT_TOL:
-            width = sigma * math.sqrt(min(t, 1.0 - t)) if 0.0 < t < 1.0 else sigma
+            width = min(scales) * (math.sqrt(min(t, 1.0 - t)) if 0.0 < t < 1.0 else 1.0)
             raise FortetBridgeError(f"interpolant mass at t={t} drifted to {m!r}; "
                                     + _drift_hint(grid, width))
         masses.append(m)

@@ -149,28 +149,15 @@ def _write_potentials(path: Path, grid, columns) -> None:
 
 def _check_payload(report) -> dict:
     payload = {
-        "hypotheses": {
-            name: {"status": r.status, "detail": r.detail,
-                   "offending_nodes": list(r.offending_nodes)}
-            for name, r in report.hypotheses.items()
-        },
+        "hypotheses": {name: r._asdict() for name, r in report.hypotheses.items()},
         "hard_checks_pass": report.hard_checks_pass,
         "solver_admissible": report.solver_admissible,
         "swap_recommended": report.swap_recommended,
     }
-    if report.condition_star is not None:
-        cs = report.condition_star
-        payload["condition_star"] = {
-            "estimate": cs.estimate, "verdict": cs.verdict,
-            "tail_exponent": cs.tail_exponent,
-            "zero_denominator_nodes": list(cs.zero_denominator_nodes),
-        }
-    if report.difference_kernel is not None:
-        dk = report.difference_kernel
-        payload["difference_kernel"] = {
-            "status": dk.status, "condition": dk.condition,
-            "T1": dk.T1, "T2": dk.T2, "detail": dk.detail,
-        }
+    for key in ("condition_star", "difference_kernel"):
+        section = getattr(report, key)
+        if section is not None:
+            payload[key] = section._asdict()
     return payload
 
 

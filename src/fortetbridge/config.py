@@ -19,7 +19,9 @@ else one dense factor; both built by problem.gaussian_kernel) / table;
 marginal types are gaussian (sigma, or covariance for dim > 1, where a
 scalar sigma is a per-axis variance) / table.  Table values come from CSV
 files resolved relative to the config file.  A radius of "auto" expands to
-6.5 x the largest Gaussian standard deviation in the problem.
+6.5 x the largest Gaussian standard deviation in the problem, each read
+from the one key its kernel or marginal is built from (a stray "sigma" on
+a table, say, is not read).
 solver.max_iter caps Sinkhorn's sweeps and Fortet's scheme steps; the
 scheme hands over by n = 2, so for Fortet only a cap of 1 stops it.  The
 problem hash is the sha256 of the resolved config in canonical JSON form
@@ -86,27 +88,34 @@ def problem_hash(resolved: Dict[str, object]) -> str:
     return hashlib.sha256(canonical_json(resolved).encode()).hexdigest()
 
 
+def _marginal_key(spec: Dict[str, object], dim: int) -> str:
+    """The key a gaussian marginal is built from: its "sigma", a standard
+    deviation, in 1-D; in dim >= 2 its "covariance", or its "sigma" if it
+    has none, read as a covariance (a scalar one a per-axis variance)."""
+    return "covariance" if dim > 1 and "covariance" in spec else "sigma"
+
+
 def _gaussian_scales(raw: Dict[str, object], dim: int):
-    """The standard deviations of the Gaussians in raw: a "sigma" as given,
-    and the square root of a covariance's largest eigenvalue.  In dim >= 2 a
-    marginal's "sigma" is a covariance (_build_marginal), a scalar one a
-    per-axis variance."""
+    """The standard deviations of the Gaussians in raw, each read from the
+    one key its builder reads (build_problem, _marginal_key): a
+    covariance's is the square root of its largest eigenvalue."""
+    kernel = raw["kernel"]
+    key = {"gaussian": "sigma", "gaussian_multivariate": "covariance"}.get(kernel.get("type"))
+    reads = [(kernel, key, key == "covariance")]
+    reads += [(m, _marginal_key(m, dim), dim > 1)
+              for m in raw["marginals"] if m.get("type") == "gaussian"]
     scales = []
-    for k, spec in enumerate([raw.get("kernel", {})] + list(raw.get("marginals", []))):
-        if not isinstance(spec, dict):
+    for spec, key, covariance in reads:
+        if key not in spec:
             continue
-        covariances = ("covariance", "sigma") if k and dim > 1 else ("covariance",)
-        if "sigma" in spec and "sigma" not in covariances:
-            try:
-                scales.append(float(spec["sigma"]))
-            except (TypeError, ValueError):
-                pass
-        for value in [spec[key] for key in covariances if key in spec]:
-            try:
-                cov = np.atleast_2d(np.asarray(value, dtype=float))
+        try:
+            if covariance:
+                cov = np.atleast_2d(np.asarray(spec[key], dtype=float))
                 scales.append(float(np.sqrt(np.max(np.linalg.eigvalsh(cov)))))
-            except Exception:
-                pass
+            else:
+                scales.append(float(spec[key]))
+        except (TypeError, ValueError, OverflowError, np.linalg.LinAlgError):
+            pass  # the builder refuses the value, naming its key
     return scales
 
 
@@ -216,11 +225,11 @@ def _build_marginal(spec: Dict[str, object], grid: QuadratureGrid,
                     base_dir: Path, which: str) -> DensityField:
     kind = spec.get("type")
     if kind == "gaussian":
+        key = _marginal_key(spec, grid.dim)
         if grid.dim == 1:
-            if "sigma" not in spec:
+            if key not in spec:
                 raise ConfigError(f"{which}: gaussian marginal needs 'sigma'")
-            return gaussian_density(grid, _number(spec["sigma"], f"{which}: sigma"))
-        key = "covariance" if "covariance" in spec else "sigma"
+            return gaussian_density(grid, _number(spec[key], f"{which}: {key}"))
         if spec.get(key) is None:
             raise ConfigError(f"{which}: gaussian marginal needs 'covariance'")
         return gaussian_density(grid, _number(spec[key], f"{which}: {key}", _floats))

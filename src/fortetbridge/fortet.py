@@ -366,8 +366,7 @@ class _AndersonMixer:
         self.held = 0
         self.best = math.inf
 
-    def next_input(self, u: Optional[np.ndarray],
-                   g: np.ndarray) -> Optional[np.ndarray]:
+    def next_input(self, u: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
         """The input after u, whose image is g: the extrapolation g -
         sum_j gamma_j (g - g_j), with gamma the least-squares fit of the
         residual f = g - u by the differences f - f_j over the history
@@ -376,16 +375,11 @@ class _AndersonMixer:
         plain input g: with no history, a singular or non-finite fit, a
         residual whose Hilbert norm max - min of f exceeds the least seen so
         far, which also clears the history, or one below eps * max|g|, where
-        the fit would read only the rounding of g.  u None reads "the plain
-        input the last call asked for": the g of that call, which the history
-        holds."""
+        the fit would read only the rounding of g."""
         m = self.hist.shape[1]
         if m == 0:
             return None
-        if u is None:
-            f = np.subtract(g, self.hist[1, (self.held - 1) % m])
-        else:
-            f = np.subtract(g, u, out=u)
+        f = np.subtract(g, u, out=u)
         norm = _top(f) - _bottom(f)
         gamma = None
         if norm > self.best:
@@ -463,9 +457,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     refusal, as it does in the scheme's.  K >=
     FLOOR_FREEZE, so a finite K makes omega1 / K 0 off the support without
     _support_ratio's mask; a step's sup change is finite only if its image
-    is finite at every node, and the next input is then finite too.  After
-    a plain step, log K on the support is the log image the mixer holds,
-    and is not taken again.
+    is finite at every node, and the next input is then finite too.
 
     The support is gathered and scattered through the index at: the mask
     A, or slice(None) where omega1 > 0 at every node, so that the support
@@ -479,7 +471,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     K = np.maximum(K0 / _support_sup(K0, at, log), FLOOR_FREEZE)
     del K0
     # the scheme's image is not known finite off the support
-    finite, plain = False, False
+    finite = False
     for _ in range(REFINE_MAX):
         ratio1 = np.divide(om1, K) if finite else _support_ratio(om1, K, A)
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
@@ -493,11 +485,10 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
             return Kn
         del ratio1, mask  # spent on the row
         finite = math.isfinite(sup_change)
-        u = None if plain else np.log(K[at])
+        u = np.log(K[at])
         K = np.maximum(Kn, FLOOR_FREEZE)
         del Kn
         u = mixer.next_input(u, np.log(K[at]))
-        plain = u is None
         if u is not None:
             # the input is floored, and the image's support sup is checked
             # positive (which a NaN fails), so only an extrapolation can

@@ -149,8 +149,9 @@ class KernelOperator(Frozen):
     gaussian is (scales, white) for the Gaussian kernel N(y - x; Sigma) of
     gaussian_kernel, and None for any other kernel: the product over the
     coordinates k of the nodes (times white, if not None) of the 1-D heat
-    kernels at the scales scales[k].  log_values reads it; heat_sigma, the
-    interpolation's one input from it, is its scale when Sigma = sigma^2 I.
+    kernels at the scales scales[k].  log_values reads it, and so does the
+    interpolation, whose slice at time t is the kernel of the same pair
+    with every scale times sqrt(t) (gaussian_from_scales).
 
     factors are what apply / apply_T contract and what the hypothesis checks
     read.  A dense kernel has one factor, the n1 x n2 matrix.  The heat
@@ -191,11 +192,6 @@ class KernelOperator(Frozen):
             a.setflags(write=False)
         vars(self).update(factors=factors, grid1=grid1, grid2=grid2, sigma_bound=sigma_bound,
                           gaussian=gaussian)
-
-    @property
-    def heat_sigma(self) -> Optional[float]:
-        """sigma when this is the heat kernel N(y - x; sigma^2 I), else None."""
-        return None if self.gaussian is None else _isotropic(*self.gaussian)
 
     @property
     def banded(self) -> bool:
@@ -474,11 +470,6 @@ def _whitened(grid: QuadratureGrid, white: Optional[np.ndarray]) -> np.ndarray:
     return x if white is None else x @ white
 
 
-def _isotropic(scales: Sequence[float], white: Optional[np.ndarray]) -> Optional[float]:
-    """sigma when a Gaussian's (scales, white) pair is sigma^2 I, else None."""
-    return scales[0] if white is None and scales.count(scales[0]) == len(scales) else None
-
-
 def _uniform(axis: np.ndarray) -> bool:
     """Whether axis is the uniform lattice np.linspace builds on its span."""
     return np.array_equal(axis, np.linspace(axis[0], axis[-1], axis.size))
@@ -486,16 +477,12 @@ def _uniform(axis: np.ndarray) -> bool:
 
 def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> KernelOperator:
     """Gaussian kernel g(x, y) = N(y - x; Sigma), for a scale sigma (Sigma =
-    sigma^2 I, the heat kernel, whose heat_sigma is sigma) or a d x d SPD Sigma.
-
-    A diagonal Sigma is a product of 1-D kernels at the scales sqrt(Sigma_kk):
-    the band (_heat_band: O(n) memory, one convolution per product, entries
-    at the lattice offsets k h) on one uniform 1-D axis that both grids
-    share, and otherwise one factor per axis (_heat_factor).  A non-diagonal
-    Sigma is one dense factor: the product of the per-coordinate factors
-    on the nodes x C / C_kk at the scales 1 / C_kk (C C^T = Sigma^-1, C lower
-    triangular), with entries below TINY stored as 0.
-    """
+    sigma^2 I, the heat kernel) or a d x d SPD Sigma, read into the pair
+    (scales, white) that gaussian_from_scales builds.  A diagonal Sigma is
+    a product of 1-D kernels at the scales sqrt(Sigma_kk), and white is
+    None; any other is a product of 1-D kernels on the whitened nodes x
+    white, white = C / C_kk, at the scales 1 / C_kk (C C^T = Sigma^-1, C
+    lower triangular)."""
     if grid1.dim != grid2.dim:
         raise GridError("kernel grids must share dimension")
     d = grid1.dim
@@ -512,7 +499,23 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> Kern
         if np.any(cov[~np.eye(d, dtype=bool)]):
             C = np.linalg.cholesky(np.linalg.inv(cov))
             white, scales = C / np.diagonal(C), (1.0 / np.diagonal(C)).tolist()
-    if (d == 1 and _uniform(grid1.axes[0])
+    return gaussian_from_scales(grid1, grid2, scales, white)
+
+
+def gaussian_from_scales(grid1: QuadratureGrid, grid2: QuadratureGrid,
+                         scales: Sequence[float],
+                         white: Optional[np.ndarray]) -> KernelOperator:
+    """The Gaussian kernel of the pair (scales, white) (gaussian_kernel) on
+    two grids of one dimension, which keeps the pair as its gaussian.
+
+    With white None it is a product of 1-D kernels at the scales: the band
+    (_heat_band: O(n) memory, one convolution per product, entries at the
+    lattice offsets k h) on one uniform 1-D axis that both grids share, and
+    otherwise one factor per axis (_heat_factor).  Otherwise it is one dense
+    factor, the product of the per-coordinate factors on the whitened
+    nodes, with entries below TINY stored as 0.
+    """
+    if (grid1.dim == 1 and _uniform(grid1.axes[0])
             and np.array_equal(grid1.axes[0], grid2.axes[0])):
         factors = (_heat_band(grid1.axes[0], scales[0]),)
     elif white is None:
@@ -520,14 +523,12 @@ def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> Kern
     else:
         x, y = (_whitened(g, white) for g in (grid1, grid2))
         vals = _heat_factor(x[:, 0], y[:, 0], scales[0])
-        for k in range(1, d):
+        for k in range(1, len(scales)):
             vals *= _heat_factor(x[:, k], y[:, k], scales[k])
         vals[vals < TINY] = 0.0
         factors = (vals,)
-    s = _isotropic(scales, white)
     # strict upper bound: the sup is attained on the diagonal, so pad it
-    peak = 1.0 / math.sqrt((2.0 * math.pi * s * s) ** d if s is not None
-                           else math.prod(2.0 * math.pi * t * t for t in scales))
+    peak = 1.0 / math.sqrt(math.prod(2.0 * math.pi * s * s for s in scales))
     return KernelOperator(factors, grid1, grid2, peak * (1.0 + 1e-9),
                           (tuple(scales), white))
 
@@ -830,10 +831,10 @@ def difference_kernel_tails(kernel: KernelOperator) -> DifferenceKernelResult:
     some T2 >= T1; condition 2 is the mirror image.  On a truncated grid the
     quantifiers degenerate, so we accept either a unimodal profile (the two
     monotone runs overlap) or monotone runs that each cover at least
-    MIN_TAIL_FRACTION of the sampled span.  A 1-D heat kernel's profile is
-    the Gaussian's, unimodal with its peak at 0, and is not sampled.
+    MIN_TAIL_FRACTION of the sampled span.  A 1-D Gaussian kernel's profile
+    is the Gaussian's, unimodal with its peak at 0, and is not sampled.
     """
-    if kernel.grid1.dim == 1 and kernel.heat_sigma is not None:
+    if kernel.grid1.dim == 1 and kernel.gaussian is not None:
         return DifferenceKernelResult("pass", 1, 0.0, 0.0, "unimodal profile")
     prof = _difference_profile(kernel)
     if prof is None:

@@ -38,8 +38,11 @@ SEEDS = (0, 31)
 #: a mask and KernelOperator.apply keeps its scale there, and two
 #: Gauss-Legendre grids: gl1d's non-uniform axis takes one factor that is
 #: no band, and gl2d's non-uniform axes take one factor each, its
-#: interpolate exiting 1 on an under-resolved slice.  The 21^3 grid skips
-#: compare and diagnose, which take its dense 9261 x 9261 kernel (686 MB).
+#: interpolate exiting 1 on an under-resolved slice; and aniso2d, a
+#: diagonal anisotropic covariance, whose interpolation slices take each
+#: axis at its own scale (its diagnose builds the dense 6561 x 6561
+#: kernel, 344 MB).  The 21^3 grid skips compare and diagnose, which take
+#: its dense 9261 x 9261 kernel (686 MB).
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -69,6 +72,12 @@ EXTRA = {
               "grid": {"dim": 2, "radius": 6.0, "points": 25,
                        "rule": "gauss-legendre"}},
              OPS),
+    "aniso2d": ({"kernel": {"type": "gaussian_multivariate",
+                            "covariance": [[0.25, 0.0], [0.0, 0.16]]},
+                 "marginals": [{"type": "gaussian", "sigma": 1.0},
+                               {"type": "gaussian", "sigma": 0.8}],
+                 "grid": {"dim": 2, "radius": 8.0, "points": 81}},
+                OPS),
 }
 
 

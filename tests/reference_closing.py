@@ -28,10 +28,7 @@ class AndersonMixer:
         m = self.hist.shape[1]
         if m == 0:
             return None
-        if u is None:
-            f = np.subtract(g, self.hist[1, (self.held - 1) % m])
-        else:
-            f = np.subtract(g, u, out=u)
+        f = np.subtract(g, u, out=u)
         norm = float(f.max()) - float(f.min())
         out = None
         if norm > self.best:

@@ -375,28 +375,48 @@ class TestInterpolation:
     def test_requires_heat_kernel(self, bench_grid, bench_solution):
         flat = table_kernel(bench_grid, bench_grid,
                             np.ones((bench_grid.n_nodes, bench_grid.n_nodes)))
-        with pytest.raises(FortetBridgeError):
+        with pytest.raises(FortetBridgeError,
+                           match="^interpolation needs a Gaussian kernel$"):
             entropic_interpolation(bench_solution.phi, bench_solution.psi,
                                    flat, [0.5])
 
-    def test_2d_interpolant_is_the_product_of_1d_ones(self):
-        # the heat kernel on a tensor grid is separable, so product
-        # potentials interpolate to the product of the 1-D time marginals
+    @pytest.mark.parametrize("scales", [(0.5, 0.5), (0.5, 0.4)],
+                             ids=["isotropic", "anisotropic"])
+    def test_2d_interpolant_is_the_product_of_1d_ones(self, scales):
+        # a diagonal Gaussian on a tensor grid is separable, so product
+        # potentials interpolate to the product of the 1-D time marginals,
+        # each axis's slice at its own scale times sqrt(t)
         grid = build_grid(dim=1, radius=8.0, points_per_axis=81)
-        kernel = gaussian_kernel(grid, grid, 0.5)
-        sol = run_fortet(kernel, MarginalPair(gaussian_density(grid, 1.0),
-                                              gaussian_density(grid, 0.8)))
+        marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+        kernels = [gaussian_kernel(grid, grid, s) for s in scales]
+        sols = [run_fortet(k, marginals) for k in kernels]
         grid2 = build_grid(dim=2, radius=8.0, points_per_axis=81)
-        kernel2 = gaussian_kernel(grid2, grid2, 0.5)
+        kernel2 = gaussian_kernel(grid2, grid2, np.diag(np.square(scales)))
         times = [0.0, 0.25, 0.5, 0.75, 1.0]
-        one = entropic_interpolation(sol.phi, sol.psi, kernel, times)
-        two = entropic_interpolation(np.outer(sol.phi, sol.phi).ravel(),
-                                     np.outer(sol.psi, sol.psi).ravel(),
+        ones = [entropic_interpolation(sol.phi, sol.psi, k, times)
+                for sol, k in zip(sols, kernels)]
+        two = entropic_interpolation(np.outer(sols[0].phi, sols[1].phi).ravel(),
+                                     np.outer(sols[0].psi, sols[1].psi).ravel(),
                                      kernel2, times)
         for k in range(len(times)):
-            prod = np.outer(one.densities[k], one.densities[k]).ravel()
+            prod = np.outer(ones[0].densities[k], ones[1].densities[k]).ravel()
             assert np.max(np.abs(two.densities[k] - prod) / prod) < 1e-12
         assert "values" not in kernel2.__dict__
+
+    def test_non_diagonal_interpolant_keeps_unit_mass(self):
+        # a non-diagonal Sigma interpolates through its whitened dense
+        # slices, each N(y - x; t Sigma); the endpoints are the marginals
+        grid = build_grid(dim=2, radius=5.0, points_per_axis=41)
+        kernel = gaussian_kernel(grid, grid, np.array([[0.25, 0.05], [0.05, 0.2]]))
+        marginals = MarginalPair(gaussian_density(grid, np.eye(2)),
+                                 gaussian_density(grid, 0.64 * np.eye(2)))
+        sol = run_fortet(kernel, marginals)
+        interp = entropic_interpolation(sol.phi, sol.psi, kernel,
+                                        [0.0, 0.25, 0.5, 0.75, 1.0])
+        for mass in interp.masses:
+            assert abs(mass - 1.0) < 1e-6
+        for rho, omega in zip(interp.densities[::4], marginals):
+            assert np.max(np.abs(rho - omega.values)) < 1e-12 * omega.peak
 
     def test_2d_tight_grid_is_refused_by_mass_drift(self):
         # gauss2d's 41-point axes: the t = 0.25 interpolant's raw mass is

@@ -55,6 +55,18 @@ class TestConfig:
         assert resolved["solver"]["tol"] == 1e-10
         assert resolved["swap"] is False
 
+    def test_auto_radius_reads_only_the_keys_the_builders_read(self):
+        # a table marginal's "sigma", a 1-D marginal's "covariance" and a
+        # gaussian kernel's "covariance" are read by no builder; each once
+        # read as 9, 10 and 5, for a radius of 58.5, 65.0 and 32.5
+        stray = [{"marginals": [{"type": "table", "path": "m.csv", "sigma": 9},
+                                SWAP_RAW["marginals"][1]]},
+                 {"marginals": [dict(SWAP_RAW["marginals"][0], covariance=100),
+                                SWAP_RAW["marginals"][1]]},
+                 {"kernel": dict(SWAP_RAW["kernel"], covariance=[[25]])}]
+        for change in stray:
+            assert resolve_config(dict(SWAP_RAW, **change))["grid"]["radius"] == 6.5
+
     def test_auto_radius_reads_a_two_dimensional_marginal_sigma_as_a_variance(self):
         # in 2-D a marginal's "sigma" is a per-axis variance, as the marginal
         # is built: the wider marginal's standard deviation is 0.5
@@ -123,12 +135,12 @@ class TestConfig:
             "grid": {"dim": 1, "radius": 1.0, "points": n},
         }
         problem = load_problem(write_config(tmp_path, raw))
-        assert problem.kernel.heat_sigma is None
+        assert problem.kernel.gaussian is None
         assert abs(problem.marginals.omega2.mass() - 1.0) < 1e-12
 
     def test_multivariate_kernel_type_matches_the_heat_kernel(self):
         # covariance 0.25 I is the heat kernel at sigma 0.5: the same band
-        # or per-axis factors, bound and heat scale
+        # or per-axis factors, bound and (scales, white) pair
         for dim in (1, 2):
             raw = dict(BENCH_RAW, grid={"dim": dim, "radius": 3.0, "points": 21},
                        kernel={"type": "gaussian_multivariate",
@@ -137,7 +149,7 @@ class TestConfig:
             heat = gaussian_kernel(kernel.grid1, kernel.grid2, 0.5)
             assert len(kernel.factors) == dim and kernel.banded == (dim == 1)
             assert all(map(np.array_equal, kernel.factors, heat.factors))
-            assert (kernel.sigma_bound, kernel.heat_sigma) == (heat.sigma_bound, 0.5)
+            assert (kernel.sigma_bound, kernel.gaussian) == (heat.sigma_bound, heat.gaussian)
 
     def test_normalize_kernel_rows_gives_unit_row_mass(self):
         problem = build_problem(resolve_config(dict(BENCH_RAW,
@@ -317,9 +329,23 @@ class TestCli:
             assert mass == pytest.approx(1.0, abs=1e-4)
 
     def test_interpolate_accepts_an_isotropic_covariance(self, tmp_path):
-        # covariance 0.25 I carries the heat scale 0.5 that the slices need
+        # covariance 0.25 I interpolates as the heat kernel at sigma 0.5 does
         raw = dict(BENCH_RAW, kernel={"type": "gaussian_multivariate",
                                       "covariance": [[0.25]]})
+        out = tmp_path / "run"
+        code = main(["interpolate", "--config", str(write_config(tmp_path, raw)),
+                     "--output", str(out), "--times", "0,0.5,1"])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["interpolation_times"] == [0.0, 0.5, 1.0]
+
+    def test_interpolate_accepts_an_anisotropic_covariance(self, tmp_path):
+        # each axis's slice runs at its own scale times sqrt(t)
+        raw = {"kernel": {"type": "gaussian_multivariate",
+                          "covariance": [[0.25, 0.0], [0.0, 0.16]]},
+               "marginals": [{"type": "gaussian", "sigma": 1.0},
+                             {"type": "gaussian", "sigma": 0.64}],
+               "grid": {"dim": 2, "radius": 8.0, "points": 81}}
         out = tmp_path / "run"
         code = main(["interpolate", "--config", str(write_config(tmp_path, raw)),
                      "--output", str(out), "--times", "0,0.5,1"])

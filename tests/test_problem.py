@@ -14,7 +14,7 @@ from fortetbridge import (MarginalPair, bernstein_gaussian_condition,
                           transition_normalized)
 from fortetbridge.errors import FeasibilityError, GridError, KernelSupportError
 from fortetbridge import problem
-from fortetbridge.problem import TINY, KernelOperator
+from fortetbridge.problem import TINY, KernelOperator, gaussian_from_scales
 from fortetbridge.quadrature import QuadratureGrid
 from tests.conftest import random_instance, traced_peak
 
@@ -77,7 +77,9 @@ def test_gaussian_kernel_shape_and_bound(bench_grid):
     assert k.values.shape == (401, 401)
     assert k.gaussian == ((0.5,), None)
     assert np.all(k.values < k.sigma_bound)
-    assert k.heat_sigma == 0.5
+    # the pair the kernel keeps builds it again, bit for bit
+    assert np.array_equal(gaussian_from_scales(bench_grid, bench_grid, *k.gaussian).factors[0],
+                          k.factors[0])
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.1, 0.3])
@@ -279,7 +281,7 @@ def test_difference_tails_not_applicable_for_general_table():
 
 def test_pushforward_and_row_normalization(bench_grid):
     kernel = transition_normalized(gaussian_kernel(bench_grid, bench_grid, 0.5))
-    assert kernel.heat_sigma is None  # no longer an analytic heat kernel
+    assert kernel.gaussian is None  # no longer a Gaussian kernel
     row_mass = kernel.values @ bench_grid.weights
     assert np.max(np.abs(row_mass - 1.0)) < 1e-14
     om1 = gaussian_density(bench_grid, 1.0)
@@ -547,7 +549,7 @@ def test_non_diagonal_covariance_is_the_closed_form(scale):
     cov = scale * np.array([[0.3, 0.1], [0.1, 0.2]])
     grid = build_grid(dim=2, radius=3.0, points_per_axis=21)
     kernel = gaussian_kernel(grid, grid, cov)
-    assert len(kernel.factors) == 1 and kernel.heat_sigma is None
+    assert len(kernel.factors) == 1 and kernel.gaussian[1] is not None
     delta = grid.nodes[:, None, :] - grid.nodes[None, :, :]
     q = np.einsum("nmi,ij,nmj->nm", delta, np.linalg.inv(cov), delta)
     peak = 1.0 / math.sqrt((2.0 * math.pi) ** 2 * np.linalg.det(cov))
@@ -563,7 +565,8 @@ def test_diagonal_covariance_keeps_one_factor_per_axis():
     axes = (np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))
     grid = _tensor_grid(*axes)
     kernel = gaussian_kernel(grid, grid, np.diag([0.3, 0.05]))
-    assert kernel.heat_sigma is None
+    assert all(map(np.array_equal, gaussian_from_scales(grid, grid, *kernel.gaussian).factors,
+                   kernel.factors))
     assert kernel.gaussian == ((math.sqrt(0.3), math.sqrt(0.05)), None)
     for factor, axis, var in zip(kernel.factors, axes, (0.3, 0.05)):
         assert np.array_equal(factor, problem._heat_factor(axis, axis, math.sqrt(var)))
