@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,9 +160,10 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     kernels degenerate to point evaluation), so rho_0 and rho_1 reproduce
     the marginal-equation products exactly.  Refuses a kernel that is not
     Gaussian, and slices whose raw mass drifts by more than MASS_DRIFT_TOL:
-    a grid spacing above the slice's width, the least scale times sqrt(min(t,
-    1 - t)) (the least scale at an endpoint), under-resolves it, and
-    otherwise the truncation is the cause; the message names the two lengths.
+    a grid spacing above the slice's width, the kernel's narrowest standard
+    deviation times sqrt(min(t, 1 - t)) (times 1 at an endpoint),
+    under-resolves it, and otherwise the truncation is the cause; the message
+    names the two lengths.
     """
     if kernel.gaussian is None:
         raise FortetBridgeError("interpolation needs a Gaussian kernel")
@@ -194,12 +195,23 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
         rho = forward * backward
         m = float(np.sum(w * rho))
         if abs(m - 1.0) > MASS_DRIFT_TOL:
-            width = min(scales) * (math.sqrt(min(t, 1.0 - t)) if 0.0 < t < 1.0 else 1.0)
+            width = _narrowest_scale(scales, white) * (
+                math.sqrt(min(t, 1.0 - t)) if 0.0 < t < 1.0 else 1.0)
             raise FortetBridgeError(f"interpolant mass at t={t} drifted to {m!r}; "
                                     + _drift_hint(grid, width))
         masses.append(m)
         out[k] = rho / m
     return Interpolation(tuple(float(t) for t in times), out, tuple(masses))
+
+
+def _narrowest_scale(scales: Sequence[float], white: Optional[np.ndarray]) -> float:
+    """sqrt(lambda_min(Sigma)) of the Gaussian kernel N(y - x; Sigma) of the
+    pair (scales, white), from Sigma^-1 = white diag(scales^-2) white^T: the
+    least scale when white is None, where Sigma is diagonal."""
+    if white is None:
+        return min(scales)
+    inverse = (white / np.square(scales)) @ white.T
+    return 1.0 / math.sqrt(float(np.linalg.eigvalsh(inverse)[-1]))
 
 
 def _drift_hint(grid: QuadratureGrid, width: float) -> str:

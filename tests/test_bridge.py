@@ -435,6 +435,22 @@ class TestInterpolation:
                                  r"spacing 0\.4, which under-resolves it: add grid points$"):
             entropic_interpolation(sol.phi, sol.psi, problem.kernel, [0.25])
 
+    def test_drift_names_a_non_diagonal_slice_s_narrowest_deviation(self):
+        # Sigma's eigenvalues are 0.45 and 0.05, so the t = 0.25 slice's
+        # narrowest standard deviation is sqrt(0.25 * 0.05) = 0.112; its
+        # whitened scales are 0.3 and 0.5, whose least, times sqrt(0.25), is
+        # 0.15 and is no deviation of the slice
+        grid = build_grid(dim=2, radius=5.0, points_per_axis=41)
+        kernel = gaussian_kernel(grid, grid, np.array([[0.25, 0.2], [0.2, 0.25]]))
+        marginals = MarginalPair(gaussian_density(grid, np.eye(2)),
+                                 gaussian_density(grid, 0.64 * np.eye(2)))
+        sol = run_fortet(kernel, marginals)
+        with pytest.raises(FortetBridgeError,
+                           match=r"^interpolant mass at t=0\.25 drifted to 1\.000158\d*; "
+                                 r"the slice's heat kernel width 0\.112 is below the grid "
+                                 r"spacing 0\.25, which under-resolves it: add grid points$"):
+            entropic_interpolation(sol.phi, sol.psi, kernel, [0.25])
+
     def test_mass_drift_on_tight_truncation_raises(self):
         from fortetbridge import run_fortet
         grid = build_grid(dim=1, radius=3.0, points_per_axis=151)

@@ -273,7 +273,7 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     from fortetbridge.problem import TINY
     with contract_extremes() as seen:
         run_fortet(*swap_instance)
-    assert len(seen) == 2 * 102 + 4
+    assert len(seen) == 2 * 76 + 4
     assert min(factor for factor, _ in seen) >= TINY
     assert min(argument for _, argument in seen) >= TINY
 
@@ -281,7 +281,7 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
 def test_gauss1d_solve_applies_its_arguments_unscaled(bench_kernel, bench_marginals,
                                                      monkeypatch):
     # on gauss1d every f that apply takes is positive, with min f *
-    # apply_floor >= TINY: each of the solve's 20 applies (19 maps and the
+    # apply_floor >= TINY: each of the solve's 11 applies (10 maps and the
     # coupling's) contracts weights * f itself, whose smallest entry is the
     # argument's, and no argument below TINY reaches a kernel product
     from tests.conftest import contract_extremes
@@ -296,7 +296,7 @@ def test_gauss1d_solve_applies_its_arguments_unscaled(bench_kernel, bench_margin
     monkeypatch.setattr(KernelOperator, "apply", recording)
     with contract_extremes() as seen:
         run_fortet(bench_kernel, bench_marginals)
-    assert len(unscaled) == 20 and all(unscaled)
+    assert len(unscaled) == 11 and all(unscaled)
     assert min(argument for _, argument in seen) >= TINY
 
 
@@ -397,7 +397,7 @@ def _closing_instance(which, request):
 def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
     # the closing, one pass per array, returns bitwise the iterate and the
     # records of the pre-fusion closing (tests/reference_closing.py), from
-    # the scheme's last image as run_fortet hands it over.  On the table
+    # the scheme's first image as run_fortet hands it over.  On the table
     # instances the image is inf or NaN off the omega1 support, and a
     # record's normalization reads 0 * inf or NaN there, in both closings.
     # A NaN off the support is why the closing keeps the masked omega1 / K:
@@ -425,14 +425,16 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
         state = None
         for n0 in (1, 2):
             state = fortet_step(state, kernel, marginals, mass2)
+            if n0 == 1:
+                first = state.H_prime
             if state.diagnostics["case1_candidate"]:
                 break
         scheme = dict(paths)
         fused, reference = fortet.StepLog(), fortet.StepLog()
-        K = fortet._closing_iteration([state.H_prime.copy()], kernel, marginals,
+        K = fortet._closing_iteration([first.copy()], kernel, marginals,
                                       1e-11, mass2, fused)
         closed = {k: paths[k] - scheme[k] for k in paths}
-        K_ref = closing_iteration([state.H_prime.copy()], kernel, marginals,
+        K_ref = closing_iteration([first.copy()], kernel, marginals,
                                   1e-11, mass2, reference)
     assert (n0 == 1) == (which == "case1")
     assert K.tobytes() == K_ref.tobytes()
@@ -450,6 +452,29 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
     else:
         # only the first closing step, whose input the scheme formed
         assert closed == {"masked": 1, "over": 0}
+
+
+@pytest.mark.parametrize("points, dim", [(401, 1), (41, 2)], ids=["gauss1d", "gauss2d"])
+def test_closing_starts_from_the_first_image(points, dim):
+    # run_fortet closes from the scheme's first image Omega(1), whose depth-2
+    # Anderson step takes 8 steps on the bench instances; from the second
+    # image, where the scheme's cap and 1/2 floor put two kinks, it took 17
+    # and 20.  Both starts reach the same ray on the omega1 > 1e-12 gate
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    sol = run_fortet(kernel, marginals)
+    assert (sol.case_tag, sol.iterations) == ("case2", 2) and sol.refine_steps <= 8
+
+    mass2 = marginals.omega2.mass()
+    state = fortet_step(fortet_step(None, kernel, marginals, mass2), kernel, marginals,
+                        mass2)
+    K = fortet._closing_iteration([state.H_prime], kernel, marginals, 1e-11, mass2,
+                                  fortet.StepLog())
+    phi, _, _ = fortet._extract_with_warnings(np.minimum(K, 1.0), kernel, marginals)
+    gate = marginals.omega1.values > 1e-12
+    log_ratio = np.log(sol.phi[gate]) - np.log(phi[gate])
+    assert log_ratio.max() - log_ratio.min() <= 1e-10
 
 
 def test_unreadable_nodes_match_the_where_expressions(monkeypatch):
@@ -502,11 +527,11 @@ def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
 
 
 def test_solve_keeps_no_per_step_arrays(swap_instance):
-    # 102 steps on 401 nodes: three arrays per step would hold 0.98 MB on
-    # top of the solve's own ~0.06 MB
+    # 76 steps on 401 nodes: three arrays per step would hold 0.73 MB on
+    # top of the solve's own ~0.04 MB
     sol, peak = traced_peak(lambda: run_fortet(*swap_instance))
-    assert peak < 1e6
-    assert len(sol.steps) == sol.iterations + sol.refine_steps == 102
+    assert peak < 5e5
+    assert len(sol.steps) == sol.iterations + sol.refine_steps == 76
 
 
 def _held_bytes(root):
@@ -525,10 +550,10 @@ def _held_bytes(root):
 
 
 def test_step_log_holds_a_few_bytes_a_step(swap_solution):
-    # 102 rows of three float64 columns in a block of 128, not a dict and
-    # boxed floats per step (~36 kB)
+    # 76 rows of three float64 columns in a block of 128, not a dict and
+    # boxed floats per step (~27 kB)
     log = swap_solution.steps
-    assert len(log) == 102 and log.scheme_steps == 2
+    assert len(log) == 76 and log.scheme_steps == 2
     assert _held_bytes(log) <= 4 * 1024
 
 
