@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import FortetBridgeError, InfeasibleParametersError
-from .problem import KernelOperator, MarginalPair, gaussian_from_scales
+from .problem import KernelOperator, MarginalPair, gaussian_from_scales, gaussian_kappa
 from .quadrature import Frozen, QuadratureGrid
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
@@ -234,10 +234,12 @@ class GaussianBridgeSolution(NamedTuple):
     """Exact potentials for centered Gaussian marginals and Gaussian kernel.
 
     phi(x) = c_phi exp(-a x^2 / 2), psi(y) = c_psi exp(-b y^2 / 2) with the
-    ray fixed by c_psi = 1.  kappa = 1/sigma2^2 - 1/(sigma1^2 + sigma^2) is
-    the tail margin of the fixed-point scheme's integrability condition in
-    this orientation (negative: the scheme needs the swapped orientation,
-    even though the system itself is solvable both ways).
+    ray fixed by c_psi = 1.  kappa = 1/sigma2^2 - 1/(sigma1^2 + sigma^2)
+    (problem.gaussian_kappa) is the tail margin of the fixed-point scheme's
+    integrability condition in this orientation, and scheme_feasible reads
+    kappa > 0, as problem.bernstein_gaussian_condition does (otherwise the
+    scheme needs the swapped orientation, even though the system itself is
+    solvable both ways).
     """
 
     sigma: float
@@ -266,10 +268,6 @@ class GaussianBridgeSolution(NamedTuple):
     def psi(self, y) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore"):
             return np.exp(self.log_psi(y))
-
-
-def _kappa(sigma: float, sigma1: float, sigma2: float) -> float:
-    return 1.0 / sigma2 ** 2 - 1.0 / (sigma1 ** 2 + sigma ** 2)
 
 
 def _exponent(sigma, s1, s2):
@@ -301,12 +299,12 @@ def gaussian_oracle(sigma: float, sigma1: float, sigma2: float) -> GaussianBridg
         u, b = _exponent(sigma, sigma1, sigma2)
         _, a = _exponent(sigma, sigma2, sigma1)
         c_phi = np.sqrt(u) / (math.sqrt(2.0 * math.pi) * sigma1)
-        kappa = _kappa(sigma, sigma1, sigma2)
-        kappa_swapped = _kappa(sigma, sigma2, sigma1)
+        kappa = gaussian_kappa(sigma, sigma1, sigma2)
+        kappa_swapped = gaussian_kappa(sigma, sigma2, sigma1)
     if not np.all(np.isfinite([u, a, b, c_phi, kappa, kappa_swapped])):
         raise InfeasibleParametersError("the exponents leave float range")
     return GaussianBridgeSolution(
         sigma=float(sigma), sigma1=float(sigma1), sigma2=float(sigma2),
         a=float(a), b=float(b), c_phi=float(c_phi), c_psi=1.0,
-        kappa=float(kappa), scheme_feasible=bool(kappa >= 0.0),
-        swap_scheme_feasible=bool(kappa_swapped >= 0.0))
+        kappa=kappa, scheme_feasible=kappa > 0.0,
+        swap_scheme_feasible=kappa_swapped > 0.0)

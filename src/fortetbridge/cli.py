@@ -289,12 +289,16 @@ def cmd_interpolate(args) -> int:
 def cmd_diagnose(args) -> int:
     from . import sinkhorn
     from .config import load_problem
+    from .errors import FeasibilityError
     from .problem import check_assumptions
     problem = load_problem(args.config)
     # the hard checks solve and compare run: an input they refuse exits 2
-    # here too, instead of sweeping to max_iter
+    # here too, instead of sweeping to max_iter; their report carries no
+    # integrability estimate, so a divergent one does not stop Sinkhorn
     if not problem.options.force:
-        check_assumptions(problem.kernel, problem.marginals).require_hard_checks()
+        refusal = check_assumptions(problem.kernel, problem.marginals).refusal
+        if refusal is not None:
+            raise FeasibilityError(refusal)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     trace = sinkhorn.sinkhorn_trace_hilbert(problem.kernel, problem.marginals,

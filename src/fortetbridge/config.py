@@ -18,10 +18,11 @@ covariance: per-axis factors if diagonal, sigma^2 I giving sigma's operator,
 else one dense factor; both built by problem.gaussian_kernel) / table;
 marginal types are gaussian (sigma, or covariance for dim > 1, where a
 scalar sigma is a per-axis variance) / table.  Table values come from CSV
-files resolved relative to the config file.  A radius of "auto" expands to
-6.5 x the largest Gaussian standard deviation in the problem, each read
-from the one key its kernel or marginal is built from (a stray "sigma" on
-a table, say, is not read).
+files resolved relative to the config file, and a table marginal is
+rescaled to unit mass unless its "renormalize" is false (a JSON boolean,
+or 0 or 1).  A radius of "auto" expands to 6.5 x the largest Gaussian
+standard deviation in the problem, each read from the one key its kernel
+or marginal is built from (a stray "sigma" on a table, say, is not read).
 solver.max_iter caps Sinkhorn's sweeps and Fortet's scheme steps; the
 scheme hands over by n = 2, so for Fortet only a cap of 1 stops it.  The
 problem hash is the sha256 of the resolved config in canonical JSON form
@@ -237,7 +238,8 @@ def _build_marginal(spec: Dict[str, object], grid: QuadratureGrid,
         vals = _load_table(spec.get("path"), base_dir, which)
         if vals.ndim != 1 or vals.shape[0] != grid.n_nodes:
             raise ConfigError(f"{which}: table must hold {grid.n_nodes} values")
-        return density_field(grid, vals, renormalize=bool(spec.get("renormalize", True)))
+        renormalize = _flag({"renormalize": True, **spec}, "renormalize")
+        return density_field(grid, vals, renormalize=renormalize)
     raise ConfigError(f"{which}: unknown marginal type {kind!r}")
 
 

@@ -186,20 +186,20 @@ class FortetSolution(Frozen):
     phi g psi, whose marginal integrals certify the system; a degenerate
     solution has no coupling, and its potentials and residuals read None
     and NaN.  case_tag is "case1", "case2" or "degenerate".  steps is the
-    run's StepLog, one row per step of both phases (an empty one if not
-    given), and its step counts are read there.  trace is always empty: a run
-    keeps no per-step arrays.  It is kept while the benchmark's tracer sizes
-    the arrays held there (fortet.trace_mb, which reads 0.0), and goes with
-    the benchmark change that stops reading it."""
+    run's StepLog, one row per step of both phases, and its step counts are
+    read there.  trace, a class attribute, is always empty: a run keeps no
+    per-step arrays.  Only the benchmark's tracer (bench/tracing.py) reads
+    it, for fortet.trace_mb (0.0), until the benchmark stops reading it."""
+
+    trace: Tuple[IterationState, ...] = ()
 
     def __init__(self, h: Optional[np.ndarray], case_tag: str,
-                 coupling: Optional[bridge.Coupling], warnings: Tuple[str, ...] = (),
-                 steps: Optional[StepLog] = None,
-                 trace: Tuple[IterationState, ...] = ()):
+                 coupling: Optional[bridge.Coupling], warnings: Tuple[str, ...],
+                 steps: StepLog):
         if h is not None:
             h.setflags(write=False)
         vars(self).update(h=h, case_tag=case_tag, coupling=coupling, warnings=warnings,
-                          steps=StepLog() if steps is None else steps, trace=trace)
+                          steps=steps)
 
     @property
     def iterations(self) -> int:
@@ -520,8 +520,8 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
                opts: FortetOptions = FortetOptions()) -> FortetSolution:
     """Run the truncated scheme to a tagged solution.
 
-    Refuses instances whose feasibility report fails hard checks or whose
-    integrability estimate looks divergent, unless opts.force is set.  The
+    Raises the refusal of the instance's full_report, if it has one, as a
+    FeasibilityError unless opts.force is set; the report is not kept.  The
     run's StepLog, a row of scalars per step, is attached to the solution
     (and to the NonConvergenceError raised when the iteration cap is hit:
     the scheme hands over by n = 2, so only opts.max_iter = 1 stops it, or
@@ -533,13 +533,9 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     Hilbert step skips floor-pinned nodes, so it can stop short.
     """
     if not opts.force:
-        report = full_report(kernel, marginals)
-        report.require_hard_checks()
-        if report.condition_star is not None \
-                and report.condition_star.verdict != "finite":
-            hint = "; swapping the marginals looks feasible" if report.swap_recommended else ""
-            raise FeasibilityError("integrability estimate is suspected-divergent"
-                                   + hint + " (pass force=True to run anyway)")
+        refusal = full_report(kernel, marginals).refusal
+        if refusal is not None:
+            raise FeasibilityError(refusal)
 
     if not marginals.omega1.support.any():
         raise FeasibilityError("omega1 has empty support")

@@ -607,20 +607,27 @@ class FeasibilityReport(NamedTuple):
     def hard_checks_pass(self) -> bool:
         return all(r.ok for r in self.hypotheses.values())
 
-    def require_hard_checks(self) -> None:
-        """Raise FeasibilityError naming the hypothesis checks that failed."""
+    @property
+    def refusal(self) -> Optional[str]:
+        """Why Fortet's scheme may not run on this instance, or None: the
+        hypothesis checks that failed, else, where the report carries an
+        integrability estimate, its suspected divergence (with a hint when
+        swapping the marginals looks feasible).  The solvers raise it as a
+        FeasibilityError unless forced."""
         failed = [k for k, v in self.hypotheses.items() if not v.ok]
+        cs = self.condition_star
         if failed:
-            raise FeasibilityError(f"hypothesis checks failed: {', '.join(failed)} "
-                                   "(pass force=True to run anyway)")
+            why = f"hypothesis checks failed: {', '.join(failed)}"
+        elif cs is not None and cs.verdict != "finite":
+            why = "integrability estimate is suspected-divergent" + (
+                "; swapping the marginals looks feasible" if self.swap_recommended else "")
+        else:
+            return None
+        return why + " (pass force=True to run anyway)"
 
     @property
     def solver_admissible(self) -> bool:
-        if not self.hard_checks_pass:
-            return False
-        if self.condition_star is not None:
-            return self.condition_star.verdict == "finite"
-        return True
+        return self.refusal is None
 
 
 def _require_spd(mat: np.ndarray, what: str) -> None:
@@ -769,15 +776,27 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
     return ConditionStar(estimate, verdict, slope)
 
 
-def bernstein_gaussian_condition(sigma: float, sigma1: float, sigma2: float) -> bool:
-    """Scalar Gaussian existence condition: sigma^2 + sigma1^2 - sigma2^2 > 0.
+def gaussian_kappa(sigma, sigma1, sigma2) -> float:
+    """Bernstein's margin kappa = 1/sigma2^2 - 1/(sigma1^2 + sigma^2) of a
+    Gaussian kernel (sigma) between Gaussian marginals (sigma1, sigma2),
+    in float64: an overflow or a division by 0 reads inf or NaN, where
+    Python floats would raise."""
+    with np.errstate(all="ignore"):
+        s, s1, s2 = (np.float64(v) for v in (sigma, sigma1, sigma2))
+        return float(1.0 / s2 ** 2 - 1.0 / (s1 ** 2 + s ** 2))
 
-    Strict inequality; the boundary case (exact free evolution of the
-    variance) is excluded.
+
+def bernstein_gaussian_condition(sigma: float, sigma1: float, sigma2: float) -> bool:
+    """Scalar Gaussian existence condition: gaussian_kappa > 0, that is
+    sigma^2 + sigma1^2 > sigma2^2.
+
+    Strict inequality: at kappa = 0 (exact free evolution of the variance)
+    the integral of omega2 / (g * omega1) is the integral of 1, which
+    diverges.
     """
     if min(sigma, sigma1, sigma2) <= 0:
         raise FeasibilityError("standard deviations must be positive")
-    return sigma * sigma + sigma1 * sigma1 - sigma2 * sigma2 > 0
+    return gaussian_kappa(sigma, sigma1, sigma2) > 0
 
 
 def bernstein_multivariate_condition(S, S1, S2) -> bool:

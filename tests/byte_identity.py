@@ -42,7 +42,13 @@ SEEDS = (0, 31)
 #: diagonal anisotropic covariance, whose interpolation slices take each
 #: axis at its own scale (its diagnose builds the dense 6561 x 6561
 #: kernel, 344 MB).  The 21^3 grid skips compare and diagnose, which take
-#: its dense 9261 x 9261 kernel (686 MB).
+#: its dense 9261 x 9261 kernel (686 MB).  Two configs cover refusals:
+#: divergent1d, the unswapped criterion-2 instance, whose integrability
+#: estimate is suspected-divergent, so that check, solve, interpolate and
+#: compare exit 2 with the swap hint while diagnose, which reads only the
+#: hard checks, runs Sinkhorn to exit 0; and spike1d, a marginal narrower
+#: than the grid's spacing, which fails marginal1_continuity, so that
+#: every op exits 2.
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -77,6 +83,16 @@ EXTRA = {
                  "marginals": [{"type": "gaussian", "sigma": 1.0},
                                {"type": "gaussian", "sigma": 0.8}],
                  "grid": {"dim": 2, "radius": 8.0, "points": 81}},
+                OPS),
+    "divergent1d": ({"kernel": {"type": "gaussian", "sigma": 0.1},
+                     "marginals": [{"type": "gaussian", "sigma": 0.5},
+                                   {"type": "gaussian", "sigma": 1.0}],
+                     "grid": {"dim": 1, "radius": 8.0, "points": 401}},
+                    OPS),
+    "spike1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                 "marginals": [{"type": "gaussian", "sigma": 0.05},
+                               {"type": "gaussian", "sigma": 0.8}],
+                 "grid": {"dim": 1, "radius": 8.0, "points": 41}},
                 OPS),
 }
 

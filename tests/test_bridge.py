@@ -12,6 +12,7 @@ from fortetbridge import (MarginalPair, QuadratureGrid, build_coupling,
                           run_fortet, run_sinkhorn, table_kernel)
 from fortetbridge.config import build_problem, resolve_config
 from fortetbridge.errors import FortetBridgeError, InfeasibleParametersError
+from fortetbridge.problem import bernstein_gaussian_condition, gaussian_kappa
 from tests.conftest import random_instance
 
 # Roots of the two-parameter stationarity system for sigma=0.5, sigma1=1.0,
@@ -85,6 +86,14 @@ class TestGaussianOracle:
         assert abs(oracle.b) < 1e-10
         assert abs(oracle.a - 1.0 / 0.8 ** 2) < 1e-9
         assert abs(oracle.kappa) < 1e-15
+        # there omega2 / (g * omega1) integrates 1 over the line, which
+        # diverges: the oracle's flag and Bernstein's condition read one
+        # kappa, refuse this orientation and accept the swapped one
+        assert oracle.kappa == gaussian_kappa(0.6, 0.8, 1.0) == 0.0
+        assert not oracle.scheme_feasible
+        assert not bernstein_gaussian_condition(0.6, 0.8, 1.0)
+        assert oracle.swap_scheme_feasible
+        assert bernstein_gaussian_condition(0.6, 1.0, 0.8)
 
     def test_feasibility_flags(self):
         oracle = gaussian_oracle(0.5, 1.0, 0.8)

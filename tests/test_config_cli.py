@@ -17,7 +17,8 @@ from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
 from fortetbridge.fortet import StepLog, run_fortet
-from fortetbridge.problem import gaussian_kernel, transition_normalized
+from fortetbridge.problem import (check_assumptions, full_report, gaussian_kernel,
+                                  transition_normalized)
 from fortetbridge.quadrature import build_grid
 from tests.conftest import kernel_matrix_builds, traced_peak
 
@@ -121,6 +122,37 @@ class TestConfig:
         for key in ("swap", "normalize_kernel_rows"):
             for value, flag in ((True, True), (False, False), (1, True), (0, False)):
                 assert resolve_config(dict(BENCH_RAW, **{key: value}))[key] is flag
+
+    @pytest.mark.parametrize("value", ["false", "no"])
+    def test_renormalize_takes_a_flag(self, tmp_path, capsys, value):
+        # bool("false") is true: a string once renormalized the table
+        np.savetxt(tmp_path / "m2.csv", np.full(5, 0.5), delimiter=",")
+        raw = {"kernel": {"type": "gaussian", "sigma": 0.5},
+               "marginals": [{"type": "gaussian", "sigma": 0.4},
+                             {"type": "table", "path": "m2.csv", "renormalize": value}],
+               "grid": {"dim": 1, "radius": 1.0, "points": 5}}
+        cfg = write_config(tmp_path, raw)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: renormalize must be true or false, not {value!r}"]
+
+    def test_renormalize_false_keeps_the_table_mass(self, tmp_path, capsys):
+        # trapezoid mass 2.0 of a constant 2.0 on [-0.5, 0.5]
+        np.savetxt(tmp_path / "m2.csv", np.full(5, 2.0), delimiter=",")
+        raw = {"kernel": {"type": "gaussian", "sigma": 0.5},
+               "marginals": [{"type": "gaussian", "sigma": 0.4},
+                             {"type": "table", "path": "m2.csv"}],
+               "grid": {"dim": 1, "radius": 0.5, "points": 5}}
+        assert load_problem(write_config(tmp_path, raw)).marginals.omega2.mass() \
+            == pytest.approx(1.0, abs=1e-12)
+        for value in (False, 0):
+            raw["marginals"][1]["renormalize"] = value
+            cfg = write_config(tmp_path, raw)
+            assert load_problem(cfg).marginals.omega2.mass() == pytest.approx(2.0, abs=1e-12)
+            assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "feasibility failure: hypothesis checks failed: marginal2_unit_mass "
+                "(pass force=True to run anyway)"]
 
     def test_table_kernel_and_marginal_from_csv(self, tmp_path):
         n = 5
@@ -473,6 +505,55 @@ class TestCli:
         assert code == 2
         payload = json.loads((out / "compare.json").read_text())
         assert payload["consistent"] is False
+
+
+def _one_dimensional(sigma, sigma1, sigma2, points):
+    return {"kernel": {"type": "gaussian", "sigma": sigma},
+            "marginals": [{"type": "gaussian", "sigma": sigma1},
+                          {"type": "gaussian", "sigma": sigma2}],
+            "grid": {"dim": 1, "radius": 8.0, "points": points}}
+
+
+DIVERGENT = ("integrability estimate is suspected-divergent; swapping the "
+             "marginals looks feasible (pass force=True to run anyway)")
+DISCONTINUOUS = ("hypothesis checks failed: marginal1_continuity "
+                 "(pass force=True to run anyway)")
+#: each instance with the refusals of its full_report and of its
+#: check_assumptions: the bench gauss1d instance, the unswapped criterion-2
+#: instance, and a marginal narrower than the grid's spacing
+VERDICTS = {
+    "gauss1d": (_one_dimensional(0.5, 1.0, 0.8, 401), None, None),
+    "divergent1d": (_one_dimensional(0.1, 0.5, 1.0, 401), DIVERGENT, None),
+    "spike1d": (_one_dimensional(0.5, 0.05, 0.8, 41), DISCONTINUOUS, DISCONTINUOUS),
+}
+
+
+@pytest.mark.parametrize("name", VERDICTS)
+def test_every_op_reads_the_one_verdict(tmp_path, capsys, name):
+    # check exits 2 exactly when the report is not admissible; solve,
+    # interpolate and compare refuse with full_report's refusal, and
+    # diagnose with check_assumptions', which carries no integrability
+    # estimate, so that only the hard checks stop its Sinkhorn
+    raw, refusal, hard = VERDICTS[name]
+    cfg = write_config(tmp_path, raw)
+    problem = load_problem(cfg)
+    report = full_report(problem.kernel, problem.marginals)
+    assert report.refusal == refusal
+    assert report.solver_admissible is (refusal is None)
+    assert check_assumptions(problem.kernel, problem.marginals).refusal == hard
+    assert main(["check", "--config", str(cfg), "--output", str(tmp_path / "check")]) \
+        == (0 if report.solver_admissible else 2)
+    capsys.readouterr()
+    for op, expected in (("solve", refusal), ("interpolate", refusal),
+                         ("compare", refusal), ("diagnose", hard)):
+        code = main([op, "--config", str(cfg), "--output", str(tmp_path / op)])
+        err = capsys.readouterr().err.splitlines()
+        if expected is None:
+            assert code == 0
+            assert not any(line.startswith("feasibility failure") for line in err)
+        else:
+            assert code == 2
+            assert err == ["feasibility failure: " + expected]
 
 
 def test_diagnose_of_an_anisotropic_kernel_converges(tmp_path):
