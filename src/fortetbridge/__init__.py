@@ -28,8 +28,7 @@ _EXPORTS = {
     "pushforward": "problem", "transition_normalized": "problem",
     "swapped_marginals": "problem", "check_assumptions": "problem",
     "condition_star": "problem", "bernstein_gaussian_condition": "problem",
-    "bernstein_multivariate_condition": "problem",
-    "difference_kernel_tails": "problem", "full_report": "problem",
+    "bernstein_multivariate_condition": "problem", "full_report": "problem",
     "FeasibilityReport": "problem",
     # fixed-point solver
     "FortetOptions": "fortet", "FortetSolution": "fortet",

@@ -150,14 +150,11 @@ def _write_potentials(path: Path, grid, columns) -> None:
 def _check_payload(report) -> dict:
     payload = {
         "hypotheses": {name: r._asdict() for name, r in report.hypotheses.items()},
-        "hard_checks_pass": report.hard_checks_pass,
         "solver_admissible": report.solver_admissible,
         "swap_recommended": report.swap_recommended,
     }
-    for key in ("condition_star", "difference_kernel"):
-        section = getattr(report, key)
-        if section is not None:
-            payload[key] = section._asdict()
+    if report.condition_star is not None:
+        payload["condition_star"] = report.condition_star._asdict()
     return payload
 
 

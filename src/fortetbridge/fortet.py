@@ -18,9 +18,12 @@ H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes terminate it:
   on the support of omega1.
 * case 2 - the iterate's sup stays above 1 but the underlying ray
   converges.  The scheme's own scale creep from the min(1, .) cap decays
-  only algebraically, so no pointwise-change threshold can fire in
-  reasonable time; the scheme hands over at n = 2, its first step with a
-  Hilbert step.
+  geometrically (~0.984 a step on the 1-D Gaussian benchmark, under a
+  floor max(2^-n, 1e-300)), but the 1/n floor holds every node where h <
+  1/n on the floor and sets an algebraic rate: on {h > 0.1} the scheme's
+  gap to h falls about as n^-0.7.  So no pointwise-change threshold can
+  fire in reasonable time; the scheme hands over at n = 2, its first step
+  with a Hilbert step.
 
 Both cases close the same way: the 1/n floor drops to FLOOR_FREEZE and the
 map is iterated on the ray through sup = 1 over the omega1 support (the

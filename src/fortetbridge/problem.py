@@ -3,9 +3,8 @@
 The solvable instance is a bounded positive kernel g(x, y) on a product of
 quadrature grids plus two nonnegative unit-mass marginals (omega1, omega2).
 This module validates the standing hypotheses (nonnegativity, boundedness,
-row/column positivity, continuity smoke checks), evaluates the integrability
-condition that gates the fixed-point existence argument, and screens
-difference kernels U(x - y) for the monotone-tail property.
+row/column positivity, continuity smoke checks) and evaluates the
+integrability condition that gates the fixed-point existence argument.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ MASS_TOL = 1e-8
 #: tail-slope above this (per unit |y|^2) flags the integrability estimate
 #: as suspected-divergent; slopes within +/- the tolerance count as flat.
 TAIL_SLOPE_TOL = 1e-8
-#: minimum fraction of the profile span a monotone tail must cover before
-#: we accept a truncated difference kernel as having monotone tails.
-MIN_TAIL_FRACTION = 0.2
 #: float64's smallest normal number; a heat factor stores entries below it as 0
 TINY = float(np.finfo(float).tiny)
 #: every finite float64 is below 2**MAX_EXP
@@ -580,7 +576,7 @@ class ConditionStar(NamedTuple):
     The underlying condition is about an improper integral, which a finite
     grid cannot decide; the verdict is the estimate plus a tail-slope
     heuristic (log-integrand slope against |y|^2 over the outer 20% of the
-    grid), never a proof.
+    grid, each column's integral over its grid mass), never a proof.
     """
 
     estimate: float
@@ -589,23 +585,10 @@ class ConditionStar(NamedTuple):
     zero_denominator_nodes: Tuple[int, ...] = ()
 
 
-class DifferenceKernelResult(NamedTuple):
-    status: str               # "pass" | "fail" | "not-applicable"
-    condition: Optional[int] = None    # 1 = unimodal-type tails, 2 = mirrored
-    T1: Optional[float] = None
-    T2: Optional[float] = None
-    detail: str = ""
-
-
 class FeasibilityReport(NamedTuple):
     hypotheses: Dict[str, CheckResult]
     condition_star: Optional[ConditionStar] = None
     swap_recommended: bool = False
-    difference_kernel: Optional[DifferenceKernelResult] = None
-
-    @property
-    def hard_checks_pass(self) -> bool:
-        return all(r.ok for r in self.hypotheses.values())
 
     @property
     def refusal(self) -> Optional[str]:
@@ -763,7 +746,13 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
 
     # tail behavior: slope of log(integrand) against |y|^2 over the outer
     # 20% of the grid (by radius); positive slope means the truncated
-    # integrand is still growing at the boundary.
+    # integrand is still growing at the boundary.  Near the boundary a
+    # kernel column has mass off the grid, which truncates the integral of
+    # g * omega1 and lifts even a decaying integrand there, so the fit
+    # divides that integral by the column's grid mass, apply_T(1).  An inf
+    # kernel entry gives 0 * inf = NaN, which the fit skips as it skips 0
+    with np.errstate(invalid="ignore"):
+        integrand *= kernel.apply_T(np.ones(kernel.grid1.n_nodes))
     r2 = reduce(np.add.outer, [a * a for a in kernel.grid2.axes]).ravel()
     rmax = float(np.max(np.sqrt(r2)))
     outer = (np.sqrt(r2) >= 0.8 * rmax) & (integrand > 0)
@@ -810,93 +799,13 @@ def bernstein_multivariate_condition(S, S1, S2) -> bool:
     return bool(np.linalg.eigvalsh((M + M.T) / 2.0).min() > 0)
 
 
-# --------------------------------------------------------------------------
-# difference-kernel monotone-tail screen
-# --------------------------------------------------------------------------
-
-def _difference_profile(kernel: KernelOperator) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Sampled (t, U(t)) with t ascending, or None if not a difference
-    kernel: the first row and column of a 1-D kernel matrix that is Toeplitz
-    on a uniform shared spacing."""
-    if kernel.grid1.dim != 1:
-        return None
-    x, y = kernel.grid1.nodes, kernel.grid2.nodes
-    dx = np.diff(x)
-    if not np.allclose(np.concatenate((dx, np.diff(y))), dx[0], rtol=1e-9):
-        return None
-    # Toeplitz to 1e-9 of max |entry|: a row against the next, no n x n temporary
-    vals = kernel.values
-    tol = 1e-9 * (max(float(vals.max()), -float(vals.min())) or 1.0)
-    if not all(np.max(np.abs(below[1:] - row[:-1])) <= tol
-               for row, below in zip(vals, vals[1:])):
-        return None
-    # uniform shared spacing: t-values from the first row and first column
-    ts = np.concatenate([x[0] - y[::-1], x[1:] - y[0]])
-    us = np.concatenate([vals[0, ::-1], vals[1:, 0]])
-    order = np.argsort(ts)
-    return ts[order], us[order]
-
-
-def _monotone_prefix_end(u: np.ndarray, atol: float) -> int:
-    """Last index of the maximal non-decreasing prefix (tolerance -atol)."""
-    drops = np.flatnonzero(np.diff(u) < -atol)
-    return int(drops[0]) if drops.size else len(u) - 1
-
-
-def difference_kernel_tails(kernel: KernelOperator) -> DifferenceKernelResult:
-    """Screen a difference kernel U(x - y) for monotone tails.
-
-    Condition 1: U non-decreasing left of some T1 and non-increasing right of
-    some T2 >= T1; condition 2 is the mirror image.  On a truncated grid the
-    quantifiers degenerate, so we accept either a unimodal profile (the two
-    monotone runs overlap) or monotone runs that each cover at least
-    MIN_TAIL_FRACTION of the sampled span.  A 1-D Gaussian kernel's profile
-    is the Gaussian's, unimodal with its peak at 0, and is not sampled.
-    """
-    if kernel.grid1.dim == 1 and kernel.gaussian is not None:
-        return DifferenceKernelResult("pass", 1, 0.0, 0.0, "unimodal profile")
-    prof = _difference_profile(kernel)
-    if prof is None:
-        return DifferenceKernelResult("not-applicable", detail="kernel is not of difference form")
-    t, u = prof
-    atol = 1e-12 * (float(np.max(np.abs(u))) or 1.0)
-    span = t[-1] - t[0]
-
-    def tails(vals):
-        """(prefix-end index, suffix-start index) for non-decr/non-incr runs."""
-        i_star = _monotone_prefix_end(vals, atol)
-        j_star = len(vals) - 1 - _monotone_prefix_end(vals[::-1], atol)
-        return i_star, j_star
-
-    # condition 1: rising left tail, falling right tail
-    i1, j1 = tails(u)
-    if i1 >= j1:
-        # unimodal: pick the peak as the common threshold
-        return DifferenceKernelResult("pass", 1, float(t[j1]), float(t[i1]),
-                                      "unimodal profile")
-    if (t[i1] - t[0]) >= MIN_TAIL_FRACTION * span and (t[-1] - t[j1]) >= MIN_TAIL_FRACTION * span:
-        return DifferenceKernelResult("pass", 1, float(t[i1]), float(t[j1]),
-                                      "monotone tails beyond the thresholds")
-    # condition 2: falling left tail, rising right tail (mirror)
-    i2, j2 = tails(-u)
-    if i2 >= j2:
-        return DifferenceKernelResult("pass", 2, float(t[j2]), float(t[i2]),
-                                      "unimodal valley profile")
-    if (t[i2] - t[0]) >= MIN_TAIL_FRACTION * span and (t[-1] - t[j2]) >= MIN_TAIL_FRACTION * span:
-        return DifferenceKernelResult("pass", 2, float(t[i2]), float(t[j2]),
-                                      "monotone tails beyond the thresholds (mirrored)")
-    return DifferenceKernelResult("fail", detail="no monotone-tail pattern found "
-                                                 "(oscillatory or too-short runs)")
-
-
 def full_report(kernel: KernelOperator, marginals: MarginalPair) -> FeasibilityReport:
-    """Hypothesis checks + integrability estimate + swap advice + tail screen."""
+    """Hypothesis checks + integrability estimate + swap advice."""
     base = check_assumptions(kernel, marginals)
     cs = condition_star(kernel, marginals)
     swap = False
     if cs.verdict == "suspected-divergent":
         cs_swapped = condition_star(kernel.swapped(), swapped_marginals(marginals))
         swap = cs_swapped.verdict == "finite"
-    diff = difference_kernel_tails(kernel)
     return FeasibilityReport(hypotheses=base.hypotheses, condition_star=cs,
-                             swap_recommended=swap, difference_kernel=diff)
+                             swap_recommended=swap)

@@ -705,21 +705,22 @@ def _solve_counting_applies(raw, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("raw, scheme, closing, applies", [
     # the 401-point criterion-1 instance
-    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401)), 2, 8, 24),
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401)), 2, 8, 25),
     # the criterion-1 scales on the 41 x 41 grid
-    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41)), 2, 8, 24),
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41)), 2, 8, 25),
     # the criterion-2 post-swap instance on the 401-point radius-8 grid: the
     # Anderson step adds no apply to a closing step (the plain map takes 701)
     (dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401}, swap=True),
-     2, 74, 156),
+     2, 74, 157),
 ], ids=["gauss1d", "gauss2d", "swap"])
 def test_solve_makes_two_applies_per_step_and_four_more(raw, scheme, closing, applies,
                                                         tmp_path, monkeypatch):
-    # two applies per scheme and closing step, one in the feasibility
-    # report, one in the extraction and the coupling's two
+    # two applies per scheme and closing step, and four more: one in the
+    # feasibility report, one in the extraction and the coupling's two; the
+    # report's integrability tail fit adds one, its column mass apply_T(1)
     solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
     assert (solution.iterations, solution.refine_steps) == (scheme, closing)
-    assert calls == 2 * (scheme + closing) + 4 == applies
+    assert calls == 2 * (scheme + closing) + 4 + 1 == applies
 
 
 def test_package_and_cli_load_no_scipy():
@@ -881,14 +882,14 @@ def test_potentials_writer_holds_no_record_buffer(tmp_path):
     assert peak < 32 * 1024
 
 
-#: the package's immutable types: 14 NamedTuples and 9 quadrature.Frozen classes
+#: the package's immutable types: 13 NamedTuples and 9 quadrature.Frozen classes
 RECORDS = ("CheckResult", "ConditionStar", "ContractionBound", "Coupling",
-           "DensityField", "DifferenceKernelResult", "FeasibilityReport",
-           "FortetOptions", "FortetSolution", "GaussianBridgeSolution",
-           "HilbertTrace", "HomogeneityCheck", "Interpolation",
-           "IterationState", "KLObjective", "KernelOperator", "MarginalPair",
-           "Problem", "ProjectiveDiameter", "QuadratureGrid", "ScalingPair",
-           "StepLog", "UniquenessReport")
+           "DensityField", "FeasibilityReport", "FortetOptions",
+           "FortetSolution", "GaussianBridgeSolution", "HilbertTrace",
+           "HomogeneityCheck", "Interpolation", "IterationState",
+           "KLObjective", "KernelOperator", "MarginalPair", "Problem",
+           "ProjectiveDiameter", "QuadratureGrid", "ScalingPair", "StepLog",
+           "UniquenessReport")
 
 
 @pytest.fixture(scope="module")
@@ -907,7 +908,7 @@ def one_of_each(bench_grid, bench_kernel, bench_marginals, bench_solution,
         bench_grid,
         bench_marginals.omega1, bench_marginals, bench_kernel, report,
         report.hypotheses["kernel_bounded"], report.condition_star,
-        report.difference_kernel, fortet.FortetOptions(), bench_solution.steps,
+        fortet.FortetOptions(), bench_solution.steps,
         fortet.fortet_step(None, bench_kernel, bench_marginals), bench_solution,
         fortet.verify_uniqueness(bench_solution, bench_solution, bench_marginals),
         bench_scaling,

@@ -146,6 +146,56 @@ def test_scheme_monotone_and_normalized(bench_kernel, bench_marginals):
         assert state.diagnostics["normalization_residual"] < 1e-6
 
 
+#: steps of the paper's scheme run with no hand-over
+PAPER_STEPS = 1000
+
+
+def test_paper_scheme_decreases_to_the_closing_fixed_point():
+    # Fortet's truncated scheme as the paper states it, H_1 = 1, H_n =
+    # max(H''_{n-1}, eps_n), H'_n = Omega(H_n), H''_n = min(1, H'_n), on
+    # gauss1d's scales at 161 nodes over [-6, 6]: it decreases at every step
+    # (criterion 3's invariants), H''_n stays above the h that run_fortet's
+    # closing reaches, to that closing's tol, and converges to it
+    grid = build_grid(dim=1, radius=6.0, points_per_axis=161)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    tol = 1e-13
+    h = run_fortet(kernel, marginals, FortetOptions(tol=tol)).h
+    gate, high = marginals.omega1.values > 1e-12, h > 0.1
+
+    def gap(H_dprime, nodes):
+        return float(np.max(np.abs(np.log(H_dprime[nodes] / h[nodes]))))
+
+    # the paper's floor eps_n = 1/n, as fortet_step takes it
+    state, gaps = None, {}
+    for n in range(1, PAPER_STEPS + 1):
+        prev, state = state, fortet_step(state, kernel, marginals)
+        if prev is not None:
+            assert np.all(state.H <= prev.H) and np.all(state.H_prime <= prev.H_prime)
+            assert not np.any(state.J_mask & ~prev.J_mask)
+        assert state.diagnostics["normalization_residual"] < 1e-8
+        assert np.all(state.H_dprime[gate] >= h[gate] * (1.0 - tol))
+        if n in (10, 100, 1000):
+            gaps[n] = gap(state.H_dprime, high), gap(state.H_dprime, gate)
+    # on {h > 0.1} the gap falls about as n^-0.7 (0.373, 0.069, 0.0137 at
+    # n = 10, 100, 1000): more than 4x a decade.  Where h < 1/n, H_n sits on
+    # the floor, and h reaches 1.4e-10 on the gate, so there it is still 4.56
+    assert gaps[100][0] < gaps[10][0] / 4 and gaps[1000][0] < gaps[100][0] / 4
+    assert gaps[1000][1] > 4.0
+
+    # a geometric floor max(2^-n, 1e-300): the cap's own creep decays
+    # geometrically, and the scheme meets h on the whole gate (1.2e-14)
+    H, prev_image = np.ones(grid.n_nodes), None
+    for n in range(1, PAPER_STEPS + 1):
+        image = omega_map(H, kernel, marginals)
+        if prev_image is not None:
+            assert np.all(image <= prev_image)
+        H_dprime = np.minimum(1.0, image)
+        assert np.all(H_dprime[gate] >= h[gate] * (1.0 - tol))
+        H, prev_image = np.maximum(H_dprime, max(2.0 ** -(n + 1), 1e-300)), image
+    assert gap(H_dprime, gate) <= 1e-12
+
+
 def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginals):
     sol = bench_solution
     assert sol.case_tag == "case2"
@@ -268,12 +318,13 @@ def test_scaled_map_is_bitwise_the_unscaled_one_on_the_benchmark(bench_kernel,
 def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     # the heat factor stores its entries below TINY as 0, and every apply
     # takes its argument at a power-of-two scale: no subnormal operand
-    # reaches a kernel product, in the map, the extraction or the coupling
+    # reaches a kernel product, in the feasibility report, the map, the
+    # extraction or the coupling
     from tests.conftest import contract_extremes
     from fortetbridge.problem import TINY
     with contract_extremes() as seen:
         run_fortet(*swap_instance)
-    assert len(seen) == 2 * 76 + 4
+    assert len(seen) == 2 * 76 + 5
     assert min(factor for factor, _ in seen) >= TINY
     assert min(argument for _, argument in seen) >= TINY
 
@@ -580,8 +631,9 @@ def test_solve_holds_a_fixed_working_set(points, dim):
 def test_load_and_solve_hold_no_node_mesh():
     # a 21^3 problem from build_grid to its solution: the weights, the
     # marginals and the solve's working set above.  The marginals read the
-    # node mesh once, and the tail screen reads the axes; a mesh the grid
-    # held throughout, three node arrays, took the peak to 16.6 arrays
+    # node mesh once, and condition_star's tail fit reads the axes; a mesh
+    # the grid held throughout, three node arrays, took the peak to 16.6
+    # arrays
     def load_and_solve():
         grid = build_grid(dim=3, radius=8.0, points_per_axis=21)
         kernel = gaussian_kernel(grid, grid, 0.5)
