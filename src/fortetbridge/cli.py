@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from itertools import chain
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -64,87 +64,78 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, headers, tables) -> None:
-    """Write a CSV artifact: a header row, then each table's rows in turn.
+def _write_csv(path: Path, headers, columns) -> None:
+    """Write a CSV artifact: a header row, then one row per cell of the
+    equal-length columns.
 
-    A table is a list of equal-length columns.  A column is a numeric,
-    non-bool array, whose cells are its values by repr with NaN as an empty
-    cell, a range of ints, or a sequence whose slices are lists of ready
-    cells (a list, or a _MeshColumn).  Cells and headers must need no
-    quoting; rows end in CRLF, so the bytes are what csv.writer writes for
-    the same cells.  Each block of CSV_BLOCK_ROWS rows is formatted and
-    written at once, which keeps the Python objects held at a time small:
-    a block's cell lists are gone before its str is formatted, and the file
-    keeps a 64-byte buffer, not a page, since a block is one write anyway.
+    A column is a numeric, non-bool array, whose cells are its values by
+    repr with NaN as an empty cell, or an iterator of ready str cells.
+    Cells and headers must need no quoting; rows end in CRLF, so the bytes
+    are what csv.writer writes for the same cells.  Each block of
+    CSV_BLOCK_ROWS rows is formatted and written at once (an array sliced,
+    an iterator taken with islice), which keeps the Python objects held at
+    a time small: a block's cell lists are gone before its str is
+    formatted, and the file keeps a 64-byte buffer, not a page, since a
+    block is one write anyway.
     """
     import numpy as np
+    has_nan = [isinstance(c, np.ndarray) and bool(np.isnan(c).any()) for c in columns]
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
     with path.open("wb", buffering=64) as fh:
         fh.write((",".join(headers) + "\r\n").encode())
-        for columns in tables:
-            has_nan = [isinstance(c, np.ndarray) and bool(np.isnan(c).any())
-                       for c in columns]
-            row = ",".join(["%s"] * len(columns)) + "\r\n"
-            for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-                cells = []
-                for c, nan in zip(columns, has_nan):
-                    part = c[i:i + CSV_BLOCK_ROWS]
-                    if isinstance(part, range):
-                        part = list(part)
-                    elif not isinstance(part, list):
-                        part = part.tolist()
-                    cells.append(["" if v != v else v for v in part] if nan else part)
-                n, cells = len(cells[0]), tuple(chain.from_iterable(zip(*cells)))
-                # str of a float is its repr; the block's str and its bytes
-                # are held together only while it is encoded
-                fh.write((row * n % cells).encode())
+        for i in count(0, CSV_BLOCK_ROWS):
+            cells = []
+            for c, nan in zip(columns, has_nan):
+                part = (c[i:i + CSV_BLOCK_ROWS].tolist() if isinstance(c, np.ndarray)
+                        else list(islice(c, CSV_BLOCK_ROWS)))
+                cells.append(["" if v != v else v for v in part] if nan else part)
+            if not cells[0]:
+                break
+            n, cells = len(cells[0]), tuple(chain.from_iterable(zip(*cells)))
+            # str of a float is its repr; the block's str and its bytes
+            # are held together only while it is encoded
+            fh.write((row * n % cells).encode())
 
 
 def _write_trace(path: Path, log) -> None:
-    """trace.csv from a run's fortet.StepLog, read in place: the scheme rows,
-    then the closing rows, whose case1_candidate cells are all false."""
-    split, rows = log.scheme_steps, len(log)
-    floats = [log.column(name) for name in TRACE_COLUMNS[1:4]]
-    _write_csv(path, TRACE_COLUMNS, [
-        [range(1, split + 1)] + [c[:split] for c in floats]
-        + [[_fmt(c) for c in log.case1_candidate]],
-        [range(split + 1, rows + 1)] + [c[split:] for c in floats]
-        + [_MeshColumn(["false"], 1, rows - split)]])
+    """trace.csv from a run's fortet.StepLog, read in place: the closing
+    rows' case1_candidate cells are false."""
+    rows = len(log)
+    _write_csv(path, TRACE_COLUMNS,
+               [map(str, range(1, rows + 1))]
+               + [log.column(name) for name in TRACE_COLUMNS[1:4]]
+               + [chain(map(_fmt, log.case1_candidate),
+                        repeat("false", rows - log.scheme_steps))])
 
 
-class _MeshColumn:
-    """A coordinate column of an 'ij' mesh, each axis value formatted once:
-    row r reads cells[(r // stride) % len(cells)].  A slice is a list of
-    ready cells, which is what _write_csv reads."""
-
-    def __init__(self, cells, stride: int, rows: int):
-        self.cells, self.stride, self.rows = cells, stride, rows
-
-    def __len__(self) -> int:
-        return self.rows
-
-    def __getitem__(self, rows: slice) -> list:
-        cells, stride, m = self.cells, self.stride, len(self.cells)
-        return [cells[r // stride % m] for r in range(*rows.indices(self.rows))]
-
-
-def _coordinates(grid):
-    """Column headers and the columns of the node coordinates.  A 1-D grid's
-    column is its axis; in d >= 2 the nodes are the axes' 'ij' mesh, so each
-    axis value is formatted once, not once per node."""
+def _coordinates(grid, slices: int = 1):
+    """Column headers and the coordinate columns of slices copies of the
+    nodes, one after another.  A single 1-D slice's column is its axis, an
+    array, which holds no str per node; otherwise the nodes are the axes' 'ij' mesh, and each axis's column is
+    an iterator over its values, each formatted once, not once per node:
+    each cell repeated by the product of the later axes' sizes, and the
+    whole run repeated by the earlier axes' sizes times slices."""
     headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
-    if grid.dim == 1:
+    if grid.dim == 1 and slices == 1:
         return headers, list(grid.axes)
     sizes = [len(ax) for ax in grid.axes]
-    return headers, [_MeshColumn([repr(v) for v in ax.tolist()],
-                                 math.prod(sizes[k + 1:]), grid.n_nodes)
+    return headers, [_mesh_cells([repr(v) for v in ax.tolist()],
+                                 math.prod(sizes[k + 1:]),
+                                 slices * math.prod(sizes[:k]))
                      for k, ax in enumerate(grid.axes)]
+
+
+def _mesh_cells(cells, stride: int, runs: int):
+    """cells, each repeated stride times, runs times over, generated a cell
+    at a time: itertools.cycle would keep a reference per row."""
+    return chain.from_iterable(repeat(c, stride) for _ in range(runs) for c in cells)
 
 
 def _write_potentials(path: Path, grid, columns) -> None:
     """columns: list of (name, 1-D array) written after the node coordinates."""
     headers, coords = _coordinates(grid)
     _write_csv(path, headers + [name for name, _ in columns],
-               [coords + [arr for _, arr in columns]])
+               coords + [arr for _, arr in columns])
 
 
 def _check_payload(report) -> dict:
@@ -268,11 +259,10 @@ def cmd_interpolate(args) -> int:
         return 2
     interp = bridge.entropic_interpolation(solution.phi, solution.psi,
                                            problem.kernel, times)
-    headers, coords = _coordinates(problem.grid)
+    headers, coords = _coordinates(problem.grid, len(interp.times))
+    t_cells = _mesh_cells([_fmt(float(t)) for t in interp.times], problem.grid.n_nodes, 1)
     _write_csv(out / "interpolation.csv", ["t"] + headers + ["density"],
-               ([_MeshColumn([_fmt(float(t))], len(density), len(density))]
-                + coords + [density]
-                for t, density in zip(interp.times, interp.densities)))
+               [t_cells] + coords + [interp.densities.reshape(-1)])
     payload = _solution_payload(problem, solution, kl)
     payload["interpolation_times"] = list(interp.times)
     payload["interpolation_masses"] = list(interp.masses)

@@ -145,14 +145,17 @@ def _flag(raw: Dict[str, object], key: str) -> bool:
 
 def _check_solver(solver: Dict[str, object]) -> None:
     """Refuse a solver value its FortetOptions field would misread: force
-    must be a JSON boolean (bool("false") is true), max_iter an integer,
-    and tol finite and positive (a tol of -1 is never met)."""
+    must be a JSON boolean (bool("false") is true), max_iter an integer of
+    at least 1 (a cap of 0 would read as non-convergence), and tol finite
+    and positive (a tol of -1 is never met)."""
     if not isinstance(solver["force"], bool):
         raise ConfigError(f"solver.force must be true or false, not {solver['force']!r}")
     max_iter = solver["max_iter"]
     # type, not isinstance: a bool is an int
     if not (type(max_iter) is int or type(max_iter) is float and max_iter.is_integer()):
         raise ConfigError(f"solver.max_iter must be an integer, not {max_iter!r}")
+    if max_iter < 1:
+        raise ConfigError(f"solver.max_iter must be at least 1, not {max_iter!r}")
     if not 0 < _number(solver["tol"], "solver.tol") < math.inf:
         raise ConfigError(f"solver.tol must be finite and positive, not {solver['tol']!r}")
 

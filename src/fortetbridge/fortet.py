@@ -617,13 +617,14 @@ class UniquenessReport(NamedTuple):
 def _ray_ratio(num: np.ndarray, den: np.ndarray) -> Tuple[float, float]:
     """Median l_med of l = log num - log den and the spread
     exp(l_max - l_med) - exp(l_min - l_med), i.e. (max - min)/median of
-    num/den read without overflow.  A node where the ratio is 0, inf or NaN
-    reads no ray constant: it makes the spread inf and is left out of the
+    num/den read without overflow.  A node where both are 0 carries no ray
+    constant and is dropped.  A node where the ratio is 0, inf or NaN
+    contradicts the ray: it makes the spread inf and is left out of the
     median (inf if no node is left)."""
     with np.errstate(all="ignore"):
-        l = np.log(num) - np.log(den)
+        l = (np.log(num) - np.log(den))[(num != 0) | (den != 0)]
         ok = np.isfinite(l)
-        if not ok.all():
+        if not ok.all() or not l.size:
             return (float(np.median(l[ok])) if ok.any() else math.inf), math.inf
         med = float(np.median(l))
         return med, float(np.exp(l.max() - med) - np.exp(l.min() - med))

@@ -128,9 +128,17 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
             cov = np.eye(grid.dim) * cov[0, 0]
         _require_spd(cov, "marginal covariance")
         prec = np.linalg.inv(cov)
-        x = grid.nodes
-        q = np.einsum("ni,ij,nj->n", x, prec, x)
-        vals = np.exp(-0.5 * q) / math.sqrt((2.0 * math.pi) ** grid.dim * np.linalg.det(cov))
+        # x P x over the 'ij' mesh from the broadcast axes, no node mesh:
+        # the terms (x_i P_ij) x_j summed in einsum("ni,ij,nj->n")'s order
+        x = np.ix_(*grid.axes)
+        vals = np.zeros([len(ax) for ax in grid.axes])
+        for i in range(grid.dim):
+            for j in range(grid.dim):
+                vals += (x[i] * prec[i, j]) * x[j]
+        vals *= -0.5
+        np.exp(vals, out=vals)
+        vals /= math.sqrt((2.0 * math.pi) ** grid.dim * np.linalg.det(cov))
+        vals = vals.reshape(-1)
     return density_field(grid, vals, renormalize=True)
 
 

@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Interleaved in-process A/B of the CLI solve op across two source trees.
+
+    python3 tests/solve_ab.py OLD_SRC NEW_SRC [PAIRS]
+
+OLD_SRC and NEW_SRC are two `src/` directories (each holding the
+fortetbridge package).  Both trees are imported into one process
+(closing_steps.load_tree), and each bench workload's seed-0 config is
+written through bench/workloads.  Each tree runs the op once untimed; then
+PAIRS pairs (default 200) are timed, each pair running both trees' `cli.main
+(["solve", ...])` back to back, the tree that goes first alternating from
+pair to pair.  One line is printed per workload: each tree's median op time
+[quartiles] in ms, the pairs the new tree won, and whether the two trees'
+exit codes, stdout and artifacts match.
+
+Its numbers are diagnostics, one process on one host: a speed claim comes
+from bench/run.py.  The script only reads bench/; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("gauss1d", "gauss2d", "swap")
+
+
+def run(tree, config: Path, out: Path):
+    """(seconds, exit code, stdout) of one solve op; stderr is dropped, since
+    it carries wall times."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        started = time.perf_counter()
+        code = tree.cli.main(["solve", "--config", str(config), "--output", str(out)])
+        elapsed = time.perf_counter() - started
+    return elapsed, code, stdout.getvalue()
+
+
+def artifacts(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def summary(times) -> str:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return f"{1e3 * median:.3f} [{1e3 * q1:.3f}, {1e3 * q3:.3f}] ms"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("pairs", type=int, nargs="?", default=200)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    sys.path.insert(0, str(ROOT / "tests"))
+    import workloads
+    from closing_steps import load_tree
+
+    trees = {}
+    for side, src in (("old", args.old_src), ("new", args.new_src)):
+        trees[side] = load_tree(src, f"fortetbridge_{side}")
+        importlib.import_module(f"fortetbridge_{side}.cli")
+    with tempfile.TemporaryDirectory(prefix="solve_ab_") as work:
+        for name in WORKLOADS:
+            config = workloads.write_config(workloads.make_workload(name, 0),
+                                            Path(work) / name)
+            outs = {side: config.parent / side for side in trees}
+            first = {side: run(tree, config, outs[side])[1:] + (artifacts(outs[side]),)
+                     for side, tree in trees.items()}
+            times = {side: [] for side in trees}
+            for pair in range(args.pairs):
+                order = ("old", "new") if pair % 2 == 0 else ("new", "old")
+                for side in order:
+                    times[side].append(run(trees[side], config, outs[side])[0])
+            won = sum(n < o for o, n in zip(times["old"], times["new"]))
+            match = "match" if first["old"] == first["new"] else "DIFFER"
+            print(f"{name}: old {summary(times['old'])}; new {summary(times['new'])}; "
+                  f"new faster in {won} of {args.pairs}; exit, stdout and "
+                  f"artifacts {match}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -775,8 +775,8 @@ SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -2.5e-300]
                                   cli.CSV_BLOCK_ROWS + 1, 1681])
 def test_csv_writer_matches_csv_module_bytes(tmp_path, rows):
     # the column-wise writer against the per-row csv.writer it replaced:
-    # special floats, NaN as an empty cell, ints and bools as ready cells,
-    # an int array, and a 2-D grid's coordinate columns
+    # special floats, NaN as an empty cell, iterators of ready int and bool
+    # cells, an int array, and a 2-D grid's coordinate columns
     grid = build_grid(dim=2, radius=8.0, points_per_axis=41)
     x1, x2 = grid.nodes.reshape(-1, 2)[:rows].T
     rng = np.random.default_rng(5)
@@ -786,8 +786,8 @@ def test_csv_writer_matches_csv_module_bytes(tmp_path, rows):
     flags = [bool(i % 3) for i in range(rows)]
     headers = ["x1", "x2", "value", "n", "k", "flag"]
     cli._write_csv(tmp_path / "new.csv", headers,
-                   [[x1, x2, floats, ints, [cli._fmt(int(k)) for k in ints],
-                     [cli._fmt(f) for f in flags]]])
+                   [x1, x2, floats, ints, (cli._fmt(int(k)) for k in ints),
+                    map(cli._fmt, flags)])
     _csv_reference(tmp_path / "ref.csv", headers,
                    zip(x1.tolist(), x2.tolist(), floats.tolist(), ints.tolist(),
                        ints.tolist(), flags))
@@ -840,9 +840,10 @@ def test_mesh_coordinates_match_the_node_columns(tmp_path, dim, points):
     headers, coords = cli._coordinates(grid)
     cli._write_potentials(tmp_path / "p.csv", grid, [("phi", values)])
     cli._write_csv(tmp_path / "ref.csv", headers + ["phi"],
-                   [list(grid.nodes.reshape(grid.n_nodes, dim).T) + [values]])
+                   list(grid.nodes.reshape(grid.n_nodes, dim).T) + [values])
     assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert all(len(c) == grid.n_nodes for c in coords)
+    assert all(len(c) if isinstance(c, np.ndarray) else sum(1 for _ in c)
+               == grid.n_nodes for c in coords)
 
 
 def test_interpolation_csv_matches_csv_module(tmp_path):
@@ -872,14 +873,17 @@ def test_interpolation_csv_matches_csv_module(tmp_path):
 
 def test_potentials_writer_holds_no_record_buffer(tmp_path):
     # csv.writer's first row allocates a 128 KiB record buffer that lives as
-    # long as the writer; the block writer holds one block of cells at a time
-    grid = build_grid(dim=2, radius=8.0, points_per_axis=41)
+    # long as the writer; the block writer holds one block of cells at a
+    # time, and a mesh column no reference per row (72 kB at 21^3)
     rng = np.random.default_rng(7)
-    columns = [(name, rng.lognormal(0.0, 3.0, grid.n_nodes)) for name in ("phi", "psi", "h")]
-    path = tmp_path / "potentials.csv"
-    cli._write_potentials(path, grid, columns)
-    _, peak = traced_peak(lambda: cli._write_potentials(path, grid, columns))
-    assert peak < 32 * 1024
+    for dim, points in ((2, 41), (3, 21)):
+        grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+        columns = [(name, rng.lognormal(0.0, 3.0, grid.n_nodes))
+                   for name in ("phi", "psi", "h")]
+        path = tmp_path / "potentials.csv"
+        cli._write_potentials(path, grid, columns)
+        _, peak = traced_peak(lambda: cli._write_potentials(path, grid, columns))
+        assert peak < 32 * 1024
 
 
 #: the package's immutable types: 13 NamedTuples and 9 quadrature.Frozen classes
@@ -972,6 +976,7 @@ def _malformed(path, value):
     ("kernel.sigma", "x"), ("marginals.0.sigma", "x"), ("solver.tol", "tight"),
     ("solver.tol", -1.0), ("solver.tol", 0.0), ("solver.tol", math.inf),
     ("solver.max_iter", None), ("solver.max_iter", 1.7), ("solver.max_iter", "7"),
+    ("solver.max_iter", 0), ("solver.max_iter", -3),
     ("solver.force", "false"), ("solver.force", 1), ("swap", "false"), ("swap", 2),
     ("normalize_kernel_rows", "no"), ("normalize_kernel_rows", None)])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value):

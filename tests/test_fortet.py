@@ -561,7 +561,8 @@ def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
     # ANDERSON_M = 0 is the plain map; both closings stop on the same
     # certificate, so they agree to what the 1e-10 tolerance allows.  On
     # swap both set phi to 0 at the same nodes (96 of them on the gate),
-    # which have no ray constant; the ray is read on the others
+    # which carry no ray constant; phi zeroed on one side only at one more
+    # gated node contradicts the ray
     from types import SimpleNamespace
     for kernel, marginals in ((bench_kernel, bench_marginals), swap_instance):
         accelerated = run_fortet(kernel, marginals)
@@ -571,10 +572,12 @@ def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
         assert accelerated.refine_steps < plain.refine_steps
         kept = plain.phi > 0
         assert np.array_equal(accelerated.phi > 0, kept)
-        gate = SimpleNamespace(omega1=SimpleNamespace(
-            values=np.where(kept, marginals.omega1.values, 0.0)),
-            omega2=marginals.omega2)
-        assert verify_uniqueness(accelerated, plain, gate, tol=1e-8).consistent
+        assert verify_uniqueness(accelerated, plain, marginals, tol=1e-8).consistent
+        node = np.flatnonzero(kept & (marginals.omega1.values > fortet.SUPPORT_THRESHOLD))[0]
+        one_sided = SimpleNamespace(phi=np.where(np.arange(kept.size) == node, 0.0,
+                                                 accelerated.phi), psi=accelerated.psi)
+        report = verify_uniqueness(one_sided, plain, marginals, tol=1e-8)
+        assert report.ratio_spread_phi == math.inf and not report.consistent
 
 
 def test_solve_keeps_no_per_step_arrays(swap_instance):

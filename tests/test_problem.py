@@ -35,6 +35,34 @@ def test_gaussian_density_unit_mass(bench_grid):
     assert dens.mass() == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("dim, points", [(2, 41), (3, 21)])
+def test_gaussian_density_matches_the_einsum_formula(dim, points):
+    # summed over the axes' broadcast, the quadratic form is the node mesh's
+    # einsum bit for bit, on random SPD covariances and a scalar one
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        a = rng.normal(size=(dim, dim))
+        for cov in (a @ a.T + 0.3 * np.eye(dim), 0.64):
+            full = np.eye(dim) * cov if np.isscalar(cov) else cov
+            x = grid.nodes
+            q = np.einsum("ni,ij,nj->n", x, np.linalg.inv(full), x)
+            vals = np.exp(-0.5 * q) / math.sqrt((2.0 * math.pi) ** dim
+                                                * np.linalg.det(full))
+            vals = vals / float(np.sum(grid.weights * vals))
+            assert np.array_equal(gaussian_density(grid, cov).values, vals)
+
+
+def test_gaussian_density_builds_no_node_mesh():
+    # the mesh is n x 3 floats and its einsum's terms more: at most three
+    # node arrays, the density, its renormalized copy and the mass's product
+    grid = build_grid(dim=3, radius=8.0, points_per_axis=21)
+    cov = np.diag([1.0, 0.64, 0.5])
+    gaussian_density(grid, cov)
+    _, peak = traced_peak(lambda: gaussian_density(grid, cov))
+    assert peak <= 3 * 8 * grid.n_nodes
+
+
 def test_density_rejects_negative_values(bench_grid):
     vals = np.ones(bench_grid.n_nodes)
     vals[7] = -0.5
