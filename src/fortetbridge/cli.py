@@ -111,10 +111,11 @@ def _write_trace(path: Path, log) -> None:
 def _coordinates(grid, slices: int = 1):
     """Column headers and the coordinate columns of slices copies of the
     nodes, one after another.  A single 1-D slice's column is its axis, an
-    array, which holds no str per node; otherwise the nodes are the axes' 'ij' mesh, and each axis's column is
-    an iterator over its values, each formatted once, not once per node:
-    each cell repeated by the product of the later axes' sizes, and the
-    whole run repeated by the earlier axes' sizes times slices."""
+    array, which holds no str per node.  Otherwise the nodes are the axes'
+    'ij' mesh, and each axis's column is an iterator over its values, each
+    formatted once, not once per node: each cell repeated by the product of
+    the later axes' sizes, and the whole run repeated by the earlier axes'
+    sizes times slices."""
     headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
     if grid.dim == 1 and slices == 1:
         return headers, list(grid.axes)

@@ -573,7 +573,8 @@ def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
         kept = plain.phi > 0
         assert np.array_equal(accelerated.phi > 0, kept)
         assert verify_uniqueness(accelerated, plain, marginals, tol=1e-8).consistent
-        node = np.flatnonzero(kept & (marginals.omega1.values > fortet.SUPPORT_THRESHOLD))[0]
+        gated = marginals.omega1.values > fortet.SUPPORT_THRESHOLD
+        node = np.flatnonzero(kept & gated)[0]
         one_sided = SimpleNamespace(phi=np.where(np.arange(kept.size) == node, 0.0,
                                                  accelerated.phi), psi=accelerated.psi)
         report = verify_uniqueness(one_sided, plain, marginals, tol=1e-8)
