@@ -156,7 +156,8 @@ def _solution_payload(problem, solution, kl) -> dict:
         "problem_hash": problem.problem_hash,
         "config": problem.config,
         "case_tag": solution.case_tag,
-        # the scheme hands over where its case fires
+        # the scheme hands over at its first step, whose image decides the
+        # case; both keys read 1
         "trigger_iteration": solution.iterations,
         "iterations": solution.iterations,
         "refine_steps": solution.refine_steps,

@@ -23,8 +23,8 @@ rescaled to unit mass unless its "renormalize" is false (a JSON boolean,
 or 0 or 1).  A radius of "auto" expands to 6.5 x the largest Gaussian
 standard deviation in the problem, each read from the one key its kernel
 or marginal is built from (a stray "sigma" on a table, say, is not read).
-solver.max_iter caps Sinkhorn's sweeps and Fortet's scheme steps; the
-scheme hands over by n = 2, so for Fortet only a cap of 1 stops it.  The
+solver.max_iter caps Sinkhorn's sweeps only: Fortet's solve runs one
+scheme step and its closing, which fortet.REFINE_MAX bounds.  The
 problem hash is the sha256 of the resolved config in canonical JSON form
 (sorted keys, no whitespace), so two runs with the same hash saw the same
 fully-resolved instance.  build_problem returns a Problem, a NamedTuple of
@@ -122,7 +122,12 @@ def _gaussian_scales(raw: Dict[str, object], dim: int):
 
 def _number(value, key: str, cast=float):
     """cast(value), which a JSON number or a numeric string passes, or a
-    ConfigError naming key."""
+    ConfigError naming key.  An int cast also refuses a bool and a float
+    that is not integral, which int() would truncate (true reads 1, 101.7
+    reads 101)."""
+    if cast is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError) as exc:

@@ -11,8 +11,9 @@ h = Omega(h) with
     Omega(h)(x) = Int g(x,y) omega2(y) / G(h, y) dy,
     G(h, y)     = Int g(z,y) omega1(z) / h(z) dz.
 
-The truncated scheme iterates H_n = max(H''_{n-1}, 1/n), H'_n = Omega(H_n),
-H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes terminate it:
+The truncated scheme (fortet_step) iterates H_n = max(H''_{n-1}, 1/n),
+H'_n = Omega(H_n), H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes
+terminate it:
 
 * case 1 - at some finite n0 the iterate satisfies H'_{n0} <= 1 everywhere
   on the support of omega1.
@@ -22,38 +23,29 @@ H''_n = min(1, H'_n) starting from H_1 = 1.  Two regimes terminate it:
   floor max(2^-n, 1e-300)), but the 1/n floor holds every node where h <
   1/n on the floor and sets an algebraic rate: on {h > 0.1} the scheme's
   gap to h falls about as n^-0.7.  So no pointwise-change threshold can
-  fire in reasonable time; the scheme hands over at n = 2, its first step
-  with a Hilbert step.
+  fire in reasonable time.
 
-Both cases close the same way: the 1/n floor drops to FLOOR_FREEZE and the
-map is iterated on the ray through sup = 1 over the omega1 support (the
-scale the capped scheme approaches) until its Hilbert step is below tol.
-Omega is positively homogeneous, so every point of a fixed ray solves the
-system.  In case 1 at n = 1 the sup-1 point is also the unscaled limit to
-rounding: Int (omega1 / H) Omega(H) = Int omega2 for every H, so for
-unit-mass marginals the omega1-weighted mean of Omega(1) is 1, and
-sup_A Omega(1) lies in [1, 1 + CASE1_EPS]; the rescale moves h by at most
-1e-12 relative.
+run_fortet takes the scheme's first image H'_1 = Omega(1) and hands over
+at n = 1: in case 1 if H'_1 <= 1 + CASE1_EPS on the omega1 support, in
+case 2 otherwise.  Both cases close the same way: the 1/n floor drops to
+FLOOR_FREEZE and the map is iterated from H'_1 on the ray through sup = 1
+over the omega1 support (the scale the capped scheme approaches) until its
+Hilbert step is below tol.  Omega is positively homogeneous, so every point
+of a fixed ray solves the system.  In case 1 the sup-1 point is also the
+unscaled limit to rounding: Int (omega1 / H) Omega(H) = Int omega2 for
+every H, so for unit-mass marginals the omega1-weighted mean of Omega(1) is
+1, and sup_A Omega(1) lies in [1, 1 + CASE1_EPS]; the rescale moves h by at
+most 1e-12 relative.
 
-From n = 2 on the scheme's Hilbert step is just its 1/n floor moving, which
-most of the omega1 support sits on.  H_1 = 1 is constant and H_2 lies
-between 1/2 and 1, so d_H(H_2, H_1) <= log 2, and Omega never expands the
-Hilbert metric (Birkhoff-Hopf): d_H(H'_2, H'_1) <= log 2 too.  On the
-Gaussian benchmark the step reads 0.668 at n = 2 against log 2 = 0.693, and
-about log(n/(n-1)) after that on every instance, so the steps past n = 2
-only move the floor and are better spent in the closing phase.  The n = 2
-step stays in the record as a diagnostic; no threshold reads it.
-
-The closing starts from the scheme's first image H'_1 = Omega(1), at
-whichever n the scheme handed over.  Omega(1) is as smooth as the kernel,
-while H_2 = max(min(1, H'_1), 1/2) has two kinks, where the cap and the
-floor take hold, and Omega carries them into H'_2.  The closing's Anderson
-step fits the error from its last two differences, and fewer error modes
-make that fit reach tol sooner: on the 1-D and 2-D Gaussian benchmark
-instances it takes 8 steps from H'_1 against 17 and 20 from H'_2, while the
-plain map takes about as many from either (45 and 46 on the 1-D instance).
-H'_1 is alive through the n = 2 step as that step's previous image, so
-keeping it adds no array to the peak.
+The scheme's later steps feed the closing nothing.  From n = 2 on its
+Hilbert step is only the 1/n floor moving, which most of the omega1 support
+sits on: 1/2 <= H_2 <= 1 = H_1 and Omega does not expand the Hilbert metric
+(Birkhoff-Hopf), so d_H(H'_2, H'_1) <= log 2, and about log(n/(n-1)) after
+that.  Nor is H'_2 a better start: H_2 = max(min(1, H'_1), 1/2) has two
+kinks, where the cap and the floor take hold, while Omega(1) is as smooth
+as the kernel, and the closing's Anderson step, which fits the error from
+its last two differences, takes 8 steps from H'_1 on the 1-D and 2-D
+Gaussian benchmark instances against 17 and 20 from H'_2.
 
 The closing phase accelerates the map with a safeguarded Anderson step on
 log h (Walker & Ni, SIAM J. Numer. Anal. 2011).  Every closing step still
@@ -62,7 +54,7 @@ the closing iterates are genuine fixed points to machine precision, which
 the returned residuals certify.
 
 The published argument proves convergence of the truncated scheme but gives
-no stopping rule; the hand-over at n = 2 used here is an implementation
+no stopping rule; the hand-over at n = 1 used here is an implementation
 decision, recorded in the package docs.
 """
 
@@ -82,8 +74,8 @@ from .quadrature import Frozen
 #: beneath it are not representable in float64 anyway (the iterate sits on
 #: the floor there, and the convergence mask ignores those nodes)
 FLOOR_FREEZE = 1e-300
-#: the scheme hands over in case 1 once H' <= 1 + CASE1_EPS on the omega1
-#: support and in case 2 at n = 2 (module docstring); a sup below
+#: the scheme hands over at n = 1, in case 1 if H'_1 <= 1 + CASE1_EPS on the
+#: omega1 support and in case 2 otherwise (module docstring); a sup below
 #: DEGENERATE_EPS is degenerate; the closing phase gets REFINE_MAX steps
 CASE1_EPS = 1e-12
 DEGENERATE_EPS = 1e-13
@@ -206,7 +198,8 @@ class FortetSolution(Frozen):
 
     @property
     def iterations(self) -> int:
-        """Scheme steps run; the last is where the case fired."""
+        """Scheme steps run: 1, the step n = 1 whose image decides the case
+        and starts the closing (module docstring)."""
         return self.steps.scheme_steps
 
     @property
@@ -521,17 +514,17 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
 
 def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
                opts: FortetOptions = FortetOptions()) -> FortetSolution:
-    """Run the truncated scheme to a tagged solution.
+    """Solve by the scheme's first step and the closing (module docstring),
+    to a tagged solution.
 
     Raises the refusal of the instance's full_report, if it has one, as a
-    FeasibilityError unless opts.force is set; the report is not kept.  The
+    FeasibilityError unless opts.force is set; the report is not kept.
+    opts.max_iter is not read: the closing is bounded by REFINE_MAX.  The
     run's StepLog, a row of scalars per step, is attached to the solution
-    (and to the NonConvergenceError raised when the iteration cap is hit:
-    the scheme hands over by n = 2, so only opts.max_iter = 1 stops it, or
-    when the closing fails); a step's arrays are dropped once the next step
-    exists, except the first image Omega(1), from which the closing starts
-    and which it drops once it has formed its first input; the scheme's
-    steps still decide the case tag.  A marginal residual above
+    (and to the NonConvergenceError raised when the closing fails).  The
+    scheme step's image Omega(1) decides the case tag; the closing starts
+    from it and drops it once it has formed its first input.  A marginal
+    residual above
     sqrt(opts.tol) times its marginal's peak is warned of: the closing's
     Hilbert step skips floor-pinned nodes, so it can stop short.
     """
@@ -545,30 +538,21 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
 
     mass2 = marginals.omega2.mass()
     log = StepLog()
-    state: Optional[IterationState] = None
-    for n0 in (1, 2):
-        if n0 > opts.max_iter:
-            raise NonConvergenceError(
-                f"no termination case triggered within max_iter={opts.max_iter}", log)
-        state = fortet_step(state, kernel, marginals, mass2)
-        if n0 == 1:
-            # the closing starts from H'_1 = Omega(1) (module docstring); it
-            # takes it out of this list, so that no reference here keeps it
-            # alive through the closing phase
-            start = [state.H_prime]
-        d = state.diagnostics
-        case1 = d["case1_candidate"]
-        log.append(d["sup_change"], d["normalization_residual"], d["hilbert_step"], case1)
-        if float(state.H_prime.max()) < DEGENERATE_EPS:
-            return FortetSolution(h=state.H_prime, case_tag="degenerate", coupling=None,
-                                  warnings=("iterate collapsed below the degeneracy "
-                                            "threshold; no potentials extracted",),
-                                  steps=log)
-        if case1:
-            break
-
-    closing_tol = max(opts.tol / 10, min(opts.tol, CLOSING_TOL_FLOOR))
+    state = fortet_step(None, kernel, marginals, mass2)
+    d = state.diagnostics
+    case1 = d["case1_candidate"]
+    log.append(d["sup_change"], d["normalization_residual"], d["hilbert_step"], case1)
+    if float(state.H_prime.max()) < DEGENERATE_EPS:
+        return FortetSolution(h=state.H_prime, case_tag="degenerate", coupling=None,
+                              warnings=("iterate collapsed below the degeneracy "
+                                        "threshold; no potentials extracted",),
+                              steps=log)
+    # the closing starts from H'_1 = Omega(1) (module docstring); it takes
+    # it out of this list, so that no reference here keeps it alive through
+    # the closing phase
+    start = [state.H_prime]
     del state
+    closing_tol = max(opts.tol / 10, min(opts.tol, CLOSING_TOL_FLOOR))
     K = _closing_iteration(start, kernel, marginals, closing_tol, mass2, log)
     over = float(K.max()) - 1.0
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "

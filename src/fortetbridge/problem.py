@@ -518,7 +518,14 @@ def gaussian_from_scales(grid1: QuadratureGrid, grid2: QuadratureGrid,
     otherwise one factor per axis (_heat_factor).  Otherwise it is one dense
     factor, the product of the per-coordinate factors on the whitened
     nodes, with entries below TINY stored as 0.
+
+    Raises FeasibilityError unless each s^2 and the product of 2 pi s^2
+    (1 / peak^2) are normal floats: else the exponent or peak leaves range.
     """
+    norm = math.prod(2.0 * math.pi * s * s for s in scales)
+    if not (TINY <= norm < math.inf and all(s * s >= TINY for s in scales)):
+        raise FeasibilityError(f"kernel scales {list(scales)} are outside float range: "
+                               "each s^2 and the product of 2 pi s^2 must be normal floats")
     if (grid1.dim == 1 and _uniform(grid1.axes[0])
             and np.array_equal(grid1.axes[0], grid2.axes[0])):
         factors = (_heat_band(grid1.axes[0], scales[0]),)
@@ -532,7 +539,7 @@ def gaussian_from_scales(grid1: QuadratureGrid, grid2: QuadratureGrid,
         vals[vals < TINY] = 0.0
         factors = (vals,)
     # strict upper bound: the sup is attained on the diagonal, so pad it
-    peak = 1.0 / math.sqrt(math.prod(2.0 * math.pi * s * s for s in scales))
+    peak = 1.0 / math.sqrt(norm)
     return KernelOperator(factors, grid1, grid2, peak * (1.0 + 1e-9),
                           (tuple(scales), white))
 

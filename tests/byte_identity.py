@@ -52,6 +52,9 @@ SEEDS = (0, 31)
 #: than them (kappa = 0.0062), has an integrand that decays only slowly, so
 #: that the integrability tail fit must correct for the kernel's column
 #: mass lost off the grid's edge to read it as finite and let every op run.
+#: wide1d is gauss1d's config under a kernel of sigma = 1e200, whose
+#: 2 pi sigma^2 overflows: every op refuses the scale while it loads the
+#: problem, with exit 2 and one stderr line, and writes no artifact.
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -101,6 +104,11 @@ EXTRA = {
                 "marginals": [{"type": "gaussian", "sigma": 2.5},
                               {"type": "gaussian", "sigma": 2.5}],
                 "grid": {"dim": 1, "radius": 10.0, "points": 501}},
+               OPS),
+    "wide1d": ({"kernel": {"type": "gaussian", "sigma": 1e200},
+                "marginals": [{"type": "gaussian", "sigma": 1.0},
+                              {"type": "gaussian", "sigma": 0.8}],
+                "grid": {"dim": 1, "radius": 8.0, "points": 401}},
                OPS),
 }
 

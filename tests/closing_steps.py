@@ -95,6 +95,9 @@ def solve(tree, raw):
         log = getattr(exc, "trace", None)
         steps = None if log is None else len(log) - log.scheme_steps
         return f"exit {code} {type(exc).__name__}", steps, None
+    except Exception as exc:
+        # escaped the CLI's error map: python exits 1 with a traceback
+        return f"exit 1 traceback {type(exc).__name__}", None, None
     gate = problem.marginals.omega1.values > GATE
     return (f"exit 0 {sol.case_tag} {len(sol.warnings)} warnings", sol.refine_steps,
             (sol.phi, gate))

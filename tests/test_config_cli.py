@@ -1,6 +1,7 @@
 """Config resolution, hashing, and the five CLI subcommands end to end."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fortetbridge import cli
+from fortetbridge import cli, fortet
 from fortetbridge.cli import _apply_thread_env, _solve_problem, _THREAD_VARS, main
 from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
@@ -104,6 +105,17 @@ class TestConfig:
         assert problem_hash(resolve_config(bumped)) != h1
         swapped = dict(BENCH_RAW, swap=True)
         assert problem_hash(resolve_config(swapped)) != h1
+
+    def test_integral_grid_sizes_resolve_alike(self):
+        # an integral float and a numeric string read as the integer; a
+        # non-integral float or a bool is refused
+        # (test_malformed_config_value_is_a_config_error)
+        resolved = [resolve_config(dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"],
+                                                             points=points, dim=dim)))
+                    for points, dim in ((101, 1), (101.0, 1.0), ("101", "1"))]
+        assert resolved[0]["grid"]["points"] == 101 and resolved[0]["grid"]["dim"] == 1
+        assert resolved[0] == resolved[1] == resolved[2]
+        assert len({problem_hash(r) for r in resolved}) == 1
 
     def test_build_problem_materializes_benchmark(self):
         problem = build_problem(resolve_config(BENCH_RAW))
@@ -320,15 +332,17 @@ class TestCli:
         assert main(["solve", "--config", str(missing), "--output", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("command", ["solve", "interpolate", "compare"])
-    def test_solve_iteration_cap_exits_3_with_trace(self, tmp_path, command):
-        # the scheme hands over at n = 2, so only a cap of 1 stops it
-        raw = dict(BENCH_RAW, solver={"max_iter": 1})
-        cfg = write_config(tmp_path, raw)
+    def test_solve_iteration_cap_exits_3_with_trace(self, tmp_path, monkeypatch,
+                                                    command):
+        # the closing's step cap stops a solve: the trace holds the scheme's
+        # row and the closing's three, under its header
+        monkeypatch.setattr(fortet, "REFINE_MAX", 3)
+        cfg = write_config(tmp_path, BENCH_RAW)
         out = tmp_path / "run"
         code = main([command, "--config", str(cfg), "--output", str(out)])
         assert code == 3
         trace = read_csv(out / "trace.csv")
-        assert len(trace) == 1 + 1
+        assert len(trace) == 1 + 1 + 3
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
     def test_interpolate_writes_time_slices(self, tmp_path):
@@ -595,7 +609,7 @@ def test_forced_solve_with_an_inf_image_off_the_support_warns_nothing(tmp_path, 
     fields = dict(f.split("=") for f in capsys.readouterr().out.split())
     # the row integral is 0 where phi is, not 0 * inf = NaN at node 0, so the
     # row equation reads as holding and the summary is strict JSON
-    assert fields == {"case_tag": "case2", "iterations": "2", "refine_steps": "5",
+    assert fields == {"case_tag": "case2", "iterations": "1", "refine_steps": "5",
                       "s1_resid": "2.220446049250313e-16",
                       "s2_resid": "5.551115123125783e-17"}
 
@@ -606,7 +620,7 @@ def test_forced_solve_with_an_inf_image_off_the_support_warns_nothing(tmp_path, 
     assert summary["coupling"]["mass"] == 0.9999999999999999
     assert not any("stopped short" in w for w in summary["warnings"])
     trace = read_csv(out / "trace.csv")[1:]
-    assert len(trace) == 7
+    assert len(trace) == 6
     assert all(row[1:3] == ["", ""] for row in trace)
     assert all(float(row[3]) > 0 for row in trace[1:])
 
@@ -705,13 +719,13 @@ def _solve_counting_applies(raw, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("raw, scheme, closing, applies", [
     # the 401-point criterion-1 instance
-    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401)), 2, 8, 25),
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401)), 1, 8, 23),
     # the criterion-1 scales on the 41 x 41 grid
-    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41)), 2, 8, 25),
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41)), 1, 8, 23),
     # the criterion-2 post-swap instance on the 401-point radius-8 grid: the
     # Anderson step adds no apply to a closing step (the plain map takes 701)
     (dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401}, swap=True),
-     2, 74, 157),
+     1, 74, 155),
 ], ids=["gauss1d", "gauss2d", "swap"])
 def test_solve_makes_two_applies_per_step_and_four_more(raw, scheme, closing, applies,
                                                         tmp_path, monkeypatch):
@@ -970,6 +984,36 @@ def _malformed(path, value):
     return raw
 
 
+def _scale_cases():
+    """(id, raw, argv) of each Gaussian kernel scale whose 2 pi sigma^2
+    leaves float range, as a JSON number, a string or an interpolation
+    slice's scale sigma sqrt(t)."""
+    for sigma, dim, op in itertools.product((1e200, 1e-200), (1, 2), ("check", "solve")):
+        grid = dict(BENCH_RAW["grid"], dim=dim, points=201 if dim == 1 else 21)
+        yield f"{sigma:g}-{dim}d-{op}", dict(BENCH_RAW, kernel={"type": "gaussian",
+                                                               "sigma": sigma},
+                                             grid=grid), [op]
+    yield "auto-1e307", dict(BENCH_RAW, kernel={"type": "gaussian", "sigma": 1e307},
+                             grid=dict(BENCH_RAW["grid"], radius="auto")), ["solve"]
+    for op in ("check", "solve"):
+        yield f"nan-{op}", dict(BENCH_RAW, kernel={"type": "gaussian", "sigma": "nan"}), [op]
+    yield "slice-5e-324", BENCH_RAW, ["interpolate", "--times", "0,5e-324,1"]
+
+
+@pytest.mark.parametrize("raw, argv", [pytest.param(raw, argv, id=name)
+                                       for name, raw, argv in _scale_cases()])
+def test_gaussian_scale_outside_float_range_exits_2(tmp_path, capsys, raw, argv):
+    # 2 pi sigma^2 over- or underflows: one feasibility failure naming the
+    # scale, not a traceback from the kernel's entries, nor a RuntimeWarning
+    # (an error under pytest's filter) and a misleading band error
+    cfg = write_config(tmp_path, raw)
+    assert main([argv[0], "--config", str(cfg), "--output", str(tmp_path / "run"),
+                 *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("feasibility failure: kernel scales [")
+    assert "outside float range" in err[0]
+
+
 @pytest.mark.parametrize("path, value", [
     ("grid.points", "abc"), ("grid.radius", "wide"), ("grid.dim", "two"),
     ("grid", [1, 2]), ("kernel", [1]), ("marginals", ["a", "b"]),
@@ -978,7 +1022,8 @@ def _malformed(path, value):
     ("solver.max_iter", None), ("solver.max_iter", 1.7), ("solver.max_iter", "7"),
     ("solver.max_iter", 0), ("solver.max_iter", -3),
     ("solver.force", "false"), ("solver.force", 1), ("swap", "false"), ("swap", 2),
-    ("normalize_kernel_rows", "no"), ("normalize_kernel_rows", None)])
+    ("normalize_kernel_rows", "no"), ("normalize_kernel_rows", None),
+    ("grid.points", 101.7), ("grid.points", True), ("grid.dim", 1.9), ("grid.dim", True)])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value):
     # exit 1 with one "config error:" line naming the key, never a traceback
     # or a run that misreads the value (bool("false") is true); a flag

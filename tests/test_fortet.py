@@ -324,7 +324,7 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     from fortetbridge.problem import TINY
     with contract_extremes() as seen:
         run_fortet(*swap_instance)
-    assert len(seen) == 2 * 76 + 5
+    assert len(seen) == 2 * 75 + 5
     assert min(factor for factor, _ in seen) >= TINY
     assert min(argument for _, argument in seen) >= TINY
 
@@ -332,7 +332,7 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
 def test_gauss1d_solve_applies_its_arguments_unscaled(bench_kernel, bench_marginals,
                                                      monkeypatch):
     # on gauss1d every f that apply takes is positive, with min f *
-    # apply_floor >= TINY: each of the solve's 11 applies (10 maps and the
+    # apply_floor >= TINY: each of the solve's 10 applies (9 maps and the
     # coupling's) contracts weights * f itself, whose smallest entry is the
     # argument's, and no argument below TINY reaches a kernel product
     from tests.conftest import contract_extremes
@@ -347,7 +347,7 @@ def test_gauss1d_solve_applies_its_arguments_unscaled(bench_kernel, bench_margin
     monkeypatch.setattr(KernelOperator, "apply", recording)
     with contract_extremes() as seen:
         run_fortet(bench_kernel, bench_marginals)
-    assert len(unscaled) == 11 and all(unscaled)
+    assert len(unscaled) == 10 and all(unscaled)
     assert min(argument for _, argument in seen) >= TINY
 
 
@@ -509,13 +509,13 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
 def test_closing_starts_from_the_first_image(points, dim):
     # run_fortet closes from the scheme's first image Omega(1), whose depth-2
     # Anderson step takes 8 steps on the bench instances; from the second
-    # image, where the scheme's cap and 1/2 floor put two kinks, it took 17
+    # image, where the scheme's cap and 1/2 floor put two kinks, it takes 17
     # and 20.  Both starts reach the same ray on the omega1 > 1e-12 gate
     grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
     kernel = gaussian_kernel(grid, grid, 0.5)
     marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
     sol = run_fortet(kernel, marginals)
-    assert (sol.case_tag, sol.iterations) == ("case2", 2) and sol.refine_steps <= 8
+    assert (sol.case_tag, sol.iterations) == ("case2", 1) and sol.refine_steps <= 8
 
     mass2 = marginals.omega2.mass()
     state = fortet_step(fortet_step(None, kernel, marginals, mass2), kernel, marginals,
@@ -582,11 +582,11 @@ def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,
 
 
 def test_solve_keeps_no_per_step_arrays(swap_instance):
-    # 76 steps on 401 nodes: three arrays per step would hold 0.73 MB on
+    # 75 steps on 401 nodes: three arrays per step would hold 0.72 MB on
     # top of the solve's own ~0.04 MB
     sol, peak = traced_peak(lambda: run_fortet(*swap_instance))
     assert peak < 5e5
-    assert len(sol.steps) == sol.iterations + sol.refine_steps == 76
+    assert len(sol.steps) == sol.iterations + sol.refine_steps == 75
 
 
 def _held_bytes(root):
@@ -605,10 +605,10 @@ def _held_bytes(root):
 
 
 def test_step_log_holds_a_few_bytes_a_step(swap_solution):
-    # 76 rows of three float64 columns in a block of 128, not a dict and
+    # 75 rows of three float64 columns in a block of 128, not a dict and
     # boxed floats per step (~27 kB)
     log = swap_solution.steps
-    assert len(log) == 76 and log.scheme_steps == 2
+    assert len(log) == 75 and log.scheme_steps == 1
     assert _held_bytes(log) <= 4 * 1024
 
 
@@ -676,12 +676,12 @@ def test_swap_converges_at_the_rounding_floor(swap_instance):
     # from an n = 2 hand-over.  A hand-over at n ~ 10 took 307 closing steps
     for tol in (1e-14, 1e-15):
         sol = run_fortet(*swap_instance, FortetOptions(tol=tol))
-        assert (sol.case_tag, sol.iterations) == ("case2", 2)
+        assert (sol.case_tag, sol.iterations) == ("case2", 1)
         assert sol.refine_steps < 307
 
 
 def test_early_handover_retags_no_random_instance():
-    # a case 1 that fires at n0 > 2 would now be tagged case 2; criterion 3's
+    # a case 1 that fires at n0 > 1 is tagged case 2; criterion 3's
     # generator holds none: a hand-over at a Hilbert step below 1e-2 (n ~
     # 100) tagged all 200 instances case 2
     tags = [run_fortet(kernel, marginals, FortetOptions(force=True)).case_tag
@@ -691,8 +691,9 @@ def test_early_handover_retags_no_random_instance():
 
 def test_second_scheme_step_obeys_the_birkhoff_bound(bench_kernel, bench_marginals,
                                                      swap_instance):
-    # the fact the n = 2 hand-over rests on: H_1 = 1 and 1/2 <= H_2 <= 1, so
-    # d_H(H_2, H_1) <= log 2, and Omega does not expand the Hilbert metric.
+    # why the scheme's steps past n = 1 are not run: H_1 = 1 and 1/2 <= H_2
+    # <= 1, so d_H(H_2, H_1) <= log 2, and Omega does not expand the Hilbert
+    # metric, so the n = 2 step moves the ray by at most log 2.
     # Criterion 3's instances and the three benchmark instances
     grid2 = build_grid(dim=2, radius=8.0, points_per_axis=41)
     gauss2d = (gaussian_kernel(grid2, grid2, 0.5),
@@ -866,10 +867,28 @@ def test_verify_uniqueness_reads_rays_beyond_float_range(bench_solution,
     assert rep.c_phi == math.inf and rep.c_psi == math.inf
 
 
-def test_nonconvergence_carries_trace(bench_kernel, bench_marginals):
-    with pytest.raises(NonConvergenceError) as err:
-        run_fortet(bench_kernel, bench_marginals, FortetOptions(max_iter=1))
-    assert len(err.value.trace) == 1
+def test_nonconvergence_carries_trace(bench_kernel, bench_marginals, monkeypatch):
+    # the closing's step cap is the one bound a solve can hit; the error
+    # carries the scheme's row and the closing's three
+    monkeypatch.setattr(fortet, "REFINE_MAX", 3)
+    with pytest.raises(NonConvergenceError, match="within 3 steps") as err:
+        run_fortet(bench_kernel, bench_marginals)
+    assert step_phases(err.value.trace) == ["scheme"] + ["closing"] * 3
+
+
+def test_solve_is_the_first_image_and_the_closing(bench_kernel, bench_marginals,
+                                                  swap_instance):
+    # run_fortet runs one scheme step, n = 1, and closes from its image
+    # Omega(1): its h is that closing's fixed point capped at 1, bitwise
+    for kernel, marginals in ((bench_kernel, bench_marginals), swap_instance):
+        sol = run_fortet(kernel, marginals)
+        mass2 = marginals.omega2.mass()
+        first = fortet_step(None, kernel, marginals, mass2)
+        K = fortet._closing_iteration([first.H_prime], kernel, marginals, 1e-11, mass2,
+                                      fortet.StepLog())
+        assert np.array_equal(sol.h, np.minimum(K, 1.0))
+        assert sol.steps.scheme_steps == sol.iterations == 1
+        assert sol.steps.case1_candidate == (first.diagnostics["case1_candidate"],)
 
 
 def test_closing_refuses_a_nan_iterate(bench_kernel, bench_marginals, monkeypatch):
@@ -880,7 +899,7 @@ def test_closing_refuses_a_nan_iterate(bench_kernel, bench_marginals, monkeypatc
                         lambda self, u, g: np.full_like(g, math.nan))
     with pytest.raises(NonConvergenceError, match="NaN") as err:
         run_fortet(bench_kernel, bench_marginals)
-    assert step_phases(err.value.trace) == ["scheme", "scheme", "closing"]
+    assert step_phases(err.value.trace) == ["scheme", "closing"]
 
 
 def test_a_nan_on_the_support_shows_in_the_trace():
@@ -892,7 +911,7 @@ def test_a_nan_on_the_support_shows_in_the_trace():
     with pytest.raises(NonConvergenceError, match="NaN") as err:
         run_fortet(kernel, marginals, FortetOptions(force=True))
     trace = err.value.trace
-    assert step_phases(trace) == ["scheme", "scheme"]
+    assert step_phases(trace) == ["scheme"]
     assert np.isnan(trace.column("sup_change")).all()
     assert np.isnan(trace.column("normalization_residual")).all()
 
