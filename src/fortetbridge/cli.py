@@ -128,7 +128,10 @@ def _coordinates(grid, slices: int = 1):
 
 def _mesh_cells(cells, stride: int, runs: int):
     """cells, each repeated stride times, runs times over, generated a cell
-    at a time: itertools.cycle would keep a reference per row."""
+    at a time: itertools.cycle would keep a reference per row.  At stride 1
+    the list itself is iterated runs times, with no repeat object per cell."""
+    if stride == 1:
+        return chain.from_iterable(repeat(cells, runs))
     return chain.from_iterable(repeat(c, stride) for _ in range(runs) for c in cells)
 
 

@@ -23,8 +23,13 @@ rescaled to unit mass unless its "renormalize" is false (a JSON boolean,
 or 0 or 1).  A radius of "auto" expands to 6.5 x the largest Gaussian
 standard deviation in the problem, each read from the one key its kernel
 or marginal is built from (a stray "sigma" on a table, say, is not read).
+A number (a sigma, a covariance entry, grid.radius, grid.points,
+grid.dim, solver.tol) is a JSON number or a numeric string, never a JSON
+boolean, which float() and numpy would read as 1 or 0.
 solver.max_iter caps Sinkhorn's sweeps only: Fortet's solve runs one
-scheme step and its closing, which fortet.REFINE_MAX bounds.  The
+scheme step and its closing, which fortet.REFINE_MAX bounds; the closing
+stops at max(tol / 10, fortet.CLOSING_TOL_FLOOR), so a tol below 1e-14,
+whose tenth float64 cannot reliably meet, stops at the floor.  The
 problem hash is the sha256 of the resolved config in canonical JSON form
 (sorted keys, no whitespace), so two runs with the same hash saw the same
 fully-resolved instance.  build_problem returns a Problem, a NamedTuple of
@@ -120,13 +125,20 @@ def _gaussian_scales(raw: Dict[str, object], dim: int):
     return scales
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is a bool or a (nested) list with a bool entry."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _number(value, key: str, cast=float):
     """cast(value), which a JSON number or a numeric string passes, or a
-    ConfigError naming key.  An int cast also refuses a bool and a float
-    that is not integral, which int() would truncate (true reads 1, 101.7
-    reads 101)."""
-    if cast is int and (isinstance(value, bool)
-                        or isinstance(value, float) and not value.is_integer()):
+    ConfigError naming key.  Every cast refuses a bool, and _floats a list
+    holding one, which float(), int() and numpy read as 1 or 0; an int cast
+    also refuses a float that is not integral, which int() would truncate
+    (101.7 reads 101)."""
+    if _holds_bool(value):
+        raise ConfigError(f"{key} must be numeric, not {value!r}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be an integer, not {value!r}")
     try:
         return cast(value)

@@ -80,10 +80,11 @@ FLOOR_FREEZE = 1e-300
 CASE1_EPS = 1e-12
 DEGENERATE_EPS = 1e-13
 REFINE_MAX = 5000
-#: the closing phase stops once its step is below tol / 10, which keeps the
-#: residual of a solve that hands over early below that of the full scheme;
-#: the stop is not taken below min(tol, CLOSING_TOL_FLOOR), because float64
-#: rounding keeps the step from falling reliably below ~1e-16
+#: the closing phase stops once its step is below max(tol / 10,
+#: CLOSING_TOL_FLOOR): tol / 10 keeps the residual of a solve that hands
+#: over early below that of the full scheme, and float64 rounding keeps the
+#: step from falling reliably below ~1e-16, so a tol below 1e-14 stops at
+#: the floor instead of running to REFINE_MAX
 CLOSING_TOL_FLOOR = 1e-15
 #: history depth of the closing phase's Anderson step (0: the plain map),
 #: at most 2, whose normal equations _fit solves in closed form.  Each step
@@ -523,10 +524,12 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     run's StepLog, a row of scalars per step, is attached to the solution
     (and to the NonConvergenceError raised when the closing fails).  The
     scheme step's image Omega(1) decides the case tag; the closing starts
-    from it and drops it once it has formed its first input.  A marginal
-    residual above
-    sqrt(opts.tol) times its marginal's peak is warned of: the closing's
-    Hilbert step skips floor-pinned nodes, so it can stop short.
+    from it and drops it once it has formed its first input.  The closing
+    stops once its step is below max(opts.tol / 10, CLOSING_TOL_FLOOR), so
+    that a tol float64 cannot meet stops at the floor, not at REFINE_MAX.
+    A marginal residual above sqrt(max(opts.tol, CLOSING_TOL_FLOOR)) times
+    its marginal's peak is warned of: the closing's Hilbert step skips
+    floor-pinned nodes, so it can stop short.
     """
     if not opts.force:
         refusal = full_report(kernel, marginals).refusal
@@ -552,7 +555,7 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     # the closing phase
     start = [state.H_prime]
     del state
-    closing_tol = max(opts.tol / 10, min(opts.tol, CLOSING_TOL_FLOOR))
+    closing_tol = max(opts.tol / 10, CLOSING_TOL_FLOOR)
     K = _closing_iteration(start, kernel, marginals, closing_tol, mass2, log)
     over = float(K.max()) - 1.0
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
@@ -560,7 +563,8 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     h = np.minimum(K, 1.0)
     phi, psi, extract_warn = _extract_with_warnings(h, kernel, marginals)
     coupling = bridge.build_coupling(phi, psi, kernel, marginals)
-    r1, r2, root = coupling.row_marginal_resid, coupling.col_marginal_resid, math.sqrt(opts.tol)
+    r1, r2 = coupling.row_marginal_resid, coupling.col_marginal_resid
+    root = math.sqrt(max(opts.tol, CLOSING_TOL_FLOOR))
     if r1 > root * marginals.omega1.peak or r2 > root * marginals.omega2.peak:
         warnings.append(f"marginal residuals s1 {r1:.3g} and s2 {r2:.3g} exceed sqrt(tol) = "
                         f"{root:.3g} times the marginals' peaks: the closing stopped short")

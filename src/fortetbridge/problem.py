@@ -29,6 +29,8 @@ TINY = float(np.finfo(float).tiny)
 MAX_EXP = int(np.finfo(float).maxexp)
 #: entries of a heat factor whose flush to 0 one mask covers
 FLUSH_BLOCK = 4096
+#: the refusal of a Gaussian whose scales fail _in_range
+OUT_OF_RANGE = "outside float range: each s^2 and the product of 2 pi s^2 must be normal floats"
 
 
 # --------------------------------------------------------------------------
@@ -115,18 +117,35 @@ def density_field(grid: QuadratureGrid, values, renormalize: bool = True) -> Den
     return DensityField(grid, values)
 
 
+def _in_range(variances, norm: float) -> bool:
+    """Whether each variance s^2 and norm = 1 / peak^2, the product of
+    2 pi s^2 ((2 pi)^d det Sigma), are normal floats: else a Gaussian's
+    exponent or peak leaves float range (OUT_OF_RANGE)."""
+    return TINY <= norm < math.inf and all(v >= TINY for v in variances)
+
+
 def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
-    """Centered Gaussian marginal, scaled to unit quadrature mass."""
+    """Centered Gaussian marginal, scaled to unit quadrature mass.
+
+    Raises FeasibilityError naming sigma unless each variance (s^2, or the
+    covariance's diagonal) and (2 pi)^d det Sigma are normal floats
+    (_in_range, the rule the kernel's scales meet)."""
     if grid.dim == 1:
         s = float(sigma)
         if s <= 0:
             raise FeasibilityError("sigma must be positive")
+        if not _in_range((s * s,), 2.0 * math.pi * s * s):
+            raise FeasibilityError(f"marginal sigma {s!r} is {OUT_OF_RANGE}")
         vals = np.exp(-grid.nodes ** 2 / (2.0 * s * s)) / math.sqrt(2.0 * math.pi * s * s)
     else:
         cov = np.atleast_2d(np.asarray(sigma, dtype=float))
         if cov.shape == (1, 1):
             cov = np.eye(grid.dim) * cov[0, 0]
         _require_spd(cov, "marginal covariance")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = (2.0 * math.pi) ** grid.dim * np.linalg.det(cov)
+        if not _in_range(np.diagonal(cov), norm):
+            raise FeasibilityError(f"marginal covariance {cov.tolist()} is {OUT_OF_RANGE}")
         prec = np.linalg.inv(cov)
         # x P x over the 'ij' mesh from the broadcast axes, no node mesh:
         # the terms (x_i P_ij) x_j summed in einsum("ni,ij,nj->n")'s order
@@ -137,7 +156,7 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
                 vals += (x[i] * prec[i, j]) * x[j]
         vals *= -0.5
         np.exp(vals, out=vals)
-        vals /= math.sqrt((2.0 * math.pi) ** grid.dim * np.linalg.det(cov))
+        vals /= math.sqrt(norm)
         vals = vals.reshape(-1)
     return density_field(grid, vals, renormalize=True)
 
@@ -515,22 +534,30 @@ def gaussian_from_scales(grid1: QuadratureGrid, grid2: QuadratureGrid,
     With white None it is a product of 1-D kernels at the scales: the band
     (_heat_band: O(n) memory, one convolution per product, entries at the
     lattice offsets k h) on one uniform 1-D axis that both grids share, and
-    otherwise one factor per axis (_heat_factor).  Otherwise it is one dense
-    factor, the product of the per-coordinate factors on the whitened
-    nodes, with entries below TINY stored as 0.
+    otherwise one factor per axis (_heat_factor), built once for each
+    distinct (grid1 axis, grid2 axis, scale) and held, read-only, at every
+    axis that repeats it; axes compare by identity, and build_grid passes
+    one axis array for every dimension, so an isotropic kernel holds one
+    factor.  Otherwise it is one dense factor, the product of the
+    per-coordinate factors on the whitened nodes, with entries below TINY
+    stored as 0.
 
     Raises FeasibilityError unless each s^2 and the product of 2 pi s^2
-    (1 / peak^2) are normal floats: else the exponent or peak leaves range.
+    (1 / peak^2) are normal floats (_in_range).
     """
     norm = math.prod(2.0 * math.pi * s * s for s in scales)
-    if not (TINY <= norm < math.inf and all(s * s >= TINY for s in scales)):
-        raise FeasibilityError(f"kernel scales {list(scales)} are outside float range: "
-                               "each s^2 and the product of 2 pi s^2 must be normal floats")
+    if not _in_range((s * s for s in scales), norm):
+        raise FeasibilityError(f"kernel scales {list(scales)} are {OUT_OF_RANGE}")
     if (grid1.dim == 1 and _uniform(grid1.axes[0])
             and np.array_equal(grid1.axes[0], grid2.axes[0])):
         factors = (_heat_band(grid1.axes[0], scales[0]),)
     elif white is None:
-        factors = tuple(map(_heat_factor, grid1.axes, grid2.axes, scales))
+        built, factors = {}, []
+        for a, b, s in zip(grid1.axes, grid2.axes, scales):
+            key = (id(a), id(b), s)
+            if key not in built:
+                built[key] = _heat_factor(a, b, s)
+            factors.append(built[key])
     else:
         x, y = (_whitened(g, white) for g in (grid1, grid2))
         vals = _heat_factor(x[:, 0], y[:, 0], scales[0])

@@ -10,11 +10,13 @@ written through bench/workloads.  Each tree runs the op once untimed; then
 PAIRS pairs (default 200) are timed, each pair running both trees' `cli.main
 (["solve", ...])` back to back, the tree that goes first alternating from
 pair to pair.  One line is printed per workload: each tree's median op time
-[quartiles] in ms, the pairs the new tree won, and whether the two trees'
-exit codes, stdout and artifacts match.
+[quartiles] in ms, the pairs the new tree won, each tree's tracemalloc peak
+of one op run after its untimed one, and whether the two trees' exit codes,
+stdout and artifacts match.
 
-Its numbers are diagnostics, one process on one host: a speed claim comes
-from bench/run.py.  The script only reads bench/; pytest does not collect it.
+Its numbers are diagnostics, one process on one host: a speed or memory
+claim comes from bench/run.py.  The script only reads bench/; pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +45,16 @@ def run(tree, config: Path, out: Path):
         code = tree.cli.main(["solve", "--config", str(config), "--output", str(out)])
         elapsed = time.perf_counter() - started
     return elapsed, code, stdout.getvalue()
+
+
+def traced_peak(tree, config: Path, out: Path) -> int:
+    """The tracemalloc peak in bytes of one solve op, counted from its start."""
+    tracemalloc.start()
+    try:
+        run(tree, config, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def artifacts(out: Path) -> dict:
@@ -76,6 +89,8 @@ def main(argv=None) -> int:
             outs = {side: config.parent / side for side in trees}
             first = {side: run(tree, config, outs[side])[1:] + (artifacts(outs[side]),)
                      for side, tree in trees.items()}
+            peaks = {side: traced_peak(tree, config, outs[side])
+                     for side, tree in trees.items()}
             times = {side: [] for side in trees}
             for pair in range(args.pairs):
                 order = ("old", "new") if pair % 2 == 0 else ("new", "old")
@@ -84,8 +99,9 @@ def main(argv=None) -> int:
             won = sum(n < o for o, n in zip(times["old"], times["new"]))
             match = "match" if first["old"] == first["new"] else "DIFFER"
             print(f"{name}: old {summary(times['old'])}; new {summary(times['new'])}; "
-                  f"new faster in {won} of {args.pairs}; exit, stdout and "
-                  f"artifacts {match}")
+                  f"new faster in {won} of {args.pairs}; peak old "
+                  f"{peaks['old'] / 1e3:.1f} kB, new {peaks['new'] / 1e3:.1f} kB; "
+                  f"exit, stdout and artifacts {match}")
     return 0
 
 

@@ -633,6 +633,15 @@ def _solve_artifacts(tmp_path, raw, name):
     return [(out / f).read_bytes() for f in ("potentials.csv", "trace.csv")]
 
 
+@pytest.mark.parametrize("tol", [1e-17, 1e-300])
+def test_tol_below_the_closing_floor_solves_as_at_the_floor(tmp_path, tol):
+    # the closing's stop max(tol / 10, CLOSING_TOL_FLOOR) is 1e-15 for every
+    # tol up to 1e-14; a stop at tol itself never fired, and the solve ran
+    # all REFINE_MAX closing steps to exit 3
+    assert (_solve_artifacts(tmp_path, dict(BENCH_RAW, solver={"tol": tol}), "below")
+            == _solve_artifacts(tmp_path, dict(BENCH_RAW, solver={"tol": 1e-15}), "floor"))
+
+
 def test_one_dimensional_multivariate_kernel_solves_as_the_gaussian(tmp_path):
     # covariance [[0.25]] is the sigma = 0.5 heat kernel's band, built by
     # the same builder, so the solve writes the same bytes
@@ -1014,6 +1023,21 @@ def test_gaussian_scale_outside_float_range_exits_2(tmp_path, capsys, raw, argv)
     assert "outside float range" in err[0]
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gaussian_marginal_scale_outside_float_range_exits_2(tmp_path, capsys, sigma, dim):
+    # the kernel's rule: 2 pi sigma^2 under- or overflows; one feasibility
+    # failure naming the scale, not a RuntimeWarning (an error under
+    # pytest's filter), non-finite values or a density of zero mass
+    raw = _malformed("marginals.0.sigma", sigma)
+    raw["grid"].update(dim=dim, points=201 if dim == 1 else 21)
+    assert main(["solve", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("feasibility failure: marginal ")
+    assert repr(sigma) in err[0] and "outside float range" in err[0]
+
+
 @pytest.mark.parametrize("path, value", [
     ("grid.points", "abc"), ("grid.radius", "wide"), ("grid.dim", "two"),
     ("grid", [1, 2]), ("kernel", [1]), ("marginals", ["a", "b"]),
@@ -1023,11 +1047,14 @@ def test_gaussian_scale_outside_float_range_exits_2(tmp_path, capsys, raw, argv)
     ("solver.max_iter", 0), ("solver.max_iter", -3),
     ("solver.force", "false"), ("solver.force", 1), ("swap", "false"), ("swap", 2),
     ("normalize_kernel_rows", "no"), ("normalize_kernel_rows", None),
-    ("grid.points", 101.7), ("grid.points", True), ("grid.dim", 1.9), ("grid.dim", True)])
+    ("grid.points", 101.7), ("grid.points", True), ("grid.dim", 1.9), ("grid.dim", True),
+    ("kernel.sigma", True), ("marginals.0.sigma", False), ("grid.radius", True),
+    ("solver.tol", True), ("kernel", {"type": "gaussian_multivariate", "covariance": [[True]]})])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value):
     # exit 1 with one "config error:" line naming the key, never a traceback
-    # or a run that misreads the value (bool("false") is true); a flag
-    # (swap, normalize_kernel_rows) takes a boolean or 0 or 1
+    # or a run that misreads the value (bool("false") is true, and float()
+    # and numpy read true as 1); a flag (swap, normalize_kernel_rows) takes
+    # a boolean or 0 or 1
     cfg = write_config(tmp_path, _malformed(path, value))
     assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.splitlines()

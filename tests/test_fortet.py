@@ -661,8 +661,8 @@ FULL_SCHEME_S1_RESID = {1e-13: (1.1102230246251565e-16, 2.0623283634177433e-07),
 def test_tight_tolerances_converge_with_no_larger_residual(tol, bench_kernel,
                                                            bench_marginals,
                                                            swap_instance):
-    # the closing stops at tol / 10 but not below min(tol, CLOSING_TOL_FLOOR):
-    # at tol = 1e-15 a bare 1e-16 stop never fires and runs out of steps
+    # the closing stops at tol / 10 but not below CLOSING_TOL_FLOOR: at
+    # tol = 1e-15 a bare 1e-16 stop never fires and runs out of steps
     instances = ((bench_kernel, bench_marginals), swap_instance)
     for (kernel, marginals), before in zip(instances, FULL_SCHEME_S1_RESID[tol]):
         sol = run_fortet(kernel, marginals, FortetOptions(tol=tol))

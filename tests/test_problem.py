@@ -589,6 +589,21 @@ def test_diagonal_covariance_keeps_one_factor_per_axis():
     assert np.all(kernel.values < kernel.sigma_bound)
 
 
+def test_isotropic_product_kernel_holds_its_factor_once():
+    # build_grid passes one axis array for every dimension, so equal scales
+    # share one read-only heat factor and unequal ones keep one each
+    grid = build_grid(dim=2, radius=5.0, points_per_axis=41)
+    axis = grid.axes[0]
+    for sigma, variances in ((0.5, (0.25, 0.25)), (np.diag([0.25, 0.16]), (0.25, 0.16))):
+        kernel = gaussian_kernel(grid, grid, sigma)
+        assert (kernel.factors[0] is kernel.factors[1]) == (variances[0] == variances[1])
+        for factor, var in zip(kernel.factors, variances):
+            assert np.array_equal(factor, problem._heat_factor(axis, axis, math.sqrt(var)))
+            assert not factor.flags.writeable
+    cube = build_grid(dim=3, radius=5.0, points_per_axis=21)
+    assert len({id(a) for a in gaussian_kernel(cube, cube, 0.5).factors}) == 1
+
+
 def test_gaussian_kernel_checks_its_covariance(bench_grid):
     grid = build_grid(dim=2, radius=3.0, points_per_axis=5)
     with pytest.raises(FeasibilityError, match="kernel covariance must be positive definite"):
