@@ -49,17 +49,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _fmt(value) -> str:
-    """Deterministic CSV cell: floats by repr, NaN as empty, bools lowercase."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -98,14 +87,14 @@ def _write_csv(path: Path, headers, columns) -> None:
 
 
 def _write_trace(path: Path, log) -> None:
-    """trace.csv from a run's fortet.StepLog, read in place: the closing
-    rows' case1_candidate cells are false."""
+    """trace.csv from a run's fortet.StepLog, read in place: the scheme
+    row's case1_candidate cell is the log's flag, each closing row's false."""
     rows = len(log)
     _write_csv(path, TRACE_COLUMNS,
                [map(str, range(1, rows + 1))]
                + [log.column(name) for name in TRACE_COLUMNS[1:4]]
-               + [chain(map(_fmt, log.case1_candidate),
-                        repeat("false", rows - log.scheme_steps))])
+               + [chain(["true" if log.case1_candidate else "false"],
+                        repeat("false", rows - 1))])
 
 
 def _coordinates(grid, slices: int = 1):
@@ -265,7 +254,7 @@ def cmd_interpolate(args) -> int:
     interp = bridge.entropic_interpolation(solution.phi, solution.psi,
                                            problem.kernel, times)
     headers, coords = _coordinates(problem.grid, len(interp.times))
-    t_cells = _mesh_cells([_fmt(float(t)) for t in interp.times], problem.grid.n_nodes, 1)
+    t_cells = _mesh_cells([repr(float(t)) for t in interp.times], problem.grid.n_nodes, 1)
     _write_csv(out / "interpolation.csv", ["t"] + headers + ["density"],
                [t_cells] + coords + [interp.densities.reshape(-1)])
     payload = _solution_payload(problem, solution, kl)

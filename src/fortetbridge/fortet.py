@@ -110,25 +110,21 @@ class FortetOptions(NamedTuple):
 class StepLog(Frozen):
     """A run's step record in columns: one row per step of both phases,
     what trace.csv writes, and no arrays of the iterate.  Row i is step n =
-    i + 1; the first scheme_steps rows are the scheme's, the rest the
-    closing's.  COLUMNS are float64 (NaN where a scheme step has no
-    previous image) and column reads one; case1_candidate holds the scheme
-    rows' flags, since a closing row's is False.  The rows fill one float64
-    block, 24 bytes a step, that doubles when full.  Attributes are not
-    assigned: rows are appended, by the run that owns the log."""
+    i + 1; row 0 is the scheme's one step, the rest the closing's.  COLUMNS
+    are float64 (NaN where the scheme step has no previous image) and
+    column reads one; case1_candidate is the scheme step's flag, given at
+    construction, since a closing row's is False.  The rows fill one
+    float64 block, 24 bytes a step, that doubles when full.  Attributes are
+    not assigned: rows are appended, by the run that owns the log."""
 
     COLUMNS = ("sup_change", "normalization_residual", "hilbert_step")
 
-    def __init__(self):
+    def __init__(self, case1_candidate: bool):
         vars(self).update(_block=np.empty(3 * 16), _rows=0,
-                          case1_candidate=())
+                          case1_candidate=bool(case1_candidate))
 
     def __len__(self) -> int:
         return self._rows
-
-    @property
-    def scheme_steps(self) -> int:
-        return len(self.case1_candidate)
 
     def column(self, name: str) -> np.ndarray:
         """The rows of column name, a read-only view of the block."""
@@ -138,15 +134,10 @@ class StepLog(Frozen):
         return view
 
     def append(self, sup_change: float, normalization_residual: float,
-               hilbert_step: float, case1_candidate: Optional[bool] = None) -> None:
-        """Add the next step's row: a scheme step's, with its case1_candidate
-        flag, before any closing step's, which has none."""
+               hilbert_step: float) -> None:
+        """Add the next step's row."""
         state = vars(self)
         block, i = state["_block"], state["_rows"]
-        if case1_candidate is not None:
-            if i != self.scheme_steps:
-                raise FortetBridgeError("scheme rows precede closing rows")
-            state["case1_candidate"] += (bool(case1_candidate),)
         j = 3 * i
         if j == block.size:
             state["_block"] = block = np.concatenate((block, np.empty_like(block)))
@@ -182,12 +173,16 @@ class FortetSolution(Frozen):
     phi g psi, whose marginal integrals certify the system; a degenerate
     solution has no coupling, and its potentials and residuals read None
     and NaN.  case_tag is "case1", "case2" or "degenerate".  steps is the
-    run's StepLog, one row per step of both phases, and its step counts are
-    read there.  trace, a class attribute, is always empty: a run keeps no
-    per-step arrays.  Only the benchmark's tracer (bench/tracing.py) reads
-    it, for fortet.trace_mb (0.0), until the benchmark stops reading it."""
+    run's StepLog, one row per step of both phases: iterations, a class
+    attribute, counts its one scheme row and refine_steps the rest.  trace,
+    a class attribute too, is always empty: a run keeps no per-step arrays.
+    Only the benchmark's tracer (bench/tracing.py) reads it, for
+    fortet.trace_mb (0.0), until the benchmark stops reading it."""
 
     trace: Tuple[IterationState, ...] = ()
+    #: scheme steps run: 1, the step n = 1 whose image decides the case and
+    #: starts the closing (module docstring); it is row 0 of steps
+    iterations: int = 1
 
     def __init__(self, h: Optional[np.ndarray], case_tag: str,
                  coupling: Optional[bridge.Coupling], warnings: Tuple[str, ...],
@@ -196,12 +191,6 @@ class FortetSolution(Frozen):
             h.setflags(write=False)
         vars(self).update(h=h, case_tag=case_tag, coupling=coupling, warnings=warnings,
                           steps=steps)
-
-    @property
-    def iterations(self) -> int:
-        """Scheme steps run: 1, the step n = 1 whose image decides the case
-        and starts the closing (module docstring)."""
-        return self.steps.scheme_steps
 
     @property
     def refine_steps(self) -> int:
@@ -540,11 +529,11 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
         raise FeasibilityError("omega1 has empty support")
 
     mass2 = marginals.omega2.mass()
-    log = StepLog()
     state = fortet_step(None, kernel, marginals, mass2)
     d = state.diagnostics
     case1 = d["case1_candidate"]
-    log.append(d["sup_change"], d["normalization_residual"], d["hilbert_step"], case1)
+    log = StepLog(case1)
+    log.append(d["sup_change"], d["normalization_residual"], d["hilbert_step"])
     if float(state.H_prime.max()) < DEGENERATE_EPS:
         return FortetSolution(h=state.H_prime, case_tag="degenerate", coupling=None,
                               warnings=("iterate collapsed below the degeneracy "

@@ -136,7 +136,9 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
             raise FeasibilityError("sigma must be positive")
         if not _in_range((s * s,), 2.0 * math.pi * s * s):
             raise FeasibilityError(f"marginal sigma {s!r} is {OUT_OF_RANGE}")
-        vals = np.exp(-grid.nodes ** 2 / (2.0 * s * s)) / math.sqrt(2.0 * math.pi * s * s)
+        # an exponent beyond float range is -inf, and its entry 0: both exact
+        with np.errstate(over="ignore"):
+            vals = np.exp(-grid.nodes ** 2 / (2.0 * s * s)) / math.sqrt(2.0 * math.pi * s * s)
     else:
         cov = np.atleast_2d(np.asarray(sigma, dtype=float))
         if cov.shape == (1, 1):
@@ -432,10 +434,12 @@ def _lattice(axis: np.ndarray) -> np.ndarray:
 
 def _exponent(d: np.ndarray, s: float) -> np.ndarray:
     """The heat exponent -d^2 / (2 s^2) at scale s, in place of the
-    differences d, rounded as the formula rounds."""
+    differences d, rounded as the formula rounds.  An exponent beyond
+    float range is -inf, its exact limit."""
     np.square(d, out=d)
     np.negative(d, out=d)
-    d /= 2.0 * s * s
+    with np.errstate(over="ignore"):
+        d /= 2.0 * s * s
     return d
 
 
@@ -457,9 +461,11 @@ def _entries(e: np.ndarray, s: float) -> np.ndarray:
     flat = e.reshape(-1)
     for i in range(0, flat.size, FLUSH_BLOCK):
         block = flat[i:i + FLUSH_BLOCK]
-        # the exponents left in place are negative, and flush with the rest
+        # the exponents left in place are negative, and flush with the
+        # rest, also where times peak they overflow to -inf
         np.exp(block, out=block, where=block >= cut)
-        block *= peak
+        with np.errstate(over="ignore"):
+            block *= peak
         block[block < TINY] = 0.0
     return e
 
@@ -662,19 +668,27 @@ def _require_spd(mat: np.ndarray, what: str) -> None:
         raise FeasibilityError(f"{what} must be positive definite")
 
 
-def _smoothness_smoke(values: np.ndarray) -> CheckResult:
-    """Crude first-difference screen: flags near-discontinuities only."""
-    if values.ndim != 1:
-        return CheckResult("skipped", "continuity smoke check is 1-D only")
-    scale = float(np.max(np.abs(values)))
+def _smoothness_smoke(mesh: np.ndarray) -> CheckResult:
+    """Crude first-difference screen: flags near-discontinuities only.
+    mesh holds a function's values on a grid's 'ij' mesh, one array axis
+    per grid axis, and a jump is taken between neighbours along one axis,
+    never across the end of a row.  The axes are screened last first, and
+    the first largest jump is kept; it is named by its flat node indices."""
+    scale = float(np.max(np.abs(mesh)))
     if scale == 0:
         return CheckResult("best-effort-pass", "identically zero")
-    jumps = np.abs(np.diff(values))
-    worst = float(jumps.max()) / scale
+    top = None
+    for k in reversed(range(mesh.ndim)):
+        jumps = np.abs(np.diff(mesh, axis=k))
+        worst = jumps.max()
+        if top is None or worst > top[0]:
+            at = np.unravel_index(jumps.argmax(), jumps.shape)
+            top = worst, k, int(np.ravel_multi_index(at, mesh.shape))
+    worst, k, idx = float(top[0]) / scale, top[1], top[2]
     if worst > 0.5:
-        idx = int(np.argmax(jumps))
+        step = math.prod(mesh.shape[k + 1:])
         return CheckResult("best-effort-fail",
-                           f"jump of {worst:.2g} x scale between nodes {idx} and {idx + 1}",
+                           f"jump of {worst:.2g} x scale between nodes {idx} and {idx + step}",
                            (idx,))
     return CheckResult("best-effort-pass", f"max relative jump {worst:.2g}")
 
@@ -767,8 +781,9 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
         checks["kernel_continuity"] = _smoothness_smoke(column)
     else:
         checks["kernel_continuity"] = CheckResult("skipped", "dim > 1")
-    checks["marginal1_continuity"] = _smoothness_smoke(marginals.omega1.values)
-    checks["marginal2_continuity"] = _smoothness_smoke(marginals.omega2.values)
+    for name, dens in (("marginal1", marginals.omega1), ("marginal2", marginals.omega2)):
+        shape = [len(ax) for ax in dens.grid.axes]
+        checks[f"{name}_continuity"] = _smoothness_smoke(dens.values.reshape(shape))
 
     return FeasibilityReport(hypotheses=checks)
 

@@ -48,7 +48,8 @@ SEEDS = (0, 31)
 #: compare exit 2 with the swap hint while diagnose, which reads only the
 #: hard checks, runs Sinkhorn to exit 0; and spike1d, a marginal narrower
 #: than the grid's spacing, which fails marginal1_continuity, so that
-#: every op exits 2.  flat1d, equal marginals under a kernel far narrower
+#: every op exits 2, and spike2d, its 2-D analogue, whose screen names a
+#: jump along the last axis between nodes 840 and 841.  flat1d, equal marginals under a kernel far narrower
 #: than them (kappa = 0.0062), has an integrand that decays only slowly, so
 #: that the integrability tail fit must correct for the kernel's column
 #: mass lost off the grid's edge to read it as finite and let every op run.
@@ -99,6 +100,11 @@ EXTRA = {
                  "marginals": [{"type": "gaussian", "sigma": 0.05},
                                {"type": "gaussian", "sigma": 0.8}],
                  "grid": {"dim": 1, "radius": 8.0, "points": 41}},
+                OPS),
+    "spike2d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                 "marginals": [{"type": "gaussian", "sigma": 0.05},
+                               {"type": "gaussian", "sigma": 0.8}],
+                 "grid": {"dim": 2, "radius": 8.0, "points": 41}},
                 OPS),
     "flat1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                 "marginals": [{"type": "gaussian", "sigma": 2.5},

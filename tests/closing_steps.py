@@ -93,7 +93,7 @@ def solve(tree, raw):
         code = (2 if isinstance(exc, errors.FeasibilityError)
                 else 3 if isinstance(exc, errors.NonConvergenceError) else 1)
         log = getattr(exc, "trace", None)
-        steps = None if log is None else len(log) - log.scheme_steps
+        steps = None if log is None else len(log) - 1
         return f"exit {code} {type(exc).__name__}", steps, None
     except Exception as exc:
         # escaped the CLI's error map: python exits 1 with a traceback

@@ -111,17 +111,17 @@ def kernel_matrix_builds():
 
 def step_row(log, i):
     """Row i of a fortet.StepLog as a dict, in the keys of a scheme step's
-    diagnostics: its three columns, and case1_candidate (False on a
-    closing row)."""
+    diagnostics: its three columns, and case1_candidate (the log's flag on
+    row 0, the scheme step, and False on a closing row)."""
     i %= len(log)
     row = {name: float(log.column(name)[i]) for name in log.COLUMNS}
-    row["case1_candidate"] = i < log.scheme_steps and log.case1_candidate[i]
+    row["case1_candidate"] = i == 0 and log.case1_candidate
     return row
 
 
 def step_phases(log):
-    """The phase of each row of a fortet.StepLog: its scheme rows come first."""
-    return ["scheme"] * log.scheme_steps + ["closing"] * (len(log) - log.scheme_steps)
+    """The phase of each row of a fortet.StepLog: row 0 is the scheme step."""
+    return ["scheme" if i == 0 else "closing" for i in range(len(log))]
 
 
 #: one step of Fortet's iteration as fortet_steps() records it: its phase

@@ -781,13 +781,23 @@ def test_every_exported_name_resolves():
     assert [n for n in fortetbridge.__all__ if not hasattr(fortetbridge, n)] == []
 
 
+def _csv_cell(value) -> str:
+    """A CSV artifact's cell: a float by repr, NaN as an empty cell, a bool
+    lowercase, anything else by str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return str(value)
+
+
 def _csv_reference(path, headers, rows):
-    """The CSV artifacts as csv.writer writes them, one _fmt cell at a time."""
+    """The CSV artifacts as csv.writer writes them, one _csv_cell at a time."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(headers)
         for row in rows:
-            writer.writerow([cli._fmt(value) for value in row])
+            writer.writerow([_csv_cell(value) for value in row])
 
 
 #: floats whose repr is easy to get wrong, cycled down a column
@@ -809,8 +819,8 @@ def test_csv_writer_matches_csv_module_bytes(tmp_path, rows):
     flags = [bool(i % 3) for i in range(rows)]
     headers = ["x1", "x2", "value", "n", "k", "flag"]
     cli._write_csv(tmp_path / "new.csv", headers,
-                   [x1, x2, floats, ints, (cli._fmt(int(k)) for k in ints),
-                    map(cli._fmt, flags)])
+                   [x1, x2, floats, ints, map(str, ints.tolist()),
+                    ("true" if f else "false" for f in flags)])
     _csv_reference(tmp_path / "ref.csv", headers,
                    zip(x1.tolist(), x2.tolist(), floats.tolist(), ints.tolist(),
                        ints.tolist(), flags))
@@ -828,26 +838,27 @@ def test_trace_and_potentials_writers_match_csv_module(tmp_path):
                    (list(c) + list(v) for c, v in zip(coords.tolist(), values.T.tolist())))
     assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "p_ref.csv").read_bytes()
 
-    # every special float in each column, in scheme rows flagged both ways
-    # and in closing rows, over enough rows to grow the log's block
-    log, rows = StepLog(), []
-    for n, (v, w) in enumerate(zip(SPECIAL * 9, reversed(SPECIAL * 9)), 1):
-        case1 = n % 2 == 0 if n <= 4 else None
-        row = [v, w, SPECIAL[(n + 3) % len(SPECIAL)]]
-        log.append(*row, case1)
-        rows.append([n] + row + [bool(case1)])
-    cli._write_trace(tmp_path / "t.csv", log)
-    _csv_reference(tmp_path / "t_ref.csv", cli.TRACE_COLUMNS, rows)
-    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+    # every special float in each column, in a scheme row flagged true in
+    # one log and false in the other and in closing rows, over enough rows
+    # to grow the log's block
+    for case1 in (True, False):
+        log, rows = StepLog(case1), []
+        for n, (v, w) in enumerate(zip(SPECIAL * 9, reversed(SPECIAL * 9)), 1):
+            row = [v, w, SPECIAL[(n + 3) % len(SPECIAL)]]
+            log.append(*row)
+            rows.append([n] + row + [n == 1 and case1])
+        cli._write_trace(tmp_path / "t.csv", log)
+        _csv_reference(tmp_path / "t_ref.csv", cli.TRACE_COLUMNS, rows)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
 
 
 def test_trace_writer_holds_no_whole_run_list(tmp_path):
     # trace.csv is written from the log's columns in place, a block of rows
-    # at a time, under the potentials writer's bound: 2 scheme rows and 998
+    # at a time, under the potentials writer's bound: the scheme row and 999
     # closing rows
-    log = StepLog()
-    for i, row in enumerate(np.random.default_rng(4).lognormal(0.0, 20.0, (1000, 3))):
-        log.append(*row.tolist(), False if i < 2 else None)
+    log = StepLog(False)
+    for row in np.random.default_rng(4).lognormal(0.0, 20.0, (1000, 3)):
+        log.append(*row.tolist())
     path = tmp_path / "trace.csv"
     cli._write_trace(path, log)
     _, peak = traced_peak(lambda: cli._write_trace(path, log))
@@ -1036,6 +1047,61 @@ def test_gaussian_marginal_scale_outside_float_range_exits_2(tmp_path, capsys, s
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("feasibility failure: marginal ")
     assert repr(sigma) in err[0] and "outside float range" in err[0]
+
+
+@pytest.mark.parametrize("path, value, argv, code, says", [
+    ("kernel.sigma", 1.5e-154, ["check"], 2, "solver_admissible: False"),
+    ("marginals.0.sigma", 1.5e-154, ["check"], 2, "solver_admissible: False"),
+    (None, None, ["interpolate", "--times", "0,1e-307,1"], 1,
+     "interpolant mass at t=1e-307 drifted")], ids=["kernel", "marginal", "slice"])
+def test_gaussian_scale_just_inside_float_range_warns_nothing(tmp_path, capsys, path,
+                                                              value, argv, code, says):
+    # sigma = 1.5e-154 meets the float-range rule (sigma^2 >= TINY), yet
+    # radius^2 / (2 sigma^2) overflows: the exponent is -inf and its entry
+    # 0, both exact, with no RuntimeWarning (an error under pytest's
+    # filter); the t = 1e-307 slice of gauss1d's kernel has the scale
+    # 0.5 sqrt(t), and drifts
+    raw = _malformed(path, value) if path else BENCH_RAW
+    cfg = write_config(tmp_path, raw)
+    assert main([argv[0], "--config", str(cfg), "--output", str(tmp_path / "run"),
+                 *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    assert says in (err if code == 1 else out)
+
+
+def test_forced_solve_of_an_empty_omega1_exits_2(tmp_path, capsys):
+    # an all-zero table kept unrenormalized: force skips the feasibility
+    # report, and run_fortet still refuses the support the scheme needs
+    np.savetxt(tmp_path / "m1.csv", np.zeros(201), delimiter=",")
+    raw = dict(BENCH_RAW, marginals=[{"type": "table", "path": "m1.csv",
+                                      "renormalize": False},
+                                     BENCH_RAW["marginals"][1]])
+    assert main(["solve", "--force", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "feasibility failure: omega1 has empty support"]
+
+
+def test_check_names_a_zero_denominator_node(tmp_path):
+    # gauss1d's sigma = 0.5 kernel on 41 nodes, its column 20 zeroed: Int g
+    # omega1 is 0 at node 20, where omega2 > 0, so the estimate is inf with
+    # no tail fit; swapped, the column is a row, and the estimate still reads
+    # suspected-divergent, so no swap is recommended
+    grid = build_grid(dim=1, radius=8.0, points_per_axis=41)
+    vals = gaussian_kernel(grid, grid, 0.5).values.copy()
+    vals[:, 20] = 0.0
+    np.savetxt(tmp_path / "kernel.csv", vals, delimiter=",")
+    raw = dict(BENCH_RAW, kernel={"type": "table", "path": "kernel.csv"},
+               grid=dict(BENCH_RAW["grid"], points=41))
+    cfg = write_config(tmp_path, raw)
+    problem = load_problem(cfg)
+    report = full_report(problem.kernel, problem.marginals)
+    assert report.condition_star == (math.inf, "suspected-divergent", math.inf, (20,))
+    assert not report.swap_recommended
+    assert main(["check", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 2
+    feasibility = json.loads((tmp_path / "run" / "feasibility.json").read_text())
+    assert feasibility["condition_star"]["zero_denominator_nodes"] == [20]
+    assert not feasibility["swap_recommended"]
 
 
 @pytest.mark.parametrize("path, value", [

@@ -194,6 +194,32 @@ def test_checks_build_no_window_view_of_a_band(bench_grid, bench_marginals, sigm
     assert report.refusal is None
 
 
+def test_continuity_smoke_compares_neighbours_along_each_axis():
+    # omega1 ~ exp(-x1^2 / 2 + x2 / 2 - x2^2 / 50) on a 41^2 grid peaks at
+    # the x2 = 8 end of each row; neighbours differ by at most 0.24 of the
+    # peak along x1 and 0.07 along x2, but the last node of the middle row
+    # and the first of the next differ by the whole peak, which a screen of
+    # the flat values read as a jump between nodes 860 and 861
+    grid = build_grid(dim=2, radius=8.0, points_per_axis=41)
+    x1, x2 = grid.nodes.reshape(-1, 2).T
+    marginals = MarginalPair(density_field(grid, np.exp(-x1 ** 2 / 2 + x2 / 2 - x2 ** 2 / 50)),
+                             gaussian_density(grid, 0.8))
+    report = full_report(gaussian_kernel(grid, grid, 0.5), marginals)
+    assert report.hypotheses["marginal1_continuity"] == problem.CheckResult(
+        "best-effort-pass", "max relative jump 0.24")
+    assert report.refusal is None
+
+
+def test_continuity_smoke_names_a_jump_by_its_flat_nodes():
+    # a step between rows 19 and 20 is a jump along x1, between the flat
+    # nodes 19 * 41 and 20 * 41; of equal jumps, the last axis's first is kept
+    step = np.zeros((41, 41))
+    step[20:] = 1.0
+    assert problem._smoothness_smoke(step) == problem.CheckResult(
+        "best-effort-fail", "jump of 1 x scale between nodes 779 and 820", (779,))
+    assert problem._smoothness_smoke(np.maximum(step, step.T)).offending_nodes == (19,)
+
+
 def test_zero_row_kernel_flagged(bench_grid):
     vals = np.ones((bench_grid.n_nodes, bench_grid.n_nodes))
     vals[5, :] = 0.0
