@@ -23,6 +23,11 @@ rescaled to unit mass unless its "renormalize" is false (a JSON boolean,
 or 0 or 1).  A radius of "auto" expands to 6.5 x the largest Gaussian
 standard deviation in the problem, each read from the one key its kernel
 or marginal is built from (a stray "sigma" on a table, say, is not read).
+The grid keys are dim (default 1), radius, points and rule, and no
+other (a misspelt "radus" would leave the radius "auto").  Every grid is
+the trapezoid lattice (quadrature.build_grid), so rule takes only
+"trapezoid", its default; the key stays so that the resolved config, the
+problem hash and every summary.json keep their bytes.
 A number (a sigma, a covariance entry, grid.radius, grid.points,
 grid.dim, solver.tol) is a JSON number or a numeric string, never a JSON
 boolean, which float() and numpy would read as 1 or 0.
@@ -57,6 +62,7 @@ AUTO_RADIUS_FACTOR = 6.5
 
 _TOP_KEYS = {"kernel", "marginals", "grid", "solver", "swap",
              "normalize_kernel_rows"}
+#: grid keys beside "points" and "radius", and their defaults
 _GRID_DEFAULTS = {"dim": 1, "rule": "trapezoid"}
 #: solver keys, their defaults and (by the default's type) their casts
 _SOLVER_DEFAULTS = FortetOptions._field_defaults
@@ -193,12 +199,16 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     if not all(isinstance(m, dict) for m in raw["marginals"]):
         raise ConfigError("each of 'marginals' must be an object")
 
+    unknown = set(raw["grid"]) - {"points", "radius", *_GRID_DEFAULTS}
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     grid = dict(_GRID_DEFAULTS, **raw["grid"])
     if "points" not in grid:
         raise ConfigError("grid needs 'points'")
     grid["points"] = _number(grid["points"], "grid.points", int)
     grid["dim"] = _number(grid["dim"], "grid.dim", int)
-    grid["rule"] = str(grid["rule"])
+    if grid["rule"] != "trapezoid":
+        raise ConfigError(f"grid.rule must be \"trapezoid\", not {grid['rule']!r}")
     radius = grid.get("radius", "auto")
     if radius == "auto":
         scales = _gaussian_scales(raw, grid["dim"])
@@ -268,8 +278,7 @@ def build_problem(resolved: Dict[str, object], base_dir=".") -> Problem:
     base = Path(base_dir)
     g = resolved["grid"]
     try:
-        grid = build_grid(dim=g["dim"], radius=g["radius"],
-                          points_per_axis=g["points"], rule=g["rule"])
+        grid = build_grid(dim=g["dim"], radius=g["radius"], points_per_axis=g["points"])
     except Exception as exc:
         raise ConfigError(f"grid construction failed: {exc}") from exc
 

@@ -539,14 +539,15 @@ def gaussian_from_scales(grid1: QuadratureGrid, grid2: QuadratureGrid,
 
     With white None it is a product of 1-D kernels at the scales: the band
     (_heat_band: O(n) memory, one convolution per product, entries at the
-    lattice offsets k h) on one uniform 1-D axis that both grids share, and
-    otherwise one factor per axis (_heat_factor), built once for each
-    distinct (grid1 axis, grid2 axis, scale) and held, read-only, at every
-    axis that repeats it; axes compare by identity, and build_grid passes
-    one axis array for every dimension, so an isotropic kernel holds one
-    factor.  Otherwise it is one dense factor, the product of the
-    per-coordinate factors on the whitened nodes, with entries below TINY
-    stored as 0.
+    lattice offsets k h) on one uniform 1-D axis that both grids share (as
+    every 1-D build_grid grid does), and otherwise (dim >= 2, or an axis
+    built by hand that is no lattice) one factor per axis (_heat_factor),
+    built once for each distinct (grid1 axis, grid2 axis, scale) and held,
+    read-only, at every axis that repeats it; axes compare by identity, and
+    build_grid passes one axis array for every dimension, so an isotropic
+    kernel holds one factor.  Otherwise it is one dense factor, the product
+    of the per-coordinate factors on the whitened nodes, with entries below
+    TINY stored as 0.
 
     Raises FeasibilityError unless each s^2 and the product of 2 pi s^2
     (1 / peak^2) are normal floats (_in_range).

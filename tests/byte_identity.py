@@ -35,10 +35,7 @@ SEEDS = (0, 31)
 #: non-diagonal covariance, whose dense factor reads that mesh
 #: (problem._whitened), narrow 1-D marginals, whose omega1 underflows
 #: to 0 at 14 edge nodes, so that the closing gathers its support through
-#: a mask and KernelOperator.apply keeps its scale there, and two
-#: Gauss-Legendre grids: gl1d's non-uniform axis takes one factor that is
-#: no band, and gl2d's non-uniform axes take one factor each, its
-#: interpolate exiting 1 on an under-resolved slice; and aniso2d, a
+#: a mask and KernelOperator.apply keeps its scale there, and aniso2d, a
 #: diagonal anisotropic covariance, whose interpolation slices take each
 #: axis at its own scale (its diagnose builds the dense 6561 x 6561
 #: kernel, 344 MB).  The 21^3 grid skips compare and diagnose, which take
@@ -49,13 +46,16 @@ SEEDS = (0, 31)
 #: hard checks, runs Sinkhorn to exit 0; and spike1d, a marginal narrower
 #: than the grid's spacing, which fails marginal1_continuity, so that
 #: every op exits 2, and spike2d, its 2-D analogue, whose screen names a
-#: jump along the last axis between nodes 840 and 841.  flat1d, equal marginals under a kernel far narrower
-#: than them (kappa = 0.0062), has an integrand that decays only slowly, so
-#: that the integrability tail fit must correct for the kernel's column
-#: mass lost off the grid's edge to read it as finite and let every op run.
-#: wide1d is gauss1d's config under a kernel of sigma = 1e200, whose
-#: 2 pi sigma^2 overflows: every op refuses the scale while it loads the
-#: problem, with exit 2 and one stderr line, and writes no artifact.
+#: jump along the last axis between nodes 840 and 841.  flat1d, equal
+#: marginals under a kernel far narrower than them (kappa = 0.0062), has an
+#: integrand that decays only slowly, so that the integrability tail fit
+#: must correct for the kernel's column mass lost off the grid's edge to
+#: read it as finite and let every op run.  wide1d is gauss1d's config
+#: under a kernel of sigma = 1e200, whose 2 pi sigma^2 overflows: every op
+#: refuses the scale while it loads the problem, with exit 2 and one stderr
+#: line, and writes no artifact.  Every grid is the trapezoid lattice: a
+#: config naming another grid.rule exits 1, which
+#: test_malformed_config_value_is_a_config_error checks.
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -73,18 +73,6 @@ EXTRA = {
                                 {"type": "gaussian", "sigma": 0.25}],
                   "grid": {"dim": 1, "radius": 8.0, "points": 401}},
                  OPS),
-    "gl1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
-              "marginals": [{"type": "gaussian", "sigma": 1.0},
-                            {"type": "gaussian", "sigma": 0.8}],
-              "grid": {"dim": 1, "radius": 8.0, "points": 201,
-                       "rule": "gauss-legendre"}},
-             OPS),
-    "gl2d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
-              "marginals": [{"type": "gaussian", "sigma": 1.0},
-                            {"type": "gaussian", "sigma": 0.8}],
-              "grid": {"dim": 2, "radius": 6.0, "points": 25,
-                       "rule": "gauss-legendre"}},
-             OPS),
     "aniso2d": ({"kernel": {"type": "gaussian_multivariate",
                             "covariance": [[0.25, 0.0], [0.0, 0.16]]},
                  "marginals": [{"type": "gaussian", "sigma": 1.0},

@@ -85,6 +85,19 @@ class TestConfig:
             resolve_config(dict(BENCH_RAW, solver={"tolerance": 1e-8}))
         with pytest.raises(ConfigError, match="unknown solver keys"):
             resolve_config(dict(BENCH_RAW, solver={"ray_tol": 1e-2}))
+        # a misspelt grid key once left the radius "auto" (6.5 here) or the
+        # grid 1-D
+        for key, value in (("radus", 12), ("dims", 2)):
+            grid = dict(SWAP_RAW["grid"], **{key: value})
+            with pytest.raises(ConfigError, match=rf"unknown grid keys: \['{key}'\]"):
+                resolve_config(dict(SWAP_RAW, grid=grid))
+
+    @pytest.mark.parametrize("rule", ["gauss-legendre", "simpson", True])
+    def test_grid_rule_takes_only_trapezoid(self, rule):
+        # every grid is the trapezoid lattice; the key stays, at its one
+        # value, so that resolved configs and their hashes keep their bytes
+        with pytest.raises(ConfigError, match="grid.rule must be"):
+            resolve_config(dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], rule=rule)))
 
     def test_missing_required_key_rejected(self):
         raw = {k: v for k, v in BENCH_RAW.items() if k != "marginals"}
@@ -1115,12 +1128,17 @@ def test_check_names_a_zero_denominator_node(tmp_path):
     ("normalize_kernel_rows", "no"), ("normalize_kernel_rows", None),
     ("grid.points", 101.7), ("grid.points", True), ("grid.dim", 1.9), ("grid.dim", True),
     ("kernel.sigma", True), ("marginals.0.sigma", False), ("grid.radius", True),
-    ("solver.tol", True), ("kernel", {"type": "gaussian_multivariate", "covariance": [[True]]})])
+    ("solver.tol", True), ("kernel", {"type": "gaussian_multivariate", "covariance": [[True]]}),
+    ("grid.radius", "inf"), ("grid.radius", "nan"), ("grid.radius", 1e308),
+    ("grid.dim", 100_000), ("grid.rule", "gauss-legendre"), ("grid.radus", 12)])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value):
     # exit 1 with one "config error:" line naming the key, never a traceback
     # or a run that misreads the value (bool("false") is true, and float()
     # and numpy read true as 1); a flag (swap, normalize_kernel_rows) takes
-    # a boolean or 0 or 1
+    # a boolean or 0 or 1.  A radius that is not finite, or whose span 2R
+    # overflows, once ran into a late error naming no radius, a grid.dim of
+    # 100000 into printing points ** dim past Python's 4300 digits, and a
+    # misspelt grid key or a gauss-legendre rule into a solve
     cfg = write_config(tmp_path, _malformed(path, value))
     assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.splitlines()

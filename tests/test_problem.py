@@ -419,9 +419,11 @@ def test_factored_gaussian_matches_dense(dim, points):
 
 
 def test_one_dimensional_gaussian_apply_is_the_dense_product():
-    # Gauss-Legendre nodes are not a uniform lattice: the 1-D heat kernel
-    # keeps its dense factor there
-    grid = build_grid(dim=1, radius=8.0, points_per_axis=401, rule="gauss-legendre")
+    # a hand-built axis that is no uniform lattice, its nodes clustered at
+    # its ends and weighted by their spacing: the 1-D heat kernel keeps its
+    # dense factor there
+    x = 8.0 * np.sin(np.linspace(-np.pi / 2, np.pi / 2, 401))
+    grid = QuadratureGrid((x,), np.gradient(x))
     kernel = gaussian_kernel(grid, grid, 0.5)
     assert len(kernel.factors) == 1 and not kernel.banded
     assert kernel.factors[0] is kernel.values
