@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FortetBridgeError, InfeasibleParametersError
+from .errors import FeasibilityError, FortetBridgeError, InfeasibleParametersError
 from .problem import KernelOperator, MarginalPair, gaussian_from_scales, gaussian_kappa
 from .quadrature import Frozen, QuadratureGrid
 
@@ -163,7 +163,8 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     a grid spacing above the slice's width, the kernel's narrowest standard
     deviation times sqrt(min(t, 1 - t)) (times 1 at an endpoint),
     under-resolves it, and otherwise the truncation is the cause; the message
-    names the two lengths.
+    names the two lengths.  A slice whose scales leave float range raises
+    gaussian_from_scales' FeasibilityError, prefixed with its time.
     """
     if kernel.gaussian is None:
         raise FortetBridgeError("interpolation needs a Gaussian kernel")
@@ -188,10 +189,13 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
             forward = kernel.apply_T(phi)
             backward = psi
         else:
-            forward = gaussian_from_scales(
-                grid, grid, [s * math.sqrt(t) for s in scales], white).apply(phi)
-            backward = gaussian_from_scales(
-                grid, grid, [s * math.sqrt(1.0 - t) for s in scales], white).apply(psi)
+            try:
+                forward = gaussian_from_scales(
+                    grid, grid, [s * math.sqrt(t) for s in scales], white).apply(phi)
+                backward = gaussian_from_scales(
+                    grid, grid, [s * math.sqrt(1.0 - t) for s in scales], white).apply(psi)
+            except FeasibilityError as exc:
+                raise FeasibilityError(f"interpolation time t={t}: {exc}") from None
         rho = forward * backward
         m = float(np.sum(w * rho))
         if abs(m - 1.0) > MASS_DRIFT_TOL:

@@ -508,7 +508,10 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     to a tagged solution.
 
     Raises the refusal of the instance's full_report, if it has one, as a
-    FeasibilityError unless opts.force is set; the report is not kept.
+    FeasibilityError unless opts.force is set; the report is not kept.  For
+    a Gaussian kernel between Gaussian marginals with diagonal covariances
+    the refusal is closed form (Bernstein's margin kappa on each axis) and
+    reads no grid scan; any other instance is scanned.
     opts.max_iter is not read: the closing is bounded by REFINE_MAX.  The
     run's StepLog, a row of scalars per step, is attached to the solution
     (and to the NonConvergenceError raised when the closing fails).  The

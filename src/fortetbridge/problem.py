@@ -43,10 +43,14 @@ class DensityField(Frozen):
     Marginals are scaled to unit mass before construction (the helper
     `density_field` does it); intermediate products like a pushforward may
     carry any mass.  The values are read-only, so their support and peak,
-    which every fit reads, are computed once and cached.
+    which every fit reads, are computed once and cached.  gaussian is the
+    diagonal of the covariance of a centered Gaussian that gaussian_density
+    sampled with a diagonal covariance, one variance per axis, and None
+    for any other density.
     """
 
-    def __init__(self, grid: QuadratureGrid, values):
+    def __init__(self, grid: QuadratureGrid, values,
+                 gaussian: Optional[Tuple[float, ...]] = None):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_nodes,):
             raise GridError("density values must match grid node count")
@@ -56,7 +60,7 @@ class DensityField(Frozen):
             idx = int(np.flatnonzero(values < 0)[0])
             raise FeasibilityError(f"density negative at node {idx}")
         values.setflags(write=False)
-        vars(self).update(grid=grid, values=values)
+        vars(self).update(grid=grid, values=values, gaussian=gaussian)
 
     def mass(self) -> float:
         """The quadrature sum of the values over the grid's weights."""
@@ -107,14 +111,15 @@ class DensityField(Frozen):
             return np.divide(self.values, integral, out=np.zeros(S.shape), where=S)
 
 
-def density_field(grid: QuadratureGrid, values, renormalize: bool = True) -> DensityField:
+def density_field(grid: QuadratureGrid, values, renormalize: bool = True,
+                  gaussian: Optional[Tuple[float, ...]] = None) -> DensityField:
     values = np.asarray(values, dtype=float)
     if renormalize:
         m = float(np.sum(grid.weights * values))
         if m <= 0:
             raise FeasibilityError("cannot renormalize a density with zero mass")
         values = values / m
-    return DensityField(grid, values)
+    return DensityField(grid, values, gaussian)
 
 
 def _in_range(variances, norm: float) -> bool:
@@ -125,11 +130,13 @@ def _in_range(variances, norm: float) -> bool:
 
 
 def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
-    """Centered Gaussian marginal, scaled to unit quadrature mass.
+    """Centered Gaussian marginal, scaled to unit quadrature mass.  A
+    diagonal covariance (any in 1-D) is kept as the field's gaussian, its
+    variances (s^2, or the diagonal), which the feasibility verdict reads.
 
-    Raises FeasibilityError naming sigma unless each variance (s^2, or the
-    covariance's diagonal) and (2 pi)^d det Sigma are normal floats
-    (_in_range, the rule the kernel's scales meet)."""
+    Raises FeasibilityError naming sigma unless each variance and (2 pi)^d
+    det Sigma are normal floats (_in_range, the rule the kernel's scales
+    meet)."""
     if grid.dim == 1:
         s = float(sigma)
         if s <= 0:
@@ -139,6 +146,7 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
         # an exponent beyond float range is -inf, and its entry 0: both exact
         with np.errstate(over="ignore"):
             vals = np.exp(-grid.nodes ** 2 / (2.0 * s * s)) / math.sqrt(2.0 * math.pi * s * s)
+        diagonal = (s * s,)
     else:
         cov = np.atleast_2d(np.asarray(sigma, dtype=float))
         if cov.shape == (1, 1):
@@ -160,7 +168,9 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
         np.exp(vals, out=vals)
         vals /= math.sqrt(norm)
         vals = vals.reshape(-1)
-    return density_field(grid, vals, renormalize=True)
+        diagonal = None if np.any(cov[~np.eye(grid.dim, dtype=bool)]) else \
+            tuple(np.diagonal(cov).tolist())
+    return density_field(grid, vals, renormalize=True, gaussian=diagonal)
 
 
 class MarginalPair(NamedTuple):
@@ -634,28 +644,56 @@ class ConditionStar(NamedTuple):
     zero_denominator_nodes: Tuple[int, ...] = ()
 
 
-class FeasibilityReport(NamedTuple):
-    hypotheses: Dict[str, CheckResult]
-    condition_star: Optional[ConditionStar] = None
-    swap_recommended: bool = False
+class FeasibilityReport(Frozen):
+    """Whether Fortet's scheme may run on the instance (kernel, marginals).
 
-    @property
-    def refusal(self) -> Optional[str]:
-        """Why Fortet's scheme may not run on this instance, or None: the
-        hypothesis checks that failed, else, where the report carries an
-        integrability estimate, its suspected divergence (with a hint when
-        swapping the marginals looks feasible).  The solvers raise it as a
-        FeasibilityError unless forced."""
-        failed = [k for k, v in self.hypotheses.items() if not v.ok]
-        cs = self.condition_star
-        if failed:
-            why = f"hypothesis checks failed: {', '.join(failed)}"
-        elif cs is not None and cs.verdict != "finite":
-            why = "integrability estimate is suspected-divergent" + (
-                "; swapping the marginals looks feasible" if self.swap_recommended else "")
+    refusal is None or why not, which the solvers raise as a
+    FeasibilityError unless forced: the hypothesis checks that failed,
+    else, where the report reads integrability, its suspected divergence
+    (with a hint when swapping the marginals looks feasible).  It and
+    swap_recommended are one verdict, formed with the report: for the
+    Gaussian family (_gaussian_margins) in closed form, the continuity
+    smokes and then kappa_k > 0 on every axis, and otherwise from the grid
+    scan, hypotheses and condition_star (of the swapped instance too where
+    that diverges).  Those two are the scan's in both routes, computed on
+    first read; condition_star is None where the report reads no
+    integrability.  Where the routes part, kappa decides: the continuum
+    integral diverges where a kappa_k <= 0, which a truncated grid's tail
+    fit can miss.
+    """
+
+    def __init__(self, kernel: KernelOperator, marginals: MarginalPair,
+                 integrability: bool = True):
+        vars(self).update(kernel=kernel, marginals=marginals, integrability=integrability)
+        margins = _gaussian_margins(kernel, marginals)
+        if margins is None:
+            failed = [k for k, v in self.hypotheses.items() if not v.ok]
+            cs = self.condition_star
+            divergent = cs is not None and cs.verdict != "finite"
+            swap = divergent and condition_star(
+                kernel.swapped(), swapped_marginals(marginals)).verdict == "finite"
         else:
-            return None
-        return why + " (pass force=True to run anyway)"
+            failed = [k for k, v in _smokes(kernel, marginals).items() if not v.ok]
+            divergent = integrability and not margins[0]
+            swap = divergent and margins[1]
+        refusal = None
+        if failed:
+            refusal = f"hypothesis checks failed: {', '.join(failed)}"
+        elif divergent:
+            refusal = "integrability estimate is suspected-divergent" + (
+                "; swapping the marginals looks feasible" if swap else "")
+        if refusal is not None:
+            refusal += " (pass force=True to run anyway)"
+        vars(self).update(refusal=refusal, swap_recommended=swap)
+
+    @cached_property
+    def hypotheses(self) -> Dict[str, CheckResult]:
+        return {**_hard_checks(self.kernel, self.marginals),
+                **_smokes(self.kernel, self.marginals)}
+
+    @cached_property
+    def condition_star(self) -> Optional[ConditionStar]:
+        return condition_star(self.kernel, self.marginals) if self.integrability else None
 
     @property
     def solver_admissible(self) -> bool:
@@ -723,16 +761,22 @@ def _hits(kernel: KernelOperator, rows: np.ndarray, hit):
 
 
 def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> FeasibilityReport:
-    """Exact grid checks for the standing hypotheses; continuity best-effort.
+    """The report of the standing hypotheses alone: exact grid checks,
+    continuity best-effort, and no integrability estimate.
 
-    Reads the kernel's factors and never builds its matrix: row and column
-    extremes come from per-factor extremes (a band's from its windows, in
-    O(n), with no window view), the continuity smoke reads a band's middle
-    column as a slice of it, and only a row that holds an offending entry
-    is built.  Never raises on a failed check: the report lists offending
-    node indices and the caller decides (solvers refuse inadmissible
-    instances unless forced).
+    The checks read the kernel's factors and never build its matrix: row
+    and column extremes come from per-factor extremes (a band's from its
+    windows, in O(n), with no window view), the continuity smoke reads a
+    band's middle column as a slice of it, and only a row that holds an
+    offending entry is built.  Never raises on a failed check: the report
+    lists offending node indices and the caller decides (solvers refuse
+    inadmissible instances unless forced).
     """
+    return FeasibilityReport(kernel, marginals, integrability=False)
+
+
+def _hard_checks(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, CheckResult]:
+    """The exact grid checks of check_assumptions, by name."""
     checks: Dict[str, CheckResult] = {}
     # a NaN entry is neither negative nor positive, so those two checks
     # reduce with fmin / fmax, which skip it; it does breach the bound
@@ -773,8 +817,13 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
         CheckResult("fail", "all-zero kernel columns",
                     tuple(int(j) for j in np.flatnonzero(~col_ok)[:8]))
     )
+    return checks
 
-    # best-effort smoke checks (full continuity is not grid-decidable)
+
+def _smokes(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, CheckResult]:
+    """The best-effort continuity smokes, by name (full continuity is not
+    grid-decidable), O(n) each."""
+    checks: Dict[str, CheckResult] = {}
     if kernel.grid1.dim == 1:
         (g,) = kernel.factors  # a 1-D kernel has one factor
         n = kernel.grid2.n_nodes
@@ -785,8 +834,7 @@ def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> Feasib
     for name, dens in (("marginal1", marginals.omega1), ("marginal2", marginals.omega2)):
         shape = [len(ax) for ax in dens.grid.axes]
         checks[f"{name}_continuity"] = _smoothness_smoke(dens.values.reshape(shape))
-
-    return FeasibilityReport(hypotheses=checks)
+    return checks
 
 
 def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> ConditionStar:
@@ -857,13 +905,38 @@ def bernstein_multivariate_condition(S, S1, S2) -> bool:
     return bool(np.linalg.eigvalsh((M + M.T) / 2.0).min() > 0)
 
 
+def _gaussian_margins(kernel: KernelOperator,
+                      marginals: MarginalPair) -> Optional[Tuple[bool, bool]]:
+    """Whether Bernstein's margin kappa_k = 1/v2_k - 1/(v1_k + s_k^2) is
+    positive on every axis k, and whether it is with the marginals'
+    variances v1 and v2 exchanged, or None off the Gaussian family: a
+    Gaussian kernel of scales s and white None between Gaussian marginals
+    of diagonal covariance (DensityField.gaussian), all on one grid, with
+    omega1 >= TINY at every node.
+
+    There the integral of omega2 / (g * omega1) over R^d is a product of
+    one factor per axis, each finite exactly where its kappa_k > 0, and the
+    float-range rule, which the kernel and both marginals met when built,
+    makes every hard hypothesis hold: the kernel's entries are nonnegative
+    and below its padded peak, each row and column holds its diagonal
+    entry, the peak, and the marginals are renormalized densities.  omega1
+    >= TINY keeps Int g omega1 positive at every node, so the scan's
+    zero-denominator refusal cannot fire.  kappa_k is gaussian_kappa's
+    margin, read from the variances the fields record."""
+    (w1, w2), gaussian = marginals, kernel.gaussian
+    if (gaussian is None or gaussian[1] is not None or w1.gaussian is None
+            or w2.gaussian is None or w1.values.min() < TINY
+            or not kernel.grid1 is kernel.grid2 is w1.grid is w2.grid):
+        return None
+    s2 = [s * s for s in gaussian[0]]
+    return tuple(all(1.0 / b - 1.0 / (a + k) > 0 for k, a, b in zip(s2, va, vb))
+                 for va, vb in ((w1.gaussian, w2.gaussian), (w2.gaussian, w1.gaussian)))
+
+
 def full_report(kernel: KernelOperator, marginals: MarginalPair) -> FeasibilityReport:
-    """Hypothesis checks + integrability estimate + swap advice."""
-    base = check_assumptions(kernel, marginals)
-    cs = condition_star(kernel, marginals)
-    swap = False
-    if cs.verdict == "suspected-divergent":
-        cs_swapped = condition_star(kernel.swapped(), swapped_marginals(marginals))
-        swap = cs_swapped.verdict == "finite"
-    return FeasibilityReport(hypotheses=base.hypotheses, condition_star=cs,
-                             swap_recommended=swap)
+    """The report whose verdict reads integrability (FeasibilityReport):
+    closed form for the Gaussian family, with no kernel apply, and the grid
+    scan otherwise.  Its hypotheses and condition_star are the scan's,
+    computed on first read, so a solve, which reads only the refusal, never
+    pays for the scan of a Gaussian instance."""
+    return FeasibilityReport(kernel, marginals)

@@ -39,14 +39,20 @@ SEEDS = (0, 31)
 #: diagonal anisotropic covariance, whose interpolation slices take each
 #: axis at its own scale (its diagnose builds the dense 6561 x 6561
 #: kernel, 344 MB).  The 21^3 grid skips compare and diagnose, which take
-#: its dense 9261 x 9261 kernel (686 MB).  Two configs cover refusals:
-#: divergent1d, the unswapped criterion-2 instance, whose integrability
-#: estimate is suspected-divergent, so that check, solve, interpolate and
-#: compare exit 2 with the swap hint while diagnose, which reads only the
-#: hard checks, runs Sinkhorn to exit 0; and spike1d, a marginal narrower
-#: than the grid's spacing, which fails marginal1_continuity, so that
-#: every op exits 2, and spike2d, its 2-D analogue, whose screen names a
-#: jump along the last axis between nodes 840 and 841.  flat1d, equal
+#: its dense 9261 x 9261 kernel (686 MB).  aniso2d-swapped solves aniso2d
+#: from omega2 to omega1: Bernstein's margin kappa_k reads (+0.048, -0.042)
+#: on its two axes, so the continuum integral diverges along the second,
+#: while the grid's radial tail fit reads finite; the verdict is kappa's, so
+#: check, solve, interpolate and compare exit 2 with the swap hint, and
+#: diagnose, which reads only the hard checks, runs.  More configs cover
+#: refusals: divergent1d, the unswapped criterion-2 instance, whose
+#: integrability estimate is suspected-divergent, so that check, solve,
+#: interpolate and compare exit 2 with the swap hint while diagnose, which
+#: reads only the hard checks, runs Sinkhorn to exit 0; and spike1d, a
+#: marginal narrower than the grid's spacing, which fails
+#: marginal1_continuity, so that every op exits 2, and spike2d, its 2-D
+#: analogue, whose screen names a jump along the last axis between nodes
+#: 840 and 841.  flat1d, equal
 #: marginals under a kernel far narrower than them (kappa = 0.0062), has an
 #: integrand that decays only slowly, so that the integrability tail fit
 #: must correct for the kernel's column mass lost off the grid's edge to
@@ -79,6 +85,13 @@ EXTRA = {
                                {"type": "gaussian", "sigma": 0.8}],
                  "grid": {"dim": 2, "radius": 8.0, "points": 81}},
                 OPS),
+    "aniso2d-swapped": ({"kernel": {"type": "gaussian_multivariate",
+                                    "covariance": [[0.25, 0.0], [0.0, 0.16]]},
+                         "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                       {"type": "gaussian", "sigma": 0.8}],
+                         "grid": {"dim": 2, "radius": 8.0, "points": 81},
+                         "swap": True},
+                        OPS),
     "divergent1d": ({"kernel": {"type": "gaussian", "sigma": 0.1},
                      "marginals": [{"type": "gaussian", "sigma": 0.5},
                                    {"type": "gaussian", "sigma": 1.0}],

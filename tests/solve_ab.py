@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Interleaved in-process A/B of the CLI solve op across two source trees.
 
-    python3 tests/solve_ab.py OLD_SRC NEW_SRC [PAIRS]
+    python3 tests/solve_ab.py OLD_SRC NEW_SRC [PAIRS] [--seed SEED]
 
 OLD_SRC and NEW_SRC are two `src/` directories (each holding the
 fortetbridge package).  Both trees are imported into one process
-(closing_steps.load_tree), and each bench workload's seed-0 config is
-written through bench/workloads.  Each tree runs the op once untimed; then
-PAIRS pairs (default 200) are timed, each pair running both trees' `cli.main
-(["solve", ...])` back to back, the tree that goes first alternating from
-pair to pair.  One line is printed per workload: each tree's median op time
+(closing_steps.load_tree), and each bench workload's config at SEED
+(default 0, the exact named instances) is written through bench/workloads.
+Each tree runs the op once untimed; then PAIRS pairs (default 200) are
+timed, each pair running both trees' `cli.main(["solve", ...])` back to
+back, the tree that goes first alternating from pair to pair.  One line is printed per workload: each tree's median op time
 [quartiles] in ms, the pairs the new tree won, each tree's tracemalloc peak
 of one op run after its untimed one, and whether the two trees' exit codes,
 stdout and artifacts match.
@@ -71,6 +71,7 @@ def main(argv=None) -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("pairs", type=int, nargs="?", default=200)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "bench"))
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
         importlib.import_module(f"fortetbridge_{side}.cli")
     with tempfile.TemporaryDirectory(prefix="solve_ab_") as work:
         for name in WORKLOADS:
-            config = workloads.write_config(workloads.make_workload(name, 0),
+            config = workloads.write_config(workloads.make_workload(name, args.seed),
                                             Path(work) / name)
             outs = {side: config.parent / side for side in trees}
             first = {side: run(tree, config, outs[side])[1:] + (artifacts(outs[side]),)

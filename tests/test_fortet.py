@@ -318,13 +318,13 @@ def test_scaled_map_is_bitwise_the_unscaled_one_on_the_benchmark(bench_kernel,
 def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     # the heat factor stores its entries below TINY as 0, and every apply
     # takes its argument at a power-of-two scale: no subnormal operand
-    # reaches a kernel product, in the feasibility report, the map, the
-    # extraction or the coupling
+    # reaches a kernel product, in the map, the extraction or the coupling
+    # (the feasibility report of this Gaussian instance makes none)
     from tests.conftest import contract_extremes
     from fortetbridge.problem import TINY
     with contract_extremes() as seen:
         run_fortet(*swap_instance)
-    assert len(seen) == 2 * 75 + 5
+    assert len(seen) == 2 * 75 + 3
     assert min(factor for factor, _ in seen) >= TINY
     assert min(argument for _, argument in seen) >= TINY
 

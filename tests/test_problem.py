@@ -1,6 +1,10 @@
 """Kernels, marginals, hypothesis checks, and the integrability estimate."""
 
+import importlib.util
+import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from fortetbridge.bridge import gaussian_oracle
 from fortetbridge.config import build_problem, resolve_config
 from fortetbridge.problem import TINY, KernelOperator, gaussian_from_scales
 from fortetbridge.quadrature import QuadratureGrid
+from tests.byte_identity import EXTRA
 from tests.closing_steps import sweep_configs
 from tests.conftest import random_instance, traced_peak
 
@@ -307,6 +312,100 @@ def test_condition_star_verdict_is_the_sign_of_kappa_on_the_sweep():
                  problem.gaussian_kappa(s, s2, s1))):
             verdict = condition_star(kernel, marginals).verdict
             assert (verdict == "finite") == (kappa > 0), (label, kappa, verdict)
+
+
+def _scan_twin(marginals):
+    """The marginals as fields with no Gaussian covariance recorded: the
+    same values, off the closed form's family, so their report is the
+    grid scan's."""
+    return MarginalPair(*(problem.DensityField(w.grid, w.values) for w in marginals))
+
+
+def _counting_applies(monkeypatch):
+    """A list that gains one entry per KernelOperator.apply or apply_T call."""
+    calls = []
+    for name in ("apply", "apply_T"):
+        fn = getattr(KernelOperator, name)
+        monkeypatch.setattr(KernelOperator, name,
+                            lambda self, f, fn=fn: calls.append(fn) or fn(self, f))
+    return calls
+
+
+def _family_configs():
+    """(label, raw config) of the 72 sweep configs, the bench workloads at
+    seeds 0, 3 and 31, and the byte-identity EXTRA configs that build."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    yield from sweep_configs(gaussian_oracle)
+    for name, seed in itertools.product(("gauss1d", "gauss2d", "swap"), (0, 3, 31)):
+        yield f"{name} seed {seed}", workloads.make_workload(name, seed).config
+    for name, (raw, _) in EXTRA.items():
+        if name != "wide1d":  # its kernel scale is refused while it builds
+            yield name, raw
+
+
+def test_closed_form_verdict_is_the_scans_on_the_gaussian_family():
+    # each instance of the family, in both orientations: the refusal and
+    # the swap hint read from kappa equal those the grid scan forms from
+    # its hypotheses and integrability estimates, except on aniso2d
+    # swapped (and on aniso2d-swapped as given), where the two part (see
+    # the next test)
+    family, parted = [], []
+    for label, raw in _family_configs():
+        built = build_problem(resolve_config(raw))
+        for kernel, marginals, tag in (
+                (built.kernel, built.marginals, ""),
+                (built.kernel.swapped(), swapped_marginals(built.marginals), " swapped")):
+            if problem._gaussian_margins(kernel, marginals) is None:
+                continue
+            family.append(label + tag)
+            closed = full_report(kernel, marginals)
+            scan = full_report(kernel, _scan_twin(marginals))
+            if (closed.refusal, closed.swap_recommended) != (scan.refusal,
+                                                            scan.swap_recommended):
+                parted.append(label + tag)
+    # narrow1d, spike1d and spike2d have an omega1 below TINY at the edge
+    # nodes only as given, and multivariate2d's kernel is whitened
+    assert len(family) == 2 * 72 + 2 * 9 + 13
+    assert {"narrow1d", "spike1d", "spike2d", "multivariate2d",
+            "multivariate2d swapped"}.isdisjoint(family)
+    assert parted == ["aniso2d swapped", "aniso2d-swapped"]
+
+
+def test_aniso2d_swapped_is_refused_by_kappa_where_the_tail_fit_reads_finite():
+    # kernel variances (0.25, 0.16), marginal variances 1.0 and 0.8 swapped:
+    # kappa_k = 1/1.0 - 1/(0.8 + s_k^2) reads (+0.048, -0.042), so the
+    # integrand grows as exp(0.021 y2^2) and the continuum integral
+    # diverges; the radial tail fit of the 81^2 grid reads finite
+    built = build_problem(resolve_config(dict(EXTRA["aniso2d"][0], swap=True)))
+    report = full_report(built.kernel, built.marginals)
+    assert report.refusal == ("integrability estimate is suspected-divergent; swapping "
+                              "the marginals looks feasible (pass force=True to run anyway)")
+    assert report.swap_recommended and not report.solver_admissible
+    assert all(check.ok for check in report.hypotheses.values())
+    assert report.condition_star.verdict == "finite"
+    assert full_report(built.kernel, _scan_twin(built.marginals)).refusal is None
+
+
+def test_gaussian_verdict_makes_no_apply_and_other_inputs_take_the_scan(
+        bench_grid, bench_kernel, bench_marginals, monkeypatch):
+    # gauss1d's verdict is kappa; narrow1d's omega1 underflows to 0 at its
+    # edge nodes, and a table twin of gauss1d's kernel is no Gaussian, so
+    # both scan: two applies each, Int g omega1 and the column mass
+    narrow = build_problem(resolve_config(EXTRA["narrow1d"][0]))
+    twin = table_kernel(bench_grid, bench_grid, bench_kernel.values)
+    calls = _counting_applies(monkeypatch)
+    assert full_report(bench_kernel, bench_marginals).refusal is None
+    assert calls == []
+    assert full_report(narrow.kernel, narrow.marginals).refusal is None
+    assert len(calls) == 2
+    assert full_report(twin, bench_marginals).refusal is None
+    assert len(calls) == 4
+    assert narrow.marginals.omega1.values.min() == 0.0
+    assert bench_marginals.omega1.gaussian == (1.0,)
+    assert bench_marginals.omega2.gaussian == (0.8 * 0.8,)
 
 
 def test_bernstein_conditions():
