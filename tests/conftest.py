@@ -60,6 +60,18 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def counting_applies(monkeypatch):
+    """A list that gains one entry per KernelOperator.apply or apply_T call
+    for the rest of the test."""
+    from fortetbridge.problem import KernelOperator
+    calls = []
+    for name in ("apply", "apply_T"):
+        fn = getattr(KernelOperator, name)
+        monkeypatch.setattr(KernelOperator, name,
+                            lambda self, f, fn=fn: calls.append(fn) or fn(self, f))
+    return calls
+
+
 def _smallest_nonzero(a):
     nonzero = np.abs(a[a != 0])
     return float(nonzero.min()) if nonzero.size else math.inf

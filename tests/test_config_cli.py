@@ -21,7 +21,7 @@ from fortetbridge.fortet import StepLog, run_fortet
 from fortetbridge.problem import (check_assumptions, full_report, gaussian_kernel,
                                   transition_normalized)
 from fortetbridge.quadrature import build_grid
-from tests.conftest import kernel_matrix_builds, traced_peak
+from tests.conftest import counting_applies, kernel_matrix_builds, traced_peak
 
 BENCH_RAW = {
     "kernel": {"type": "gaussian", "sigma": 0.5},
@@ -729,12 +729,7 @@ def test_large_one_dimensional_solve_holds_no_matrix(tmp_path):
 
 
 def _solve_counting_applies(raw, tmp_path, monkeypatch):
-    from fortetbridge.problem import KernelOperator
-    calls = []
-    for name in ("apply", "apply_T"):
-        fn = getattr(KernelOperator, name)
-        monkeypatch.setattr(KernelOperator, name,
-                            lambda self, f, fn=fn: calls.append(fn) or fn(self, f))
+    calls = counting_applies(monkeypatch)
     solution, _ = _solve_problem(build_problem(resolve_config(raw)), tmp_path)
     return solution, len(calls)
 

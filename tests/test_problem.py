@@ -23,7 +23,7 @@ from fortetbridge.problem import TINY, KernelOperator, gaussian_from_scales
 from fortetbridge.quadrature import QuadratureGrid
 from tests.byte_identity import EXTRA
 from tests.closing_steps import sweep_configs
-from tests.conftest import random_instance, traced_peak
+from tests.conftest import counting_applies, random_instance, traced_peak
 
 #: factored against dense products: same sums in another order
 FACTORED_APPLY_RTOL = 1e-13
@@ -321,16 +321,6 @@ def _scan_twin(marginals):
     return MarginalPair(*(problem.DensityField(w.grid, w.values) for w in marginals))
 
 
-def _counting_applies(monkeypatch):
-    """A list that gains one entry per KernelOperator.apply or apply_T call."""
-    calls = []
-    for name in ("apply", "apply_T"):
-        fn = getattr(KernelOperator, name)
-        monkeypatch.setattr(KernelOperator, name,
-                            lambda self, f, fn=fn: calls.append(fn) or fn(self, f))
-    return calls
-
-
 def _family_configs():
     """(label, raw config) of the 72 sweep configs, the bench workloads at
     seeds 0, 3 and 31, and the byte-identity EXTRA configs that build."""
@@ -396,7 +386,7 @@ def test_gaussian_verdict_makes_no_apply_and_other_inputs_take_the_scan(
     # both scan: two applies each, Int g omega1 and the column mass
     narrow = build_problem(resolve_config(EXTRA["narrow1d"][0]))
     twin = table_kernel(bench_grid, bench_grid, bench_kernel.values)
-    calls = _counting_applies(monkeypatch)
+    calls = counting_applies(monkeypatch)
     assert full_report(bench_kernel, bench_marginals).refusal is None
     assert calls == []
     assert full_report(narrow.kernel, narrow.marginals).refusal is None
