@@ -134,6 +134,7 @@ def _write_potentials(path: Path, grid, columns) -> None:
 def _check_payload(report) -> dict:
     payload = {
         "hypotheses": {name: r._asdict() for name, r in report.hypotheses.items()},
+        "refusal": report.refusal,
         "solver_admissible": report.solver_admissible,
         "swap_recommended": report.swap_recommended,
     }
@@ -202,6 +203,8 @@ def cmd_check(args) -> int:
               f"(estimate {report.condition_star.estimate!r})")
     if report.swap_recommended:
         print("swap_recommended: true")
+    if report.refusal is not None:
+        print(f"refusal: {report.refusal}")
     print(f"solver_admissible: {report.solver_admissible}")
     return 0 if report.solver_admissible else 2
 
@@ -273,9 +276,10 @@ def cmd_diagnose(args) -> int:
     from .errors import FeasibilityError
     from .problem import check_assumptions
     problem = load_problem(args.config)
-    # the hard checks solve and compare run: an input they refuse exits 2
-    # here too, instead of sweeping to max_iter; their report carries no
-    # integrability estimate, so a divergent one does not stop Sinkhorn
+    # the exact grid checks solve and compare run: an input they refuse
+    # exits 2 here too, instead of sweeping to max_iter; their report
+    # carries no integrability estimate, so a divergent one does not stop
+    # Sinkhorn
     if not problem.options.force:
         refusal = check_assumptions(problem.kernel, problem.marginals).refusal
         if refusal is not None:

@@ -2,9 +2,12 @@
 
 The solvable instance is a bounded positive kernel g(x, y) on a product of
 quadrature grids plus two nonnegative unit-mass marginals (omega1, omega2).
-This module validates the standing hypotheses (nonnegativity, boundedness,
-row/column positivity, continuity smoke checks) and evaluates the
-integrability condition that gates the fixed-point existence argument.
+This module checks the standing hypotheses that a grid can decide (the
+kernel's nonnegativity, bound and row/column positivity, the marginals'
+unit mass) and evaluates the integrability condition that gates the
+fixed-point existence argument.  Continuity is a hypothesis of the
+continuum system, which no set of sampled values can violate, so no check
+reads it.
 """
 
 from __future__ import annotations
@@ -410,11 +413,6 @@ def _band_matrix(band: np.ndarray, n: int) -> np.ndarray:
     return sliding_window_view(_padded(band, n), n)[::-1]
 
 
-def _band_row(band: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Row i of _band_matrix(band, n), which is also its column i."""
-    return _padded(band, n)[n - 1 - i:2 * n - 1 - i]
-
-
 def _window_extremes(band: np.ndarray, n: int, extreme: np.ufunc) -> np.ndarray:
     """extreme.reduce over each row of _band_matrix(band, n), which is
     also its column, in O(n) (van Herk 1992; Gil & Werman 1993).
@@ -620,13 +618,16 @@ def transition_normalized(kernel: KernelOperator) -> KernelOperator:
 # --------------------------------------------------------------------------
 
 class CheckResult(NamedTuple):
-    status: str          # "pass" | "fail" | "best-effort-pass" | "best-effort-fail" | "skipped"
+    """One exact grid check: status "pass" or "fail", a detail, and the
+    first offending node indices (a kernel entry's as (i, j))."""
+
+    status: str          # "pass" | "fail"
     detail: str = ""
     offending_nodes: Tuple[int, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return self.status in ("pass", "best-effort-pass", "skipped")
+        return self.status == "pass"
 
 
 class ConditionStar(NamedTuple):
@@ -652,14 +653,14 @@ class FeasibilityReport(Frozen):
     else, where the report reads integrability, its suspected divergence
     (with a hint when swapping the marginals looks feasible).  It and
     swap_recommended are one verdict, formed with the report: for the
-    Gaussian family (_gaussian_margins) in closed form, the continuity
-    smokes and then kappa_k > 0 on every axis, and otherwise from the grid
-    scan, hypotheses and condition_star (of the swapped instance too where
-    that diverges).  Those two are the scan's in both routes, computed on
-    first read; condition_star is None where the report reads no
-    integrability.  Where the routes part, kappa decides: the continuum
-    integral diverges where a kappa_k <= 0, which a truncated grid's tail
-    fit can miss.
+    Gaussian family from _gaussian_margins alone, where every hypothesis
+    holds and integrability is kappa_k > 0 on every axis, and otherwise
+    from the grid scan, hypotheses (the exact grid checks) and
+    condition_star (of the swapped instance too where that diverges).
+    Those two are the scan's in both routes, computed on first read;
+    condition_star is None where the report reads no integrability.  Where
+    the routes part, kappa decides: the continuum integral diverges where a
+    kappa_k <= 0, which a truncated grid's tail fit can miss.
     """
 
     def __init__(self, kernel: KernelOperator, marginals: MarginalPair,
@@ -673,8 +674,7 @@ class FeasibilityReport(Frozen):
             swap = divergent and condition_star(
                 kernel.swapped(), swapped_marginals(marginals)).verdict == "finite"
         else:
-            failed = [k for k, v in _smokes(kernel, marginals).items() if not v.ok]
-            divergent = integrability and not margins[0]
+            failed, divergent = [], integrability and not margins[0]
             swap = divergent and margins[1]
         refusal = None
         if failed:
@@ -688,8 +688,7 @@ class FeasibilityReport(Frozen):
 
     @cached_property
     def hypotheses(self) -> Dict[str, CheckResult]:
-        return {**_hard_checks(self.kernel, self.marginals),
-                **_smokes(self.kernel, self.marginals)}
+        return _hard_checks(self.kernel, self.marginals)
 
     @cached_property
     def condition_star(self) -> Optional[ConditionStar]:
@@ -705,31 +704,6 @@ def _require_spd(mat: np.ndarray, what: str) -> None:
         raise FeasibilityError(f"{what} must be symmetric")
     if np.linalg.eigvalsh(mat).min() <= 0:
         raise FeasibilityError(f"{what} must be positive definite")
-
-
-def _smoothness_smoke(mesh: np.ndarray) -> CheckResult:
-    """Crude first-difference screen: flags near-discontinuities only.
-    mesh holds a function's values on a grid's 'ij' mesh, one array axis
-    per grid axis, and a jump is taken between neighbours along one axis,
-    never across the end of a row.  The axes are screened last first, and
-    the first largest jump is kept; it is named by its flat node indices."""
-    scale = float(np.max(np.abs(mesh)))
-    if scale == 0:
-        return CheckResult("best-effort-pass", "identically zero")
-    top = None
-    for k in reversed(range(mesh.ndim)):
-        jumps = np.abs(np.diff(mesh, axis=k))
-        worst = jumps.max()
-        if top is None or worst > top[0]:
-            at = np.unravel_index(jumps.argmax(), jumps.shape)
-            top = worst, k, int(np.ravel_multi_index(at, mesh.shape))
-    worst, k, idx = float(top[0]) / scale, top[1], top[2]
-    if worst > 0.5:
-        step = math.prod(mesh.shape[k + 1:])
-        return CheckResult("best-effort-fail",
-                           f"jump of {worst:.2g} x scale between nodes {idx} and {idx + step}",
-                           (idx,))
-    return CheckResult("best-effort-pass", f"max relative jump {worst:.2g}")
 
 
 def _extremes(kernel: KernelOperator, extreme: np.ufunc, axis: int) -> np.ndarray:
@@ -761,13 +735,13 @@ def _hits(kernel: KernelOperator, rows: np.ndarray, hit):
 
 
 def check_assumptions(kernel: KernelOperator, marginals: MarginalPair) -> FeasibilityReport:
-    """The report of the standing hypotheses alone: exact grid checks,
-    continuity best-effort, and no integrability estimate.
+    """The report of the standing hypotheses alone: the exact grid checks,
+    and no integrability estimate, so that for the Gaussian family
+    (_gaussian_margins) it has nothing to refuse.
 
     The checks read the kernel's factors and never build its matrix: row
     and column extremes come from per-factor extremes (a band's from its
-    windows, in O(n), with no window view), the continuity smoke reads a
-    band's middle column as a slice of it, and only a row that holds an
+    windows, in O(n), with no window view), and only a row that holds an
     offending entry is built.  Never raises on a failed check: the report
     lists offending node indices and the caller decides (solvers refuse
     inadmissible instances unless forced).
@@ -793,12 +767,8 @@ def _hard_checks(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, C
         CheckResult("fail", f"entries reach the stated bound {bound:.6g}", over)
     )
 
+    # a DensityField is nonnegative: its constructor refuses a negative value
     for name, dens in (("marginal1", marginals.omega1), ("marginal2", marginals.omega2)):
-        bad = np.flatnonzero(dens.values < 0)
-        checks[f"{name}_nonnegative"] = (
-            CheckResult("pass") if bad.size == 0 else
-            CheckResult("fail", "negative density values", tuple(int(i) for i in bad[:8]))
-        )
         m = dens.mass()
         checks[f"{name}_unit_mass"] = (
             CheckResult("pass", f"mass {m!r}") if abs(m - 1.0) <= MASS_TOL else
@@ -817,23 +787,6 @@ def _hard_checks(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, C
         CheckResult("fail", "all-zero kernel columns",
                     tuple(int(j) for j in np.flatnonzero(~col_ok)[:8]))
     )
-    return checks
-
-
-def _smokes(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, CheckResult]:
-    """The best-effort continuity smokes, by name (full continuity is not
-    grid-decidable), O(n) each."""
-    checks: Dict[str, CheckResult] = {}
-    if kernel.grid1.dim == 1:
-        (g,) = kernel.factors  # a 1-D kernel has one factor
-        n = kernel.grid2.n_nodes
-        column = _band_row(g, n, n // 2) if kernel.banded else g[:, n // 2]
-        checks["kernel_continuity"] = _smoothness_smoke(column)
-    else:
-        checks["kernel_continuity"] = CheckResult("skipped", "dim > 1")
-    for name, dens in (("marginal1", marginals.omega1), ("marginal2", marginals.omega2)):
-        shape = [len(ax) for ax in dens.grid.axes]
-        checks[f"{name}_continuity"] = _smoothness_smoke(dens.values.reshape(shape))
     return checks
 
 
@@ -912,12 +865,13 @@ def _gaussian_margins(kernel: KernelOperator,
     variances v1 and v2 exchanged, or None off the Gaussian family: a
     Gaussian kernel of scales s and white None between Gaussian marginals
     of diagonal covariance (DensityField.gaussian), all on one grid, with
-    omega1 >= TINY at every node.
+    omega1 >= TINY at every node.  These two are the family's whole
+    verdict (FeasibilityReport).
 
     There the integral of omega2 / (g * omega1) over R^d is a product of
     one factor per axis, each finite exactly where its kappa_k > 0, and the
     float-range rule, which the kernel and both marginals met when built,
-    makes every hard hypothesis hold: the kernel's entries are nonnegative
+    makes every hypothesis hold: the kernel's entries are nonnegative
     and below its padded peak, each row and column holds its diagonal
     entry, the peak, and the marginals are renormalized densities.  omega1
     >= TINY keeps Int g omega1 positive at every node, so the scan's
@@ -935,8 +889,9 @@ def _gaussian_margins(kernel: KernelOperator,
 
 def full_report(kernel: KernelOperator, marginals: MarginalPair) -> FeasibilityReport:
     """The report whose verdict reads integrability (FeasibilityReport):
-    closed form for the Gaussian family, with no kernel apply, and the grid
-    scan otherwise.  Its hypotheses and condition_star are the scan's,
-    computed on first read, so a solve, which reads only the refusal, never
-    pays for the scan of a Gaussian instance."""
+    closed form for the Gaussian family, kappa on each axis with no kernel
+    apply, and the grid scan otherwise.  Its hypotheses and
+    condition_star are the scan's, computed on first read, so a solve,
+    which reads only the refusal, never pays for the scan of a Gaussian
+    instance."""
     return FeasibilityReport(kernel, marginals)

@@ -49,10 +49,11 @@ SEEDS = (0, 31)
 #: integrability estimate is suspected-divergent, so that check, solve,
 #: interpolate and compare exit 2 with the swap hint while diagnose, which
 #: reads only the hard checks, runs Sinkhorn to exit 0; and spike1d, a
-#: marginal narrower than the grid's spacing, which fails
-#: marginal1_continuity, so that every op exits 2, and spike2d, its 2-D
-#: analogue, whose screen names a jump along the last axis between nodes
-#: 840 and 841.  flat1d, equal
+#: marginal narrower than the grid's spacing, and spike2d, its 2-D
+#: analogue, whose kappa < 0: their omega1 underflows to 0 at the edge
+#: nodes, so the grid scan reads integrability, and refuses it with the
+#: swap hint, while diagnose runs.  spike1d-swapped and spike2d-swapped
+#: take that hint: kappa > 0, and every op runs.  flat1d, equal
 #: marginals under a kernel far narrower than them (kappa = 0.0062), has an
 #: integrand that decays only slowly, so that the integrability tail fit
 #: must correct for the kernel's column mass lost off the grid's edge to
@@ -107,6 +108,18 @@ EXTRA = {
                                {"type": "gaussian", "sigma": 0.8}],
                  "grid": {"dim": 2, "radius": 8.0, "points": 41}},
                 OPS),
+    "spike1d-swapped": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                         "marginals": [{"type": "gaussian", "sigma": 0.05},
+                                       {"type": "gaussian", "sigma": 0.8}],
+                         "grid": {"dim": 1, "radius": 8.0, "points": 41},
+                         "swap": True},
+                        OPS),
+    "spike2d-swapped": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                         "marginals": [{"type": "gaussian", "sigma": 0.05},
+                                       {"type": "gaussian", "sigma": 0.8}],
+                         "grid": {"dim": 2, "radius": 8.0, "points": 41},
+                         "swap": True},
+                        OPS),
     "flat1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                 "marginals": [{"type": "gaussian", "sigma": 2.5},
                               {"type": "gaussian", "sigma": 2.5}],

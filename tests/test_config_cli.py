@@ -21,6 +21,7 @@ from fortetbridge.fortet import StepLog, run_fortet
 from fortetbridge.problem import (check_assumptions, full_report, gaussian_kernel,
                                   transition_normalized)
 from fortetbridge.quadrature import build_grid
+from tests.byte_identity import EXTRA
 from tests.conftest import counting_applies, kernel_matrix_builds, traced_peak
 
 BENCH_RAW = {
@@ -543,15 +544,15 @@ def _one_dimensional(sigma, sigma1, sigma2, points):
 
 DIVERGENT = ("integrability estimate is suspected-divergent; swapping the "
              "marginals looks feasible (pass force=True to run anyway)")
-DISCONTINUOUS = ("hypothesis checks failed: marginal1_continuity "
-                 "(pass force=True to run anyway)")
 #: each instance with the refusals of its full_report and of its
 #: check_assumptions: the bench gauss1d instance, the unswapped criterion-2
-#: instance, and a marginal narrower than the grid's spacing
+#: instance, and a marginal narrower than the grid's spacing in both
+#: orientations: as given kappa < 0, and swapped it solves
 VERDICTS = {
     "gauss1d": (_one_dimensional(0.5, 1.0, 0.8, 401), None, None),
     "divergent1d": (_one_dimensional(0.1, 0.5, 1.0, 401), DIVERGENT, None),
-    "spike1d": (_one_dimensional(0.5, 0.05, 0.8, 41), DISCONTINUOUS, DISCONTINUOUS),
+    "spike1d": (_one_dimensional(0.5, 0.05, 0.8, 41), DIVERGENT, None),
+    "spike1d-swapped": (dict(_one_dimensional(0.5, 0.05, 0.8, 41), swap=True), None, None),
 }
 
 
@@ -1060,7 +1061,7 @@ def test_gaussian_marginal_scale_outside_float_range_exits_2(tmp_path, capsys, s
 
 
 @pytest.mark.parametrize("path, value, argv, code, says", [
-    ("kernel.sigma", 1.5e-154, ["check"], 2, "solver_admissible: False"),
+    ("kernel.sigma", 1.5e-154, ["check"], 0, "solver_admissible: True"),
     ("marginals.0.sigma", 1.5e-154, ["check"], 2, "solver_admissible: False"),
     (None, None, ["interpolate", "--times", "0,1e-307,1"], 1,
      "interpolant mass at t=1e-307 drifted")], ids=["kernel", "marginal", "slice"])
@@ -1069,8 +1070,9 @@ def test_gaussian_scale_just_inside_float_range_warns_nothing(tmp_path, capsys, 
     # sigma = 1.5e-154 meets the float-range rule (sigma^2 >= TINY), yet
     # radius^2 / (2 sigma^2) overflows: the exponent is -inf and its entry
     # 0, both exact, with no RuntimeWarning (an error under pytest's
-    # filter); the t = 1e-307 slice of gauss1d's kernel has the scale
-    # 0.5 sqrt(t), and drifts
+    # filter); check admits the kernel's instance (kappa > 0) and refuses
+    # the marginal's (kappa < 0); the t = 1e-307 slice of gauss1d's kernel
+    # has the scale 0.5 sqrt(t), and drifts
     raw = _malformed(path, value) if path else BENCH_RAW
     cfg = write_config(tmp_path, raw)
     assert main([argv[0], "--config", str(cfg), "--output", str(tmp_path / "run"),
@@ -1090,6 +1092,26 @@ def test_forced_solve_of_an_empty_omega1_exits_2(tmp_path, capsys):
                  "--output", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "feasibility failure: omega1 has empty support"]
+
+
+def test_check_writes_and_prints_its_refusal(tmp_path, capsys):
+    # aniso2d swapped is refused by kappa while the grid's tail fit reads
+    # finite: feasibility.json and stdout say why; gauss1d's refusal is null
+    for name, raw, refusal in (
+            ("aniso2d-swapped", EXTRA["aniso2d-swapped"][0],
+             "integrability estimate is suspected-divergent; swapping the marginals "
+             "looks feasible (pass force=True to run anyway)"),
+            ("gauss1d", VERDICTS["gauss1d"][0], None)):
+        out = tmp_path / name
+        assert main(["check", "--config", str(write_config(tmp_path, raw)),
+                     "--output", str(out)]) == (0 if refusal is None else 2)
+        feasibility = json.loads((out / "feasibility.json").read_text())
+        assert feasibility["refusal"] == refusal
+        assert feasibility["condition_star"]["verdict"] == "finite"
+        lines = capsys.readouterr().out.splitlines()
+        said = [] if refusal is None else [f"refusal: {refusal}"]
+        assert lines[-1 - len(said):] == said + [f"solver_admissible: {refusal is None}"]
+        assert sum(line.startswith("refusal") for line in lines) == len(said)
 
 
 def test_check_names_a_zero_denominator_node(tmp_path):
