@@ -191,23 +191,29 @@ class KernelOperator(Frozen):
     interpolation, whose slice at time t is the kernel of the same pair
     with every scale times sqrt(t) (gaussian_from_scales).
 
-    factors are what apply / apply_T contract and what the hypothesis checks
-    read.  A dense kernel has one factor, the n1 x n2 matrix.  The heat
-    kernel on two tensor grids has one nonnegative 1-D factor per grid axis,
-    in the axes' order, and the kernel is their Kronecker product: a product
-    then costs one small matrix product per axis instead of a pass over the
-    n1 x n2 matrix.  A banded kernel has one 1-D factor, a symmetric band of
-    2b + 1 entries (b <= n - 1) on two grids of n nodes: the matrix is
-    symmetric Toeplitz, entry (i, j) the band's entry at offset i - j and 0
-    beyond b, and a product is one np.convolve (_band_product).  values is
-    the matrix, reduce(np.kron, matrices); for a product or banded kernel it
-    is built on first read and cached, and solving never reads it.
+    factors, read-only, are what the hypothesis checks read and what apply /
+    apply_T contract (through _operands, below).  A dense kernel has one
+    factor, the n1 x n2 matrix.  The heat kernel on two tensor grids has one
+    nonnegative 1-D factor per grid axis, in the axes' order, and the kernel
+    is their Kronecker product: a product then costs one small matrix
+    product per axis instead of a pass over the n1 x n2 matrix.  A banded
+    kernel has one 1-D factor, a symmetric band of 2b + 1 entries (b <= n -
+    1) on two grids of n nodes: the matrix is symmetric Toeplitz, entry (i,
+    j) the band's entry at offset i - j and 0 beyond b, and a product is one
+    np.correlate (_band_product).  numpy's correlation copies any input it
+    cannot write, so the kernel keeps a private writeable copy of the band,
+    _operands, which apply and apply_T contract, and factors[0] is a
+    read-only view of it; the caller's band is not frozen.  For any other
+    kernel _operands is factors.  values is the matrix, reduce(np.kron,
+    matrices); for a product or banded kernel it is built on first read and
+    cached, and solving never reads it.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], grid1: QuadratureGrid,
                  grid2: QuadratureGrid, sigma_bound: float,
                  gaussian: Optional[Tuple[Tuple[float, ...], Optional[np.ndarray]]] = None):
         factors = tuple(np.asarray(a, dtype=float) for a in factors)
+        operands = factors
         n = grid1.n_nodes
         if len(factors) == 1 and factors[0].ndim == 1:
             band = factors[0]
@@ -215,6 +221,8 @@ class KernelOperator(Frozen):
                     and band.size < 2 * n and np.array_equal(band, band[::-1])):
                 raise GridError("a kernel band must be symmetric, of odd length "
                                 "below 2n, on two grids of n nodes")
+            operands = (band.copy(),)
+            factors = (operands[0].view(),)
         elif len(factors) == 1:
             if factors[0].shape != (n, grid2.n_nodes):
                 raise GridError("kernel matrix shape must be (n1, n2)")
@@ -228,8 +236,8 @@ class KernelOperator(Frozen):
                 raise GridError("kernel factors must be nonnegative")
         for a in factors:
             a.setflags(write=False)
-        vars(self).update(factors=factors, grid1=grid1, grid2=grid2, sigma_bound=sigma_bound,
-                          gaussian=gaussian)
+        vars(self).update(factors=factors, _operands=operands, grid1=grid1, grid2=grid2,
+                          sigma_bound=sigma_bound, gaussian=gaussian)
 
     @property
     def banded(self) -> bool:
@@ -345,13 +353,13 @@ class KernelOperator(Frozen):
                     # weights * 2^k is exact, so each f * (weights * 2^k) is
                     # rounded once; no name holds it, so _contract frees it
                     # after its first product, as it frees weights * f
-                    out = _contract(self.factors, f * (self.grid2.weights * 2.0 ** k))
+                    out = _contract(self._operands, f * (self.grid2.weights * 2.0 ** k))
                     return np.ldexp(out, -k, out=out)
-        return _contract(self.factors, self.grid2.weights * f)
+        return _contract(self._operands, self.grid2.weights * f)
 
     def apply_T(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(x) dx: the transposed kernel against grid1's weights."""
-        return _contract([a.T for a in self.factors], self.grid1.weights * f)
+        return _contract([a.T for a in self._operands], self.grid1.weights * f)
 
     def swapped(self) -> "KernelOperator":
         """The kernel g(y, x) on (grid2, grid1).  A Gaussian on one grid is
@@ -386,13 +394,21 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The band's symmetric Toeplitz matrix @ x: entry i is np.convolve(x,
     band)[i + b], one dot product over the band's taps that meet x.  Only
     those n entries are formed: mode 'same' when the band is no longer than
-    x, 'valid' when it spans every offset (b = n - 1)."""
+    x, 'valid' when it spans every offset (b = n - 1).
+
+    Each is np.correlate, bitwise what np.convolve computes: the band is its
+    own reversal, and np.convolve correlates the longer of its arguments
+    with the reversal of the shorter.  numpy's correlation copies any input
+    it cannot write or that is not contiguous.  So the band is read in place
+    only if it is writeable (KernelOperator's private band), and 'same'
+    correlates with the band itself, not np.convolve's reversed view of it.
+    The reversal of x, where the band is the longer, is the one copy left."""
     b, n = band.size // 2, x.size
     if 2 * b < n:
-        return np.convolve(x, band, "same")
+        return np.correlate(x, band, "same")
     if b == n - 1:
-        return np.convolve(x, band, "valid")
-    return np.convolve(x, band)[b:b + n]
+        return np.correlate(band, x[::-1], "valid")
+    return np.correlate(band, x[::-1], "full")[b:b + n]
 
 
 def _padded(band: np.ndarray, n: int) -> np.ndarray:

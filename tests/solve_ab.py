@@ -9,10 +9,14 @@ fortetbridge package).  Both trees are imported into one process
 (default 0, the exact named instances) is written through bench/workloads.
 Each tree runs the op once untimed; then PAIRS pairs (default 200) are
 timed, each pair running both trees' `cli.main(["solve", ...])` back to
-back, the tree that goes first alternating from pair to pair.  One line is printed per workload: each tree's median op time
-[quartiles] in ms, the pairs the new tree won, each tree's tracemalloc peak
-of one op run after its untimed one, and whether the two trees' exit codes,
-stdout and artifacts match.
+back, the tree that goes first alternating from pair to pair.  One line is
+printed per workload: each tree's median op time [quartiles] in ms, the
+pairs the new tree won, each tree's tracemalloc peaks, and whether the two
+trees' exit codes, stdout and artifacts match.  Two peaks are read per
+tree, each of one op run after its untimed one: the steady op's, which
+reuses the cached CLI parser, and a first op's, with the parser's cache
+(cli._PARSER) reset first so that the op builds it again, as the first op
+of a process does.  bench/run.py's peak_mem_mb reads that first op.
 
 Its numbers are diagnostics, one process on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -47,8 +51,11 @@ def run(tree, config: Path, out: Path):
     return elapsed, code, stdout.getvalue()
 
 
-def traced_peak(tree, config: Path, out: Path) -> int:
-    """The tracemalloc peak in bytes of one solve op, counted from its start."""
+def traced_peak(tree, config: Path, out: Path, first: bool = False) -> int:
+    """The tracemalloc peak in bytes of one solve op, counted from its start;
+    with first, of an op that builds the CLI parser again."""
+    if first:
+        tree.cli._PARSER = None
     tracemalloc.start()
     try:
         run(tree, config, out)
@@ -92,6 +99,11 @@ def main(argv=None) -> int:
                      for side, tree in trees.items()}
             peaks = {side: traced_peak(tree, config, outs[side])
                      for side, tree in trees.items()}
+            # the second round's: a tree's first parser rebuild warms caches
+            # that the two trees share, which reads ~5 kB on whichever goes first
+            for _ in range(2):
+                firsts = {side: traced_peak(tree, config, outs[side], first=True)
+                          for side, tree in trees.items()}
             times = {side: [] for side in trees}
             for pair in range(args.pairs):
                 order = ("old", "new") if pair % 2 == 0 else ("new", "old")
@@ -102,6 +114,8 @@ def main(argv=None) -> int:
             print(f"{name}: old {summary(times['old'])}; new {summary(times['new'])}; "
                   f"new faster in {won} of {args.pairs}; peak old "
                   f"{peaks['old'] / 1e3:.1f} kB, new {peaks['new'] / 1e3:.1f} kB; "
+                  f"first-op peak old {firsts['old'] / 1e3:.1f} kB, "
+                  f"new {firsts['new'] / 1e3:.1f} kB; "
                   f"exit, stdout and artifacts {match}")
     return 0
 

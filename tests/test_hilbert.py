@@ -31,6 +31,17 @@ def test_distance_axioms():
         hilbert_distance([1.0, 1.0], [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("x, y", [([1.0, math.nan], [1.0, 1.0]),
+                                  ([1.0, math.inf], [1.0, 1.0]),
+                                  ([math.inf, math.inf], [1.0, 2.0])])
+def test_distance_refuses_entries_that_are_not_finite(x, y):
+    # a NaN passes x <= 0 and read nan; an inf read inf, or inf / inf
+    with pytest.raises(FortetBridgeError, match="finite, strictly positive"):
+        hilbert_distance(x, y)
+    with pytest.raises(FortetBridgeError, match="finite, strictly positive"):
+        hilbert_distance(y, x)
+
+
 @given(positive_vectors, positive_vectors, st.floats(1e-3, 1e3))
 @settings(max_examples=100, deadline=None)
 def test_distance_is_projective(xs, ys, c):

@@ -549,6 +549,38 @@ def test_one_dimensional_gaussian_apply_is_the_band_convolution(bench_grid, sigm
         assert abs(image[i] - exact) <= gamma * math.fsum(np.abs(row * wf))
 
 
+#: (sigma, b, node arrays that one apply or apply_T stays below) on the
+#: bench grid: gauss1d's full-width band peaks at the argument product, its
+#: reversal and the image, swap's at the argument product and the image
+BAND_PRODUCT_PEAKS = [(0.5, 400, 3.5), (0.1, 94, 2.4)]
+
+
+@pytest.mark.parametrize("sigma, b, arrays", BAND_PRODUCT_PEAKS)
+def test_band_product_copies_no_band(bench_grid, sigma, b, arrays):
+    # numpy's correlation copies any input it cannot write, so a product on
+    # the read-only band copied its 2b + 1 taps (5.2 and 2.6 node arrays);
+    # the kernel contracts its private writeable band instead.  factors
+    # still cannot write the band, and a band passed in is copied: it stays
+    # writeable, and changing it leaves the kernel as it was
+    kernel = gaussian_kernel(bench_grid, bench_grid, sigma)
+    (band,) = kernel.factors
+    assert band.size == 2 * b + 1
+    f = np.random.default_rng(7).uniform(0.1, 1.0, bench_grid.n_nodes)
+    image = kernel.apply(f)
+    for product in (kernel.apply, kernel.apply_T):
+        out, peak = traced_peak(lambda: product(f))
+        assert np.array_equal(out, image)
+        assert peak < arrays * f.nbytes
+    with pytest.raises(ValueError):
+        band[0] = 0.0
+    own = band.copy()
+    copied = KernelOperator((own,), bench_grid, bench_grid, kernel.sigma_bound)
+    assert own.flags.writeable
+    own[:] = 0.0
+    assert np.array_equal(copied.apply(f), image)
+    assert np.array_equal(copied.apply_T(f), image)
+
+
 def _unscaled_apply(kernel, f):
     return problem._contract(kernel.factors, kernel.grid2.weights * f)
 
