@@ -132,15 +132,13 @@ def _write_potentials(path: Path, grid, columns) -> None:
 
 
 def _check_payload(report) -> dict:
-    payload = {
+    return {
+        "condition_star": report.condition_star._asdict(),
         "hypotheses": {name: r._asdict() for name, r in report.hypotheses.items()},
         "refusal": report.refusal,
         "solver_admissible": report.solver_admissible,
         "swap_recommended": report.swap_recommended,
     }
-    if report.condition_star is not None:
-        payload["condition_star"] = report.condition_star._asdict()
-    return payload
 
 
 def _solution_payload(problem, solution, kl) -> dict:
@@ -156,22 +154,32 @@ def _solution_payload(problem, solution, kl) -> dict:
         "refine_steps": solution.refine_steps,
         "residuals": dict(solution.residuals),
         "warnings": list(solution.warnings),
+        "h_min": float(np.min(solution.h)),
+        "h_max": float(np.max(solution.h)),
     }
-    if solution.h is not None:
-        payload["h_min"] = float(np.min(solution.h))
-        payload["h_max"] = float(np.max(solution.h))
     if solution.coupling is not None:
         payload["coupling"] = {"mass": solution.coupling.mass}
-    if kl is not None:
         payload["kl_objective"] = kl.value
         payload["kl_absolutely_continuous"] = kl.absolutely_continuous
     return payload
 
 
+def _open(args):
+    """(problem, out): the config loaded and the output directory made.
+    Every command calls it after its own flag checks, so a refused flag or
+    config leaves no directory."""
+    from .config import load_problem
+    problem = load_problem(args.config)
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
+    return problem, out
+
+
 def _solve_problem(problem, out: Path):
-    """Shared solve path: returns (solution, kl), kl None for degenerate
-    runs.  At the iteration cap the per-step trace is written to
-    out/trace.csv before the NonConvergenceError propagates to main, which
+    """Shared solve path: returns (solution, kl), kl None for a degenerate
+    solution, the one with no coupling.  If the closing fails, the
+    NonConvergenceError's StepLog, which holds the scheme row at least, is
+    written to out/trace.csv before the error propagates to main, which
     exits 3."""
     from . import bridge, fortet
     from .errors import NonConvergenceError
@@ -179,28 +187,21 @@ def _solve_problem(problem, out: Path):
         solution = fortet.run_fortet(problem.kernel, problem.marginals,
                                      problem.options)
     except NonConvergenceError as exc:
-        if exc.trace:
-            _write_trace(out / "trace.csv", exc.trace)
+        _write_trace(out / "trace.csv", exc.trace)
         raise
-    kl = None
-    if solution.coupling is not None:
-        kl = bridge.kl_objective(solution.coupling)
-    return solution, kl
+    coupling = solution.coupling
+    return solution, None if coupling is None else bridge.kl_objective(coupling)
 
 
 def cmd_check(args) -> int:
     from . import problem as prob
-    from .config import load_problem
-    problem = load_problem(args.config)
+    problem, out = _open(args)
     report = prob.full_report(problem.kernel, problem.marginals)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "feasibility.json", _check_payload(report))
     for name, check in sorted(report.hypotheses.items()):
         print(f"{name}: {check.status}" + (f" ({check.detail})" if check.detail else ""))
-    if report.condition_star is not None:
-        print(f"integrability_estimate: {report.condition_star.verdict} "
-              f"(estimate {report.condition_star.estimate!r})")
+    print(f"integrability_estimate: {report.condition_star.verdict} "
+          f"(estimate {report.condition_star.estimate!r})")
     if report.swap_recommended:
         print("swap_recommended: true")
     if report.refusal is not None:
@@ -210,19 +211,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .config import load_problem
-    problem = load_problem(args.config)
+    problem, out = _open(args)
     if args.force:
         problem = problem._replace(options=problem.options._replace(force=True))
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     solution, kl = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
     _write_trace(out / "trace.csv", solution.steps)
     payload = _solution_payload(problem, solution, kl)
     _write_json(out / "summary.json", payload)
-    if solution.h is not None and solution.phi is not None:
+    if solution.coupling is not None:
         _write_potentials(out / "potentials.csv", problem.grid,
                           [("phi", solution.phi), ("psi", solution.psi),
                            ("h", solution.h)])
@@ -237,7 +235,6 @@ def cmd_solve(args) -> int:
 
 def cmd_interpolate(args) -> int:
     from . import bridge
-    from .config import load_problem
     try:
         times = [float(t) for t in args.times.split(",") if t.strip() != ""]
     except ValueError:
@@ -246,12 +243,15 @@ def cmd_interpolate(args) -> int:
     if not times:
         _log("--times is empty")
         return 1
-    problem = load_problem(args.config)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    # NaN fails both comparisons
+    outside = [t for t in times if not 0.0 <= t <= 1.0]
+    if outside:
+        _log(f"--times must lie in [0, 1], not {outside[0]!r}")
+        return 1
+    problem, out = _open(args)
     started = time.perf_counter()
     solution, kl = _solve_problem(problem, out)
-    if solution.case_tag == "degenerate":
+    if solution.coupling is None:
         _log("cannot interpolate a degenerate solution")
         return 2
     interp = bridge.entropic_interpolation(solution.phi, solution.psi,
@@ -272,10 +272,9 @@ def cmd_interpolate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     from . import sinkhorn
-    from .config import load_problem
     from .errors import FeasibilityError
     from .problem import check_assumptions
-    problem = load_problem(args.config)
+    problem, out = _open(args)
     # the exact grid checks solve and compare run: an input they refuse
     # exits 2 here too, instead of sweeping to max_iter; their report
     # carries no integrability estimate, so a divergent one does not stop
@@ -284,8 +283,6 @@ def cmd_diagnose(args) -> int:
         refusal = check_assumptions(problem.kernel, problem.marginals).refusal
         if refusal is not None:
             raise FeasibilityError(refusal)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     trace = sinkhorn.sinkhorn_trace_hilbert(problem.kernel, problem.marginals,
                                             tol=problem.options.tol,
                                             max_iter=problem.options.max_iter)
@@ -316,16 +313,13 @@ def cmd_diagnose(args) -> int:
 
 def cmd_compare(args) -> int:
     from . import fortet, sinkhorn
-    from .config import load_problem
     # a tol of inf passes any finite spread, and one <= 0 or NaN passes none
     if not 0 < args.tol < math.inf:
         _log(f"--tol must be finite and positive, not {args.tol!r}")
         return 1
-    problem = load_problem(args.config)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    problem, out = _open(args)
     solution, _ = _solve_problem(problem, out)
-    if solution.case_tag == "degenerate":
+    if solution.coupling is None:
         _log("cannot compare a degenerate solution")
         return 2
     pair = sinkhorn.run_sinkhorn(problem.kernel, problem.marginals,

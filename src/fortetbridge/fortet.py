@@ -169,10 +169,13 @@ class IterationState(Frozen):
 
 
 class FortetSolution(Frozen):
-    """A tagged solution.  The potentials are held by the coupling pi =
-    phi g psi, whose marginal integrals certify the system; a degenerate
-    solution has no coupling, and its potentials and residuals read None
-    and NaN.  case_tag is "case1", "case2" or "degenerate".  steps is the
+    """A tagged solution.  h is always a read-only array: min(1, K) of the
+    closing's fixed point K, which the potentials are extracted from, or a
+    degenerate run's collapsed image Omega(1).  The potentials are held by
+    the coupling pi = phi g psi, whose marginal integrals certify the
+    system.  A solution is degenerate exactly when it has no coupling: its
+    potentials and residuals read None and NaN, and its case_tag is
+    "degenerate" ("case1" or "case2" otherwise).  steps is the
     run's StepLog, one row per step of both phases: iterations, a class
     attribute, counts its one scheme row and refine_steps the rest.  trace,
     a class attribute too, is always empty: a run keeps no per-step arrays.
@@ -184,11 +187,10 @@ class FortetSolution(Frozen):
     #: starts the closing (module docstring); it is row 0 of steps
     iterations: int = 1
 
-    def __init__(self, h: Optional[np.ndarray], case_tag: str,
+    def __init__(self, h: np.ndarray, case_tag: str,
                  coupling: Optional[bridge.Coupling], warnings: Tuple[str, ...],
                  steps: StepLog):
-        if h is not None:
-            h.setflags(write=False)
+        h.setflags(write=False)
         vars(self).update(h=h, case_tag=case_tag, coupling=coupling, warnings=warnings,
                           steps=steps)
 
@@ -452,26 +454,26 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     and underflow and invalid values (_step_row), covers the map too.  So
     a NaN that the map or apply makes on the support warns of nothing
     either; it shows in the row (a NaN sup change) and in _support_sup's
-    refusal, as it does in the scheme's.  K >=
-    FLOOR_FREEZE, so a finite K makes omega1 / K 0 off the support without
-    _support_ratio's mask; a step's sup change is finite only if its image
-    is finite at every node, and the next input is then finite too.
+    refusal, as it does in the scheme's.
 
     The support is gathered and scattered through the index at: the mask
     A, or slice(None) where omega1 > 0 at every node, so that the support
     sup, the two log gathers and the extrapolation's write read and write
-    views instead of masked copies.
+    views instead of masked copies.  The same choice, made once, picks
+    omega1 / K: where omega1 > 0 at every node the plain quotient is
+    bitwise _support_ratio's, and elsewhere the masked one is exact at
+    every step, whatever K holds off the support (the scheme's image can be
+    inf or NaN there).
     """
     om1, A = marginals.omega1.values, marginals.omega1.support
-    at = slice(None) if A.all() else A
+    whole = bool(A.all())
+    at = slice(None) if whole else A
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, at, log), FLOOR_FREEZE)
     del K0
-    # the scheme's image is not known finite off the support
-    finite = False
     for _ in range(REFINE_MAX):
-        ratio1 = np.divide(om1, K) if finite else _support_ratio(om1, K, A)
+        ratio1 = np.divide(om1, K) if whole else _support_ratio(om1, K, A)
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
         s = _support_sup(Kn, at, log)
         Kn /= s
@@ -482,7 +484,6 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
         if step < tol:
             return Kn
         del ratio1, mask  # spent on the row
-        finite = math.isfinite(sup_change)
         u = np.log(K[at])
         K = np.maximum(Kn, FLOOR_FREEZE)
         del Kn

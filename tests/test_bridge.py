@@ -381,6 +381,15 @@ class TestInterpolation:
             entropic_interpolation(bench_solution.phi, bench_solution.psi,
                                    bench_kernel, [0.0, 1.5])
 
+    def test_requires_matching_grids(self):
+        # a Gaussian kernel between two 1-D grids of other radii
+        x = build_grid(dim=1, radius=2.0, points_per_axis=5)
+        y = build_grid(dim=1, radius=3.0, points_per_axis=5)
+        with pytest.raises(FortetBridgeError,
+                           match="^interpolation needs matching x and y grids$"):
+            entropic_interpolation(np.ones(5), np.ones(5), gaussian_kernel(x, y, 0.5),
+                                   [0.5])
+
     def test_requires_heat_kernel(self, bench_grid, bench_solution):
         flat = table_kernel(bench_grid, bench_grid,
                             np.ones((bench_grid.n_nodes, bench_grid.n_nodes)))

@@ -18,8 +18,8 @@ from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
 from fortetbridge.fortet import StepLog, run_fortet
-from fortetbridge.problem import (check_assumptions, full_report, gaussian_kernel,
-                                  transition_normalized)
+from fortetbridge.problem import (check_assumptions, full_report, gaussian_density,
+                                  gaussian_kernel, transition_normalized)
 from fortetbridge.quadrature import build_grid
 from tests.byte_identity import EXTRA
 from tests.conftest import counting_applies, kernel_matrix_builds, traced_peak
@@ -788,6 +788,7 @@ def test_every_exported_name_resolves():
     # names load lazily, so a stale _EXPORTS entry fails only on first access
     import fortetbridge
     assert [n for n in fortetbridge.__all__ if not hasattr(fortetbridge, n)] == []
+    assert dir(fortetbridge) == sorted(fortetbridge.__all__)
 
 
 def _csv_cell(value) -> str:
@@ -1094,6 +1095,52 @@ def test_forced_solve_of_an_empty_omega1_exits_2(tmp_path, capsys):
         "feasibility failure: omega1 has empty support"]
 
 
+@pytest.mark.parametrize("op", ["interpolate", "compare"])
+def test_degenerate_solution_is_neither_interpolated_nor_compared(tmp_path, capsys, op):
+    # criterion 7's starved omega2, kept unrenormalized and forced past its
+    # refusal: the solve is degenerate, with no potentials to read
+    grid = build_grid(dim=1, radius=8.0, points_per_axis=201)
+    np.savetxt(tmp_path / "m2.csv", gaussian_density(grid, 0.8).values * 1e-16,
+               delimiter=",")
+    raw = dict(BENCH_RAW, marginals=[BENCH_RAW["marginals"][0],
+                                     {"type": "table", "path": "m2.csv",
+                                      "renormalize": False}],
+               solver={"force": True})
+    assert main([op, "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"cannot {op} a degenerate solution"]
+
+
+@pytest.mark.parametrize("times, said", [
+    *((f"0,{t},1", f"--times must lie in [0, 1], not {float(t)!r}")
+      for t in ("1.5", "-0.1", "nan", "inf")),
+    ("", "--times is empty"), (", ,", "--times is empty")],
+    ids=["1.5", "-0.1", "nan", "inf", "empty", "blank"])
+def test_interpolate_refuses_times_before_it_solves(tmp_path, capsys, monkeypatch,
+                                                    times, said):
+    # a time outside [0, 1], NaN included, is refused where an empty list
+    # is, before the config is loaded or solved: exit 1, one line, and no
+    # output directory
+    def solve(*args):
+        raise AssertionError("run_fortet was called")
+
+    monkeypatch.setattr(fortet, "run_fortet", solve)
+    out = tmp_path / "run"
+    assert main(["interpolate", "--config", str(write_config(tmp_path, BENCH_RAW)),
+                 "--output", str(out), "--times", times]) == 1
+    assert capsys.readouterr().err.splitlines() == [said]
+    assert not out.exists()
+
+
+def test_output_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_text("")
+    assert main(["solve", "--config", str(write_config(tmp_path, BENCH_RAW)),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("I/O error: ")
+
+
 def test_check_writes_and_prints_its_refusal(tmp_path, capsys):
     # aniso2d swapped is refused by kappa while the grid's tail fit reads
     # finite: feasibility.json and stdout say why; gauss1d's refusal is null
@@ -1149,7 +1196,12 @@ def test_check_names_a_zero_denominator_node(tmp_path):
     ("kernel.sigma", True), ("marginals.0.sigma", False), ("grid.radius", True),
     ("solver.tol", True), ("kernel", {"type": "gaussian_multivariate", "covariance": [[True]]}),
     ("grid.radius", "inf"), ("grid.radius", "nan"), ("grid.radius", 1e308),
-    ("grid.dim", 100_000), ("grid.rule", "gauss-legendre"), ("grid.radus", 12)])
+    ("grid.dim", 100_000), ("grid.rule", "gauss-legendre"), ("grid.radus", 12),
+    ("marginals", [BENCH_RAW["marginals"][0]]), ("solver", [1]),
+    ("grid", {"dim": 1, "radius": 8.0}), ("kernel", {"type": "table", "path": 3}),
+    ("kernel", {"type": "table", "path": "missing.csv"}), ("kernel", {"type": "gaussian"}),
+    ("kernel", {"type": "gaussian_multivariate"}), ("kernel.type", "cauchy"),
+    ("marginals.1.type", "beta")])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value):
     # exit 1 with one "config error:" line naming the key, never a traceback
     # or a run that misreads the value (bool("false") is true, and float()
@@ -1163,4 +1215,54 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert path.split(".")[-1] in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+#: malformed configs that are not one value at a key: (raw, or the file's
+#: text; the text of m1.csv beside it, if any; what the error says)
+MALFORMED = {
+    "invalid-json": ("{", None, "is not valid JSON"),
+    "root-not-object": ("[1, 2]", None, "config root must be a JSON object"),
+    "auto-radius-no-scale": (
+        dict(BENCH_RAW, kernel={"type": "table"},
+             marginals=[{"type": "table"}, {"type": "table"}],
+             grid=dict(BENCH_RAW["grid"], radius="auto")), None,
+        "radius 'auto' needs at least one Gaussian scale"),
+    "auto-radius-table-kernel": (
+        dict(BENCH_RAW, kernel={"type": "table", "path": "missing.csv"},
+             grid=dict(BENCH_RAW["grid"], radius="auto")), None, "cannot read kernel table"),
+    "auto-radius-text-sigma": (
+        dict(BENCH_RAW, kernel={"type": "gaussian", "sigma": "x"},
+             grid=dict(BENCH_RAW["grid"], radius="auto")), None,
+        "kernel sigma must be numeric, not 'x'"),
+    "table-not-numeric": (
+        dict(BENCH_RAW, marginals=[{"type": "table", "path": "m1.csv"},
+                                   BENCH_RAW["marginals"][1]]),
+        "a,b\n", "is not numeric CSV"),
+    "table-length": (
+        dict(BENCH_RAW, marginals=[{"type": "table", "path": "m1.csv"},
+                                   BENCH_RAW["marginals"][1]]),
+        "1\n2\n3\n", "marginal 1: table must hold 201 values"),
+    "marginal-no-sigma": (
+        dict(BENCH_RAW, marginals=[{"type": "gaussian"}, BENCH_RAW["marginals"][1]]), None,
+        "marginal 1: gaussian marginal needs 'sigma'"),
+    "marginal-no-covariance": (
+        dict(BENCH_RAW, marginals=[{"type": "gaussian"}, BENCH_RAW["marginals"][1]],
+             grid=dict(BENCH_RAW["grid"], dim=2, points=21)), None,
+        "marginal 1: gaussian marginal needs 'covariance'"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, name):
+    # as a malformed value is: exit 1, one "config error:" line, and no
+    # output directory
+    raw, table, says = MALFORMED[name]
+    if table is not None:
+        (tmp_path / "m1.csv").write_text(table)
+    cfg = tmp_path / "problem.json"
+    cfg.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and says in err[0]
     assert not (tmp_path / "run").exists()

@@ -451,8 +451,9 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
     # the scheme's first image as run_fortet hands it over.  On the table
     # instances the image is inf or NaN off the omega1 support, and a
     # record's normalization reads 0 * inf or NaN there, in both closings.
-    # A NaN off the support is why the closing keeps the masked omega1 / K:
-    # the plain quotient reads 0 / NaN there, and its G is NaN at every node
+    # A NaN off the support is why the closing keeps the masked omega1 / K
+    # wherever omega1 has a zero: the plain quotient reads 0 / NaN there,
+    # and its G is NaN at every node
     from tests.reference_closing import closing_iteration
     kernel, marginals = _closing_instance(which, request)
     table = which in ("zero_mass_table", "nan_off_support")
@@ -501,8 +502,9 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
         # every closing step took the masked ratio and the fit's masked quotient
         assert closed == {"masked": len(fused), "over": len(fused)}
     else:
-        # only the first closing step, whose input the scheme formed
-        assert closed == {"masked": 1, "over": 0}
+        # omega1 > 0 at every node: no step takes the masked ratio, the
+        # first, whose input the scheme formed, included
+        assert closed == {"masked": 0, "over": 0}
 
 
 @pytest.mark.parametrize("points, dim", [(401, 1), (41, 2)], ids=["gauss1d", "gauss2d"])

@@ -152,3 +152,16 @@ def test_homogeneity_check_catches_expansion():
     check = homogeneous_map_contraction_check(lambda v: v ** 2, 1.0, samples)
     assert not check
     assert check.witness is not None
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0), (3,)])
+def test_projective_diameter_refuses_an_empty_or_flat_matrix(shape):
+    with pytest.raises(FortetBridgeError,
+                       match="^projective_diameter expects a nonempty matrix$"):
+        projective_diameter(np.ones(shape))
+
+
+def test_homogeneity_check_of_one_sample_passes_vacuously():
+    # no pair of samples: no excess, and no witness
+    check = homogeneous_map_contraction_check(lambda v: v ** 2, 1.0, [np.ones(3)])
+    assert check == (True, -math.inf, None)

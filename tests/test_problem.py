@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -883,3 +884,48 @@ def test_bound_below_the_factor_maxima_names_a_maximal_entry():
     assert not bounded.ok
     i, j = bounded.offending_nodes
     assert kernel.values[i, j] == kernel.values.max() == top
+
+
+#: each builder refusal of malformed input: the call on a 1-D grid of 5
+#: nodes, the exception type and its whole message
+REFUSALS = {
+    "density-length": (lambda g: problem.DensityField(g, np.ones(4)), GridError,
+                       "density values must match grid node count"),
+    "density-nan": (lambda g: problem.DensityField(g, [1.0, 1.0, math.nan, 1.0, 1.0]),
+                    GridError, "density contains non-finite values"),
+    "zero-mass": (lambda g: density_field(g, np.zeros(5)), FeasibilityError,
+                  "cannot renormalize a density with zero mass"),
+    "sigma-zero": (lambda g: gaussian_density(g, 0.0), FeasibilityError,
+                   "sigma must be positive"),
+    "sigma-negative": (lambda g: gaussian_density(g, -1.0), FeasibilityError,
+                       "sigma must be positive"),
+    "band": (lambda g: KernelOperator((np.array([1.0, 2.0, 3.0]),), g, g, 3.0), GridError,
+             "a kernel band must be symmetric, of odd length below 2n, on two grids of "
+             "n nodes"),
+    "matrix": (lambda g: KernelOperator((np.ones((5, 4)),), g, g, 1.0), GridError,
+               "kernel matrix shape must be (n1, n2)"),
+    "factors": (lambda g: KernelOperator((np.ones((5, 5)),) * 2, g, g, 1.0), GridError,
+                "kernel factors must be (n1, n2) per grid axis"),
+    "grid-dims": (lambda g: gaussian_kernel(g, build_grid(dim=2, radius=2.0,
+                                                          points_per_axis=5), 0.5),
+                  GridError, "kernel grids must share dimension"),
+    # row 2 of the table is 0
+    "zero-row": (lambda g: transition_normalized(table_kernel(
+                     g, g, np.ones((5, 5)) * (np.arange(5) != 2)[:, None])),
+                 FeasibilityError, "cannot row-normalize: a kernel row has zero mass"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_builders_refuse_malformed_input(name):
+    build, error, message = REFUSALS[name]
+    grid = build_grid(dim=1, radius=2.0, points_per_axis=5)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(grid)
+
+
+def test_apply_floor_of_a_band_with_an_inf_tap_is_zero():
+    # an inf tap bounds no product below: apply keeps its scale instead
+    grid = build_grid(dim=1, radius=2.0, points_per_axis=5)
+    band = np.array([math.inf, 1.0, math.inf])
+    assert KernelOperator((band,), grid, grid, math.inf).apply_floor == 0.0

@@ -68,6 +68,8 @@ def test_grid_validation_errors():
         build_grid(dim=1, radius=1.0, points_per_axis=1)
     with pytest.raises(GridError):
         build_grid(dim=3, radius=1.0, points_per_axis=200)  # 8e6 > cap
+    with pytest.raises(GridError, match="^dim must be at least 1$"):
+        build_grid(dim=0, radius=1.0, points_per_axis=10)
     assert 200 ** 3 > MAX_GRID_NODES
     # a radius that is not finite, or whose span 2R overflows: each once
     # took np.linspace's RuntimeWarning, or a late error naming no radius
