@@ -31,25 +31,26 @@ class Coupling(Frozen):
     """The static bridge pi(x, y) = phi(x) g(x, y) psi(y), a density
     against dx x dy on grid1 x grid2.
 
-    It is kept as its potentials, its kernel and its two marginal
-    integrals, row = Int pi dy = phi * apply(psi) and col = Int pi dx =
-    psi * apply_T(phi): the residuals, the mass and the KL objective read
-    only these, so all four are locked against writes.  Each integral is 0
-    wherever its potential is, also where the kernel's image is inf there
-    (0 * inf would read NaN).  A residual is inf at a node where it is NaN
-    (an inf potential against a vanishing integral).  The (n1, n2) array pi
-    is built on first read, under the same rule.
+    It is kept as its potentials, its kernel and its two marginal integrals,
+    row = Int pi dy = phi * apply(psi) and col = Int pi dx = psi *
+    apply_T(phi): the residuals, the mass and the KL objective read only
+    these, so all four are locked against writes.  A g_phi given is taken
+    over as apply_T(phi): Fortet's extraction passes the product it fitted
+    psi to, bitwise the same, so the check loses no independence.  Each
+    integral is 0 wherever its potential is, also where the kernel's image
+    is inf there (0 * inf would read NaN).  A residual is inf at a node
+    where it is NaN (an inf potential against a vanishing integral).  The
+    (n1, n2) array pi is built on first read, under the same rule.
     """
 
-    def __init__(self, phi, psi, kernel: KernelOperator, marginals: MarginalPair):
-        phi = np.asarray(phi, dtype=float)
-        psi = np.asarray(psi, dtype=float)
+    def __init__(self, phi, psi, kernel: KernelOperator, marginals: MarginalPair, g_phi=None):
+        phi, psi = (np.asarray(p, dtype=float) for p in (phi, psi))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            row, col = kernel.apply(psi), kernel.apply_T(phi)
-            row[phi == 0] = 0.0
-            col[psi == 0] = 0.0
-            row *= phi
-            col *= psi
+            row = kernel.apply(psi)
+            col = kernel.apply_T(phi) if g_phi is None else g_phi
+            for integral, potential in ((row, phi), (col, psi)):
+                integral[potential == 0] = 0.0
+                integral *= potential
         for value in (phi, psi, row, col):
             value.setflags(write=False)
         vars(self).update(phi=phi, psi=psi, kernel=kernel, marginals=marginals,
@@ -95,11 +96,11 @@ def _sup_resid(integral: np.ndarray, omega: np.ndarray) -> float:
     return float(np.max(np.where(np.isnan(r), math.inf, r)))
 
 
-def build_coupling(phi, psi, kernel: KernelOperator,
-                   marginals: MarginalPair) -> Coupling:
+def build_coupling(phi, psi, kernel: KernelOperator, marginals: MarginalPair,
+                   g_phi: Optional[np.ndarray] = None) -> Coupling:
     """The coupling pi = phi * g * psi with its marginal integrals: two
-    kernel applies, and no (n1, n2) array until pi is read."""
-    return Coupling(phi, psi, kernel, marginals)
+    kernel applies, one given g_phi, and no (n1, n2) array until pi is read."""
+    return Coupling(phi, psi, kernel, marginals, g_phi)
 
 
 def prior_coupling(kernel: KernelOperator, marginals: MarginalPair) -> np.ndarray:

@@ -252,11 +252,8 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
     errstate itself.
 
     omega2 / G reaches 4.9e-324 where G is large (62-66 subnormal entries
-    per map on the criterion-2 post-swap instance); KernelOperator.apply
-    takes it at a power-of-two scale 2^k and scales the image back exactly
-    with np.ldexp, so no subnormal operand enters the outer integral's
-    products, and the image is bitwise the unscaled one wherever that
-    formed no subnormal intermediate.
+    per map on the criterion-2 post-swap instance), which apply scales out
+    of the outer integral's products (KernelOperator._scaled_contract).
     """
     if ratio1 is None:
         Hv = np.asarray(H, dtype=float)
@@ -534,10 +531,9 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
 
     mass2 = marginals.omega2.mass()
     state = fortet_step(None, kernel, marginals, mass2)
-    d = state.diagnostics
-    case1 = d["case1_candidate"]
+    case1 = state.diagnostics["case1_candidate"]
     log = StepLog(case1)
-    log.append(d["sup_change"], d["normalization_residual"], d["hilbert_step"])
+    log.append(*map(state.diagnostics.get, StepLog.COLUMNS))
     if float(state.H_prime.max()) < DEGENERATE_EPS:
         return FortetSolution(h=state.H_prime, case_tag="degenerate", coupling=None,
                               warnings=("iterate collapsed below the degeneracy "
@@ -554,8 +550,8 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
                 "(outside the omega1 support)"] if over > CASE1_EPS else []
     h = np.minimum(K, 1.0)
-    phi, psi, extract_warn = _extract_with_warnings(h, kernel, marginals)
-    coupling = bridge.build_coupling(phi, psi, kernel, marginals)
+    phi, psi, g_phi, extract_warn = _extract_with_warnings(h, kernel, marginals)
+    coupling = bridge.build_coupling(phi, psi, kernel, marginals, g_phi)
     r1, r2 = coupling.row_marginal_resid, coupling.col_marginal_resid
     root = math.sqrt(max(opts.tol, CLOSING_TOL_FLOOR))
     if r1 > root * marginals.omega1.peak or r2 > root * marginals.omega2.peak:
@@ -568,12 +564,12 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
                            marginals: MarginalPair):
-    """(phi, psi, warnings): phi = omega1 / h on the omega1 support (0 off
-    it and where h underflowed), psi = omega2 / (g * phi); KernelSupportError
-    when that denominator vanishes where omega2 > 0.  It runs under the
-    closing's np.errstate, so an inf kernel entry in a row where phi = 0,
-    whose 0 * inf makes g * phi NaN in its column, warns of nothing: that
-    NaN is DensityField.over's to read."""
+    """(phi, psi, g_phi, warnings): phi = omega1 / h on the omega1 support
+    (0 off it and where h underflowed), g_phi = apply_T(phi) and psi =
+    omega2 / g_phi; KernelSupportError when g_phi vanishes where omega2 > 0.
+    It runs under the closing's np.errstate, so an inf kernel entry in a row
+    where phi = 0, whose 0 * inf makes g_phi NaN in its column, warns of
+    nothing: that NaN is DensityField.over's to read."""
     om1, A = marginals.omega1.values, marginals.omega1.support
     raw = _support_ratio(om1, h, A & (h > 0))
     # h can underflow to 0 (or to a denormal whose reciprocal overflows) when
@@ -583,8 +579,9 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     dropped = int(np.sum(A & ~(usable & (h > 0))))
     warnings = [f"potential phi set to 0 at {dropped} support nodes where h "
                 "underflowed; residuals there are meaningless"] if dropped else []
-    psi = marginals.omega2.over(kernel.apply_T(phi), "integral of g*phi", "omega2 > 0")
-    return phi, psi, warnings
+    g_phi = kernel.apply_T(phi)
+    psi = marginals.omega2.over(g_phi, "integral of g*phi", "omega2 > 0")
+    return phi, psi, g_phi, warnings
 
 
 class UniquenessReport(NamedTuple):

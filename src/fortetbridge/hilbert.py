@@ -55,7 +55,8 @@ def projective_diameter(matrix) -> ProjectiveDiameter:
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.size == 0:
-        raise FortetBridgeError("projective_diameter expects a nonempty matrix")
+        what = "a nonempty matrix" if M.ndim == 2 else "a matrix"
+        raise FortetBridgeError(f"projective_diameter expects {what}, got shape {M.shape}")
     # a NaN fails both comparisons
     if not (M.min() > ZERO_ENTRY and M.max() < math.inf):
         return ProjectiveDiameter(float("inf"), True)

@@ -191,9 +191,9 @@ class KernelOperator(Frozen):
     interpolation, whose slice at time t is the kernel of the same pair
     with every scale times sqrt(t) (gaussian_from_scales).
 
-    factors, read-only, are what the hypothesis checks read and what apply /
-    apply_T contract (through _operands, below).  A dense kernel has one
-    factor, the n1 x n2 matrix.  The heat kernel on two tensor grids has one
+    factors, read-only, are what the hypothesis checks read; apply and
+    apply_T contract _operands (below).  A dense kernel has one factor, the
+    n1 x n2 matrix.  The heat kernel on two tensor grids has one
     nonnegative 1-D factor per grid axis, in the axes' order, and the kernel
     is their Kronecker product: a product then costs one small matrix
     product per axis instead of a pass over the n1 x n2 matrix.  A banded
@@ -202,11 +202,10 @@ class KernelOperator(Frozen):
     j) the band's entry at offset i - j and 0 beyond b, and a product is one
     np.correlate (_band_product).  numpy's correlation copies any input it
     cannot write, so the kernel keeps a private writeable copy of the band,
-    _operands, which apply and apply_T contract, and factors[0] is a
-    read-only view of it; the caller's band is not frozen.  For any other
-    kernel _operands is factors.  values is the matrix, reduce(np.kron,
-    matrices); for a product or banded kernel it is built on first read and
-    cached, and solving never reads it.
+    _operands, and factors[0] is a read-only view of it; the caller's band
+    is not frozen.  For any other kernel _operands is factors.  values is
+    the matrix, reduce(np.kron, matrices); for a product or banded kernel
+    it is built on first read and cached, and solving never reads it.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], grid1: QuadratureGrid,
@@ -263,36 +262,36 @@ class KernelOperator(Frozen):
 
     @cached_property
     def apply_headroom(self) -> Optional[int]:
-        """The power of two that apply scales an f with max|f| < 1 by, or
-        None if sigma_bound is not finite.
+        """The power of two that apply and apply_T scale an f with max|f| <
+        1 by, or None if sigma_bound is not finite.
 
-        With B = n2 * max(1, sigma_bound) * max(1, largest grid2 weight),
-        every product and partial sum that apply forms, between factors
-        too, is at most B * max|f|, for factors whose entries are at most
-        sigma_bound^(1/d), as the heat kernel's are.  The headroom keeps
-        that below 2^(MAX_EXP - 1), where rounding cannot reach overflow,
-        and the scaled weights below it too."""
-        bound = (self.grid2.n_nodes * max(1.0, self.sigma_bound)
-                 * max(1.0, float(self.grid2.weights.max())))
+        With B = max(n1, n2) * max(1, sigma_bound) * max(1, largest weight of
+        either grid), every product and partial sum of either direction,
+        between factors too, is at most B * max|f|, for factors whose entries
+        are at most sigma_bound^(1/d), as the heat kernel's are.  The headroom
+        keeps that and the scaled weights below 2^(MAX_EXP - 1), where
+        rounding cannot reach overflow."""
+        bound = (max(self.grid1.n_nodes, self.grid2.n_nodes) * max(1.0, self.sigma_bound)
+                 * max(1.0, float(self.grid1.weights.max()), float(self.grid2.weights.max())))
         return MAX_EXP - 1 - math.frexp(bound)[1] if bound < math.inf else None
 
     @cached_property
     def apply_floor(self) -> float:
         """A floor that min f times bounds below every nonzero product and
-        partial sum that apply forms unscaled, or 0 where none is kept.
+        partial sum that apply and apply_T form unscaled, or 0 where none is kept.
 
-        It is half the smallest grid2 weight times, per factor, min(1, its
-        smallest positive entry): each entry of weights * f is at least the
-        weight times min f, and each product with a factor entry, and each
-        sum of such nonnegative products, at least that times the entry.
-        The half covers the rounding of those products and of this one.  It
-        is 0 (apply then keeps its scale) for a dense factor, whose n1 x n2
-        scan is not worth it, for a factor with a negative or non-finite
-        entry, and where it is below TINY, where its own rounding is no
-        longer relative."""
+        It is half the smallest weight of either grid times, per factor,
+        min(1, its smallest positive entry): each entry of weights * f is at
+        least the weight times min f, and each product with a factor entry,
+        and each sum of such nonnegative products, at least that times the
+        entry.  The half covers the rounding of those products and of this
+        one.  It is 0 (the product keeps its scale) for a dense factor, whose
+        n1 x n2 scan is not worth it, for a factor with a negative or
+        non-finite entry, and where it is below TINY, where its own rounding
+        is no longer relative."""
         if len(self.factors) == 1 and not self.banded:
             return 0.0
-        floor = 0.5 * float(self.grid2.weights.min())
+        floor = 0.5 * min(float(self.grid1.weights.min()), float(self.grid2.weights.min()))
         for a in self.factors:
             if not (np.isfinite(a).all() and a.min() >= 0):
                 return 0.0
@@ -323,24 +322,30 @@ class KernelOperator(Frozen):
         return e
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights.
+        """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights."""
+        return self._scaled_contract(self._operands, self.grid2.weights, f)
 
-        Where min f > 0, min f * apply_floor >= TINY and max f <
-        2^apply_headroom, it is the plain product: no operand, product or
-        partial sum it forms is then subnormal or overflows, so any scale
-        2^k would commute with every rounding and give the same bits.
+    def apply_T(self, f: np.ndarray) -> np.ndarray:
+        """Int g(x, y) f(x) dx: the transposed kernel against grid1's weights."""
+        return self._scaled_contract([a.T for a in self._operands], self.grid1.weights, f)
 
-        Otherwise it is taken on f * 2^k and scaled back with np.ldexp(.,
-        -k), where k is apply_headroom less the binary exponent of max|f|
-        where that is positive, so that no product or partial sum can
-        overflow.  A power of two scales a normal number exactly, so the
-        result is bitwise the unscaled one wherever that formed no
-        subnormal intermediate, and closer to the exact sum where it did.
-        A fit such as Fortet's omega2 / G or an extracted psi reaches
-        4.9e-324 in a tail, and each subnormal operand costs a microcode
-        assist on x86.  An f holding a NaN or an inf, an all-zero f and one
-        too large for k > 0 are applied unscaled.  max f and min f are read
-        at the argmax and argmin, the same values, NaN included.
+    def _scaled_contract(self, operands, weights, f: np.ndarray) -> np.ndarray:
+        """_contract(operands, weights * f): one direction's kernel product,
+        against that direction's quadrature weights.
+
+        It is the plain product where min f > 0, min f * apply_floor >= TINY
+        and max f < 2^apply_headroom: no operand, product or partial sum is
+        then subnormal or overflows, so any scale 2^k would give the same
+        bits.  Otherwise it is taken on f * 2^k and scaled back exactly with
+        np.ldexp(., -k), k = apply_headroom less the binary exponent of max|f|
+        where that is positive, so that nothing overflows: bitwise the
+        unscaled product wherever that formed no subnormal intermediate, and
+        closer to the exact sum where it did.  A fit such as Fortet's omega2 /
+        G or an extracted psi reaches 4.9e-324 in a tail, and each subnormal
+        operand costs a microcode assist on x86.  An f holding a NaN or an
+        inf, an all-zero f and one too large for k > 0 are applied unscaled.
+        max f and min f are read at the argmax and argmin, the same values,
+        NaN included.
         """
         k = self.apply_headroom
         if k is not None:
@@ -353,13 +358,9 @@ class KernelOperator(Frozen):
                     # weights * 2^k is exact, so each f * (weights * 2^k) is
                     # rounded once; no name holds it, so _contract frees it
                     # after its first product, as it frees weights * f
-                    out = _contract(self._operands, f * (self.grid2.weights * 2.0 ** k))
+                    out = _contract(operands, f * (weights * 2.0 ** k))
                     return np.ldexp(out, -k, out=out)
-        return _contract(self._operands, self.grid2.weights * f)
-
-    def apply_T(self, f: np.ndarray) -> np.ndarray:
-        """Int g(x, y) f(x) dx: the transposed kernel against grid1's weights."""
-        return _contract([a.T for a in self._operands], self.grid1.weights * f)
+        return _contract(operands, weights * f)
 
     def swapped(self) -> "KernelOperator":
         """The kernel g(y, x) on (grid2, grid1).  A Gaussian on one grid is

@@ -13,10 +13,12 @@ back, the tree that goes first alternating from pair to pair.  One line is
 printed per workload: each tree's median op time [quartiles] in ms, the
 pairs the new tree won, each tree's tracemalloc peaks, and whether the two
 trees' exit codes, stdout and artifacts match.  Two peaks are read per
-tree, each of one op run after its untimed one: the steady op's, which
-reuses the cached CLI parser, and a first op's, with the parser's cache
-(cli._PARSER) reset first so that the op builds it again, as the first op
-of a process does.  bench/run.py's peak_mem_mb reads that first op.
+tree, each of one op run after its untimed one and after a gc.collect(),
+as bench/run.py collects before it traces, so that no garbage of an earlier
+op is freed inside the trace: the steady op's, which reuses the cached CLI
+parser, and a first op's, with the parser's cache (cli._PARSER) reset first
+so that the op builds it again, as the first op of a process does.
+bench/run.py's peak_mem_mb reads that first op.
 
 Its numbers are diagnostics, one process on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import statistics
@@ -52,10 +55,12 @@ def run(tree, config: Path, out: Path):
 
 
 def traced_peak(tree, config: Path, out: Path, first: bool = False) -> int:
-    """The tracemalloc peak in bytes of one solve op, counted from its start;
-    with first, of an op that builds the CLI parser again."""
+    """The tracemalloc peak in bytes of one solve op, counted from its start
+    after a gc.collect(); with first, of an op that builds the CLI parser
+    again."""
     if first:
         tree.cli._PARSER = None
+    gc.collect()
     tracemalloc.start()
     try:
         run(tree, config, out)
@@ -99,8 +104,8 @@ def main(argv=None) -> int:
                      for side, tree in trees.items()}
             peaks = {side: traced_peak(tree, config, outs[side])
                      for side, tree in trees.items()}
-            # the second round's: a tree's first parser rebuild warms caches
-            # that the two trees share, which reads ~5 kB on whichever goes first
+            # the second round's: a tree's first parser rebuild still warms
+            # caches that the two trees share, ~0.4 kB on whichever goes first
             for _ in range(2):
                 firsts = {side: traced_peak(tree, config, outs[side], first=True)
                           for side, tree in trees.items()}

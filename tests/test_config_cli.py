@@ -737,22 +737,23 @@ def _solve_counting_applies(raw, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("raw, scheme, closing, applies", [
     # the 401-point criterion-1 instance
-    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401)), 1, 8, 21),
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401)), 1, 8, 20),
     # the criterion-1 scales on the 41 x 41 grid
-    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41)), 1, 8, 21),
+    (dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=2, points=41)), 1, 8, 20),
     # the criterion-2 post-swap instance on the 401-point radius-8 grid: the
     # Anderson step adds no apply to a closing step (the plain map takes 701)
     (dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401}, swap=True),
-     1, 74, 153),
+     1, 74, 152),
 ], ids=["gauss1d", "gauss2d", "swap"])
-def test_solve_makes_two_applies_per_step_and_three_more(raw, scheme, closing, applies,
-                                                         tmp_path, monkeypatch):
-    # two applies per scheme and closing step, and three more: one in the
-    # extraction and the coupling's two; the feasibility report of a
-    # Gaussian instance is closed form and makes none
+def test_solve_makes_two_applies_per_step_and_two_more(raw, scheme, closing, applies,
+                                                       tmp_path, monkeypatch):
+    # two applies per scheme and closing step, and two more: the
+    # extraction's apply_T, which the coupling takes over, and the
+    # coupling's apply; the feasibility report of a Gaussian instance is
+    # closed form and makes none
     solution, calls = _solve_counting_applies(raw, tmp_path, monkeypatch)
     assert (solution.iterations, solution.refine_steps) == (scheme, closing)
-    assert calls == 2 * (scheme + closing) + 3 == applies
+    assert calls == 2 * (scheme + closing) + 2 == applies
 
 
 def test_package_and_cli_load_no_scipy():

@@ -317,16 +317,29 @@ def test_scaled_map_is_bitwise_the_unscaled_one_on_the_benchmark(bench_kernel,
 
 def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     # the heat factor stores its entries below TINY as 0, and every apply
-    # takes its argument at a power-of-two scale: no subnormal operand
-    # reaches a kernel product, in the map, the extraction or the coupling
-    # (the feasibility report of this Gaussian instance makes none)
+    # and apply_T takes its argument at a power-of-two scale: no subnormal
+    # operand reaches a kernel product, in the map, the extraction or the
+    # coupling, which takes over the extraction's apply_T (the feasibility
+    # report of this Gaussian instance makes none)
     from tests.conftest import contract_extremes
     from fortetbridge.problem import TINY
     with contract_extremes() as seen:
         run_fortet(*swap_instance)
-    assert len(seen) == 2 * 75 + 3
+    assert len(seen) == 2 * 75 + 2
     assert min(factor for factor, _ in seen) >= TINY
     assert min(argument for _, argument in seen) >= TINY
+
+
+@pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
+def test_solve_coupling_is_the_one_built_from_its_potentials(which, request):
+    # the coupling takes over the extraction's apply_T(phi) instead of
+    # forming it again; its integrals, and so its residuals, are bitwise
+    # those of a coupling that forms both products itself
+    sol = request.getfixturevalue(which)
+    again = build_coupling(sol.phi, sol.psi, sol.coupling.kernel, sol.coupling.marginals)
+    assert np.array_equal(sol.coupling.row, again.row)
+    assert np.array_equal(sol.coupling.col, again.col)
+    assert sol.residuals["s2_resid"] == again.col_marginal_resid
 
 
 def test_gauss1d_solve_applies_its_arguments_unscaled(bench_kernel, bench_marginals,
@@ -524,7 +537,7 @@ def test_closing_starts_from_the_first_image(points, dim):
                         mass2)
     K = fortet._closing_iteration([state.H_prime], kernel, marginals, 1e-11, mass2,
                                   fortet.StepLog(False))
-    phi, _, _ = fortet._extract_with_warnings(np.minimum(K, 1.0), kernel, marginals)
+    phi, _, _, _ = fortet._extract_with_warnings(np.minimum(K, 1.0), kernel, marginals)
     gate = marginals.omega1.values > 1e-12
     log_ratio = np.log(sol.phi[gate]) - np.log(phi[gate])
     assert log_ratio.max() - log_ratio.min() <= 1e-10
@@ -774,14 +787,15 @@ def test_phi_vanishes_exactly_off_support(bench_grid, bench_kernel):
 
 def test_extract_potentials_drops_nonpositive_h():
     kernel, marginals = hand_instance()
-    phi, psi, warned = fortet._extract_with_warnings(np.array([1.0, 1.0]),
-                                                     kernel, marginals)
+    phi, psi, g_phi, warned = fortet._extract_with_warnings(np.array([1.0, 1.0]),
+                                                            kernel, marginals)
     assert np.array_equal(phi, [0.5, 0.5])
+    assert np.array_equal(g_phi, [0.75, 0.75])
     assert np.array_equal(psi, marginals.omega2.values / 0.75)
     assert warned == []
     # an h that underflowed to 0 on the support sets phi to 0 there
-    phi, _, warned = fortet._extract_with_warnings(np.array([0.0, 1.0]),
-                                                   kernel, marginals)
+    phi, _, _, warned = fortet._extract_with_warnings(np.array([0.0, 1.0]),
+                                                      kernel, marginals)
     assert np.array_equal(phi, [0.0, 0.5])
     assert len(warned) == 1 and "at 1 support nodes" in warned[0]
 

@@ -156,9 +156,11 @@ def test_homogeneity_check_catches_expansion():
 
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0), (3,)])
 def test_projective_diameter_refuses_an_empty_or_flat_matrix(shape):
-    with pytest.raises(FortetBridgeError,
-                       match="^projective_diameter expects a nonempty matrix$"):
+    # a 1-D array, even a nonempty one, is no matrix; an empty 2-D one is
+    expects = "a matrix" if len(shape) != 2 else "a nonempty matrix"
+    with pytest.raises(FortetBridgeError) as refused:
         projective_diameter(np.ones(shape))
+    assert str(refused.value) == f"projective_diameter expects {expects}, got shape {shape}"
 
 
 def test_homogeneity_check_of_one_sample_passes_vacuously():

@@ -638,6 +638,21 @@ def test_scaled_apply_stays_in_float_range():
                 assert np.array_equal(scaled, exact)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 0.1], ids=["gauss1d", "swap"])
+def test_apply_T_is_apply_on_a_symmetric_band(bench_grid, sigma):
+    # over one grid a band's kernel is its own transpose, and apply_T takes
+    # apply's scale: the two directions agree bitwise, also where an
+    # unscaled product would be subnormal.  (The 2-D product kernel is left
+    # out: its transposed factors take another BLAS path.)
+    kernel = gaussian_kernel(bench_grid, bench_grid, sigma)
+    assert kernel.banded
+    rng = np.random.default_rng(8)
+    n = bench_grid.n_nodes
+    for f in (rng.uniform(0.5, 1.0, n) * 1e-307,
+              rng.permutation(np.geomspace(1e-307, 1.0, n))):
+        assert np.array_equal(kernel.apply_T(f), kernel.apply(f))
+
+
 def _contract_arguments(monkeypatch):
     """The arguments that reach problem._contract from now on."""
     seen, contract = [], problem._contract
