@@ -6,10 +6,10 @@ shortest-roundtrip floats, CSVs use fixed column orders, and anything
 runtime-dependent (wall time, library versions) goes to the stderr log
 only, never into files that byte-level reproducibility tests compare.
 
-Exit codes: 0 success / consistent; 1 input, output, or config problem;
-2 hypothesis or feasibility failure (also: comparison found inconsistent
-solutions); 3 iteration did not converge (the per-step trace is still
-written).
+Exit codes: 0 success / consistent; 1 input, output, or config problem,
+a command line the parser refuses included; 2 hypothesis or feasibility
+failure (also: comparison found inconsistent solutions); 3 iteration did
+not converge (the per-step trace is still written).
 
 The FORTET_THREADS environment variable caps the BLAS thread pools; it
 must take effect before numpy is first imported, which is why this module
@@ -235,6 +235,7 @@ def cmd_solve(args) -> int:
 
 def cmd_interpolate(args) -> int:
     from . import bridge
+    from .errors import FortetBridgeError
     try:
         times = [float(t) for t in args.times.split(",") if t.strip() != ""]
     except ValueError:
@@ -249,6 +250,9 @@ def cmd_interpolate(args) -> int:
         _log(f"--times must lie in [0, 1], not {outside[0]!r}")
         return 1
     problem, out = _open(args)
+    # entropic_interpolation's own check, before the solve it would follow
+    if problem.kernel.gaussian is None:
+        raise FortetBridgeError("interpolation needs a Gaussian kernel")
     started = time.perf_counter()
     solution, kl = _solve_problem(problem, out)
     if solution.coupling is None:
@@ -351,6 +355,16 @@ def cmd_compare(args) -> int:
     return 0 if report.consistent else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusal of a command line exits 1, the code
+    of an input problem, not argparse's 2, the code of a feasibility
+    failure.  add_subparsers makes each subcommand's parser of this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 #: the parser, once build_parser has built it
 _PARSER = None
 
@@ -366,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     global _PARSER
     if _PARSER is not None:
         return _PARSER
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fortetbridge",
         description="Schrodinger-system potentials via Fortet's iteration, "
                     "with a Sinkhorn baseline and bridge diagnostics.")

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Dict, NamedTuple
 
@@ -80,8 +81,8 @@ class Problem(NamedTuple):
 def load_config(path) -> Dict[str, object]:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -245,11 +246,17 @@ def _load_table(path_value, base_dir: Path, what: str) -> np.ndarray:
     if not p.is_absolute():
         p = base_dir / p
     try:
-        return np.loadtxt(p, delimiter=",", ndmin=1)
+        # loadtxt warns on a file with no data, which is refused below
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(p, delimiter=",", ndmin=1)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} table {p}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{what} table {p} is not numeric CSV: {exc}") from exc
+    if vals.size == 0:
+        raise ConfigError(f"{what} table {p} holds no data")
+    return vals
 
 
 def _build_marginal(spec: Dict[str, object], grid: QuadratureGrid,

@@ -275,29 +275,6 @@ class KernelOperator(Frozen):
                  * max(1.0, float(self.grid1.weights.max()), float(self.grid2.weights.max())))
         return MAX_EXP - 1 - math.frexp(bound)[1] if bound < math.inf else None
 
-    @cached_property
-    def apply_floor(self) -> float:
-        """A floor that min f times bounds below every nonzero product and
-        partial sum that apply and apply_T form unscaled, or 0 where none is kept.
-
-        It is half the smallest weight of either grid times, per factor,
-        min(1, its smallest positive entry): each entry of weights * f is at
-        least the weight times min f, and each product with a factor entry,
-        and each sum of such nonnegative products, at least that times the
-        entry.  The half covers the rounding of those products and of this
-        one.  It is 0 (the product keeps its scale) for a dense factor, whose
-        n1 x n2 scan is not worth it, for a factor with a negative or
-        non-finite entry, and where it is below TINY, where its own rounding
-        is no longer relative."""
-        if len(self.factors) == 1 and not self.banded:
-            return 0.0
-        floor = 0.5 * min(float(self.grid1.weights.min()), float(self.grid2.weights.min()))
-        for a in self.factors:
-            if not (np.isfinite(a).all() and a.min() >= 0):
-                return 0.0
-            floor *= min(1.0, float(a.min(initial=math.inf, where=a > 0)))
-        return floor if floor >= TINY else 0.0
-
     @property
     def log_values(self) -> np.ndarray:
         """log of the kernel matrix: for a Gaussian kernel the sum over its
@@ -333,26 +310,20 @@ class KernelOperator(Frozen):
         """_contract(operands, weights * f): one direction's kernel product,
         against that direction's quadrature weights.
 
-        It is the plain product where min f > 0, min f * apply_floor >= TINY
-        and max f < 2^apply_headroom: no operand, product or partial sum is
-        then subnormal or overflows, so any scale 2^k would give the same
-        bits.  Otherwise it is taken on f * 2^k and scaled back exactly with
-        np.ldexp(., -k), k = apply_headroom less the binary exponent of max|f|
-        where that is positive, so that nothing overflows: bitwise the
-        unscaled product wherever that formed no subnormal intermediate, and
-        closer to the exact sum where it did.  A fit such as Fortet's omega2 /
-        G or an extracted psi reaches 4.9e-324 in a tail, and each subnormal
-        operand costs a microcode assist on x86.  An f holding a NaN or an
-        inf, an all-zero f and one too large for k > 0 are applied unscaled.
-        max f and min f are read at the argmax and argmin, the same values,
-        NaN included.
+        It is taken on f * 2^k and scaled back exactly with np.ldexp(., -k),
+        k = apply_headroom less the binary exponent of max|f| where that is
+        positive, so that nothing overflows: bitwise the unscaled product
+        wherever that forms no subnormal intermediate, and closer to the
+        exact sum where it does.  A fit such as Fortet's omega2 / G or an
+        extracted psi reaches 4.9e-324 in a tail, and each subnormal operand
+        costs a microcode assist on x86.  An f holding a NaN or an inf, an
+        all-zero f and one too large for k > 0 are applied unscaled.  max|f|
+        is read at the argmax and argmin, the same values, NaN included.
         """
         k = self.apply_headroom
         if k is not None:
-            low, top = float(f[f.argmin()]), float(f[f.argmax()])
-            plain = low > 0 and low * self.apply_floor >= TINY and top < 2.0 ** k
-            top = max(top, -low)
-            if not plain and 0.0 < top < math.inf:
+            top = max(float(f[f.argmax()]), -float(f[f.argmin()]))
+            if 0.0 < top < math.inf:
                 k -= max(0, math.frexp(top)[1])
                 if k > 0:
                     # weights * 2^k is exact, so each f * (weights * 2^k) is

@@ -35,10 +35,9 @@ SEEDS = (0, 31)
 #: non-diagonal covariance, whose dense factor reads that mesh
 #: (problem._whitened), narrow 1-D marginals, whose omega1 underflows
 #: to 0 at 14 edge nodes, so that the closing gathers its support through
-#: a mask and KernelOperator.apply keeps its scale there, and aniso2d, a
-#: diagonal anisotropic covariance, whose interpolation slices take each
-#: axis at its own scale (its diagnose builds the dense 6561 x 6561
-#: kernel, 344 MB).  The 21^3 grid skips compare and diagnose, which take
+#: a mask, and aniso2d, a diagonal anisotropic covariance, whose
+#: interpolation slices take each axis at its own scale (its diagnose
+#: builds the dense 6561 x 6561 kernel, 344 MB).  The 21^3 grid skips compare and diagnose, which take
 #: its dense 9261 x 9261 kernel (686 MB).  aniso2d-swapped solves aniso2d
 #: from omega2 to omega1: Bernstein's margin kappa_k reads (+0.048, -0.042)
 #: on its two axes, so the continuum integral diverges along the second,
@@ -60,9 +59,13 @@ SEEDS = (0, 31)
 #: read it as finite and let every op run.  wide1d is gauss1d's config
 #: under a kernel of sigma = 1e200, whose 2 pi sigma^2 overflows: every op
 #: refuses the scale while it loads the problem, with exit 2 and one stderr
-#: line, and writes no artifact.  Every grid is the trapezoid lattice: a
-#: config naming another grid.rule exits 1, which
-#: test_malformed_config_value_is_a_config_error checks.
+#: line, and writes no artifact.  rownorm1d is gauss1d's config with its
+#: kernel's rows normalized, a dense kernel with no Gaussian scales: its
+#: products take the dense factor, its verdict the grid scan and its
+#: Sinkhorn no band, and interpolate refuses it with exit 1 before it
+#: solves.  Every grid is the trapezoid lattice: a config naming another
+#: grid.rule exits 1, which test_malformed_config_value_is_a_config_error
+#: checks.
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -130,6 +133,12 @@ EXTRA = {
                               {"type": "gaussian", "sigma": 0.8}],
                 "grid": {"dim": 1, "radius": 8.0, "points": 401}},
                OPS),
+    "rownorm1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                   "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                 {"type": "gaussian", "sigma": 0.8}],
+                   "grid": {"dim": 1, "radius": 8.0, "points": 401},
+                   "normalize_kernel_rows": True},
+                  OPS),
 }
 
 

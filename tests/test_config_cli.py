@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1133,6 +1134,55 @@ def test_interpolate_refuses_times_before_it_solves(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kernel", ["table", "rows-normalized"])
+def test_interpolate_refuses_a_non_gaussian_kernel_before_it_solves(tmp_path, capsys,
+                                                                    monkeypatch, kernel):
+    # a table kernel, and gauss1d's kernel with its rows normalized, carry
+    # no Gaussian scales: interpolate refuses them once the config is
+    # loaded, with entropic_interpolation's line and exit 1, not after a solve
+    def solve(*args):
+        raise AssertionError("run_fortet was called")
+
+    monkeypatch.setattr(fortet, "run_fortet", solve)
+    if kernel == "table":
+        grid = build_grid(dim=1, radius=8.0, points_per_axis=201)
+        np.savetxt(tmp_path / "kernel.csv", gaussian_kernel(grid, grid, 0.5).values,
+                   delimiter=",")
+        raw = dict(BENCH_RAW, kernel={"type": "table", "path": "kernel.csv"})
+    else:
+        raw = dict(BENCH_RAW, normalize_kernel_rows=True)
+    out = tmp_path / "run"
+    assert main(["interpolate", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: interpolation needs a Gaussian kernel"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--output", "run"], ["solve", "--config", "problem.json", "--forse"],
+    ["solv", "--config", "problem.json"]], ids=["no-config", "unknown-flag", "unknown-command"])
+def test_refused_command_line_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # the parser's refusal is an input problem: exit 1 with the usage line
+    # and the reason, where argparse exits 2, the code of a feasibility
+    # failure; nothing is read or written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: fortetbridge") and ": error: " in err[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fortetbridge")
+
+
 def test_output_that_is_a_file_is_an_io_error(tmp_path, capsys):
     out = tmp_path / "run"
     out.write_text("")
@@ -1223,6 +1273,7 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value)
 #: text; the text of m1.csv beside it, if any; what the error says)
 MALFORMED = {
     "invalid-json": ("{", None, "is not valid JSON"),
+    "not-utf-8": (b"\xff\xfe{}", None, "cannot read config"),
     "root-not-object": ("[1, 2]", None, "config root must be a JSON object"),
     "auto-radius-no-scale": (
         dict(BENCH_RAW, kernel={"type": "table"},
@@ -1244,6 +1295,10 @@ MALFORMED = {
         dict(BENCH_RAW, marginals=[{"type": "table", "path": "m1.csv"},
                                    BENCH_RAW["marginals"][1]]),
         "1\n2\n3\n", "marginal 1: table must hold 201 values"),
+    "table-empty": (
+        dict(BENCH_RAW, marginals=[{"type": "table", "path": "m1.csv"},
+                                   BENCH_RAW["marginals"][1]]),
+        "", "m1.csv holds no data"),
     "marginal-no-sigma": (
         dict(BENCH_RAW, marginals=[{"type": "gaussian"}, BENCH_RAW["marginals"][1]]), None,
         "marginal 1: gaussian marginal needs 'sigma'"),
@@ -1256,14 +1311,21 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_config_is_a_config_error(tmp_path, capsys, name):
-    # as a malformed value is: exit 1, one "config error:" line, and no
-    # output directory
+    # as a malformed value is: exit 1, one "config error:" line, no
+    # warning and no output directory.  A config that is not UTF-8 once
+    # ended in a traceback, and an empty table in numpy's "no data" warning
     raw, table, says = MALFORMED[name]
     if table is not None:
         (tmp_path / "m1.csv").write_text(table)
     cfg = tmp_path / "problem.json"
-    cfg.write_text(raw if isinstance(raw, str) else json.dumps(raw))
-    assert main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
+    if isinstance(raw, bytes):
+        cfg.write_bytes(raw)
+    else:
+        cfg.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--config", str(cfg), "--output", str(tmp_path / "run")])
+    assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and says in err[0]
     assert not (tmp_path / "run").exists()

@@ -330,6 +330,19 @@ def test_swap_solve_forms_no_subnormal_kernel_product(swap_instance):
     assert min(argument for _, argument in seen) >= TINY
 
 
+def test_gauss1d_solve_forms_no_subnormal_kernel_product(bench_kernel, bench_marginals):
+    # as on swap: each of the solve's 20 products, the 9 maps' two, the
+    # extraction's apply_T and the coupling's apply, takes its argument at
+    # a power-of-two scale, and none meets a subnormal operand
+    from tests.conftest import contract_extremes
+    from fortetbridge.problem import TINY
+    with contract_extremes() as seen:
+        run_fortet(bench_kernel, bench_marginals)
+    assert len(seen) == 2 * 9 + 2
+    assert min(factor for factor, _ in seen) >= TINY
+    assert min(argument for _, argument in seen) >= TINY
+
+
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
 def test_solve_coupling_is_the_one_built_from_its_potentials(which, request):
     # the coupling takes over the extraction's apply_T(phi) instead of
@@ -340,28 +353,6 @@ def test_solve_coupling_is_the_one_built_from_its_potentials(which, request):
     assert np.array_equal(sol.coupling.row, again.row)
     assert np.array_equal(sol.coupling.col, again.col)
     assert sol.residuals["s2_resid"] == again.col_marginal_resid
-
-
-def test_gauss1d_solve_applies_its_arguments_unscaled(bench_kernel, bench_marginals,
-                                                     monkeypatch):
-    # on gauss1d every f that apply takes is positive, with min f *
-    # apply_floor >= TINY: each of the solve's 10 applies (9 maps and the
-    # coupling's) contracts weights * f itself, whose smallest entry is the
-    # argument's, and no argument below TINY reaches a kernel product
-    from tests.conftest import contract_extremes
-    from fortetbridge.problem import TINY, KernelOperator
-    apply, unscaled = KernelOperator.apply, []
-
-    def recording(self, f):
-        image = apply(self, f)
-        unscaled.append(seen[-1][1] == float((self.grid2.weights * f).min()))
-        return image
-
-    monkeypatch.setattr(KernelOperator, "apply", recording)
-    with contract_extremes() as seen:
-        run_fortet(bench_kernel, bench_marginals)
-    assert len(unscaled) == 10 and all(unscaled)
-    assert min(argument for _, argument in seen) >= TINY
 
 
 def test_closing_step_enters_no_errstate_block(bench_kernel, bench_marginals,

@@ -663,49 +663,31 @@ def _contract_arguments(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_apply_is_the_plain_product_where_no_scale_changes_a_bit(dim, monkeypatch):
-    # the gauss1d band, and two heat factors whose smallest entries keep
-    # the floor above TINY.  On positive f with min f * apply_floor >= TINY
-    # and max f below 2^apply_headroom no intermediate is subnormal or
-    # overflows at any scale 2^j that keeps the argument in range: apply
-    # contracts weights * f itself, bitwise the product at each such scale,
-    # the scale that apply would otherwise take among them
+    # the gauss1d band, and two heat factors.  apply contracts f * (weights
+    # * 2^k), k its headroom less the binary exponent of max f, for every
+    # positive f in range.  Where min(weights * f) times each factor's
+    # smallest positive entry stays above TINY, no operand, product or
+    # partial sum is subnormal or overflows at any scale 2^j that keeps the
+    # argument in range: apply is bitwise the plain product (j = 0) and the
+    # product at each other such scale
     grid = build_grid(dim=dim, radius=8.0 if dim == 1 else 3.0,
                       points_per_axis=401 if dim == 1 else 15)
     kernel = gaussian_kernel(grid, grid, 0.5 if dim == 1 else 1.0)
-    floor, k, w = kernel.apply_floor, kernel.apply_headroom, grid.weights
-    assert floor >= TINY and len(kernel.factors) == (1 if dim == 1 else 2)
+    w = grid.weights
+    assert len(kernel.factors) == (1 if dim == 1 else 2)
+    low = float(w.min()) * math.prod(min(1.0, float(a[a > 0].min())) for a in kernel.factors)
     rng = np.random.default_rng(dim)
     contract = problem._contract
     seen = _contract_arguments(monkeypatch)
     for f in (rng.uniform(0.1, 1.0, grid.n_nodes),
-              rng.permutation(np.geomspace(2.0 * TINY / floor, 1e10, grid.n_nodes))):
+              rng.permutation(np.geomspace(1e-60, 1e10, grid.n_nodes))):
+        assert f.min() * low >= 2.0 * TINY
         image = kernel.apply(f)
-        assert np.array_equal(seen[-1], w * f)
-        for j in (1, 7, 100, k - math.frexp(f.max())[1]):
+        k = kernel.apply_headroom - math.frexp(f.max())[1]
+        assert np.array_equal(seen[-1], f * (w * 2.0 ** k))
+        for j in (0, 1, 7, 100, k):
             scaled = contract(kernel.factors, f * (w * 2.0 ** j))
             assert np.array_equal(image, np.ldexp(scaled, -j))
-
-
-def test_apply_keeps_its_scale_where_the_floor_does_not_hold(bench_kernel, bench_grid,
-                                                              monkeypatch):
-    # one entry whose product with the floor is just below TINY, or one 0,
-    # keeps the scaled product; so does any f on the swap band (its
-    # smallest entries sit near TINY), the gauss2d factors and a dense
-    # factor, whose floor is 0
-    floor, k, w = bench_kernel.apply_floor, bench_kernel.apply_headroom, bench_grid.weights
-    low = TINY / floor
-    while low * floor >= TINY:
-        low = math.nextafter(low, 0.0)
-    seen = _contract_arguments(monkeypatch)
-    for entry in (low, 0.0):
-        f = np.random.default_rng(6).uniform(0.5, 1.0, bench_grid.n_nodes)
-        f[17] = entry
-        bench_kernel.apply(f)
-        assert np.array_equal(seen[-1], f * (w * 2.0 ** k))
-    grid2 = build_grid(dim=2, radius=8.0, points_per_axis=41)
-    assert gaussian_kernel(bench_grid, bench_grid, 0.1).apply_floor == 0.0
-    assert gaussian_kernel(grid2, grid2, 0.5).apply_floor == 0.0
-    assert table_kernel(bench_grid, bench_grid, bench_kernel.values).apply_floor == 0.0
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.01])
@@ -938,9 +920,3 @@ def test_builders_refuse_malformed_input(name):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(grid)
 
-
-def test_apply_floor_of_a_band_with_an_inf_tap_is_zero():
-    # an inf tap bounds no product below: apply keeps its scale instead
-    grid = build_grid(dim=1, radius=2.0, points_per_axis=5)
-    band = np.array([math.inf, 1.0, math.inf])
-    assert KernelOperator((band,), grid, grid, math.inf).apply_floor == 0.0
