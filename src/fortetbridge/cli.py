@@ -7,18 +7,20 @@ runtime-dependent (wall time, library versions) goes to the stderr log
 only, never into files that byte-level reproducibility tests compare.
 
 Exit codes: 0 success / consistent; 1 input, output, or config problem,
-a command line the parser refuses included; 2 hypothesis or feasibility
-failure (also: comparison found inconsistent solutions); 3 iteration did
-not converge (the per-step trace is still written).
+a command line that parse_args refuses and a FORTET_THREADS that is not a
+positive integer included; 2 hypothesis or feasibility failure (also:
+comparison found inconsistent solutions); 3 iteration did not converge
+(the per-step trace is still written).
 
 The FORTET_THREADS environment variable caps the BLAS thread pools; it
 must take effect before numpy is first imported, which is why this module
-defers all numeric imports into the command bodies.
+defers all numeric imports into the command bodies.  The command line is
+read by parse_args from the COMMANDS table, and no parser outlives a call
+of main.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -26,6 +28,7 @@ import sys
 import time
 from itertools import chain, count, islice, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -37,12 +40,19 @@ TRACE_COLUMNS = ("n", "sup_change", "normalization_residual", "hilbert_step",
 CSV_BLOCK_ROWS = 32
 
 
-def _apply_thread_env() -> None:
+def _apply_thread_env():
+    """Copy FORTET_THREADS into each BLAS thread variable not already set.
+    A value that is not a positive integer sets none and is returned, for
+    main to refuse; otherwise None is returned (an unset or empty
+    FORTET_THREADS sets none either)."""
     n = os.environ.get("FORTET_THREADS")
     if not n:
-        return
+        return None
+    if not (n.isascii() and n.isdigit() and int(n) > 0):
+        return n
     for var in _THREAD_VARS:
         os.environ.setdefault(var, n)
+    return None
 
 
 def _log(msg: str) -> None:
@@ -164,12 +174,17 @@ def _solution_payload(problem, solution, kl) -> dict:
     return payload
 
 
-def _open(args):
+def _open(args, gaussian: bool = False):
     """(problem, out): the config loaded and the output directory made.
     Every command calls it after its own flag checks, so a refused flag or
-    config leaves no directory."""
+    config leaves no directory.  With gaussian, a kernel with no Gaussian
+    scales is refused, with entropic_interpolation's error, before the
+    directory is made."""
     from .config import load_problem
+    from .errors import FortetBridgeError
     problem = load_problem(args.config)
+    if gaussian and problem.kernel.gaussian is None:
+        raise FortetBridgeError("interpolation needs a Gaussian kernel")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     return problem, out
@@ -235,7 +250,6 @@ def cmd_solve(args) -> int:
 
 def cmd_interpolate(args) -> int:
     from . import bridge
-    from .errors import FortetBridgeError
     try:
         times = [float(t) for t in args.times.split(",") if t.strip() != ""]
     except ValueError:
@@ -249,10 +263,8 @@ def cmd_interpolate(args) -> int:
     if outside:
         _log(f"--times must lie in [0, 1], not {outside[0]!r}")
         return 1
-    problem, out = _open(args)
     # entropic_interpolation's own check, before the solve it would follow
-    if problem.kernel.gaussian is None:
-        raise FortetBridgeError("interpolation needs a Gaussian kernel")
+    problem, out = _open(args, gaussian=True)
     started = time.perf_counter()
     solution, kl = _solve_problem(problem, out)
     if solution.coupling is None:
@@ -355,69 +367,132 @@ def cmd_compare(args) -> int:
     return 0 if report.consistent else 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose refusal of a command line exits 1, the code
-    of an input problem, not argparse's 2, the code of a feasibility
-    failure.  add_subparsers makes each subcommand's parser of this class."""
+#: each command's help line and its flags beyond --config and --output,
+#: flag -> (default, help).  A flag whose default is False takes no value
+#: and reads True when given; one whose default is a float reads its value
+#: as a float; any other takes its value as given.
+COMMANDS = {
+    "check": ("run feasibility checks only", {}),
+    "solve": ("run the fixed-point solver",
+              {"--force": (False, "run even when feasibility checks fail")}),
+    "interpolate": ("solve and write time marginals",
+                    {"--times": ("0,0.25,0.5,0.75,1", "comma-separated times in [0, 1]")}),
+    "diagnose": ("projective-metric diagnostics", {}),
+    "compare": ("cross-check the two solvers",
+                {"--tol": (1e-8, "ray-spread consistency tolerance")}),
+}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+
+def _flags(command: str) -> dict:
+    """The command's flags, --config (required: its default is None) and
+    --output first."""
+    return {"--config": (None, "problem config JSON"),
+            "--output": (".", "artifact directory"), **COMMANDS[command][1]}
 
 
-#: the parser, once build_parser has built it
-_PARSER = None
+def _shown(name: str, default) -> str:
+    """A flag as usage and help show it: with its value's name unless it
+    takes none."""
+    return name if default is False else f"{name} {name[2:].upper()}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built on the first call in a process and
-    shared by every later one, which must not change it.  A build costs
-    ~0.9 ms against ~0.05 ms for a parse, a saving only a process that runs
-    main more than once sees (a test suite, an in-process benchmark).  Each
-    parse_args call fills a fresh namespace, so no call sees another's
-    arguments, and main looks up cmd_<command> when it dispatches, so the
-    parser holds no command function."""
-    global _PARSER
-    if _PARSER is not None:
-        return _PARSER
-    parser = _Parser(
-        prog="fortetbridge",
-        description="Schrodinger-system potentials via Fortet's iteration, "
-                    "with a Sinkhorn baseline and bridge diagnostics.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command) -> str:
+    """The usage line of a command, or of the program for None."""
+    if command is None:
+        return "usage: fortetbridge {" + ",".join(COMMANDS) + "} --config CONFIG ..."
+    return " ".join(["usage: fortetbridge", command] + [
+        _shown(name, default) if default is None else f"[{_shown(name, default)}]"
+        for name, (default, _) in _flags(command).items()])
 
-    def common(p):
-        p.add_argument("--config", required=True, help="problem config JSON")
-        p.add_argument("--output", default=".", help="artifact directory")
 
-    p = sub.add_parser("check", help="run feasibility checks only")
-    common(p)
+def _help(command):
+    """Print the help of a command, or of the program for None, to stdout,
+    and exit 0."""
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Schrodinger-system potentials via Fortet's iteration, with a "
+                  "Sinkhorn baseline and bridge diagnostics.", "", "commands:"]
+        lines += [f"  {name:<12} {text}" for name, (text, _) in COMMANDS.items()]
+        lines += ["", "fortetbridge COMMAND --help lists the command's flags."]
+    else:
+        lines += [COMMANDS[command][0], "", "flags:",
+                  f"  {'-h, --help':<16} print this help and exit"]
+        for name, (default, text) in _flags(command).items():
+            given = f" (default: {default})" if isinstance(default, (str, float)) else ""
+            lines.append(f"  {_shown(name, default):<16} {text}{given}")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    p = sub.add_parser("solve", help="run the fixed-point solver")
-    common(p)
-    p.add_argument("--force", action="store_true",
-                   help="run even when feasibility checks fail")
 
-    p = sub.add_parser("interpolate", help="solve and write time marginals")
-    common(p)
-    p.add_argument("--times", default="0,0.25,0.5,0.75,1",
-                   help="comma-separated times in [0, 1]")
+def _refuse(command, reason: str):
+    """Print the usage line and the reason to stderr, and exit 1, the code
+    of an input problem."""
+    _log(_usage(command))
+    _log(f"fortetbridge: error: {reason}")
+    raise SystemExit(1)
 
-    p = sub.add_parser("diagnose", help="projective-metric diagnostics")
-    common(p)
 
-    p = sub.add_parser("compare", help="cross-check the two solvers")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="ray-spread consistency tolerance")
-    _PARSER = parser
-    return parser
+def parse_args(argv):
+    """The command line argv (without the program name) read into a
+    namespace: command, config, output and the command's own flags, each
+    by its name without the dashes, a flag not given at its default.
+
+    A flag takes its value as the next word, which may start with "-", or
+    after "=" in the same word, and the last of a repeated flag wins.
+    Flags are matched whole: an abbreviation is refused.  -h or --help
+    prints the help of the command before it, or of the program, and exits
+    0.  A refused line (no command, an unknown command or flag, another
+    command's flag, a missing value, a value for a flag that takes none, a
+    float flag's value that is not a float, no --config) prints the usage
+    line and the reason to stderr and exits 1."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        choices = ", ".join(COMMANDS)
+        _refuse(None, f"a command is required (choose from {choices})"
+                if command is None or command.startswith("-")
+                else f"unknown command {command!r} (choose from {choices})")
+    flags = _flags(command)
+    values = {name: default for name, (default, _) in flags.items()}
+    words = iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            _help(command)
+        name, given, value = word.partition("=")
+        if not word.startswith("-"):
+            _refuse(command, f"unexpected argument {word!r}")
+        if name not in flags:
+            _refuse(command, f"{name} is not a flag of {command}"
+                    if any(name in own for _, own in COMMANDS.values())
+                    else f"unknown flag {name}")
+        default = flags[name][0]
+        if default is False:
+            if given:
+                _refuse(command, f"{name} takes no value")
+            value = True
+        elif not given:
+            value = next(words, None)
+            if value is None:
+                _refuse(command, f"{name} needs a value")
+        if isinstance(default, float):
+            try:
+                value = float(value)
+            except ValueError:
+                _refuse(command, f"{name} must be a float, not {value!r}")
+        values[name] = value
+    if values["--config"] is None:
+        _refuse(command, "--config is required")
+    return SimpleNamespace(command=command,
+                           **{name[2:]: value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    refused = _apply_thread_env()
+    if refused is not None:
+        _log(f"FORTET_THREADS must be a positive integer, not {refused!r}")
+        return 1
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     from .errors import (ConfigError, FeasibilityError, FortetBridgeError,
                          NonConvergenceError)
     try:

@@ -13,12 +13,12 @@ back, the tree that goes first alternating from pair to pair.  One line is
 printed per workload: each tree's median op time [quartiles] in ms, the
 pairs the new tree won, each tree's tracemalloc peaks, and whether the two
 trees' exit codes, stdout and artifacts match.  Two peaks are read per
-tree, each of one op run after its untimed one and after a gc.collect(),
-as bench/run.py collects before it traces, so that no garbage of an earlier
-op is freed inside the trace: the steady op's, which reuses the cached CLI
-parser, and a first op's, with the parser's cache (cli._PARSER) reset first
-so that the op builds it again, as the first op of a process does.
-bench/run.py's peak_mem_mb reads that first op.
+tree, each of one op traced from a gc.collect(), as bench/run.py collects
+before it traces, so that no garbage of an earlier op is freed inside the
+trace: the first op's, the untimed one, and the steady op's, run after it.
+The first op is the tree's first after it loads on the first workload,
+and the first on its config on the others; bench/run.py's peak_mem_mb
+reads a process's first solve op.
 
 Its numbers are diagnostics, one process on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -54,17 +54,14 @@ def run(tree, config: Path, out: Path):
     return elapsed, code, stdout.getvalue()
 
 
-def traced_peak(tree, config: Path, out: Path, first: bool = False) -> int:
-    """The tracemalloc peak in bytes of one solve op, counted from its start
-    after a gc.collect(); with first, of an op that builds the CLI parser
-    again."""
-    if first:
-        tree.cli._PARSER = None
+def traced(tree, config: Path, out: Path):
+    """(tracemalloc peak in bytes, exit code, stdout) of one solve op, the
+    peak counted from its start after a gc.collect()."""
     gc.collect()
     tracemalloc.start()
     try:
-        run(tree, config, out)
-        return tracemalloc.get_traced_memory()[1]
+        _, code, stdout = run(tree, config, out)
+        return tracemalloc.get_traced_memory()[1], code, stdout
     finally:
         tracemalloc.stop()
 
@@ -100,22 +97,18 @@ def main(argv=None) -> int:
             config = workloads.write_config(workloads.make_workload(name, args.seed),
                                             Path(work) / name)
             outs = {side: config.parent / side for side in trees}
-            first = {side: run(tree, config, outs[side])[1:] + (artifacts(outs[side]),)
+            first = {side: traced(tree, config, outs[side]) + (artifacts(outs[side]),)
                      for side, tree in trees.items()}
-            peaks = {side: traced_peak(tree, config, outs[side])
+            firsts = {side: first[side][0] for side in trees}
+            peaks = {side: traced(tree, config, outs[side])[0]
                      for side, tree in trees.items()}
-            # the second round's: a tree's first parser rebuild still warms
-            # caches that the two trees share, ~0.4 kB on whichever goes first
-            for _ in range(2):
-                firsts = {side: traced_peak(tree, config, outs[side], first=True)
-                          for side, tree in trees.items()}
             times = {side: [] for side in trees}
             for pair in range(args.pairs):
                 order = ("old", "new") if pair % 2 == 0 else ("new", "old")
                 for side in order:
                     times[side].append(run(trees[side], config, outs[side])[0])
             won = sum(n < o for o, n in zip(times["old"], times["new"]))
-            match = "match" if first["old"] == first["new"] else "DIFFER"
+            match = "match" if first["old"][1:] == first["new"][1:] else "DIFFER"
             print(f"{name}: old {summary(times['old'])}; new {summary(times['new'])}; "
                   f"new faster in {won} of {args.pairs}; peak old "
                   f"{peaks['old'] / 1e3:.1f} kB, new {peaks['new'] / 1e3:.1f} kB; "

@@ -261,6 +261,22 @@ class TestThreadEnv:
         _apply_thread_env()
         assert os.environ["OMP_NUM_THREADS"] == "7"
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_a_value_that_is_not_a_positive_integer_is_refused(self, monkeypatch,
+                                                               capsys, value):
+        # it used to leave OpenBLAS's default (abc, 0) or read as 1 (1.5);
+        # main refuses it before it parses, so even an empty command line
+        # exits 1 with the one line, and bench/run.py's direct call neither
+        # raises nor sets a variable
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("FORTET_THREADS", value)
+        assert _apply_thread_env() == value
+        assert [var for var in _THREAD_VARS if var in os.environ] == []
+        assert main([]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"FORTET_THREADS must be a positive integer, not {value!r}"]
+
 
 class TestCli:
     def test_check_benchmark_is_admissible(self, tmp_path, capsys):
@@ -317,10 +333,9 @@ class TestCli:
 
     def test_calls_in_one_process_see_only_their_own_arguments(self, tmp_path,
                                                                monkeypatch):
-        # the parser is built once per process; --force on one call must not
-        # carry over to the next, which the refused orientation would show,
-        # and a command is looked up when it runs, not when the parser is built
-        assert cli.build_parser() is cli.build_parser()
+        # --force on one call must not carry over to the next, which the
+        # refused orientation would show, and a command is looked up when
+        # it runs
         monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
         assert main(["check", "--config", "unread.json"]) == 7
         cfg = write_config(tmp_path, SWAP_RAW)
@@ -770,6 +785,7 @@ def test_package_and_cli_load_no_scipy():
         "    cli.main(['--help'])",
         "except SystemExit as exc:",
         "    assert exc.code == 0",
+        "print('argparse loaded:', 'argparse' in sys.modules)",
         "print('dataclasses loaded:', 'dataclasses' in sys.modules)",
         "print('scipy modules:', sorted(m for m in sys.modules",
         "                               if m.split('.')[0] == 'scipy'))",
@@ -780,10 +796,50 @@ def test_package_and_cli_load_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert "usage: fortetbridge" in run.stdout
-    # the package's records are NamedTuples and plain classes, whose import
-    # compiles no generated code
-    assert run.stdout.splitlines()[-2:] == ["dataclasses loaded: False",
+    # the command line is read without argparse, and the package's records
+    # are NamedTuples and plain classes, whose import compiles no generated
+    # code
+    assert run.stdout.splitlines()[-3:] == ["argparse loaded: False",
+                                            "dataclasses loaded: False",
                                             "scipy modules: []"]
+
+
+def test_a_first_solve_op_peaks_as_a_later_one(tmp_path):
+    # bench/run.py's peak_mem_mb is the tracemalloc peak of a process's first
+    # solve op: a fresh interpreter set up as the benchmark's is (every module
+    # imported, gauss1d's config written and loaded) runs two solve ops, each
+    # traced from a gc.collect(), and their peaks must lie within 8 kB of
+    # each other.  An argparse parser built and kept by the first op
+    # held ~45 kB more, and ~212 kB with argparse's import and first use
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = "\n".join([
+        "import contextlib, gc, io, sys, tracemalloc",
+        "from pathlib import Path",
+        f"sys.path.insert(0, {str(bench)!r})",
+        "from fortetbridge import cli",
+        "from fortetbridge import bridge, config, fortet, hilbert, problem",
+        "from fortetbridge import quadrature, sinkhorn",
+        "import workloads",
+        f"work = Path({str(tmp_path)!r})",
+        "path = workloads.write_config(workloads.make_workload('gauss1d', 0), work)",
+        "config.load_problem(path)",
+        "for _ in range(2):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    gc.collect()",
+        "    tracemalloc.start()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        code = cli.main(['solve', '--config', str(path), '--output', str(work / 'solve')])",
+        "    assert code == 0",
+        "    print(tracemalloc.get_traced_memory()[1])",
+        "    tracemalloc.stop()",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    first, second = map(int, run.stdout.split())
+    assert abs(first - second) < 8000, (first, second)
 
 
 def test_every_exported_name_resolves():
@@ -1156,31 +1212,80 @@ def test_interpolate_refuses_a_non_gaussian_kernel_before_it_solves(tmp_path, ca
                  "--output", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: interpolation needs a Gaussian kernel"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "--output", "run"], ["solve", "--config", "problem.json", "--forse"],
-    ["solv", "--config", "problem.json"]], ids=["no-config", "unknown-flag", "unknown-command"])
-def test_refused_command_line_exits_1(tmp_path, capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, reason", [
+    ([], "a command is required (choose from check, solve, interpolate, diagnose, compare)"),
+    (["--config", "problem.json"], "a command is required (choose from check, solve, "
+                                   "interpolate, diagnose, compare)"),
+    (["solve", "--output", "run"], "--config is required"),
+    (["solve", "--config", "problem.json", "--forse"], "unknown flag --forse"),
+    (["solv", "--config", "problem.json"], "unknown command 'solv' (choose from check, "
+                                           "solve, interpolate, diagnose, compare)"),
+    (["check", "--config", "problem.json", "--force"], "--force is not a flag of check"),
+    (["compare", "--config", "problem.json", "--tol"], "--tol needs a value"),
+    (["solve", "--config", "problem.json", "--force=yes"], "--force takes no value"),
+    (["compare", "--config", "problem.json", "--tol", "tight"],
+     "--tol must be a float, not 'tight'"),
+    (["solve", "--conf", "problem.json"], "unknown flag --conf"),
+    (["solve", "--config", "problem.json", "run"], "unexpected argument 'run'")],
+    ids=["no-command", "flag-first", "no-config", "unknown-flag", "unknown-command",
+         "other-command-flag", "no-value", "value-for-force", "tol-not-float",
+         "abbreviation", "extra-word"])
+def test_refused_command_line_exits_1(tmp_path, capsys, monkeypatch, argv, reason):
     # the parser's refusal is an input problem: exit 1 with the usage line
-    # and the reason, where argparse exits 2, the code of a feasibility
-    # failure; nothing is read or written
+    # and the reason, not 2, the code of a feasibility failure; nothing is
+    # read or written.  An abbreviation, which argparse accepted, is refused
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("usage: fortetbridge") and ": error: " in err[-1]
+    assert len(err) == 2 and err[0].startswith("usage: fortetbridge")
+    assert err[1] == f"fortetbridge: error: {reason}"
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+@pytest.mark.parametrize("argv, fields", [
+    (["check", "--config", "p.json"], {"output": "."}),
+    (["solve", "--config", "p.json"], {"output": ".", "force": False}),
+    (["solve", "--force", "--output=run", "--config=p.json"],
+     {"output": "run", "force": True}),
+    (["interpolate", "--config", "p.json"], {"output": ".", "times": "0,0.25,0.5,0.75,1"}),
+    (["interpolate", "--config", "p.json", "--times", "-0.1"],
+     {"output": ".", "times": "-0.1"}),
+    (["diagnose", "--output", "-run", "--config", "p.json"], {"output": "-run"}),
+    (["compare", "--config", "p.json"], {"output": ".", "tol": 1e-8}),
+    (["compare", "--config", "p.json", "--tol", "-1"], {"output": ".", "tol": -1.0}),
+    (["compare", "--config", "q.json", "--tol=1e-3", "--config", "p.json", "--tol", "2"],
+     {"output": ".", "tol": 2.0})],
+    ids=["check", "solve", "solve-equals", "interpolate", "times-dash", "output-dash",
+         "compare", "tol-dash", "last-wins"])
+def test_accepted_command_line(argv, fields):
+    # --flag value and --flag=value, flags in any order, a value that starts
+    # with "-" (so --tol -1 and --times -0.1 reach their commands'
+    # refusals), and the last of a repeated flag wins; a flag not given is
+    # at its default, and --tol reads as a float
+    args = cli.parse_args(argv)
+    assert vars(args) == {"command": argv[0], "config": "p.json", **fields}
+    assert type(getattr(args, "tol", 0.0)) is float
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["-h"],
+                                  ["compare", "--config", "p.json", "-h"]])
 def test_help_exits_0(capsys, argv):
+    # the usage line, then a line for each command, or for each of the
+    # command's flags
+    listed = ({"check", "solve", "interpolate", "diagnose", "compare"} if len(argv) == 1
+              else {"solve": {"--config", "--output", "--force"},
+                    "compare": {"--config", "--output", "--tol"}}[argv[0]])
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: fortetbridge")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("usage: fortetbridge")
+    assert listed <= {line.split()[0] for line in out[1:] if line.strip()}
 
 
 def test_output_that_is_a_file_is_an_io_error(tmp_path, capsys):
