@@ -130,14 +130,33 @@ def kl_objective(coupling: Coupling) -> KLObjective:
     r = coupling.row > 0
     if np.any(r & ~omega1.support):
         return KLObjective(math.inf, False)
-    om1 = omega1.values
-    c = coupling.col > 0
-    w1 = coupling.grid1.weights
-    w2 = coupling.grid2.weights
-    value = (float(np.sum(w1[r] * coupling.row[r]
-                          * (np.log(coupling.phi[r]) - np.log(om1[r]))))
-             + float(np.sum(w2[c] * coupling.col[c] * np.log(coupling.psi[c]))))
+    r = _nodes(r)  # a mask that holds at every node is freed here
+    value = (_log_sum(r, coupling.grid1.weights, coupling.row, coupling.phi, omega1.values)
+             + _log_sum(_nodes(coupling.col > 0), coupling.grid2.weights, coupling.col,
+                        coupling.psi))
     return KLObjective(value, True)
+
+
+def _nodes(mask: np.ndarray):
+    """The index of mask's nodes: slice(None) where it holds at every node,
+    so that an array is read in place (a view, not a masked copy), and the
+    mask itself otherwise."""
+    return slice(None) if mask.all() else mask
+
+
+def _log_sum(at, w: np.ndarray, integral: np.ndarray, potential: np.ndarray,
+             reference: Optional[np.ndarray] = None) -> float:
+    """sum of w * integral * (log potential - log reference), or of w *
+    integral * log potential without a reference, over the nodes at
+    (_nodes).  The terms are formed in the buffer of the first log: the
+    product w * integral multiplies the log difference, so each term, and
+    the sum, is bitwise that of w[at] * integral[at] * (log potential[at]
+    - log reference[at])."""
+    terms = np.log(potential[at])
+    if reference is not None:
+        terms -= np.log(reference[at])
+    terms *= w[at] * integral[at]
+    return float(np.sum(terms))
 
 
 class Interpolation(Frozen):

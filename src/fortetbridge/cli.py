@@ -232,17 +232,21 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     solution, kl = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
-    _write_trace(out / "trace.csv", solution.steps)
     payload = _solution_payload(problem, solution, kl)
+    steps = solution.steps
+    potentials = None if solution.coupling is None else [
+        ("phi", solution.phi), ("psi", solution.psi), ("h", solution.h)]
+    # the writers read only the payload, the log and the three arrays: the
+    # solution is dropped, and its coupling's row and col with it
+    del solution
+    _write_trace(out / "trace.csv", steps)
     _write_json(out / "summary.json", payload)
-    if solution.coupling is not None:
-        _write_potentials(out / "potentials.csv", problem.grid,
-                          [("phi", solution.phi), ("psi", solution.psi),
-                           ("h", solution.h)])
+    if potentials is not None:
+        _write_potentials(out / "potentials.csv", problem.grid, potentials)
     _log(f"solve finished in {elapsed:.3f} s")
     residuals = payload["residuals"]
-    print(f"case_tag={solution.case_tag} iterations={solution.iterations} "
-          f"refine_steps={solution.refine_steps} "
+    print(f"case_tag={payload['case_tag']} iterations={payload['iterations']} "
+          f"refine_steps={payload['refine_steps']} "
           f"s1_resid={residuals['s1_resid']!r} "
           f"s2_resid={residuals['s2_resid']!r}")
     return 0

@@ -203,9 +203,11 @@ class KernelOperator(Frozen):
     np.correlate (_band_product).  numpy's correlation copies any input it
     cannot write, so the kernel keeps a private writeable copy of the band,
     _operands, and factors[0] is a read-only view of it; the caller's band
-    is not frozen.  For any other kernel _operands is factors.  values is
-    the matrix, reduce(np.kron, matrices); for a product or banded kernel
-    it is built on first read and cached, and solving never reads it.
+    is not frozen.  A band longer than n reads a product's argument last
+    node first, and _reversed says so.  For any other kernel _operands is
+    factors.  values is the matrix, reduce(np.kron, matrices); for a
+    product or banded kernel it is built on first read and cached, and
+    solving never reads it.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], grid1: QuadratureGrid,
@@ -235,8 +237,10 @@ class KernelOperator(Frozen):
                 raise GridError("kernel factors must be nonnegative")
         for a in factors:
             a.setflags(write=False)
-        vars(self).update(factors=factors, _operands=operands, grid1=grid1, grid2=grid2,
-                          sigma_bound=sigma_bound, gaussian=gaussian)
+        vars(self).update(factors=factors, _operands=operands,
+                          _reversed=operands[0].ndim == 1 and operands[0].size > n,
+                          grid1=grid1, grid2=grid2, sigma_bound=sigma_bound,
+                          gaussian=gaussian)
 
     @property
     def banded(self) -> bool:
@@ -319,19 +323,25 @@ class KernelOperator(Frozen):
         costs a microcode assist on x86.  An f holding a NaN or an inf, an
         all-zero f and one too large for k > 0 are applied unscaled.  max|f|
         is read at the argmax and argmin, the same values, NaN included.
+
+        A band longer than f reads its argument from the last node
+        (_band_product), so the argument is formed in that order, from
+        reversed views of f and the weights: a fresh contiguous array, which
+        the correlation reads without a copy.
         """
-        k = self.apply_headroom
+        k, top = self.apply_headroom, 0.0
         if k is not None:
             top = max(float(f[f.argmax()]), -float(f[f.argmin()]))
-            if 0.0 < top < math.inf:
-                k -= max(0, math.frexp(top)[1])
-                if k > 0:
-                    # weights * 2^k is exact, so each f * (weights * 2^k) is
-                    # rounded once; no name holds it, so _contract frees it
-                    # after its first product, as it frees weights * f
-                    out = _contract(operands, f * (weights * 2.0 ** k))
-                    return np.ldexp(out, -k, out=out)
-        return _contract(operands, weights * f)
+        k = k - max(0, math.frexp(top)[1]) if 0.0 < top < math.inf else 0
+        if self._reversed:
+            weights, f = weights[::-1], f[::-1]
+        if k <= 0:
+            return _contract(operands, weights * f)
+        # weights * 2^k is exact, so each f * (weights * 2^k) is rounded
+        # once; no name holds it, so _contract frees it after its first
+        # product, as it frees weights * f
+        out = _contract(operands, f * (weights * 2.0 ** k))
+        return np.ldexp(out, -k, out=out)
 
     def swapped(self) -> "KernelOperator":
         """The kernel g(y, x) on (grid2, grid1).  A Gaussian on one grid is
@@ -349,7 +359,8 @@ def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     x is flat in 'ij' order (last axis fastest).  Each product contracts the
     leading axis and its transpose rotates that axis to the back, so after d
     products the axes are back in order; for d = 2 this is A_1 @ X @ A_2.T.
-    A band is applied by _band_product.
+    A band is applied by _band_product, and one longer than x takes x
+    reversed, last node first, the order in which it reads it.
     """
     if len(factors) == 1:
         a = factors[0]
@@ -363,24 +374,27 @@ def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The band's symmetric Toeplitz matrix @ x: entry i is np.convolve(x,
-    band)[i + b], one dot product over the band's taps that meet x.  Only
-    those n entries are formed: mode 'same' when the band is no longer than
-    x, 'valid' when it spans every offset (b = n - 1).
+    """The band's symmetric Toeplitz matrix @ y, where y is x, or x
+    reversed (x given last node first) for a band longer than x: entry i is
+    np.convolve(y, band)[i + b], one dot product over the band's taps that
+    meet y.  Only those n entries are formed: mode 'same' when the band is
+    no longer than x, 'valid' when it spans every offset (b = n - 1).
 
     Each is np.correlate, bitwise what np.convolve computes: the band is its
     own reversal, and np.convolve correlates the longer of its arguments
-    with the reversal of the shorter.  numpy's correlation copies any input
-    it cannot write or that is not contiguous.  So the band is read in place
-    only if it is writeable (KernelOperator's private band), and 'same'
-    correlates with the band itself, not np.convolve's reversed view of it.
-    The reversal of x, where the band is the longer, is the one copy left."""
+    with the reversal of the shorter, which a band longer than x reads as x
+    given reversed.  numpy's correlation copies any input it cannot write
+    or that is not contiguous.  So the band is read in place only if it is
+    writeable (KernelOperator's private band), 'same' correlates with the
+    band itself, not np.convolve's reversed view of it, and KernelOperator
+    forms a reversed argument in that order, contiguous, rather than
+    passing a reversed view: no product copies an operand."""
     b, n = band.size // 2, x.size
     if 2 * b < n:
         return np.correlate(x, band, "same")
     if b == n - 1:
-        return np.correlate(band, x[::-1], "valid")
-    return np.correlate(band, x[::-1], "full")[b:b + n]
+        return np.correlate(band, x, "valid")
+    return np.correlate(band, x, "full")[b:b + n]
 
 
 def _padded(band: np.ndarray, n: int) -> np.ndarray:

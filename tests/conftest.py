@@ -15,6 +15,7 @@ import pytest
 
 from fortetbridge import (MarginalPair, build_grid, gaussian_density,
                           gaussian_kernel, run_fortet, run_sinkhorn)
+from fortetbridge.problem import swapped_marginals
 
 BENCH_SIGMA = 0.5
 BENCH_SIGMA1 = 1.0
@@ -49,6 +50,20 @@ def bench_scaling(bench_kernel, bench_marginals):
     return run_sinkhorn(bench_kernel, bench_marginals)
 
 
+@pytest.fixture(scope="session")
+def swap_instance(bench_grid):
+    """The criterion-2 instance after the swap: potentials beyond float64."""
+    kernel = gaussian_kernel(bench_grid, bench_grid, 0.1)
+    marginals = swapped_marginals(MarginalPair(gaussian_density(bench_grid, 0.5),
+                                               gaussian_density(bench_grid, 1.0)))
+    return kernel, marginals
+
+
+@pytest.fixture(scope="session")
+def swap_solution(swap_instance):
+    return run_fortet(*swap_instance)
+
+
 def traced_peak(fn):
     """(fn(), the tracemalloc peak in bytes while it ran).  Tracing starts
     with the call, so what exists before it is not counted."""
@@ -77,13 +92,23 @@ def _smallest_nonzero(a):
     return float(nonzero.min()) if nonzero.size else math.inf
 
 
+def read_order(kernel, x):
+    """x in the order problem._contract takes it for kernel: reversed, last
+    node first, for a band longer than x (problem._band_product), and as it
+    is otherwise.  A reversed view is copied by the product, bitwise as
+    the kernel's own contiguous argument is read."""
+    return x[::-1] if kernel._reversed else x
+
+
 @contextlib.contextmanager
 def contract_extremes():
     """Record what reaches problem._contract, the one product under
     KernelOperator.apply and apply_T, while the block runs.  Yields a list
     that gains one (smallest nonzero |factor entry|, smallest nonzero
     |argument entry|) pair per call; inf reads "no nonzero entry".  An
-    entry below float64's smallest normal is a subnormal operand."""
+    entry below float64's smallest normal is a subnormal operand.  The
+    argument arrives in the order the product reads it (read_order), which
+    neither extreme depends on."""
     from fortetbridge import problem
     contract, seen = problem._contract, []
 

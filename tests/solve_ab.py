@@ -18,7 +18,10 @@ before it traces, so that no garbage of an earlier op is freed inside the
 trace: the first op's, the untimed one, and the steady op's, run after it.
 The first op is the tree's first after it loads on the first workload,
 and the first on its config on the others; bench/run.py's peak_mem_mb
-reads a process's first solve op.
+reads a process's first solve op.  A second line per workload names, for
+each tree, the phase that sets the steady op's peak and the phase next
+below it, from one more steady op traced with each phase's functions
+wrapped (phase_peaks).
 
 Its numbers are diagnostics, one process on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -66,6 +69,65 @@ def traced(tree, config: Path, out: Path):
         tracemalloc.stop()
 
 
+@contextlib.contextmanager
+def phase_peaks(tree):
+    """Trace the block, from a gc.collect(), with each phase's functions in
+    the tree's modules wrapped, the wrappers made before tracing starts.
+    Yields a dict that gains, per phase, the largest tracemalloc peak read
+    within one of its calls, and under "other" the largest between them
+    (the config's load, the feasibility report, the CLI's own work): each
+    call's entry and exit reads the peak of the segment it ends and resets
+    it (tracemalloc.reset_peak)."""
+    phases = (("fortet", "fortet_step", "scheme"),
+              ("fortet", "_closing_iteration", "closing"),
+              ("fortet", "_extract_with_warnings", "extraction/coupling"),
+              ("bridge", "build_coupling", "extraction/coupling"),
+              ("bridge", "kl_objective", "KL"),
+              ("cli", "_write_trace", "trace writer"),
+              ("cli", "_write_json", "summary writer"),
+              ("cli", "_write_potentials", "potentials writer"))
+    peaks = dict.fromkeys(["other"] + [phase for _, _, phase in phases], 0)
+
+    def close(phase):
+        peaks[phase] = max(peaks[phase], tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def wrap(fn, phase):
+        def wrapped(*args, **kwargs):
+            close("other")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                close(phase)
+        return wrapped
+
+    originals = []
+    for module, name, phase in phases:
+        module = getattr(tree, module)
+        originals.append((module, name, getattr(module, name)))
+        setattr(module, name, wrap(originals[-1][2], phase))
+    try:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            yield peaks
+            close("other")
+        finally:
+            tracemalloc.stop()
+    finally:
+        for module, name, fn in originals:
+            setattr(module, name, fn)
+
+
+def peak_phases(tree, config: Path, out: Path) -> str:
+    """The phase that sets the peak of one steady solve op and the phase
+    next below it, with their peaks (phase_peaks)."""
+    with phase_peaks(tree) as peaks:
+        run(tree, config, out)
+    top = sorted(peaks.items(), key=lambda item: -item[1])[:2]
+    return "; next ".join(f"{phase} {peak / 1e3:.1f} kB" for phase, peak in top)
+
+
 def artifacts(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -102,6 +164,8 @@ def main(argv=None) -> int:
             firsts = {side: first[side][0] for side in trees}
             peaks = {side: traced(tree, config, outs[side])[0]
                      for side, tree in trees.items()}
+            phases = {side: peak_phases(tree, config, outs[side])
+                      for side, tree in trees.items()}
             times = {side: [] for side in trees}
             for pair in range(args.pairs):
                 order = ("old", "new") if pair % 2 == 0 else ("new", "old")
@@ -115,6 +179,7 @@ def main(argv=None) -> int:
                   f"first-op peak old {firsts['old'] / 1e3:.1f} kB, "
                   f"new {firsts['new'] / 1e3:.1f} kB; "
                   f"exit, stdout and artifacts {match}")
+            print(f"  steady peak set by: old {phases['old']}; new {phases['new']}")
     return 0
 
 

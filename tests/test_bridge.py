@@ -13,7 +13,7 @@ from fortetbridge import (MarginalPair, QuadratureGrid, build_coupling,
 from fortetbridge.config import build_problem, resolve_config
 from fortetbridge.errors import FortetBridgeError, InfeasibleParametersError
 from fortetbridge.problem import bernstein_gaussian_condition, gaussian_kappa
-from tests.conftest import random_instance
+from tests.conftest import random_instance, traced_peak
 
 # Roots of the two-parameter stationarity system for sigma=0.5, sigma1=1.0,
 # sigma2=0.8, frozen from a bracketed scalar root find (brentq, xtol=1e-15).
@@ -194,6 +194,30 @@ class TestCoupling:
         obj = kl_objective(coupling)
         assert obj.value == 0.0
         assert obj.absolutely_continuous
+
+    @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
+    def test_kl_is_the_masked_formula_bitwise(self, which, request):
+        # each sum's terms are formed in one buffer, in place where the
+        # integral is positive at every node (gauss1d) and on masked copies
+        # otherwise (swap: phi = 0 at 132 nodes); the value is bitwise the
+        # masked formula's, in its operand order
+        c = request.getfixturevalue(which).coupling
+        r, k = c.row > 0, c.col > 0
+        assert r.all() == k.all() == (which == "bench_solution")
+        assert which == "bench_solution" or np.count_nonzero(c.phi == 0) == 132
+        om1 = c.marginals.omega1.values
+        masked = (float(np.sum(c.grid1.weights[r] * c.row[r]
+                               * (np.log(c.phi[r]) - np.log(om1[r]))))
+                  + float(np.sum(c.grid2.weights[k] * c.col[k] * np.log(c.psi[k]))))
+        assert kl_objective(c) == (masked, True)
+
+    def test_kl_reads_the_benchmark_coupling_in_place(self, bench_solution):
+        # the masked copies and temporaries peaked at 4.4 node arrays; read
+        # in place, a sum holds its terms and one more array
+        c = bench_solution.coupling
+        kl_objective(c)
+        _, peak = traced_peak(lambda: kl_objective(c))
+        assert peak < 2.5 * c.row.nbytes
 
     def test_kl_hand_value(self):
         g = np.array([[0.3, 0.2], [0.2, 0.3]])

@@ -772,6 +772,51 @@ def test_solve_makes_two_applies_per_step_and_two_more(raw, scheme, closing, app
     assert calls == 2 * (scheme + closing) + 2 == applies
 
 
+def test_solve_drops_the_coupling_before_its_writers(tmp_path, capsys, monkeypatch):
+    # solve keeps the payload, the StepLog and phi, psi and h, and drops the
+    # solution, so that the coupling's row and col are freed before the
+    # first writer: a weakref to the coupling is dead as each writer
+    # starts.  stdout is the line the library's solution reads, and the
+    # artifacts are those of a run with no writer wrapped
+    import weakref
+    from fortetbridge import bridge
+    cfg = write_config(tmp_path, VERDICTS["gauss1d"][0])
+    argv = ["solve", "--config", str(cfg), "--output"]
+    assert main(argv + [str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out
+    couplings, started = [], []
+    build = bridge.build_coupling
+
+    def building(*args):
+        coupling = build(*args)
+        couplings.append(weakref.ref(coupling))
+        return coupling
+
+    def starting(name, writer):
+        def write(*args):
+            started.append((name, couplings[-1]() is None))
+            return writer(*args)
+        return write
+
+    monkeypatch.setattr(bridge, "build_coupling", building)
+    for name in ("_write_trace", "_write_json", "_write_potentials"):
+        monkeypatch.setattr(cli, name, starting(name, getattr(cli, name)))
+    assert main(argv + [str(tmp_path / "wrapped")]) == 0
+    assert len(couplings) == 1
+    assert started == [("_write_trace", True), ("_write_json", True),
+                       ("_write_potentials", True)]
+    problem = load_problem(cfg)
+    solution = run_fortet(problem.kernel, problem.marginals, problem.options)
+    residuals = solution.residuals
+    assert capsys.readouterr().out == plain == (
+        f"case_tag={solution.case_tag} iterations={solution.iterations} "
+        f"refine_steps={solution.refine_steps} s1_resid={residuals['s1_resid']!r} "
+        f"s2_resid={residuals['s2_resid']!r}\n")
+    for artifact in ("trace.csv", "summary.json", "potentials.csv"):
+        assert ((tmp_path / "wrapped" / artifact).read_bytes()
+                == (tmp_path / "plain" / artifact).read_bytes())
+
+
 def test_package_and_cli_load_no_scipy():
     # a fresh interpreter that imports every module and runs the CLI's help
     # loads numpy and nothing heavier

@@ -19,10 +19,9 @@ from fortetbridge import fortet
 from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
                                  KernelSupportError, NonConvergenceError)
 from fortetbridge.fortet import FLOOR_FREEZE
-from fortetbridge.problem import swapped_marginals
 from fortetbridge.quadrature import QuadratureGrid
-from tests.conftest import (fortet_steps, random_instances, step_phases, step_row,
-                            traced_peak)
+from tests.conftest import (fortet_steps, random_instances, read_order, step_phases,
+                            step_row, traced_peak)
 from tests.reference_closing import hilbert_step as _hilbert_reference
 
 RESID_TOL = 1e-12
@@ -214,20 +213,6 @@ def test_benchmark_solution_quality(bench_solution, bench_kernel, bench_marginal
     assert phases[sol.iterations:] == ["closing"] * sol.refine_steps
 
 
-@pytest.fixture(scope="module")
-def swap_instance(bench_grid):
-    """The criterion-2 instance after the swap: potentials beyond float64."""
-    kernel = gaussian_kernel(bench_grid, bench_grid, 0.1)
-    marginals = swapped_marginals(MarginalPair(gaussian_density(bench_grid, 0.5),
-                                               gaussian_density(bench_grid, 1.0)))
-    return kernel, marginals
-
-
-@pytest.fixture(scope="module")
-def swap_solution(swap_instance):
-    return run_fortet(*swap_instance)
-
-
 @pytest.mark.parametrize("which", ["bench_solution", "swap_solution"])
 def test_closing_steps_floor_at_freeze(which, request):
     # every closing input is floored at FLOOR_FREEZE, and a step whose
@@ -309,8 +294,8 @@ def test_scaled_map_is_bitwise_the_unscaled_one_on_the_benchmark(bench_kernel,
         G = bench_kernel.apply_T(om1 / H)
         ratio2 = om2 / G
         assert ratio2.min() > problem.TINY
-        unscaled = problem._contract(bench_kernel.factors,
-                                     bench_kernel.grid2.weights * ratio2)
+        unscaled = problem._contract(
+            bench_kernel.factors, read_order(bench_kernel, bench_kernel.grid2.weights * ratio2))
         assert np.array_equal(fortet.omega_map(H, bench_kernel, bench_marginals),
                               unscaled)
 

@@ -24,7 +24,7 @@ from fortetbridge.problem import TINY, KernelOperator, gaussian_from_scales
 from fortetbridge.quadrature import QuadratureGrid
 from tests.byte_identity import EXTRA
 from tests.closing_steps import sweep_configs
-from tests.conftest import counting_applies, random_instance, traced_peak
+from tests.conftest import counting_applies, random_instance, read_order, traced_peak
 
 #: factored against dense products: same sums in another order
 FACTORED_APPLY_RTOL = 1e-13
@@ -551,9 +551,10 @@ def test_one_dimensional_gaussian_apply_is_the_band_convolution(bench_grid, sigm
 
 
 #: (sigma, b, node arrays that one apply or apply_T stays below) on the
-#: bench grid: gauss1d's full-width band peaks at the argument product, its
-#: reversal and the image, swap's at the argument product and the image
-BAND_PRODUCT_PEAKS = [(0.5, 400, 3.5), (0.1, 94, 2.4)]
+#: bench grid: each band peaks at the argument product and the image, as
+#: gauss1d's full-width band forms its argument reversed, the order it
+#: reads it in, and so is not copied
+BAND_PRODUCT_PEAKS = [(0.5, 400, 2.4), (0.1, 94, 2.4)]
 
 
 @pytest.mark.parametrize("sigma, b, arrays", BAND_PRODUCT_PEAKS)
@@ -583,7 +584,7 @@ def test_band_product_copies_no_band(bench_grid, sigma, b, arrays):
 
 
 def _unscaled_apply(kernel, f):
-    return problem._contract(kernel.factors, kernel.grid2.weights * f)
+    return problem._contract(kernel.factors, read_order(kernel, kernel.grid2.weights * f))
 
 
 def test_scaled_apply_is_closer_to_the_exact_sum(bench_grid):
@@ -654,7 +655,8 @@ def test_apply_T_is_apply_on_a_symmetric_band(bench_grid, sigma):
 
 
 def _contract_arguments(monkeypatch):
-    """The arguments that reach problem._contract from now on."""
+    """The arguments that reach problem._contract from now on, each in the
+    order the product reads it (read_order)."""
     seen, contract = [], problem._contract
     monkeypatch.setattr(problem, "_contract",
                         lambda factors, x: seen.append(x) or contract(factors, x))
@@ -669,12 +671,15 @@ def test_apply_is_the_plain_product_where_no_scale_changes_a_bit(dim, monkeypatc
     # smallest positive entry stays above TINY, no operand, product or
     # partial sum is subnormal or overflows at any scale 2^j that keeps the
     # argument in range: apply is bitwise the plain product (j = 0) and the
-    # product at each other such scale
+    # product at each other such scale.  The full-width band reads its
+    # argument last node first, and apply forms it so, contiguous, for
+    # the correlation to read without a copy
     grid = build_grid(dim=dim, radius=8.0 if dim == 1 else 3.0,
                       points_per_axis=401 if dim == 1 else 15)
     kernel = gaussian_kernel(grid, grid, 0.5 if dim == 1 else 1.0)
     w = grid.weights
     assert len(kernel.factors) == (1 if dim == 1 else 2)
+    assert kernel._reversed == (dim == 1)
     low = float(w.min()) * math.prod(min(1.0, float(a[a > 0].min())) for a in kernel.factors)
     rng = np.random.default_rng(dim)
     contract = problem._contract
@@ -684,9 +689,10 @@ def test_apply_is_the_plain_product_where_no_scale_changes_a_bit(dim, monkeypatc
         assert f.min() * low >= 2.0 * TINY
         image = kernel.apply(f)
         k = kernel.apply_headroom - math.frexp(f.max())[1]
-        assert np.array_equal(seen[-1], f * (w * 2.0 ** k))
+        assert np.array_equal(seen[-1], read_order(kernel, f * (w * 2.0 ** k)))
+        assert seen[-1].flags.c_contiguous and seen[-1].flags.writeable
         for j in (0, 1, 7, 100, k):
-            scaled = contract(kernel.factors, f * (w * 2.0 ** j))
+            scaled = contract(kernel.factors, read_order(kernel, f * (w * 2.0 ** j)))
             assert np.array_equal(image, np.ldexp(scaled, -j))
 
 
