@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import FeasibilityError, FortetBridgeError, InfeasibleParametersError
-from .problem import KernelOperator, MarginalPair, gaussian_from_scales, gaussian_kappa
+from .problem import (KernelOperator, MarginalPair, gaussian_from_scales, gaussian_kappa,
+                      node_index)
 from .quadrature import Frozen, QuadratureGrid
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
@@ -130,25 +131,18 @@ def kl_objective(coupling: Coupling) -> KLObjective:
     r = coupling.row > 0
     if np.any(r & ~omega1.support):
         return KLObjective(math.inf, False)
-    r = _nodes(r)  # a mask that holds at every node is freed here
+    r = node_index(r)  # a mask that holds at every node is freed here
     value = (_log_sum(r, coupling.grid1.weights, coupling.row, coupling.phi, omega1.values)
-             + _log_sum(_nodes(coupling.col > 0), coupling.grid2.weights, coupling.col,
-                        coupling.psi))
+             + _log_sum(node_index(coupling.col > 0), coupling.grid2.weights,
+                        coupling.col, coupling.psi))
     return KLObjective(value, True)
-
-
-def _nodes(mask: np.ndarray):
-    """The index of mask's nodes: slice(None) where it holds at every node,
-    so that an array is read in place (a view, not a masked copy), and the
-    mask itself otherwise."""
-    return slice(None) if mask.all() else mask
 
 
 def _log_sum(at, w: np.ndarray, integral: np.ndarray, potential: np.ndarray,
              reference: Optional[np.ndarray] = None) -> float:
     """sum of w * integral * (log potential - log reference), or of w *
     integral * log potential without a reference, over the nodes at
-    (_nodes).  The terms are formed in the buffer of the first log: the
+    (node_index).  The terms are formed in the buffer of the first log: the
     product w * integral multiplies the log difference, so each term, and
     the sum, is bitwise that of w[at] * integral[at] * (log potential[at]
     - log reference[at])."""

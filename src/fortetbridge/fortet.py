@@ -67,7 +67,7 @@ import numpy as np
 
 from . import bridge
 from .errors import FeasibilityError, FortetBridgeError, NonConvergenceError
-from .problem import KernelOperator, MarginalPair, full_report
+from .problem import KernelOperator, MarginalPair, full_report, node_index
 from .quadrature import Frozen
 
 #: every closing step floors its iterate here; true fixed-point values
@@ -88,8 +88,8 @@ REFINE_MAX = 5000
 CLOSING_TOL_FLOOR = 1e-15
 #: history depth of the closing phase's Anderson step (0: the plain map),
 #: at most 2, whose normal equations _fit solves in closed form.  Each step
-#: held costs two support-sized arrays, and the 41 x 41 solve peaks in the
-#: closing phase, ~0.02 MB above its artifact writing
+#: held costs two support-sized arrays; the 41 x 41 solve op peaks in its
+#: closing, 11.7 kB above the rest (191.8 vs 180.1 kB, tests/solve_ab.py)
 ANDERSON_M = 2
 #: verify_uniqueness reads the ray constants on the nodes where the
 #: marginal exceeds this
@@ -174,11 +174,11 @@ class FortetSolution(Frozen):
     degenerate run's collapsed image Omega(1).  The potentials are held by
     the coupling pi = phi g psi, whose marginal integrals certify the
     system.  A solution is degenerate exactly when it has no coupling: its
-    potentials and residuals read None and NaN, and its case_tag is
-    "degenerate" ("case1" or "case2" otherwise).  steps is the
-    run's StepLog, one row per step of both phases: iterations, a class
-    attribute, counts its one scheme row and refine_steps the rest.  trace,
-    a class attribute too, is always empty: a run keeps no per-step arrays.
+    potentials, residuals and case_tag read None, NaN and "degenerate".
+    steps is the run's StepLog, one row per step of both phases:
+    iterations, a class attribute, counts its one scheme row and
+    refine_steps the rest.  trace, a class attribute too, is always empty:
+    a run keeps no per-step arrays.
     Only the benchmark's tracer (bench/tracing.py) reads it, for
     fortet.trace_mb (0.0), until the benchmark stops reading it."""
 
@@ -187,12 +187,17 @@ class FortetSolution(Frozen):
     #: starts the closing (module docstring); it is row 0 of steps
     iterations: int = 1
 
-    def __init__(self, h: np.ndarray, case_tag: str,
-                 coupling: Optional[bridge.Coupling], warnings: Tuple[str, ...],
-                 steps: StepLog):
+    def __init__(self, h: np.ndarray, coupling: Optional[bridge.Coupling],
+                 warnings: Tuple[str, ...], steps: StepLog):
         h.setflags(write=False)
-        vars(self).update(h=h, case_tag=case_tag, coupling=coupling, warnings=warnings,
-                          steps=steps)
+        vars(self).update(h=h, coupling=coupling, warnings=warnings, steps=steps)
+
+    @property
+    def case_tag(self) -> str:
+        """"case1" or "case2" by steps.case1_candidate, if not degenerate."""
+        if self.coupling is None:
+            return "degenerate"
+        return "case1" if self.steps.case1_candidate else "case2"
 
     @property
     def refine_steps(self) -> int:
@@ -231,38 +236,32 @@ def _bottom(x: np.ndarray) -> float:
     return float(x[x.argmin()])
 
 
-def _support_ratio(num: np.ndarray, den: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """num / den on support and 0 off it; den is not divided by off it."""
-    return np.divide(num, den, out=np.zeros(num.shape), where=support)
-
-
 def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
               ratio1: Optional[np.ndarray] = None) -> np.ndarray:
     """One application of the fixed-point map, H_prime = Omega(H): the
-    column fit omega2 / G of G = Int g omega1 / H, then its row integral.
+    fit omega2 / G of G = Int g omega1 / H, then its row integral.  Both
+    fits, omega1 / H (ratio1) and omega2 / G, are DensityField.over's.
 
     G is computed first for every y-node and freed before the outer
     integral; nodes where omega1 = 0 contribute nothing to G no matter what
     H holds there, and nodes where omega2 = 0 contribute nothing to
-    H_prime.  ratio1 is omega1 / H on the omega1 support and 0 off it
-    (_support_ratio); a caller that records the step forms it once, from an
-    H it keeps positive there, and passes it here, inside its own
-    np.errstate(over="ignore", under="ignore").  Without ratio1, H must be
-    positive wherever omega1 is, which is checked, and the map enters that
-    errstate itself.
+    H_prime.  A caller that records the step forms ratio1 once, from an H
+    it keeps positive on the omega1 support, and passes it here, inside its
+    own np.errstate(over="ignore", under="ignore").  Without ratio1, H must
+    be positive wherever omega1 is, which is checked, and the map enters
+    that errstate itself.
 
     omega2 / G reaches 4.9e-324 where G is large (62-66 subnormal entries
     per map on the criterion-2 post-swap instance), which apply scales out
     of the outer integral's products (KernelOperator._scaled_contract).
     """
     if ratio1 is None:
-        Hv = np.asarray(H, dtype=float)
-        omega1 = marginals.omega1
+        Hv, omega1 = np.asarray(H, dtype=float), marginals.omega1
         if not (Hv[omega1.support] > 0).all():
             raise FortetBridgeError("omega_map needs H > 0 wherever omega1 > 0")
         with np.errstate(over="ignore", under="ignore"):
             return omega_map(H, kernel, marginals,
-                             _support_ratio(omega1.values, Hv, omega1.support))
+                             omega1.over(Hv, "iterate H", "omega1 > 0"))
     G = kernel.apply_T(ratio1)
     ratio2 = marginals.omega2.over(
         G, "inner integral G",
@@ -320,8 +319,8 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
     mass2 is Int omega2, the value Int (omega1/H) Omega(H) takes for any H;
     it is computed here when not given.  The diagnostics are the step's row
     (_step_row at scale 1, over the omega1 support), keyed by StepLog.COLUMNS,
-    and its case1_candidate flag."""
-    om1, A = marginals.omega1.values, marginals.omega1.support
+    and its case1_candidate flag; the map and the row share one omega1 / H."""
+    omega1, A = marginals.omega1, marginals.omega1.support
     if mass2 is None:
         mass2 = marginals.omega2.mass()
     if state is None:
@@ -333,16 +332,16 @@ def fortet_step(state: Optional[IterationState], kernel: KernelOperator,
     # the row's quotient is taken at every node, and may leave float range
     # or, against an image that is inf off the support, read NaN (_step_row)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ratio1 = _support_ratio(om1, H, A)
+        ratio1 = omega1.over(H, "iterate H", "omega1 > 0")
         H_prime = omega_map(H, kernel, marginals, ratio1=ratio1)
-        case1 = bool((H_prime[A] <= 1.0 + CASE1_EPS).all())
+        case1 = bool((H_prime[node_index(A)] <= 1.0 + CASE1_EPS).all())
         row = _step_row(ratio1, H_prime, 1.0, prev, A, kernel, mass2)
     return IterationState(n, H, H_prime,
                           dict(zip(StepLog.COLUMNS, row), case1_candidate=case1))
 
 
 def _support_sup(K: np.ndarray, A, log: StepLog) -> float:
-    """max K over the omega1 support, indexed by A (a mask or slice(None));
+    """max K over the omega1 support, indexed by A (node_index's index);
     raises unless it is positive, which a NaN there also fails."""
     s = _top(K[A])
     if not s > 0:
@@ -445,7 +444,9 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     exists.
     A step holds its input K, omega1 / K, its image T(K) and the mixer's
     history, and frees each once spent: the map runs beside K, omega1 / K
-    and the history alone.
+    and the history alone.  omega1 / K is omega1's fit (DensityField.over):
+    0 off the support, also where K is inf or NaN there, as the scheme's
+    image can be.
 
     A step enters no np.errstate: this function's, which ignores over-
     and underflow and invalid values (_step_row), covers the map too.  So
@@ -453,24 +454,18 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     either; it shows in the row (a NaN sup change) and in _support_sup's
     refusal, as it does in the scheme's.
 
-    The support is gathered and scattered through the index at: the mask
-    A, or slice(None) where omega1 > 0 at every node, so that the support
-    sup, the two log gathers and the extrapolation's write read and write
-    views instead of masked copies.  The same choice, made once, picks
-    omega1 / K: where omega1 > 0 at every node the plain quotient is
-    bitwise _support_ratio's, and elsewhere the masked one is exact at
-    every step, whatever K holds off the support (the scheme's image can be
-    inf or NaN there).
+    The support sup, the two log gathers and the extrapolation's write
+    index the support through node_index: views where omega1 > 0 at every
+    node, the mask A otherwise.
     """
-    om1, A = marginals.omega1.values, marginals.omega1.support
-    whole = bool(A.all())
-    at = slice(None) if whole else A
+    omega1, A = marginals.omega1, marginals.omega1.support
+    at = node_index(A)
     mixer = _AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
     K = np.maximum(K0 / _support_sup(K0, at, log), FLOOR_FREEZE)
     del K0
     for _ in range(REFINE_MAX):
-        ratio1 = np.divide(om1, K) if whole else _support_ratio(om1, K, A)
+        ratio1 = omega1.over(K, "iterate H", "omega1 > 0")
         Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
         s = _support_sup(Kn, at, log)
         Kn /= s
@@ -531,11 +526,10 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
 
     mass2 = marginals.omega2.mass()
     state = fortet_step(None, kernel, marginals, mass2)
-    case1 = state.diagnostics["case1_candidate"]
-    log = StepLog(case1)
+    log = StepLog(state.diagnostics["case1_candidate"])
     log.append(*map(state.diagnostics.get, StepLog.COLUMNS))
     if float(state.H_prime.max()) < DEGENERATE_EPS:
-        return FortetSolution(h=state.H_prime, case_tag="degenerate", coupling=None,
+        return FortetSolution(h=state.H_prime, coupling=None,
                               warnings=("iterate collapsed below the degeneracy "
                                         "threshold; no potentials extracted",),
                               steps=log)
@@ -557,8 +551,8 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     if r1 > root * marginals.omega1.peak or r2 > root * marginals.omega2.peak:
         warnings.append(f"marginal residuals s1 {r1:.3g} and s2 {r2:.3g} exceed sqrt(tol) = "
                         f"{root:.3g} times the marginals' peaks: the closing stopped short")
-    return FortetSolution(h=h, case_tag="case1" if case1 else "case2", coupling=coupling,
-                          warnings=tuple(warnings + extract_warn), steps=log)
+    return FortetSolution(h=h, coupling=coupling, warnings=tuple(warnings + extract_warn),
+                          steps=log)
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
@@ -571,9 +565,10 @@ def _extract_with_warnings(h: np.ndarray, kernel: KernelOperator,
     where phi = 0, whose 0 * inf makes g_phi NaN in its column, warns of
     nothing: that NaN is DensityField.over's to read."""
     om1, A = marginals.omega1.values, marginals.omega1.support
-    raw = _support_ratio(om1, h, A & (h > 0))
+    raw = np.divide(om1, h, out=np.zeros(h.shape), where=A & (h > 0))
     # h can underflow to 0 (or to a denormal whose reciprocal overflows) when
-    # the true potential exceeds float64 range; those nodes are dropped
+    # the true potential exceeds float64 range; those nodes are dropped (the
+    # fit DensityField.over would refuse them)
     usable = np.isfinite(raw)
     phi = np.where(usable, raw, 0.0)
     dropped = int(np.sum(A & ~(usable & (h > 0))))

@@ -84,19 +84,19 @@ class DensityField(Frozen):
     def over(self, integral: np.ndarray, what: str, where: str,
              out: Optional[np.ndarray] = None) -> np.ndarray:
         """values / integral on the support and 0 off it: the fit of one
-        marginal equation f * integral = values, which both solvers take.
+        marginal equation f * integral = values, both solvers' fit for both.
 
         Where integral > 0 at every node and no quotient can overflow, this
-        is the plain quotient (values is 0 off the support), written into out
-        if given, which may be integral itself; its underflow is the caller's
-        np.errstate's, which numpy's default ignores.  The overflow test
-        reads the values' peak, which is cached with the field, and the
+        is the plain quotient (values is 0 off the support, 0 / inf too),
+        written into out if given, which may be integral itself; its
+        underflow is the caller's np.errstate's, which numpy's default
+        ignores.  The overflow test reads the cached peak and the
         integral's least entry, one argmin a fit.
 
-        Otherwise an integral of 0 at a support node cannot be fitted: it
-        raises KernelSupportError, "<what> vanished at nodes [...] where
-        <where>", naming the first 8 such nodes.  One neither positive nor 0
-        (NaN, negative) reads as 1.
+        Otherwise it is taken on the support alone, into zeros, so a NaN
+        off the support reads 0; an integral of 0 at a support node raises
+        KernelSupportError, "<what> vanished at nodes [...] where <where>",
+        naming the first 8, and one neither positive nor 0 reads as 1.
         """
         # argmin reads a NaN as the least entry, as min does, in fewer
         # passes; a quotient is at most peak / low, in float range below 2**1023
@@ -112,6 +112,13 @@ class DensityField(Frozen):
             integral = np.where(integral > 0, integral, 1.0)
         with np.errstate(over="ignore", under="ignore"):
             return np.divide(self.values, integral, out=np.zeros(S.shape), where=S)
+
+
+def node_index(mask: np.ndarray):
+    """The index of mask's nodes: slice(None) where it holds at every node,
+    so that an array is read and written in place (a view, not a masked
+    copy), and the mask itself otherwise."""
+    return slice(None) if mask.all() else mask
 
 
 def density_field(grid: QuadratureGrid, values, renormalize: bool = True,
@@ -137,9 +144,9 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
     diagonal covariance (any in 1-D) is kept as the field's gaussian, its
     variances (s^2, or the diagonal), which the feasibility verdict reads.
 
-    Raises FeasibilityError naming sigma unless each variance and (2 pi)^d
-    det Sigma are normal floats (_in_range, the rule the kernel's scales
-    meet)."""
+    Raises GridError unless a covariance is d x d, and FeasibilityError
+    naming sigma unless each variance and (2 pi)^d det Sigma are normal
+    floats (_in_range, the rule the kernel's scales meet)."""
     if grid.dim == 1:
         s = float(sigma)
         if s <= 0:
@@ -155,6 +162,8 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
         if cov.shape == (1, 1):
             cov = np.eye(grid.dim) * cov[0, 0]
         _require_spd(cov, "marginal covariance")
+        if cov.shape != (grid.dim, grid.dim):
+            raise GridError("marginal covariance must be d x d")
         with np.errstate(over="ignore", under="ignore"):
             norm = (2.0 * math.pi) ** grid.dim * np.linalg.det(cov)
         if not _in_range(np.diagonal(cov), norm):
@@ -610,9 +619,7 @@ def transition_normalized(kernel: KernelOperator) -> KernelOperator:
     row_mass = kernel.apply(np.ones(kernel.grid2.n_nodes))
     if np.any(row_mass <= 0):
         raise FeasibilityError("cannot row-normalize: a kernel row has zero mass")
-    vals = kernel.values / row_mass[:, None]
-    bound = float(vals.max()) * (1.0 + 1e-9)
-    return KernelOperator((vals,), kernel.grid1, kernel.grid2, bound)
+    return table_kernel(kernel.grid1, kernel.grid2, kernel.values / row_mass[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -832,8 +839,12 @@ def gaussian_kappa(sigma, sigma1, sigma2) -> float:
     in float64: an overflow or a division by 0 reads inf or NaN, where
     Python floats would raise."""
     with np.errstate(all="ignore"):
-        s, s1, s2 = (np.float64(v) for v in (sigma, sigma1, sigma2))
-        return float(1.0 / s2 ** 2 - 1.0 / (s1 ** 2 + s ** 2))
+        return _kappa(*(np.float64(v) ** 2 for v in (sigma, sigma1, sigma2)))
+
+
+def _kappa(v, v1, v2) -> float:
+    """gaussian_kappa from the variances v, v1 and v2: 1/v2 - 1/(v1 + v)."""
+    return float(1.0 / v2 - 1.0 / (v1 + v))
 
 
 def bernstein_gaussian_condition(sigma: float, sigma1: float, sigma2: float) -> bool:
@@ -878,14 +889,13 @@ def _gaussian_margins(kernel: KernelOperator,
     entry, the peak, and the marginals are renormalized densities.  omega1
     >= TINY keeps Int g omega1 positive at every node, so the scan's
     zero-denominator refusal cannot fire.  kappa_k is gaussian_kappa's
-    margin, read from the variances the fields record."""
+    margin (_kappa), read from the variances the fields record."""
     (w1, w2), gaussian = marginals, kernel.gaussian
     if (gaussian is None or gaussian[1] is not None or w1.gaussian is None
             or w2.gaussian is None or w1.values.min() < TINY
             or not kernel.grid1 is kernel.grid2 is w1.grid is w2.grid):
         return None
-    s2 = [s * s for s in gaussian[0]]
-    return tuple(all(1.0 / b - 1.0 / (a + k) > 0 for k, a, b in zip(s2, va, vb))
+    return tuple(all(_kappa(s * s, a, b) > 0 for s, a, b in zip(gaussian[0], va, vb))
                  for va, vb in ((w1.gaussian, w2.gaussian), (w2.gaussian, w1.gaussian)))
 
 

@@ -4,16 +4,47 @@ array formed by its own expression, the Hilbert step read on the filtered
 nodes alone, and an Anderson mixer whose extrapolation is an array of its
 own.  The fused closing in fortetbridge.fortet must return bitwise this
 iterate and these records
-(test_fortet.py::test_fused_closing_is_bitwise_the_reference)."""
+(test_fortet.py::test_fused_closing_is_bitwise_the_reference).  It
+carries its own map, fit and mixer, and imports only constants and the
+step log from the package."""
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from fortetbridge.errors import NonConvergenceError
-from fortetbridge.fortet import (ANDERSON_M, EPS, FLOOR_FREEZE, REFINE_MAX, StepLog,
-                                 _fit, _support_ratio, _support_sup)
+from fortetbridge.fortet import ANDERSON_M, EPS, FLOOR_FREEZE, REFINE_MAX, StepLog
+
+
+def support_ratio(num, den, support) -> np.ndarray:
+    """num / den on support and 0 off it; den is not divided by off it."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=support)
+
+
+def support_sup(K, A, steps: StepLog) -> float:
+    """max K over the mask A; raises unless it is positive."""
+    s = float(K[A].max())
+    if not s > 0:
+        raise NonConvergenceError("iterate collapsed to zero or NaN on the omega1 "
+                                  "support", steps)
+    return s
+
+
+def fit(D, f) -> Optional[List[float]]:
+    """gamma minimizing |f - sum_j gamma_j D_j| over the k <= 2 rows of D,
+    by Cramer's rule on the normal equations (the rounding fortet._fit
+    takes), or None if they are singular or gamma is not finite."""
+    M, r = (D @ D.T).tolist(), (D @ f).tolist()
+    if len(r) == 1:
+        gamma = [r[0] / M[0][0]] if M[0][0] else None
+    else:
+        det = M[0][0] * M[1][1] - M[0][1] * M[0][1]
+        gamma = None if not det else [(M[1][1] * r[0] - M[0][1] * r[1]) / det,
+                                      (M[0][0] * r[1] - M[0][1] * r[0]) / det]
+    if gamma is None or not all(map(math.isfinite, gamma)):
+        return None
+    return gamma
 
 
 class AndersonMixer:
@@ -40,7 +71,7 @@ class AndersonMixer:
                 D = np.empty((k, f.size))
                 for j in range(k):
                     np.subtract(f, self.hist[0, j], out=D[j])
-                gamma = _fit(D, f)
+                gamma = fit(D, f)
                 if gamma is not None:
                     for j in range(k):
                         np.subtract(g, self.hist[1, j], out=D[j])
@@ -99,12 +130,12 @@ def closing_iteration(start: List[np.ndarray], kernel, marginals, tol: float,
     om1, A = marginals.omega1.values, marginals.omega1.support
     mixer = AndersonMixer(ANDERSON_M, int(np.count_nonzero(A)))
     K0 = start.pop()
-    K = np.maximum(K0 / _support_sup(K0, A, steps), FLOOR_FREEZE)
+    K = np.maximum(K0 / support_sup(K0, A, steps), FLOOR_FREEZE)
     del K0
     for _ in range(REFINE_MAX):
-        ratio1 = _support_ratio(om1, K, A)
+        ratio1 = support_ratio(om1, K, A)
         Kn = omega_map(ratio1, kernel, marginals)
-        s = _support_sup(Kn, A, steps)
+        s = support_sup(Kn, A, steps)
         Kn /= s
         conv_mask = A & (Kn > 10.0 * FLOOR_FREEZE) & (K > 10.0 * FLOOR_FREEZE)
         d = step_record(ratio1, Kn, K, conv_mask, kernel, False, mass2, s)

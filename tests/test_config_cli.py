@@ -1235,6 +1235,22 @@ def test_interpolate_refuses_times_before_it_solves(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim, side", [(2, 3), (3, 2)])
+def test_a_marginal_covariance_that_is_not_d_x_d_is_one_error_line(tmp_path, capsys,
+                                                                   dim, side):
+    # it once ended in an IndexError traceback: now exit 1, one line, and no
+    # output directory
+    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], dim=dim, points=5),
+               marginals=[{"type": "gaussian", "covariance": np.eye(side).tolist()},
+                          {"type": "gaussian", "sigma": 0.8}])
+    out = tmp_path / "run"
+    assert main(["check", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: marginal covariance must be d x d"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kernel", ["table", "rows-normalized"])
 def test_interpolate_refuses_a_non_gaussian_kernel_before_it_solves(tmp_path, capsys,
                                                                     monkeypatch, kernel):

@@ -440,27 +440,24 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
     # the scheme's first image as run_fortet hands it over.  On the table
     # instances the image is inf or NaN off the omega1 support, and a
     # record's normalization reads 0 * inf or NaN there, in both closings.
-    # A NaN off the support is why the closing keeps the masked omega1 / K
-    # wherever omega1 has a zero: the plain quotient reads 0 / NaN there,
-    # and its G is NaN at every node
+    # A NaN off the support is why omega1's fit, DensityField.over, takes
+    # its masked quotient where the iterate is not positive at every node:
+    # the plain quotient reads 0 / NaN there, and its G is NaN at every node
     from tests.reference_closing import closing_iteration
     kernel, marginals = _closing_instance(which, request)
     table = which in ("zero_mass_table", "nan_off_support")
-    paths = {"masked": 0, "over": 0}
-    support_ratio, over = fortet._support_ratio, type(marginals.omega2).over
+    paths = {"omega1": 0, "omega2": 0}
+    over = type(marginals.omega2).over
 
-    def masked(*args):
-        paths["masked"] += 1
-        return support_ratio(*args)
-
-    def fallback(self, integral, *args, out=None):
-        # the fit's masked quotient is a new array, its plain one is out
-        fit = over(self, integral, *args, out=out)
-        paths["over"] += fit is not out
+    def fit_counted(self, integral, *args, out=None):
+        # the fit's plain quotient is written into out and its masked one is
+        # a new array, so a fit given no out is given one here, to tell them
+        buf = np.empty_like(integral) if out is None else out
+        fit = over(self, integral, *args, out=buf)
+        paths["omega1" if self is marginals.omega1 else "omega2"] += fit is not buf
         return fit
 
-    monkeypatch.setattr(fortet, "_support_ratio", masked)
-    monkeypatch.setattr(type(marginals.omega2), "over", fallback)
+    monkeypatch.setattr(type(marginals.omega2), "over", fit_counted)
     mass2 = marginals.omega2.mass()
     with np.errstate(invalid="ignore" if table else "raise"):
         state = None
@@ -488,12 +485,15 @@ def test_fused_closing_is_bitwise_the_reference(which, request, monkeypatch):
 
     assert len(fused) > 0 and bits(fused) == bits(reference)
     if table:
-        # every closing step took the masked ratio and the fit's masked quotient
-        assert closed == {"masked": len(fused), "over": len(fused)}
+        # every closing step fitted omega2 masked, where G = 0 off its
+        # support; omega1 masked only where the iterate is NaN off the
+        # support, since 0 / inf is the plain quotient's 0
+        nan = which == "nan_off_support"
+        assert closed == {"omega1": len(fused) if nan else 0, "omega2": len(fused)}
     else:
-        # omega1 > 0 at every node: no step takes the masked ratio, the
+        # positive integrals at every node: no step takes a masked fit, the
         # first, whose input the scheme formed, included
-        assert closed == {"masked": 0, "over": 0}
+        assert closed == {"omega1": 0, "omega2": 0}
 
 
 @pytest.mark.parametrize("points, dim", [(401, 1), (41, 2)], ids=["gauss1d", "gauss2d"])

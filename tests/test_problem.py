@@ -759,6 +759,15 @@ def test_gaussian_kernel_checks_its_covariance(bench_grid):
         gaussian_kernel(grid, grid, -0.5)
 
 
+@pytest.mark.parametrize("dim, side", [(2, 3), (3, 2)])
+def test_gaussian_density_refuses_a_covariance_that_is_not_d_x_d(dim, side):
+    # a 3 x 3 covariance on a 2-D grid once failed in its diagonal test, and
+    # a 2 x 2 one on a 3-D grid in the x P x loop, both with an IndexError
+    grid = build_grid(dim=dim, radius=3.0, points_per_axis=5)
+    with pytest.raises(GridError, match="marginal covariance must be d x d"):
+        gaussian_density(grid, np.eye(side))
+
+
 def _tensor_grid(*axes):
     """Hand-built grid with a different node set on every axis."""
     n = math.prod(len(a) for a in axes)
