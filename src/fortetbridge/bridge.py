@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FeasibilityError, FortetBridgeError, InfeasibleParametersError
 from .problem import (KernelOperator, MarginalPair, gaussian_from_scales, gaussian_kappa,
                       node_index)
-from .quadrature import Frozen, QuadratureGrid
+from .quadrature import Frozen, QuadratureGrid, read_only
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
 #: than this indicate a too-coarse grid or a too-small truncation radius
@@ -35,9 +35,9 @@ class Coupling(Frozen):
     It is kept as its potentials, its kernel and its two marginal integrals,
     row = Int pi dy = phi * apply(psi) and col = Int pi dx = psi *
     apply_T(phi): the residuals, the mass and the KL objective read only
-    these, so all four are locked against writes.  A g_phi given is taken
-    over as apply_T(phi): Fortet's extraction passes the product it fitted
-    psi to, bitwise the same, so the check loses no independence.  Each
+    these, so all four are read-only (quadrature.Frozen).  A g_phi given
+    is taken over as apply_T(phi): Fortet's extraction passes the product
+    it fitted psi to, bitwise the same, so the check loses no independence.  Each
     integral is 0 wherever its potential is, also where the kernel's image
     is inf there (0 * inf would read NaN).  A residual is inf at a node
     where it is NaN (an inf potential against a vanishing integral).  The
@@ -52,10 +52,7 @@ class Coupling(Frozen):
             for integral, potential in ((row, phi), (col, psi)):
                 integral[potential == 0] = 0.0
                 integral *= potential
-        for value in (phi, psi, row, col):
-            value.setflags(write=False)
-        vars(self).update(phi=phi, psi=psi, kernel=kernel, marginals=marginals,
-                          row=row, col=col)
+        self._store(phi=phi, psi=psi, kernel=kernel, marginals=marginals, row=row, col=col)
 
     @property
     def grid1(self) -> QuadratureGrid:
@@ -87,8 +84,7 @@ class Coupling(Frozen):
             pi = self.phi[:, None] * self.kernel.values * self.psi[None, :]
         pi[self.phi == 0] = 0.0
         pi[:, self.psi == 0] = 0.0
-        pi.setflags(write=False)
-        return pi
+        return read_only(pi)
 
 
 def _sup_resid(integral: np.ndarray, omega: np.ndarray) -> float:
@@ -159,8 +155,7 @@ class Interpolation(Frozen):
 
     def __init__(self, times: Tuple[float, ...], densities: np.ndarray,
                  masses: Tuple[float, ...]):
-        densities.setflags(write=False)
-        vars(self).update(times=times, densities=densities, masses=masses)
+        self._store(times=times, densities=densities, masses=masses)
 
 
 def entropic_interpolation(phi, psi, kernel: KernelOperator,

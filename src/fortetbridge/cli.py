@@ -9,8 +9,10 @@ only, never into files that byte-level reproducibility tests compare.
 Exit codes: 0 success / consistent; 1 input, output, or config problem,
 a command line that parse_args refuses and a FORTET_THREADS that is not a
 positive integer included; 2 hypothesis or feasibility failure (also:
-comparison found inconsistent solutions); 3 iteration did not converge
-(the per-step trace is still written).
+comparison found inconsistent solutions); 3 iteration did not converge:
+Fortet's closing hit its step cap, and solve, interpolate and compare
+still write its per-step trace.csv, or Sinkhorn hit its sweep budget, and
+compare and diagnose write no file.
 
 The FORTET_THREADS environment variable caps the BLAS thread pools; it
 must take effect before numpy is first imported, which is why this module
@@ -151,8 +153,9 @@ def _check_payload(report) -> dict:
     }
 
 
-def _solution_payload(problem, solution, kl) -> dict:
+def _solution_payload(problem, solution) -> dict:
     import numpy as np
+    from . import bridge
     payload = {
         "problem_hash": problem.problem_hash,
         "config": problem.config,
@@ -168,6 +171,7 @@ def _solution_payload(problem, solution, kl) -> dict:
         "h_max": float(np.max(solution.h)),
     }
     if solution.coupling is not None:
+        kl = bridge.kl_objective(solution.coupling)
         payload["coupling"] = {"mass": solution.coupling.mass}
         payload["kl_objective"] = kl.value
         payload["kl_absolutely_continuous"] = kl.absolutely_continuous
@@ -191,21 +195,17 @@ def _open(args, gaussian: bool = False):
 
 
 def _solve_problem(problem, out: Path):
-    """Shared solve path: returns (solution, kl), kl None for a degenerate
-    solution, the one with no coupling.  If the closing fails, the
+    """Shared solve path: returns the solution.  If the closing fails, the
     NonConvergenceError's StepLog, which holds the scheme row at least, is
     written to out/trace.csv before the error propagates to main, which
     exits 3."""
-    from . import bridge, fortet
+    from . import fortet
     from .errors import NonConvergenceError
     try:
-        solution = fortet.run_fortet(problem.kernel, problem.marginals,
-                                     problem.options)
+        return fortet.run_fortet(problem.kernel, problem.marginals, problem.options)
     except NonConvergenceError as exc:
         _write_trace(out / "trace.csv", exc.trace)
         raise
-    coupling = solution.coupling
-    return solution, None if coupling is None else bridge.kl_objective(coupling)
 
 
 def cmd_check(args) -> int:
@@ -230,9 +230,9 @@ def cmd_solve(args) -> int:
     if args.force:
         problem = problem._replace(options=problem.options._replace(force=True))
     started = time.perf_counter()
-    solution, kl = _solve_problem(problem, out)
+    solution = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
-    payload = _solution_payload(problem, solution, kl)
+    payload = _solution_payload(problem, solution)
     steps = solution.steps
     potentials = None if solution.coupling is None else [
         ("phi", solution.phi), ("psi", solution.psi), ("h", solution.h)]
@@ -270,7 +270,7 @@ def cmd_interpolate(args) -> int:
     # entropic_interpolation's own check, before the solve it would follow
     problem, out = _open(args, gaussian=True)
     started = time.perf_counter()
-    solution, kl = _solve_problem(problem, out)
+    solution = _solve_problem(problem, out)
     if solution.coupling is None:
         _log("cannot interpolate a degenerate solution")
         return 2
@@ -280,7 +280,7 @@ def cmd_interpolate(args) -> int:
     t_cells = _mesh_cells([repr(float(t)) for t in interp.times], problem.grid.n_nodes, 1)
     _write_csv(out / "interpolation.csv", ["t"] + headers + ["density"],
                [t_cells] + coords + [interp.densities.reshape(-1)])
-    payload = _solution_payload(problem, solution, kl)
+    payload = _solution_payload(problem, solution)
     payload["interpolation_times"] = list(interp.times)
     payload["interpolation_masses"] = list(interp.masses)
     _write_json(out / "summary.json", payload)
@@ -338,7 +338,7 @@ def cmd_compare(args) -> int:
         _log(f"--tol must be finite and positive, not {args.tol!r}")
         return 1
     problem, out = _open(args)
-    solution, _ = _solve_problem(problem, out)
+    solution = _solve_problem(problem, out)
     if solution.coupling is None:
         _log("cannot compare a degenerate solution")
         return 2

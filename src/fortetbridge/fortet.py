@@ -68,7 +68,7 @@ import numpy as np
 from . import bridge
 from .errors import FeasibilityError, FortetBridgeError, NonConvergenceError
 from .problem import KernelOperator, MarginalPair, full_report, node_index
-from .quadrature import Frozen
+from .quadrature import Frozen, read_only
 
 #: every closing step floors its iterate here; true fixed-point values
 #: beneath it are not representable in float64 anyway (the iterate sits on
@@ -120,8 +120,7 @@ class StepLog(Frozen):
     COLUMNS = ("sup_change", "normalization_residual", "hilbert_step")
 
     def __init__(self, case1_candidate: bool):
-        vars(self).update(_block=np.empty(3 * 16), _rows=0,
-                          case1_candidate=bool(case1_candidate))
+        self._store(_block=np.empty(3 * 16), _rows=0, case1_candidate=bool(case1_candidate))
 
     def __len__(self) -> int:
         return self._rows
@@ -129,9 +128,7 @@ class StepLog(Frozen):
     def column(self, name: str) -> np.ndarray:
         """The rows of column name, a read-only view of the block."""
         k = self.COLUMNS.index(name)
-        view = self._block[k:3 * self._rows:3]
-        view.flags.writeable = False
-        return view
+        return read_only(self._block[k:3 * self._rows:3])
 
     def append(self, sup_change: float, normalization_residual: float,
                hilbert_step: float) -> None:
@@ -155,9 +152,7 @@ class IterationState(Frozen):
 
     def __init__(self, n: int, H: np.ndarray, H_prime: np.ndarray,
                  diagnostics: Dict[str, float]):
-        H.setflags(write=False)
-        H_prime.setflags(write=False)
-        vars(self).update(n=n, H=H, H_prime=H_prime, diagnostics=diagnostics)
+        self._store(n=n, H=H, H_prime=H_prime, diagnostics=diagnostics)
 
     @property
     def H_dprime(self) -> np.ndarray:
@@ -189,8 +184,7 @@ class FortetSolution(Frozen):
 
     def __init__(self, h: np.ndarray, coupling: Optional[bridge.Coupling],
                  warnings: Tuple[str, ...], steps: StepLog):
-        h.setflags(write=False)
-        vars(self).update(h=h, coupling=coupling, warnings=warnings, steps=steps)
+        self._store(h=h, coupling=coupling, warnings=warnings, steps=steps)
 
     @property
     def case_tag(self) -> str:

@@ -71,9 +71,10 @@ def projective_diameter(matrix) -> ProjectiveDiameter:
     # the log of the read columns only, in the copy that indexing makes
     sub = M[:, cols]
     np.log(sub, out=sub)
+    # each pair once: max(x - y) + max(y - x) is max(x - y) - min(x - y), exactly
     for a in range(len(cols)):
-        diff = sub[:, a:a + 1] - sub            # (m, k)
-        d = diff.max(axis=0) + (-diff).max(axis=0)
+        diff = sub[:, a:a + 1] - sub[:, a:]
+        d = diff.max(axis=0) - diff.min(axis=0)
         best = max(best, float(d.max()))
     return ProjectiveDiameter(best, exact)
 

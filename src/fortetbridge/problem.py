@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FeasibilityError, GridError, KernelSupportError
-from .quadrature import Frozen, QuadratureGrid
+from .quadrature import Frozen, QuadratureGrid, read_only
 
 MASS_TOL = 1e-8
 #: tail-slope above this (per unit |y|^2) flags the integrability estimate
@@ -62,8 +62,7 @@ class DensityField(Frozen):
         if np.any(values < 0):
             idx = int(np.flatnonzero(values < 0)[0])
             raise FeasibilityError(f"density negative at node {idx}")
-        values.setflags(write=False)
-        vars(self).update(grid=grid, values=values, gaussian=gaussian)
+        self._store(grid=grid, values=values, gaussian=gaussian)
 
     def mass(self) -> float:
         """The quadrature sum of the values over the grid's weights."""
@@ -77,9 +76,7 @@ class DensityField(Frozen):
     @cached_property
     def support(self) -> np.ndarray:
         """The nodes where the density is positive (read-only)."""
-        support = self.values > 0
-        support.setflags(write=False)
-        return support
+        return read_only(self.values > 0)
 
     def over(self, integral: np.ndarray, what: str, where: str,
              out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -198,9 +195,10 @@ class KernelOperator(Frozen):
     coordinates k of the nodes (times white, if not None) of the 1-D heat
     kernels at the scales scales[k].  log_values reads it, and so does the
     interpolation, whose slice at time t is the kernel of the same pair
-    with every scale times sqrt(t) (gaussian_from_scales).
+    with every scale times sqrt(t) (gaussian_from_scales).  white is
+    read-only, as the factors are (quadrature.Frozen).
 
-    factors, read-only, are what the hypothesis checks read; apply and
+    factors are what the hypothesis checks read; apply and
     apply_T contract _operands (below).  A dense kernel has one factor, the
     n1 x n2 matrix.  The heat kernel on two tensor grids has one
     nonnegative 1-D factor per grid axis, in the axes' order, and the kernel
@@ -244,12 +242,9 @@ class KernelOperator(Frozen):
             # factors' row maxima, which needs nonnegative factors
             if not all(np.all(a >= 0) for a in factors):
                 raise GridError("kernel factors must be nonnegative")
-        for a in factors:
-            a.setflags(write=False)
-        vars(self).update(factors=factors, _operands=operands,
-                          _reversed=operands[0].ndim == 1 and operands[0].size > n,
-                          grid1=grid1, grid2=grid2, sigma_bound=sigma_bound,
-                          gaussian=gaussian)
+        self._store(factors=factors, _operands=operands,
+                    _reversed=operands[0].ndim == 1 and operands[0].size > n,
+                    grid1=grid1, grid2=grid2, sigma_bound=sigma_bound, gaussian=gaussian)
 
     @property
     def banded(self) -> bool:
@@ -268,10 +263,7 @@ class KernelOperator(Frozen):
     def values(self) -> np.ndarray:
         """The n1 x n2 kernel matrix; a dense kernel's one factor itself."""
         values = reduce(np.kron, self.matrices)
-        if self.banded:
-            values = np.array(values)
-        values.setflags(write=False)
-        return values
+        return read_only(np.array(values) if self.banded else values)
 
     @cached_property
     def apply_headroom(self) -> Optional[int]:
@@ -674,7 +666,7 @@ class FeasibilityReport(Frozen):
 
     def __init__(self, kernel: KernelOperator, marginals: MarginalPair,
                  integrability: bool = True):
-        vars(self).update(kernel=kernel, marginals=marginals, integrability=integrability)
+        self._store(kernel=kernel, marginals=marginals, integrability=integrability)
         margins = _gaussian_margins(kernel, marginals)
         if margins is None:
             failed = [k for k, v in self.hypotheses.items() if not v.ok]
@@ -693,7 +685,7 @@ class FeasibilityReport(Frozen):
                 "; swapping the marginals looks feasible" if swap else "")
         if refusal is not None:
             refusal += " (pass force=True to run anyway)"
-        vars(self).update(refusal=refusal, swap_recommended=swap)
+        self._store(refusal=refusal, swap_recommended=swap)
 
     @cached_property
     def hypotheses(self) -> Dict[str, CheckResult]:
@@ -762,11 +754,14 @@ def _hard_checks(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, C
     """The exact grid checks of check_assumptions, by name."""
     checks: Dict[str, CheckResult] = {}
     # a NaN entry is neither negative nor positive, so those two checks
-    # reduce with fmin / fmax, which skip it; it does breach the bound
-    neg = list(_hits(kernel, _extremes(kernel, np.fmin, axis=1) < 0, lambda r: r < 0))
+    # reduce with fmin / fmax, which skip it; it does breach the bound.
+    # Negative entries are counted a row at a time, no object per entry
+    rows = _extremes(kernel, np.fmin, axis=1) < 0
+    neg = sum(int(np.count_nonzero(_row(kernel, i) < 0)) for i in np.flatnonzero(rows))
     checks["kernel_nonnegative"] = (
         CheckResult("pass") if not neg else
-        CheckResult("fail", f"{len(neg)} negative entries", neg[0])
+        CheckResult("fail", f"{neg} negative entries",
+                    next(_hits(kernel, rows, lambda r: r < 0)))
     )
     bound = kernel.sigma_bound
     over = next(_hits(kernel, ~(_extremes(kernel, np.maximum, axis=1) < bound),

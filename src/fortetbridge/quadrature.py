@@ -19,11 +19,29 @@ from .errors import GridError
 MAX_GRID_NODES = 4_000_000
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: the package's one freeze (Frozen)."""
+    # positional: write=False would build a kwargs dict at each call
+    a.setflags(False)
+    return a
+
+
 class Frozen:
     """Base of the package's immutable classes: __init__ stores each
-    attribute once, in vars(self), and assigning or deleting one afterwards
-    raises AttributeError.  A cached_property still caches, since it writes
-    vars(self) too."""
+    attribute once, through _store, which makes every ndarray among them,
+    or in a tuple among them, read-only; a private _ one is stored as
+    given, for the record to write (StepLog's block) or to keep writeable
+    (KernelOperator's band).  Assigning or deleting an attribute
+    afterwards raises AttributeError.  A cached_property still caches,
+    since it writes vars(self) too; an array it derives is read_only."""
+
+    def _store(self, **attrs) -> None:
+        for name, value in attrs.items():
+            if not name.startswith("_"):
+                for a in value if isinstance(value, tuple) else (value,):
+                    if isinstance(a, np.ndarray):
+                        read_only(a)
+        vars(self).update(attrs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -50,7 +68,6 @@ class QuadratureGrid(Frozen):
         for ax in axes:
             if ax.ndim != 1 or np.any(np.diff(ax) <= 0):
                 raise GridError("axis nodes must be 1-D and strictly increasing")
-            ax.setflags(write=False)
         n = math.prod(ax.size for ax in axes)
         if n < 2:
             raise GridError("grid needs at least 2 nodes")
@@ -58,8 +75,7 @@ class QuadratureGrid(Frozen):
             raise GridError("weights length must match node count")
         if not np.all(weights > 0):
             raise GridError("quadrature weights must be strictly positive")
-        weights.setflags(write=False)
-        vars(self).update(axes=axes, weights=weights)
+        self._store(axes=axes, weights=weights)
 
     @property
     def dim(self) -> int:
@@ -82,8 +98,7 @@ def _mesh(axes) -> np.ndarray:
     if len(axes) == 1:
         return axes[0]
     mesh = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-    mesh.setflags(write=False)
-    return mesh
+    return read_only(mesh)
 
 
 def build_grid(dim: int = 1, radius: float = 1.0,

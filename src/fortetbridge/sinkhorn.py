@@ -40,10 +40,8 @@ class ScalingPair(Frozen):
 
     def __init__(self, u: np.ndarray, v: np.ndarray, log_u: np.ndarray,
                  log_v: np.ndarray, iterations: int, hilbert_steps: Tuple[float, ...]):
-        for a in (u, v, log_u, log_v):
-            a.setflags(write=False)
-        vars(self).update(u=u, v=v, log_u=log_u, log_v=log_v, iterations=iterations,
-                          hilbert_steps=hilbert_steps)
+        self._store(u=u, v=v, log_u=log_u, log_v=log_v, iterations=iterations,
+                    hilbert_steps=hilbert_steps)
 
     @property
     def phi(self) -> np.ndarray:

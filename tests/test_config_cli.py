@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fortetbridge import cli, fortet
+from fortetbridge import bridge, cli, fortet
 from fortetbridge.cli import _apply_thread_env, _solve_problem, _THREAD_VARS, main
 from fortetbridge.config import (build_problem, load_problem, problem_hash,
                                  resolve_config)
 from fortetbridge.errors import ConfigError
 from fortetbridge.fortet import StepLog, run_fortet
-from fortetbridge.problem import (check_assumptions, full_report, gaussian_density,
-                                  gaussian_kernel, transition_normalized)
+from fortetbridge.problem import (MarginalPair, check_assumptions, full_report,
+                                  gaussian_density, gaussian_kernel, transition_normalized)
 from fortetbridge.quadrature import build_grid
 from tests.byte_identity import EXTRA
 from tests.conftest import counting_applies, kernel_matrix_builds, traced_peak
@@ -375,6 +375,19 @@ class TestCli:
         assert len(trace) == 1 + 1 + 3
         assert sorted(p.name for p in out.iterdir()) == ["trace.csv"]
 
+    @pytest.mark.parametrize("command", ["compare", "diagnose"])
+    def test_sinkhorn_budget_exits_3_with_no_file(self, tmp_path, capsys, command):
+        # the criterion-2 post-swap instance at 120 sweeps: Sinkhorn's
+        # budget stops compare and diagnose before they write anything, as
+        # only Fortet's closing writes a trace
+        raw = dict(SWAP_RAW, grid={"dim": 1, "radius": 8.0, "points": 401},
+                   swap=True, solver={"max_iter": 120})
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
+        assert "sinkhorn did not converge in 120 iterations" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_interpolate_writes_time_slices(self, tmp_path):
         cfg = write_config(tmp_path, BENCH_RAW)
         out = tmp_path / "run"
@@ -517,7 +530,11 @@ class TestCli:
         assert payload["projective_diameter_columns"] == math.inf
         assert payload["projective_diameter_rows"] == math.inf
 
-    def test_compare_consistent_at_default_tol(self, tmp_path):
+    def test_compare_consistent_at_default_tol(self, tmp_path, monkeypatch):
+        # compare.json holds no KL objective, and compare computes none
+        def refuse(coupling):
+            raise AssertionError("compare computed a KL objective")
+        monkeypatch.setattr(bridge, "kl_objective", refuse)
         cfg = write_config(tmp_path, BENCH_RAW)
         out = tmp_path / "run"
         code = main(["compare", "--config", str(cfg), "--output", str(out)])
@@ -710,7 +727,8 @@ def test_solve_never_builds_the_kernel_matrix(tmp_path, dim, covariance):
         problem = build_problem(resolve_config(raw))
         assert len(problem.kernel.factors) == dim
         assert problem.kernel.banded == (dim == 1)
-        solution, kl = _solve_problem(problem, tmp_path)
+        solution = _solve_problem(problem, tmp_path)
+        kl = bridge.kl_objective(solution.coupling)
         if covariance:
             # 41^2 nodes: the dense matrix would take 22.6 MB
             large = dict(raw, grid={"dim": dim, "radius": 8.0,
@@ -734,7 +752,7 @@ def test_large_one_dimensional_solve_holds_no_matrix(tmp_path):
 
     def load_and_solve():
         problem = load_problem(config)
-        return problem, _solve_problem(problem, tmp_path)[0]
+        return problem, _solve_problem(problem, tmp_path)
 
     with kernel_matrix_builds() as built:
         (problem, solution), peak = traced_peak(load_and_solve)
@@ -747,7 +765,7 @@ def test_large_one_dimensional_solve_holds_no_matrix(tmp_path):
 
 def _solve_counting_applies(raw, tmp_path, monkeypatch):
     calls = counting_applies(monkeypatch)
-    solution, _ = _solve_problem(build_problem(resolve_config(raw)), tmp_path)
+    solution = _solve_problem(build_problem(resolve_config(raw)), tmp_path)
     return solution, len(calls)
 
 
@@ -1008,7 +1026,7 @@ def test_interpolation_csv_matches_csv_module(tmp_path):
         assert main(["interpolate", "--config", str(cfg), "--output", str(out),
                      "--times", "0,0.3,1"]) == 0
         problem = load_problem(cfg)
-        solution, _ = _solve_problem(problem, tmp_path)
+        solution = _solve_problem(problem, tmp_path)
         interp = entropic_interpolation(solution.phi, solution.psi, problem.kernel, times)
         nodes = problem.grid.nodes.reshape(problem.grid.n_nodes, -1).tolist()
         _csv_reference(tmp_path / "ref.csv", ["t"] + coords + ["density"],
@@ -1103,6 +1121,27 @@ def test_records_refuse_assignment_and_deletion(name, one_of_each):
         assert getattr(record, field) is value
     with pytest.raises(AttributeError):
         record.unknown = None
+
+
+def test_records_hold_their_arrays_read_only(one_of_each):
+    # every public ndarray a quadrature.Frozen record holds, directly or in
+    # a tuple, and each array a record derives on read.  A whitened
+    # kernel holds its white matrix in its gaussian pair
+    from fortetbridge.quadrature import Frozen
+    grid = build_grid(dim=2, radius=3.0, points_per_axis=5)
+    whitened = gaussian_kernel(grid, grid, [[0.25, 0.05], [0.05, 0.2]])
+    marginals = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    coupling = bridge.build_coupling(np.ones(25), np.ones(25), whitened, marginals)
+    records = [r for r in one_of_each.values() if isinstance(r, Frozen)]
+    assert len(records) == 10 and whitened.gaussian[1] is not None
+    held = [a for record in records + [whitened, coupling]
+            for name, value in vars(record).items() if not name.startswith("_")
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    derived = [grid.nodes, marginals.omega1.support, whitened.values, coupling.pi,
+               one_of_each["StepLog"].column("hilbert_step")]
+    assert len(held) > 20
+    assert [a.shape for a in held + derived if a.flags.writeable] == []
 
 
 def _malformed(path, value):

@@ -761,6 +761,22 @@ def test_phi_vanishes_exactly_off_support(bench_grid, bench_kernel):
     assert np.all(sol.phi[~off] > 0.0)
 
 
+def test_a_fixed_point_above_1_off_the_support_warns_before_clamping():
+    # a narrow omega1 under a wide kernel underflows to 0 at the outermost
+    # nodes, where the fixed point exceeds 1: the scan refuses the
+    # instance, and forced, h is clamped to 1 there and phi is 0
+    grid = build_grid(dim=1, radius=8.0, points_per_axis=401)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    marginals = MarginalPair(gaussian_density(grid, 0.2), gaussian_density(grid, 1.0))
+    with pytest.raises(FeasibilityError):
+        run_fortet(kernel, marginals)
+    sol = run_fortet(kernel, marginals, FortetOptions(force=True))
+    assert sol.warnings == ("fixed point exceeded 1 by 0.117 before clamping "
+                            "(outside the omega1 support)",)
+    off = ~marginals.omega1.support
+    assert off.any() and np.all(sol.h <= 1.0) and np.all(sol.phi[off] == 0.0)
+
+
 def test_extract_potentials_drops_nonpositive_h():
     kernel, marginals = hand_instance()
     phi, psi, g_phi, warned = fortet._extract_with_warnings(np.array([1.0, 1.0]),

@@ -246,6 +246,20 @@ def test_table_checks_name_the_first_offending_entries():
     assert checks["kernel_rows_positive"].offending_nodes == (1,)
     assert checks["kernel_columns_positive"].ok
 
+
+def test_negative_entries_are_counted_without_an_object_each():
+    # every entry of a 401 x 401 table is negative: the count, the detail
+    # and the first offender come from numpy, a flagged row at a time, not
+    # from one Python tuple per entry (14 MB of them)
+    grid = build_grid(dim=1, radius=1.0, points_per_axis=401)
+    vals = -np.ones((401, 401))
+    kernel = table_kernel(grid, grid, vals)
+    m = MarginalPair(gaussian_density(grid, 1.0), gaussian_density(grid, 0.8))
+    checks, peak = traced_peak(lambda: check_assumptions(kernel, m).hypotheses)
+    assert checks["kernel_nonnegative"].detail == "160801 negative entries"
+    assert checks["kernel_nonnegative"].offending_nodes == (0, 0)
+    assert peak < 2 * vals.nbytes
+
 def test_condition_star_benchmark_finite(bench_kernel, bench_marginals):
     cs = condition_star(bench_kernel, bench_marginals)
     assert cs.verdict == "finite"

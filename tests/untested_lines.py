@@ -12,12 +12,16 @@ docstring, a `global` or any other line that compiles to no code is not a
 statement here.  The exit code is 0 when every such statement ran, 1
 otherwise.  Pytest does not collect this script.
 
-Two limits:
+Three limits:
 - tracing slows the suite about 1.5-2x (15 s against 10 s on a 2-core
   VM) and breaks its tracemalloc bounds (test_band_product_copies_no_band,
   say), so the outcomes of the tests under it are not the suite's own;
 - code that runs in a subprocess (a `python -m fortetbridge.cli` test) is
-  not traced, so a statement only such a test reaches is listed.
+  not traced, so a statement only such a test reaches is listed;
+- lines are traced, not branches, so a conditional expression counts as
+  run whichever arm it takes: the untaken arm of `x if c else y` is not
+  listed (run_fortet's "fixed point exceeded 1" warning read as run before
+  a test took it).
 """
 
 from __future__ import annotations
