@@ -88,9 +88,12 @@ class Coupling(Frozen):
 
 
 def _sup_resid(integral: np.ndarray, omega: np.ndarray) -> float:
+    """max |integral - omega|, inf if it holds a NaN: one buffer, its max
+    read at the argmax, where a NaN is read first."""
     with np.errstate(invalid="ignore"):
-        r = np.abs(integral - omega)
-    return float(np.max(np.where(np.isnan(r), math.inf, r)))
+        r = np.subtract(integral, omega)
+    top = float(r[np.abs(r, out=r).argmax()])
+    return math.inf if math.isnan(top) else top
 
 
 def build_coupling(phi, psi, kernel: KernelOperator, marginals: MarginalPair,

@@ -10,9 +10,10 @@ Exit codes: 0 success / consistent; 1 input, output, or config problem,
 a command line that parse_args refuses and a FORTET_THREADS that is not a
 positive integer included; 2 hypothesis or feasibility failure (also:
 comparison found inconsistent solutions); 3 iteration did not converge:
-Fortet's closing hit its step cap, and solve, interpolate and compare
-still write its per-step trace.csv, or Sinkhorn hit its sweep budget, and
-compare and diagnose write no file.
+Fortet's closing hit its step cap, or stopped with a marginal residual
+above sqrt(tol) times that marginal's peak where no potential was dropped,
+and solve, interpolate and compare still write its per-step trace.csv; or
+Sinkhorn hit its sweep budget, and compare and diagnose write no file.
 
 The FORTET_THREADS environment variable caps the BLAS thread pools; it
 must take effect before numpy is first imported, which is why this module

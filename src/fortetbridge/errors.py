@@ -26,7 +26,8 @@ class InfeasibleParametersError(FortetBridgeError):
 
 
 class NonConvergenceError(FortetBridgeError):
-    """Iteration cap reached without any termination trigger.
+    """Iteration cap reached without any termination trigger, or a Fortet
+    solve whose marginal residuals exceed its bound (run_fortet).
 
     trace carries a Fortet run's step record, its fortet.StepLog of the
     steps taken (None from other solvers), so the caller can still write

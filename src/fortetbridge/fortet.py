@@ -89,7 +89,8 @@ CLOSING_TOL_FLOOR = 1e-15
 #: history depth of the closing phase's Anderson step (0: the plain map),
 #: at most 2, whose normal equations _fit solves in closed form.  Each step
 #: held costs two support-sized arrays; the 41 x 41 solve op peaks in its
-#: closing, 11.7 kB above the rest (191.8 vs 180.1 kB, tests/solve_ab.py)
+#: closing's step row, at 8 node arrays, 1.1 kB above its map (178.8 vs
+#: 177.7 kB, tests/solve_ab.py)
 ANDERSON_M = 2
 #: verify_uniqueness reads the ray constants on the nodes where the
 #: marginal exceeds this
@@ -239,11 +240,14 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
     G is computed first for every y-node and freed before the outer
     integral; nodes where omega1 = 0 contribute nothing to G no matter what
     H holds there, and nodes where omega2 = 0 contribute nothing to
-    H_prime.  A caller that records the step forms ratio1 once, from an H
-    it keeps positive on the omega1 support, and passes it here, inside its
-    own np.errstate(over="ignore", under="ignore").  Without ratio1, H must
-    be positive wherever omega1 is, which is checked, and the map enters
-    that errstate itself.
+    H_prime.  A caller forms ratio1 from an H it keeps positive on the
+    omega1 support and passes it here, inside its own
+    np.errstate(over="ignore", under="ignore"); H is then not read.  The
+    map drops its reference to ratio1 once apply_T has read it, so a caller
+    that keeps none (the closing hands over the fit it forms in the call)
+    does not hold ratio1 beside omega2 / G and the outer integral.  Without
+    ratio1, H must be positive wherever omega1 is, which is checked, and
+    the map enters that errstate itself.
 
     omega2 / G reaches 4.9e-324 where G is large (62-66 subnormal entries
     per map on the criterion-2 post-swap instance), which apply scales out
@@ -257,6 +261,7 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
             return omega_map(H, kernel, marginals,
                              omega1.over(Hv, "iterate H", "omega1 > 0"))
     G = kernel.apply_T(ratio1)
+    del ratio1
     ratio2 = marginals.omega2.over(
         G, "inner integral G",
         "omega2 > 0 (kernel columns lack support against omega1)", out=G)
@@ -267,15 +272,35 @@ def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
 def _hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
                   out: np.ndarray) -> float:
     """log(max / min) of a / b over the nodes of mask where both are positive
-    and finite (inf if there are none).  The quotient is taken at every node,
-    into out, under the caller's np.errstate, and read on mask; the nodes are
-    filtered first only where a read quotient is 0, inf or NaN or a read
-    entry of a is not positive (two negative entries have a positive one)."""
-    q = np.divide(a, b, out=out)[mask]
-    if q.size:
+    and finite (inf if there are none).  The quotient is taken into out,
+    under the caller's np.errstate, and its extremes and the sign of a are
+    read on mask in place.  Where mask misses a node, out is first filled
+    with the quotient at mask's first node, which moves neither extreme,
+    and the quotient is taken on mask alone.  Once every read quotient is
+    positive, a is positive on mask if b is at every node; otherwise a is
+    copied into out on mask, where the positive quotient left off it does
+    not change the sign of a's least entry.  The nodes are filtered only
+    where a read quotient is 0, inf or NaN or a read entry of a is not
+    positive (two negative entries have a positive quotient)."""
+    i = int(mask.argmin())
+    full = bool(mask[i])
+    if full:
+        q = np.divide(a, b, out=out)
+    else:
+        i = int(mask.argmax())
+        out.fill(a[i] / b[i])
+        q = np.divide(a, b, out=out, where=mask)
+    if mask[i]:
         lo, hi = _bottom(q), _top(q)
-        if lo > 0 and hi < math.inf and _bottom(a[mask]) > 0:
-            return float(np.log(hi / lo))
+        if lo > 0 and hi < math.inf:
+            # each read quotient is positive, so a is positive on mask where
+            # b is at every node, as a floored iterate is
+            if _bottom(b) > 0:
+                return float(np.log(hi / lo))
+            if not full:
+                np.copyto(out, a, where=mask)
+            if _bottom(a if full else out) > 0:
+                return float(np.log(hi / lo))
     a, b = a[mask], b[mask]
     m = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
     if not m.any():
@@ -347,7 +372,9 @@ def _support_sup(K: np.ndarray, A, log: StepLog) -> float:
 class _AndersonMixer:
     """Safeguarded Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011)
     for a fixed-point map u -> G(u) on R^n, from the last m steps since the
-    history was last cleared."""
+    history was last cleared.  A step holds the 2 x m history rows, the
+    residual and, while it fits, m difference rows: the image G(u) = log K
+    is formed again rather than held beside them (next_input)."""
 
     def __init__(self, m: int, n: int):
         # f = G(u) - u and g = G(u) of the history's step j, in row j mod m
@@ -355,48 +382,57 @@ class _AndersonMixer:
         self.held = 0
         self.best = math.inf
 
-    def next_input(self, u: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
-        """The input after u, whose image is g: the extrapolation g -
-        sum_j gamma_j (g - g_j), with gamma the least-squares fit of the
-        residual f = g - u by the differences f - f_j over the history
-        (_fit).  f is formed in u's buffer, and the extrapolation in f's once
-        the history holds f: it takes no array of its own.  None asks for the
-        plain input g: with no history, a singular or non-finite fit, a
-        residual whose Hilbert norm max - min of f exceeds the least seen so
-        far, which also clears the history, or one below eps * max|g|, where
-        the fit would read only the rounding of g."""
+    def next_input(self, u: np.ndarray, K: np.ndarray, at) -> Optional[np.ndarray]:
+        """The input after u, whose image is g = log K on the support, read
+        through at (node_index): the extrapolation g - sum_j gamma_j (g -
+        g_j), with gamma the least-squares fit of the residual f = g - u by
+        the differences f - f_j over the history (_fit).  f is formed in u's
+        buffer, and g twice: once beside f, for f and the norms, and again
+        into f's buffer once the history holds f, so that g never sits
+        beside f and the fit's difference rows; the extrapolation takes f's
+        buffer once the history holds g too.  None asks for the plain input
+        g: with no history, a singular or non-finite fit, a residual whose
+        Hilbert norm max - min of f exceeds the least seen so far, which
+        also clears the history, or one below eps * max|g|, where the fit
+        would read only the rounding of g."""
         m = self.hist.shape[1]
         if m == 0:
             return None
+        g = np.log(K[at])
         f = np.subtract(g, u, out=u)
         norm = _top(f) - _bottom(f)
-        gamma = None
         if norm > self.best:
             self.held = 0
         else:
             self.best = norm
-            if self.held and norm >= EPS * max(_top(g), -_bottom(g)):
-                k = min(self.held, m)
-                # row by row: broadcast over all k rows at once, numpy
-                # allocates ufunc buffers the size of D beside it
-                D = np.empty((k, f.size))
-                for j in range(k):
-                    np.subtract(f, self.hist[0, j], out=D[j])
-                gamma = _fit(D, f)
-                if gamma is not None:
-                    for j in range(k):
-                        np.subtract(g, self.hist[1, j], out=D[j])
-                else:
-                    self.held = 0
-        # D has read the history, so the slot held % m is spent: it takes f
-        # and g, and f's buffer is free for the extrapolation
-        self.hist[0, self.held % m] = f
-        self.hist[1, self.held % m] = g
+        fit = self.held and norm >= EPS * max(_top(g), -_bottom(g))
+        del g
+        gamma = None
+        if fit:
+            k = min(self.held, m)
+            # row by row: broadcast over all k rows at once, numpy
+            # allocates ufunc buffers the size of D beside it
+            D = np.empty((k, f.size))
+            for j in range(k):
+                np.subtract(f, self.hist[0, j], out=D[j])
+            gamma = _fit(D, f)
+            if gamma is None:
+                self.held = 0
+        # D has read the history's residuals, so the slot held % m is spent:
+        # it takes f, and f's buffer is free for g, which D reads before the
+        # slot takes it
+        slot = self.held % m
+        self.hist[0, slot] = f
+        g = np.log(K[at], out=f)
+        if gamma is not None:
+            for j in range(k):
+                np.subtract(g, self.hist[1, j], out=D[j])
+        self.hist[1, slot] = g
         self.held += 1
         if gamma is None:
             return None
         np.dot(gamma, D, out=f)
-        return np.subtract(g, f, out=f)
+        return np.subtract(self.hist[1, slot], f, out=f)
 
 
 def _fit(D: np.ndarray, f: np.ndarray) -> Optional[List[float]]:
@@ -436,11 +472,16 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     scheme's first image Omega(1) (module docstring), from which the first
     input is formed; it is taken out of the list and freed once that input
     exists.
-    A step holds its input K, omega1 / K, its image T(K) and the mixer's
-    history, and frees each once spent: the map runs beside K, omega1 / K
-    and the history alone.  omega1 / K is omega1's fit (DensityField.over):
-    0 off the support, also where K is inf or NaN there, as the scheme's
-    image can be.
+    A step holds its input K and the mixer's history throughout, and each
+    of its three sub-phases peaks at 8 node arrays, ANDERSON_M = 2: the map
+    is handed omega1 / K, which it frees once applied, so it runs beside K,
+    the history and its own two arrays; the row forms omega1 / K again, in
+    the buffer the mask is read from, beside K, the image T(K) and the
+    history; the mixer (next_input) holds the residual and its difference
+    rows beside K and the history.  omega1 / K is omega1's fit
+    (DensityField.over): 0 off the support, also where K is inf or NaN
+    there, as the scheme's image can be.  The mask is intersected with the
+    support only where omega1 vanishes somewhere.
 
     A step enters no np.errstate: this function's, which ignores over-
     and underflow and invalid values (_step_row), covers the map too.  So
@@ -459,12 +500,17 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
     K = np.maximum(K0 / _support_sup(K0, at, log), FLOOR_FREEZE)
     del K0
     for _ in range(REFINE_MAX):
-        ratio1 = omega1.over(K, "iterate H", "omega1 > 0")
-        Kn = omega_map(K, kernel, marginals, ratio1=ratio1)
+        # omega1 / K is handed to the map, which frees it once applied; the
+        # row forms it again
+        Kn = omega_map(K, kernel, marginals, omega1.over(K, "iterate H", "omega1 > 0"))
         s = _support_sup(Kn, at, log)
         Kn /= s
-        mask = np.minimum(Kn, K) > 10.0 * FLOOR_FREEZE
-        mask &= A
+        # the row's omega1 / K is formed in the buffer the mask is read from
+        ratio1 = np.minimum(Kn, K)
+        mask = ratio1 > 10.0 * FLOOR_FREEZE
+        if at is A:
+            mask &= A
+        ratio1 = omega1.over(K, "iterate H", "omega1 > 0", out=ratio1)
         sup_change, residual, step = _step_row(ratio1, Kn, s, K, mask, kernel, mass2)
         log.append(sup_change, residual, step)
         if step < tol:
@@ -473,7 +519,7 @@ def _closing_iteration(start: List[np.ndarray], kernel: KernelOperator,
         u = np.log(K[at])
         K = np.maximum(Kn, FLOOR_FREEZE)
         del Kn
-        u = mixer.next_input(u, np.log(K[at]))
+        u = mixer.next_input(u, K, at)
         if u is not None:
             # the input is floored, and the image's support sup is checked
             # positive (which a NaN fails), so only an extrapolation can
@@ -507,8 +553,14 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     stops once its step is below max(opts.tol / 10, CLOSING_TOL_FLOOR), so
     that a tol float64 cannot meet stops at the floor, not at REFINE_MAX.
     A marginal residual above sqrt(max(opts.tol, CLOSING_TOL_FLOOR)) times
-    its marginal's peak is warned of: the closing's Hilbert step skips
-    floor-pinned nodes, so it can stop short.
+    its marginal's peak raises NonConvergenceError with the run's StepLog
+    too: the closing's Hilbert step skips floor-pinned nodes, so it can stop
+    short of a solution.  Where extraction dropped nodes whose h
+    underflowed, the residual is warned of instead, beside the dropped-node
+    warning: the nodes next to them lose float64 range too (swap's 2.06e-7
+    at tol 1e-13 sits beside its 132 dropped nodes).  The closing's fixed point K is capped into h in
+    its own buffer, so K does not sit beside h through the extraction and
+    the coupling.
     """
     if not opts.force:
         refusal = full_report(kernel, marginals).refusal
@@ -537,14 +589,18 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     over = float(K.max()) - 1.0
     warnings = [f"fixed point exceeded 1 by {over:.3g} before clamping "
                 "(outside the omega1 support)"] if over > CASE1_EPS else []
-    h = np.minimum(K, 1.0)
+    h = np.minimum(K, 1.0, out=K)
+    del K
     phi, psi, g_phi, extract_warn = _extract_with_warnings(h, kernel, marginals)
     coupling = bridge.build_coupling(phi, psi, kernel, marginals, g_phi)
     r1, r2 = coupling.row_marginal_resid, coupling.col_marginal_resid
     root = math.sqrt(max(opts.tol, CLOSING_TOL_FLOOR))
     if r1 > root * marginals.omega1.peak or r2 > root * marginals.omega2.peak:
-        warnings.append(f"marginal residuals s1 {r1:.3g} and s2 {r2:.3g} exceed sqrt(tol) = "
-                        f"{root:.3g} times the marginals' peaks: the closing stopped short")
+        short = (f"marginal residuals s1 {r1:.3g} and s2 {r2:.3g} exceed sqrt(tol) = "
+                 f"{root:.3g} times the marginals' peaks: the closing stopped short")
+        if not extract_warn:
+            raise NonConvergenceError(short, log)
+        warnings.append(short)
     return FortetSolution(h=h, coupling=coupling, warnings=tuple(warnings + extract_warn),
                           steps=log)
 

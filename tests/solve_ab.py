@@ -18,10 +18,11 @@ before it traces, so that no garbage of an earlier op is freed inside the
 trace: the first op's, the untimed one, and the steady op's, run after it.
 The first op is the tree's first after it loads on the first workload,
 and the first on its config on the others; bench/run.py's peak_mem_mb
-reads a process's first solve op.  A second line per workload names, for
+reads a process's first solve op.  Two more lines per workload name, for
 each tree, the phase that sets the steady op's peak and the phase next
-below it, from one more steady op traced with each phase's functions
-wrapped (phase_peaks).
+below it, and the peak of each of the closing's three sub-phases (map,
+step row, mixer) in node arrays, from a steady op traced with its phase
+boundaries read by a profile hook (phase_peaks).
 
 Its numbers are diagnostics, one process on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -34,6 +35,7 @@ import argparse
 import contextlib
 import gc
 import importlib
+import inspect
 import io
 import statistics
 import sys
@@ -69,63 +71,114 @@ def traced(tree, config: Path, out: Path):
         tracemalloc.stop()
 
 
+#: the closing's sub-phases, in the order a step runs them
+CLOSING = ("closing: map", "closing: step row", "closing: mixer")
+
+
 @contextlib.contextmanager
 def phase_peaks(tree):
-    """Trace the block, from a gc.collect(), with each phase's functions in
-    the tree's modules wrapped, the wrappers made before tracing starts.
-    Yields a dict that gains, per phase, the largest tracemalloc peak read
-    within one of its calls, and under "other" the largest between them
-    (the config's load, the feasibility report, the CLI's own work): each
-    call's entry and exit reads the peak of the segment it ends and resets
-    it (tracemalloc.reset_peak)."""
-    phases = (("fortet", "fortet_step", "scheme"),
-              ("fortet", "_closing_iteration", "closing"),
-              ("fortet", "_extract_with_warnings", "extraction/coupling"),
-              ("bridge", "build_coupling", "extraction/coupling"),
-              ("bridge", "kl_objective", "KL"),
-              ("cli", "_write_trace", "trace writer"),
-              ("cli", "_write_json", "summary writer"),
-              ("cli", "_write_potentials", "potentials writer"))
-    peaks = dict.fromkeys(["other"] + [phase for _, _, phase in phases], 0)
+    """Trace the block, from a gc.collect(), with the phase boundaries read
+    by a sys.setprofile hook: a wrapper would keep its call's arguments
+    alive, and hide omega_map freeing the omega1 / K it is handed.  Yields a
+    dict that gains, per phase, the largest tracemalloc peak read within it.
 
-    def close(phase):
-        peaks[phase] = max(peaks[phase], tracemalloc.get_traced_memory()[1])
+    The hook reads the peak at every event, and resets it
+    (tracemalloc.reset_peak), less the frame objects that the hook makes
+    CPython build, one for each frame it is handed, ~2-3 kB on the
+    closing's stack.  Between two events those frames do not change; a
+    frame built for a call is counted from that call's event, so the
+    segment before it may read up to one frame low.  What is left of the
+    hook's own cost reads ~0.5 kB.
+
+    The phases are the scheme (fortet_step), the closing's three
+    sub-phases, run_fortet's tail (from the closing's return to its own:
+    h, extraction, coupling and the residual check), KL (kl_objective), the
+    three writers, and "other" for the rest (the config's load, the
+    feasibility report, the CLI's own work).  A closing sub-phase runs from
+    the end of the one before it: the map to omega_map's return, so it
+    holds the extrapolation's write and the omega1 fit it is handed; the
+    step row to _step_row's return; the mixer to next_input's return.
+    Under the "closing" key the dict also holds the traced memory at the
+    closing's entry, where the scheme's image is its one node array."""
+    fortet, bridge, cli = tree.fortet, tree.bridge, tree.cli
+
+    def code(fn):
+        return inspect.unwrap(fn).__code__
+
+    closing = code(fortet._closing_iteration)
+    # (event, code) -> the phase that follows it
+    bounds = {("call", code(fortet.fortet_step)): "scheme",
+              ("return", code(fortet.fortet_step)): "other",
+              ("call", closing): CLOSING[0],
+              ("return", closing): "tail",
+              ("return", code(fortet.run_fortet)): "other",
+              ("call", code(bridge.kl_objective)): "KL",
+              ("return", code(bridge.kl_objective)): "other"}
+    for name, phase in (("_write_trace", "trace writer"), ("_write_json", "summary writer"),
+                        ("_write_potentials", "potentials writer")):
+        bounds["call", code(getattr(cli, name))] = phase
+        bounds["return", code(getattr(cli, name))] = "other"
+    # taken only inside the closing: the scheme calls the map and the row too
+    steps = {code(fortet.omega_map): CLOSING[1], code(fortet._step_row): CLOSING[2],
+             code(fortet._AndersonMixer.next_input): CLOSING[0]}
+    peaks = dict.fromkeys(["other", "scheme", *CLOSING, "tail", "KL", "trace writer",
+                           "summary writer", "potentials writer", "closing"], 0)
+    phase = "other"
+    # the sizes of the hook's frames on the stack, made before tracing
+    # starts; a return whose call came before the hook pops none
+    sizes, depth, held = [0] * 1024, 0, 0
+
+    def read():
+        peak = tracemalloc.get_traced_memory()[1] - held
         tracemalloc.reset_peak()
+        if peak > peaks[phase]:
+            peaks[phase] = peak
 
-    def wrap(fn, phase):
-        def wrapped(*args, **kwargs):
-            close("other")
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                close(phase)
-        return wrapped
+    def hook(frame, event, arg):
+        nonlocal phase, depth, held
+        if event == "call":
+            sizes[depth] = sys.getsizeof(frame)
+            held += sizes[depth]
+            depth += 1
+        read()
+        if event == "return" and depth:
+            depth -= 1
+            held -= sizes[depth]
+        following = bounds.get((event, frame.f_code))
+        if following is None and event == "return" and phase in CLOSING:
+            following = steps.get(frame.f_code)
+        if following is not None:
+            if frame.f_code is closing and event == "call":
+                peaks["closing"] = tracemalloc.get_traced_memory()[0] - held
+            phase = following
 
-    originals = []
-    for module, name, phase in phases:
-        module = getattr(tree, module)
-        originals.append((module, name, getattr(module, name)))
-        setattr(module, name, wrap(originals[-1][2], phase))
+    gc.collect()
+    tracemalloc.start()
+    sys.setprofile(hook)
     try:
-        gc.collect()
-        tracemalloc.start()
-        try:
-            yield peaks
-            close("other")
-        finally:
-            tracemalloc.stop()
+        yield peaks
     finally:
-        for module, name, fn in originals:
-            setattr(module, name, fn)
+        sys.setprofile(None)
+        read()
+        tracemalloc.stop()
 
 
-def peak_phases(tree, config: Path, out: Path) -> str:
+def peak_phases(tree, config: Path, out: Path, nodes: int) -> str:
     """The phase that sets the peak of one steady solve op and the phase
-    next below it, with their peaks (phase_peaks)."""
-    with phase_peaks(tree) as peaks:
-        run(tree, config, out)
+    next below it, with their peaks, and each closing sub-phase's peak in
+    node arrays above what the closing's entry holds besides the scheme's
+    image (phase_peaks)."""
+    # the first op under a profile hook pays one-time allocations (~50 kB
+    # on gauss1d), so the second is read
+    for _ in range(2):
+        with phase_peaks(tree) as peaks:
+            run(tree, config, out)
+    base = peaks.pop("closing") - 8 * nodes
     top = sorted(peaks.items(), key=lambda item: -item[1])[:2]
-    return "; next ".join(f"{phase} {peak / 1e3:.1f} kB" for phase, peak in top)
+    arrays = ", ".join(f"{phase[9:]} {(peaks[phase] - base) / (8 * nodes):.2f}"
+                       for phase in CLOSING)
+    return ("; next ".join(f"{phase} {peak / 1e3:.1f} kB" for phase, peak in top)
+            + f" (closing node arrays: {arrays})")
 
 
 def artifacts(out: Path) -> dict:
@@ -156,15 +209,17 @@ def main(argv=None) -> int:
         importlib.import_module(f"fortetbridge_{side}.cli")
     with tempfile.TemporaryDirectory(prefix="solve_ab_") as work:
         for name in WORKLOADS:
-            config = workloads.write_config(workloads.make_workload(name, args.seed),
-                                            Path(work) / name)
+            workload = workloads.make_workload(name, args.seed)
+            config = workloads.write_config(workload, Path(work) / name)
+            grid = workload.config["grid"]
+            nodes = grid["points"] ** grid["dim"]
             outs = {side: config.parent / side for side in trees}
             first = {side: traced(tree, config, outs[side]) + (artifacts(outs[side]),)
                      for side, tree in trees.items()}
             firsts = {side: first[side][0] for side in trees}
             peaks = {side: traced(tree, config, outs[side])[0]
                      for side, tree in trees.items()}
-            phases = {side: peak_phases(tree, config, outs[side])
+            phases = {side: peak_phases(tree, config, outs[side], nodes)
                       for side, tree in trees.items()}
             times = {side: [] for side in trees}
             for pair in range(args.pairs):
@@ -179,7 +234,8 @@ def main(argv=None) -> int:
                   f"first-op peak old {firsts['old'] / 1e3:.1f} kB, "
                   f"new {firsts['new'] / 1e3:.1f} kB; "
                   f"exit, stdout and artifacts {match}")
-            print(f"  steady peak set by: old {phases['old']}; new {phases['new']}")
+            print(f"  steady peak set by: old {phases['old']}")
+            print(f"                      new {phases['new']}")
     return 0
 
 
