@@ -125,15 +125,22 @@ def kl_objective(coupling: Coupling) -> KLObjective:
     (no normalization); a positive row over omega1 = 0 charges a
     reference-null cell, which makes the divergence +inf and clears the
     absolute-continuity flag.
+
+    Each sum (_log_sum) gathers its operands into buffers of its own, at
+    most three at once, and runs on its own node mask, held only through
+    that sum: the row's is dropped before the column's is formed.  The
+    support check reads one bool temporary, row > 0 where omega1 is not (r
+    > support).
     """
     omega1 = coupling.marginals.omega1
     r = coupling.row > 0
-    if np.any(r & ~omega1.support):
+    if np.any(r > omega1.support):
         return KLObjective(math.inf, False)
     r = node_index(r)  # a mask that holds at every node is freed here
-    value = (_log_sum(r, coupling.grid1.weights, coupling.row, coupling.phi, omega1.values)
-             + _log_sum(node_index(coupling.col > 0), coupling.grid2.weights,
-                        coupling.col, coupling.psi))
+    value = _log_sum(r, coupling.grid1.weights, coupling.row, coupling.phi, omega1.values)
+    del r
+    value += _log_sum(node_index(coupling.col > 0), coupling.grid2.weights,
+                      coupling.col, coupling.psi)
     return KLObjective(value, True)
 
 
@@ -141,15 +148,32 @@ def _log_sum(at, w: np.ndarray, integral: np.ndarray, potential: np.ndarray,
              reference: Optional[np.ndarray] = None) -> float:
     """sum of w * integral * (log potential - log reference), or of w *
     integral * log potential without a reference, over the nodes at
-    (node_index).  The terms are formed in the buffer of the first log: the
-    product w * integral multiplies the log difference, so each term, and
-    the sum, is bitwise that of w[at] * integral[at] * (log potential[at]
-    - log reference[at])."""
-    terms = np.log(potential[at])
+    (node_index).  Each operand is gathered into a buffer of its own
+    (_gathered) and written in place: the terms in the log of potential's,
+    the reference's log in its own, freed once subtracted, and then w *
+    integral in w's, beside integral's gather, freed before the sum.  So a
+    masked sum holds at most three gathered arrays at once, and a sum over
+    every node two node arrays, since it reads the integral in place.  The
+    operands and their order are those of w[at] * integral[at] * (log
+    potential[at] - log reference[at]), so each term, and the sum, is
+    bitwise the same."""
+    terms = _gathered(potential, at)
+    np.log(terms, out=terms)
     if reference is not None:
-        terms -= np.log(reference[at])
-    terms *= w[at] * integral[at]
+        log_reference = _gathered(reference, at)
+        terms -= np.log(log_reference, out=log_reference)
+        del log_reference
+    weighted = _gathered(w, at)
+    weighted *= integral[at]
+    terms *= weighted
+    del weighted  # np.sum's own buffers come on top of what is held
     return float(np.sum(terms))
+
+
+def _gathered(x: np.ndarray, at) -> np.ndarray:
+    """x at the nodes at (node_index) in a buffer of its own, to be written:
+    the masked copy, or a copy of x where at is slice(None)."""
+    return x.copy() if isinstance(at, slice) else x[at]
 
 
 class Interpolation(Frozen):

@@ -238,9 +238,11 @@ def cmd_solve(args) -> int:
     potentials = None if solution.coupling is None else [
         ("phi", solution.phi), ("psi", solution.psi), ("h", solution.h)]
     # the writers read only the payload, the log and the three arrays: the
-    # solution is dropped, and its coupling's row and col with it
+    # solution is dropped, and its coupling's row and col with it, and the
+    # log once trace.csv is written
     del solution
     _write_trace(out / "trace.csv", steps)
+    del steps
     _write_json(out / "summary.json", payload)
     if potentials is not None:
         _write_potentials(out / "potentials.csv", problem.grid, potentials)

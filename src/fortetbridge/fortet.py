@@ -61,6 +61,7 @@ decision, recorded in the package docs.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -114,36 +115,32 @@ class StepLog(Frozen):
     i + 1; row 0 is the scheme's one step, the rest the closing's.  COLUMNS
     are float64 (NaN where the scheme step has no previous image) and
     column reads one; case1_candidate is the scheme step's flag, given at
-    construction, since a closing row's is False.  The rows fill one
-    float64 block, 24 bytes a step, that doubles when full.  Attributes are
-    not assigned: rows are appended, by the run that owns the log."""
+    construction, since a closing row's is False.
+
+    The rows fill one array.array('d'), row-major, 24 bytes a step.  It
+    grows by one reallocation that over-allocates about 1/16 of its length,
+    never by a new block beside the old.  A column is a read-only view of
+    that buffer and cannot outlive an append: while a view is alive the
+    buffer is exported, and append raises BufferError.  The run that owns
+    the log appends all its rows before any column is read.  Attributes
+    are not assigned: rows are appended to the block in place."""
 
     COLUMNS = ("sup_change", "normalization_residual", "hilbert_step")
 
     def __init__(self, case1_candidate: bool):
-        self._store(_block=np.empty(3 * 16), _rows=0, case1_candidate=bool(case1_candidate))
+        self._store(_block=array("d"), case1_candidate=bool(case1_candidate))
 
     def __len__(self) -> int:
-        return self._rows
+        return len(self._block) // 3
 
     def column(self, name: str) -> np.ndarray:
         """The rows of column name, a read-only view of the block."""
-        k = self.COLUMNS.index(name)
-        return read_only(self._block[k:3 * self._rows:3])
+        return read_only(np.frombuffer(self._block)[self.COLUMNS.index(name)::3])
 
     def append(self, sup_change: float, normalization_residual: float,
                hilbert_step: float) -> None:
         """Add the next step's row."""
-        state = vars(self)
-        block, i = state["_block"], state["_rows"]
-        j = 3 * i
-        if j == block.size:
-            state["_block"] = block = np.concatenate((block, np.empty_like(block)))
-        # row-major, so that a row is three stores at int indices
-        block[j] = sup_change
-        block[j + 1] = normalization_residual
-        block[j + 2] = hilbert_step
-        state["_rows"] = i + 1
+        self._block.extend((sup_change, normalization_residual, hilbert_step))
 
 
 class IterationState(Frozen):

@@ -15,16 +15,20 @@ pairs the new tree won, each tree's tracemalloc peaks, and whether the two
 trees' exit codes, stdout and artifacts match.  Two peaks are read per
 tree, each of one op traced from a gc.collect(), as bench/run.py collects
 before it traces, so that no garbage of an earlier op is freed inside the
-trace: the first op's, the untimed one, and the steady op's, run after it.
-The first op is the tree's first after it loads on the first workload,
-and the first on its config on the others; bench/run.py's peak_mem_mb
-reads a process's first solve op.  Two more lines per workload name, for
-each tree, the phase that sets the steady op's peak and the phase next
-below it, and the peak of each of the closing's three sub-phases (map,
-step row, mixer) in node arrays, from a steady op traced with its phase
-boundaries read by a profile hook (phase_peaks).
+trace: the first op's and the steady op's.  bench/run.py's peak_mem_mb
+reads a process's first solve op, so each tree's first op runs in fresh
+interpreters of its own, set up as bench/run.py sets one up (first_ops),
+and the median of FRESH of them is read: what one tree's first op
+allocates for good would otherwise not be allocated again by the other's,
+and the tree that ran first would read higher.  A fresh process's first
+op varies by ~0.1 kB from run to run.  The steady op runs in this process,
+after the untimed one.  Two more lines per workload name, for each tree,
+the phase that sets the steady op's peak and the phase next below it, and
+the peak of each of the closing's three sub-phases (map, step row, mixer)
+in node arrays, from a steady op traced with its phase boundaries read by
+a profile hook (phase_peaks).
 
-Its numbers are diagnostics, one process on one host: a speed or memory
+Its numbers are diagnostics, on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
 not collect it.
 """
@@ -37,7 +41,9 @@ import gc
 import importlib
 import inspect
 import io
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -46,6 +52,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gauss1d", "gauss2d", "swap")
+#: the fresh processes whose median first-op peak is read per tree
+FRESH = 3
 
 
 def run(tree, config: Path, out: Path):
@@ -69,6 +77,46 @@ def traced(tree, config: Path, out: Path):
         return tracemalloc.get_traced_memory()[1], code, stdout
     finally:
         tracemalloc.stop()
+
+
+#: a fresh interpreter set up as bench/run.py's is before its first op
+#: (every module imported, the workload's config written and loaded),
+#: which runs solve ops, each traced from a gc.collect(), and prints each
+#: op's tracemalloc peak
+FIRST_OPS = """\
+import contextlib, gc, io, sys, tracemalloc
+from pathlib import Path
+sys.path.insert(0, {bench!r})
+from fortetbridge import cli
+from fortetbridge import bridge, config, fortet, hilbert, problem
+from fortetbridge import quadrature, sinkhorn
+import workloads
+work = Path({work!r})
+path = workloads.write_config(workloads.make_workload({name!r}, {seed!r}), work)
+config.load_problem(path)
+for _ in range({ops!r}):
+    gc.collect()
+    tracemalloc.start()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["solve", "--config", str(path), "--output", str(work / "solve")])
+    assert code == 0, code
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def first_ops(src: Path, name: str, seed: int, work: Path, ops: int = 1):
+    """The tracemalloc peaks, in bytes, of the first ops solve ops of a
+    fresh interpreter that imports fortetbridge from src and is set up as
+    bench/run.py sets one up (FIRST_OPS), on workload name at seed; its
+    config and artifacts go to work."""
+    code = FIRST_OPS.format(bench=str(ROOT / "bench"), work=str(work), name=name,
+                            seed=seed, ops=ops)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(src).resolve())] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return [int(line) for line in run.stdout.split()]
 
 
 #: the closing's sub-phases, in the order a step runs them
@@ -203,8 +251,8 @@ def main(argv=None) -> int:
     import workloads
     from closing_steps import load_tree
 
-    trees = {}
-    for side, src in (("old", args.old_src), ("new", args.new_src)):
+    trees, srcs = {}, {"old": args.old_src, "new": args.new_src}
+    for side, src in srcs.items():
         trees[side] = load_tree(src, f"fortetbridge_{side}")
         importlib.import_module(f"fortetbridge_{side}.cli")
     with tempfile.TemporaryDirectory(prefix="solve_ab_") as work:
@@ -214,9 +262,11 @@ def main(argv=None) -> int:
             grid = workload.config["grid"]
             nodes = grid["points"] ** grid["dim"]
             outs = {side: config.parent / side for side in trees}
-            first = {side: traced(tree, config, outs[side]) + (artifacts(outs[side]),)
+            first = {side: run(tree, config, outs[side])[1:] + (artifacts(outs[side]),)
                      for side, tree in trees.items()}
-            firsts = {side: first[side][0] for side in trees}
+            firsts = {side: statistics.median(
+                first_ops(src, name, args.seed, Path(work) / side / name)[0]
+                for _ in range(FRESH)) for side, src in srcs.items()}
             peaks = {side: traced(tree, config, outs[side])[0]
                      for side, tree in trees.items()}
             phases = {side: peak_phases(tree, config, outs[side], nodes)
@@ -227,7 +277,7 @@ def main(argv=None) -> int:
                 for side in order:
                     times[side].append(run(trees[side], config, outs[side])[0])
             won = sum(n < o for o, n in zip(times["old"], times["new"]))
-            match = "match" if first["old"][1:] == first["new"][1:] else "DIFFER"
+            match = "match" if first["old"] == first["new"] else "DIFFER"
             print(f"{name}: old {summary(times['old'])}; new {summary(times['new'])}; "
                   f"new faster in {won} of {args.pairs}; peak old "
                   f"{peaks['old'] / 1e3:.1f} kB, new {peaks['new'] / 1e3:.1f} kB; "

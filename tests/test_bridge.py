@@ -211,13 +211,18 @@ class TestCoupling:
                   + float(np.sum(c.grid2.weights[k] * c.col[k] * np.log(c.psi[k]))))
         assert kl_objective(c) == (masked, True)
 
-    def test_kl_reads_the_benchmark_coupling_in_place(self, bench_solution):
+    def test_kl_reads_the_benchmark_coupling_in_place(self, bench_solution, swap_solution):
         # the masked copies and temporaries peaked at 4.4 node arrays; read
-        # in place, a sum holds its terms and one more array
-        c = bench_solution.coupling
-        kl_objective(c)
-        _, peak = traced_peak(lambda: kl_objective(c))
-        assert peak < 2.5 * c.row.nbytes
+        # in place, a sum holds its terms and one more array.  On swap
+        # (phi = 0 at 132 nodes, 269 masked entries) a sum holds at most
+        # three gathered arrays and its mask: four gathered arrays at once,
+        # with the row mask held through the column sum, peaked at 3.83
+        # node arrays
+        for solution, bound in ((bench_solution, 2.5), (swap_solution, 3.2)):
+            c = solution.coupling
+            kl_objective(c)
+            _, peak = traced_peak(lambda: kl_objective(c))
+            assert peak < bound * c.row.nbytes
 
     def test_kl_hand_value(self):
         g = np.array([[0.3, 0.2], [0.2, 0.3]])

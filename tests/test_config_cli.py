@@ -24,6 +24,7 @@ from fortetbridge.problem import (MarginalPair, check_assumptions, full_report,
 from fortetbridge.quadrature import build_grid
 from tests.byte_identity import EXTRA
 from tests.conftest import counting_applies, kernel_matrix_builds, traced_peak
+from tests.solve_ab import WORKLOADS, first_ops
 
 BENCH_RAW = {
     "kernel": {"type": "gaussian", "sigma": 0.5},
@@ -872,40 +873,16 @@ def test_package_and_cli_load_no_scipy():
 
 def test_a_first_solve_op_peaks_as_a_later_one(tmp_path):
     # bench/run.py's peak_mem_mb is the tracemalloc peak of a process's first
-    # solve op: a fresh interpreter set up as the benchmark's is (every module
-    # imported, gauss1d's config written and loaded) runs two solve ops, each
-    # traced from a gc.collect(), and their peaks must lie within 8 kB of
-    # each other.  An argparse parser built and kept by the first op
-    # held ~45 kB more, and ~212 kB with argparse's import and first use
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    code = "\n".join([
-        "import contextlib, gc, io, sys, tracemalloc",
-        "from pathlib import Path",
-        f"sys.path.insert(0, {str(bench)!r})",
-        "from fortetbridge import cli",
-        "from fortetbridge import bridge, config, fortet, hilbert, problem",
-        "from fortetbridge import quadrature, sinkhorn",
-        "import workloads",
-        f"work = Path({str(tmp_path)!r})",
-        "path = workloads.write_config(workloads.make_workload('gauss1d', 0), work)",
-        "config.load_problem(path)",
-        "for _ in range(2):",
-        "    out, err = io.StringIO(), io.StringIO()",
-        "    gc.collect()",
-        "    tracemalloc.start()",
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
-        "        code = cli.main(['solve', '--config', str(path), '--output', str(work / 'solve')])",
-        "    assert code == 0",
-        "    print(tracemalloc.get_traced_memory()[1])",
-        "    tracemalloc.stop()",
-    ])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    first, second = map(int, run.stdout.split())
-    assert abs(first - second) < 8000, (first, second)
+    # solve op, on each workload: for each, a fresh interpreter set up as the
+    # benchmark's is (every module imported, the workload's config written
+    # and loaded) runs two solve ops, each traced from a gc.collect(), and
+    # their peaks must lie within 8 kB of each other.  An argparse parser
+    # built and kept by the first op held ~45 kB more, and ~212 kB with
+    # argparse's import and first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    for name in WORKLOADS:
+        first, second = first_ops(src, name, 0, tmp_path / name, ops=2)
+        assert abs(first - second) < 8000, (name, first, second)
 
 
 def test_every_exported_name_resolves():

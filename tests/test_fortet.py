@@ -597,11 +597,38 @@ def _held_bytes(root):
 
 
 def test_step_log_holds_a_few_bytes_a_step(swap_solution):
-    # 75 rows of three float64 columns in a block of 128, not a dict and
-    # boxed floats per step (~27 kB)
+    # 75 rows of three float64 columns in a block that over-allocates ~1/16,
+    # not a dict and boxed floats per step (~27 kB), nor a block doubled to
+    # 128 rows (3,480 B held)
     log = swap_solution.steps
     assert len(log) == 75 and step_phases(log) == ["scheme"] + ["closing"] * 74
-    assert _held_bytes(log) <= 4 * 1024
+    assert _held_bytes(log) <= 2.5 * 1024
+
+
+def test_step_log_grows_in_place_under_its_column_views():
+    # 1,000 rows (24 kB) appended one at a time peak within the block's
+    # ~1/16 slack: a block that doubled by concatenation held the old, its
+    # empty twin and the new at once (49.9 kB on growing from 512 rows to
+    # 1,024).  A column is a view of the block, so an append while one is
+    # alive raises and adds nothing
+    rows = np.random.default_rng(8).lognormal(0.0, 20.0, (1000, 3)).tolist()
+
+    def fill():
+        log = fortet.StepLog(False)
+        for row in rows:
+            log.append(*row)
+        return log
+
+    log, peak = traced_peak(fill)
+    assert peak < 1.2 * 24 * len(rows)
+    column = log.column("hilbert_step")
+    assert not column.flags.writeable and not column.flags.owndata
+    with pytest.raises(BufferError):
+        log.append(0.0, 0.0, 0.0)
+    assert len(log) == len(rows) and column.tolist() == [r[2] for r in rows]
+    del column
+    log.append(0.0, 1.0, 2.0)
+    assert len(log) == len(rows) + 1 and log.column("hilbert_step")[-1] == 2.0
 
 
 @pytest.mark.parametrize("points, dim", [(41, 2), (21, 3)])
