@@ -137,34 +137,39 @@ def kl_objective(coupling: Coupling) -> KLObjective:
     if np.any(r > omega1.support):
         return KLObjective(math.inf, False)
     r = node_index(r)  # a mask that holds at every node is freed here
-    value = _log_sum(r, coupling.grid1.weights, coupling.row, coupling.phi, omega1.values)
+    value = _log_sum(r, coupling.grid1, coupling.row, coupling.phi, omega1.values)
     del r
-    value += _log_sum(node_index(coupling.col > 0), coupling.grid2.weights,
+    value += _log_sum(node_index(coupling.col > 0), coupling.grid2,
                       coupling.col, coupling.psi)
     return KLObjective(value, True)
 
 
-def _log_sum(at, w: np.ndarray, integral: np.ndarray, potential: np.ndarray,
+def _log_sum(at, grid: QuadratureGrid, integral: np.ndarray, potential: np.ndarray,
              reference: Optional[np.ndarray] = None) -> float:
     """sum of w * integral * (log potential - log reference), or of w *
     integral * log potential without a reference, over the nodes at
-    (node_index).  Each operand is gathered into a buffer of its own
-    (_gathered) and written in place: the terms in the log of potential's,
-    the reference's log in its own, freed once subtracted, and then w *
-    integral in w's, beside integral's gather, freed before the sum.  So a
-    masked sum holds at most three gathered arrays at once, and a sum over
-    every node two node arrays, since it reads the integral in place.  The
-    operands and their order are those of w[at] * integral[at] * (log
-    potential[at] - log reference[at]), so each term, and the sum, is
-    bitwise the same."""
+    (node_index), w the grid's weights.  Each operand is gathered into a
+    buffer of its own (_gathered) and written in place: the terms in the
+    log of potential's, the reference's log in its own, freed once
+    subtracted, and then w * integral, freed before the sum.  Over every
+    node that is grid.weighted(integral), one buffer; on a mask it is the
+    weights' gather times integral's, and a grid of more than one axis forms
+    its weights for the gather and frees them.  So a masked sum holds at
+    most three gathered arrays at once, and a sum over every node two node
+    arrays.  The operands and their order are those of w[at] * integral[at]
+    * (log potential[at] - log reference[at]), so each term, and the sum,
+    is bitwise the same."""
     terms = _gathered(potential, at)
     np.log(terms, out=terms)
     if reference is not None:
         log_reference = _gathered(reference, at)
         terms -= np.log(log_reference, out=log_reference)
         del log_reference
-    weighted = _gathered(w, at)
-    weighted *= integral[at]
+    if isinstance(at, slice):
+        weighted = grid.weighted(integral)
+    else:
+        weighted = grid.weights[at]
+        weighted *= integral[at]
     terms *= weighted
     del weighted  # np.sum's own buffers come on top of what is held
     return float(np.sum(terms))
@@ -210,8 +215,6 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
         raise FortetBridgeError("interpolation needs matching x and y grids")
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    w = grid.weights
-
     out = np.empty((len(times), grid.n_nodes))
     masses = []
     for k, t in enumerate(times):
@@ -233,7 +236,7 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
             except FeasibilityError as exc:
                 raise FeasibilityError(f"interpolation time t={t}: {exc}") from None
         rho = forward * backward
-        m = float(np.sum(w * rho))
+        m = float(np.sum(grid.weighted(rho)))
         if abs(m - 1.0) > MASS_DRIFT_TOL:
             width = _narrowest_scale(scales, white) * (
                 math.sqrt(min(t, 1.0 - t)) if 0.0 < t < 1.0 else 1.0)

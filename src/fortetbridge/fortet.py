@@ -319,8 +319,11 @@ def _step_row(ratio1: np.ndarray, image: np.ndarray, s: float,
     off the support (0 * inf, inf - inf, inf / inf) gives NaNs, which the
     residual and the sup change read and the Hilbert step reads only on mask.
     """
-    t = np.multiply(kernel.grid1.weights, ratio1, out=ratio1)
-    t *= image * s
+    # the weighted ratio takes the place of an image * s temporary, and the
+    # row's product goes back to ratio1's buffer, freeing it before the sum
+    t = kernel.grid1.weighted(ratio1)
+    np.multiply(image, s, out=ratio1)
+    t = np.multiply(t, ratio1, out=ratio1)
     residual = abs(float(t.sum()) - mass2)
     if prev is None:
         return math.nan, residual, math.nan

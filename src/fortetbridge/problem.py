@@ -66,7 +66,7 @@ class DensityField(Frozen):
 
     def mass(self) -> float:
         """The quadrature sum of the values over the grid's weights."""
-        return float(np.sum(self.grid.weights * self.values))
+        return float(np.sum(self.grid.weighted(self.values)))
 
     @cached_property
     def peak(self) -> float:
@@ -122,7 +122,7 @@ def density_field(grid: QuadratureGrid, values, renormalize: bool = True,
                   gaussian: Optional[Tuple[float, ...]] = None) -> DensityField:
     values = np.asarray(values, dtype=float)
     if renormalize:
-        m = float(np.sum(grid.weights * values))
+        m = float(np.sum(grid.weighted(values)))
         if m <= 0:
             raise FeasibilityError("cannot renormalize a density with zero mass")
         values = values / m
@@ -271,13 +271,16 @@ class KernelOperator(Frozen):
         1 by, or None if sigma_bound is not finite.
 
         With B = max(n1, n2) * max(1, sigma_bound) * max(1, largest weight of
-        either grid), every product and partial sum of either direction,
+        either grid, the product of its axes' largest, bitwise as rounding
+        is monotone), every product and partial sum of either direction,
         between factors too, is at most B * max|f|, for factors whose entries
         are at most sigma_bound^(1/d), as the heat kernel's are.  The headroom
         keeps that and the scaled weights below 2^(MAX_EXP - 1), where
         rounding cannot reach overflow."""
+        top = max(math.prod(float(w.max()) for w in g.axis_weights)
+                  for g in (self.grid1, self.grid2))
         bound = (max(self.grid1.n_nodes, self.grid2.n_nodes) * max(1.0, self.sigma_bound)
-                 * max(1.0, float(self.grid1.weights.max()), float(self.grid2.weights.max())))
+                 * max(1.0, top))
         return MAX_EXP - 1 - math.frexp(bound)[1] if bound < math.inf else None
 
     @property
@@ -305,15 +308,15 @@ class KernelOperator(Frozen):
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(y) dy: the kernel against grid2's quadrature weights."""
-        return self._scaled_contract(self._operands, self.grid2.weights, f)
+        return self._scaled_contract(self._operands, self.grid2, f)
 
     def apply_T(self, f: np.ndarray) -> np.ndarray:
         """Int g(x, y) f(x) dx: the transposed kernel against grid1's weights."""
-        return self._scaled_contract([a.T for a in self._operands], self.grid1.weights, f)
+        return self._scaled_contract([a.T for a in self._operands], self.grid1, f)
 
-    def _scaled_contract(self, operands, weights, f: np.ndarray) -> np.ndarray:
-        """_contract(operands, weights * f): one direction's kernel product,
-        against that direction's quadrature weights.
+    def _scaled_contract(self, operands, grid: QuadratureGrid, f: np.ndarray) -> np.ndarray:
+        """_contract(operands, grid.weights * f): one direction's kernel
+        product, against that direction's quadrature weights.
 
         It is taken on f * 2^k and scaled back exactly with np.ldexp(., -k),
         k = apply_headroom less the binary exponent of max|f| where that is
@@ -326,23 +329,18 @@ class KernelOperator(Frozen):
         is read at the argmax and argmin, the same values, NaN included.
 
         A band longer than f reads its argument from the last node
-        (_band_product), so the argument is formed in that order, from
-        reversed views of f and the weights: a fresh contiguous array, which
-        the correlation reads without a copy.
+        (_band_product), so the argument is formed in that order
+        (grid.weighted's reverse): a fresh contiguous array, which the
+        correlation reads without a copy.  No name holds the argument, so
+        _contract frees it after its first product.
         """
         k, top = self.apply_headroom, 0.0
         if k is not None:
             top = max(float(f[f.argmax()]), -float(f[f.argmin()]))
         k = k - max(0, math.frexp(top)[1]) if 0.0 < top < math.inf else 0
-        if self._reversed:
-            weights, f = weights[::-1], f[::-1]
-        if k <= 0:
-            return _contract(operands, weights * f)
-        # weights * 2^k is exact, so each f * (weights * 2^k) is rounded
-        # once; no name holds it, so _contract frees it after its first
-        # product, as it frees weights * f
-        out = _contract(operands, f * (weights * 2.0 ** k))
-        return np.ldexp(out, -k, out=out)
+        # weights * 2^k is exact, so each f * (weights * 2^k) is rounded once
+        out = _contract(operands, grid.weighted(f, max(k, 0), self._reversed))
+        return np.ldexp(out, -k, out=out) if k > 0 else out
 
     def swapped(self) -> "KernelOperator":
         """The kernel g(y, x) on (grid2, grid1).  A Gaussian on one grid is
@@ -805,7 +803,7 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
         return ConditionStar(math.inf, "suspected-divergent", math.inf, zero_nodes)
 
     integrand = omega2.over(denom, "integral of g*omega1", "omega2 > 0")
-    estimate = float(np.sum(kernel.grid2.weights * integrand))
+    estimate = float(np.sum(kernel.grid2.weighted(integrand)))
 
     # tail behavior: slope of log(integrand) against |y|^2 over the outer
     # 20% of the grid (by radius); positive slope means the truncated

@@ -1,9 +1,11 @@
 """Quadrature grids on truncated boxes [-R, R]^d.
 
-Every integral in the solver is a weighted sum over one of these grids in
-their fixed node order (DensityField.mass is the plain one, numpy's
-pairwise summation), which is what makes whole runs reproducible
-byte-for-byte.
+A grid is its axes and one weight vector per axis: its nodes and its (n,)
+weights are their tensor products, formed when read.  Every integral in
+the solver is a weighted sum over one of these grids in their fixed node
+order (QuadratureGrid.weighted forms the summands; DensityField.mass is
+the plain sum, numpy's pairwise summation), which is what makes whole runs
+reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -51,31 +53,44 @@ class Frozen:
 
 
 class QuadratureGrid(Frozen):
-    """Tensor quadrature grid: its per-axis 1-D node arrays and its weights.
+    """Tensor quadrature grid: one node array and one weight vector per axis.
 
-    axes holds one strictly increasing node array per dimension, and weights
-    the (n,) strictly positive weights of their 'ij' mesh (last axis
-    fastest), the order the per-axis kernel factors are applied in.  nodes
-    is that mesh, derived when read: (n,) for dim == 1 (the axis itself) and
-    (n, dim) otherwise.
+    axes holds one finite, strictly increasing node array per dimension, and
+    axis_weights one finite, strictly positive weight vector per axis, of
+    its axis's length.  The grid's nodes are the axes' 'ij' mesh (last axis
+    fastest), the order the per-axis kernel factors are applied in, and its
+    weights the products of the axis weights over that mesh.  Neither is
+    stored: nodes is derived at each read, (n,) for dim == 1 (the axis
+    itself) and (n, dim) otherwise, and so is weights, (n,), the axis's own
+    vector for dim == 1.  Integrals apply the weights through weighted,
+    which forms f * weights in one new buffer, with no (n,) weights beside
+    it.
     """
 
     def __init__(self, axes: Tuple[np.ndarray, ...], weights):
+        """weights is a tuple of one weight vector per axis; a 1-D grid's
+        may be given as its one vector."""
         axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        weights = np.asarray(weights, dtype=float)
+        if not isinstance(weights, tuple):
+            weights = (weights,)
+        weights = tuple(np.asarray(w, dtype=float) for w in weights)
         if not axes:
             raise GridError("a grid needs at least one axis")
         for ax in axes:
-            if ax.ndim != 1 or np.any(np.diff(ax) <= 0):
-                raise GridError("axis nodes must be 1-D and strictly increasing")
-        n = math.prod(ax.size for ax in axes)
-        if n < 2:
+            # a NaN node fails every comparison, but an inf end passes np.diff
+            if ax.ndim != 1 or not (np.all(np.diff(ax) > 0) and np.all(np.isfinite(ax))):
+                raise GridError("axis nodes must be 1-D, finite and strictly increasing")
+        if math.prod(ax.size for ax in axes) < 2:
             raise GridError("grid needs at least 2 nodes")
-        if weights.shape != (n,):
-            raise GridError("weights length must match node count")
-        if not np.all(weights > 0):
-            raise GridError("quadrature weights must be strictly positive")
-        self._store(axes=axes, weights=weights)
+        if [w.shape for w in weights] != [ax.shape for ax in axes]:
+            raise GridError("weights length must match each axis, one vector per axis")
+        # rounding is monotone, so the products' extremes are the products
+        # of the axes' extremes, in the same order
+        if not (all(np.all((w > 0) & (w < math.inf)) for w in weights)
+                and math.prod(float(w.min()) for w in weights) > 0
+                and math.prod(float(w.max()) for w in weights) < math.inf):
+            raise GridError("quadrature weights must be finite and strictly positive")
+        self._store(axes=axes, axis_weights=weights)
 
     @property
     def dim(self) -> int:
@@ -88,8 +103,49 @@ class QuadratureGrid(Frozen):
         return _mesh(self.axes)
 
     @property
+    def weights(self) -> np.ndarray:
+        """The (n,) node weights, read-only: the axis weights' products over
+        the mesh (_product), formed at each read."""
+        return read_only(_product(self.axis_weights))
+
+    @property
     def n_nodes(self) -> int:
-        return self.weights.shape[0]
+        return math.prod(map(len, self.axes))
+
+    def weighted(self, f: np.ndarray, k: int = 0, reverse: bool = False) -> np.ndarray:
+        """f * (weights * 2^k) in one new buffer, bitwise that expression:
+        the weights are formed (_product) and scaled in the buffer, which f
+        then multiplies in place.  With reverse, both are read last node
+        first, into a contiguous buffer: reversing every axis reverses the
+        mesh."""
+        ws = self.axis_weights
+        if reverse:
+            # a list: tuple() of an iterator allocates its tuple anew, and
+            # each one freed stays on the interpreter's free list, 48
+            # bytes a call
+            ws, f = [w[::-1] for w in ws], f[::-1]
+        if len(ws) > 1:
+            out = _product(ws)
+            if k:
+                out *= 2.0 ** k
+        elif k:
+            out = np.multiply(ws[0], 2.0 ** k)
+        else:
+            return np.multiply(ws[0], f)
+        out *= f
+        return out
+
+
+def _product(ws) -> np.ndarray:
+    """The products of the vectors ws over their 'ij' mesh, last axis
+    fastest: ws[0] itself for one vector, else one new (n,) buffer.  Each
+    outer product is a rank-1 np.dot, which allocates only its result, where
+    np.multiply.outer allocates two ufunc buffers beside it; each entry is
+    one rounded product either way, so the bits are the same."""
+    out = ws[0]
+    for w in ws[1:]:
+        out = np.dot(out.reshape(-1, 1), w.reshape(1, -1)).reshape(-1)
+    return out
 
 
 def _mesh(axes) -> np.ndarray:
@@ -124,8 +180,4 @@ def build_grid(dim: int = 1, radius: float = 1.0,
     h = 2.0 * radius / (points - 1)
     w = np.full(points, h)
     w[0] = w[-1] = h / 2.0
-    weights = w
-    for _ in range(dim - 1):
-        # the products w_i w_j ... over the 'ij' mesh, last axis fastest
-        weights = np.multiply.outer(weights, w).ravel()
-    return QuadratureGrid((x,) * dim, weights)
+    return QuadratureGrid((x,) * dim, (w,) * dim)

@@ -63,7 +63,10 @@ SEEDS = (0, 31)
 #: kernel's rows normalized, a dense kernel with no Gaussian scales: its
 #: products take the dense factor, its verdict the grid scan and its
 #: Sinkhorn no band, and interpolate refuses it with exit 1 before it
-#: solves.  Every grid is the trapezoid lattice: a config naming another
+#: solves.  rownorm2d is its 2-D analogue on a 21 x 21 grid: the one 2-D
+#: config whose products take a dense factor and whose verdict takes the
+#: grid scan, each reading a tensor grid's weights through its
+#: per-axis vectors.  Every grid is the trapezoid lattice: a config naming another
 #: grid.rule exits 1, which test_malformed_config_value_is_a_config_error
 #: checks.
 EXTRA = {
@@ -137,6 +140,12 @@ EXTRA = {
                    "marginals": [{"type": "gaussian", "sigma": 1.0},
                                  {"type": "gaussian", "sigma": 0.8}],
                    "grid": {"dim": 1, "radius": 8.0, "points": 401},
+                   "normalize_kernel_rows": True},
+                  OPS),
+    "rownorm2d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                   "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                 {"type": "gaussian", "sigma": 0.8}],
+                   "grid": {"dim": 2, "radius": 8.0, "points": 21},
                    "normalize_kernel_rows": True},
                   OPS),
 }

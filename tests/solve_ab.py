@@ -24,9 +24,10 @@ and the tree that ran first would read higher.  A fresh process's first
 op varies by ~0.1 kB from run to run.  The steady op runs in this process,
 after the untimed one.  Two more lines per workload name, for each tree,
 the phase that sets the steady op's peak and the phase next below it, and
+the traced memory at the closing's entry, in kB and in node arrays, and
 the peak of each of the closing's three sub-phases (map, step row, mixer)
-in node arrays, from a steady op traced with its phase boundaries read by
-a profile hook (phase_peaks).
+in node arrays above that entry, from a steady op traced with its phase
+boundaries read by a profile hook (phase_peaks).
 
 Its numbers are diagnostics, on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -213,19 +214,24 @@ def phase_peaks(tree):
 
 def peak_phases(tree, config: Path, out: Path, nodes: int) -> str:
     """The phase that sets the peak of one steady solve op and the phase
-    next below it, with their peaks, and each closing sub-phase's peak in
-    node arrays above what the closing's entry holds besides the scheme's
-    image (phase_peaks)."""
+    next below it, with their peaks; the traced memory at the closing's
+    entry (the loaded problem and the scheme's image, among the rest), in
+    kB and in node arrays; and each closing sub-phase's peak in node arrays
+    above what that entry holds besides the scheme's image (phase_peaks).
+    The sub-phase counts do not move with what the entry holds, so an array
+    that the loaded problem stops holding shows in the entry only."""
     # the first op under a profile hook pays one-time allocations (~50 kB
     # on gauss1d), so the second is read
     for _ in range(2):
         with phase_peaks(tree) as peaks:
             run(tree, config, out)
-    base = peaks.pop("closing") - 8 * nodes
+    entry = peaks.pop("closing")
+    base = entry - 8 * nodes
     top = sorted(peaks.items(), key=lambda item: -item[1])[:2]
     arrays = ", ".join(f"{phase[9:]} {(peaks[phase] - base) / (8 * nodes):.2f}"
                        for phase in CLOSING)
     return ("; next ".join(f"{phase} {peak / 1e3:.1f} kB" for phase, peak in top)
+            + f"; closing entry {entry / 1e3:.1f} kB, {entry / (8 * nodes):.2f} node arrays"
             + f" (closing node arrays: {arrays})")
 
 

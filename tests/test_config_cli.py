@@ -1,12 +1,14 @@
 """Config resolution, hashing, and the five CLI subcommands end to end."""
 
 import csv
+import gc
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -869,6 +871,24 @@ def test_package_and_cli_load_no_scipy():
     assert run.stdout.splitlines()[-3:] == ["argparse loaded: False",
                                             "dataclasses loaded: False",
                                             "scipy modules: []"]
+
+
+def test_the_loaded_2d_bench_problem_holds_no_node_weights(tmp_path):
+    # the gauss2d instance, loaded: its grid holds one weight vector per
+    # axis, and the load holds the two marginals and the one heat factor
+    # (13.4 kB, the size of a node array) and little else, 3.7 node arrays.
+    # A grid that kept its (n,) weights held one node array more, 4.7
+    raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 8.0, "points": 41})
+    config = write_config(tmp_path, raw)
+    load_problem(config)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        problem = load_problem(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4.2 * problem.grid.weights.nbytes
 
 
 def test_a_first_solve_op_peaks_as_a_later_one(tmp_path):

@@ -783,10 +783,10 @@ def test_gaussian_density_refuses_a_covariance_that_is_not_d_x_d(dim, side):
 
 
 def _tensor_grid(*axes):
-    """Hand-built grid with a different node set on every axis."""
-    n = math.prod(len(a) for a in axes)
-    weights = np.random.default_rng(n).uniform(0.5, 1.5, n)
-    return QuadratureGrid(axes, weights)
+    """Hand-built grid with a different node set and weight vector on every
+    axis."""
+    rng = np.random.default_rng(math.prod(len(a) for a in axes))
+    return QuadratureGrid(axes, tuple(rng.uniform(0.5, 1.5, len(a)) for a in axes))
 
 
 def test_gaussian_on_one_grid_is_its_own_swap():
