@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FeasibilityError, FortetBridgeError, InfeasibleParametersError
 from .problem import (KernelOperator, MarginalPair, gaussian_from_scales, gaussian_kappa,
                       node_index)
-from .quadrature import Frozen, QuadratureGrid, read_only
+from .quadrature import Frozen, QuadratureGrid, _top, read_only
 
 #: interpolated densities whose raw quadrature mass drifts from 1 by more
 #: than this indicate a too-coarse grid or a too-small truncation radius
@@ -88,11 +88,10 @@ class Coupling(Frozen):
 
 
 def _sup_resid(integral: np.ndarray, omega: np.ndarray) -> float:
-    """max |integral - omega|, inf if it holds a NaN: one buffer, its max
-    read at the argmax, where a NaN is read first."""
+    """max |integral - omega|, inf if it holds a NaN, in one buffer."""
     with np.errstate(invalid="ignore"):
         r = np.subtract(integral, omega)
-    top = float(r[np.abs(r, out=r).argmax()])
+    top = _top(np.abs(r, out=r))
     return math.inf if math.isnan(top) else top
 
 

@@ -69,7 +69,7 @@ import numpy as np
 from . import bridge
 from .errors import FeasibilityError, FortetBridgeError, NonConvergenceError
 from .problem import KernelOperator, MarginalPair, full_report, node_index
-from .quadrature import Frozen, read_only
+from .quadrature import Frozen, _bottom, _top, read_only
 
 #: every closing step floors its iterate here; true fixed-point values
 #: beneath it are not representable in float64 anyway (the iterate sits on
@@ -90,8 +90,8 @@ CLOSING_TOL_FLOOR = 1e-15
 #: history depth of the closing phase's Anderson step (0: the plain map),
 #: at most 2, whose normal equations _fit solves in closed form.  Each step
 #: held costs two support-sized arrays; the 41 x 41 solve op peaks in its
-#: closing's step row, at 8 node arrays, 1.1 kB above its map (178.8 vs
-#: 177.7 kB, tests/solve_ab.py)
+#: closing's step row, at 8 node arrays, just above its map
+#: (tests/solve_ab.py)
 ANDERSON_M = 2
 #: verify_uniqueness reads the ray constants on the nodes where the
 #: marginal exceeds this
@@ -215,19 +215,6 @@ class FortetSolution(Frozen):
                 "marginal_resid": abs(c.mass - c.marginals.omega1.mass())}
 
 
-def _top(x: np.ndarray) -> float:
-    """x.max(), read at x.argmax(): the same entry (NaN if x holds one),
-    from the search loop, ~3x faster than the reduction on a few hundred
-    nodes.  Of a 0.0 and a -0.0 tied at the top it may pick the other; no
-    caller tells them apart."""
-    return float(x[x.argmax()])
-
-
-def _bottom(x: np.ndarray) -> float:
-    """x.min() as _top reads x.max()."""
-    return float(x[x.argmin()])
-
-
 def omega_map(H, kernel: KernelOperator, marginals: MarginalPair,
               ratio1: Optional[np.ndarray] = None) -> np.ndarray:
     """One application of the fixed-point map, H_prime = Omega(H): the
@@ -270,18 +257,15 @@ def _hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
                   out: np.ndarray) -> float:
     """log(max / min) of a / b over the nodes of mask where both are positive
     and finite (inf if there are none).  The quotient is taken into out,
-    under the caller's np.errstate, and its extremes and the sign of a are
-    read on mask in place.  Where mask misses a node, out is first filled
-    with the quotient at mask's first node, which moves neither extreme,
-    and the quotient is taken on mask alone.  Once every read quotient is
-    positive, a is positive on mask if b is at every node; otherwise a is
-    copied into out on mask, where the positive quotient left off it does
-    not change the sign of a's least entry.  The nodes are filtered only
-    where a read quotient is 0, inf or NaN or a read entry of a is not
-    positive (two negative entries have a positive quotient)."""
+    under the caller's np.errstate, and its extremes on mask are read in
+    place.  Where mask misses a node, out is first filled with the quotient
+    at mask's first node, which moves neither extreme, and the quotient is
+    taken on mask alone.  Where every read quotient is positive and finite
+    and b is positive at every node, as a floored iterate is, so is a on
+    mask, and those extremes give the step; otherwise the nodes are
+    filtered (two negative entries have a positive quotient)."""
     i = int(mask.argmin())
-    full = bool(mask[i])
-    if full:
+    if mask[i]:
         q = np.divide(a, b, out=out)
     else:
         i = int(mask.argmax())
@@ -289,15 +273,8 @@ def _hilbert_step(a: np.ndarray, b: np.ndarray, mask: np.ndarray,
         q = np.divide(a, b, out=out, where=mask)
     if mask[i]:
         lo, hi = _bottom(q), _top(q)
-        if lo > 0 and hi < math.inf:
-            # each read quotient is positive, so a is positive on mask where
-            # b is at every node, as a floored iterate is
-            if _bottom(b) > 0:
-                return float(np.log(hi / lo))
-            if not full:
-                np.copyto(out, a, where=mask)
-            if _bottom(a if full else out) > 0:
-                return float(np.log(hi / lo))
+        if lo > 0 and hi < math.inf and _bottom(b) > 0:
+            return float(np.log(hi / lo))
     a, b = a[mask], b[mask]
     m = (a > 0) & (b > 0) & np.isfinite(a) & np.isfinite(b)
     if not m.any():

@@ -28,9 +28,10 @@ def hilbert_distance(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise FortetBridgeError("hilbert_distance needs same-length vectors")
-    # a NaN fails both comparisons
-    if not all(np.all((v > 0) & (v < math.inf)) for v in (x, y)):
-        raise FortetBridgeError("hilbert_distance is defined on finite, strictly positive vectors")
+    # a NaN fails both comparisons; np.all of no entries is True
+    if not (x.size and all(np.all((v > 0) & (v < math.inf)) for v in (x, y))):
+        raise FortetBridgeError("hilbert_distance is defined on nonempty, finite, "
+                                "strictly positive vectors")
     r = x / y
     return float(np.log(r.max() / r.min()))
 

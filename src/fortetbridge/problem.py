@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FeasibilityError, GridError, KernelSupportError
-from .quadrature import Frozen, QuadratureGrid, read_only
+from .quadrature import Frozen, QuadratureGrid, _bottom, _top, read_only
 
 MASS_TOL = 1e-8
 #: tail-slope above this (per unit |y|^2) flags the integrability estimate
@@ -71,7 +71,7 @@ class DensityField(Frozen):
     @cached_property
     def peak(self) -> float:
         """The largest value."""
-        return float(self.values[self.values.argmax()])
+        return _top(self.values)
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -88,16 +88,15 @@ class DensityField(Frozen):
         written into out if given, which may be integral itself; its
         underflow is the caller's np.errstate's, which numpy's default
         ignores.  The overflow test reads the cached peak and the
-        integral's least entry, one argmin a fit.
+        integral's least entry (_bottom).
 
         Otherwise it is taken on the support alone, into zeros, so a NaN
         off the support reads 0; an integral of 0 at a support node raises
         KernelSupportError, "<what> vanished at nodes [...] where <where>",
         naming the first 8, and one neither positive nor 0 reads as 1.
         """
-        # argmin reads a NaN as the least entry, as min does, in fewer
-        # passes; a quotient is at most peak / low, in float range below 2**1023
-        low = float(integral[integral.argmin()])
+        # a quotient is at most peak / low, in float range below 2**1023
+        low = _bottom(integral)
         if low > 0 and self.peak / low < 2.0 ** 1023:
             return np.divide(self.values, integral, out=out)
         S = self.support
@@ -325,8 +324,7 @@ class KernelOperator(Frozen):
         exact sum where it does.  A fit such as Fortet's omega2 / G or an
         extracted psi reaches 4.9e-324 in a tail, and each subnormal operand
         costs a microcode assist on x86.  An f holding a NaN or an inf, an
-        all-zero f and one too large for k > 0 are applied unscaled.  max|f|
-        is read at the argmax and argmin, the same values, NaN included.
+        all-zero f and one too large for k > 0 are applied unscaled.
 
         A band longer than f reads its argument from the last node
         (_band_product), so the argument is formed in that order
@@ -336,7 +334,7 @@ class KernelOperator(Frozen):
         """
         k, top = self.apply_headroom, 0.0
         if k is not None:
-            top = max(float(f[f.argmax()]), -float(f[f.argmin()]))
+            top = max(_top(f), -_bottom(f))
         k = k - max(0, math.frexp(top)[1]) if 0.0 < top < math.inf else 0
         # weights * 2^k is exact, so each f * (weights * 2^k) is rounded once
         out = _contract(operands, grid.weighted(f, max(k, 0), self._reversed))
@@ -792,8 +790,12 @@ def _hard_checks(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, C
     return checks
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> ConditionStar:
-    """Evaluate the integrability estimate and its tail-growth heuristic."""
+    """Evaluate the integrability estimate and its tail-growth heuristic.
+    It runs under one np.errstate, as the closing does: an inf kernel entry
+    against a 0 gives 0 * inf = NaN in an integral, which DensityField.over
+    and the tail fit read."""
     # pushforward's integral without its DensityField validation: a negative
     # or unbounded kernel must still get a report, not a raise
     denom = kernel.apply_T(marginals.omega1.values)
@@ -812,8 +814,7 @@ def condition_star(kernel: KernelOperator, marginals: MarginalPair) -> Condition
     # g * omega1 and lifts even a decaying integrand there, so the fit
     # divides that integral by the column's grid mass, apply_T(1).  An inf
     # kernel entry gives 0 * inf = NaN, which the fit skips as it skips 0
-    with np.errstate(invalid="ignore"):
-        integrand *= kernel.apply_T(np.ones(kernel.grid1.n_nodes))
+    integrand *= kernel.apply_T(np.ones(kernel.grid1.n_nodes))
     r2 = reduce(np.add.outer, [a * a for a in kernel.grid2.axes]).ravel()
     rmax = float(np.max(np.sqrt(r2)))
     outer = (np.sqrt(r2) >= 0.8 * rmax) & (integrand > 0)

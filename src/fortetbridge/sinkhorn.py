@@ -59,9 +59,8 @@ def _on_ray(u, v, a, b, m1) -> Tuple[np.ndarray, ...]:
     exactly (u / max u, v * max u)."""
     s = np.flatnonzero(m1)
     k = s[np.argmax(u[s] * np.exp(a[s] - a[s].max()))]
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return (np.exp(a - a[k]) * (u / u[k]), np.exp(b + a[k]) * (v * u[k]),
-                a - a[k] + np.log(u / u[k]), b + a[k] + np.log(v * u[k]))
+    return (np.exp(a - a[k]) * (u / u[k]), np.exp(b + a[k]) * (v * u[k]),
+            a - a[k] + np.log(u / u[k]), b + a[k] + np.log(v * u[k]))
 
 
 def _folded(kernel: KernelOperator, log_kernel: np.ndarray, a: np.ndarray,
@@ -80,8 +79,7 @@ def _support_log(x: np.ndarray, name: str, sweep: int) -> Tuple[np.ndarray, floa
     on to the cap; NonConvergenceError names it at the sweep it appears.  A
     0 (log -inf) folds a row or column of zeros, whose integral the next
     sweep's fit refuses with KernelSupportError."""
-    with np.errstate(divide="ignore"):
-        log = np.log(x)
+    log = np.log(x)
     top = float(np.max(np.abs(log)))
     if not math.isfinite(top) and not float(np.max(log)) < math.inf:
         raise NonConvergenceError(f"sinkhorn scaling {name} overflowed at sweep "
@@ -90,6 +88,7 @@ def _support_log(x: np.ndarray, name: str, sweep: int) -> Tuple[np.ndarray, floa
     return log, top
 
 
+@np.errstate(all="ignore")
 def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
                  tol: float = 1e-10, max_iter: int = 10000) -> ScalingPair:
     """Alternate u and v fits until both sup-log changes fall below tol.
@@ -106,7 +105,10 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     the cap, or at the first sweep whose u or v overflows on its support
     (_support_log).  Marginals whose masses differ by more than MASS_TOL
     relative are refused up front with FeasibilityError: a fit matches one
-    marginal's mass exactly, so no sweep count fits both.
+    marginal's mass exactly, so no sweep count fits both.  The call runs
+    under one np.errstate that ignores every float exception, its helpers'
+    included: an inf kernel entry against a 0 makes an integral NaN, which
+    its fit reads, and the logs of 0 scalings read -inf.
     """
     omega1, omega2 = marginals.omega1, marginals.omega2
     mass1, mass2 = omega1.mass(), omega2.mass()

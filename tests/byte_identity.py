@@ -10,9 +10,11 @@ ops (check, solve, interpolate, compare, diagnose) in a fresh
 `python -m fortetbridge.cli` process each, on the same config file; then
 they run each config of EXTRA through its own ops the same way.  Each
 op's exit code, stdout and every artifact it writes (by name and bytes) are
-compared; stderr is not, since it carries wall times.  One line is printed
-per op, then a summary.  The exit code is 0 when every op matches, 1
-otherwise.  The script only reads bench/; pytest does not collect it.
+compared; stderr is not, since it carries wall times, but each Python
+warning in it is printed, with the side that raised it.  One line is
+printed per op, then a summary.  The exit code is 0 when every op matches
+and no op of NEW_SRC warns, 1 otherwise.  The script only reads bench/;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -20,16 +22,36 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 OPS = ("check", "solve", "interpolate", "compare", "diagnose")
 WORKLOADS = ("gauss1d", "gauss2d", "swap")
 SEEDS = (0, 31)
+#: a Python warning as warnings.showwarning prints it: file:line: category: message
+WARNING_LINE = re.compile(r"^.*:\d+: (\w+Warning: .*)$", re.MULTILINE)
+
+
+def _infentry_tables():
+    """infentry1d's tables on its 9 nodes of [-1, 1]: the kernel 1e-3
+    exp(-(x - y)^2) with an inf at (0, 8), and two Gaussian marginals, 0 at
+    that entry's row and column."""
+    x = np.linspace(-1.0, 1.0, 9)
+    kernel = 1e-3 * np.exp(-np.subtract.outer(x, x) ** 2)
+    kernel[0, 8] = math.inf
+    omega1, omega2 = np.exp(-x ** 2 / 0.5), np.exp(-x ** 2 / 0.32)
+    omega1[0] = omega2[8] = 0.0
+    return {"kernel.csv": kernel, "m1.csv": omega1, "m2.csv": omega2}
+
+
 #: configs beside the workloads, each with the ops it runs: a 21^3 grid,
 #: whose node mesh every reader derives from its axes, a 2-D kernel of
 #: non-diagonal covariance, whose dense factor reads that mesh
@@ -66,9 +88,16 @@ SEEDS = (0, 31)
 #: solves.  rownorm2d is its 2-D analogue on a 21 x 21 grid: the one 2-D
 #: config whose products take a dense factor and whose verdict takes the
 #: grid scan, each reading a tensor grid's weights through its
-#: per-axis vectors.  Every grid is the trapezoid lattice: a config naming another
-#: grid.rule exits 1, which test_malformed_config_value_is_a_config_error
-#: checks.
+#: per-axis vectors.  infentry1d is a forced 9-node table config whose
+#: kernel holds an inf at entry (0, 8), where omega1[0] = omega2[8] = 0:
+#: each integral that meets it reads 0 * inf = NaN, and so does each
+#: closing image at node 0, off the omega1 support, so each Hilbert step
+#: filters its nodes.  check exits 2, interpolate 1 (a table kernel has no
+#: Gaussian scales) and the other ops 0.  An entry is (raw config, ops) or
+#: (raw config, ops, tables): the tables, {file name: values}, are written
+#: as CSV beside the config (write_extra).  Every grid is the trapezoid
+#: lattice: a config naming another grid.rule exits 1, which
+#: test_malformed_config_value_is_a_config_error checks.
 EXTRA = {
     "gauss3d-21": ({"kernel": {"type": "gaussian", "sigma": 0.5},
                     "marginals": [{"type": "gaussian", "sigma": 1.0},
@@ -148,22 +177,42 @@ EXTRA = {
                    "grid": {"dim": 2, "radius": 8.0, "points": 21},
                    "normalize_kernel_rows": True},
                   OPS),
+    "infentry1d": ({"kernel": {"type": "table", "path": "kernel.csv"},
+                    "marginals": [{"type": "table", "path": "m1.csv"},
+                                  {"type": "table", "path": "m2.csv"}],
+                    "grid": {"dim": 1, "radius": 1.0, "points": 9},
+                    "solver": {"force": True}},
+                   OPS, _infentry_tables()),
 }
 
 
+def write_extra(name: str, directory: Path) -> Path:
+    """Write EXTRA[name]'s config, and the tables it carries, into
+    directory (made if missing); return the config's path."""
+    raw, _, *tables = EXTRA[name]
+    directory.mkdir(parents=True, exist_ok=True)
+    for file, values in (tables[0] if tables else {}).items():
+        np.savetxt(directory / file, values, delimiter=",")
+    config = directory / f"{name}.json"
+    config.write_text(json.dumps(raw, indent=2) + "\n")
+    return config
+
+
 def run_op(src: Path, op: str, config: Path, out: Path):
-    """(exit code, stdout, {artifact name: bytes}) of one CLI op on src."""
+    """(exit code, stdout, {artifact name: bytes}, [warning]) of one CLI op
+    on src, each warning its stderr line's "category: message"."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "fortetbridge.cli", op,
                            "--config", str(config), "--output", str(out)],
                           capture_output=True, text=True, env=env, cwd=config.parent)
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return proc.returncode, proc.stdout, files
+    return proc.returncode, proc.stdout, files, WARNING_LINE.findall(proc.stderr)
 
 
 def differences(a, b) -> list:
-    """What differs between two run_op results, as short phrases."""
-    (code_a, out_a, files_a), (code_b, out_b, files_b) = a, b
+    """What differs between two run_op results, as short phrases; the
+    warnings are not compared."""
+    (code_a, out_a, files_a, _), (code_b, out_b, files_b, _) = a, b
     found = []
     if code_a != code_b:
         found.append(f"exit {code_a} != {code_b}")
@@ -185,11 +234,8 @@ def cases(work: Path):
         config = workloads.write_config(workloads.make_workload(name, seed),
                                         work / f"{name}-{seed}")
         yield f"{name} seed {seed}", config, OPS
-    for name, (raw, ops) in EXTRA.items():
-        config = work / name / f"{name}.json"
-        config.parent.mkdir()
-        config.write_text(json.dumps(raw, indent=2) + "\n")
-        yield name, config, ops
+    for name, (_, ops, *_) in EXTRA.items():
+        yield name, write_extra(name, work / name), ops
 
 
 def main(argv=None) -> int:
@@ -200,6 +246,7 @@ def main(argv=None) -> int:
 
     sides = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     runs = same = 0
+    warned = dict.fromkeys(sides, 0)
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as work:
         for label, config, ops in cases(Path(work)):
             for op in ops:
@@ -207,12 +254,17 @@ def main(argv=None) -> int:
                            for side, src in sides.items()]
                 found = differences(*results)
                 runs, same = runs + 1, same + (not found)
-                code, _, files = results[0]
+                code, _, files, _ = results[0]
                 verdict = "; ".join(found) if found else (
                     f"identical (exit {code}, {len(files)} artifacts)")
                 print(f"{label} {op}: {verdict}")
+                for side, (*_, warnings) in zip(sides, results):
+                    warned[side] += bool(warnings)
+                    for warning in warnings:
+                        print(f"  {side} warns: {warning}")
     print(f"{same} of {runs} ops identical (exit codes, stdout and artifacts)")
-    return 0 if same == runs else 1
+    print(f"ops that warn: {warned['old']} old, {warned['new']} new")
+    return 0 if same == runs and not warned["new"] else 1
 
 
 if __name__ == "__main__":

@@ -8,16 +8,16 @@ fortetbridge package).  Each tree's package is imported under its own name,
 and each config below is loaded (config.resolve_config, build_problem) and
 solved by that tree's run_fortet with the config's options, as the CLI's
 solve does: the bench workloads at seeds 0-39 (bench/workloads.py), the
-EXTRA configs of byte_identity.py, and the 72 oracle-labelled 1-D configs of
-ROADMAP item 3.  One line is printed per config: the closing steps of both
-trees ("-" where the run raised before it had a step record), each run's
-class (the exit code the CLI would give, the case tag or error type, and the
-warning count) and phi's log-ray spread between the trees, max - min of log
-phi_old - log phi_new over the nodes where omega1 > 1e-12 (inf where the two
-phi are positive on different nodes).  Then the totals, and the configs whose
-step count rose or whose class changed.  The exit code is 0 when no class
-changed, 1 otherwise.  The script only reads bench/; pytest does not collect
-it.
+EXTRA configs of byte_identity.py that carry no tables, and the 72
+oracle-labelled 1-D configs of ROADMAP item 3.  One line is printed per
+config: the closing steps of both trees ("-" where the run raised before
+it had a step record), each run's class (the exit code the CLI would give,
+the case tag or error type, and the warning count) and phi's log-ray spread
+between the trees, max - min of log phi_old - log phi_new over the nodes
+where omega1 > 1e-12 (inf where the two phi are positive on different
+nodes).  Then the totals, and the configs whose step count rose or whose
+class changed.  The exit code is 0 when no class changed, 1 otherwise.  The
+script only reads bench/; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ def configs(oracle):
 
     for name, seed in itertools.product(WORKLOADS, SEEDS):
         yield f"{name} seed {seed}", workloads.make_workload(name, seed).config
-    for name, (raw, _) in byte_identity.EXTRA.items():
-        yield name, raw
+    for name, (raw, _, *tables) in byte_identity.EXTRA.items():
+        if not tables:
+            yield name, raw
     yield from sweep_configs(oracle)
 
 

@@ -24,7 +24,7 @@ from fortetbridge.fortet import StepLog, run_fortet
 from fortetbridge.problem import (MarginalPair, check_assumptions, full_report,
                                   gaussian_density, gaussian_kernel, transition_normalized)
 from fortetbridge.quadrature import build_grid
-from tests.byte_identity import EXTRA
+from tests.byte_identity import EXTRA, write_extra
 from tests.conftest import counting_applies, kernel_matrix_builds, traced_peak
 from tests.solve_ab import WORKLOADS, first_ops
 
@@ -638,6 +638,19 @@ def test_diagnose_of_an_anisotropic_kernel_converges(tmp_path):
                  "--output", str(out)]) == 0
     # the isotropic 0.01 I instance takes 237 sweeps
     assert json.loads((out / "diagnose.json").read_text())["sinkhorn_iterations"] < 300
+
+
+def test_every_op_on_an_inf_kernel_entry_between_zeros_warns_nothing(tmp_path):
+    # infentry1d's inf sits at (0, 8), where omega1[0] = omega2[8] = 0: the
+    # integrability estimate's integrals, the closing's and Sinkhorn's each
+    # read 0 * inf = NaN there, under their call's np.errstate, and
+    # pytest's error::RuntimeWarning filter turns any warning into a failure
+    config = write_extra("infentry1d", tmp_path)
+    codes = {op: main([op, "--config", str(config), "--output", str(tmp_path / op)])
+             for op in ("check", "solve", "interpolate", "compare", "diagnose")}
+    # check refuses the unbounded kernel; interpolate needs Gaussian scales
+    assert codes == {"check": 2, "solve": 0, "interpolate": 1, "compare": 0,
+                     "diagnose": 0}
 
 
 def test_forced_solve_with_an_inf_image_off_the_support_warns_nothing(tmp_path, capsys):

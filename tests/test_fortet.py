@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from fortetbridge import (FortetOptions, MarginalPair, build_coupling,
                           build_grid, density_field, fortet_step,
-                          gaussian_density, gaussian_kernel, omega_map,
-                          pushforward, run_fortet, table_kernel,
+                          gaussian_density, gaussian_kernel, hilbert_distance,
+                          omega_map, pushforward, run_fortet, table_kernel,
                           transition_normalized, verify_uniqueness)
 from fortetbridge import fortet
 from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
@@ -527,6 +527,7 @@ def test_unreadable_nodes_match_the_where_expressions(monkeypatch):
     # positive, of two negative entries, and is not read either
     rng = np.random.default_rng(8)
     a, b = rng.uniform(0.5, 2.0, (2, 12))
+    positive_b = b.copy()
     a[[0, 1, 2, 3]] = -1.0, 0.0, math.inf, math.nan
     b[[0, 4, 5, 6]] = -2.0, -1.0, math.inf, math.nan
     nodes = np.arange(12)
@@ -537,15 +538,30 @@ def test_unreadable_nodes_match_the_where_expressions(monkeypatch):
     isfinite, filtered = np.isfinite, []
     # only the filtered read asks which entries are finite
     monkeypatch.setattr(np, "isfinite", lambda x: filtered.append(x) or isfinite(x))
-    for k, mask in enumerate(masks):
-        ref = _hilbert_reference(a, b, mask)
+    for mask in masks:
+        assert fortet._hilbert_step(a, b, mask, np.empty(12)) == _hilbert_reference(a, b, mask)
+    # the in-place read needs b positive at every node, as a floored iterate
+    # is; against such a b, a nonempty mask is read without filtering where
+    # it misses nodes 0-3, a's unreadable ones
+    for mask in masks:
+        ref = _hilbert_reference(a, positive_b, mask)
         filtered.clear()
-        assert fortet._hilbert_step(a, b, mask, np.empty(12)) == ref
-        assert (not filtered) == (k < len(readable))
+        assert fortet._hilbert_step(a, positive_b, mask, np.empty(12)) == ref
+        assert (not filtered) == (mask.any() and not mask[:4].any())
     monkeypatch.undo()
     kernel, marginals = hand_instance()
     with pytest.raises(FortetBridgeError, match="H > 0"):
         omega_map(np.array([1.0, math.nan]), kernel, marginals)
+
+
+def test_hilbert_step_over_a_full_mask_is_the_hilbert_distance():
+    # the closing's stop rule reads the public metric, bit for bit, on
+    # positive pairs whose entries span e^-50 to e^50
+    rng = np.random.default_rng(56)
+    for n in rng.integers(1, 60, 2000):
+        a, b = np.exp(rng.uniform(-50.0, 50.0, (2, n)))
+        step = fortet._hilbert_step(a, b, np.ones(n, bool), np.empty(n))
+        assert step == hilbert_distance(a, b)
 
 
 def test_accelerated_and_plain_closings_agree(bench_kernel, bench_marginals,

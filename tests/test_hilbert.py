@@ -33,9 +33,11 @@ def test_distance_axioms():
 
 @pytest.mark.parametrize("x, y", [([1.0, math.nan], [1.0, 1.0]),
                                   ([1.0, math.inf], [1.0, 1.0]),
-                                  ([math.inf, math.inf], [1.0, 2.0])])
+                                  ([math.inf, math.inf], [1.0, 2.0]),
+                                  ([], [])])
 def test_distance_refuses_entries_that_are_not_finite(x, y):
-    # a NaN passes x <= 0 and read nan; an inf read inf, or inf / inf
+    # a NaN passes x <= 0 and read nan; an inf read inf, or inf / inf; with
+    # no entries the max and min of x / y are undefined
     with pytest.raises(FortetBridgeError, match="finite, strictly positive"):
         hilbert_distance(x, y)
     with pytest.raises(FortetBridgeError, match="finite, strictly positive"):
