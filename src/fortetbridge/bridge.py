@@ -44,14 +44,14 @@ class Coupling(Frozen):
     (n1, n2) array pi is built on first read, under the same rule.
     """
 
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def __init__(self, phi, psi, kernel: KernelOperator, marginals: MarginalPair, g_phi=None):
         phi, psi = (np.asarray(p, dtype=float) for p in (phi, psi))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            row = kernel.apply(psi)
-            col = kernel.apply_T(phi) if g_phi is None else g_phi
-            for integral, potential in ((row, phi), (col, psi)):
-                integral[potential == 0] = 0.0
-                integral *= potential
+        row = kernel.apply(psi)
+        col = kernel.apply_T(phi) if g_phi is None else g_phi
+        for integral, potential in ((row, phi), (col, psi)):
+            integral[potential == 0] = 0.0
+            integral *= potential
         self._store(phi=phi, psi=psi, kernel=kernel, marginals=marginals, row=row, col=col)
 
     @property
@@ -77,20 +77,20 @@ class Coupling(Frozen):
         return float(self.grid1.weights @ self.row)
 
     @cached_property
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def pi(self) -> np.ndarray:
         """phi g psi, 0 in the rows and columns where phi or psi is 0, as
         row and col are there, also against an inf kernel entry."""
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            pi = self.phi[:, None] * self.kernel.values * self.psi[None, :]
+        pi = self.phi[:, None] * self.kernel.values * self.psi[None, :]
         pi[self.phi == 0] = 0.0
         pi[:, self.psi == 0] = 0.0
         return read_only(pi)
 
 
+@np.errstate(invalid="ignore")
 def _sup_resid(integral: np.ndarray, omega: np.ndarray) -> float:
     """max |integral - omega|, inf if it holds a NaN, in one buffer."""
-    with np.errstate(invalid="ignore"):
-        r = np.subtract(integral, omega)
+    r = np.subtract(integral, omega)
     top = _top(np.abs(r, out=r))
     return math.inf if math.isnan(top) else top
 
@@ -204,8 +204,11 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     deviation times sqrt(min(t, 1 - t)) (times 1 at an endpoint),
     under-resolves it, and otherwise the truncation is the cause; the message
     names the two lengths.  A slice whose scales leave float range raises
-    gaussian_from_scales' FeasibilityError, prefixed with its time.
+    gaussian_from_scales' FeasibilityError, prefixed with its time.  A
+    degenerate solution's potentials, None, raise FeasibilityError.
     """
+    if phi is None or psi is None:
+        raise FeasibilityError("cannot interpolate a degenerate solution")
     if kernel.gaussian is None:
         raise FortetBridgeError("interpolation needs a Gaussian kernel")
     scales, white = kernel.gaussian

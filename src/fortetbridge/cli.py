@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: check, solve, interpolate, diagnose, compare.  Every artifact
-is deterministic for a fixed config: JSON is written with sorted keys and
-shortest-roundtrip floats, CSVs use fixed column orders, and anything
-runtime-dependent (wall time, library versions) goes to the stderr log
-only, never into files that byte-level reproducibility tests compare.
+Subcommands: check, solve, interpolate, diagnose, compare.  Every flag
+takes a value, and none forces a run: a config's solver.force forces every
+command, and summary.json's config and each problem_hash record it.  Every
+artifact is deterministic for a fixed config: JSON is written with sorted
+keys and shortest-roundtrip floats, CSVs use fixed column orders, and
+anything runtime-dependent (wall time, library versions) goes to the
+stderr log only, never into files that byte-level reproducibility tests
+compare.
 
 Exit codes: 0 success / consistent; 1 input, output, or config problem,
 a command line that parse_args refuses and a FORTET_THREADS that is not a
@@ -228,8 +231,6 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     problem, out = _open(args)
-    if args.force:
-        problem = problem._replace(options=problem.options._replace(force=True))
     started = time.perf_counter()
     solution = _solve_problem(problem, out)
     elapsed = time.perf_counter() - started
@@ -274,9 +275,6 @@ def cmd_interpolate(args) -> int:
     problem, out = _open(args, gaussian=True)
     started = time.perf_counter()
     solution = _solve_problem(problem, out)
-    if solution.coupling is None:
-        _log("cannot interpolate a degenerate solution")
-        return 2
     interp = bridge.entropic_interpolation(solution.phi, solution.psi,
                                            problem.kernel, times)
     headers, coords = _coordinates(problem.grid, len(interp.times))
@@ -342,9 +340,6 @@ def cmd_compare(args) -> int:
         return 1
     problem, out = _open(args)
     solution = _solve_problem(problem, out)
-    if solution.coupling is None:
-        _log("cannot compare a degenerate solution")
-        return 2
     pair = sinkhorn.run_sinkhorn(problem.kernel, problem.marginals,
                                  tol=problem.options.tol,
                                  max_iter=problem.options.max_iter)
@@ -375,13 +370,11 @@ def cmd_compare(args) -> int:
 
 
 #: each command's help line and its flags beyond --config and --output,
-#: flag -> (default, help).  A flag whose default is False takes no value
-#: and reads True when given; one whose default is a float reads its value
-#: as a float; any other takes its value as given.
+#: flag -> (default, help).  Every flag takes a value: one whose default is
+#: a float reads it as a float, any other as given.
 COMMANDS = {
     "check": ("run feasibility checks only", {}),
-    "solve": ("run the fixed-point solver",
-              {"--force": (False, "run even when feasibility checks fail")}),
+    "solve": ("run the fixed-point solver", {}),
     "interpolate": ("solve and write time marginals",
                     {"--times": ("0,0.25,0.5,0.75,1", "comma-separated times in [0, 1]")}),
     "diagnose": ("projective-metric diagnostics", {}),
@@ -397,10 +390,9 @@ def _flags(command: str) -> dict:
             "--output": (".", "artifact directory"), **COMMANDS[command][1]}
 
 
-def _shown(name: str, default) -> str:
-    """A flag as usage and help show it: with its value's name unless it
-    takes none."""
-    return name if default is False else f"{name} {name[2:].upper()}"
+def _shown(name: str) -> str:
+    """A flag as usage and help show it, with its value's name."""
+    return f"{name} {name[2:].upper()}"
 
 
 def _usage(command) -> str:
@@ -408,7 +400,7 @@ def _usage(command) -> str:
     if command is None:
         return "usage: fortetbridge {" + ",".join(COMMANDS) + "} --config CONFIG ..."
     return " ".join(["usage: fortetbridge", command] + [
-        _shown(name, default) if default is None else f"[{_shown(name, default)}]"
+        _shown(name) if default is None else f"[{_shown(name)}]"
         for name, (default, _) in _flags(command).items()])
 
 
@@ -425,8 +417,8 @@ def _help(command):
         lines += [COMMANDS[command][0], "", "flags:",
                   f"  {'-h, --help':<16} print this help and exit"]
         for name, (default, text) in _flags(command).items():
-            given = f" (default: {default})" if isinstance(default, (str, float)) else ""
-            lines.append(f"  {_shown(name, default):<16} {text}{given}")
+            given = "" if default is None else f" (default: {default})"
+            lines.append(f"  {_shown(name):<16} {text}{given}")
     print("\n".join(lines))
     raise SystemExit(0)
 
@@ -449,9 +441,9 @@ def parse_args(argv):
     Flags are matched whole: an abbreviation is refused.  -h or --help
     prints the help of the command before it, or of the program, and exits
     0.  A refused line (no command, an unknown command or flag, another
-    command's flag, a missing value, a value for a flag that takes none, a
-    float flag's value that is not a float, no --config) prints the usage
-    line and the reason to stderr and exits 1."""
+    command's flag, a missing value, a float flag's value that is not a
+    float, no --config) prints the usage line and the reason to stderr and
+    exits 1."""
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
         _help(None)
@@ -473,16 +465,11 @@ def parse_args(argv):
             _refuse(command, f"{name} is not a flag of {command}"
                     if any(name in own for _, own in COMMANDS.values())
                     else f"unknown flag {name}")
-        default = flags[name][0]
-        if default is False:
-            if given:
-                _refuse(command, f"{name} takes no value")
-            value = True
-        elif not given:
+        if not given:
             value = next(words, None)
             if value is None:
                 _refuse(command, f"{name} needs a value")
-        if isinstance(default, float):
+        if isinstance(flags[name][0], float):
             try:
                 value = float(value)
             except ValueError:

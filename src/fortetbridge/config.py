@@ -34,11 +34,14 @@ boolean, which float() and numpy would read as 1 or 0.
 solver.max_iter caps Sinkhorn's sweeps only: Fortet's solve runs one
 scheme step and its closing, which fortet.REFINE_MAX bounds; the closing
 stops at max(tol / 10, fortet.CLOSING_TOL_FLOOR), so a tol below 1e-14,
-whose tenth float64 cannot reliably meet, stops at the floor.  The
-problem hash is the sha256 of the resolved config in canonical JSON form
-(sorted keys, no whitespace), so two runs with the same hash saw the same
-fully-resolved instance.  build_problem returns a Problem, a NamedTuple of
-the grid, kernel, marginals, solver options, resolved config and hash.
+whose tenth float64 cannot reliably meet, stops at the floor.
+solver.force runs every command past the feasibility refusal; the command
+line has no switch of its own for it, so the resolved config, and the
+hash, record whether a run was forced.  The problem hash is the sha256 of
+the resolved config in canonical JSON form (sorted keys, no whitespace),
+so two runs with the same hash saw the same fully-resolved instance.
+build_problem returns a Problem, a NamedTuple of the grid, kernel,
+marginals, solver options, resolved config and hash.
 """
 
 from __future__ import annotations

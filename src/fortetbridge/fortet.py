@@ -620,16 +620,17 @@ def _ray_ratio(num: np.ndarray, den: np.ndarray) -> Tuple[float, float]:
     num/den read without overflow.  A node where both are 0 carries no ray
     constant and is dropped.  A node where the ratio is 0, inf or NaN
     contradicts the ray: it makes the spread inf and is left out of the
-    median (inf if no node is left)."""
-    with np.errstate(all="ignore"):
-        l = (np.log(num) - np.log(den))[(num != 0) | (den != 0)]
-        ok = np.isfinite(l)
-        if not ok.all() or not l.size:
-            return (float(np.median(l[ok])) if ok.any() else math.inf), math.inf
-        med = float(np.median(l))
-        return med, float(np.exp(l.max() - med) - np.exp(l.min() - med))
+    median (inf if no node is left).  It runs under verify_uniqueness's
+    np.errstate."""
+    l = (np.log(num) - np.log(den))[(num != 0) | (den != 0)]
+    ok = np.isfinite(l)
+    if not ok.all() or not l.size:
+        return (float(np.median(l[ok])) if ok.any() else math.inf), math.inf
+    med = float(np.median(l))
+    return med, float(np.exp(l.max() - med) - np.exp(l.min() - med))
 
 
+@np.errstate(all="ignore")
 def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
                       tol: float = 1e-8) -> UniquenessReport:
     """Compare two solutions of the same problem up to the ray rescaling.
@@ -638,15 +639,18 @@ def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
     be one constant on the omega1 support and psi_b/psi_a the same constant
     on the omega2 support; spreads are (max - min)/median of those ratios.
     Ratios are read as log differences, so c_phi and c_psi may read inf.
+    A degenerate solution, whose potentials are None, raises
+    FeasibilityError.
     """
     phi_a, psi_a = solution_a.phi, solution_a.psi
     phi_b, psi_b = solution_b.phi, solution_b.psi
+    if phi_a is None or phi_b is None:
+        raise FeasibilityError("cannot compare a degenerate solution")
     m1 = marginals.omega1.values > SUPPORT_THRESHOLD
     m2 = marginals.omega2.values > SUPPORT_THRESHOLD
     l_phi, spread_phi = _ray_ratio(phi_a[m1], phi_b[m1])
     l_psi, spread_psi = _ray_ratio(psi_b[m2], psi_a[m2])
-    with np.errstate(all="ignore"):
-        consistent = bool(spread_phi < tol and spread_psi < tol
-                          and abs(np.expm1(l_phi - l_psi)) < tol)
-        c_phi, c_psi = float(np.exp(l_phi)), float(np.exp(l_psi))
+    consistent = bool(spread_phi < tol and spread_psi < tol
+                      and abs(np.expm1(l_phi - l_psi)) < tol)
+    c_phi, c_psi = float(np.exp(l_phi)), float(np.exp(l_psi))
     return UniquenessReport(spread_phi, spread_psi, c_phi, c_psi, consistent)

@@ -172,7 +172,9 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
 
     ratios[k] = distances[k+1] / distances[k]; pairs whose denominator has
     already collapsed to the roundoff floor are skipped (the step sequence
-    ends in exact zeros once the iterates go bitwise stationary).
+    ends in exact zeros once the iterates go bitwise stationary).  The
+    diameters are read from the kernel's matrices and their transposes
+    (_product_diameter), never from its n1 x n2 values.
     """
     pair = run_sinkhorn(kernel, marginals, tol=tol, max_iter=max_iter)
     distances = pair.hilbert_steps
@@ -181,9 +183,21 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
     for a, b in zip(distances, distances[1:]):
         if math.isfinite(a) and a > floor:
             ratios.append(b / a)
-    d_col = projective_diameter(kernel.values)
-    d_row = projective_diameter(kernel.values.T)
+    matrices = kernel.matrices
+    d_col = _product_diameter(matrices)
+    d_row = _product_diameter([m.T for m in matrices])
     c = ContractionBound.of(ProjectiveDiameter(max(d_col.value, d_row.value),
                                                d_col.exact and d_row.exact))
     return HilbertTrace(distances, tuple(ratios), c.ratio,
                         c.guaranteed, pair.iterations, d_col, d_row)
+
+
+def _product_diameter(matrices) -> ProjectiveDiameter:
+    """The projective diameter of the Kronecker product of matrices, a
+    band's window view or a product's per-axis factors.  A cross ratio of A
+    (x) B is one of A times one of B, so the diameter is the sum of the
+    parts' diameters, exact where each part's is; an infinite part makes it
+    infinite, and exact."""
+    parts = [projective_diameter(m) for m in matrices]
+    value = sum(p.value for p in parts)
+    return ProjectiveDiameter(value, value == math.inf or all(p.exact for p in parts))

@@ -52,15 +52,26 @@ def _infentry_tables():
     return {"kernel.csv": kernel, "m1.csv": omega1, "m2.csv": omega2}
 
 
+def _starved_table():
+    """degenerate1d's omega2 on its 401 nodes of [-8, 8]: the centered
+    Gaussian of sigma 0.8 at unit trapezoid mass, times 1e-16."""
+    x = np.linspace(-8.0, 8.0, 401)
+    density = np.exp(-x ** 2 / (2.0 * 0.8 ** 2))
+    weights = np.full(x.size, x[1] - x[0])
+    weights[[0, -1]] /= 2.0
+    return {"m2.csv": density / (weights @ density) * 1e-16}
+
+
 #: configs beside the workloads, each with the ops it runs: a 21^3 grid,
 #: whose node mesh every reader derives from its axes, a 2-D kernel of
 #: non-diagonal covariance, whose dense factor reads that mesh
 #: (problem._whitened), narrow 1-D marginals, whose omega1 underflows
 #: to 0 at 14 edge nodes, so that the closing gathers its support through
 #: a mask, and aniso2d, a diagonal anisotropic covariance, whose
-#: interpolation slices take each axis at its own scale (its diagnose
-#: builds the dense 6561 x 6561 kernel, 344 MB).  The 21^3 grid skips compare and diagnose, which take
-#: its dense 9261 x 9261 kernel (686 MB).  aniso2d-swapped solves aniso2d
+#: interpolation slices take each axis at its own scale (its diagnose reads
+#: the two 81 x 81 factors).  The 21^3 grid skips compare and diagnose:
+#: a Sinkhorn that absorbs its scalings folds them into dense 9261 x 9261
+#: matrices (686 MB each).  aniso2d-swapped solves aniso2d
 #: from omega2 to omega1: Bernstein's margin kappa_k reads (+0.048, -0.042)
 #: on its two axes, so the continuum integral diverges along the second,
 #: while the grid's radial tail fit reads finite; the verdict is kappa's, so
@@ -93,7 +104,11 @@ def _infentry_tables():
 #: each integral that meets it reads 0 * inf = NaN, and so does each
 #: closing image at node 0, off the omega1 support, so each Hilbert step
 #: filters its nodes.  check exits 2, interpolate 1 (a table kernel has no
-#: Gaussian scales) and the other ops 0.  An entry is (raw config, ops) or
+#: Gaussian scales) and the other ops 0.  degenerate1d is criterion 7's
+#: starved omega2, a table at 1e-16 of unit mass kept unrenormalized, and
+#: forced: solve exits 0 with the degenerate case tag, and interpolate and
+#: compare refuse the solution with exit 2 and no artifact, compare through
+#: Sinkhorn's unequal-mass check.  An entry is (raw config, ops) or
 #: (raw config, ops, tables): the tables, {file name: values}, are written
 #: as CSV beside the config (write_extra).  Every grid is the trapezoid
 #: lattice: a config naming another grid.rule exits 1, which
@@ -183,6 +198,13 @@ EXTRA = {
                     "grid": {"dim": 1, "radius": 1.0, "points": 9},
                     "solver": {"force": True}},
                    OPS, _infentry_tables()),
+    "degenerate1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                      "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                    {"type": "table", "path": "m2.csv",
+                                     "renormalize": False}],
+                      "grid": {"dim": 1, "radius": 8.0, "points": 401},
+                      "solver": {"force": True}},
+                     ("solve", "interpolate", "compare"), _starved_table()),
 }
 
 

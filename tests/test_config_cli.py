@@ -336,17 +336,18 @@ class TestCli:
 
     def test_calls_in_one_process_see_only_their_own_arguments(self, tmp_path,
                                                                monkeypatch):
-        # --force on one call must not carry over to the next, which the
-        # refused orientation would show, and a command is looked up when
-        # it runs
+        # a forced config on one call must not carry over to the next, which
+        # the refused orientation would show, and a command is looked up
+        # when it runs
         monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
         assert main(["check", "--config", "unread.json"]) == 7
         cfg = write_config(tmp_path, SWAP_RAW)
+        forced_cfg = write_config(tmp_path, dict(SWAP_RAW, solver={"force": True}),
+                                  "forced.json")
         forced, plain = tmp_path / "forced", tmp_path / "plain"
         # forced, the divergent orientation solves past the refusal, short
         # of its marginals (s1 residual 0.374): exit 3 with its trace
-        assert main(["solve", "--config", str(cfg), "--output", str(forced),
-                     "--force"]) == 3
+        assert main(["solve", "--config", str(forced_cfg), "--output", str(forced)]) == 3
         assert sorted(p.name for p in forced.iterdir()) == ["trace.csv"]
         assert main(["solve", "--config", str(cfg), "--output", str(plain)]) == 2
         assert not any(plain.iterdir())
@@ -640,6 +641,57 @@ def test_diagnose_of_an_anisotropic_kernel_converges(tmp_path):
     assert json.loads((out / "diagnose.json").read_text())["sinkhorn_iterations"] < 300
 
 
+@pytest.mark.parametrize("dim, points", [(1, 401), (2, 41)], ids=["gauss1d", "gauss2d"])
+def test_diagnose_never_builds_the_kernel_matrix(tmp_path, dim, points):
+    # the projective diameters are read from the band's window view or the
+    # per-axis factors, and Sinkhorn applies the operands: the cached dense
+    # matrix stays unbuilt
+    raw = dict(BENCH_RAW, grid={"dim": dim, "radius": 8.0, "points": points})
+    with kernel_matrix_builds() as built:
+        assert main(["diagnose", "--config", str(write_config(tmp_path, raw)),
+                     "--output", str(tmp_path / "run")]) == 0
+    assert built == []
+
+
+def test_two_dimensional_diagnose_peaks_below_one_megabyte(tmp_path):
+    # gauss2d's 1681 x 1681 matrix alone takes 22.6 MB; a steady diagnose
+    # op, traced after a first, holds its 41 x 41 factor and node arrays.
+    # Its diameters are 1024 per axis, exact, where the dense product
+    # underflows to 0 and reads inf
+    raw = dict(BENCH_RAW, grid={"dim": 2, "radius": 8.0, "points": 41})
+    argv = ["diagnose", "--config", str(write_config(tmp_path, raw)),
+            "--output", str(tmp_path / "run")]
+    assert main(argv) == 0
+    gc.collect()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0 and peak < 1e6
+    payload = json.loads((tmp_path / "run" / "diagnose.json").read_text())
+    assert payload["projective_diameter_columns"] == 2048.0
+    assert payload["projective_diameter_rows_exact"] is True
+    assert payload["contraction_guaranteed"] is True
+
+
+def test_solver_force_is_the_one_switch_and_is_recorded(tmp_path, capsys):
+    # kappa < 0 on 401 nodes: solve refuses the instance, and the config's
+    # solver.force runs it, recorded in summary.json's config and in a
+    # problem hash of its own; no flag of the command line takes no value
+    raw = dict(BENCH_RAW, marginals=[{"type": "gaussian", "sigma": 1.0},
+                                     {"type": "gaussian", "sigma": 1.2}],
+               grid=dict(BENCH_RAW["grid"], points=401))
+    plain, forced = tmp_path / "plain", tmp_path / "forced"
+    assert main(["solve", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(plain)]) == 2
+    forced_raw = dict(raw, solver={"force": True})
+    assert main(["solve", "--config", str(write_config(tmp_path, forced_raw, "forced.json")),
+                 "--output", str(forced)]) == 0
+    summary = json.loads((forced / "summary.json").read_text())
+    assert summary["config"]["solver"]["force"] is True
+    assert summary["problem_hash"] == problem_hash(resolve_config(forced_raw))
+    assert summary["problem_hash"] != problem_hash(resolve_config(raw))
+    assert all(default is not False for _, flags in cli.COMMANDS.values()
+               for default, _ in flags.values())
+
+
 def test_every_op_on_an_inf_kernel_entry_between_zeros_warns_nothing(tmp_path):
     # infentry1d's inf sits at (0, 8), where omega1[0] = omega2[8] = 0: the
     # integrability estimate's integrals, the closing's and Sinkhorn's each
@@ -668,9 +720,10 @@ def test_forced_solve_with_an_inf_image_off_the_support_warns_nothing(tmp_path, 
     raw = {"kernel": {"type": "table", "path": "kernel.csv"},
            "marginals": [{"type": "table", "path": "m1.csv"},
                          {"type": "gaussian", "sigma": 0.4}],
-           "grid": {"dim": 1, "radius": 1.0, "points": 9}}
+           "grid": {"dim": 1, "radius": 1.0, "points": 9},
+           "solver": {"force": True}}
     out = tmp_path / "run"
-    assert main(["solve", "--force", "--config", str(write_config(tmp_path, raw)),
+    assert main(["solve", "--config", str(write_config(tmp_path, raw)),
                  "--output", str(out)]) == 0
     fields = dict(f.split("=") for f in capsys.readouterr().out.split())
     # the row integral is 0 where phi is, not 0 * inf = NaN at node 0, so the
@@ -1243,17 +1296,24 @@ def test_forced_solve_of_an_empty_omega1_exits_2(tmp_path, capsys):
     np.savetxt(tmp_path / "m1.csv", np.zeros(201), delimiter=",")
     raw = dict(BENCH_RAW, marginals=[{"type": "table", "path": "m1.csv",
                                       "renormalize": False},
-                                     BENCH_RAW["marginals"][1]])
-    assert main(["solve", "--force", "--config", str(write_config(tmp_path, raw)),
+                                     BENCH_RAW["marginals"][1]],
+               solver={"force": True})
+    assert main(["solve", "--config", str(write_config(tmp_path, raw)),
                  "--output", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "feasibility failure: omega1 has empty support"]
 
 
-@pytest.mark.parametrize("op", ["interpolate", "compare"])
-def test_degenerate_solution_is_neither_interpolated_nor_compared(tmp_path, capsys, op):
+@pytest.mark.parametrize("op, said", [
+    ("interpolate", "cannot interpolate a degenerate solution"),
+    ("compare", "marginal masses differ (1.0 against 1.0000000000000002e-16): "
+                "no scaling fits both")], ids=["interpolate", "compare"])
+def test_degenerate_solution_is_neither_interpolated_nor_compared(tmp_path, capsys,
+                                                                   op, said):
     # criterion 7's starved omega2, kept unrenormalized and forced past its
-    # refusal: the solve is degenerate, with no potentials to read
+    # refusal: the solve is degenerate, with no potentials to read.
+    # entropic_interpolation refuses it; compare's Sinkhorn refuses the
+    # marginals first, since Int omega2 = Int omega1 Omega(1) < 1e-13
     grid = build_grid(dim=1, radius=8.0, points_per_axis=201)
     np.savetxt(tmp_path / "m2.csv", gaussian_density(grid, 0.8).values * 1e-16,
                delimiter=",")
@@ -1261,9 +1321,11 @@ def test_degenerate_solution_is_neither_interpolated_nor_compared(tmp_path, caps
                                      {"type": "table", "path": "m2.csv",
                                       "renormalize": False}],
                solver={"force": True})
+    out = tmp_path / "run"
     assert main([op, "--config", str(write_config(tmp_path, raw)),
-                 "--output", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"cannot {op} a degenerate solution"]
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"feasibility failure: {said}"]
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("times, said", [
@@ -1336,20 +1398,21 @@ def test_interpolate_refuses_a_non_gaussian_kernel_before_it_solves(tmp_path, ca
     (["solve", "--config", "problem.json", "--forse"], "unknown flag --forse"),
     (["solv", "--config", "problem.json"], "unknown command 'solv' (choose from check, "
                                            "solve, interpolate, diagnose, compare)"),
-    (["check", "--config", "problem.json", "--force"], "--force is not a flag of check"),
+    (["check", "--config", "problem.json", "--tol", "1"], "--tol is not a flag of check"),
     (["compare", "--config", "problem.json", "--tol"], "--tol needs a value"),
-    (["solve", "--config", "problem.json", "--force=yes"], "--force takes no value"),
+    (["solve", "--config", "problem.json", "--force"], "unknown flag --force"),
     (["compare", "--config", "problem.json", "--tol", "tight"],
      "--tol must be a float, not 'tight'"),
     (["solve", "--conf", "problem.json"], "unknown flag --conf"),
     (["solve", "--config", "problem.json", "run"], "unexpected argument 'run'")],
     ids=["no-command", "flag-first", "no-config", "unknown-flag", "unknown-command",
-         "other-command-flag", "no-value", "value-for-force", "tol-not-float",
+         "other-command-flag", "no-value", "force", "tol-not-float",
          "abbreviation", "extra-word"])
 def test_refused_command_line_exits_1(tmp_path, capsys, monkeypatch, argv, reason):
     # the parser's refusal is an input problem: exit 1 with the usage line
     # and the reason, not 2, the code of a feasibility failure; nothing is
-    # read or written.  An abbreviation, which argparse accepted, is refused
+    # read or written.  An abbreviation, which argparse accepted, is refused,
+    # and so is --force: a config's solver.force is the one switch
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -1362,9 +1425,8 @@ def test_refused_command_line_exits_1(tmp_path, capsys, monkeypatch, argv, reaso
 
 @pytest.mark.parametrize("argv, fields", [
     (["check", "--config", "p.json"], {"output": "."}),
-    (["solve", "--config", "p.json"], {"output": ".", "force": False}),
-    (["solve", "--force", "--output=run", "--config=p.json"],
-     {"output": "run", "force": True}),
+    (["solve", "--config", "p.json"], {"output": "."}),
+    (["solve", "--output=run", "--config=p.json"], {"output": "run"}),
     (["interpolate", "--config", "p.json"], {"output": ".", "times": "0,0.25,0.5,0.75,1"}),
     (["interpolate", "--config", "p.json", "--times", "-0.1"],
      {"output": ".", "times": "-0.1"}),
@@ -1385,13 +1447,13 @@ def test_accepted_command_line(argv, fields):
     assert type(getattr(args, "tol", 0.0)) is float
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["-h"],
+@pytest.mark.parametrize("argv", [["--help"], ["interpolate", "--help"], ["-h"],
                                   ["compare", "--config", "p.json", "-h"]])
 def test_help_exits_0(capsys, argv):
     # the usage line, then a line for each command, or for each of the
     # command's flags
     listed = ({"check", "solve", "interpolate", "diagnose", "compare"} if len(argv) == 1
-              else {"solve": {"--config", "--output", "--force"},
+              else {"interpolate": {"--config", "--output", "--times"},
                     "compare": {"--config", "--output", "--tol"}}[argv[0]])
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fortetbridge import (FortetOptions, MarginalPair, build_coupling,
-                          build_grid, density_field, fortet_step,
-                          gaussian_density, gaussian_kernel, hilbert_distance,
-                          omega_map, pushforward, run_fortet, table_kernel,
-                          transition_normalized, verify_uniqueness)
+                          build_grid, density_field, entropic_interpolation,
+                          fortet_step, gaussian_density, gaussian_kernel,
+                          hilbert_distance, omega_map, pushforward, run_fortet,
+                          table_kernel, transition_normalized, verify_uniqueness)
 from fortetbridge import fortet
 from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
                                  KernelSupportError, NonConvergenceError)
@@ -1042,6 +1042,27 @@ def test_degenerate_target_detected(bench_grid, bench_kernel):
     assert sol.iterations == 1
     assert sol.phi is None and sol.psi is None
     assert all(math.isnan(v) for v in sol.residuals.values())
+
+
+def test_degenerate_solution_is_refused_by_the_library(bench_grid, bench_kernel):
+    # criterion 7's starved omega2, forced: the solution has no potentials,
+    # and comparing or interpolating it is a feasibility failure, not a
+    # TypeError or IndexError on its None potentials
+    from types import SimpleNamespace
+    om1 = gaussian_density(bench_grid, 1.0)
+    tiny = density_field(bench_grid,
+                         gaussian_density(bench_grid, 0.8).values * 1e-16,
+                         renormalize=False)
+    marginals = MarginalPair(om1, tiny)
+    sol = run_fortet(bench_kernel, marginals, FortetOptions(force=True))
+    assert sol.case_tag == "degenerate"
+    ones = SimpleNamespace(phi=np.ones(bench_grid.n_nodes), psi=np.ones(bench_grid.n_nodes))
+    for a, b in ((sol, ones), (ones, sol)):
+        with pytest.raises(FeasibilityError, match="^cannot compare a degenerate solution$"):
+            verify_uniqueness(a, b, marginals)
+    with pytest.raises(FeasibilityError,
+                       match="^cannot interpolate a degenerate solution$"):
+        entropic_interpolation(sol.phi, sol.psi, bench_kernel, [0.0, 0.5, 1.0])
 
 
 def test_case1_closes_on_the_sup_one_ray(bench_grid):

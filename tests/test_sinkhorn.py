@@ -10,10 +10,11 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           run_fortet, run_sinkhorn, sinkhorn_trace_hilbert,
                           table_kernel, verify_uniqueness)
 from fortetbridge import sinkhorn
-from fortetbridge.hilbert import hilbert_distance
+from fortetbridge.hilbert import (EXACT_COLUMN_LIMIT, ZERO_ENTRY, hilbert_distance,
+                                projective_diameter)
 from fortetbridge.errors import (FeasibilityError, KernelSupportError,
                                  NonConvergenceError)
-from fortetbridge.problem import swapped_marginals
+from fortetbridge.problem import KernelOperator, swapped_marginals
 from tests.conftest import random_instance, traced_peak
 
 SINKHORN_TOL = 1e-10
@@ -209,6 +210,38 @@ def test_trace_bound_over_sampled_diameters_is_not_guaranteed():
     d_col, d_row = trace.diameter_columns, trace.diameter_rows
     assert not (d_col.exact or d_row.exact or trace.guaranteed)
     assert trace.bound == math.tanh(max(d_col.value, d_row.value) / 4.0)
+
+
+def _random_factors(g1, g2):
+    """A product kernel of random factors in [0.5, 2], one per axis, and
+    not a Gaussian: no two of its cross ratios are tied by a formula."""
+    rng = np.random.default_rng(9)
+    return KernelOperator([rng.uniform(0.5, 2.0, (len(a1), len(a2)))
+                           for a1, a2 in zip(g1.axes, g2.axes)], g1, g2, 4.0)
+
+
+@pytest.mark.parametrize("dim, points, radii, kernel", [
+    (1, 64, (3.0, 3.0), lambda g1, g2: gaussian_kernel(g1, g2, 0.5)),
+    (2, 8, (3.0, 3.0), lambda g1, g2: gaussian_kernel(g1, g2, 0.5)),
+    (2, 8, (3.0, 2.0), lambda g1, g2: gaussian_kernel(g1, g2, [[0.25, 0.0], [0.0, 0.16]])),
+    (3, 4, (2.0, 2.5), lambda g1, g2: gaussian_kernel(g1, g2, 0.7)),
+    (2, 8, (1.0, 1.0), _random_factors)],
+    ids=["band", "product", "anisotropic", "product-3d", "random-factors"])
+def test_diameters_from_the_operands_match_the_dense_matrix(dim, points, radii, kernel):
+    # the trace reads a band's diameters from its window view and a
+    # product's as the sum of its per-axis factors': on at most 64 columns
+    # with no entry at or below ZERO_ENTRY, the dense matrix's diameters are
+    # exact too, and both agree
+    g1, g2 = (build_grid(dim=dim, radius=r, points_per_axis=points) for r in radii)
+    kernel = kernel(g1, g2)
+    trace = sinkhorn_trace_hilbert(kernel, MarginalPair(gaussian_density(g1, 1.0),
+                                                        gaussian_density(g2, 0.8)))
+    dense = kernel.values
+    assert dense.shape[1] <= EXACT_COLUMN_LIMIT and dense.min() > ZERO_ENTRY
+    for got, want in ((trace.diameter_columns, projective_diameter(dense)),
+                      (trace.diameter_rows, projective_diameter(dense.T))):
+        assert got.exact and want.exact
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
 
 
 def test_benchmark_trace_decays_geometrically(bench_kernel, bench_marginals):
