@@ -10,8 +10,9 @@ stderr log only, never into files that byte-level reproducibility tests
 compare.
 
 Exit codes: 0 success / consistent; 1 input, output, or config problem,
-a command line that parse_args refuses and a FORTET_THREADS that is not a
-positive integer included; 2 hypothesis or feasibility failure (also:
+a command line that parse_args refuses, a FORTET_THREADS that is not a
+positive integer and an allocation that fails (numpy's MemoryError, "Unable
+to allocate ...") included; 2 hypothesis or feasibility failure (also:
 comparison found inconsistent solutions); 3 iteration did not converge:
 Fortet's closing hit its step cap, or stopped with a marginal residual
 above sqrt(tol) times that marginal's peak where no potential was dropped,
@@ -496,6 +497,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         _log(f"I/O error: {exc}")
+        return 1
+    except MemoryError as exc:
+        _log(f"out of memory: {exc}")
         return 1
     except FeasibilityError as exc:
         _log(f"feasibility failure: {exc}")

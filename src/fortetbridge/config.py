@@ -187,11 +187,17 @@ def _check_solver(solver: Dict[str, object]) -> None:
         raise ConfigError(f"solver.tol must be finite and positive, not {solver['tol']!r}")
 
 
+def _known(keys, allowed, what: str) -> None:
+    """Refuse the keys outside allowed, naming them sorted: "unknown <what>
+    keys: [...]"."""
+    unknown = set(keys) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     """Fill defaults and resolve "auto" values; returns a plain JSON dict."""
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _known(raw, _TOP_KEYS, "config")
     for key in ("kernel", "marginals", "grid"):
         if key not in raw:
             raise ConfigError(f"config is missing required key '{key}'")
@@ -203,9 +209,7 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     if not all(isinstance(m, dict) for m in raw["marginals"]):
         raise ConfigError("each of 'marginals' must be an object")
 
-    unknown = set(raw["grid"]) - {"points", "radius", *_GRID_DEFAULTS}
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    _known(raw["grid"], {"points", "radius", *_GRID_DEFAULTS}, "grid")
     grid = dict(_GRID_DEFAULTS, **raw["grid"])
     if "points" not in grid:
         raise ConfigError("grid needs 'points'")
@@ -225,9 +229,7 @@ def resolve_config(raw: Dict[str, object]) -> Dict[str, object]:
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ConfigError("'solver' must be an object")
-    unknown = set(solver_raw) - set(_SOLVER_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
+    _known(solver_raw, _SOLVER_DEFAULTS, "solver")
     solver = dict(_SOLVER_DEFAULTS, **solver_raw)
     _check_solver(solver)
 

@@ -206,14 +206,18 @@ class KernelOperator(Frozen):
     kernel has one 1-D factor, a symmetric band of 2b + 1 entries (b <= n -
     1) on two grids of n nodes: the matrix is symmetric Toeplitz, entry (i,
     j) the band's entry at offset i - j and 0 beyond b, and a product is one
-    np.correlate (_band_product).  numpy's correlation copies any input it
-    cannot write, so the kernel keeps a private writeable copy of the band,
-    _operands, and factors[0] is a read-only view of it; the caller's band
-    is not frozen.  A band longer than n reads a product's argument last
-    node first, and _reversed says so.  For any other kernel _operands is
-    factors.  values is the matrix, reduce(np.kron, matrices); for a
-    product or banded kernel it is built on first read and cached, and
-    solving never reads it.
+    np.correlate (_band_product).  A band is narrow or full: one of at most
+    n taps is kept as given, and a wider one is stored padded with zeros to
+    all 2n - 1 offsets (_padded), so that it spans every offset, reads a
+    product's argument last node first, and _reversed says so.  numpy's
+    correlation copies any input it cannot write, so the kernel keeps a
+    private writeable copy of the band, _operands, and factors[0] is a
+    read-only view of it; the caller's band is not frozen.  For any other
+    kernel _operands is factors.  swapped() transposes by view: its factors
+    are these factors' transposes.  values is the matrix, reduce(np.kron,
+    matrices), C-contiguous; for a product or banded kernel, or a
+    transposed view, it is built on first read and cached, and solving
+    never reads it.
     """
 
     def __init__(self, factors: Sequence[np.ndarray], grid1: QuadratureGrid,
@@ -228,7 +232,7 @@ class KernelOperator(Frozen):
                     and band.size < 2 * n and np.array_equal(band, band[::-1])):
                 raise GridError("a kernel band must be symmetric, of odd length "
                                 "below 2n, on two grids of n nodes")
-            operands = (band.copy(),)
+            operands = (_padded(band, n) if band.size > n else band.copy(),)
             factors = (operands[0].view(),)
         elif len(factors) == 1:
             if factors[0].shape != (n, grid2.n_nodes):
@@ -260,9 +264,9 @@ class KernelOperator(Frozen):
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The n1 x n2 kernel matrix; a dense kernel's one factor itself."""
-        values = reduce(np.kron, self.matrices)
-        return read_only(np.array(values) if self.banded else values)
+        """The n1 x n2 kernel matrix, C-contiguous: a dense kernel's one
+        factor itself unless that is a transposed view (swapped)."""
+        return read_only(np.ascontiguousarray(reduce(np.kron, self.matrices)))
 
     @cached_property
     def apply_headroom(self) -> Optional[int]:
@@ -326,8 +330,8 @@ class KernelOperator(Frozen):
         costs a microcode assist on x86.  An f holding a NaN or an inf, an
         all-zero f and one too large for k > 0 are applied unscaled.
 
-        A band longer than f reads its argument from the last node
-        (_band_product), so the argument is formed in that order
+        A full band, which spans every offset, reads its argument from the
+        last node (_band_product), so the argument is formed in that order
         (grid.weighted's reverse): a fresh contiguous array, which the
         correlation reads without a copy.  No name holds the argument, so
         _contract frees it after its first product.
@@ -341,13 +345,12 @@ class KernelOperator(Frozen):
         return np.ldexp(out, -k, out=out) if k > 0 else out
 
     def swapped(self) -> "KernelOperator":
-        """The kernel g(y, x) on (grid2, grid1).  A Gaussian on one grid is
-        this kernel itself, bit for bit: a band is symmetric, and entry (i, j)
-        of any other factor is formed from (a_i - a_j)^2 = (a_j - a_i)^2."""
-        if self.gaussian is not None and self.grid1 is self.grid2:
-            return self
-        return KernelOperator(tuple(a.T.copy() for a in self.factors),
-                              self.grid2, self.grid1, self.sigma_bound, self.gaussian)
+        """The kernel g(y, x) on (grid2, grid1), on the factors' transposed
+        views: no matrix is copied (a band, its own transpose, is copied as
+        every band passed in is), and swapped().apply is apply_T bit for
+        bit, since both contract the same views against the same weights."""
+        return KernelOperator(tuple(a.T for a in self.factors), self.grid2, self.grid1,
+                              self.sigma_bound, self.gaussian)
 
 
 def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -356,8 +359,8 @@ def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     x is flat in 'ij' order (last axis fastest).  Each product contracts the
     leading axis and its transpose rotates that axis to the back, so after d
     products the axes are back in order; for d = 2 this is A_1 @ X @ A_2.T.
-    A band is applied by _band_product, and one longer than x takes x
-    reversed, last node first, the order in which it reads it.
+    A band is applied by _band_product, and a full one takes x reversed,
+    last node first, the order in which it reads it.
     """
     if len(factors) == 1:
         a = factors[0]
@@ -372,10 +375,12 @@ def _contract(factors: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The band's symmetric Toeplitz matrix @ y, where y is x, or x
-    reversed (x given last node first) for a band longer than x: entry i is
-    np.convolve(y, band)[i + b], one dot product over the band's taps that
-    meet y.  Only those n entries are formed: mode 'same' when the band is
-    no longer than x, 'valid' when it spans every offset (b = n - 1).
+    reversed (x given last node first) for a band longer than x, which
+    spans every offset (b = n - 1, KernelOperator pads a wider band to it):
+    entry i is np.convolve(y, band)[i + b], one dot product over the band's
+    taps that meet y.  Only those n entries are formed, in one of two
+    modes: 'same' for a narrow band, no longer than x, and 'valid' for a
+    full one.
 
     Each is np.correlate, bitwise what np.convolve computes: the band is its
     own reversal, and np.convolve correlates the longer of its arguments
@@ -386,21 +391,16 @@ def _band_product(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     band itself, not np.convolve's reversed view of it, and KernelOperator
     forms a reversed argument in that order, contiguous, rather than
     passing a reversed view: no product copies an operand."""
-    b, n = band.size // 2, x.size
-    if 2 * b < n:
+    if band.size <= x.size:
         return np.correlate(x, band, "same")
-    if b == n - 1:
-        return np.correlate(band, x, "valid")
-    return np.correlate(band, x, "full")[b:b + n]
+    return np.correlate(band, x, "valid")
 
 
 def _padded(band: np.ndarray, n: int) -> np.ndarray:
     """The band padded with zeros to 2n - 1 entries, offsets -(n - 1) ...
-    n - 1; a band that spans every offset is returned as it is."""
-    pad = n - 1 - band.size // 2
-    if not pad:
-        return band
+    n - 1, in a new array."""
     out = np.zeros(2 * n - 1)
+    pad = n - 1 - band.size // 2
     out[pad:pad + band.size] = band
     return out
 
@@ -412,21 +412,22 @@ def _band_matrix(band: np.ndarray, n: int) -> np.ndarray:
     return sliding_window_view(_padded(band, n), n)[::-1]
 
 
-def _window_extremes(band: np.ndarray, n: int, extreme: np.ufunc) -> np.ndarray:
-    """extreme.reduce over each row of _band_matrix(band, n), which is
-    also its column, in O(n) (van Herk 1992; Gil & Werman 1993).
+def _window_extremes(x: np.ndarray, n: int, extreme: np.ufunc) -> np.ndarray:
+    """extreme.reduce over each window x[t:t + n] of n consecutive entries,
+    t = 0 ... x.size - n, for n <= x.size < 2n, in O(x.size) (van Herk
+    1992; Gil & Werman 1993).  Row i of _band_matrix(band, n), which is
+    also its column, is window n - 1 - i of _padded(band, n).
 
-    Row i of the padded band p is p[n - 1 - i : n] followed by p[n : 2n -
-    1 - i]: a suffix of the block p[:n] and a prefix of the block p[n:].
-    One accumulate over each block, the first from its end, gives every
-    such suffix's and prefix's extreme, and the row's is the extreme of
-    its two.  np.maximum, np.fmax and np.fmin are associative and
-    commutative, NaN rule included, so this is the windows' reduction
-    exactly (a 0.0 tied with a -0.0 may read as the other)."""
-    p = _padded(band, n)
-    rows = extreme.accumulate(p[n - 1::-1])
-    extreme(rows[:-1], extreme.accumulate(p[n:])[::-1], out=rows[:-1])
-    return rows
+    Window t is x[t:n] followed by x[n:n + t]: a suffix of the block x[:n]
+    and a prefix of the block x[n:].  One accumulate over each block, the
+    first from its end, gives every such suffix's and prefix's extreme, and
+    the window's is the extreme of its two.  np.maximum, np.minimum,
+    np.fmax and np.fmin are associative and commutative, NaN rule included,
+    so this is the windows' reduction exactly (a 0.0 tied with a -0.0 may
+    read as the other)."""
+    out = extreme.accumulate(x[n - 1::-1])[::-1][:x.size - n + 1]
+    extreme(out[1:], extreme.accumulate(x[n:]), out=out[1:])
+    return out
 
 
 def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
@@ -647,8 +648,9 @@ class FeasibilityReport(Frozen):
 
     refusal is None or why not, which the solvers raise as a
     FeasibilityError unless forced: the hypothesis checks that failed,
-    else, where the report reads integrability, its suspected divergence
-    (with a hint when swapping the marginals looks feasible).  It and
+    else, where the report reads integrability, the rule that found it
+    divergent, kappa's or the scan's integrability estimate (with a hint
+    when swapping the marginals looks feasible).  It and
     swap_recommended are one verdict, formed with the report: for the
     Gaussian family from _gaussian_margins alone, where every hypothesis
     holds and integrability is kappa_k > 0 on every axis, and otherwise
@@ -670,15 +672,16 @@ class FeasibilityReport(Frozen):
             divergent = cs is not None and cs.verdict != "finite"
             swap = divergent and condition_star(
                 kernel.swapped(), swapped_marginals(marginals)).verdict == "finite"
+            rule = "integrability estimate is suspected-divergent"
         else:
             failed, divergent = [], integrability and not margins[0]
             swap = divergent and margins[1]
+            rule = "Bernstein's margin kappa is not positive on every axis"
         refusal = None
         if failed:
             refusal = f"hypothesis checks failed: {', '.join(failed)}"
         elif divergent:
-            refusal = "integrability estimate is suspected-divergent" + (
-                "; swapping the marginals looks feasible" if swap else "")
+            refusal = rule + ("; swapping the marginals looks feasible" if swap else "")
         if refusal is not None:
             refusal += " (pass force=True to run anyway)"
         self._store(refusal=refusal, swap_recommended=swap)
@@ -712,7 +715,8 @@ def _extremes(kernel: KernelOperator, extreme: np.ufunc, axis: int) -> np.ndarra
     directly; a band's rows are its windows, read in O(n) by
     _window_extremes, and its columns are its rows."""
     if kernel.banded:
-        return _window_extremes(kernel.factors[0], kernel.grid1.n_nodes, extreme)
+        n = kernel.grid1.n_nodes
+        return _window_extremes(_padded(kernel.factors[0], n), n, extreme)[::-1]
     return reduce(np.kron, [extreme.reduce(a, axis=axis) for a in kernel.factors])
 
 
@@ -775,18 +779,13 @@ def _hard_checks(kernel: KernelOperator, marginals: MarginalPair) -> Dict[str, C
             CheckResult("fail", f"mass {m!r} deviates from 1 by {abs(m - 1.0):.3g}")
         )
 
-    row_ok = _extremes(kernel, np.fmax, axis=1) > 0
-    col_ok = _extremes(kernel, np.fmax, axis=0) > 0
-    checks["kernel_rows_positive"] = (
-        CheckResult("pass") if row_ok.all() else
-        CheckResult("fail", "all-zero kernel rows",
-                    tuple(int(i) for i in np.flatnonzero(~row_ok)[:8]))
-    )
-    checks["kernel_columns_positive"] = (
-        CheckResult("pass") if col_ok.all() else
-        CheckResult("fail", "all-zero kernel columns",
-                    tuple(int(j) for j in np.flatnonzero(~col_ok)[:8]))
-    )
+    for what, axis in (("rows", 1), ("columns", 0)):
+        ok = _extremes(kernel, np.fmax, axis=axis) > 0
+        checks[f"kernel_{what}_positive"] = (
+            CheckResult("pass") if ok.all() else
+            CheckResult("fail", f"all-zero kernel {what}",
+                        tuple(int(i) for i in np.flatnonzero(~ok)[:8]))
+        )
     return checks
 
 

@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import FeasibilityError, NonConvergenceError
-from .hilbert import ContractionBound, ProjectiveDiameter, projective_diameter
-from .problem import MASS_TOL, KernelOperator, MarginalPair
+from .hilbert import ZERO_ENTRY, ContractionBound, ProjectiveDiameter, projective_diameter
+from .problem import MASS_TOL, KernelOperator, MarginalPair, _padded, _window_extremes
 from .quadrature import Frozen
 
 #: a sweep that leaves |log u| or |log v| above this folds both scalings
@@ -173,8 +173,9 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
     ratios[k] = distances[k+1] / distances[k]; pairs whose denominator has
     already collapsed to the roundoff floor are skipped (the step sequence
     ends in exact zeros once the iterates go bitwise stationary).  The
-    diameters are read from the kernel's matrices and their transposes
-    (_product_diameter), never from its n1 x n2 values.
+    diameters are read from the kernel's factors and their transposes
+    (_product_diameter), or a band's taps (_band_diameter), never from its
+    n1 x n2 values.
     """
     pair = run_sinkhorn(kernel, marginals, tol=tol, max_iter=max_iter)
     distances = pair.hilbert_steps
@@ -183,9 +184,11 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
     for a, b in zip(distances, distances[1:]):
         if math.isfinite(a) and a > floor:
             ratios.append(b / a)
-    matrices = kernel.matrices
-    d_col = _product_diameter(matrices)
-    d_row = _product_diameter([m.T for m in matrices])
+    if kernel.banded:
+        d_col = d_row = _band_diameter(kernel.factors[0], kernel.grid1.n_nodes)
+    else:
+        d_col = _product_diameter(kernel.factors)
+        d_row = _product_diameter([a.T for a in kernel.factors])
     c = ContractionBound.of(ProjectiveDiameter(max(d_col.value, d_row.value),
                                                d_col.exact and d_row.exact))
     return HilbertTrace(distances, tuple(ratios), c.ratio,
@@ -194,10 +197,35 @@ def sinkhorn_trace_hilbert(kernel: KernelOperator, marginals: MarginalPair,
 
 def _product_diameter(matrices) -> ProjectiveDiameter:
     """The projective diameter of the Kronecker product of matrices, a
-    band's window view or a product's per-axis factors.  A cross ratio of A
-    (x) B is one of A times one of B, so the diameter is the sum of the
-    parts' diameters, exact where each part's is; an infinite part makes it
-    infinite, and exact."""
+    product's per-axis factors.  A cross ratio of A (x) B is one of A times
+    one of B, so the diameter is the sum of the parts' diameters, exact
+    where each part's is; an infinite part makes it infinite, and exact."""
     parts = [projective_diameter(m) for m in matrices]
     value = sum(p.value for p in parts)
     return ProjectiveDiameter(value, value == math.inf or all(p.exact for p in parts))
+
+
+def _band_diameter(band: np.ndarray, n: int) -> ProjectiveDiameter:
+    """The projective diameter of a band's n x n matrix (problem._band_matrix),
+    exact, in O(n^2) and O(n) memory; the matrix is symmetric, so it is
+    its rows' diameter too.  A tap at or below ZERO_ENTRY, NaN included,
+    or an inf one makes it infinite, as projective_diameter reads such an
+    entry; a narrow band's matrix holds zeros.
+
+    With l the log of the band padded to all 2n - 1 offsets, column j of
+    the matrix is l over the window of n consecutive offsets that starts at
+    n - 1 - j, so columns j and j + s differ by d(p) = l(p) - l(p - s)
+    over that window.  The diameter is the largest max - min of d over
+    every shift s and every window (_window_extremes): the largest of
+    projective_diameter's column pairs, formed from the same logs and
+    differences."""
+    p = _padded(band, n)
+    if not (p.min() > ZERO_ENTRY and p.max() < math.inf):
+        return ProjectiveDiameter(math.inf, True)
+    log = np.log(p, out=p)
+    best = 0.0
+    for s in range(1, n):
+        d = log[s:] - log[:-s]
+        spread = _window_extremes(d, n, np.maximum) - _window_extremes(d, n, np.minimum)
+        best = max(best, float(spread.max()))
+    return ProjectiveDiameter(best, True)

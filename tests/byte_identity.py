@@ -62,6 +62,15 @@ def _starved_table():
     return {"m2.csv": density / (weights @ density) * 1e-16}
 
 
+def _swaptable_tables():
+    """swaptable1d's kernel on its 41 nodes of [-8, 8]: the normal density
+    of y - x - 0.3 at scale 0.5, positive at every entry (the least is
+    ~1e-231) and not symmetric, so that its swap is its transpose."""
+    x = np.linspace(-8.0, 8.0, 41)
+    d = np.subtract.outer(x, x) + 0.3
+    return {"kernel.csv": np.exp(-d ** 2 / 0.5) / math.sqrt(0.5 * math.pi)}
+
+
 #: configs beside the workloads, each with the ops it runs: a 21^3 grid,
 #: whose node mesh every reader derives from its axes, a 2-D kernel of
 #: non-diagonal covariance, whose dense factor reads that mesh
@@ -108,7 +117,13 @@ def _starved_table():
 #: starved omega2, a table at 1e-16 of unit mass kept unrenormalized, and
 #: forced: solve exits 0 with the degenerate case tag, and interpolate and
 #: compare refuse the solution with exit 2 and no artifact, compare through
-#: Sinkhorn's unequal-mass check.  An entry is (raw config, ops) or
+#: Sinkhorn's unequal-mass check.  midband1d is gauss1d's instance under a
+#: kernel of sigma = 0.3, whose band reaches offset 282 of 400: the one
+#: config whose own kernel stores a band padded to every offset, and
+#: not only its interpolation slices.  swaptable1d is a positive 41-node
+#: table kernel that is not symmetric, with swap true: its products read
+#: the table's transpose by view; interpolate refuses it with exit 1 (a
+#: table kernel has no Gaussian scales).  An entry is (raw config, ops) or
 #: (raw config, ops, tables): the tables, {file name: values}, are written
 #: as CSV beside the config (write_extra).  Every grid is the trapezoid
 #: lattice: a config naming another grid.rule exits 1, which
@@ -205,6 +220,17 @@ EXTRA = {
                       "grid": {"dim": 1, "radius": 8.0, "points": 401},
                       "solver": {"force": True}},
                      ("solve", "interpolate", "compare"), _starved_table()),
+    "midband1d": ({"kernel": {"type": "gaussian", "sigma": 0.3},
+                   "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                 {"type": "gaussian", "sigma": 0.8}],
+                   "grid": {"dim": 1, "radius": 8.0, "points": 401}},
+                  OPS),
+    "swaptable1d": ({"kernel": {"type": "table", "path": "kernel.csv"},
+                     "marginals": [{"type": "gaussian", "sigma": 0.8},
+                                   {"type": "gaussian", "sigma": 1.0}],
+                     "grid": {"dim": 1, "radius": 8.0, "points": 41},
+                     "swap": True},
+                    OPS, _swaptable_tables()),
 }
 
 

@@ -582,15 +582,21 @@ def _one_dimensional(sigma, sigma1, sigma2, points):
             "grid": {"dim": 1, "radius": 8.0, "points": points}}
 
 
+#: a divergence refusal with the swap hint names the rule that decided it:
+#: the grid scan's integrability estimate, or on the Gaussian family
+#: (problem._gaussian_margins) Bernstein's kappa
 DIVERGENT = ("integrability estimate is suspected-divergent; swapping the "
              "marginals looks feasible (pass force=True to run anyway)")
+KAPPA = ("Bernstein's margin kappa is not positive on every axis; swapping the "
+         "marginals looks feasible (pass force=True to run anyway)")
 #: each instance with the refusals of its full_report and of its
 #: check_assumptions: the bench gauss1d instance, the unswapped criterion-2
-#: instance, and a marginal narrower than the grid's spacing in both
-#: orientations: as given kappa < 0, and swapped it solves
+#: instance (kappa < 0 on the family), and a marginal narrower than the
+#: grid's spacing in both orientations: as given kappa < 0, read by the
+#: scan, as omega1 underflows at the edges, and swapped it solves
 VERDICTS = {
     "gauss1d": (_one_dimensional(0.5, 1.0, 0.8, 401), None, None),
-    "divergent1d": (_one_dimensional(0.1, 0.5, 1.0, 401), DIVERGENT, None),
+    "divergent1d": (_one_dimensional(0.1, 0.5, 1.0, 401), KAPPA, None),
     "spike1d": (_one_dimensional(0.5, 0.05, 0.8, 41), DIVERGENT, None),
     "spike1d-swapped": (dict(_one_dimensional(0.5, 0.05, 0.8, 41), swap=True), None, None),
 }
@@ -643,7 +649,7 @@ def test_diagnose_of_an_anisotropic_kernel_converges(tmp_path):
 
 @pytest.mark.parametrize("dim, points", [(1, 401), (2, 41)], ids=["gauss1d", "gauss2d"])
 def test_diagnose_never_builds_the_kernel_matrix(tmp_path, dim, points):
-    # the projective diameters are read from the band's window view or the
+    # the projective diameters are read from the band's taps or the
     # per-axis factors, and Sinkhorn applies the operands: the cached dense
     # matrix stays unbuilt
     raw = dict(BENCH_RAW, grid={"dim": dim, "radius": 8.0, "points": points})
@@ -1472,13 +1478,41 @@ def test_output_that_is_a_file_is_an_io_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("I/O error: ")
 
 
+def test_failed_allocation_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError for a matrix it cannot allocate; raised here by
+    # hand, so that nothing is allocated
+    message = ("Unable to allocate 21.6 MiB for an array with shape (1681, 1681) "
+               "and data type float64")
+
+    def out_of_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_diagnose", out_of_memory)
+    assert main(["diagnose", "--config", str(write_config(tmp_path, BENCH_RAW)),
+                 "--output", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"out of memory: {message}"]
+
+
+def test_one_dimensional_diagnose_reads_the_exact_band_diameter(tmp_path):
+    # gauss1d's full band on 401 nodes, over EXACT_COLUMN_LIMIT: its
+    # diameter, span(x)^2 / sigma^2 = 16^2 / 0.25, is read over every
+    # column pair from the band's taps, so it is exact and so is the bound
+    raw = dict(BENCH_RAW, grid=dict(BENCH_RAW["grid"], points=401))
+    assert main(["diagnose", "--config", str(write_config(tmp_path, raw)),
+                 "--output", str(tmp_path / "run")]) == 0
+    payload = json.loads((tmp_path / "run" / "diagnose.json").read_text())
+    for side in ("columns", "rows"):
+        assert payload[f"projective_diameter_{side}"] == 1024.0
+        assert payload[f"projective_diameter_{side}_exact"] is True
+    assert payload["contraction_guaranteed"] is True
+
+
 def test_check_writes_and_prints_its_refusal(tmp_path, capsys):
     # aniso2d swapped is refused by kappa while the grid's tail fit reads
-    # finite: feasibility.json and stdout say why; gauss1d's refusal is null
+    # finite: feasibility.json and stdout say why, naming kappa; gauss1d's
+    # refusal is null
     for name, raw, refusal in (
-            ("aniso2d-swapped", EXTRA["aniso2d-swapped"][0],
-             "integrability estimate is suspected-divergent; swapping the marginals "
-             "looks feasible (pass force=True to run anyway)"),
+            ("aniso2d-swapped", EXTRA["aniso2d-swapped"][0], KAPPA),
             ("gauss1d", VERDICTS["gauss1d"][0], None)):
         out = tmp_path / name
         assert main(["check", "--config", str(write_config(tmp_path, raw)),

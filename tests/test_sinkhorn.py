@@ -9,7 +9,7 @@ from fortetbridge import (MarginalPair, build_coupling, build_grid,
                           density_field, gaussian_density, gaussian_kernel,
                           run_fortet, run_sinkhorn, sinkhorn_trace_hilbert,
                           table_kernel, verify_uniqueness)
-from fortetbridge import sinkhorn
+from fortetbridge import hilbert, problem, sinkhorn
 from fortetbridge.hilbert import (EXACT_COLUMN_LIMIT, ZERO_ENTRY, hilbert_distance,
                                 projective_diameter)
 from fortetbridge.errors import (FeasibilityError, KernelSupportError,
@@ -228,8 +228,8 @@ def _random_factors(g1, g2):
     (2, 8, (1.0, 1.0), _random_factors)],
     ids=["band", "product", "anisotropic", "product-3d", "random-factors"])
 def test_diameters_from_the_operands_match_the_dense_matrix(dim, points, radii, kernel):
-    # the trace reads a band's diameters from its window view and a
-    # product's as the sum of its per-axis factors': on at most 64 columns
+    # the trace reads a band's diameters from its taps and a product's as
+    # the sum of its per-axis factors': on at most 64 columns
     # with no entry at or below ZERO_ENTRY, the dense matrix's diameters are
     # exact too, and both agree
     g1, g2 = (build_grid(dim=dim, radius=r, points_per_axis=points) for r in radii)
@@ -242,6 +242,42 @@ def test_diameters_from_the_operands_match_the_dense_matrix(dim, points, radii, 
                       (trace.diameter_rows, projective_diameter(dense.T))):
         assert got.exact and want.exact
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("points", [41, 61, 401])
+def test_full_band_diameter_is_the_dense_diameter_bit_for_bit(points, monkeypatch):
+    # the diameter of a full band's matrix, over every shift and window of
+    # its log taps, is projective_diameter's over every column pair, bitwise:
+    # on gauss1d's band on 41, 61 and 401 nodes, the last read whole
+    # past EXACT_COLUMN_LIMIT, and on random positive symmetric bands
+    monkeypatch.setattr(hilbert, "EXACT_COLUMN_LIMIT", points)
+    grid = build_grid(dim=1, radius=8.0, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, 0.5)
+    bands = [kernel.factors[0]]
+    rng = np.random.default_rng(points)
+    for _ in range(3):
+        half = np.exp(rng.uniform(-300.0, 300.0, points))
+        bands.append(np.concatenate((half[:0:-1], half)))
+    for band in bands:
+        assert band.size == 2 * points - 1
+        dense = np.array(problem._band_matrix(band, points))
+        got = sinkhorn._band_diameter(band, points)
+        assert got == projective_diameter(dense) == projective_diameter(dense.T)
+        assert got.exact and math.isfinite(got.value)
+    assert sinkhorn._band_diameter(bands[0], points).value == 1024.0
+
+
+def test_band_with_a_tap_at_or_below_zero_entry_has_infinite_diameter(bench_grid):
+    # a narrow band's matrix holds zeros, and so does a band padded to every
+    # offset; a full band with one tap at ZERO_ENTRY, NaN or inf reads inf too
+    for sigma in (0.1, 0.3):
+        (band,) = gaussian_kernel(bench_grid, bench_grid, sigma).factors
+        assert sinkhorn._band_diameter(band, 401) == (math.inf, True)
+    (band,) = gaussian_kernel(bench_grid, bench_grid, 0.5).factors
+    for tap in (ZERO_ENTRY, math.nan, math.inf):
+        bad = band.copy()
+        bad[[3, -4]] = tap
+        assert sinkhorn._band_diameter(bad, 401) == (math.inf, True)
 
 
 def test_benchmark_trace_decays_geometrically(bench_kernel, bench_marginals):
