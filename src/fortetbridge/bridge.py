@@ -150,25 +150,19 @@ def _log_sum(at, grid: QuadratureGrid, integral: np.ndarray, potential: np.ndarr
     (node_index), w the grid's weights.  Each operand is gathered into a
     buffer of its own (_gathered) and written in place: the terms in the
     log of potential's, the reference's log in its own, freed once
-    subtracted, and then w * integral, freed before the sum.  Over every
-    node that is grid.weighted(integral), one buffer; on a mask it is the
-    weights' gather times integral's, and a grid of more than one axis forms
-    its weights for the gather and frees them.  So a masked sum holds at
-    most three gathered arrays at once, and a sum over every node two node
-    arrays.  The operands and their order are those of w[at] * integral[at]
-    * (log potential[at] - log reference[at]), so each term, and the sum,
-    is bitwise the same."""
+    subtracted, and then w * integral, freed before the sum: over every
+    node that is grid.weighted(integral), one buffer, and on a mask that
+    buffer's gather, the buffer freed once gathered.  So a masked sum holds
+    at most two gathered arrays and one node array at once, and a sum over
+    every node two node arrays.  Each term is w[at] * integral[at] * (log
+    potential[at] - log reference[at]), bitwise, and so is the sum."""
     terms = _gathered(potential, at)
     np.log(terms, out=terms)
     if reference is not None:
         log_reference = _gathered(reference, at)
         terms -= np.log(log_reference, out=log_reference)
         del log_reference
-    if isinstance(at, slice):
-        weighted = grid.weighted(integral)
-    else:
-        weighted = grid.weights[at]
-        weighted *= integral[at]
+    weighted = grid.weighted(integral)[at]
     terms *= weighted
     del weighted  # np.sum's own buffers come on top of what is held
     return float(np.sum(terms))
@@ -213,7 +207,7 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
         raise FortetBridgeError("interpolation needs a Gaussian kernel")
     scales, white = kernel.gaussian
     grid, grid2 = kernel.grid1, kernel.grid2
-    if grid.dim != grid2.dim or not all(map(np.array_equal, grid.axes, grid2.axes)):
+    if grid.lattices != grid2.lattices:
         raise FortetBridgeError("interpolation needs matching x and y grids")
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -261,9 +255,9 @@ def _narrowest_scale(scales: Sequence[float], white: Optional[np.ndarray]) -> fl
 
 def _drift_hint(grid: QuadratureGrid, width: float) -> str:
     """What an interpolant's mass drift points to: the grid spacing (the
-    largest gap between neighbouring node coordinates on any axis) against
-    the width of the slice's narrower heat kernel."""
-    spacing = max(float(np.diff(a).max(initial=0.0)) for a in grid.axes)
+    largest lattice step of any axis) against the width of the slice's
+    narrower heat kernel."""
+    spacing = max(grid.steps)
     if width < spacing:
         return (f"the slice's heat kernel width {width:.3g} is below the grid "
                 f"spacing {spacing:.3g}, which under-resolves it: add grid points")

@@ -125,10 +125,9 @@ def _coordinates(grid, slices: int = 1):
     headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
     if grid.dim == 1 and slices == 1:
         return headers, list(grid.axes)
-    sizes = [len(ax) for ax in grid.axes]
     return headers, [_mesh_cells([repr(v) for v in ax.tolist()],
-                                 math.prod(sizes[k + 1:]),
-                                 slices * math.prod(sizes[:k]))
+                                 math.prod(grid.shape[k + 1:]),
+                                 slices * math.prod(grid.shape[:k]))
                      for k, ax in enumerate(grid.axes)]
 
 

@@ -20,14 +20,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FeasibilityError, GridError, KernelSupportError
-from .quadrature import Frozen, QuadratureGrid, _bottom, _top, read_only
+from .quadrature import TINY, Frozen, QuadratureGrid, _bottom, _top, read_only
 
 MASS_TOL = 1e-8
 #: tail-slope above this (per unit |y|^2) flags the integrability estimate
 #: as suspected-divergent; slopes within +/- the tolerance count as flat.
 TAIL_SLOPE_TOL = 1e-8
-#: float64's smallest normal number; a heat factor stores entries below it as 0
-TINY = float(np.finfo(float).tiny)
 #: every finite float64 is below 2**MAX_EXP
 MAX_EXP = int(np.finfo(float).maxexp)
 #: entries of a heat factor whose flush to 0 one mask covers
@@ -168,7 +166,7 @@ def gaussian_density(grid: QuadratureGrid, sigma) -> DensityField:
         # x P x over the 'ij' mesh from the broadcast axes, no node mesh:
         # the terms (x_i P_ij) x_j summed in einsum("ni,ij,nj->n")'s order
         x = np.ix_(*grid.axes)
-        vals = np.zeros([len(ax) for ax in grid.axes])
+        vals = np.zeros(grid.shape)
         for i in range(grid.dim):
             for j in range(grid.dim):
                 vals += (x[i] * prec[i, j]) * x[j]
@@ -200,13 +198,17 @@ class KernelOperator(Frozen):
     factors are what the hypothesis checks read; apply and
     apply_T contract _operands (below).  A dense kernel has one factor, the
     n1 x n2 matrix.  The heat kernel on two tensor grids has one
-    nonnegative 1-D factor per grid axis, in the axes' order, and the kernel
+    nonnegative factor per grid axis, in the axes' order, its shape the two
+    grids' node counts on that axis (QuadratureGrid.shape), and the kernel
     is their Kronecker product: a product then costs one small matrix
     product per axis instead of a pass over the n1 x n2 matrix.  A banded
     kernel has one 1-D factor, a symmetric band of 2b + 1 entries (b <= n -
-    1) on two grids of n nodes: the matrix is symmetric Toeplitz, entry (i,
+    1) on two grids of n nodes, as the heat kernel has on one 1-D lattice,
+    its taps at the offsets k h: the matrix is symmetric Toeplitz, entry (i,
     j) the band's entry at offset i - j and 0 beyond b, and a product is one
-    np.correlate (_band_product).  A band is narrow or full: one of at most
+    np.correlate (_band_product).  Either direction weights its argument
+    through its grid's weighted, which on one axis reads the lattice's step
+    and forms no weight vector.  A band is narrow or full: one of at most
     n taps is kept as given, and a wider one is stored padded with zeros to
     all 2n - 1 offsets (_padded), so that it spans every offset, reads a
     product's argument last node first, and _reversed says so.  numpy's
@@ -238,8 +240,7 @@ class KernelOperator(Frozen):
             if factors[0].shape != (n, grid2.n_nodes):
                 raise GridError("kernel matrix shape must be (n1, n2)")
         else:
-            if not factors or [a.shape for a in factors] != [
-                    (len(a1), len(a2)) for a1, a2 in zip(grid1.axes, grid2.axes)]:
+            if [a.shape for a in factors] != list(zip(grid1.shape, grid2.shape)):
                 raise GridError("kernel factors must be (n1, n2) per grid axis")
             # the checks read a product's row maxima as the product of the
             # factors' row maxima, which needs nonnegative factors
@@ -274,14 +275,12 @@ class KernelOperator(Frozen):
         1 by, or None if sigma_bound is not finite.
 
         With B = max(n1, n2) * max(1, sigma_bound) * max(1, largest weight of
-        either grid, the product of its axes' largest, bitwise as rounding
-        is monotone), every product and partial sum of either direction,
-        between factors too, is at most B * max|f|, for factors whose entries
-        are at most sigma_bound^(1/d), as the heat kernel's are.  The headroom
-        keeps that and the scaled weights below 2^(MAX_EXP - 1), where
-        rounding cannot reach overflow."""
-        top = max(math.prod(float(w.max()) for w in g.axis_weights)
-                  for g in (self.grid1, self.grid2))
+        either grid, read from its lattices), every product and partial sum
+        of either direction, between factors too, is at most B * max|f|, for
+        factors whose entries are at most sigma_bound^(1/d), as the heat
+        kernel's are.  The headroom keeps that and the scaled weights below
+        2^(MAX_EXP - 1), where rounding cannot reach overflow."""
+        top = max(self.grid1.largest_weight, self.grid2.largest_weight)
         bound = (max(self.grid1.n_nodes, self.grid2.n_nodes) * max(1.0, self.sigma_bound)
                  * max(1.0, top))
         return MAX_EXP - 1 - math.frexp(bound)[1] if bound < math.inf else None
@@ -298,7 +297,7 @@ class KernelOperator(Frozen):
         scales, white = self.gaussian
         log_peak = -0.5 * sum(math.log(2.0 * math.pi * s * s) for s in scales)
         if self.banded:
-            e = _exponent(_lattice(self.grid1.axes[0]), scales[0])
+            e = _exponent(np.arange(self.grid1.n_nodes) * self.grid1.steps[0], scales[0])
             e += log_peak
             return np.array(_band_matrix(np.concatenate((e[:0:-1], e)), e.size))
         # in one buffer, and one more per further coordinate
@@ -434,12 +433,6 @@ def swapped_marginals(marginals: MarginalPair) -> MarginalPair:
     return MarginalPair(marginals.omega2, marginals.omega1)
 
 
-def _lattice(axis: np.ndarray) -> np.ndarray:
-    """The offsets k h, 0 <= k < n, of a uniform axis of n nodes, h the step
-    np.linspace takes."""
-    return np.arange(axis.size) * ((axis[-1] - axis[0]) / (axis.size - 1))
-
-
 def _exponent(d: np.ndarray, s: float) -> np.ndarray:
     """The heat exponent -d^2 / (2 s^2) at scale s, in place of the
     differences d, rounded as the formula rounds.  An exponent beyond
@@ -491,11 +484,11 @@ def _heat_factor(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     return _entries(_exponent(e, s), s)
 
 
-def _heat_band(axis: np.ndarray, s: float) -> np.ndarray:
-    """The band of the 1-D heat kernel N(y - x; s^2) on a uniform axis: its
-    entries (_entries) at the offsets k h (_lattice), |k| <= b, b the last
-    offset whose entry is not stored as 0 (at most n - 1)."""
-    e = _entries(_exponent(_lattice(axis), s), s)
+def _heat_band(grid: QuadratureGrid, s: float) -> np.ndarray:
+    """The band of the 1-D heat kernel N(y - x; s^2) on a 1-D grid of n
+    nodes at step h: its entries (_entries) at the offsets k h, |k| <= b,
+    b the last offset whose entry is not stored as 0 (at most n - 1)."""
+    e = _entries(_exponent(np.arange(grid.n_nodes) * grid.steps[0], s), s)
     # the entries fall with |k|, so the nonzero ones come first
     half = e[:max(1, np.count_nonzero(e))]
     return np.concatenate((half[:0:-1], half))
@@ -505,11 +498,6 @@ def _whitened(grid: QuadratureGrid, white: Optional[np.ndarray]) -> np.ndarray:
     """The (n, d) node coordinates of grid, times white unless it is None."""
     x = grid.nodes.reshape(grid.n_nodes, grid.dim)
     return x if white is None else x @ white
-
-
-def _uniform(axis: np.ndarray) -> bool:
-    """Whether axis is the uniform lattice np.linspace builds on its span."""
-    return np.array_equal(axis, np.linspace(axis[0], axis[-1], axis.size))
 
 
 def gaussian_kernel(grid1: QuadratureGrid, grid2: QuadratureGrid, sigma) -> KernelOperator:
@@ -547,15 +535,13 @@ def gaussian_from_scales(grid1: QuadratureGrid, grid2: QuadratureGrid,
 
     With white None it is a product of 1-D kernels at the scales: the band
     (_heat_band: O(n) memory, one convolution per product, entries at the
-    lattice offsets k h) on one uniform 1-D axis that both grids share (as
-    every 1-D build_grid grid does), and otherwise (dim >= 2, or an axis
-    built by hand that is no lattice) one factor per axis (_heat_factor),
-    built once for each distinct (grid1 axis, grid2 axis, scale) and held,
-    read-only, at every axis that repeats it; axes compare by identity, and
-    build_grid passes one axis array for every dimension, so an isotropic
-    kernel holds one factor.  Otherwise it is one dense factor, the product
-    of the per-coordinate factors on the whitened nodes, with entries below
-    TINY stored as 0.
+    lattice offsets k h) where both grids are one 1-D lattice, as a 1-D
+    config's are, and otherwise one factor per axis (_heat_factor), built
+    once for each distinct (grid1 lattice, grid2 lattice, scale) and held,
+    read-only, at every axis that repeats it: build_grid repeats one
+    lattice on every axis, so an isotropic kernel holds one factor.
+    Otherwise it is one dense factor, the product of the per-coordinate
+    factors on the whitened nodes, with entries below TINY stored as 0.
 
     Raises FeasibilityError unless each s^2 and the product of 2 pi s^2
     (1 / peak^2) are normal floats (_in_range).
@@ -563,15 +549,13 @@ def gaussian_from_scales(grid1: QuadratureGrid, grid2: QuadratureGrid,
     norm = math.prod(2.0 * math.pi * s * s for s in scales)
     if not _in_range((s * s for s in scales), norm):
         raise FeasibilityError(f"kernel scales {list(scales)} are {OUT_OF_RANGE}")
-    if (grid1.dim == 1 and _uniform(grid1.axes[0])
-            and np.array_equal(grid1.axes[0], grid2.axes[0])):
-        factors = (_heat_band(grid1.axes[0], scales[0]),)
+    if grid1.dim == 1 and grid1.lattices == grid2.lattices:
+        factors = (_heat_band(grid1, scales[0]),)
     elif white is None:
         built, factors = {}, []
-        for a, b, s in zip(grid1.axes, grid2.axes, scales):
-            key = (id(a), id(b), s)
+        for key in zip(grid1.lattices, grid2.lattices, scales):
             if key not in built:
-                built[key] = _heat_factor(a, b, s)
+                built[key] = _heat_factor(np.linspace(*key[0]), np.linspace(*key[1]), key[2])
             factors.append(built[key])
     else:
         x, y = (_whitened(g, white) for g in (grid1, grid2))

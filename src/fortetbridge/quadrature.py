@@ -1,11 +1,11 @@
 """Quadrature grids on truncated boxes [-R, R]^d.
 
-A grid is its axes and one weight vector per axis: its nodes and its (n,)
-weights are their tensor products, formed when read.  Every integral in
-the solver is a weighted sum over one of these grids in their fixed node
-order (QuadratureGrid.weighted forms the summands; DensityField.mass is
-the plain sum, numpy's pairwise summation), which is what makes whole runs
-reproducible byte-for-byte.
+A grid is one trapezoid lattice per axis, (lo, hi, n): its axes, its
+nodes and its (n,) weights are formed from those numbers when read.  Every
+integral in the solver is a weighted sum over one of these grids in their
+fixed node order (QuadratureGrid.weighted forms the summands;
+DensityField.mass is the plain sum, numpy's pairwise summation), which is
+what makes whole runs reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .errors import GridError
 
 #: Refuse to build grids above this many nodes (dense kernels get huge first).
 MAX_GRID_NODES = 4_000_000
+#: float64's smallest normal number
+TINY = float(np.finfo(float).tiny)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -66,48 +68,71 @@ class Frozen:
 
 
 class QuadratureGrid(Frozen):
-    """Tensor quadrature grid: one node array and one weight vector per axis.
+    """Tensor trapezoid grid: one uniform lattice per axis, and nothing else.
 
-    axes holds one finite, strictly increasing node array per dimension, and
-    axis_weights one finite, strictly positive weight vector per axis, of
-    its axis's length.  The grid's nodes are the axes' 'ij' mesh (last axis
-    fastest), the order the per-axis kernel factors are applied in, and its
-    weights the products of the axis weights over that mesh.  Neither is
-    stored: nodes is derived at each read, (n,) for dim == 1 (the axis
-    itself) and (n, dim) otherwise, and so is weights, (n,), the axis's own
-    vector for dim == 1.  Integrals apply the weights through weighted,
+    lattices holds one (lo, hi, n) per axis, the n >= 2 nodes np.linspace
+    (lo, hi, n) builds, at the step h = (hi - lo) / (n - 1), with trapezoid
+    weights h, and h / 2 at the two ends.  dim, shape, n_nodes, steps and
+    largest_weight are read from these numbers, and so is grid equality:
+    two grids are one grid where their lattices are equal.  axes, nodes
+    and weights are read-only arrays formed at each read: nodes is the
+    axes' 'ij' mesh (last axis fastest), the order the per-axis kernel
+    factors are applied in, (n,) for dim == 1 (the axis itself) and (n,
+    dim) otherwise, and weights, (n,), the products of the axes' weight
+    vectors over that mesh.  Integrals apply the weights through weighted,
     which forms f * weights in one new buffer, with no (n,) weights beside
-    it.
+    it.  The one check is the lattice's: each step, and the least and the
+    largest weight product, must be normal floats, so that no weight, nor
+    any weight times the powers of two apply scales by, is subnormal or
+    overflows.
     """
 
-    def __init__(self, axes: Tuple[np.ndarray, ...], weights):
-        """weights is a tuple of one weight vector per axis; a 1-D grid's
-        may be given as its one vector."""
-        axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        if not isinstance(weights, tuple):
-            weights = (weights,)
-        weights = tuple(np.asarray(w, dtype=float) for w in weights)
-        if not axes:
-            raise GridError("a grid needs at least one axis")
-        for ax in axes:
-            # a NaN node fails every comparison, but an inf end passes np.diff
-            if ax.ndim != 1 or not (np.all(np.diff(ax) > 0) and np.all(np.isfinite(ax))):
-                raise GridError("axis nodes must be 1-D, finite and strictly increasing")
-        if math.prod(ax.size for ax in axes) < 2:
-            raise GridError("grid needs at least 2 nodes")
-        if [w.shape for w in weights] != [ax.shape for ax in axes]:
-            raise GridError("weights length must match each axis, one vector per axis")
+    def __init__(self, lattices: Tuple[Tuple[float, float, int], ...]):
+        # list comprehensions, not generators: a generator's frame is
+        # allocated on the heap, ~200 bytes beside a grid of ~600
+        lattices = tuple([(float(lo), float(hi), int(n)) for lo, hi, n in lattices])
+        if not lattices or min([n for _, _, n in lattices]) < 2:
+            raise GridError("a grid needs at least one axis, of at least 2 nodes")
+        self._store(lattices=lattices)
+        steps = self.steps
         # rounding is monotone, so the products' extremes are the products
-        # of the axes' extremes, in the same order
-        if not (all(np.all((w > 0) & (w < math.inf)) for w in weights)
-                and math.prod(float(w.min()) for w in weights) > 0
-                and math.prod(float(w.max()) for w in weights) < math.inf):
-            raise GridError("quadrature weights must be finite and strictly positive")
-        self._store(axes=axes, axis_weights=weights)
+        # of the axes' extremes, in the same order; a NaN step fails the
+        # product's test, and an infinite one the largest weight's
+        if not (min(steps) >= TINY and math.prod([h / 2.0 for h in steps]) >= TINY
+                and self.largest_weight < math.inf):
+            raise GridError(f"grid steps {list(steps)} give weights outside float range: "
+                            "each step and the least and largest weight products must "
+                            "be normal floats")
 
     @property
     def dim(self) -> int:
-        return len(self.axes)
+        return len(self.lattices)
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        """The node count of each axis."""
+        return tuple([n for _, _, n in self.lattices])
+
+    @property
+    def n_nodes(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def steps(self) -> Tuple[float, ...]:
+        """The step h of each axis's lattice."""
+        return tuple([(hi - lo) / (n - 1) for lo, hi, n in self.lattices])
+
+    @property
+    def largest_weight(self) -> float:
+        """The largest node weight: the product of each axis's largest, h
+        (h / 2 on an axis of 2 nodes), bitwise max(weights)."""
+        return math.prod([h if n > 2 else h / 2.0 for h, n in zip(self.steps, self.shape)])
+
+    @property
+    def axes(self) -> Tuple[np.ndarray, ...]:
+        """Each axis's nodes, np.linspace(lo, hi, n), read-only, formed at
+        each read."""
+        return tuple(read_only(np.linspace(*lattice)) for lattice in self.lattices)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -117,36 +142,45 @@ class QuadratureGrid(Frozen):
 
     @property
     def weights(self) -> np.ndarray:
-        """The (n,) node weights, read-only: the axis weights' products over
-        the mesh (_product), formed at each read."""
-        return read_only(_product(self.axis_weights))
-
-    @property
-    def n_nodes(self) -> int:
-        return math.prod(map(len, self.axes))
+        """The (n,) node weights, read-only: the products of the axes'
+        weight vectors over the mesh (_product), formed at each read."""
+        return read_only(_product([_trapezoid(*lattice) for lattice in self.lattices]))
 
     def weighted(self, f: np.ndarray, k: int = 0, reverse: bool = False) -> np.ndarray:
-        """f * (weights * 2^k) in one new buffer, bitwise that expression:
-        the weights are formed (_product) and scaled in the buffer, which f
-        then multiplies in place.  With reverse, both are read last node
-        first, into a contiguous buffer: reversing every axis reverses the
-        mesh."""
-        ws = self.axis_weights
+        """f * (weights * 2^k) in one new buffer, bitwise that expression.
+        On one axis it is one pass, f * (h 2^k), after which the two end
+        nodes are written as f * ((h / 2) 2^k); on more, the axes' weight
+        vectors are formed, their products (_product) scaled in the buffer,
+        and f then multiplies it in place.  With reverse, f is read last
+        node first, into a contiguous buffer: the weights read the same
+        either way, and reversing every axis reverses the mesh."""
         if reverse:
-            # a list: tuple() of an iterator allocates its tuple anew, and
-            # each one freed stays on the interpreter's free list, 48
-            # bytes a call
-            ws, f = [w[::-1] for w in ws], f[::-1]
-        if len(ws) > 1:
-            out = _product(ws)
+            f = f[::-1]
+        scale = 2.0 ** k
+        if len(self.lattices) > 1:
+            out = _product([_trapezoid(*lattice) for lattice in self.lattices])
             if k:
-                out *= 2.0 ** k
-        elif k:
-            out = np.multiply(ws[0], 2.0 ** k)
-        else:
-            return np.multiply(ws[0], f)
-        out *= f
+                out *= scale
+            out *= f
+            return out
+        lo, hi, n = self.lattices[0]
+        h = (hi - lo) / (n - 1)
+        out = np.multiply(f, h * scale)
+        # Python floats round as float64 does, and item() skips numpy's scalars
+        end = h / 2.0 * scale
+        out[0] = f.item(0) * end
+        out[-1] = f.item(-1) * end
         return out
+
+
+def _trapezoid(lo: float, hi: float, n: int) -> np.ndarray:
+    """The trapezoid weights of the lattice (lo, hi, n): h, with h / 2 at
+    the two ends, in a new array."""
+    h = (hi - lo) / (n - 1)
+    w = np.empty(n)
+    w.fill(h)  # np.full's own dtype inference costs more than the fill
+    w[0] = w[-1] = h / 2.0
+    return w
 
 
 def _product(ws) -> np.ndarray:
@@ -172,11 +206,16 @@ def _mesh(axes) -> np.ndarray:
 
 def build_grid(dim: int = 1, radius: float = 1.0,
                points_per_axis: int = 2) -> QuadratureGrid:
-    """Build the trapezoid tensor grid on [-radius, radius]^dim: every axis
-    the uniform lattice np.linspace builds, with half weights at its two
-    ends.  The integrands are analytic and decay, so the rule converges
-    exponentially in 1 / h and the radius sets the error (Trefethen &
-    Weideman, SIAM Review 2014)."""
+    """Build the trapezoid tensor grid on [-radius, radius]^dim: the one
+    lattice (-radius, radius, points) on every axis, the uniform nodes
+    np.linspace builds, with half weights at its two ends.  The integrands
+    are analytic and decay, so the rule converges exponentially in 1 / h
+    and the radius sets the error (Trefethen & Weideman, SIAM Review 2014).
+
+    Raises GridError for a radius that is not finite and positive or whose
+    span 2R overflows, fewer than 2 points, a dim below 1 and a grid above
+    MAX_GRID_NODES, and, from the grid's own check, for a step or weight
+    product that is no normal float."""
     radius, points = float(radius), int(points_per_axis)
     if not 0 < 2.0 * radius < math.inf:
         raise GridError(f"radius must be positive with a finite span 2R, not {radius!r}")
@@ -189,8 +228,4 @@ def build_grid(dim: int = 1, radius: float = 1.0,
     if dim > MAX_GRID_NODES.bit_length() or points ** dim > MAX_GRID_NODES:
         raise GridError(f"grid of points^dim = {points}^{dim} nodes exceeds the cap "
                         f"of {MAX_GRID_NODES}")
-    x = np.linspace(-radius, radius, points)
-    h = 2.0 * radius / (points - 1)
-    w = np.full(points, h)
-    w[0] = w[-1] = h / 2.0
-    return QuadratureGrid((x,) * dim, (w,) * dim)
+    return QuadratureGrid(((-radius, radius, points),) * dim)

@@ -123,9 +123,13 @@ def _swaptable_tables():
 #: not only its interpolation slices.  swaptable1d is a positive 41-node
 #: table kernel that is not symmetric, with swap true: its products read
 #: the table's transpose by view; interpolate refuses it with exit 1 (a
-#: table kernel has no Gaussian scales).  An entry is (raw config, ops) or
-#: (raw config, ops, tables): the tables, {file name: values}, are written
-#: as CSV beside the config (write_extra).  Every grid is the trapezoid
+#: table kernel has no Gaussian scales).  pair1d and triple1d are
+#: gauss1d's instance on a radius of 2 with 2 and 3 nodes: every node or
+#: all but one is an end node, whose weight is half the step, so each
+#: weighted sum reads the end-weight path; interpolate exits 1 as its
+#: slice's mass drifts, naming the grid spacing.  An entry is (raw
+#: config, ops) or (raw config, ops, tables): the tables, {file name:
+#: values}, are written as CSV beside the config (write_extra).  Every grid is the trapezoid
 #: lattice: a config naming another grid.rule exits 1, which
 #: test_malformed_config_value_is_a_config_error checks.
 EXTRA = {
@@ -231,6 +235,16 @@ EXTRA = {
                      "grid": {"dim": 1, "radius": 8.0, "points": 41},
                      "swap": True},
                     OPS, _swaptable_tables()),
+    "pair1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                "marginals": [{"type": "gaussian", "sigma": 1.0},
+                              {"type": "gaussian", "sigma": 0.8}],
+                "grid": {"dim": 1, "radius": 2.0, "points": 2}},
+               OPS),
+    "triple1d": ({"kernel": {"type": "gaussian", "sigma": 0.5},
+                  "marginals": [{"type": "gaussian", "sigma": 1.0},
+                                {"type": "gaussian", "sigma": 0.8}],
+                  "grid": {"dim": 1, "radius": 2.0, "points": 3}},
+                 OPS),
 }
 
 

@@ -22,12 +22,14 @@ and the median of FRESH of them is read: what one tree's first op
 allocates for good would otherwise not be allocated again by the other's,
 and the tree that ran first would read higher.  A fresh process's first
 op varies by ~0.1 kB from run to run.  The steady op runs in this process,
-after the untimed one.  Two more lines per workload name, for each tree,
-the phase that sets the steady op's peak and the phase next below it, and
-the traced memory at the closing's entry, in kB and in node arrays, and
-the peak of each of the closing's three sub-phases (map, step row, mixer)
-in node arrays above that entry, from a steady op traced with its phase
-boundaries read by a profile hook (phase_peaks).
+after the untimed one.  Two more lines per workload name give, for each
+tree, the phase that sets the first op's peak and the phase next below it,
+from one more fresh interpreter whose first op is traced by phase
+(first_phases); the same two for the steady op; the traced memory at the
+closing's entry, in kB and in node arrays; and the peak of each of the
+closing's three sub-phases (map, step row, mixer) in node arrays above
+that entry, from a steady op traced with its phase boundaries read by a
+profile hook (phase_peaks).
 
 Its numbers are diagnostics, on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -49,6 +51,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +123,36 @@ def first_ops(src: Path, name: str, seed: int, work: Path, ops: int = 1):
     return [int(line) for line in run.stdout.split()]
 
 
+#: FIRST_OPS' set-up, then one first op traced by phase (phase_peaks),
+#: which prints the phase that sets its peak and the one next below it
+FIRST_PHASES = FIRST_OPS[:FIRST_OPS.index("for _ in")] + """\
+import types
+sys.path.insert(0, {tests!r})
+import solve_ab
+tree = types.SimpleNamespace(fortet=fortet, bridge=bridge, cli=cli)
+with solve_ab.phase_peaks(tree) as peaks:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["solve", "--config", str(path), "--output", str(work / "solve")])
+assert code == 0, code
+peaks.pop("closing")
+print(solve_ab.top_phases(peaks))
+"""
+
+
+def first_phases(src: Path, name: str, seed: int, work: Path) -> str:
+    """The phase that sets the first solve op's peak and the phase next
+    below it, with their peaks (top_phases), in a fresh interpreter set up
+    as first_ops sets one up, with the op's phase boundaries read by
+    phase_peaks' hook."""
+    code = FIRST_PHASES.format(bench=str(ROOT / "bench"), tests=str(ROOT / "tests"),
+                               work=str(work), name=name, seed=seed)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(src).resolve())] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout.strip()
+
+
 #: the closing's sub-phases, in the order a step runs them
 CLOSING = ("closing: map", "closing: step row", "closing: mixer")
 
@@ -136,8 +169,14 @@ def phase_peaks(tree):
     CPython build, one for each frame it is handed, ~2-3 kB on the
     closing's stack.  Between two events those frames do not change; a
     frame built for a call is counted from that call's event, so the
-    segment before it may read up to one frame low.  What is left of the
-    hook's own cost reads ~0.5 kB.
+    segment before it may read up to one frame low.  The hook also makes
+    CPython build each code object's line array, once, as many bytes as
+    its bytecode (CPython 3.11, for files under 32768 lines): ~50 kB over
+    a process's first hooked op, which would read each phase higher than
+    the one before.  Those arrays are counted as held from their code's
+    first event, for every code reachable from a function or the stack
+    when tracing starts (_line_arrays).  What is left of the hook's own
+    cost reads ~0.5 kB.
 
     The phases are the scheme (fortet_step), the closing's three
     sub-phases, run_fortet's tail (from the closing's return to its own:
@@ -172,6 +211,7 @@ def phase_peaks(tree):
              code(fortet._AndersonMixer.next_input): CLOSING[0]}
     peaks = dict.fromkeys(["other", "scheme", *CLOSING, "tail", "KL", "trace writer",
                            "summary writer", "potentials writer", "closing"], 0)
+    lines = _line_arrays()
     phase = "other"
     # the sizes of the hook's frames on the stack, made before tracing
     # starts; a return whose call came before the hook pops none
@@ -185,6 +225,8 @@ def phase_peaks(tree):
 
     def hook(frame, event, arg):
         nonlocal phase, depth, held
+        # a pop neither allocates nor shrinks the dict
+        held += lines.pop(frame.f_code, 0)
         if event == "call":
             sizes[depth] = sys.getsizeof(frame)
             held += sizes[depth]
@@ -212,6 +254,38 @@ def phase_peaks(tree):
         tracemalloc.stop()
 
 
+#: the code objects _line_arrays has sized, and of those the ones whose
+#: line array no hook has built yet, with its size: one line array per
+#: code for the process's life
+_SIZED, _UNBUILT = set(), {}
+
+
+def _line_arrays() -> dict:
+    """_UNBUILT, after adding every code object not sized before, of a
+    live function, nested ones too, or of a frame on the stack: the bytes
+    of the line array a profile hook makes CPython build for it, as many
+    as its bytecode's."""
+    stack = [f.__code__ for f in gc.get_objects() if isinstance(f, types.FunctionType)]
+    frame = sys._getframe()
+    while frame is not None:
+        stack.append(frame.f_code)
+        frame = frame.f_back
+    while stack:
+        c = stack.pop()
+        if c not in _SIZED:
+            _SIZED.add(c)
+            _UNBUILT[c] = len(c.co_code)
+            stack.extend(k for k in c.co_consts if isinstance(k, types.CodeType))
+    return _UNBUILT
+
+
+def top_phases(peaks: dict) -> str:
+    """The phase of the highest peak and the phase next below it, with
+    their peaks in kB."""
+    top = sorted(peaks.items(), key=lambda item: -item[1])[:2]
+    return "; next ".join(f"{phase} {peak / 1e3:.1f} kB" for phase, peak in top)
+
+
 def peak_phases(tree, config: Path, out: Path, nodes: int) -> str:
     """The phase that sets the peak of one steady solve op and the phase
     next below it, with their peaks; the traced memory at the closing's
@@ -227,10 +301,9 @@ def peak_phases(tree, config: Path, out: Path, nodes: int) -> str:
             run(tree, config, out)
     entry = peaks.pop("closing")
     base = entry - 8 * nodes
-    top = sorted(peaks.items(), key=lambda item: -item[1])[:2]
     arrays = ", ".join(f"{phase[9:]} {(peaks[phase] - base) / (8 * nodes):.2f}"
                        for phase in CLOSING)
-    return ("; next ".join(f"{phase} {peak / 1e3:.1f} kB" for phase, peak in top)
+    return (top_phases(peaks)
             + f"; closing entry {entry / 1e3:.1f} kB, {entry / (8 * nodes):.2f} node arrays"
             + f" (closing node arrays: {arrays})")
 
@@ -275,6 +348,8 @@ def main(argv=None) -> int:
                 for _ in range(FRESH)) for side, src in srcs.items()}
             peaks = {side: traced(tree, config, outs[side])[0]
                      for side, tree in trees.items()}
+            first_set = {side: first_phases(src, name, args.seed, Path(work) / side / name)
+                         for side, src in srcs.items()}
             phases = {side: peak_phases(tree, config, outs[side], nodes)
                       for side, tree in trees.items()}
             times = {side: [] for side in trees}
@@ -290,8 +365,9 @@ def main(argv=None) -> int:
                   f"first-op peak old {firsts['old'] / 1e3:.1f} kB, "
                   f"new {firsts['new'] / 1e3:.1f} kB; "
                   f"exit, stdout and artifacts {match}")
-            print(f"  steady peak set by: old {phases['old']}")
-            print(f"                      new {phases['new']}")
+            for side in trees:
+                print(f"  {side}: first-op peak set by {first_set[side]}; "
+                      f"steady peak set by {phases[side]}")
     return 0
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fortetbridge import (MarginalPair, QuadratureGrid, build_coupling,
-                          build_grid, density_field, entropic_interpolation,
+from fortetbridge import (MarginalPair, build_coupling, build_grid,
+                          density_field, entropic_interpolation,
                           gaussian_density, gaussian_kernel, gaussian_oracle,
                           kl_objective, prior_coupling, pushforward,
                           run_fortet, run_sinkhorn, table_kernel)
@@ -40,8 +40,9 @@ KL_HAND = 6.366530860923694
 
 
 def _unit_grid(n):
-    """Nodes 0, ..., n-1 with unit weights: a quadrature sum is a plain sum."""
-    return QuadratureGrid((np.arange(float(n)),), np.ones(n))
+    """The lattice of step 2 on n nodes: weight 1 at its two ends and 2
+    between, so that a 2-node grid's quadrature sum is a plain sum."""
+    return build_grid(dim=1, radius=n - 1.0, points_per_axis=n)
 
 
 def _hand_coupling(g, phi, psi, omega1):
@@ -215,9 +216,9 @@ class TestCoupling:
         # the masked copies and temporaries peaked at 4.4 node arrays; read
         # in place, a sum holds its terms and one more array.  On swap
         # (phi = 0 at 132 nodes, 269 masked entries) a sum holds at most
-        # three gathered arrays and its mask: four gathered arrays at once,
-        # with the row mask held through the column sum, peaked at 3.83
-        # node arrays
+        # two gathered arrays, one node array and its mask (3.04 node
+        # arrays): four gathered arrays at once, with the row mask held
+        # through the column sum, peaked at 3.83 node arrays
         for solution, bound in ((bench_solution, 2.5), (swap_solution, 3.2)):
             c = solution.coupling
             kl_objective(c)
@@ -241,10 +242,11 @@ class TestCoupling:
         assert not obj.absolutely_continuous
 
     def test_kl_zero_mass_cells_contribute_nothing(self):
-        # zero kernel cells, and a node 2 where phi, psi and omega1 all
-        # vanish: each would be 0 log 0 (NaN if evaluated), and counts 0
-        coupling = _hand_coupling(np.eye(3), [1.0, 1.0, 0.0], [0.5, 0.5, 0.0],
-                                  [0.25, 0.25, 0.0])
+        # zero kernel cells, and a middle node where phi, psi and omega1 all
+        # vanish: each would be 0 log 0 (NaN if evaluated), and counts 0.
+        # The end nodes weigh 1, so each charged cell adds 0.5 log 2
+        coupling = _hand_coupling(np.eye(3), [1.0, 0.0, 1.0], [0.5, 0.0, 0.5],
+                                  [0.25, 0.0, 0.25])
         obj = kl_objective(coupling)
         assert obj.absolutely_continuous
         assert abs(obj.value - math.log(2.0)) < 1e-12
@@ -255,8 +257,11 @@ class TestCoupling:
             g = rng.uniform(0.0, 1.0, (4, 5))
             phi, psi = rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 5)
             omega1 = rng.uniform(0.1, 1.0, 4)
-            # scale omega1 so that the reference omega1 g has pi's mass
-            omega1 *= float(np.sum(phi[:, None] * g * psi)) / float(omega1 @ g.sum(axis=1))
+            # scale omega1 so that the reference omega1 g has pi's mass,
+            # both over the grids' weights
+            w1, w2 = _unit_grid(4).weights, _unit_grid(5).weights
+            omega1 *= (float(w1 @ (phi[:, None] * g * psi) @ w2)
+                       / float(w1 @ (omega1[:, None] * g) @ w2))
             coupling = _hand_coupling(g, phi, psi, omega1)
             assert kl_objective(coupling).value >= -1e-12
 

@@ -1583,6 +1583,24 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, path, value)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("dim, radius, points", [(1, 1e-320, 401), (2, 1e-155, 41)],
+                         ids=["subnormal-step", "subnormal-weights"])
+def test_grid_whose_weights_leave_the_normal_range_is_refused(tmp_path, capsys,
+                                                              dim, radius, points):
+    # h = 5e-323 on 401 nodes of radius 1e-320, and weight products of
+    # ~6e-314 on a 41 x 41 grid of radius 1e-155: each grid was taken, as its
+    # spacing is positive, and the density's renormalization then divided by
+    # a mass that overflowed; the grid now refuses them with one line
+    raw = dict(BENCH_RAW, grid={"dim": dim, "radius": radius, "points": points})
+    cfg = write_config(tmp_path, raw)
+    assert main(["check", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: grid construction failed: grid steps ")
+    assert err[0].endswith("must be normal floats")
+    assert not (tmp_path / "run").exists()
+
+
 #: malformed configs that are not one value at a key: (raw, or the file's
 #: text; the text of m1.csv beside it, if any; what the error says)
 MALFORMED = {

@@ -19,7 +19,6 @@ from fortetbridge import fortet
 from fortetbridge.errors import (FeasibilityError, FortetBridgeError,
                                  KernelSupportError, NonConvergenceError)
 from fortetbridge.fortet import FLOOR_FREEZE
-from fortetbridge.quadrature import QuadratureGrid
 from tests.conftest import (fortet_steps, random_instances, read_order, step_phases,
                             step_row, traced_peak)
 from tests.reference_closing import hilbert_step as _hilbert_reference
@@ -29,7 +28,8 @@ SCHEME_STEPS = 12  # scheme prefix length checked step-by-step
 
 
 def unit_grid_2():
-    return QuadratureGrid((np.array([0.0, 1.0]),), np.array([1.0, 1.0]))
+    """Two nodes of unit weight, the trapezoid lattice of step 2."""
+    return build_grid(dim=1, radius=1.0, points_per_axis=2)
 
 
 def hand_instance():

@@ -356,7 +356,9 @@ def test_closed_form_verdict_is_the_scans_on_the_gaussian_family():
     # its hypotheses and integrability estimates, with the rule each names
     # (kappa's, the scan's estimate) set aside, except on aniso2d swapped
     # (and on aniso2d-swapped as given), where the two part (see the next
-    # test)
+    # test), and on pair1d and triple1d swapped: kappa < 0 there, and a grid
+    # of 2 or 3 nodes holds too few tail samples for the scan's fit, which
+    # reads finite
     family, parted = [], []
     for label, raw in _family_configs():
         built = build_problem(resolve_config(raw))
@@ -375,12 +377,14 @@ def test_closed_form_verdict_is_the_scans_on_the_gaussian_family():
                 parted.append(label + tag)
     # narrow1d, spike1d and spike2d have an omega1 below TINY at the edge
     # nodes only as given, spike1d-swapped and spike2d-swapped only
-    # swapped, and multivariate2d's kernel is whitened
-    assert len(family) == 2 * 72 + 2 * 9 + 17
+    # swapped, and multivariate2d's kernel is whitened; pair1d and
+    # triple1d join in both orientations
+    assert len(family) == 2 * 72 + 2 * 9 + 21
     assert {"narrow1d", "spike1d", "spike2d", "spike1d-swapped swapped",
             "spike2d-swapped swapped", "multivariate2d",
             "multivariate2d swapped"}.isdisjoint(family)
-    assert parted == ["aniso2d swapped", "aniso2d-swapped"]
+    assert parted == ["aniso2d swapped", "aniso2d-swapped", "pair1d swapped",
+                      "triple1d swapped"]
 
 
 def test_aniso2d_swapped_is_refused_by_kappa_where_the_tail_fit_reads_finite():
@@ -528,17 +532,17 @@ def test_factored_gaussian_matches_dense(dim, points):
 
 
 def test_one_dimensional_gaussian_apply_is_the_dense_product():
-    # a hand-built axis that is no uniform lattice, its nodes clustered at
-    # its ends and weighted by their spacing: the 1-D heat kernel keeps its
-    # dense factor there
-    x = 8.0 * np.sin(np.linspace(-np.pi / 2, np.pi / 2, 401))
-    grid = QuadratureGrid((x,), np.gradient(x))
-    kernel = gaussian_kernel(grid, grid, 0.5)
+    # two 1-D grids of unequal lattices share no band: the 1-D heat kernel
+    # keeps its dense factor between them
+    g1 = build_grid(dim=1, radius=8.0, points_per_axis=401)
+    g2 = build_grid(dim=1, radius=6.0, points_per_axis=301)
+    kernel = gaussian_kernel(g1, g2, 0.5)
     assert len(kernel.factors) == 1 and not kernel.banded
     assert kernel.factors[0] is kernel.values
-    f = np.random.default_rng(3).uniform(0.1, 1.0, grid.n_nodes)
-    assert np.array_equal(kernel.apply(f), kernel.values @ (grid.weights * f))
-    assert np.array_equal(kernel.apply_T(f), kernel.values.T @ (grid.weights * f))
+    rng = np.random.default_rng(3)
+    f1, f2 = rng.uniform(0.1, 1.0, g1.n_nodes), rng.uniform(0.1, 1.0, g2.n_nodes)
+    assert np.array_equal(kernel.apply(f2), kernel.values @ (g2.weights * f2))
+    assert np.array_equal(kernel.apply_T(f1), kernel.values.T @ (g1.weights * f1))
 
 
 #: (sigma, b) on the bench grid: the band's last nonzero offset, of n - 1
@@ -680,6 +684,20 @@ def test_scaled_apply_stays_in_float_range():
                 assert np.array_equal(scaled, exact)
 
 
+@pytest.mark.parametrize("dim, radius, points", [
+    (1, 100.0, 2), (1, 100.0, 3), (1, 1000.0, 401), (1, 8.0, 401), (2, 100.0, 2)])
+def test_apply_headroom_reads_the_largest_weight_from_the_lattice(dim, radius, points):
+    # the headroom is its formula on max(weights), which the lattice reads
+    # from its numbers: h, and h / 2 on an axis of 2 nodes, both ends
+    grid = build_grid(dim=dim, radius=radius, points_per_axis=points)
+    kernel = gaussian_kernel(grid, grid, 30.0)
+    top = float(grid.weights.max())
+    h = grid.steps[0]
+    assert grid.largest_weight == top == (h / 2.0 if points == 2 else h) ** dim
+    bound = grid.n_nodes * max(1.0, kernel.sigma_bound) * max(1.0, top)
+    assert kernel.apply_headroom == problem.MAX_EXP - 1 - math.frexp(bound)[1]
+
+
 @pytest.mark.parametrize("sigma", [0.5, 0.1], ids=["gauss1d", "swap"])
 def test_apply_T_is_apply_on_a_symmetric_band(bench_grid, sigma):
     # over one grid a band's kernel is its own transpose, and apply_T takes
@@ -758,24 +776,27 @@ def test_non_diagonal_covariance_is_the_closed_form(scale):
 
 
 def test_diagonal_covariance_keeps_one_factor_per_axis():
-    axes = (np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))
-    grid = _tensor_grid(*axes)
+    lattices = ((-3.0, 3.0, 13), (-2.0, 2.0, 9))
+    grid = _tensor_grid(*lattices)
     kernel = gaussian_kernel(grid, grid, np.diag([0.3, 0.05]))
     assert all(map(np.array_equal, gaussian_from_scales(grid, grid, *kernel.gaussian).factors,
                    kernel.factors))
     assert kernel.gaussian == ((math.sqrt(0.3), math.sqrt(0.05)), None)
-    for factor, axis, var in zip(kernel.factors, axes, (0.3, 0.05)):
+    for factor, lattice, var in zip(kernel.factors, lattices, (0.3, 0.05)):
+        axis = np.linspace(*lattice)
         assert np.array_equal(factor, problem._heat_factor(axis, axis, math.sqrt(var)))
     assert np.all(kernel.values < kernel.sigma_bound)
 
 
 def test_isotropic_product_kernel_holds_its_factor_once():
-    # build_grid passes one axis array for every dimension, so equal scales
-    # share one read-only heat factor and unequal ones keep one each
+    # build_grid repeats one lattice on every axis, and factors are keyed by
+    # the axes' lattices, so equal scales share one read-only heat factor,
+    # also between two grid objects of one lattice, and unequal ones keep
+    # one each
     grid = build_grid(dim=2, radius=5.0, points_per_axis=41)
     axis = grid.axes[0]
     for sigma, variances in ((0.5, (0.25, 0.25)), (np.diag([0.25, 0.16]), (0.25, 0.16))):
-        kernel = gaussian_kernel(grid, grid, sigma)
+        kernel = gaussian_kernel(grid, build_grid(dim=2, radius=5.0, points_per_axis=41), sigma)
         assert (kernel.factors[0] is kernel.factors[1]) == (variances[0] == variances[1])
         for factor, var in zip(kernel.factors, variances):
             assert np.array_equal(factor, problem._heat_factor(axis, axis, math.sqrt(var)))
@@ -809,11 +830,9 @@ def test_gaussian_density_refuses_a_covariance_that_is_not_d_x_d(dim, side):
         gaussian_density(grid, np.eye(side))
 
 
-def _tensor_grid(*axes):
-    """Hand-built grid with a different node set and weight vector on every
-    axis."""
-    rng = np.random.default_rng(math.prod(len(a) for a in axes))
-    return QuadratureGrid(axes, tuple(rng.uniform(0.5, 1.5, len(a)) for a in axes))
+def _tensor_grid(*lattices):
+    """Grid with a different lattice, (lo, hi, n), on every axis."""
+    return QuadratureGrid(lattices)
 
 
 def test_swapped_apply_is_apply_T_bit_for_bit():
@@ -853,8 +872,8 @@ def test_swapping_a_table_copies_no_matrix():
 
 def test_factored_apply_follows_the_axis_order():
     # unequal axes on both grids, so a factor applied to the wrong axis fails
-    g1 = _tensor_grid(np.linspace(-3, 3, 3), np.linspace(-2, 4, 4), np.linspace(-1, 1, 5))
-    g2 = _tensor_grid(np.linspace(-4, 2, 5), np.linspace(-1, 1, 2), np.linspace(0, 3, 3))
+    g1 = _tensor_grid((-3, 3, 3), (-2, 4, 4), (-1, 1, 5))
+    g2 = _tensor_grid((-4, 2, 5), (-1, 1, 2), (0, 3, 3))
     kernel = gaussian_kernel(g1, g2, 0.9)
     dense = _pointwise_heat_kernel(g1, g2, 0.9)
     assert [a.shape for a in kernel.factors] == [(3, 5), (4, 2), (5, 3)]
@@ -866,8 +885,8 @@ def test_factored_apply_follows_the_axis_order():
 
 
 def test_factored_swapped_and_row_normalized_match_dense():
-    g1 = _tensor_grid(np.linspace(-4, 4, 11), np.linspace(-3, 3, 6))
-    g2 = _tensor_grid(np.linspace(-2, 2, 5), np.linspace(-3, 3, 9))
+    g1 = _tensor_grid((-4, 4, 11), (-3, 3, 6))
+    g2 = _tensor_grid((-2, 2, 5), (-3, 3, 9))
     kernel = gaussian_kernel(g1, g2, 0.6)
     rng = np.random.default_rng(5)
     f1, f2 = rng.uniform(0.1, 1.0, g1.n_nodes), rng.uniform(0.1, 1.0, g2.n_nodes)
@@ -916,8 +935,8 @@ def test_factored_full_report_matches_dense_table(dim, points):
 def test_factored_checks_flag_zero_rows_and_columns_as_the_dense_matrix():
     # a zero row (column) of any factor zeroes every kernel row (column)
     # that passes through it; a factor above the bound flags its maximum
-    g1 = _tensor_grid(np.linspace(-2, 2, 3), np.linspace(-1, 1, 4))
-    g2 = _tensor_grid(np.linspace(-3, 3, 5), np.linspace(0, 1, 2))
+    g1 = _tensor_grid((-2, 2, 3), (-1, 1, 4))
+    g2 = _tensor_grid((-3, 3, 5), (0, 1, 2))
     a = np.random.default_rng(2).uniform(0.5, 2.0, (3, 5))
     b = np.random.default_rng(3).uniform(0.5, 2.0, (4, 2))
     a[1, :] = 0.0
@@ -943,8 +962,8 @@ def test_product_kernel_refuses_a_negative_factor():
 
 
 def test_bound_below_the_factor_maxima_names_a_maximal_entry():
-    g1 = _tensor_grid(np.linspace(-4, 4, 11), np.linspace(-3, 3, 6))
-    g2 = _tensor_grid(np.linspace(-2, 2, 5), np.linspace(-1, 3, 9))
+    g1 = _tensor_grid((-4, 4, 11), (-3, 3, 6))
+    g2 = _tensor_grid((-2, 2, 5), (-1, 3, 9))
     kernel = gaussian_kernel(g1, g2, 0.6)
     marginals = MarginalPair(density_field(g1, np.ones(g1.n_nodes)),
                              density_field(g2, np.ones(g2.n_nodes)))

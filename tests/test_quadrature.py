@@ -109,35 +109,45 @@ def test_nodes_are_the_read_only_mesh_of_the_axes(dim):
 
 
 def test_a_tensor_grid_holds_no_node_mesh():
-    # a 41^3 grid holds O(sum n_k) bytes, its axes and one weight vector per
-    # axis.  Its (N, 3) node mesh and the weights' meshgrids took 13 node
-    # arrays, and the (n,) product of its axis weights, formed now at each
-    # read of weights, 551 kB
+    # a 41^3 grid holds its three lattices and no array: its (N, 3) node
+    # mesh and the weights' meshgrids once took 13 node arrays, and its
+    # axes and their weight vectors 2 kB
     tracemalloc.start()
     try:
         grid = build_grid(dim=3, radius=8.0, points_per_axis=41)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    axis_bytes = sum(ax.nbytes for ax in grid.axes)
-    assert [w.shape for w in grid.axis_weights] == [(41,)] * 3
-    assert held <= 4 * axis_bytes and peak <= 8 * axis_bytes
+    assert vars(grid) == {"lattices": ((-8.0, 8.0, 41),) * 3}
+    assert held < 1000 and peak < 1000
+
+
+def test_a_one_dimensional_grid_allocates_under_a_kilobyte():
+    # gauss1d's grid: its axis and weight vector took 6.4 kB of the solve op
+    _, peak = traced_peak(lambda: build_grid(dim=1, radius=8.0, points_per_axis=401))
+    assert peak < 1000
+
+
+def _trapezoid(lo, hi, n):
+    """The trapezoid weights of the lattice (lo, hi, n), formed by hand."""
+    h = (hi - lo) / (n - 1)
+    w = np.full(n, h)
+    w[[0, -1]] = h / 2.0
+    return w
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_weights_are_the_iterated_outer_product_of_the_axis_weights(dim):
     # weights, and weighted's f * (weights * 2^k), are bitwise the product
-    # that one np.multiply.outer per further axis forms, and so is weighted
-    # read last node first, into a contiguous buffer; on random per-axis
-    # weights, each entry a rounded product
+    # that one np.multiply.outer per further axis forms of the lattices'
+    # trapezoid weights, and so is weighted read last node first, into a
+    # contiguous buffer; on lattices of unequal sizes and steps
     rng = np.random.default_rng(dim)
-    sizes = (7, 5, 4)[:dim]
-    axes = tuple(np.cumsum(rng.uniform(0.1, 1.0, n)) for n in sizes)
-    ws = tuple(rng.uniform(1e-3, 1e3, n) for n in sizes)
-    grid = QuadratureGrid(axes, ws)
-    product = ws[0]
-    for w in ws[1:]:
-        product = np.multiply.outer(product, w).ravel()
+    lattices = ((-3.0, 1.5, 7), (-1.0, 2.0, 5), (0.5, 4.0, 4))[:dim]
+    grid = QuadratureGrid(lattices)
+    product = _trapezoid(*lattices[0])
+    for lattice in lattices[1:]:
+        product = np.multiply.outer(product, _trapezoid(*lattice)).ravel()
     assert grid.weights.tobytes() == product.tobytes()
     assert not grid.weights.flags.writeable
     f = rng.standard_normal(grid.n_nodes)
@@ -147,6 +157,27 @@ def test_weights_are_the_iterated_outer_product_of_the_axis_weights(dim):
         reverse = grid.weighted(f, k, reverse=True)
         assert reverse.flags.c_contiguous
         assert reverse.tobytes() == (f[::-1] * scaled[::-1]).tobytes()
+
+
+@pytest.mark.parametrize("dim, points", [(1, 2), (1, 3), (1, 401), (2, 41), (3, 7)])
+def test_weighted_is_the_weight_product_bit_for_bit(dim, points):
+    # one axis takes f * (h 2^k) in one pass and writes its two end nodes as
+    # f * ((h / 2) 2^k): bitwise f * (weights * 2^k), also at a 0, a
+    # subnormal f and the least subnormal, which an end weight times f
+    # rounds where h times f would not
+    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+    rng = np.random.default_rng(points)
+    f = rng.uniform(-1.0, 1.0, grid.n_nodes)
+    specials = [0.0, 1e-310, 5e-324, -5e-324]
+    f[:len(specials)] = specials[:grid.n_nodes]
+    f[-len(specials):] = specials[-grid.n_nodes:]
+    if grid.n_nodes > 2 * len(specials):
+        f[rng.choice(np.arange(4, grid.n_nodes - 4), 8, replace=False)] = 1e-310
+    for k in (0, 1, 37):
+        for reverse in (False, True):
+            x = f[::-1] if reverse else f
+            want = x * (grid.weights * 2.0 ** k)
+            assert grid.weighted(f, k, reverse).tobytes() == want.tobytes()
 
 
 def test_weighted_forms_one_buffer():
@@ -160,49 +191,53 @@ def test_weighted_forms_one_buffer():
 
 
 def test_direct_grid_construction():
-    grid = QuadratureGrid((np.array([0.0, 1.0]),), np.array([1.0, 1.0]))
-    assert grid.n_nodes == 2 and grid.dim == 1
+    grid = QuadratureGrid(((0.0, 1.0, 2),))
+    assert grid.n_nodes == 2 and grid.dim == 1 and grid.shape == (2,)
     assert np.array_equal(grid.nodes, [0.0, 1.0])
-    assert sorted(vars(grid)) == ["axes", "axis_weights"]
+    assert np.array_equal(grid.weights, [0.5, 0.5])
+    assert grid.steps == (1.0,) and grid.largest_weight == 0.5
+    assert sorted(vars(grid)) == ["lattices"]
+    # a lattice is taken as its numbers, and grids of equal lattices are one grid
+    assert QuadratureGrid([[0, 1, 2.0]]).lattices == grid.lattices == ((0.0, 1.0, 2),)
 
 
-@pytest.mark.parametrize("axes, weights, message", [
-    ((), [1.0, 1.0], "at least one axis"),
-    (([0.0, 1.0, 1.0],), [1.0, 1.0, 1.0], "strictly increasing"),
-    (([0.0, 2.0, 1.0],), [1.0, 1.0, 1.0], "strictly increasing"),
-    (([[0.0, 1.0], [2.0, 3.0]],), [1.0] * 4, "1-D"),
-    (([0.0],), [1.0], "at least 2 nodes"),
-    (([0.0, 1.0], [0.0, 1.0, 2.0]), ([1.0] * 2, [1.0] * 2), "weights length"),
-    (([0.0, 1.0],), [1.0, 0.0], "strictly positive"),
-    (([0.0, 1.0],), [1.0, -1.0], "strictly positive"),
-    # np.diff(ax) <= 0 let a NaN node and an infinite end through, and
-    # w > 0 an infinite weight
-    (([0.0, math.nan, 1.0],), [1.0] * 3, "finite"),
-    (([0.0, 1.0, math.inf],), [1.0] * 3, "finite"),
-    (([-math.inf, 0.0, 1.0],), [1.0] * 3, "finite"),
-    (([0.0, 1.0],), [1.0, math.inf], "finite and strictly positive"),
-    # finite axis weights whose products leave float range
-    (([0.0, 1.0], [0.0, 1.0]), ([1e200] * 2, [1e200] * 2), "finite and strictly positive"),
-    (([0.0, 1.0], [0.0, 1.0]), ([1e-200] * 2, [1e-200] * 2), "finite and strictly positive"),
-], ids=["no-axis", "repeated-node", "decreasing", "2-d-axis", "one-node",
-        "weights-length", "zero-weight", "negative-weight", "nan-node", "inf-end",
-        "minus-inf-start", "inf-weight", "overflowing-weights", "underflowing-weights"])
-def test_grid_constructor_refuses(axes, weights, message):
+@pytest.mark.parametrize("lattices, message", [
+    ((), "at least one axis"),
+    (((0.0, 0.0, 3),), "normal floats"),
+    (((0.0, -1.0, 3),), "normal floats"),
+    (((0.0, 1.0, 1),), "at least 2 nodes"),
+    (((1.0, 1.0, 2),), "normal floats"),
+    (((1.0, 0.0, 2),), "normal floats"),
+    # a NaN end, and an infinite one, give a step that is no normal float
+    (((0.0, math.nan, 3),), "normal floats"),
+    (((0.0, math.inf, 3),), "normal floats"),
+    (((-math.inf, 0.0, 3),), "normal floats"),
+    # finite ends whose span overflows
+    (((-1e308, 1e308, 2),), "normal floats"),
+    # finite steps whose weight products leave float range
+    (((0.0, 1e200, 2),) * 2, "normal floats"),
+    (((0.0, 1e-200, 2),) * 2, "normal floats"),
+    # a subnormal step, and a normal step whose end weight h / 2 is not
+    (((0.0, 2e-320, 401),), "normal floats"),
+    (((0.0, 3e-308, 2),), "normal floats"),
+], ids=["no-axis", "repeated-node", "decreasing", "one-node", "zero-weight",
+        "negative-weight", "nan-node", "inf-end", "minus-inf-start", "inf-weight",
+        "overflowing-weights", "underflowing-weights", "subnormal-step",
+        "subnormal-end-weight"])
+def test_grid_constructor_refuses(lattices, message):
     with pytest.raises(GridError, match=message):
-        QuadratureGrid(tuple(np.asarray(a) for a in axes), weights)
+        QuadratureGrid(lattices)
 
 
 def test_axes_must_mesh_the_nodes():
     # kernel factors are applied in the axes' 'ij' order, so the nodes are
     # the axes' 'ij' mesh, derived from unequal axes and locked like them
+    grid = QuadratureGrid(((-1.0, 1.0, 3), (-2.0, 0.5, 2)))
     x, y = np.array([-1.0, 0.0, 1.0]), np.array([-2.0, 0.5])
-    grid = QuadratureGrid((x, y), (np.arange(1.0, 4.0), np.array([1.0, 2.0])))
     ij = np.column_stack([m.ravel() for m in np.meshgrid(x, y, indexing="ij")])
-    assert grid.dim == 2 and grid.n_nodes == 6
+    assert grid.dim == 2 and grid.n_nodes == 6 and grid.shape == (3, 2)
     assert grid.nodes.tobytes() == ij.tobytes()
-    assert np.array_equal(grid.weights, [1.0, 2.0, 2.0, 4.0, 3.0, 6.0])
-    for array in (grid.nodes, grid.weights) + grid.axes + grid.axis_weights:
+    assert np.array_equal(grid.weights, [0.625, 0.625, 1.25, 1.25, 0.625, 0.625])
+    for array in (grid.nodes, grid.weights) + grid.axes:
         with pytest.raises(ValueError):
             array[0] = 99.0
-    # a list is taken as its array
-    assert np.array_equal(QuadratureGrid(([0.0, 1.0],), [2.0, 2.0]).nodes, [0.0, 1.0])
