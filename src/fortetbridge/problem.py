@@ -207,11 +207,11 @@ class KernelOperator(Frozen):
     its taps at the offsets k h: the matrix is symmetric Toeplitz, entry (i,
     j) the band's entry at offset i - j and 0 beyond b, and a product is one
     np.correlate (_band_product).  Either direction weights its argument
-    through its grid's weighted, which on one axis reads the lattice's step
-    and forms no weight vector.  A band is narrow or full: one of at most
-    n taps is kept as given, and a wider one is stored padded with zeros to
-    all 2n - 1 offsets (_padded), so that it spans every offset, reads a
-    product's argument last node first, and _reversed says so.  numpy's
+    through its grid's weighted, in the one buffer it returns.  A band is
+    narrow or full: one of at most n taps is kept as given, and a wider one
+    is stored padded with zeros to all 2n - 1 offsets (_padded), so that it
+    spans every offset, reads a product's argument last node first, and
+    _reversed says so.  numpy's
     correlation copies any input it cannot write, so the kernel keeps a
     private writeable copy of the band, _operands, and factors[0] is a
     read-only view of it; the caller's band is not frozen.  For any other

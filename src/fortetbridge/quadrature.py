@@ -120,7 +120,7 @@ class QuadratureGrid(Frozen):
     @property
     def steps(self) -> Tuple[float, ...]:
         """The step h of each axis's lattice."""
-        return tuple([(hi - lo) / (n - 1) for lo, hi, n in self.lattices])
+        return tuple([_step(*lattice) for lattice in self.lattices])
 
     @property
     def largest_weight(self) -> float:
@@ -144,39 +144,36 @@ class QuadratureGrid(Frozen):
     def weights(self) -> np.ndarray:
         """The (n,) node weights, read-only: the products of the axes'
         weight vectors over the mesh (_product), formed at each read."""
-        return read_only(_product([_trapezoid(*lattice) for lattice in self.lattices]))
+        return read_only(self._weight_product())
 
     def weighted(self, f: np.ndarray, k: int = 0, reverse: bool = False) -> np.ndarray:
-        """f * (weights * 2^k) in one new buffer, bitwise that expression.
-        On one axis it is one pass, f * (h 2^k), after which the two end
-        nodes are written as f * ((h / 2) 2^k); on more, the axes' weight
-        vectors are formed, their products (_product) scaled in the buffer,
-        and f then multiplies it in place.  With reverse, f is read last
-        node first, into a contiguous buffer: the weights read the same
-        either way, and reversing every axis reverses the mesh."""
-        if reverse:
-            f = f[::-1]
-        scale = 2.0 ** k
-        if len(self.lattices) > 1:
-            out = _product([_trapezoid(*lattice) for lattice in self.lattices])
-            if k:
-                out *= scale
-            out *= f
-            return out
-        lo, hi, n = self.lattices[0]
-        h = (hi - lo) / (n - 1)
-        out = np.multiply(f, h * scale)
-        # Python floats round as float64 does, and item() skips numpy's scalars
-        end = h / 2.0 * scale
-        out[0] = f.item(0) * end
-        out[-1] = f.item(-1) * end
+        """f * (weights * 2^k) in one new buffer, bitwise that expression:
+        the weight products (_weight_product) are formed in the buffer,
+        scaled by 2^k there, and f then multiplies it in place.  With
+        reverse, f is read last node first, into a contiguous buffer: the
+        weights read the same either way, and reversing every axis reverses
+        the mesh."""
+        out = self._weight_product()
+        if k:
+            out *= 2.0 ** k
+        out *= f[::-1] if reverse else f
         return out
+
+    def _weight_product(self) -> np.ndarray:
+        """The node weights in a new, writeable (n,) buffer: on one axis its
+        weight vector itself, else the products of the axes' (_product)."""
+        return _product([_trapezoid(*lattice) for lattice in self.lattices])
+
+
+def _step(lo: float, hi: float, n: int) -> float:
+    """The step h of the lattice (lo, hi, n)."""
+    return (hi - lo) / (n - 1)
 
 
 def _trapezoid(lo: float, hi: float, n: int) -> np.ndarray:
-    """The trapezoid weights of the lattice (lo, hi, n): h, with h / 2 at
-    the two ends, in a new array."""
-    h = (hi - lo) / (n - 1)
+    """The trapezoid weights of the lattice (lo, hi, n): its step h, with
+    h / 2 at the two ends, in a new array."""
+    h = _step(lo, hi, n)
     w = np.empty(n)
     w.fill(h)  # np.full's own dtype inference costs more than the fill
     w[0] = w[-1] = h / 2.0

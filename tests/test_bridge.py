@@ -216,9 +216,12 @@ class TestCoupling:
         # the masked copies and temporaries peaked at 4.4 node arrays; read
         # in place, a sum holds its terms and one more array.  On swap
         # (phi = 0 at 132 nodes, 269 masked entries) a sum holds at most
-        # two gathered arrays, one node array and its mask (3.04 node
-        # arrays): four gathered arrays at once, with the row mask held
-        # through the column sum, peaked at 3.83 node arrays
+        # two gathered arrays, one node array and its mask: measured 3.04
+        # node arrays, since a masked sum gathers from the full weighted
+        # integral (2.89 when it gathered from a stored weight vector), so
+        # the 3.2 bound leaves 0.16 node arrays for the next growth.  Four
+        # gathered arrays at once, with the row mask held through the
+        # column sum, peaked at 3.83 node arrays
         for solution, bound in ((bench_solution, 2.5), (swap_solution, 3.2)):
             c = solution.coupling
             kl_objective(c)

@@ -777,7 +777,7 @@ def test_non_diagonal_covariance_is_the_closed_form(scale):
 
 def test_diagonal_covariance_keeps_one_factor_per_axis():
     lattices = ((-3.0, 3.0, 13), (-2.0, 2.0, 9))
-    grid = _tensor_grid(*lattices)
+    grid = QuadratureGrid(lattices)
     kernel = gaussian_kernel(grid, grid, np.diag([0.3, 0.05]))
     assert all(map(np.array_equal, gaussian_from_scales(grid, grid, *kernel.gaussian).factors,
                    kernel.factors))
@@ -830,11 +830,6 @@ def test_gaussian_density_refuses_a_covariance_that_is_not_d_x_d(dim, side):
         gaussian_density(grid, np.eye(side))
 
 
-def _tensor_grid(*lattices):
-    """Grid with a different lattice, (lo, hi, n), on every axis."""
-    return QuadratureGrid(lattices)
-
-
 def test_swapped_apply_is_apply_T_bit_for_bit():
     # swapped() transposes by view: on a band, an isotropic and an
     # anisotropic product, a table and a whitened kernel, its apply is
@@ -872,8 +867,8 @@ def test_swapping_a_table_copies_no_matrix():
 
 def test_factored_apply_follows_the_axis_order():
     # unequal axes on both grids, so a factor applied to the wrong axis fails
-    g1 = _tensor_grid((-3, 3, 3), (-2, 4, 4), (-1, 1, 5))
-    g2 = _tensor_grid((-4, 2, 5), (-1, 1, 2), (0, 3, 3))
+    g1 = QuadratureGrid(((-3, 3, 3), (-2, 4, 4), (-1, 1, 5)))
+    g2 = QuadratureGrid(((-4, 2, 5), (-1, 1, 2), (0, 3, 3)))
     kernel = gaussian_kernel(g1, g2, 0.9)
     dense = _pointwise_heat_kernel(g1, g2, 0.9)
     assert [a.shape for a in kernel.factors] == [(3, 5), (4, 2), (5, 3)]
@@ -885,8 +880,8 @@ def test_factored_apply_follows_the_axis_order():
 
 
 def test_factored_swapped_and_row_normalized_match_dense():
-    g1 = _tensor_grid((-4, 4, 11), (-3, 3, 6))
-    g2 = _tensor_grid((-2, 2, 5), (-3, 3, 9))
+    g1 = QuadratureGrid(((-4, 4, 11), (-3, 3, 6)))
+    g2 = QuadratureGrid(((-2, 2, 5), (-3, 3, 9)))
     kernel = gaussian_kernel(g1, g2, 0.6)
     rng = np.random.default_rng(5)
     f1, f2 = rng.uniform(0.1, 1.0, g1.n_nodes), rng.uniform(0.1, 1.0, g2.n_nodes)
@@ -935,8 +930,8 @@ def test_factored_full_report_matches_dense_table(dim, points):
 def test_factored_checks_flag_zero_rows_and_columns_as_the_dense_matrix():
     # a zero row (column) of any factor zeroes every kernel row (column)
     # that passes through it; a factor above the bound flags its maximum
-    g1 = _tensor_grid((-2, 2, 3), (-1, 1, 4))
-    g2 = _tensor_grid((-3, 3, 5), (0, 1, 2))
+    g1 = QuadratureGrid(((-2, 2, 3), (-1, 1, 4)))
+    g2 = QuadratureGrid(((-3, 3, 5), (0, 1, 2)))
     a = np.random.default_rng(2).uniform(0.5, 2.0, (3, 5))
     b = np.random.default_rng(3).uniform(0.5, 2.0, (4, 2))
     a[1, :] = 0.0
@@ -962,8 +957,8 @@ def test_product_kernel_refuses_a_negative_factor():
 
 
 def test_bound_below_the_factor_maxima_names_a_maximal_entry():
-    g1 = _tensor_grid((-4, 4, 11), (-3, 3, 6))
-    g2 = _tensor_grid((-2, 2, 5), (-1, 3, 9))
+    g1 = QuadratureGrid(((-4, 4, 11), (-3, 3, 6)))
+    g2 = QuadratureGrid(((-2, 2, 5), (-1, 3, 9)))
     kernel = gaussian_kernel(g1, g2, 0.6)
     marginals = MarginalPair(density_field(g1, np.ones(g1.n_nodes)),
                              density_field(g2, np.ones(g2.n_nodes)))

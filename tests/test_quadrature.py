@@ -109,23 +109,19 @@ def test_nodes_are_the_read_only_mesh_of_the_axes(dim):
 
 
 def test_a_tensor_grid_holds_no_node_mesh():
-    # a 41^3 grid holds its three lattices and no array: its (N, 3) node
-    # mesh and the weights' meshgrids once took 13 node arrays, and its
-    # axes and their weight vectors 2 kB
-    tracemalloc.start()
-    try:
-        grid = build_grid(dim=3, radius=8.0, points_per_axis=41)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert vars(grid) == {"lattices": ((-8.0, 8.0, 41),) * 3}
-    assert held < 1000 and peak < 1000
-
-
-def test_a_one_dimensional_grid_allocates_under_a_kilobyte():
-    # gauss1d's grid: its axis and weight vector took 6.4 kB of the solve op
-    _, peak = traced_peak(lambda: build_grid(dim=1, radius=8.0, points_per_axis=401))
-    assert peak < 1000
+    # a 41^3 grid and gauss1d's 401-node grid hold their lattices and no
+    # array: the 41^3 grid's (N, 3) node mesh and the weights' meshgrids
+    # once took 13 node arrays, and its axes and their weight vectors 2 kB;
+    # gauss1d's axis and weight vector took 6.4 kB of the solve op
+    for dim, points in ((1, 401), (3, 41)):
+        tracemalloc.start()
+        try:
+            grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vars(grid) == {"lattices": ((-8.0, 8.0, points),) * dim}
+        assert held < 1000 and peak < 1000
 
 
 def _trapezoid(lo, hi, n):
@@ -141,43 +137,32 @@ def test_weights_are_the_iterated_outer_product_of_the_axis_weights(dim):
     # weights, and weighted's f * (weights * 2^k), are bitwise the product
     # that one np.multiply.outer per further axis forms of the lattices'
     # trapezoid weights, and so is weighted read last node first, into a
-    # contiguous buffer; on lattices of unequal sizes and steps
+    # contiguous buffer; on lattices of unequal sizes and steps, on 1-D
+    # lattices of 2, 3 and 401 nodes and on 41^2 and 7^3, with f holding a
+    # 0, a subnormal and the least subnormals
     rng = np.random.default_rng(dim)
-    lattices = ((-3.0, 1.5, 7), (-1.0, 2.0, 5), (0.5, 4.0, 4))[:dim]
-    grid = QuadratureGrid(lattices)
-    product = _trapezoid(*lattices[0])
-    for lattice in lattices[1:]:
-        product = np.multiply.outer(product, _trapezoid(*lattice)).ravel()
-    assert grid.weights.tobytes() == product.tobytes()
-    assert not grid.weights.flags.writeable
-    f = rng.standard_normal(grid.n_nodes)
-    for k in (0, 1, 57):
-        scaled = product * 2.0 ** k
-        assert grid.weighted(f, k).tobytes() == (f * scaled).tobytes()
-        reverse = grid.weighted(f, k, reverse=True)
-        assert reverse.flags.c_contiguous
-        assert reverse.tobytes() == (f[::-1] * scaled[::-1]).tobytes()
-
-
-@pytest.mark.parametrize("dim, points", [(1, 2), (1, 3), (1, 401), (2, 41), (3, 7)])
-def test_weighted_is_the_weight_product_bit_for_bit(dim, points):
-    # one axis takes f * (h 2^k) in one pass and writes its two end nodes as
-    # f * ((h / 2) 2^k): bitwise f * (weights * 2^k), also at a 0, a
-    # subnormal f and the least subnormal, which an end weight times f
-    # rounds where h times f would not
-    grid = build_grid(dim=dim, radius=8.0, points_per_axis=points)
-    rng = np.random.default_rng(points)
-    f = rng.uniform(-1.0, 1.0, grid.n_nodes)
+    cases = [((-3.0, 1.5, 7), (-1.0, 2.0, 5), (0.5, 4.0, 4))[:dim]]
+    points = (2, 3, 401) if dim == 1 else (41 if dim == 2 else 7,)
+    cases += [((-8.0, 8.0, n),) * dim for n in points]
     specials = [0.0, 1e-310, 5e-324, -5e-324]
-    f[:len(specials)] = specials[:grid.n_nodes]
-    f[-len(specials):] = specials[-grid.n_nodes:]
-    if grid.n_nodes > 2 * len(specials):
-        f[rng.choice(np.arange(4, grid.n_nodes - 4), 8, replace=False)] = 1e-310
-    for k in (0, 1, 37):
-        for reverse in (False, True):
-            x = f[::-1] if reverse else f
-            want = x * (grid.weights * 2.0 ** k)
-            assert grid.weighted(f, k, reverse).tobytes() == want.tobytes()
+    for lattices in cases:
+        grid = QuadratureGrid(lattices)
+        product = _trapezoid(*lattices[0])
+        for lattice in lattices[1:]:
+            product = np.multiply.outer(product, _trapezoid(*lattice)).ravel()
+        assert grid.weights.tobytes() == product.tobytes()
+        assert not grid.weights.flags.writeable
+        f = rng.standard_normal(grid.n_nodes)
+        f[:len(specials)] = specials[:grid.n_nodes]
+        f[-len(specials):] = specials[-grid.n_nodes:]
+        if grid.n_nodes > 2 * len(specials):
+            f[rng.choice(np.arange(4, grid.n_nodes - 4), 8, replace=False)] = 1e-310
+        for k in (0, 1, 37, 57):
+            scaled = product * 2.0 ** k
+            assert grid.weighted(f, k).tobytes() == (f * scaled).tobytes()
+            reverse = grid.weighted(f, k, reverse=True)
+            assert reverse.flags.c_contiguous
+            assert reverse.tobytes() == (f[::-1] * scaled[::-1]).tobytes()
 
 
 def test_weighted_forms_one_buffer():
