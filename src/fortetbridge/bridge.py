@@ -26,6 +26,8 @@ from .quadrature import Frozen, QuadratureGrid, _top, read_only
 #: than this indicate a too-coarse grid or a too-small truncation radius
 #: and are refused
 MASS_DRIFT_TOL = 1e-4
+#: the refusal of a kernel with no Gaussian scales to interpolate
+NOT_GAUSSIAN = "interpolation needs a Gaussian kernel"
 
 
 class Coupling(Frozen):
@@ -204,7 +206,7 @@ def entropic_interpolation(phi, psi, kernel: KernelOperator,
     if phi is None or psi is None:
         raise FeasibilityError("cannot interpolate a degenerate solution")
     if kernel.gaussian is None:
-        raise FortetBridgeError("interpolation needs a Gaussian kernel")
+        raise FortetBridgeError(NOT_GAUSSIAN)
     scales, white = kernel.gaussian
     grid, grid2 = kernel.grid1, kernel.grid2
     if grid.lattices != grid2.lattices:

@@ -188,11 +188,11 @@ def _open(args, gaussian: bool = False):
     config leaves no directory.  With gaussian, a kernel with no Gaussian
     scales is refused, with entropic_interpolation's error, before the
     directory is made."""
+    from . import bridge, errors
     from .config import load_problem
-    from .errors import FortetBridgeError
     problem = load_problem(args.config)
     if gaussian and problem.kernel.gaussian is None:
-        raise FortetBridgeError("interpolation needs a Gaussian kernel")
+        raise errors.FortetBridgeError(bridge.NOT_GAUSSIAN)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     return problem, out

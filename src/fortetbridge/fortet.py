@@ -68,7 +68,8 @@ import numpy as np
 
 from . import bridge
 from .errors import FeasibilityError, FortetBridgeError, NonConvergenceError
-from .problem import KernelOperator, MarginalPair, full_report, node_index
+from .problem import (KernelOperator, MarginalPair, _require_kernel_grids, full_report,
+                      node_index)
 from .quadrature import Frozen, _bottom, _top, read_only
 
 #: every closing step floors its iterate here; true fixed-point values
@@ -517,7 +518,10 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     """Solve by the scheme's first step and the closing (module docstring),
     to a tagged solution.
 
-    Raises the refusal of the instance's full_report, if it has one, as a
+    Raises GridError first, forced or not, unless omega1 lies on the
+    kernel's grid1 and omega2 on its grid2, lattice for lattice
+    (problem._require_kernel_grids).  Then it raises the refusal of the
+    instance's full_report, if it has one, as a
     FeasibilityError unless opts.force is set; the report is not kept.  For
     a Gaussian kernel between Gaussian marginals with diagonal covariances
     the refusal is closed form (Bernstein's margin kappa on each axis) and
@@ -535,10 +539,11 @@ def run_fortet(kernel: KernelOperator, marginals: MarginalPair,
     short of a solution.  Where extraction dropped nodes whose h
     underflowed, the residual is warned of instead, beside the dropped-node
     warning: the nodes next to them lose float64 range too (swap's 2.06e-7
-    at tol 1e-13 sits beside its 132 dropped nodes).  The closing's fixed point K is capped into h in
-    its own buffer, so K does not sit beside h through the extraction and
-    the coupling.
+    at tol 1e-13 sits beside its 132 dropped nodes).  The closing's fixed
+    point K is capped into h in its own buffer, so K does not sit beside h
+    through the extraction and the coupling.
     """
+    _require_kernel_grids(kernel, marginals)
     if not opts.force:
         refusal = full_report(kernel, marginals).refusal
         if refusal is not None:

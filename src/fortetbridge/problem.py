@@ -203,8 +203,9 @@ class KernelOperator(Frozen):
     is their Kronecker product: a product then costs one small matrix
     product per axis instead of a pass over the n1 x n2 matrix.  A banded
     kernel has one 1-D factor, a symmetric band of 2b + 1 entries (b <= n -
-    1) on two grids of n nodes, as the heat kernel has on one 1-D lattice,
-    its taps at the offsets k h: the matrix is symmetric Toeplitz, entry (i,
+    1), its taps at the offsets k h, as the heat kernel has on one 1-D
+    lattice of n nodes, and both grids must be that one lattice (their
+    lattices equal): the matrix is symmetric Toeplitz, entry (i,
     j) the band's entry at offset i - j and 0 beyond b, and a product is one
     np.correlate (_band_product).  Either direction weights its argument
     through its grid's weighted, in the one buffer it returns.  A band is
@@ -230,10 +231,10 @@ class KernelOperator(Frozen):
         n = grid1.n_nodes
         if len(factors) == 1 and factors[0].ndim == 1:
             band = factors[0]
-            if not (grid2.n_nodes == n and band.size % 2 == 1
+            if not (grid1.dim == 1 and grid2.lattices == grid1.lattices and band.size % 2 == 1
                     and band.size < 2 * n and np.array_equal(band, band[::-1])):
                 raise GridError("a kernel band must be symmetric, of odd length "
-                                "below 2n, on two grids of n nodes")
+                                "below 2n, on one 1-D lattice of n nodes")
             operands = (_padded(band, n) if band.size > n else band.copy(),)
             factors = (operands[0].view(),)
         elif len(factors) == 1:
@@ -290,7 +291,9 @@ class KernelOperator(Frozen):
         """log of the kernel matrix: for a Gaussian kernel the sum over its
         coordinates of their heat exponents (_exponent) plus the log peak,
         finite where values underflows to 0 (a band's at its lattice
-        offsets, as its entries are); for any other kernel log(values)."""
+        offsets, as its entries are); for any other kernel log(values).
+        Each read forms a new writeable n1 x n2 array, which the caller
+        owns (Sinkhorn's _folded builds an absorbed kernel in it)."""
         if self.gaussian is None:
             with np.errstate(divide="ignore"):
                 return np.log(self.values)
@@ -627,9 +630,23 @@ class ConditionStar(NamedTuple):
     zero_denominator_nodes: Tuple[int, ...] = ()
 
 
+def _require_kernel_grids(kernel: KernelOperator, marginals: MarginalPair) -> None:
+    """Raise GridError unless omega1 lies on the lattices of the kernel's
+    grid1 and omega2 on those of its grid2 (QuadratureGrid: a grid is its
+    lattices), the grids every solver integrates each marginal over."""
+    for k, field, grid in ((1, marginals.omega1, kernel.grid1),
+                           (2, marginals.omega2, kernel.grid2)):
+        if field.grid.lattices != grid.lattices:
+            raise GridError(f"omega{k} lies on the lattices {list(field.grid.lattices)}, "
+                            f"not on the kernel's grid{k}, {list(grid.lattices)}")
+
+
 class FeasibilityReport(Frozen):
     """Whether Fortet's scheme may run on the instance (kernel, marginals).
 
+    It raises GridError unless each marginal lies on its kernel grid's
+    lattices (_require_kernel_grids), so full_report, check_assumptions
+    and the CLI's check refuse such an instance before any check.
     refusal is None or why not, which the solvers raise as a
     FeasibilityError unless forced: the hypothesis checks that failed,
     else, where the report reads integrability, the rule that found it
@@ -648,6 +665,7 @@ class FeasibilityReport(Frozen):
 
     def __init__(self, kernel: KernelOperator, marginals: MarginalPair,
                  integrability: bool = True):
+        _require_kernel_grids(kernel, marginals)
         self._store(kernel=kernel, marginals=marginals, integrability=integrability)
         margins = _gaussian_margins(kernel, marginals)
         if margins is None:
@@ -855,8 +873,10 @@ def _gaussian_margins(kernel: KernelOperator,
     variances v1 and v2 exchanged, or None off the Gaussian family: a
     Gaussian kernel of scales s and white None between Gaussian marginals
     of diagonal covariance (DensityField.gaussian), all on one grid, with
-    omega1 >= TINY at every node.  These two are the family's whole
-    verdict (FeasibilityReport).
+    omega1 >= TINY at every node.  One grid is read from lattices: the
+    kernel's two grids' are equal, and the marginals lie on them, which
+    FeasibilityReport checks before it asks (_require_kernel_grids).  These
+    two are the family's whole verdict (FeasibilityReport).
 
     There the integral of omega2 / (g * omega1) over R^d is a product of
     one factor per axis, each finite exactly where its kappa_k > 0, and the
@@ -870,7 +890,7 @@ def _gaussian_margins(kernel: KernelOperator,
     (w1, w2), gaussian = marginals, kernel.gaussian
     if (gaussian is None or gaussian[1] is not None or w1.gaussian is None
             or w2.gaussian is None or w1.values.min() < TINY
-            or not kernel.grid1 is kernel.grid2 is w1.grid is w2.grid):
+            or kernel.grid1.lattices != kernel.grid2.lattices):
         return None
     return tuple(all(_kappa(s * s, a, b) > 0 for s, a, b in zip(gaussian[0], va, vb))
                  for va, vb in ((w1.gaussian, w2.gaussian), (w2.gaussian, w1.gaussian)))

@@ -74,7 +74,10 @@ class QuadratureGrid(Frozen):
     (lo, hi, n) builds, at the step h = (hi - lo) / (n - 1), with trapezoid
     weights h, and h / 2 at the two ends.  dim, shape, n_nodes, steps and
     largest_weight are read from these numbers, and so is grid equality:
-    two grids are one grid where their lattices are equal.  axes, nodes
+    two grids are one grid where their lattices are equal.  == on two grid
+    objects is identity, so every same-grid test in the package compares
+    lattices (a marginal on its kernel's grid, a band's one lattice, the
+    closed-form verdict's and the interpolation's one grid).  axes, nodes
     and weights are read-only arrays formed at each read: nodes is the
     axes' 'ij' mesh (last axis fastest), the order the per-axis kernel
     factors are applied in, (n,) for dim == 1 (the axis itself) and (n,

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import FeasibilityError, NonConvergenceError
 from .hilbert import ZERO_ENTRY, ContractionBound, ProjectiveDiameter, projective_diameter
-from .problem import MASS_TOL, KernelOperator, MarginalPair, _padded, _window_extremes
+from .problem import (MASS_TOL, KernelOperator, MarginalPair, _padded, _require_kernel_grids,
+                      _window_extremes)
 from .quadrature import Frozen
 
 #: a sweep that leaves |log u| or |log v| above this folds both scalings
@@ -63,11 +64,11 @@ def _on_ray(u, v, a, b, m1) -> Tuple[np.ndarray, ...]:
             a - a[k] + np.log(u / u[k]), b + a[k] + np.log(v * u[k]))
 
 
-def _folded(kernel: KernelOperator, log_kernel: np.ndarray, a: np.ndarray,
-            b: np.ndarray) -> KernelOperator:
-    """The dense kernel exp(log_kernel + a (+) b) on kernel's grids, built in
-    one buffer."""
-    e = np.add(log_kernel, a[:, None])
+def _folded(kernel: KernelOperator, a: np.ndarray, b: np.ndarray) -> KernelOperator:
+    """The dense kernel exp(log g + a (+) b) on kernel's grids, built in the
+    one n1 x n2 array that kernel.log_values forms afresh at each read."""
+    e = kernel.log_values
+    e += a[:, None]
     e += b[None, :]
     return KernelOperator((np.exp(e, out=e),), kernel.grid1, kernel.grid2, math.inf)
 
@@ -103,13 +104,18 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     marginal's own (DensityField.over), which raises KernelSupportError
     when its integral vanishes at a support node; NonConvergenceError at
     the cap, or at the first sweep whose u or v overflows on its support
-    (_support_log).  Marginals whose masses differ by more than MASS_TOL
-    relative are refused up front with FeasibilityError: a fit matches one
-    marginal's mass exactly, so no sweep count fits both.  The call runs
-    under one np.errstate that ignores every float exception, its helpers'
-    included: an inf kernel entry against a 0 makes an integral NaN, which
-    its fit reads, and the logs of 0 scalings read -inf.
+    (_support_log).  Marginals off the kernel's grids are refused up front
+    with GridError (problem._require_kernel_grids), and marginals whose
+    masses differ by more than MASS_TOL relative with FeasibilityError: a
+    fit matches one marginal's mass exactly, so no sweep count fits both.
+    An absorption forms its kernel in the one fresh n1 x n2 array of
+    kernel.log_values (_folded), after the last one is freed, so the loop
+    holds one such array at a time.  The call runs under one np.errstate
+    that ignores every float exception, its helpers' included: an inf
+    kernel entry against a 0 makes an integral NaN, which its fit reads,
+    and the logs of 0 scalings read -inf.
     """
+    _require_kernel_grids(kernel, marginals)
     omega1, omega2 = marginals.omega1, marginals.omega2
     mass1, mass2 = omega1.mass(), omega2.mass()
     if not abs(mass1 - mass2) <= MASS_TOL * max(mass1, mass2):
@@ -118,7 +124,7 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
     m1, m2 = omega1.support, omega2.support
     a = np.where(m1, 0.0, -np.inf)
     b = np.where(m2, 0.0, -np.inf)
-    op, log_kernel = kernel, None
+    op = kernel
     v = np.ones(m2.shape)
     prev: Optional[Tuple[np.ndarray, np.ndarray]] = None
     steps = []
@@ -136,12 +142,10 @@ def run_sinkhorn(kernel: KernelOperator, marginals: MarginalPair,
         if change < tol:
             return ScalingPair(*_on_ray(u, v, a, b, m1), it, tuple(steps))
         if max(top_u, top_v) > ABSORB_LOG:
-            if log_kernel is None:
-                log_kernel = kernel.log_values
             a[m1] += log_u
             b[m2] += log_v
             op = None  # frees the last folded kernel before the next is built
-            op = _folded(kernel, log_kernel, a, b)
+            op = _folded(kernel, a, b)
             v = m2.astype(float)
             prev = np.zeros_like(log_u), np.zeros_like(log_v)
     raise NonConvergenceError(f"sinkhorn did not converge in {max_iter} iterations")

@@ -127,7 +127,11 @@ def _swaptable_tables():
 #: gauss1d's instance on a radius of 2 with 2 and 3 nodes: every node or
 #: all but one is an end node, whose weight is half the step, so each
 #: weighted sum reads the end-weight path; interpolate exits 1 as its
-#: slice's mass drifts, naming the grid spacing.  An entry is (raw
+#: slice's mass drifts, naming the grid spacing.  swapsinkhorn1d is the
+#: swap workload's seed-0 config with a sweep budget of 1000: the one
+#: config whose Sinkhorn absorbs its scalings into the kernel and then
+#: converges (671 sweeps), so that absorbed scalings reach an artifact;
+#: compare exits 2 (its ops exit 0, 0, 0, 2, 0).  An entry is (raw
 #: config, ops) or (raw config, ops, tables): the tables, {file name:
 #: values}, are written as CSV beside the config (write_extra).  Every grid is the trapezoid
 #: lattice: a config naming another grid.rule exits 1, which
@@ -245,6 +249,12 @@ EXTRA = {
                                 {"type": "gaussian", "sigma": 0.8}],
                   "grid": {"dim": 1, "radius": 2.0, "points": 3}},
                  OPS),
+    "swapsinkhorn1d": ({"kernel": {"type": "gaussian", "sigma": 0.1},
+                        "marginals": [{"type": "gaussian", "sigma": 0.5},
+                                      {"type": "gaussian", "sigma": 1.0}],
+                        "grid": {"dim": 1, "radius": 8.0, "points": 401},
+                        "swap": True, "solver": {"max_iter": 1000}},
+                       OPS),
 }
 
 

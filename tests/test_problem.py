@@ -14,12 +14,13 @@ from fortetbridge import (MarginalPair, bernstein_gaussian_condition,
                           bernstein_multivariate_condition, build_grid,
                           check_assumptions, condition_star, density_field,
                           full_report, gaussian_density, gaussian_kernel,
-                          pushforward, swapped_marginals, table_kernel,
-                          transition_normalized)
+                          pushforward, run_fortet, run_sinkhorn, swapped_marginals,
+                          table_kernel, transition_normalized)
 from fortetbridge.errors import FeasibilityError, GridError, KernelSupportError
 from fortetbridge import problem
 from fortetbridge.bridge import gaussian_oracle
 from fortetbridge.config import build_problem, resolve_config
+from fortetbridge.fortet import FortetOptions
 from fortetbridge.problem import TINY, KernelOperator, gaussian_from_scales
 from fortetbridge.quadrature import QuadratureGrid
 from tests.byte_identity import EXTRA
@@ -377,9 +378,9 @@ def test_closed_form_verdict_is_the_scans_on_the_gaussian_family():
                 parted.append(label + tag)
     # narrow1d, spike1d and spike2d have an omega1 below TINY at the edge
     # nodes only as given, spike1d-swapped and spike2d-swapped only
-    # swapped, and multivariate2d's kernel is whitened; pair1d and
-    # triple1d join in both orientations
-    assert len(family) == 2 * 72 + 2 * 9 + 21
+    # swapped, and multivariate2d's kernel is whitened; pair1d, triple1d
+    # and swapsinkhorn1d join in both orientations
+    assert len(family) == 2 * 72 + 2 * 9 + 23
     assert {"narrow1d", "spike1d", "spike2d", "spike1d-swapped swapped",
             "spike2d-swapped swapped", "multivariate2d",
             "multivariate2d swapped"}.isdisjoint(family)
@@ -401,6 +402,10 @@ def test_aniso2d_swapped_is_refused_by_kappa_where_the_tail_fit_reads_finite():
     assert all(check.ok for check in report.hypotheses.values())
     assert report.condition_star.verdict == "finite"
     assert full_report(built.kernel, _scan_twin(built.marginals)).refusal is None
+    # a second build is an equal grid, not the same object: one grid still
+    twin = build_problem(resolve_config(dict(EXTRA["aniso2d"][0], swap=True)))
+    assert twin.grid is not built.grid
+    assert full_report(built.kernel, twin.marginals).refusal == report.refusal
 
 
 def test_gaussian_verdict_makes_no_apply_and_other_inputs_take_the_scan(
@@ -974,6 +979,8 @@ def test_bound_below_the_factor_maxima_names_a_maximal_entry():
 
 #: each builder refusal of malformed input: the call on a 1-D grid of 5
 #: nodes, the exception type and its whole message
+BAND_REFUSAL = ("a kernel band must be symmetric, of odd length below 2n, on one 1-D "
+                "lattice of n nodes")
 REFUSALS = {
     "density-length": (lambda g: problem.DensityField(g, np.ones(4)), GridError,
                        "density values must match grid node count"),
@@ -986,8 +993,16 @@ REFUSALS = {
     "sigma-negative": (lambda g: gaussian_density(g, -1.0), FeasibilityError,
                        "sigma must be positive"),
     "band": (lambda g: KernelOperator((np.array([1.0, 2.0, 3.0]),), g, g, 3.0), GridError,
-             "a kernel band must be symmetric, of odd length below 2n, on two grids of "
-             "n nodes"),
+             BAND_REFUSAL),
+    # a band on a 5 x 5 grid, and on two 5-node lattices of radius 2 and 1
+    "band-2d": (lambda g: KernelOperator((np.array([1.0, 2.0, 1.0]),),
+                                         *[build_grid(dim=2, radius=2.0, points_per_axis=5)] * 2,
+                                         3.0),
+                GridError, BAND_REFUSAL),
+    "band-two-lattices": (lambda g: KernelOperator(
+                              (np.array([1.0, 2.0, 1.0]),), g,
+                              build_grid(dim=1, radius=1.0, points_per_axis=5), 3.0),
+                          GridError, BAND_REFUSAL),
     "matrix": (lambda g: KernelOperator((np.ones((5, 4)),), g, g, 1.0), GridError,
                "kernel matrix shape must be (n1, n2)"),
     "factors": (lambda g: KernelOperator((np.ones((5, 5)),) * 2, g, g, 1.0), GridError,
@@ -1009,3 +1024,20 @@ def test_builders_refuse_malformed_input(name):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(grid)
 
+
+def test_solvers_refuse_marginals_off_the_kernels_grids(bench_kernel, bench_marginals):
+    # gauss1d's kernel, 401 nodes of radius 8, against marginals on 201
+    # nodes, which no product broadcasts with, and on 401 nodes of radius
+    # 6, which every product takes on the wrong nodes: each entry point
+    # refuses both before it reads a value, a forced solve too
+    entries = (full_report, check_assumptions, run_sinkhorn, run_fortet,
+               lambda k, m: run_fortet(k, m, FortetOptions(force=True)))
+    for points, radius in ((201, 8.0), (401, 6.0)):
+        off = gaussian_density(build_grid(dim=1, radius=radius, points_per_axis=points), 0.8)
+        for marginals, k in ((MarginalPair(off, bench_marginals.omega2), 1),
+                             (MarginalPair(bench_marginals.omega1, off), 2)):
+            message = (f"omega{k} lies on the lattices [(-{radius}, {radius}, {points})], "
+                       f"not on the kernel's grid{k}, [(-8.0, 8.0, 401)]")
+            for entry in entries:
+                with pytest.raises(GridError, match=f"^{re.escape(message)}$"):
+                    entry(bench_kernel, marginals)

@@ -312,15 +312,15 @@ def _swap_instance(grid):
 
 
 def test_absorbed_kernel_is_the_folded_formula(bench_grid, monkeypatch):
-    # built in one buffer, each absorbed kernel rounds as
+    # built in the array log_values forms, each absorbed kernel rounds as
     # exp(log g + a (+) b) does term by term
     kernel, marginals = _swap_instance(bench_grid)
     built = []
     folded = sinkhorn._folded
 
-    def recording(kernel, log_kernel, a, b):
-        op = folded(kernel, log_kernel, a, b)
-        built.append((op.factors[0], np.exp(log_kernel + a[:, None] + b[None, :])))
+    def recording(kernel, a, b):
+        op = folded(kernel, a, b)
+        built.append((op.factors[0], np.exp(kernel.log_values + a[:, None] + b[None, :])))
         return op
 
     monkeypatch.setattr(sinkhorn, "_folded", recording)
@@ -330,10 +330,11 @@ def test_absorbed_kernel_is_the_folded_formula(bench_grid, monkeypatch):
     assert all(np.array_equal(got, formula) for got, formula in built)
 
 
-def test_absorbing_sinkhorn_holds_two_kernel_arrays(bench_grid):
+def test_absorbing_sinkhorn_holds_one_kernel_array(bench_grid):
     # the swap compare's 120-sweep budget absorbs a dozen times; the
-    # log-kernel and the current absorbed kernel are the only n x n arrays,
-    # because the old absorbed kernel is freed before the next is built
+    # current absorbed kernel is the only n x n array: the old one is freed
+    # before the next is built, and each is built in the log-kernel array
+    # that log_values forms for it, which no one else holds
     kernel, marginals = _swap_instance(bench_grid)
 
     def budget_run():
@@ -342,4 +343,4 @@ def test_absorbing_sinkhorn_holds_two_kernel_arrays(bench_grid):
 
     _, peak = traced_peak(budget_run)
     # the kernel itself is a band; an n x n array of float64 is 8 n^2 bytes
-    assert peak < 2.2 * 8 * kernel.grid1.n_nodes * kernel.grid2.n_nodes
+    assert peak < 1.2 * 8 * kernel.grid1.n_nodes * kernel.grid2.n_nodes
