@@ -619,20 +619,30 @@ class UniquenessReport(NamedTuple):
     consistent: bool
 
 
-def _ray_ratio(num: np.ndarray, den: np.ndarray) -> Tuple[float, float]:
+def _ray_ratio(log_num: np.ndarray, log_den: np.ndarray) -> Tuple[float, float]:
     """Median l_med of l = log num - log den and the spread
     exp(l_max - l_med) - exp(l_min - l_med), i.e. (max - min)/median of
-    num/den read without overflow.  A node where both are 0 carries no ray
-    constant and is dropped.  A node where the ratio is 0, inf or NaN
-    contradicts the ray: it makes the spread inf and is left out of the
-    median (inf if no node is left).  It runs under verify_uniqueness's
-    np.errstate."""
-    l = (np.log(num) - np.log(den))[(num != 0) | (den != 0)]
+    num/den read without overflow, from the two logs.  A node where both
+    are 0 (both logs -inf) carries no ray constant and is dropped.  A node
+    where the ratio is 0, inf or NaN contradicts the ray: it makes the
+    spread inf and is left out of the median (inf if no node is left).  It
+    runs under verify_uniqueness's np.errstate."""
+    l = (log_num - log_den)[(log_num != -math.inf) | (log_den != -math.inf)]
     ok = np.isfinite(l)
     if not ok.all() or not l.size:
         return (float(np.median(l[ok])) if ok.any() else math.inf), math.inf
     med = float(np.median(l))
     return med, float(np.exp(l.max() - med) - np.exp(l.min() - med))
+
+
+def _logs(solution, m1: np.ndarray, m2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(log phi on m1, log psi on m2) of a solution: its log_u and log_v
+    where it holds them, else np.log of its phi and psi, bitwise the same
+    wherever the stored logs are the logs of the potentials."""
+    log_u = getattr(solution, "log_u", None)
+    if log_u is not None:
+        return log_u[m1], solution.log_v[m2]
+    return np.log(solution.phi[m1]), np.log(solution.psi[m2])
 
 
 @np.errstate(all="ignore")
@@ -644,17 +654,19 @@ def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
     be one constant on the omega1 support and psi_b/psi_a the same constant
     on the omega2 support; spreads are (max - min)/median of those ratios.
     Ratios are read as log differences, so c_phi and c_psi may read inf.
-    A degenerate solution, whose potentials are None, raises
-    FeasibilityError.
+    A solution's logs are its log_u and log_v where it has them (a
+    sinkhorn.ScalingPair, finite where u or v leaves float range), else
+    np.log of its phi and psi.  A degenerate solution, whose potentials are
+    None, raises FeasibilityError.
     """
-    phi_a, psi_a = solution_a.phi, solution_a.psi
-    phi_b, psi_b = solution_b.phi, solution_b.psi
-    if phi_a is None or phi_b is None:
+    if solution_a.phi is None or solution_b.phi is None:
         raise FeasibilityError("cannot compare a degenerate solution")
     m1 = marginals.omega1.values > SUPPORT_THRESHOLD
     m2 = marginals.omega2.values > SUPPORT_THRESHOLD
-    l_phi, spread_phi = _ray_ratio(phi_a[m1], phi_b[m1])
-    l_psi, spread_psi = _ray_ratio(psi_b[m2], psi_a[m2])
+    log_phi_a, log_psi_a = _logs(solution_a, m1, m2)
+    log_phi_b, log_psi_b = _logs(solution_b, m1, m2)
+    l_phi, spread_phi = _ray_ratio(log_phi_a, log_phi_b)
+    l_psi, spread_psi = _ray_ratio(log_psi_b, log_psi_a)
     consistent = bool(spread_phi < tol and spread_psi < tol
                       and abs(np.expm1(l_phi - l_psi)) < tol)
     c_phi, c_psi = float(np.exp(l_phi)), float(np.exp(l_psi))

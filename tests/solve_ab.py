@@ -23,13 +23,14 @@ allocates for good would otherwise not be allocated again by the other's,
 and the tree that ran first would read higher.  A fresh process's first
 op varies by ~0.1 kB from run to run.  The steady op runs in this process,
 after the untimed one.  Two more lines per workload name give, for each
-tree, the phase that sets the first op's peak and the phase next below it,
-from one more fresh interpreter whose first op is traced by phase
-(first_phases); the same two for the steady op; the traced memory at the
-closing's entry, in kB and in node arrays; and the peak of each of the
-closing's three sub-phases (map, step row, mixer) in node arrays above
-that entry, from a steady op traced with its phase boundaries read by a
-profile hook (phase_peaks).
+tree, every phase's peak in the first op, highest first, so the first
+names the phase that sets it, from one more fresh interpreter whose first
+op is traced by phase (first_phases); the same for the steady op; the
+traced memory at the closing's entry, in kB and in node arrays; and the
+peak of each of the closing's three sub-phases (map, step row, mixer) in
+node arrays above that entry, from a steady op traced with its phase
+boundaries read by a profile hook (phase_peaks).  Phases a few hundred
+bytes apart are within one op's run-to-run spread.
 
 Its numbers are diagnostics, on one host: a speed or memory
 claim comes from bench/run.py.  The script only reads bench/; pytest does
@@ -124,7 +125,7 @@ def first_ops(src: Path, name: str, seed: int, work: Path, ops: int = 1):
 
 
 #: FIRST_OPS' set-up, then one first op traced by phase (phase_peaks),
-#: which prints the phase that sets its peak and the one next below it
+#: which prints every phase's peak, highest first (ranked_phases)
 FIRST_PHASES = FIRST_OPS[:FIRST_OPS.index("for _ in")] + """\
 import types
 sys.path.insert(0, {tests!r})
@@ -135,15 +136,14 @@ with solve_ab.phase_peaks(tree) as peaks:
         code = cli.main(["solve", "--config", str(path), "--output", str(work / "solve")])
 assert code == 0, code
 peaks.pop("closing")
-print(solve_ab.top_phases(peaks))
+print(solve_ab.ranked_phases(peaks))
 """
 
 
 def first_phases(src: Path, name: str, seed: int, work: Path) -> str:
-    """The phase that sets the first solve op's peak and the phase next
-    below it, with their peaks (top_phases), in a fresh interpreter set up
-    as first_ops sets one up, with the op's phase boundaries read by
-    phase_peaks' hook."""
+    """Every phase's peak in the first solve op, highest first
+    (ranked_phases), in a fresh interpreter set up as first_ops sets one
+    up, with the op's phase boundaries read by phase_peaks' hook."""
     code = FIRST_PHASES.format(bench=str(ROOT / "bench"), tests=str(ROOT / "tests"),
                                work=str(work), name=name, seed=seed)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -279,19 +279,19 @@ def _line_arrays() -> dict:
     return _UNBUILT
 
 
-def top_phases(peaks: dict) -> str:
-    """The phase of the highest peak and the phase next below it, with
-    their peaks in kB."""
-    top = sorted(peaks.items(), key=lambda item: -item[1])[:2]
-    return "; next ".join(f"{phase} {peak / 1e3:.1f} kB" for phase, peak in top)
+def ranked_phases(peaks: dict) -> str:
+    """Every phase that ran, with its peak in kB, highest first: the first
+    sets the op's peak.  A phase that never ran (peak 0) is left out."""
+    ranked = sorted(peaks.items(), key=lambda item: -item[1])
+    return ", ".join(f"{phase} {peak / 1e3:.1f}" for phase, peak in ranked if peak) + " kB"
 
 
 def peak_phases(tree, config: Path, out: Path, nodes: int) -> str:
-    """The phase that sets the peak of one steady solve op and the phase
-    next below it, with their peaks; the traced memory at the closing's
-    entry (the loaded problem and the scheme's image, among the rest), in
-    kB and in node arrays; and each closing sub-phase's peak in node arrays
-    above what that entry holds besides the scheme's image (phase_peaks).
+    """Every phase's peak in one steady solve op, highest first
+    (ranked_phases); the traced memory at the closing's entry (the loaded
+    problem and the scheme's image, among the rest), in kB and in node
+    arrays; and each closing sub-phase's peak in node arrays above what
+    that entry holds besides the scheme's image (phase_peaks).
     The sub-phase counts do not move with what the entry holds, so an array
     that the loaded problem stops holding shows in the entry only."""
     # the first op under a profile hook pays one-time allocations (~50 kB
@@ -303,7 +303,7 @@ def peak_phases(tree, config: Path, out: Path, nodes: int) -> str:
     base = entry - 8 * nodes
     arrays = ", ".join(f"{phase[9:]} {(peaks[phase] - base) / (8 * nodes):.2f}"
                        for phase in CLOSING)
-    return (top_phases(peaks)
+    return (ranked_phases(peaks)
             + f"; closing entry {entry / 1e3:.1f} kB, {entry / (8 * nodes):.2f} node arrays"
             + f" (closing node arrays: {arrays})")
 
@@ -366,8 +366,8 @@ def main(argv=None) -> int:
                   f"new {firsts['new'] / 1e3:.1f} kB; "
                   f"exit, stdout and artifacts {match}")
             for side in trees:
-                print(f"  {side}: first-op peak set by {first_set[side]}; "
-                      f"steady peak set by {phases[side]}")
+                print(f"  {side}: first-op phase peaks {first_set[side]}; "
+                      f"steady phase peaks {phases[side]}")
     return 0
 
 

@@ -23,7 +23,7 @@ from fortetbridge.errors import ConfigError
 from fortetbridge.fortet import StepLog, run_fortet
 from fortetbridge.problem import (MarginalPair, check_assumptions, full_report,
                                   gaussian_density, gaussian_kernel, transition_normalized)
-from fortetbridge.quadrature import build_grid
+from fortetbridge.quadrature import QuadratureGrid, build_grid
 from tests.byte_identity import EXTRA, write_extra
 from tests.conftest import counting_applies, kernel_matrix_builds, traced_peak
 from tests.solve_ab import WORKLOADS, first_ops
@@ -1121,6 +1121,36 @@ def test_potentials_writer_holds_no_record_buffer(tmp_path):
         cli._write_potentials(path, grid, columns)
         _, peak = traced_peak(lambda: cli._write_potentials(path, grid, columns))
         assert peak < 32 * 1024
+
+
+@pytest.mark.parametrize("lattice", [(-1.3, 1.3, 7), (-8.0, 8.0, 401), (0.1, 0.7, 3),
+                                     (-3.0, 1.5, 2)])
+def test_one_axis_x_column_is_the_linspace_repr(tmp_path, lattice):
+    # the 1-D x column, derived from the lattice one float at a time, reads
+    # np.linspace's values by repr, on steps that no float holds exactly
+    grid = QuadratureGrid((lattice,))
+    values = np.random.default_rng(3).uniform(0.0, 1.0, grid.n_nodes)
+    cli._write_potentials(tmp_path / "p.csv", grid, [("phi", values)])
+    rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [repr(x) for x in
+                                                  np.linspace(*lattice).tolist()]
+
+
+def test_one_axis_potentials_writer_holds_no_axis(tmp_path):
+    # what the 1-D writer holds does not grow with the grid: writing 401
+    # nodes peaks less than half a node array above writing one block of
+    # them; an axis array held for the x column took a whole node array
+    # (3.2 kB) of gauss1d's solve op
+    rng = np.random.default_rng(8)
+    values = rng.lognormal(0.0, 3.0, (3, 401))
+    peaks = []
+    for n in (cli.CSV_BLOCK_ROWS, 401):
+        grid = build_grid(dim=1, radius=8.0, points_per_axis=n)
+        columns = [(name, v[:n].copy()) for name, v in zip(("phi", "psi", "h"), values)]
+        path = tmp_path / f"p{n}.csv"
+        cli._write_potentials(path, grid, columns)
+        peaks.append(traced_peak(lambda: cli._write_potentials(path, grid, columns))[1])
+    assert peaks[1] - peaks[0] < 8 * 401 / 2
 
 
 #: the package's immutable types: 12 NamedTuples and 10 quadrature.Frozen classes

@@ -45,6 +45,36 @@ def test_agrees_with_fixed_point_solver(bench_solution, bench_scaling, bench_mar
     assert rep.ratio_spread_psi < CROSS_SOLVER_TOL
 
 
+def test_compare_reads_absorbed_scalings_in_log_form(swap_instance, swap_solution,
+                                                    bench_solution, bench_scaling,
+                                                    bench_marginals):
+    # on the criterion-2 instance Sinkhorn absorbs its scalings (671
+    # sweeps): on the ray's max u = 1, u underflows to 0 at gated nodes and
+    # v overflows to inf at every one, so a ray read from u and v is inf
+    # even against the pair itself, while log_u and log_v read it exactly.
+    # Against Fortet, psi's spread is finite; phi's stays inf, since Fortet
+    # set phi to 0 at gated nodes where h underflowed.  A pair that never
+    # absorbed keeps its report bit for bit: its logs are np.log of u and v
+    # on the omega1 support
+    from types import SimpleNamespace
+    kernel, marginals = swap_instance
+    pair = run_sinkhorn(kernel, marginals, max_iter=1000)
+    assert pair.iterations == 671
+    assert pair.phi is pair.u and pair.psi is pair.v
+    by_value = SimpleNamespace(phi=pair.u, psi=pair.v)
+    assert verify_uniqueness(pair, pair, marginals) == (0.0, 0.0, 1.0, 1.0, True)
+    assert not verify_uniqueness(by_value, by_value, marginals).consistent
+    report = verify_uniqueness(swap_solution, pair, marginals)
+    assert math.isfinite(report.ratio_spread_psi) and report.ratio_spread_phi == math.inf
+    assert verify_uniqueness(swap_solution, by_value, marginals).ratio_spread_psi == math.inf
+    gate = bench_marginals.omega1.values > 1e-12
+    assert np.log(bench_scaling.u[gate]).tobytes() == bench_scaling.log_u[gate].tobytes()
+    assert verify_uniqueness(bench_solution, bench_scaling, bench_marginals) \
+        == verify_uniqueness(bench_solution, SimpleNamespace(phi=bench_scaling.u,
+                                                             psi=bench_scaling.v),
+                             bench_marginals)
+
+
 def test_symmetric_2x2_doubly_stochastic():
     grid_nodes = build_grid(dim=1, radius=1.0, points_per_axis=2)
     kernel = table_kernel(grid_nodes, grid_nodes,
