@@ -118,28 +118,20 @@ def _write_trace(path: Path, log) -> None:
 def _coordinates(grid, slices: int = 1):
     """Column headers and the coordinate columns of slices copies of the
     nodes, one after another.  A single 1-D slice's column is its lattice's
-    nodes as floats, derived one at a time (_lattice_cells), so neither an
-    axis array nor a str per node is held.  Otherwise the nodes are the
-    axes' 'ij' mesh, and each axis's column is an iterator over its values,
-    each formatted once, not once per node: each cell repeated by the
-    product of the later axes' sizes, and the whole run repeated by the
+    nodes as floats, derived one at a time (quadrature._lattice_nodes), so
+    neither an axis array nor a str per node is held.  Otherwise the nodes
+    are the axes' 'ij' mesh, and each axis's column is an iterator over its
+    values, each formatted once, not once per node: each cell repeated by
+    the product of the later axes' sizes, and the whole run repeated by the
     earlier axes' sizes times slices."""
+    from .quadrature import _lattice_nodes
     headers = ["x"] if grid.dim == 1 else [f"x{k + 1}" for k in range(grid.dim)]
     if grid.dim == 1 and slices == 1:
-        return headers, [_lattice_cells(*grid.lattices[0])]
+        return headers, [_lattice_nodes(*grid.lattices[0])]
     return headers, [_mesh_cells([repr(v) for v in ax.tolist()],
                                  math.prod(grid.shape[k + 1:]),
                                  slices * math.prod(grid.shape[:k]))
                      for k, ax in enumerate(grid.axes)]
-
-
-def _lattice_cells(lo: float, hi: float, n: int):
-    """np.linspace(lo, hi, n) bit for bit, as an iterator of floats: numpy's
-    own k * step + lo below the last node, step = (hi - lo) / (n - 1), then
-    hi.  Floats, not their reprs: a block of str cells holds about twice
-    the bytes."""
-    step = (hi - lo) / (n - 1)
-    return chain(map(lo.__add__, map(step.__mul__, range(n - 1))), [hi])
 
 
 def _mesh_cells(cells, stride: int, runs: int):

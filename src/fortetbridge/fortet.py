@@ -638,10 +638,13 @@ def _ray_ratio(log_num: np.ndarray, log_den: np.ndarray) -> Tuple[float, float]:
 def _logs(solution, m1: np.ndarray, m2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(log phi on m1, log psi on m2) of a solution: its log_u and log_v
     where it holds them, else np.log of its phi and psi, bitwise the same
-    wherever the stored logs are the logs of the potentials."""
+    wherever the stored logs are the logs of the potentials.  A degenerate
+    solution, whose phi is None, raises FeasibilityError."""
     log_u = getattr(solution, "log_u", None)
     if log_u is not None:
         return log_u[m1], solution.log_v[m2]
+    if solution.phi is None:
+        raise FeasibilityError("cannot compare a degenerate solution")
     return np.log(solution.phi[m1]), np.log(solution.psi[m2])
 
 
@@ -659,8 +662,6 @@ def verify_uniqueness(solution_a, solution_b, marginals: MarginalPair,
     np.log of its phi and psi.  A degenerate solution, whose potentials are
     None, raises FeasibilityError.
     """
-    if solution_a.phi is None or solution_b.phi is None:
-        raise FeasibilityError("cannot compare a degenerate solution")
     m1 = marginals.omega1.values > SUPPORT_THRESHOLD
     m2 = marginals.omega2.values > SUPPORT_THRESHOLD
     log_phi_a, log_psi_a = _logs(solution_a, m1, m2)

@@ -11,6 +11,7 @@ what makes whole runs reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Tuple
 
 import numpy as np
@@ -150,28 +151,16 @@ class QuadratureGrid(Frozen):
         return read_only(self._weight_product())
 
     def weighted(self, f: np.ndarray, k: int = 0, reverse: bool = False) -> np.ndarray:
-        """f * (weights * 2^k) in one new float buffer, bitwise that
-        expression.  On one axis no weight vector is formed: f is multiplied
-        by the scalar h * 2^k, and its two end nodes by (h / 2) * 2^k, each
-        the entry's weight times 2^k (exact, the weights being normal), so
-        each product is the one the expression rounds.  On more axes the
-        weight products (_weight_product) are formed in the buffer, scaled
-        by 2^k there, and f then multiplies it in place.  With reverse, f is
-        read last node first, into a contiguous buffer: the weights read the
-        same either way, and reversing every axis reverses the mesh."""
-        if reverse:
-            f = f[::-1]
-        if self.dim == 1:
-            scale, h = 2.0 ** k, _step(*self.lattices[0])
-            end = h / 2.0 * scale
-            # in float64 whatever f's dtype, as the buffer below multiplies
-            out = np.multiply(f, h * scale, dtype=float)
-            out[0], out[-1] = float(f[0]) * end, float(f[-1]) * end
-            return out
+        """f * (weights * 2^k) in one new buffer, bitwise that expression:
+        the weight products (_weight_product) are formed in the buffer,
+        scaled by 2^k there, and f then multiplies it in place.  With
+        reverse, f is read last node first, into a contiguous buffer: the
+        weights read the same either way, and reversing every axis reverses
+        the mesh."""
         out = self._weight_product()
         if k:
             out *= 2.0 ** k
-        out *= f
+        out *= f[::-1] if reverse else f
         return out
 
     def _weight_product(self) -> np.ndarray:
@@ -183,6 +172,13 @@ class QuadratureGrid(Frozen):
 def _step(lo: float, hi: float, n: int) -> float:
     """The step h of the lattice (lo, hi, n)."""
     return (hi - lo) / (n - 1)
+
+
+def _lattice_nodes(lo: float, hi: float, n: int):
+    """The nodes of the lattice (lo, hi, n), np.linspace(lo, hi, n) bit for
+    bit, as an iterator of floats that holds no array: numpy's own
+    k * h + lo for k < n - 1, h = _step(lo, hi, n), then hi."""
+    return chain(map(lo.__add__, map(_step(lo, hi, n).__mul__, range(n - 1))), [hi])
 
 
 def _trapezoid(lo: float, hi: float, n: int) -> np.ndarray:

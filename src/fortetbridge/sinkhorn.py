@@ -44,14 +44,6 @@ class ScalingPair(Frozen):
         self._store(u=u, v=v, log_u=log_u, log_v=log_v, iterations=iterations,
                     hilbert_steps=hilbert_steps)
 
-    @property
-    def phi(self) -> np.ndarray:
-        return self.u
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.v
-
 
 def _on_ray(u, v, a, b, m1) -> Tuple[np.ndarray, ...]:
     """(u e^a, v e^b) and their logs, rescaled so that u e^a peaks at 1 on

@@ -165,28 +165,6 @@ def test_weights_are_the_iterated_outer_product_of_the_axis_weights(dim):
             assert reverse.tobytes() == (f[::-1] * scaled[::-1]).tobytes()
 
 
-@pytest.mark.parametrize("lattice", [(-8.0, 8.0, 2), (-3.0, 1.5, 7), (-8.0, 8.0, 401)])
-def test_one_axis_weighted_is_the_weight_product_expression(lattice):
-    # one axis scales f by h * 2^k and its ends by (h / 2) * 2^k, forming no
-    # weight vector: bitwise the weight products times 2^k times f, read
-    # last node first too, with subnormal ends, and in float64 for a
-    # float32 or an int f, as the product expression multiplies them
-    grid = QuadratureGrid((lattice,))
-    n = grid.n_nodes
-    rng = np.random.default_rng(n)
-    f = rng.lognormal(0.0, 50.0, n) * rng.choice([-1.0, 1.0], n)
-    f[0], f[-1] = 5e-324, -1e-310
-    f32 = rng.standard_normal(n).astype(np.float32) / np.float32(3.0)
-    for arg in (f, f32, np.arange(n) * 7 - 3):
-        for k in (0, 1, 57):
-            for reverse in (False, True):
-                read = arg[::-1] if reverse else arg
-                expected = grid._weight_product() * 2.0 ** k * read
-                out = grid.weighted(arg, k, reverse)
-                assert out.dtype == np.float64 and out.flags.c_contiguous
-                assert out.tobytes() == expected.tobytes()
-
-
 def test_weighted_forms_one_buffer():
     # f * (weights * 2^k) on a 41 x 41 grid, in the one buffer it returns:
     # np.multiply.outer's two ufunc buffers beside its result would triple
@@ -195,6 +173,19 @@ def test_weighted_forms_one_buffer():
     f = np.ones(grid.n_nodes)
     out, peak = traced_peak(lambda: grid.weighted(f, 1))
     assert peak < 1.5 * out.nbytes
+
+
+def test_lattice_nodes_are_linspace_bit_for_bit():
+    # the nodes derived one float at a time (the 1-D potentials writer's x
+    # column) are np.linspace's, on random lattices whose steps no float
+    # holds exactly, of 2 to 2999 nodes
+    from fortetbridge.quadrature import _lattice_nodes
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        lo = rng.uniform(-50.0, 50.0)
+        lattice = (lo, lo + rng.lognormal(0.0, 2.0), int(rng.integers(2, 3000)))
+        nodes = np.fromiter(_lattice_nodes(*lattice), float)
+        assert nodes.tobytes() == np.linspace(*lattice).tobytes()
 
 
 def test_direct_grid_construction():
